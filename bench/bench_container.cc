@@ -1,16 +1,17 @@
-// Container load-path benchmark (v3 tentpole acceptance): heap
-// deserialize (v2 container -> owned arrays -> full-graph fingerprint,
+// Container load-path benchmark: heap deserialize (read the v3 file ->
+// DeserializeHeteroGraph into owned arrays -> full-graph fingerprint,
 // what GraphStore::RegisterSerialized pays per upload) vs zero-copy map
-// (v3 container -> CRC verify -> FromView spans, fingerprint read from
+// (the same file -> CRC verify -> FromView spans, fingerprint read from
 // the header). Mapped registration must be at least 10x faster — the
 // FREEHGC_CHECK below is the acceptance gate. Writes BENCH_container.json.
 //
 // Both paths run against a page-cache-warm file (each container is
 // written immediately before timing), so the gap measured is the work
-// the load path itself does — allocate + copy + FNV for heap, PCLMUL CRC
-// + section-table parse for mapped — not disk speed.
+// the load path itself does — read + CRC + copy + FNV for heap, PCLMUL
+// CRC + section-table parse for mapped — not disk speed.
 
 #include <cstdio>
+#include <fstream>
 #include <string>
 #include <vector>
 
@@ -30,14 +31,22 @@ double MinSeconds(const std::vector<double>& xs) {
   return best;
 }
 
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  FREEHGC_CHECK(in.good()) << path;
+  std::string bytes(static_cast<size_t>(in.tellg()), '\0');
+  in.seekg(0);
+  in.read(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+  FREEHGC_CHECK(in.good()) << path;
+  return bytes;
+}
+
 int Run() {
   PrintHeader("container: heap deserialize vs zero-copy map");
   const double scale = 2.0;
   const HeteroGraph g = datasets::MakeAminer(1, scale, &exec::DefaultExec());
   const uint64_t want_fp = g.ContentFingerprint();
-  const std::string v2_path = "/tmp/freehgc_bench_container_v2.bin";
   const std::string v3_path = "/tmp/freehgc_bench_container_v3.fhgc";
-  FREEHGC_CHECK(SaveHeteroGraph(g, v2_path).ok());
   auto v3 = SaveHeteroGraphV3(g, v3_path);
   FREEHGC_CHECK(v3.ok());
   std::printf("graph: aminer scale %.1f, %lld nodes, %lld edges, "
@@ -46,14 +55,14 @@ int Run() {
               static_cast<long long>(g.TotalEdges()), g.MemoryBytes(),
               static_cast<unsigned long long>(v3->file_bytes));
 
-  // Heap path: what an upload-style registration costs — read + parse
-  // into owned vectors, then the full-graph FNV pass for the identity
-  // the scheduler and ArtifactCache key on.
+  // Heap path: what an upload-style registration costs — read, verify
+  // and copy into owned vectors, then the full-graph FNV pass for the
+  // identity the scheduler and ArtifactCache key on.
   std::vector<double> heap_s;
   size_t heap_resident = 0;
   for (int r = 0; r < kReps; ++r) {
     Timer t;
-    auto loaded = LoadHeteroGraph(v2_path);
+    auto loaded = DeserializeHeteroGraph(ReadFileBytes(v3_path));
     FREEHGC_CHECK(loaded.ok());
     const uint64_t fp = loaded->ContentFingerprint();
     heap_s.push_back(t.ElapsedSeconds());
@@ -122,7 +131,6 @@ int Run() {
   WriteTextFile("BENCH_container.json", json);
   std::printf("wrote BENCH_container.json\n");
 
-  std::remove(v2_path.c_str());
   std::remove(v3_path.c_str());
   return 0;
 }

@@ -9,9 +9,8 @@ namespace freehgc {
 /// CRC-32 (IEEE 802.3 polynomial, the zlib/PNG variant) of `n` bytes.
 /// `seed` chains incremental computation: pass the previous return value
 /// to extend a checksum across multiple buffers. Used as the integrity
-/// trailer of the HeteroGraph binary container (whole-body in v2,
-/// per-section in v3) and the serve-layer wire frames; no external
-/// dependency. Slice-by-8 table kernel with a carry-less-multiply
+/// check of every section of the v3 graph container and the spill files;
+/// no external dependency. Slice-by-8 table kernel with a carry-less-multiply
 /// (PCLMULQDQ) fast path selected at runtime — mapping a multi-GB v3
 /// container verifies every section, so checksum speed is on the
 /// zero-copy load path.

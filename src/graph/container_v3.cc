@@ -1,4 +1,6 @@
-// Format version 3: the page-aligned, memory-mappable graph container.
+// Format version 3: the page-aligned, memory-mappable graph container, and
+// the only graph container there is. Files on disk, spooled uploads, wire
+// upload bodies and return_graph replies all carry these same bytes.
 //
 // Layout (all integers little-endian, the only byte order we target):
 //
@@ -178,9 +180,15 @@ Result<HeteroGraphV3Writer> HeteroGraphV3Writer::Create(
   FREEHGC_ASSIGN_OR_RETURN(
       SectionWriter sw,
       SectionWriter::Create(path, section_io::GraphContainerFormat()));
-  HeteroGraphV3Writer w;
-  w.impl_ = new Impl(std::move(sw));
-  return w;
+  return HeteroGraphV3Writer(new Impl(std::move(sw)));
+}
+
+Result<HeteroGraphV3Writer> HeteroGraphV3Writer::CreateInMemory(
+    std::string* out) {
+  FREEHGC_ASSIGN_OR_RETURN(
+      SectionWriter sw,
+      SectionWriter::CreateInMemory(out, section_io::GraphContainerFormat()));
+  return HeteroGraphV3Writer(new Impl(std::move(sw)));
 }
 
 HeteroGraphV3Writer::HeteroGraphV3Writer(HeteroGraphV3Writer&& other) noexcept
@@ -391,11 +399,12 @@ Result<V3WriteSummary> HeteroGraphV3Writer::Finish() {
   return summary;
 }
 
-Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
-                                         const std::string& path) {
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
-  FREEHGC_ASSIGN_OR_RETURN(HeteroGraphV3Writer w,
-                           HeteroGraphV3Writer::Create(path));
+namespace {
+
+/// Writes every section of `g` into `w` and finishes it: the one layout
+/// behind both the file and the in-memory container.
+Result<V3WriteSummary> WriteGraph(const HeteroGraph& g,
+                                  HeteroGraphV3Writer& w) {
   for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
     FREEHGC_RETURN_IF_ERROR(w.AddNodeType(g.TypeName(t), g.NodeCount(t)));
   }
@@ -417,6 +426,25 @@ Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
   }
   FREEHGC_RETURN_IF_ERROR(w.SetContentFingerprint(g.ContentFingerprint()));
   return w.Finish();
+}
+
+}  // namespace
+
+Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
+                                         const std::string& path) {
+  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  FREEHGC_ASSIGN_OR_RETURN(HeteroGraphV3Writer w,
+                           HeteroGraphV3Writer::Create(path));
+  return WriteGraph(g, w);
+}
+
+Result<std::string> SerializeHeteroGraph(const HeteroGraph& g) {
+  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  std::string out;
+  FREEHGC_ASSIGN_OR_RETURN(HeteroGraphV3Writer w,
+                           HeteroGraphV3Writer::CreateInMemory(&out));
+  FREEHGC_RETURN_IF_ERROR(WriteGraph(g, w).status());
+  return out;
 }
 
 // --- Reader ---------------------------------------------------------------
@@ -540,19 +568,28 @@ Result<HeteroGraph> MapHeteroGraph(const std::string& path) {
   return std::move(mg.graph);
 }
 
-namespace serialize_internal {
-
-Result<HeteroGraph> ParseV3Memory(std::string_view bytes) {
-  const auto* base = reinterpret_cast<const uint8_t*>(bytes.data());
+Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
+  ByteReader r(bytes);
+  uint32_t magic = 0, version = 0;
+  if (!ReadPod(r, &magic) || magic != kMagic) {
+    return Status::InvalidArgument("not a FreeHGC graph container");
+  }
+  if (!ReadPod(r, &version)) {
+    return Status::InvalidArgument("truncated graph container header");
+  }
+  if (version != kVersionV3) {
+    return Status::InvalidArgument(StrFormat(
+        "unsupported graph container version %u (only v3 is read)", version));
+  }
+  // In-memory buffers are transient, so the parse deep-copies into owned
+  // storage instead of handing out views.
   FREEHGC_ASSIGN_OR_RETURN(
       SectionView v,
-      SectionView::Parse(base, bytes.size(),
-                         section_io::GraphContainerFormat()));
+      SectionView::Parse(reinterpret_cast<const uint8_t*>(bytes.data()),
+                         bytes.size(), section_io::GraphContainerFormat()));
   FREEHGC_RETURN_IF_ERROR(v.VerifyAllCrcs());
   return BuildGraph(v);
 }
-
-}  // namespace serialize_internal
 
 // --- Inspection -----------------------------------------------------------
 
@@ -609,12 +646,9 @@ Result<ContainerSummary> InspectContainer(const std::string& path) {
   if (std::fread(&version, 1, sizeof(version), f.get()) != sizeof(version)) {
     return Status::InvalidArgument("truncated graph container header");
   }
-  if (version == serialize_internal::kVersionLegacy ||
-      version == serialize_internal::kVersionV2) {
-    return serialize_internal::InspectLegacyContainer(path, version, f.get());
-  }
   if (version != kVersionV3) {
-    return Status::InvalidArgument("unsupported graph file version");
+    return Status::InvalidArgument(StrFormat(
+        "unsupported graph file version %u (only v3 is read)", version));
   }
   f.reset();
   FREEHGC_ASSIGN_OR_RETURN(

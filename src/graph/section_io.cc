@@ -48,9 +48,11 @@ Format SpillFormat() {
 
 struct SectionWriter::Impl {
   Format format;
+  // Exactly one sink: `file` (a ".tmp" sibling of final_path) or `buffer`.
   std::string final_path;
   std::string tmp_path;
   FilePtr file;
+  std::string* buffer = nullptr;
   uint64_t offset = 0;  // bytes written so far
   std::vector<SectionEntry> sections;
   bool have_fingerprint = false;
@@ -66,10 +68,36 @@ struct SectionWriter::Impl {
   uint64_t cur_off = 0;
 
   Status WriteRaw(const void* data, size_t n) {
-    if (n > 0 && std::fwrite(data, 1, n, file.get()) != n) {
+    if (buffer != nullptr) {
+      buffer->append(static_cast<const char*>(data), n);
+    } else if (n > 0 && std::fwrite(data, 1, n, file.get()) != n) {
       return Status::Internal("short write to " + tmp_path);
     }
     offset += n;
+    return Status::OK();
+  }
+
+  /// Overwrites the reserved header page with `h` and publishes: a buffer
+  /// is complete once the header lands; a file is fsynced and atomically
+  /// renamed into place.
+  Status PublishHeader(const FileHeader& h) {
+    if (buffer != nullptr) {
+      std::memcpy(buffer->data(), &h, sizeof(h));
+      return Status::OK();
+    }
+    char page[kHeaderBytes] = {};
+    std::memcpy(page, &h, sizeof(h));
+    if (std::fseek(file.get(), 0, SEEK_SET) != 0 ||
+        std::fwrite(page, 1, sizeof(page), file.get()) != sizeof(page) ||
+        std::fflush(file.get()) != 0 || ::fsync(::fileno(file.get())) != 0) {
+      return Status::Internal("cannot finalize " + tmp_path);
+    }
+    file.reset();
+    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+      std::remove(tmp_path.c_str());
+      return Status::Internal("cannot rename " + tmp_path + " to " +
+                              final_path);
+    }
     return Status::OK();
   }
 
@@ -82,7 +110,7 @@ struct SectionWriter::Impl {
   }
 
   Status CheckOpen() const {
-    if (!file) {
+    if (!file && buffer == nullptr) {
       return Status::FailedPrecondition(
           StrFormat("%s writer is not open", format.label));
     }
@@ -105,6 +133,19 @@ Result<SectionWriter> SectionWriter::Create(const std::string& path,
     return Status::InvalidArgument("cannot open for write: " +
                                    impl->tmp_path);
   }
+  return Start(std::move(impl));
+}
+
+Result<SectionWriter> SectionWriter::CreateInMemory(std::string* out,
+                                                    const Format& format) {
+  auto impl = std::make_unique<Impl>();
+  impl->format = format;
+  impl->buffer = out;
+  out->clear();
+  return Start(std::move(impl));
+}
+
+Result<SectionWriter> SectionWriter::Start(std::unique_ptr<Impl> impl) {
   // Reserve the header page; the real header is patched in on Finish.
   static const char zeros[kHeaderBytes] = {};
   FREEHGC_RETURN_IF_ERROR(impl->WriteRaw(zeros, sizeof(zeros)));
@@ -221,22 +262,7 @@ Result<uint64_t> SectionWriter::Finish() {
   FREEHGC_RETURN_IF_ERROR(impl_->WriteRaw(table.data(), table.size()));
   h.file_size = impl_->offset;
   h.header_crc = Crc32(&h, offsetof(FileHeader, header_crc));
-
-  char page[kHeaderBytes] = {};
-  std::memcpy(page, &h, sizeof(h));
-  if (std::fseek(impl_->file.get(), 0, SEEK_SET) != 0 ||
-      std::fwrite(page, 1, sizeof(page), impl_->file.get()) !=
-          sizeof(page) ||
-      std::fflush(impl_->file.get()) != 0 ||
-      ::fsync(::fileno(impl_->file.get())) != 0) {
-    return Status::Internal("cannot finalize " + impl_->tmp_path);
-  }
-  impl_->file.reset();
-  if (std::rename(impl_->tmp_path.c_str(), impl_->final_path.c_str()) != 0) {
-    std::remove(impl_->tmp_path.c_str());
-    return Status::Internal("cannot rename " + impl_->tmp_path + " to " +
-                            impl_->final_path);
-  }
+  FREEHGC_RETURN_IF_ERROR(impl_->PublishHeader(h));
   impl_->finished = true;
   return h.file_size;
 }
@@ -275,8 +301,8 @@ Status ParseInto(const uint8_t* base, size_t size, const Format& format,
   if (h.section_count > kMaxSections ||
       h.table_size != h.section_count * sizeof(SectionEntry) ||
       h.table_offset < kHeaderBytes ||
-      h.table_offset % kAlign != 0 ||
-      h.table_offset + h.table_size != size) {
+      h.table_offset % kAlign != 0 || h.table_offset > size ||
+      h.table_size != size - h.table_offset) {
     return Status::InvalidArgument(
         StrFormat("%s section table out of bounds", label));
   }

@@ -108,15 +108,20 @@ Format SpillFormat();
 inline constexpr uint32_t kSpillMagic = 0x4c505346;  // "FSPL"
 inline constexpr uint32_t kSpillVersion = 1;
 
-/// Streaming writer for section files. Sections are appended to a ".tmp"
-/// sibling; Finish writes the table + header, fsyncs and atomically
-/// renames into place, so a killed writer never leaves a torn file under
-/// the target name. Destroying an unfinished writer deletes the temp
-/// file.
+/// Streaming writer for section files, with one of two sinks sharing the
+/// same layout code. The file sink appends sections to a ".tmp" sibling;
+/// Finish writes the table + header, fsyncs and atomically renames into
+/// place, so a killed writer never leaves a torn file under the target
+/// name. Destroying an unfinished file writer deletes the temp file. The
+/// memory sink appends to a caller-owned string, which after Finish holds
+/// exactly the bytes the file sink would have written.
 class SectionWriter {
  public:
   static Result<SectionWriter> Create(const std::string& path,
                                       const Format& format);
+  /// Writes into `*out` (cleared first); `out` must outlive the writer.
+  static Result<SectionWriter> CreateInMemory(std::string* out,
+                                              const Format& format);
 
   SectionWriter(SectionWriter&& other) noexcept;
   SectionWriter& operator=(SectionWriter&& other) noexcept;
@@ -147,16 +152,18 @@ class SectionWriter {
   /// OK while the writer is open and unfinished.
   Status CheckOpen() const;
 
-  /// Writes table + header, fsyncs, renames into place. Returns the
-  /// final file size in bytes.
+  /// Writes table + header (file sink: fsyncs, renames into place).
+  /// Returns the final container size in bytes.
   Result<uint64_t> Finish();
 
-  /// Deletes the temporary file without publishing anything.
+  /// Deletes the temporary file (file sink) without publishing anything.
   void Abandon();
 
  private:
   SectionWriter() = default;
   struct Impl;
+  /// Reserves the header page in the sink and wraps `impl`.
+  static Result<SectionWriter> Start(std::unique_ptr<Impl> impl);
   Impl* impl_ = nullptr;
 };
 

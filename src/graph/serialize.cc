@@ -1,14 +1,8 @@
 #include "graph/serialize.h"
 
-#include <fcntl.h>
-#include <unistd.h>
-
 #include <cstdio>
-#include <cstring>
-#include <memory>
-#include <span>
+#include <cstdlib>
 
-#include "common/crc32.h"
 #include "common/rng.h"
 #include "common/string_util.h"
 #include "graph/serialize_internal.h"
@@ -17,388 +11,7 @@ namespace freehgc {
 
 namespace {
 
-using serialize_internal::ByteReader;
 using serialize_internal::FilePtr;
-using serialize_internal::kMagic;
-using serialize_internal::kVersionLegacy;
-using serialize_internal::kVersionV2;
-using serialize_internal::kVersionV3;
-using serialize_internal::ReadPod;
-using serialize_internal::ReadString;
-using serialize_internal::WriteBytes;
-using serialize_internal::WritePod;
-using serialize_internal::WriteString;
-
-// Serialization targets a std::string (infallible appends); parsing reads
-// from an in-memory view with bounds checks, which is what lets the
-// version-2 container verify size and checksum before any graph state is
-// built (and lets the serve layer parse uploads without touching disk).
-
-template <typename T>
-void WriteSpan(std::string& out, std::span<const T> v) {
-  WritePod(out, static_cast<uint64_t>(v.size()));
-  WriteBytes(out, v.data(), v.size() * sizeof(T));
-}
-
-template <typename T>
-void WriteVec(std::string& out, const std::vector<T>& v) {
-  WriteSpan(out, std::span<const T>(v));
-}
-
-void WriteCsr(std::string& out, const CsrMatrix& m) {
-  WritePod(out, m.rows());
-  WritePod(out, m.cols());
-  WriteSpan(out, m.indptr());
-  WriteSpan(out, m.indices());
-  WriteSpan(out, m.values());
-}
-
-void WriteMatrix(std::string& out, const Matrix& m) {
-  WritePod(out, m.rows());
-  WritePod(out, m.cols());
-  WriteBytes(out, m.data(), static_cast<size_t>(m.size()) * sizeof(float));
-}
-
-template <typename T>
-bool ReadVec(ByteReader& r, std::vector<T>* v) {
-  uint64_t n = 0;
-  if (!ReadPod(r, &n) || n > (1ull << 33)) return false;
-  v->resize(static_cast<size_t>(n));
-  return r.Read(v->data(), static_cast<size_t>(n) * sizeof(T));
-}
-
-Result<CsrMatrix> ReadCsr(ByteReader& r) {
-  int32_t rows = 0, cols = 0;
-  std::vector<int64_t> indptr;
-  std::vector<int32_t> indices;
-  std::vector<float> values;
-  if (!ReadPod(r, &rows) || !ReadPod(r, &cols) || !ReadVec(r, &indptr) ||
-      !ReadVec(r, &indices) || !ReadVec(r, &values)) {
-    return Status::Internal("truncated CSR block");
-  }
-  return CsrMatrix::FromParts(rows, cols, std::move(indptr),
-                              std::move(indices), std::move(values));
-}
-
-Result<Matrix> ReadMatrix(ByteReader& r) {
-  int64_t rows = 0, cols = 0;
-  if (!ReadPod(r, &rows) || !ReadPod(r, &cols) || rows < 0 || cols < 0 ||
-      rows * cols > (1ll << 33)) {
-    return Status::Internal("truncated matrix header");
-  }
-  Matrix m(rows, cols);
-  if (!r.Read(m.data(), static_cast<size_t>(m.size()) * sizeof(float))) {
-    return Status::Internal("truncated matrix body");
-  }
-  return m;
-}
-
-/// Serializes the version-independent body (types, relations, features,
-/// labels, splits).
-void WriteBody(std::string& out, const HeteroGraph& g) {
-  const int32_t num_types = g.NumNodeTypes();
-  WritePod(out, num_types);
-  for (TypeId t = 0; t < num_types; ++t) {
-    WriteString(out, g.TypeName(t));
-    WritePod(out, g.NodeCount(t));
-  }
-  const int32_t num_rel = g.NumRelations();
-  WritePod(out, num_rel);
-  for (RelationId r = 0; r < num_rel; ++r) {
-    const Relation& rel = g.relation(r);
-    WriteString(out, rel.name);
-    WritePod(out, rel.src_type);
-    WritePod(out, rel.dst_type);
-    WriteCsr(out, rel.adj);
-  }
-  for (TypeId t = 0; t < num_types; ++t) {
-    const uint8_t has = g.HasFeatures(t) ? 1 : 0;
-    WritePod(out, has);
-    if (has) WriteMatrix(out, g.Features(t));
-  }
-  const int32_t target = g.target_type();
-  WritePod(out, target);
-  if (target >= 0) {
-    WritePod(out, g.num_classes());
-    WriteVec(out, g.labels());
-    WriteVec(out, g.train_index());
-    WriteVec(out, g.val_index());
-    WriteVec(out, g.test_index());
-  }
-}
-
-/// Parses the body (everything past the header fields).
-Result<HeteroGraph> ReadBody(ByteReader& r) {
-  HeteroGraph g;
-  int32_t num_types = 0;
-  if (!ReadPod(r, &num_types) || num_types < 0 || num_types > 4096) {
-    return Status::Internal("bad type count");
-  }
-  for (int32_t t = 0; t < num_types; ++t) {
-    std::string name;
-    int32_t count = 0;
-    if (!ReadString(r, &name) || !ReadPod(r, &count)) {
-      return Status::Internal("truncated type table");
-    }
-    auto added = g.AddNodeType(name, count);
-    if (!added.ok()) return added.status();
-  }
-  int32_t num_rel = 0;
-  if (!ReadPod(r, &num_rel) || num_rel < 0 || num_rel > 65536) {
-    return Status::Internal("bad relation count");
-  }
-  for (int32_t rel_i = 0; rel_i < num_rel; ++rel_i) {
-    std::string name;
-    TypeId src = -1, dst = -1;
-    if (!ReadString(r, &name) || !ReadPod(r, &src) || !ReadPod(r, &dst)) {
-      return Status::Internal("truncated relation header");
-    }
-    FREEHGC_ASSIGN_OR_RETURN(CsrMatrix adj, ReadCsr(r));
-    auto added = g.AddRelation(name, src, dst, std::move(adj));
-    if (!added.ok()) return added.status();
-  }
-  for (int32_t t = 0; t < num_types; ++t) {
-    uint8_t has = 0;
-    if (!ReadPod(r, &has)) return Status::Internal("truncated flags");
-    if (has) {
-      FREEHGC_ASSIGN_OR_RETURN(Matrix m, ReadMatrix(r));
-      FREEHGC_RETURN_IF_ERROR(g.SetFeatures(t, std::move(m)));
-    }
-  }
-  int32_t target = -1;
-  if (!ReadPod(r, &target)) return Status::Internal("truncated target");
-  if (target >= 0) {
-    int32_t num_classes = 0;
-    std::vector<int32_t> labels, train, val, test;
-    if (!ReadPod(r, &num_classes) || !ReadVec(r, &labels) ||
-        !ReadVec(r, &train) || !ReadVec(r, &val) || !ReadVec(r, &test)) {
-      return Status::Internal("truncated label block");
-    }
-    FREEHGC_RETURN_IF_ERROR(g.SetTarget(target, std::move(labels),
-                                        num_classes));
-    FREEHGC_RETURN_IF_ERROR(g.SetSplit(std::move(train), std::move(val),
-                                       std::move(test)));
-  }
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
-  return g;
-}
-
-}  // namespace
-
-Result<std::string> SerializeHeteroGraph(const HeteroGraph& g) {
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
-  std::string body;
-  WriteBody(body, g);
-  const uint64_t size = body.size();
-  const uint32_t crc = Crc32(body.data(), body.size());
-  std::string out;
-  out.reserve(sizeof(kMagic) + sizeof(kVersionV2) + sizeof(size) +
-              sizeof(crc) + body.size());
-  WritePod(out, kMagic);
-  WritePod(out, kVersionV2);
-  WritePod(out, size);
-  WritePod(out, crc);
-  out.append(body);
-  return out;
-}
-
-Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
-  ByteReader r(bytes);
-  uint32_t magic = 0, version = 0;
-  if (!ReadPod(r, &magic) || magic != kMagic) {
-    return Status::InvalidArgument("not a FreeHGC graph container");
-  }
-  if (!ReadPod(r, &version)) {
-    return Status::InvalidArgument("truncated graph container header");
-  }
-  if (version == kVersionV3) {
-    // In-memory v3 buffers are transient, so the parse deep-copies into
-    // owned storage instead of handing out views.
-    return serialize_internal::ParseV3Memory(bytes);
-  }
-  size_t body_off = sizeof(magic) + sizeof(version);
-  if (version == kVersionV2) {
-    uint64_t size = 0;
-    uint32_t crc = 0;
-    if (!ReadPod(r, &size) || !ReadPod(r, &crc)) {
-      return Status::InvalidArgument("truncated graph container header");
-    }
-    body_off += sizeof(size) + sizeof(crc);
-    if (bytes.size() - body_off != size) {
-      return Status::InvalidArgument(StrFormat(
-          "truncated graph container: body has %zu of %llu bytes",
-          bytes.size() - body_off, static_cast<unsigned long long>(size)));
-    }
-    const uint32_t actual = Crc32(bytes.data() + body_off, size);
-    if (actual != crc) {
-      return Status::InvalidArgument(StrFormat(
-          "graph container checksum mismatch (stored %08x, computed %08x)",
-          crc, actual));
-    }
-  } else if (version != kVersionLegacy) {
-    return Status::InvalidArgument("unsupported graph file version");
-  }
-  // Version 1 has no size/checksum: the body parser's bounds checks are
-  // the only truncation defense (kept for old files).
-  return ReadBody(r);
-}
-
-namespace {
-
-/// Writes `bytes` to a ".tmp" sibling of `path`, flushes it to stable
-/// storage and atomically renames it into place, so a crash mid-write can
-/// never leave a torn file under the target name.
-Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
-  const std::string tmp = path + ".tmp";
-  FilePtr f(std::fopen(tmp.c_str(), "wb"));
-  if (!f) return Status::InvalidArgument("cannot open for write: " + tmp);
-  if (std::fwrite(bytes.data(), 1, bytes.size(), f.get()) != bytes.size() ||
-      std::fflush(f.get()) != 0 || ::fsync(::fileno(f.get())) != 0) {
-    f.reset();
-    std::remove(tmp.c_str());
-    return Status::Internal("short write to " + tmp);
-  }
-  f.reset();
-  if (std::rename(tmp.c_str(), path.c_str()) != 0) {
-    std::remove(tmp.c_str());
-    return Status::Internal("cannot rename " + tmp + " to " + path);
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SaveHeteroGraph(const HeteroGraph& g, const std::string& path) {
-  FREEHGC_ASSIGN_OR_RETURN(std::string bytes, SerializeHeteroGraph(g));
-  return WriteFileAtomic(path, bytes);
-}
-
-Result<HeteroGraph> LoadHeteroGraph(const std::string& path) {
-  FilePtr f(std::fopen(path.c_str(), "rb"));
-  if (!f) return Status::NotFound("cannot open: " + path);
-  // Peek the header: v3 containers are mapped, never slurped to heap.
-  uint32_t head[2] = {0, 0};
-  const size_t head_n = std::fread(head, 1, sizeof(head), f.get());
-  if (head_n == sizeof(head) && head[0] == kMagic && head[1] == kVersionV3) {
-    f.reset();
-    FREEHGC_ASSIGN_OR_RETURN(MappedGraph mg, MapHeteroGraphDetailed(path));
-    return std::move(mg.graph);
-  }
-  std::string bytes(reinterpret_cast<const char*>(head), head_n);
-  char buf[1 << 16];
-  size_t n = 0;
-  while ((n = std::fread(buf, 1, sizeof(buf), f.get())) > 0) {
-    bytes.append(buf, n);
-  }
-  if (std::ferror(f.get()) != 0) {
-    return Status::Internal("read error: " + path);
-  }
-  auto g = DeserializeHeteroGraph(bytes);
-  if (!g.ok() &&
-      g.status().message().rfind("not a FreeHGC graph container", 0) == 0) {
-    return Status::InvalidArgument("not a FreeHGC graph file: " + path);
-  }
-  return g;
-}
-
-namespace serialize_internal {
-
-namespace {
-
-template <typename T>
-bool ReadPodF(std::FILE* f, T* v) {
-  return std::fread(v, 1, sizeof(T), f) == sizeof(T);
-}
-
-bool ReadStringF(std::FILE* f, std::string* s) {
-  uint32_t n = 0;
-  if (!ReadPodF(f, &n) || n > (1u << 20)) return false;
-  s->resize(n);
-  return std::fread(s->data(), 1, n, f) == n;
-}
-
-/// Skips a length-prefixed array, returning its element count.
-template <typename T>
-bool SkipArrayF(std::FILE* f, uint64_t* count) {
-  uint64_t n = 0;
-  if (!ReadPodF(f, &n) || n > (1ull << 33)) return false;
-  *count = n;
-  return std::fseek(f, static_cast<long>(n * sizeof(T)), SEEK_CUR) == 0;
-}
-
-}  // namespace
-
-Result<ContainerSummary> InspectLegacyContainer(const std::string& path,
-                                                uint32_t version,
-                                                std::FILE* f) {
-  ContainerSummary out;
-  out.version = version;
-  out.crc_ok = true;  // v1 has no checksum to fail
-  // The v1/v2 stream: magic, version, [size, crc (v2)], body.
-  long body_off = static_cast<long>(2 * sizeof(uint32_t));
-  if (version == kVersionV2) {
-    uint64_t size = 0;
-    uint32_t crc = 0;
-    if (std::fseek(f, body_off, SEEK_SET) != 0 || !ReadPodF(f, &size) ||
-        !ReadPodF(f, &crc)) {
-      return Status::InvalidArgument("truncated graph container header");
-    }
-    body_off += static_cast<long>(sizeof(size) + sizeof(crc));
-    // First pass: stream the body through the CRC in fixed-size chunks.
-    uint32_t actual = 0;
-    uint64_t seen = 0;
-    char buf[1 << 16];
-    size_t n = 0;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) {
-      actual = Crc32(buf, n, actual);
-      seen += n;
-    }
-    if (std::ferror(f) != 0) return Status::Internal("read error: " + path);
-    out.crc_ok = (seen == size && actual == crc);
-  }
-  // Second (or only) pass: walk the body structure, fseeking over array
-  // payloads so nothing large is materialized.
-  if (std::fseek(f, body_off, SEEK_SET) != 0) {
-    return Status::InvalidArgument("truncated graph container: " + path);
-  }
-  const auto truncated = [&path]() {
-    return Status::InvalidArgument("truncated graph container body: " + path);
-  };
-  int32_t num_types = 0;
-  if (!ReadPodF(f, &num_types) || num_types < 0 || num_types > 4096) {
-    return truncated();
-  }
-  for (int32_t t = 0; t < num_types; ++t) {
-    std::string name;
-    int32_t count = 0;
-    if (!ReadStringF(f, &name) || !ReadPodF(f, &count)) return truncated();
-    out.types.emplace_back(std::move(name), count);
-  }
-  int32_t num_rel = 0;
-  if (!ReadPodF(f, &num_rel) || num_rel < 0 || num_rel > 65536) {
-    return truncated();
-  }
-  for (int32_t i = 0; i < num_rel; ++i) {
-    RelationSummary rs;
-    uint64_t indptr_n = 0, nnz = 0, values_n = 0;
-    if (!ReadStringF(f, &rs.name) || !ReadPodF(f, &rs.src_type) ||
-        !ReadPodF(f, &rs.dst_type) || !ReadPodF(f, &rs.rows) ||
-        !ReadPodF(f, &rs.cols) || !SkipArrayF<int64_t>(f, &indptr_n) ||
-        !SkipArrayF<int32_t>(f, &nnz) || !SkipArrayF<float>(f, &values_n)) {
-      return truncated();
-    }
-    rs.nnz = static_cast<int64_t>(nnz);
-    out.relations.push_back(std::move(rs));
-  }
-  if (std::fseek(f, 0, SEEK_END) == 0) {
-    out.file_bytes = static_cast<uint64_t>(std::ftell(f));
-  }
-  return out;
-}
-
-}  // namespace serialize_internal
-
-namespace {
 
 Result<std::vector<std::vector<std::string>>> ReadCsvRows(
     const std::string& path) {

@@ -17,44 +17,31 @@
 
 namespace freehgc {
 
-/// Writes a HeteroGraph to a self-contained binary file (magic + version +
-/// payload size + CRC-32 + types, relations as CSR, features, labels,
-/// splits). Condensed graphs round-trip exactly, so a condensation can be
-/// run once and shipped. Format version 2: the header carries the payload
-/// byte count and a CRC-32 of the payload, so truncation and corruption
-/// are detected before any graph state is constructed. Crash-safe: the
-/// container is written to a ".tmp" sibling, fsynced, and atomically
-/// renamed into place, so a killed writer never leaves a torn file under
-/// the target name.
-Status SaveHeteroGraph(const HeteroGraph& g, const std::string& path);
+// --- The v3 graph container ----------------------------------------------
+//
+// Every graph the system stores or ships is a version-3 container: a fixed
+// 4096-byte header, every array payload in its own page-aligned section,
+// and a section table (with per-section CRC-32) at the end. Condensed
+// graphs round-trip exactly, so a condensation can be run once and
+// shipped. MapHeteroGraph returns a HeteroGraph whose CSR adjacencies and
+// feature matrices view the mapping directly — zero copies of
+// indptr/indices/values/features; only the small label/split arrays are
+// materialized on the heap. The header stores the graph's
+// ContentFingerprint, so registration of a mapped graph never has to touch
+// the large payload pages beyond CRC verification.
 
-/// Reads a file written by SaveHeteroGraph or SaveHeteroGraphV3. Fails
-/// with InvalidArgument on magic/version mismatch and, for version >= 2
-/// containers, on truncation or checksum mismatch. Version-1 files (no
-/// checksum) still load. v1/v2 load via the heap path; v3 files are
-/// memory-mapped (the returned graph's storage views the mapping).
-Result<HeteroGraph> LoadHeteroGraph(const std::string& path);
-
-/// Serializes to the same self-contained container SaveHeteroGraph writes,
-/// but in memory — the payload format of serve-layer graph uploads.
+/// Serializes `g` in memory to exactly the bytes SaveHeteroGraphV3 writes
+/// to disk — the payload of graph uploads, return_graph replies and
+/// FetchGraph.
 Result<std::string> SerializeHeteroGraph(const HeteroGraph& g);
 
-/// Parses a container produced by SerializeHeteroGraph/SaveHeteroGraph
-/// from memory, with the same integrity checks as LoadHeteroGraph.
-/// Understands v1/v2 bodies and in-memory v3 containers (the latter are
-/// deep-copied into owned storage, since the buffer is transient).
+/// Parses an in-memory v3 container with the same integrity checks as
+/// MapHeteroGraph, deep-copying into owned storage (the buffer is
+/// transient). Any other version, including the retired 1 and 2, is
+/// InvalidArgument naming the version; so are truncation and checksum
+/// mismatches. The header fingerprint is not returned: callers that need
+/// an identity recompute it from content.
 Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes);
-
-// --- v3 page-aligned container -------------------------------------------
-//
-// Format version 3 is a mappable container: a fixed 4096-byte header, every
-// array payload in its own page-aligned section, and a section table (with
-// per-section CRC-32) at the end of the file. MapHeteroGraph returns a
-// HeteroGraph whose CSR adjacencies and feature matrices view the mapping
-// directly — zero copies of indptr/indices/values/features; only the small
-// label/split arrays are materialized on the heap. The header stores the
-// graph's ContentFingerprint, so registration of a mapped graph never has
-// to touch the large payload pages beyond CRC verification.
 
 /// Outcome of writing a v3 container.
 struct V3WriteSummary {
@@ -75,6 +62,9 @@ struct V3WriteSummary {
 class HeteroGraphV3Writer {
  public:
   static Result<HeteroGraphV3Writer> Create(const std::string& path);
+  /// Writes the same bytes into `*out` instead of a file (no fsync or
+  /// rename); `out` must outlive the writer.
+  static Result<HeteroGraphV3Writer> CreateInMemory(std::string* out);
 
   HeteroGraphV3Writer(HeteroGraphV3Writer&& other) noexcept;
   HeteroGraphV3Writer& operator=(HeteroGraphV3Writer&& other) noexcept;
@@ -122,8 +112,8 @@ class HeteroGraphV3Writer {
   void Abandon();
 
  private:
-  HeteroGraphV3Writer() = default;
   struct Impl;
+  explicit HeteroGraphV3Writer(Impl* impl) : impl_(impl) {}
   Impl* impl_ = nullptr;
 };
 
@@ -173,23 +163,21 @@ struct RelationSummary {
 };
 
 /// Header/section-table view of a container, gathered without loading any
-/// graph state. For v3 files the per-section CRCs are re-verified by
-/// streaming the file; for v2 the single body CRC is checked; v1 has no
-/// checksum (crc_ok is trivially true).
+/// graph state; every per-section CRC is re-verified over the mapping.
 struct ContainerSummary {
   uint32_t version = 0;
   uint64_t file_bytes = 0;
-  uint64_t fingerprint = 0;  ///< v3 only; 0 otherwise
+  uint64_t fingerprint = 0;
   bool crc_ok = false;       ///< all checksums match
   bool spill = false;        ///< artifact spill file, not a graph container
   std::vector<std::pair<std::string, int64_t>> types;  ///< name, node count
   std::vector<RelationSummary> relations;
-  std::vector<SectionSummary> sections;  ///< v3 only
+  std::vector<SectionSummary> sections;
 };
 
-/// Reads header, section table and structural metadata from any supported
-/// container version, streaming the file for CRC verification (constant
-/// memory; values are never materialized).
+/// Reads header, section table and structural metadata from a v3
+/// container, mapping the file for CRC verification (values are never
+/// materialized on the heap).
 Result<ContainerSummary> InspectContainer(const std::string& path);
 
 /// Inspects an artifact spill file (section_io::SpillFormat) the tiered

@@ -1,10 +1,10 @@
 #ifndef FREEHGC_GRAPH_SERIALIZE_INTERNAL_H_
 #define FREEHGC_GRAPH_SERIALIZE_INTERNAL_H_
 
-// Shared pieces of the container codecs: the v1/v2 byte-stream helpers in
-// serialize.cc and the v3 page-aligned container in container_v3.cc both
-// read length-prefixed strings and PODs from byte views, and both need the
-// container magic / version registry to dispatch on.
+// Shared pieces of the section-file codecs: the v3 graph container
+// (container_v3.cc), section_io and the feature spill files all read
+// length-prefixed strings and PODs from byte views, and need the graph
+// container's magic / version to identify it.
 
 #include <cstdint>
 #include <cstdio>
@@ -12,22 +12,13 @@
 #include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
-
-#include "common/result.h"
-#include "common/status.h"
-#include "graph/serialize.h"
 
 namespace freehgc {
 namespace serialize_internal {
 
 inline constexpr uint32_t kMagic = 0x46484743;  // "FHGC"
-// Version 1: magic, version, body. Version 2 inserts a u64 body size and
-// a CRC-32 of the body between the version field and the body, so loads
-// reject truncated or corrupted containers before building any state.
-// Version 3 is the page-aligned mappable container (container_v3.cc).
-inline constexpr uint32_t kVersionLegacy = 1;
-inline constexpr uint32_t kVersionV2 = 2;
+// The page-aligned mappable container (container_v3.cc), the only graph
+// container version read or written.
 inline constexpr uint32_t kVersionV3 = 3;
 
 struct FileCloser {
@@ -79,17 +70,6 @@ inline bool ReadString(ByteReader& r, std::string* s) {
   s->resize(n);
   return r.Read(s->data(), n);
 }
-
-/// Structural inspection of a v1/v2 container by streaming the file
-/// (implemented in serialize.cc, next to the body format it skips over).
-Result<ContainerSummary> InspectLegacyContainer(const std::string& path,
-                                                uint32_t version,
-                                                std::FILE* f);
-
-/// Parses an in-memory v3 container into owned storage (deep copy); the
-/// upload path of the serve layer hands transient buffers here.
-/// Implemented in container_v3.cc.
-Result<HeteroGraph> ParseV3Memory(std::string_view bytes);
 
 }  // namespace serialize_internal
 }  // namespace freehgc

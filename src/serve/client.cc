@@ -63,7 +63,6 @@ Result<HelloInfo> ServeClient::Hello() {
   WireWriter w;
   w.PutU8(static_cast<uint8_t>(MsgType::kPing));
   FREEHGC_ASSIGN_OR_RETURN(std::string body, Call(w.Take()));
-  if (body.empty()) return HelloInfo{};  // protocol-v1 server
   WireReader r(body);
   return DecodeHelloInfo(r);
 }

@@ -35,9 +35,9 @@ class ServeClient {
   Status Ping();
 
   /// Round-trip handshake: the server's protocol version, feature bits,
-  /// and role. A protocol-v1 server (empty Ping body) comes back as
-  /// {version 1, no features, empty role} — cluster-aware callers use
-  /// this to fail with a clean message instead of a frame mismatch.
+  /// and role. A reply without a HelloInfo body is an error. Cluster-aware
+  /// callers use the role and features to fail with a clean message when
+  /// pointed at the wrong kind of server.
   Result<HelloInfo> Hello();
 
   /// Serializes a resident graph back (protocol v2; the router's
@@ -56,7 +56,7 @@ class ServeClient {
                                       const std::string& preset,
                                       uint64_t seed, double scale);
 
-  /// Uploads a SaveHeteroGraph/SerializeHeteroGraph container.
+  /// Uploads a v3 container (SerializeHeteroGraph / SaveHeteroGraphV3).
   Result<GraphInfo> UploadGraph(const std::string& name,
                                 std::string_view container);
 

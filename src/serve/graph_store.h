@@ -39,7 +39,7 @@ struct GraphInfo {
 };
 
 /// Registry of resident HeteroGraphs, the serving layer's object store:
-/// graphs enter once (uploaded as a SaveHeteroGraph container or built by
+/// graphs enter once (uploaded as a v3 container or built by
 /// a named synthetic generator) and every request against the same name
 /// shares the one immutable copy through a stable shared_ptr — in-process
 /// vineyard-style object sharing. A reference stays valid for as long as
@@ -61,9 +61,10 @@ class GraphStore {
   /// Registers an already-built graph under `name`.
   Result<GraphInfo> Register(const std::string& name, HeteroGraph graph);
 
-  /// Registers a graph from a SaveHeteroGraph/SerializeHeteroGraph
-  /// container (the upload path). Corrupt or truncated payloads are
-  /// InvalidArgument — nothing is registered. With a spool dir set, the
+  /// Registers a graph from a SerializeHeteroGraph container (the upload
+  /// path). Corrupt or truncated payloads are InvalidArgument — nothing
+  /// is registered. The fingerprint is recomputed from content, never
+  /// taken from the untrusted header. With a spool dir set, the
   /// upload is persisted as a v3 container (named by content fingerprint)
   /// and re-registered as a mapped graph, so the heap copy is freed and
   /// the resident arrays are page-cache-backed.

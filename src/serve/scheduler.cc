@@ -91,23 +91,6 @@ RequestScheduler::RequestScheduler(const SchedulerOptions& options,
   }
 }
 
-namespace {
-SchedulerOptions LegacyOptions(int slots, int queue_capacity,
-                               int threads_per_slot) {
-  SchedulerOptions opts;
-  opts.slots = slots < 1 ? 1 : slots;
-  opts.queue_capacity = queue_capacity;
-  opts.threads_per_slot = threads_per_slot;
-  opts.max_concurrent = opts.slots;  // pre-QoS behavior: no dispatch cap
-  return opts;
-}
-}  // namespace
-
-RequestScheduler::RequestScheduler(int slots, int queue_capacity,
-                                   int threads_per_slot, WorkFn work)
-    : RequestScheduler(LegacyOptions(slots, queue_capacity, threads_per_slot),
-                       std::move(work)) {}
-
 RequestScheduler::~RequestScheduler() { Shutdown(ShutdownMode::kDrain); }
 
 void RequestScheduler::set_telemetry(obs::AccessLog* access_log,

@@ -148,8 +148,7 @@ struct SchedulerStats {
   int64_t inflight = 0;    // requests currently executing
 };
 
-/// Scheduler configuration (the 4-int constructor predates this; it maps
-/// to max_concurrent = slots and the QoS knobs off).
+/// Scheduler configuration.
 struct SchedulerOptions {
   /// Worker slots, each with its own single-driver ExecContext.
   int slots = 2;
@@ -227,12 +226,6 @@ class RequestScheduler {
   using CoalesceKeyFn = std::function<uint64_t(const CondenseRequest&)>;
 
   explicit RequestScheduler(const SchedulerOptions& options, WorkFn work);
-
-  /// Legacy shape: `threads_per_slot` 0 resolves to
-  /// exec::ThreadsPerSlot(slots); every slot may execute concurrently
-  /// (max_concurrent = slots) and the QoS knobs are off.
-  RequestScheduler(int slots, int queue_capacity, int threads_per_slot,
-                   WorkFn work);
 
   /// Drains (kDrain) if Shutdown was never called.
   ~RequestScheduler();

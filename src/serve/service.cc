@@ -45,15 +45,8 @@ ServeService::ServeService(ServeOptions options)
     FREEHGC_LOG(Warning)
         << "artifact budget ignored: no spill dir configured";
   }
-  SchedulerOptions sched_opts;
-  sched_opts.slots = options_.slots;
-  sched_opts.queue_capacity = options_.queue_capacity;
-  sched_opts.threads_per_slot = options_.threads_per_slot;
-  sched_opts.max_concurrent = options_.max_concurrent;
-  sched_opts.aging_quantum_ms = options_.aging_quantum_ms;
-  sched_opts.slo_ms = options_.slo_ms;
   scheduler_ = std::make_unique<RequestScheduler>(
-      sched_opts,
+      options_,
       [this](const CondenseRequest& request, const RequestContext& rctx) {
         return Execute(request, rctx);
       });

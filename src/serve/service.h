@@ -18,28 +18,9 @@
 
 namespace freehgc::serve {
 
-/// Service configuration.
-struct ServeOptions {
-  /// Concurrent worker slots (each runs one request on its own
-  /// ExecContext; see RequestScheduler).
-  int slots = 2;
-  /// Bounded admission queue; submissions beyond it are shed with
-  /// kResourceExhausted.
-  int queue_capacity = 32;
-  /// Threads per slot ExecContext; 0 = exec::ThreadsPerSlot(slots).
-  int threads_per_slot = 0;
-  /// Max requests executing at once (see SchedulerOptions). 0 resolves to
-  /// exec::ConcurrentSlotBudget(slots) — on a machine with fewer cores
-  /// than slots, surplus slots park instead of time-slicing.
-  int max_concurrent = 0;
-  /// Priority aging quantum in milliseconds (see SchedulerOptions);
-  /// 0 disables. The serving default keeps low-priority work from
-  /// starving under a sustained high-priority stream.
-  int64_t aging_quantum_ms = 250;
-  /// Admission-time SLO in milliseconds (see SchedulerOptions); a
-  /// submission predicted to finish past it is shed immediately.
-  /// 0 (default) disables.
-  int64_t slo_ms = 0;
+/// Service configuration: the scheduler's options (slots, queue, QoS)
+/// plus the service-level ones below.
+struct ServeOptions : SchedulerOptions {
   /// Coalesce identical in-flight requests: duplicates of a queued or
   /// executing (graph, method, ratio, seed, meta-path config, evaluate,
   /// return_graph) request ride its execution and receive a copy of its
@@ -73,6 +54,9 @@ struct ServeOptions {
   double budget_shed_factor = 2.0;
 
   ServeOptions() {
+    // Aging keeps low-priority work from starving under a sustained
+    // high-priority stream.
+    aging_quantum_ms = 250;
     eval.kind = hgnn::HgnnKind::kSeHGNN;
     eval.hidden = 32;
     eval.epochs = 60;

@@ -23,18 +23,15 @@ namespace freehgc::serve {
 /// doubles are IEEE-754 bit patterns in a u64.
 ///
 /// Versioning: a kPing reply body carries a HelloInfo (protocol version,
-/// feature bits, server role). Protocol-v1 servers sent an empty Ping
-/// body, and v1 clients ignore the body, so the handshake is backward
-/// compatible in both directions; cluster-aware callers use it to give a
-/// clean "server predates cluster support" error instead of a frame
-/// mismatch when pointed at an old binary.
+/// feature bits, server role). Both ends always ship from this repo, so
+/// there is no fallback for peers without it; cluster-aware callers use
+/// the role and feature bits to refuse the wrong kind of server.
 
 /// Hard cap on a single frame; larger announcements are rejected before
 /// allocation (a graph upload is the only large payload).
 constexpr uint32_t kMaxFrameBytes = 1u << 30;
 
-/// Current protocol version, announced in every kPing reply. v1 is the
-/// pre-handshake protocol (empty Ping body).
+/// Current protocol version, announced in every kPing reply.
 constexpr uint32_t kProtocolVersion = 2;
 
 /// Feature bits announced in the kPing reply.
@@ -49,11 +46,10 @@ enum ServerFeature : uint64_t {
 
 /// What a server says about itself in the kPing reply body.
 struct HelloInfo {
-  /// 1 = pre-handshake server (empty Ping body).
-  uint32_t protocol_version = 1;
+  uint32_t protocol_version = kProtocolVersion;
   uint64_t features = 0;
   /// "serve" (shard / standalone server) or "meta" (cluster metadata
-  /// service); empty for protocol-v1 servers.
+  /// service).
   std::string role;
 };
 

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cstddef>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
@@ -11,6 +12,7 @@
 #include "common/crc32.h"
 #include "core/freehgc.h"
 #include "datasets/generator.h"
+#include "graph/section_io.h"
 #include "graph/serialize.h"
 
 namespace freehgc {
@@ -59,24 +61,15 @@ void ExpectGraphsEqual(const HeteroGraph& a, const HeteroGraph& b) {
 TEST(SerializeTest, RoundTripsToyGraph) {
   const HeteroGraph g = datasets::MakeToy(5);
   const std::string path = TempPath("toy.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
-  auto loaded = LoadHeteroGraph(path);
+  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
+  auto loaded = MapHeteroGraph(path);
   ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_EQ(loaded->NumNodeTypes(), g.NumNodeTypes());
-  EXPECT_EQ(loaded->NumRelations(), g.NumRelations());
-  EXPECT_EQ(loaded->TotalNodes(), g.TotalNodes());
-  EXPECT_EQ(loaded->TotalEdges(), g.TotalEdges());
-  EXPECT_EQ(loaded->labels(), g.labels());
-  EXPECT_EQ(loaded->train_index(), g.train_index());
-  EXPECT_EQ(loaded->test_index(), g.test_index());
-  for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
-    EXPECT_EQ(loaded->TypeName(t), g.TypeName(t));
-    EXPECT_EQ(loaded->Features(t), g.Features(t));
-  }
-  for (RelationId r = 0; r < g.NumRelations(); ++r) {
-    EXPECT_EQ(loaded->relation(r).adj, g.relation(r).adj);
-    EXPECT_EQ(loaded->relation(r).name, g.relation(r).name);
-  }
+  ExpectGraphsEqual(*loaded, g);
+  // One layout everywhere: the in-memory container is the file, byte for
+  // byte.
+  auto bytes = SerializeHeteroGraph(g);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_TRUE(*bytes == ReadFileBytes(path));
   std::remove(path.c_str());
 }
 
@@ -88,24 +81,26 @@ TEST(SerializeTest, RoundTripsCondensedGraph) {
   auto cond = core::Condense(g, opts);
   ASSERT_TRUE(cond.ok());
   const std::string path = TempPath("condensed.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(cond->graph, path).ok());
-  auto loaded = LoadHeteroGraph(path);
+  ASSERT_TRUE(SaveHeteroGraphV3(cond->graph, path).ok());
+  auto loaded = MapHeteroGraph(path);
   ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->TotalNodes(), cond->graph.TotalNodes());
-  EXPECT_EQ(loaded->TotalEdges(), cond->graph.TotalEdges());
+  ExpectGraphsEqual(*loaded, cond->graph);
   EXPECT_TRUE(loaded->Validate().ok());
+  auto bytes = SerializeHeteroGraph(cond->graph);
+  ASSERT_TRUE(bytes.ok()) << bytes.status().ToString();
+  EXPECT_TRUE(*bytes == ReadFileBytes(path));
   std::remove(path.c_str());
 }
 
 TEST(SerializeTest, RejectsGarbageAndMissingFiles) {
-  EXPECT_EQ(LoadHeteroGraph("/tmp/definitely_missing.fhgc").status().code(),
+  EXPECT_EQ(MapHeteroGraph("/tmp/definitely_missing.fhgc").status().code(),
             StatusCode::kNotFound);
   const std::string path = TempPath("garbage.fhgc");
   {
     std::ofstream out(path);
     out << "this is not a graph";
   }
-  auto res = LoadHeteroGraph(path);
+  auto res = MapHeteroGraph(path);
   EXPECT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -114,14 +109,14 @@ TEST(SerializeTest, RejectsGarbageAndMissingFiles) {
 TEST(SerializeTest, RejectsTruncatedFile) {
   const HeteroGraph g = datasets::MakeToy(9);
   const std::string path = TempPath("trunc.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
+  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
   // Truncate to half.
   std::FILE* f = std::fopen(path.c_str(), "rb");
   std::fseek(f, 0, SEEK_END);
   const long size = std::ftell(f);
   std::fclose(f);
   ASSERT_EQ(truncate(path.c_str(), size / 2), 0);
-  EXPECT_FALSE(LoadHeteroGraph(path).ok());
+  EXPECT_FALSE(MapHeteroGraph(path).ok());
   std::remove(path.c_str());
 }
 
@@ -154,9 +149,10 @@ TEST(SerializeTest, RejectsTruncationAtEveryRegion) {
   auto bytes = SerializeHeteroGraph(g);
   ASSERT_TRUE(bytes.ok());
   const std::string& full = *bytes;
-  // Header is magic(4) + version(4) + body size(8) + crc(4) = 20 bytes.
-  const size_t cuts[] = {0, 3, 4, 7, 8, 15, 19, 20, full.size() / 2,
-                         full.size() - 1};
+  // Inside magic, version and the 56-byte header, at the end of the
+  // 4096-byte header page, mid-payload and inside the trailing table.
+  const size_t cuts[] = {0, 3, 4, 7, 8, 23, 55, 56, 4095, 4096, 4100,
+                         full.size() / 2, full.size() - 1};
   for (size_t cut : cuts) {
     ASSERT_LT(cut, full.size());
     auto res = DeserializeHeteroGraph(std::string_view(full).substr(0, cut));
@@ -170,61 +166,73 @@ TEST(SerializeTest, RejectsChecksumMismatch) {
   const HeteroGraph g = datasets::MakeToy(11);
   auto bytes = SerializeHeteroGraph(g);
   ASSERT_TRUE(bytes.ok());
-  // Flip one bit in the body (past the 20-byte header): the size still
-  // matches, so only the CRC catches it.
+  // Flip one bit in the first section's payload, right after the header
+  // page: every size still matches, so only the CRC catches it.
   std::string corrupt = *bytes;
-  corrupt[corrupt.size() - 1] =
-      static_cast<char>(corrupt[corrupt.size() - 1] ^ 0x01);
+  corrupt[4096] = static_cast<char>(corrupt[4096] ^ 0x01);
   auto res = DeserializeHeteroGraph(corrupt);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
   EXPECT_NE(res.status().message().find("checksum"), std::string::npos);
 }
 
-TEST(SerializeTest, LoadsLegacyVersion1Container) {
-  const HeteroGraph g = datasets::MakeToy(11);
-  auto bytes = SerializeHeteroGraph(g);
-  ASSERT_TRUE(bytes.ok());
-  // A version-1 container is magic + version + body, with no size/crc
-  // header: rebuild one from the v2 bytes.
-  std::string legacy = bytes->substr(0, 4);  // magic
-  const uint32_t v1 = 1;
-  legacy.append(reinterpret_cast<const char*>(&v1), sizeof(v1));
-  legacy.append(bytes->substr(20));  // body
-  auto res = DeserializeHeteroGraph(legacy);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_EQ(res->ContentFingerprint(), g.ContentFingerprint());
-}
-
 TEST(SerializeTest, RejectsUnsupportedVersion) {
   const HeteroGraph g = datasets::MakeToy(11);
   auto bytes = SerializeHeteroGraph(g);
   ASSERT_TRUE(bytes.ok());
-  std::string future = *bytes;
-  const uint32_t v99 = 99;
-  std::memcpy(future.data() + 4, &v99, sizeof(v99));
-  auto res = DeserializeHeteroGraph(future);
+  // 1 and 2 are the retired heap-body formats; 99 is from the future.
+  for (const uint32_t version : {1u, 2u, 99u}) {
+    std::string other = *bytes;
+    std::memcpy(other.data() + 4, &version, sizeof(version));
+    auto res = DeserializeHeteroGraph(other);
+    ASSERT_FALSE(res.ok()) << "version " << version;
+    EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+    EXPECT_NE(res.status().message().find("version " +
+                                          std::to_string(version)),
+              std::string::npos)
+        << res.status().ToString();
+  }
+}
+
+TEST(SerializeTest, RejectsSectionTableOffsetOverflow) {
+  // A well-sealed 8 KB header whose table_offset + table_size wraps
+  // around 2^64 back to the buffer size: read unchecked, the table CRC
+  // would run over the 4 KB *before* the buffer.
+  section_io::FileHeader h;
+  h.magic = 0x46484743;  // "FHGC"
+  h.version = 3;
+  h.section_count = 256;
+  h.file_size = 8192;
+  h.table_size = h.section_count * sizeof(section_io::SectionEntry);
+  h.table_offset = h.file_size - h.table_size;  // mod 2^64: 2^64 - 4096
+  ASSERT_EQ(h.table_offset, ~uint64_t{0} - 4095);
+  h.header_crc = Crc32(&h, offsetof(section_io::FileHeader, header_crc));
+  std::string bytes(h.file_size, '\0');
+  std::memcpy(bytes.data(), &h, sizeof(h));
+  auto res = DeserializeHeteroGraph(bytes);
   ASSERT_FALSE(res.ok());
-  EXPECT_NE(res.status().message().find("version"), std::string::npos);
+  EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(res.status().message().find("section table out of bounds"),
+            std::string::npos)
+      << res.status().ToString();
 }
 
 TEST(SerializeTest, CorruptFileOnDiskIsRejected) {
   const HeteroGraph g = datasets::MakeToy(3);
   const std::string path = TempPath("corrupt.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
+  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
   {
-    // Flip a byte in the middle of the body.
+    // Flip a byte of the first section's payload (zero padding between
+    // sections is not covered by any CRC, so aim inside a payload).
     std::FILE* f = std::fopen(path.c_str(), "rb+");
     ASSERT_NE(f, nullptr);
-    std::fseek(f, 0, SEEK_END);
-    const long size = std::ftell(f);
-    std::fseek(f, size / 2, SEEK_SET);
+    std::fseek(f, 4096, SEEK_SET);
     int c = std::fgetc(f);
-    std::fseek(f, size / 2, SEEK_SET);
+    std::fseek(f, 4096, SEEK_SET);
     std::fputc(c ^ 0xff, f);
     std::fclose(f);
   }
-  auto res = LoadHeteroGraph(path);
+  auto res = MapHeteroGraph(path);
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kInvalidArgument);
   std::remove(path.c_str());
@@ -250,17 +258,6 @@ TEST(ContainerV3Test, MappedGraphMatchesHeapGraphExactly) {
   // A mapped graph owns only labels/splits on the heap.
   EXPECT_LT(mapped->graph.ResidentHeapBytes(), g.ResidentHeapBytes());
   EXPECT_EQ(mapped->graph.MemoryBytes(), g.MemoryBytes());
-  std::remove(path.c_str());
-}
-
-TEST(ContainerV3Test, LoadHeteroGraphDispatchesToMapping) {
-  const HeteroGraph g = datasets::MakeToy(7);
-  const std::string path = TempPath("v3_load.fhgc");
-  ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
-  auto loaded = LoadHeteroGraph(path);
-  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
-  EXPECT_TRUE(loaded->IsMapped());
-  ExpectGraphsEqual(*loaded, g);
   std::remove(path.c_str());
 }
 
@@ -320,26 +317,6 @@ TEST(ContainerV3Test, InspectReportsSectionsAndStructure) {
   std::remove(path.c_str());
 }
 
-TEST(ContainerV3Test, InspectStillWorksOnLegacyContainers) {
-  const HeteroGraph g = datasets::MakeToy(5);
-  const std::string path = TempPath("v2_inspect.fhgc");
-  ASSERT_TRUE(SaveHeteroGraph(g, path).ok());
-  auto info = InspectContainer(path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->version, 2u);
-  EXPECT_TRUE(info->crc_ok);
-  ASSERT_EQ(info->relations.size(), static_cast<size_t>(g.NumRelations()));
-  EXPECT_EQ(info->relations[0].nnz, g.relation(0).adj.nnz());
-  // Corrupt a byte: inspect should still succeed but report the bad CRC.
-  std::string bytes = ReadFileBytes(path);
-  bytes[bytes.size() - 1] = static_cast<char>(bytes[bytes.size() - 1] ^ 0x01);
-  WriteFileBytes(path, bytes);
-  info = InspectContainer(path);
-  ASSERT_TRUE(info.ok());
-  EXPECT_FALSE(info->crc_ok);
-  std::remove(path.c_str());
-}
-
 TEST(ContainerV3Test, RejectsTruncationAtEverySectionBoundary) {
   const HeteroGraph g = datasets::MakeToy(5);
   const std::string path = TempPath("v3_trunc.fhgc");
@@ -385,6 +362,10 @@ TEST(ContainerV3Test, RejectsBitFlipInEverySection) {
     ASSERT_FALSE(res.ok()) << "bit flip in " << s.kind << " accepted";
     EXPECT_NE(res.status().ToString().find("checksum"), std::string::npos)
         << res.status().ToString();
+    auto res2 = DeserializeHeteroGraph(corrupt);
+    ASSERT_FALSE(res2.ok()) << "in-memory bit flip in " << s.kind;
+    EXPECT_NE(res2.status().ToString().find("checksum"), std::string::npos)
+        << res2.status().ToString();
   }
   std::remove(path.c_str());
   std::remove(flip_path.c_str());
@@ -454,15 +435,9 @@ TEST(ContainerV3Test, SaveIsAtomicOverExistingFile) {
   // A pre-existing stale tmp sibling must not break or corrupt a save.
   WriteFileBytes(path + ".tmp", "stale partial write");
   ASSERT_TRUE(SaveHeteroGraphV3(other, path).ok());
-  auto loaded = LoadHeteroGraph(path);
+  auto loaded = MapHeteroGraph(path);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->ContentFingerprint(), other.ContentFingerprint());
-  // Same contract for the v2 writer.
-  WriteFileBytes(path + ".tmp", "stale partial write");
-  ASSERT_TRUE(SaveHeteroGraph(good, path).ok());
-  loaded = LoadHeteroGraph(path);
-  ASSERT_TRUE(loaded.ok());
-  EXPECT_EQ(loaded->ContentFingerprint(), good.ContentFingerprint());
   std::remove(path.c_str());
 }
 

@@ -75,9 +75,10 @@ TEST(GraphStoreTest, SerializedUploadRoundTripsAndRejectsCorrupt) {
   ASSERT_TRUE(info.ok()) << info.status().ToString();
   EXPECT_EQ(info->fingerprint, g.ContentFingerprint());
 
+  // Flip a byte of the first section's payload, right after the 4096-byte
+  // header page (the zero padding between sections carries no CRC).
   std::string corrupt = *bytes;
-  corrupt[corrupt.size() / 2] =
-      static_cast<char>(corrupt[corrupt.size() / 2] ^ 0x5a);
+  corrupt[4096] = static_cast<char>(corrupt[4096] ^ 0x5a);
   auto bad = store.RegisterSerialized("bad", corrupt);
   ASSERT_FALSE(bad.ok());
   EXPECT_EQ(bad.status().code(), StatusCode::kInvalidArgument);
@@ -207,7 +208,8 @@ struct Latch {
 TEST(SchedulerTest, OverloadShedsWithResourceExhaustedWithoutDeadlock) {
   Latch latch;
   RequestScheduler sched(
-      /*slots=*/1, /*queue_capacity=*/2, /*threads_per_slot=*/1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 2,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest&, const RequestContext&) -> Result<CondenseReply> {
         latch.BlockUntilReleased();
         return CondenseReply{};
@@ -241,7 +243,8 @@ TEST(SchedulerTest, OverloadShedsWithResourceExhaustedWithoutDeadlock) {
 // queue-full sheds; clearing the guard restores admission.
 TEST(SchedulerTest, AdmissionGuardShedsWithBudgetStatus) {
   RequestScheduler sched(
-      /*slots=*/1, /*queue_capacity=*/4, /*threads_per_slot=*/1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 4,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest&,
           const RequestContext&) -> Result<CondenseReply> {
         return CondenseReply{};
@@ -270,7 +273,8 @@ TEST(SchedulerTest, CancelledQueuedRequestNeverRuns) {
   Latch latch;
   std::atomic<int> executed{0};
   RequestScheduler sched(
-      1, 8, 1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 8,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest&, const RequestContext&) -> Result<CondenseReply> {
         executed.fetch_add(1);
         latch.BlockUntilReleased();
@@ -299,7 +303,8 @@ TEST(SchedulerTest, ExpiredQueuedRequestNeverRuns) {
   Latch latch;
   std::atomic<int> executed{0};
   RequestScheduler sched(
-      1, 8, 1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 8,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest&, const RequestContext&) -> Result<CondenseReply> {
         executed.fetch_add(1);
         latch.BlockUntilReleased();
@@ -329,7 +334,8 @@ TEST(SchedulerTest, PriorityOrderFifoWithinPriority) {
   std::mutex order_mu;
   std::vector<uint64_t> order;
   RequestScheduler sched(
-      1, 16, 1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 16,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest& req,
           const RequestContext&) -> Result<CondenseReply> {
         if (req.seed == 0) {
@@ -369,7 +375,8 @@ TEST(SchedulerTest, GracefulShutdownDrainsInflightAndQueued) {
   Latch latch;
   std::atomic<int> executed{0};
   RequestScheduler sched(
-      1, 8, 1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 8,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest&, const RequestContext&) -> Result<CondenseReply> {
         executed.fetch_add(1);
         latch.BlockUntilReleased();
@@ -400,7 +407,8 @@ TEST(SchedulerTest, CancelQueuedShutdownFailsQueuedRuns) {
   Latch latch;
   std::atomic<int> executed{0};
   RequestScheduler sched(
-      1, 8, 1,
+      SchedulerOptions{.slots = 1, .queue_capacity = 8,
+                       .threads_per_slot = 1},
       [&](const CondenseRequest&, const RequestContext&) -> Result<CondenseReply> {
         executed.fetch_add(1);
         latch.BlockUntilReleased();
@@ -958,7 +966,7 @@ TEST(WireTest, ResponseEnvelopeCarriesStatus) {
   EXPECT_EQ(resp->body, "body");
 }
 
-TEST(WireTest, HelloInfoRoundTripsAndDefaultsToV1) {
+TEST(WireTest, HelloInfoRoundTripsAndRejectsEmptyBody) {
   HelloInfo info;
   info.protocol_version = kProtocolVersion;
   info.features = kFeatureAdminOps | kFeatureFetchGraph;
@@ -973,15 +981,12 @@ TEST(WireTest, HelloInfoRoundTripsAndDefaultsToV1) {
   EXPECT_EQ(back->role, "serve");
   EXPECT_EQ(r.remaining(), 0u);
 
-  // Truncation at every offset is rejected.
+  // Truncation at every offset is rejected. Cut 0 is an empty Ping body,
+  // which ServeClient::Hello therefore returns as an error.
   for (size_t cut = 0; cut < w.payload().size(); ++cut) {
     WireReader rc(std::string_view(w.payload()).substr(0, cut));
     EXPECT_FALSE(DecodeHelloInfo(rc).ok()) << "cut=" << cut;
   }
-
-  // A default HelloInfo is what a v1 server (empty Ping body) maps to.
-  EXPECT_EQ(HelloInfo{}.protocol_version, 1u);
-  EXPECT_EQ(HelloInfo{}.features, 0u);
 }
 
 // ---------------------------------------------------------------------------

@@ -254,7 +254,10 @@ TEST(AccessLogTest, JsonlWellFormedUnderFourSlotLoad) {
     AccessLog log;
     ASSERT_TRUE(log.Open(path).ok());
     serve::RequestScheduler sched(
-        /*slots=*/4, /*queue_capacity=*/kRequests, /*threads_per_slot=*/1,
+        serve::SchedulerOptions{.slots = 4,
+                                .queue_capacity = kRequests,
+                                .threads_per_slot = 1,
+                                .max_concurrent = 4},
         [](const serve::CondenseRequest& req,
            const serve::RequestContext& rctx) -> Result<serve::CondenseReply> {
           if (req.seed % 7 == 0) return Status::Internal("synthetic failure");

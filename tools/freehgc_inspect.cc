@@ -4,14 +4,13 @@
 //   freehgc_inspect PATH...
 //
 // Prints the container version, file size, content fingerprint, node
-// types, relations, and (v3) the page-aligned section table with
-// per-section CRC status. ArtifactCache spill files (*.spill) are
-// recognized too and print their section table under a "spill" tag (the
-// fingerprint shown is the cache entry-key hash, not a graph identity).
-// v3 files are mapped, never slurped to heap; v1/v2 files are streamed
-// with a bounded buffer — inspecting a multi-gigabyte container needs
-// only a few megabytes of memory either way. Exits non-zero if any file
-// fails to parse or any checksum is bad.
+// types, relations, and the page-aligned section table with per-section
+// CRC status. ArtifactCache spill files (*.spill) are recognized too and
+// print their section table under a "spill" tag (the fingerprint shown is
+// the cache entry-key hash, not a graph identity). Files are mapped,
+// never slurped to heap, so inspecting a multi-gigabyte container needs
+// only a few megabytes of memory. Exits non-zero if any file fails to
+// parse or any checksum is bad.
 
 #include <cstdio>
 #include <string>
@@ -27,7 +26,7 @@ void PrintSummary(const std::string& path,
               s.spill ? "spill_version" : "version", s.version,
               static_cast<unsigned long long>(s.file_bytes),
               static_cast<unsigned long long>(s.fingerprint),
-              s.version == 1 ? "n/a" : (s.crc_ok ? "ok" : "BAD"));
+              s.crc_ok ? "ok" : "BAD");
   std::printf("  types (%zu):\n", s.types.size());
   for (const auto& [name, count] : s.types) {
     std::printf("    %-16s %lld nodes\n", name.c_str(),
@@ -39,17 +38,15 @@ void PrintSummary(const std::string& path,
                 r.src_type, r.dst_type, r.rows, r.cols,
                 static_cast<long long>(r.nnz));
   }
-  if (!s.sections.empty()) {
-    std::printf("  sections (%zu):\n", s.sections.size());
-    for (const auto& sec : s.sections) {
-      std::printf("    %-10s[%u]  offset=%-12llu size=%-12llu count=%-10llu "
-                  "crc=%08x %s\n",
-                  sec.kind.c_str(), sec.index,
-                  static_cast<unsigned long long>(sec.offset),
-                  static_cast<unsigned long long>(sec.size),
-                  static_cast<unsigned long long>(sec.logical_count),
-                  sec.stored_crc, sec.crc_ok ? "ok" : "BAD");
-    }
+  std::printf("  sections (%zu):\n", s.sections.size());
+  for (const auto& sec : s.sections) {
+    std::printf("    %-10s[%u]  offset=%-12llu size=%-12llu count=%-10llu "
+                "crc=%08x %s\n",
+                sec.kind.c_str(), sec.index,
+                static_cast<unsigned long long>(sec.offset),
+                static_cast<unsigned long long>(sec.size),
+                static_cast<unsigned long long>(sec.logical_count),
+                sec.stored_crc, sec.crc_ok ? "ok" : "BAD");
   }
 }
 
@@ -71,7 +68,7 @@ int main(int argc, char** argv) {
       continue;
     }
     PrintSummary(path, *summary);
-    if (summary->version > 1 && !summary->crc_ok) rc = 1;
+    if (!summary->crc_ok) rc = 1;
   }
   return rc;
 }
