@@ -34,7 +34,9 @@ Status ServeClient::Connect(int port) {
     return Status::Unavailable(StrFormat("cannot connect to 127.0.0.1:%d: %s",
                                          port, std::strerror(err)));
   }
-  return Status::OK();
+  const Status nodelay = SetNoDelay(fd_);
+  if (!nodelay.ok()) Close();
+  return nodelay;
 }
 
 void ServeClient::Close() {

@@ -119,6 +119,10 @@ void WireListener::AcceptLoop() {
                            << std::strerror(errno);
       continue;
     }
+    // Without TCP_NODELAY the connection still works, just slower: keep it.
+    if (const Status st = SetNoDelay(conn); !st.ok()) {
+      FREEHGC_LOG(Warning) << "serve: " << st.ToString();
+    }
     std::lock_guard<std::mutex> lock(conn_mu_);
     conn_fds_.push_back(conn);
     conn_threads_.emplace_back([this, conn] { HandleConnection(conn); });

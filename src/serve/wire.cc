@@ -1,6 +1,9 @@
 #include "serve/wire.h"
 
+#include <netinet/in.h>
+#include <netinet/tcp.h>
 #include <sys/socket.h>
+#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -99,23 +102,6 @@ Result<std::string> WireReader::GetString() {
 
 namespace {
 
-Status WriteAll(int fd, const char* data, size_t n) {
-  while (n > 0) {
-    // MSG_NOSIGNAL: a peer that died mid-exchange (a SIGKILLed shard)
-    // must surface as a Status the caller can fail over on, not a
-    // process-killing SIGPIPE.
-    const ssize_t w = ::send(fd, data, n, MSG_NOSIGNAL);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return Status::Internal(
-          StrFormat("socket write failed: %s", std::strerror(errno)));
-    }
-    data += w;
-    n -= static_cast<size_t>(w);
-  }
-  return Status::OK();
-}
-
 /// Reads exactly n bytes. eof_ok: a clean EOF before the first byte is
 /// kUnavailable (peer closed between frames); EOF mid-read is always an
 /// error.
@@ -149,9 +135,48 @@ Status WriteFrame(int fd, std::string_view payload) {
   }
   WireWriter prefix;
   prefix.PutU32(static_cast<uint32_t>(payload.size()));
-  FREEHGC_RETURN_IF_ERROR(
-      WriteAll(fd, prefix.payload().data(), prefix.payload().size()));
-  return WriteAll(fd, payload.data(), payload.size());
+  // Prefix and payload leave in one gather-write: a separate 4-byte
+  // send would let Nagle hold the payload until the peer's delayed ACK
+  // (>= 40 ms per frame). The payload is sent in place, never copied.
+  iovec iov[2] = {
+      {const_cast<char*>(prefix.payload().data()), prefix.payload().size()},
+      {const_cast<char*>(payload.data()), payload.size()}};
+  msghdr msg{};
+  msg.msg_iov = iov;
+  msg.msg_iovlen = 2;
+  while (msg.msg_iovlen > 0) {
+    // MSG_NOSIGNAL: a peer that died mid-exchange (a SIGKILLed shard)
+    // must surface as a Status the caller can fail over on, not a
+    // process-killing SIGPIPE.
+    const ssize_t w = ::sendmsg(fd, &msg, MSG_NOSIGNAL);
+    if (w < 0) {
+      if (errno == EINTR) continue;
+      return Status::Internal(
+          StrFormat("socket write failed: %s", std::strerror(errno)));
+    }
+    // Partial write: drop the fully sent entries, trim the first
+    // partially sent one.
+    size_t sent = static_cast<size_t>(w);
+    while (msg.msg_iovlen > 0 && sent >= msg.msg_iov->iov_len) {
+      sent -= msg.msg_iov->iov_len;
+      ++msg.msg_iov;
+      --msg.msg_iovlen;
+    }
+    if (msg.msg_iovlen > 0) {
+      msg.msg_iov->iov_base = static_cast<char*>(msg.msg_iov->iov_base) + sent;
+      msg.msg_iov->iov_len -= sent;
+    }
+  }
+  return Status::OK();
+}
+
+Status SetNoDelay(int fd) {
+  const int one = 1;
+  if (::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one)) != 0) {
+    return Status::Internal(
+        StrFormat("setsockopt(TCP_NODELAY) failed: %s", std::strerror(errno)));
+  }
+  return Status::OK();
 }
 
 Result<std::string> ReadFrame(int fd) {

@@ -124,12 +124,21 @@ class WireReader {
   size_t pos_ = 0;
 };
 
-/// Blocking frame I/O over a connected socket/pipe fd (restarts on
-/// EINTR). WriteFrame sends the u32 length prefix + payload; ReadFrame
-/// returns the payload. A clean EOF at a frame boundary is kUnavailable
-/// ("connection closed") — the server loop's disconnect signal.
+/// Blocking frame I/O over a connected socket fd (restarts on EINTR).
+/// WriteFrame sends the u32 length prefix + payload as one gather-write
+/// (sendmsg, MSG_NOSIGNAL; partial writes resume where they stopped);
+/// ReadFrame returns the payload. A clean EOF at a frame boundary is
+/// kUnavailable ("connection closed") — the server loop's disconnect
+/// signal; EOF mid-frame is kInternal, and an announced length above
+/// kMaxFrameBytes is kInvalidArgument.
 Status WriteFrame(int fd, std::string_view payload);
 Result<std::string> ReadFrame(int fd);
+
+/// Turns Nagle off (TCP_NODELAY) on a connected TCP socket, so the tail
+/// segment of a frame is never held back waiting for the peer's delayed
+/// ACK. Every connection end calls it: ServeClient::Connect after
+/// connect(), WireListener after accept().
+Status SetNoDelay(int fd);
 
 /// Response envelope: status + type-specific body bytes.
 struct WireResponse {

@@ -1,5 +1,12 @@
 #include <gtest/gtest.h>
+#include <netinet/in.h>
+#include <netinet/tcp.h>
+#include <poll.h>
+#include <pthread.h>
+#include <sys/socket.h>
 #include <unistd.h>
+
+#include <csignal>
 
 #include <atomic>
 #include <chrono>
@@ -990,6 +997,142 @@ TEST(WireTest, HelloInfoRoundTripsAndRejectsEmptyBody) {
 }
 
 // ---------------------------------------------------------------------------
+// Frame I/O over socketpairs.
+
+/// Connected AF_UNIX socketpair, closed on scope exit.
+struct SocketPair {
+  explicit SocketPair(int type) {
+    ok = ::socketpair(AF_UNIX, type, 0, fd) == 0;
+  }
+  ~SocketPair() {
+    CloseEnd(0);
+    CloseEnd(1);
+  }
+  void CloseEnd(int i) {
+    if (fd[i] >= 0) ::close(fd[i]);
+    fd[i] = -1;
+  }
+  bool ok = false;
+  int fd[2] = {-1, -1};
+};
+
+// A frame is one write: over a record-preserving socket, one recv sees
+// the prefix and the payload together. Two writes (prefix, then payload)
+// are what lets Nagle stall a TCP frame until the peer's delayed ACK.
+TEST(WireTest, FrameLeavesInOneWrite) {
+  SocketPair sp(SOCK_SEQPACKET);
+  ASSERT_TRUE(sp.ok);
+  const std::string payload = "condensed graph bytes";
+  ASSERT_TRUE(WriteFrame(sp.fd[0], payload).ok());
+  char buf[256];
+  const ssize_t n = ::recv(sp.fd[1], buf, sizeof(buf), 0);
+  ASSERT_EQ(n, static_cast<ssize_t>(4 + payload.size()));
+  EXPECT_EQ(std::string(buf, 4),
+            std::string("\x15\x00\x00\x00", 4));  // u32 LE length 21
+  EXPECT_EQ(std::string(buf + 4, payload.size()), payload);
+}
+
+// A frame far larger than the socket buffer, with the blocked writer
+// interrupted by signals, so sendmsg returns short counts (and EINTR)
+// mid-frame: the writer must resume exactly where it stopped.
+TEST(WireTest, LargeFrameSurvivesPartialWrites) {
+  SocketPair sp(SOCK_STREAM);
+  ASSERT_TRUE(sp.ok);
+  const int small = 16 << 10;
+  ASSERT_EQ(::setsockopt(sp.fd[0], SOL_SOCKET, SO_SNDBUF, &small,
+                         sizeof(small)),
+            0);
+  ASSERT_EQ(::setsockopt(sp.fd[1], SOL_SOCKET, SO_RCVBUF, &small,
+                         sizeof(small)),
+            0);
+  std::string payload(4u << 20, '\0');
+  for (size_t i = 0; i < payload.size(); ++i) {
+    payload[i] = static_cast<char>((i * 131) ^ (i >> 11));
+  }
+
+  struct sigaction interrupt {};
+  struct sigaction saved {};
+  interrupt.sa_handler = [](int) {};
+  sigemptyset(&interrupt.sa_mask);
+  ASSERT_EQ(::sigaction(SIGUSR1, &interrupt, &saved), 0);
+
+  std::atomic<bool> written{false};
+  Status write_status;
+  std::thread writer([&] {
+    write_status = WriteFrame(sp.fd[0], payload);
+    written.store(true);
+  });
+  // Wait until the writer has filled the buffer and blocked, then
+  // interrupt it a few times before the reader drains anything.
+  pollfd readable{sp.fd[1], POLLIN, 0};
+  const int polled = ::poll(&readable, 1, 5000);
+  for (int i = 0; i < 4 && !written.load(); ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(10));
+    ::pthread_kill(writer.native_handle(), SIGUSR1);
+  }
+  auto got = ReadFrame(sp.fd[1]);
+  writer.join();
+  ::sigaction(SIGUSR1, &saved, nullptr);
+
+  EXPECT_EQ(polled, 1);
+  ASSERT_TRUE(write_status.ok()) << write_status.ToString();
+  ASSERT_TRUE(got.ok()) << got.status().ToString();
+  ASSERT_EQ(got->size(), payload.size());
+  EXPECT_TRUE(*got == payload) << "payload bytes differ after partial writes";
+}
+
+TEST(WireTest, ReadFrameReportsEofAndOversizeFrames) {
+  {  // EOF before the first byte: the peer closed between frames.
+    SocketPair sp(SOCK_STREAM);
+    ASSERT_TRUE(sp.ok);
+    sp.CloseEnd(0);
+    EXPECT_EQ(ReadFrame(sp.fd[1]).status().code(), StatusCode::kUnavailable);
+  }
+  {  // EOF inside the length prefix.
+    SocketPair sp(SOCK_STREAM);
+    ASSERT_TRUE(sp.ok);
+    ASSERT_EQ(::write(sp.fd[0], "\x05\x00", 2), 2);
+    sp.CloseEnd(0);
+    EXPECT_EQ(ReadFrame(sp.fd[1]).status().code(), StatusCode::kInternal);
+  }
+  {  // EOF inside the payload.
+    SocketPair sp(SOCK_STREAM);
+    ASSERT_TRUE(sp.ok);
+    ASSERT_EQ(::write(sp.fd[0], "\x05\x00\x00\x00" "abc", 7), 7);
+    sp.CloseEnd(0);
+    EXPECT_EQ(ReadFrame(sp.fd[1]).status().code(), StatusCode::kInternal);
+  }
+  {  // An announced length above the cap is refused before allocation.
+    SocketPair sp(SOCK_STREAM);
+    ASSERT_TRUE(sp.ok);
+    const uint32_t len = kMaxFrameBytes + 1;
+    char prefix[4];
+    for (int i = 0; i < 4; ++i) prefix[i] = static_cast<char>(len >> (8 * i));
+    ASSERT_EQ(::write(sp.fd[0], prefix, 4), 4);
+    EXPECT_EQ(ReadFrame(sp.fd[1]).status().code(),
+              StatusCode::kInvalidArgument);
+  }
+}
+
+TEST(WireTest, SetNoDelayOnTcpAndErrorElsewhere) {
+  const int tcp = ::socket(AF_INET, SOCK_STREAM, 0);
+  ASSERT_GE(tcp, 0);
+  const Status st = SetNoDelay(tcp);
+  int on = 0;
+  socklen_t len = sizeof(on);
+  const int rc = ::getsockopt(tcp, IPPROTO_TCP, TCP_NODELAY, &on, &len);
+  ::close(tcp);
+  ASSERT_TRUE(st.ok()) << st.ToString();
+  ASSERT_EQ(rc, 0);
+  EXPECT_NE(on, 0);
+
+  // Not a TCP socket: the error surfaces instead of being swallowed.
+  SocketPair sp(SOCK_STREAM);
+  ASSERT_TRUE(sp.ok);
+  EXPECT_EQ(SetNoDelay(sp.fd[0]).code(), StatusCode::kInternal);
+}
+
+// ---------------------------------------------------------------------------
 // TCP loopback end-to-end.
 
 TEST(ServerTest, LoopbackRoundTripAndGracefulShutdown) {
@@ -1131,6 +1274,31 @@ TEST(ServerTest, HelloNegotiationFetchGraphAndClusterOpRejection) {
 
   ASSERT_TRUE(client.Shutdown().ok());
   server.Wait();
+}
+
+
+// Small frames on a long-lived connection must not wait out the peer's
+// delayed-ACK timer (>= 40 ms a frame when Nagle holds a split write):
+// 50 warm Pings fit in well under a second.
+TEST(ServerTest, WarmPingBurstHasNoDelayedAckStall) {
+  ServerOptions options;
+  options.serve = SmallServeOptions(1);
+  Server server(options);
+  const Status st = server.Start();
+  if (!st.ok()) {
+    GTEST_SKIP() << "cannot bind a loopback socket here: " << st.ToString();
+  }
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  for (int i = 0; i < 20; ++i) ASSERT_TRUE(client.Ping().ok());
+  const auto t0 = std::chrono::steady_clock::now();
+  for (int i = 0; i < 50; ++i) ASSERT_TRUE(client.Ping().ok());
+  const auto elapsed = std::chrono::steady_clock::now() - t0;
+  EXPECT_LT(elapsed, std::chrono::seconds(1))
+      << "50 Pings took "
+      << std::chrono::duration_cast<std::chrono::milliseconds>(elapsed)
+             .count()
+      << " ms";
 }
 
 }  // namespace
