@@ -90,9 +90,10 @@ PhaseResult RunPhase(serve::ServeService& service,
                      int clients, double duration_seconds, int passes = 1) {
   const int64_t builds_before = service.eval_context_builds();
   const auto cache_before = service.cache().stats();
-  // Scrape the metrics registry exactly the way a remote poller would —
+  // Scrape the service's registry exactly the way a remote poller would —
   // the phase breakdown below must be recoverable from METRICS alone.
-  const auto prom_before = obs::ParsePrometheusText(obs::PrometheusText());
+  const auto prom_before =
+      obs::ParsePrometheusText(obs::PrometheusText(service.metrics()));
 
   std::vector<std::vector<int64_t>> samples(static_cast<size_t>(clients));
   const int64_t t0 = obs::NowNs();
@@ -126,7 +127,8 @@ PhaseResult RunPhase(serve::ServeService& service,
   std::vector<int64_t> all;
   for (auto& s : samples) all.insert(all.end(), s.begin(), s.end());
   const auto cache_after = service.cache().stats();
-  const auto prom_after = obs::ParsePrometheusText(obs::PrometheusText());
+  const auto prom_after =
+      obs::ParsePrometheusText(obs::PrometheusText(service.metrics()));
 
   // Snapshot counters must agree with the bench's own accounting: every
   // request this phase issued completed (coalesced followers included),

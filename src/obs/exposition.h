@@ -12,8 +12,9 @@ namespace freehgc::obs {
 
 /// Prometheus text exposition for the metrics registry, plus the minimal
 /// parser the polling tools (freehgc_top, bench_serve_load) use to read a
-/// snapshot back. The wire op `METRICS` (serve/wire.h) returns exactly
-/// PrometheusText(), so any Prometheus-compatible scraper can poll a live
+/// snapshot back. The wire op `METRICS` (serve/wire.h) returns
+/// PrometheusText() followed by PrometheusText() of the service's own
+/// registry, so any Prometheus-compatible scraper can poll a live
 /// freehgc_server without restarting it.
 ///
 /// Mapping from registry names to exposition names:

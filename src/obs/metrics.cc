@@ -1,6 +1,7 @@
 #include "obs/metrics.h"
 
 #include <cinttypes>
+#include <cmath>
 #include <cstdio>
 
 namespace freehgc::obs {
@@ -37,7 +38,8 @@ int64_t Histogram::ApproxQuantile(double q) const {
   if (q < 0.0) q = 0.0;
   if (q > 1.0) q = 1.0;
   // Rank of the q-th sample (1-based, ceiling), then walk the buckets.
-  int64_t rank = static_cast<int64_t>(q * static_cast<double>(total));
+  int64_t rank =
+      static_cast<int64_t>(std::ceil(q * static_cast<double>(total)));
   if (rank < 1) rank = 1;
   if (rank > total) rank = total;
   int64_t cum = 0;

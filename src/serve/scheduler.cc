@@ -4,54 +4,9 @@
 
 #include "common/string_util.h"
 #include "obs/flight_recorder.h"
-#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace freehgc::serve {
-
-namespace {
-
-struct SchedulerMetrics {
-  obs::Gauge& queue_depth;
-  obs::Gauge& inflight;
-  obs::Counter& admitted;
-  obs::Counter& completed;
-  obs::Counter& failed;
-  obs::Counter& shed;
-  obs::Counter& shed_budget;
-  obs::Counter& shed_slo;
-  obs::Counter& cancelled;
-  obs::Counter& expired;
-  obs::Counter& coalesced;
-  obs::Counter& aged;
-  obs::Histogram& queue_ns;
-  obs::Histogram& exec_ns;
-  obs::Histogram& total_ns;
-
-  static SchedulerMetrics& Get() {
-    auto& reg = obs::MetricsRegistry::Global();
-    static SchedulerMetrics m{
-        reg.GetGauge("serve.queue_depth"),
-        reg.GetGauge("serve.inflight"),
-        reg.GetCounter("serve.requests.admitted"),
-        reg.GetCounter("serve.requests.completed"),
-        reg.GetCounter("serve.requests.failed"),
-        reg.GetCounter("serve.requests.shed"),
-        reg.GetCounter("serve.shed.budget"),
-        reg.GetCounter("serve.shed.slo"),
-        reg.GetCounter("serve.requests.cancelled"),
-        reg.GetCounter("serve.requests.expired"),
-        reg.GetCounter("serve.coalesced"),
-        reg.GetCounter("serve.aged"),
-        reg.GetHistogram("serve.latency.queue_ns"),
-        reg.GetHistogram("serve.latency.exec_ns"),
-        reg.GetHistogram("serve.latency.total_ns"),
-    };
-    return m;
-  }
-};
-
-}  // namespace
 
 Result<CondenseReply>& RequestTicket::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
@@ -64,9 +19,27 @@ bool RequestTicket::Done() const {
   return result_.has_value();
 }
 
+RequestScheduler::Metrics::Metrics(obs::MetricsRegistry& reg)
+    : queue_depth(reg.GetGauge("serve.queue_depth")),
+      inflight(reg.GetGauge("serve.inflight")),
+      admitted(reg.GetCounter("serve.requests.admitted")),
+      completed(reg.GetCounter("serve.requests.completed")),
+      failed(reg.GetCounter("serve.requests.failed")),
+      shed(reg.GetCounter("serve.requests.shed")),
+      shed_budget(reg.GetCounter("serve.shed.budget")),
+      shed_slo(reg.GetCounter("serve.shed.slo")),
+      cancelled(reg.GetCounter("serve.requests.cancelled")),
+      expired(reg.GetCounter("serve.requests.expired")),
+      coalesced(reg.GetCounter("serve.coalesced")),
+      aged(reg.GetCounter("serve.aged")),
+      queue_ns(reg.GetHistogram("serve.latency.queue_ns")),
+      exec_ns(reg.GetHistogram("serve.latency.exec_ns")),
+      total_ns(reg.GetHistogram("serve.latency.total_ns")) {}
+
 RequestScheduler::RequestScheduler(const SchedulerOptions& options,
                                    WorkFn work)
-    : queue_capacity_(options.queue_capacity > 0 ? options.queue_capacity
+    : m_(metrics_),
+      queue_capacity_(options.queue_capacity > 0 ? options.queue_capacity
                                                  : 1),
       work_(std::move(work)) {
   int slots = options.slots < 1 ? 1 : options.slots;
@@ -111,7 +84,6 @@ void RequestScheduler::set_coalesce_key(CoalesceKeyFn fn) {
 }
 
 Result<TicketPtr> RequestScheduler::Submit(CondenseRequest request) {
-  auto& m = SchedulerMetrics::Get();
   std::unique_lock<std::mutex> lock(mu_);
   if (!accepting_) {
     return Status::Unavailable("scheduler is shutting down");
@@ -130,17 +102,14 @@ Result<TicketPtr> RequestScheduler::Submit(CondenseRequest request) {
         auto follower = TicketPtr(new RequestTicket(id, std::move(request)));
         follower->submit_ns_ = obs::NowNs();
         it->second->followers_.push_back(follower);
-        ++stats_.admitted;
-        ++stats_.coalesced;
-        m.admitted.Increment();
-        m.coalesced.Increment();
+        m_.admitted.Increment();
+        m_.coalesced.Increment();
         return follower;
       }
     }
   }
   if (static_cast<int>(queue_.size()) >= queue_capacity_) {
-    ++stats_.shed;
-    m.shed.Increment();
+    m_.shed.Increment();
     // Shed requests get an id too: the access log accounts for every
     // admission decision, not just the admitted ones.
     const uint64_t id = next_id_++;
@@ -157,10 +126,8 @@ Result<TicketPtr> RequestScheduler::Submit(CondenseRequest request) {
   if (admission_guard_) {
     Status guard = admission_guard_();
     if (!guard.ok()) {
-      ++stats_.shed;
-      ++stats_.shed_budget;
-      m.shed.Increment();
-      m.shed_budget.Increment();
+      m_.shed.Increment();
+      m_.shed_budget.Increment();
       const uint64_t id = next_id_++;
       lock.unlock();
       RecordTerminal(id, /*slot=*/-1, request, obs::NowNs(), /*queue_ns=*/0,
@@ -183,10 +150,8 @@ Result<TicketPtr> RequestScheduler::Submit(CondenseRequest request) {
                                 ewma_exec_ns_ /
                                 static_cast<double>(max_concurrent_);
     if (predicted_ns > static_cast<double>(slo_ns_)) {
-      ++stats_.shed;
-      ++stats_.shed_slo;
-      m.shed.Increment();
-      m.shed_slo.Increment();
+      m_.shed.Increment();
+      m_.shed_slo.Increment();
       const uint64_t id = next_id_++;
       Status status = Status::ResourceExhausted(StrFormat(
           "SLO shed: predicted queue wait %.1f ms exceeds the %lld ms SLO "
@@ -215,8 +180,7 @@ Result<TicketPtr> RequestScheduler::Submit(CondenseRequest request) {
     inflight_by_key_.emplace(coalesce_key, ticket);
   }
   queue_.emplace(std::make_pair(priority, id), ticket);
-  ++stats_.admitted;
-  m.admitted.Increment();
+  m_.admitted.Increment();
   UpdateGauges();
   lock.unlock();
   work_cv_.notify_one();
@@ -233,8 +197,7 @@ bool RequestScheduler::Cancel(uint64_t id) {
         ticket = it->second;
         queue_.erase(it);
         followers = TakeFollowers(ticket);
-        ++stats_.cancelled;
-        SchedulerMetrics::Get().cancelled.Increment();
+        m_.cancelled.Increment();
         UpdateGauges();
         break;
       }
@@ -265,8 +228,7 @@ void RequestScheduler::Shutdown(ShutdownMode mode) {
       for (auto& [key, ticket] : queue_) {
         rejected.push_back(ticket);
         rejected_followers.push_back(TakeFollowers(ticket));
-        ++stats_.cancelled;
-        SchedulerMetrics::Get().cancelled.Increment();
+        m_.cancelled.Increment();
       }
       queue_.clear();
       UpdateGauges();
@@ -291,7 +253,7 @@ void RequestScheduler::Shutdown(ShutdownMode mode) {
     // tell the workers to exit.
     std::unique_lock<std::mutex> lock(mu_);
     drain_cv_.wait(lock, [&] {
-      return queue_.empty() && stats_.inflight == 0;
+      return queue_.empty() && inflight_ == 0;
     });
     if (stop_) return;  // an earlier Shutdown already joined the workers
     stop_ = true;
@@ -304,12 +266,24 @@ void RequestScheduler::Shutdown(ShutdownMode mode) {
 
 SchedulerStats RequestScheduler::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  SchedulerStats s;
+  s.admitted = m_.admitted.Value();
+  s.completed = m_.completed.Value();
+  s.failed = m_.failed.Value();
+  s.shed = m_.shed.Value();
+  s.shed_budget = m_.shed_budget.Value();
+  s.shed_slo = m_.shed_slo.Value();
+  s.cancelled = m_.cancelled.Value();
+  s.expired = m_.expired.Value();
+  s.coalesced = m_.coalesced.Value();
+  s.aged = m_.aged.Value();
+  s.queue_depth = m_.queue_depth.Value();
+  s.inflight = m_.inflight.Value();
+  return s;
 }
 
 void RequestScheduler::WorkerLoop(int slot) {
   obs::SetCurrentThreadNameIfUnset("slot-" + std::to_string(slot));
-  auto& m = SchedulerMetrics::Get();
   exec::ExecContext* ctx = slot_exec_[static_cast<size_t>(slot)].get();
   for (;;) {
     TicketPtr ticket;
@@ -320,18 +294,17 @@ void RequestScheduler::WorkerLoop(int slot) {
       // that is what keeps S > cores slots from time-slicing the cores.
       work_cv_.wait(lock, [&] {
         return stop_ ||
-               (!queue_.empty() && stats_.inflight < max_concurrent_);
+               (!queue_.empty() && inflight_ < max_concurrent_);
       });
       if (stop_ && queue_.empty()) return;
       // Dequeue, shedding queued requests whose deadline already passed —
       // this is the point that guarantees an expired request never runs.
-      while (!queue_.empty() && stats_.inflight < max_concurrent_) {
+      while (!queue_.empty() && inflight_ < max_concurrent_) {
         auto it = PickNext();
         TicketPtr head = it->second;
         queue_.erase(it);
         if (head->deadline_ns_ > 0 && obs::NowNs() > head->deadline_ns_) {
-          ++stats_.expired;
-          m.expired.Increment();
+          m_.expired.Increment();
           std::vector<TicketPtr> followers = TakeFollowers(head);
           UpdateGauges();
           lock.unlock();
@@ -356,7 +329,7 @@ void RequestScheduler::WorkerLoop(int slot) {
         break;
       }
       if (!ticket) continue;
-      ++stats_.inflight;
+      ++inflight_;
       UpdateGauges();
     }
 
@@ -378,21 +351,15 @@ void RequestScheduler::WorkerLoop(int slot) {
       result.value().total_seconds =
           static_cast<double>(end_ns - ticket->submit_ns_) * 1e-9;
     }
-    m.queue_ns.Observe(queue_ns);
-    m.exec_ns.Observe(exec_ns);
-    m.total_ns.Observe(end_ns - ticket->submit_ns_);
+    m_.queue_ns.Observe(queue_ns);
+    m_.exec_ns.Observe(exec_ns);
+    m_.total_ns.Observe(end_ns - ticket->submit_ns_);
 
     std::vector<TicketPtr> followers;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      --stats_.inflight;
-      if (result.ok()) {
-        ++stats_.completed;
-        m.completed.Increment();
-      } else {
-        ++stats_.failed;
-        m.failed.Increment();
-      }
+      --inflight_;
+      (result.ok() ? m_.completed : m_.failed).Increment();
       // Feed the SLO admission predictor with this execution.
       ewma_exec_ns_ = ewma_exec_ns_ == 0.0
                           ? static_cast<double>(exec_ns)
@@ -449,10 +416,7 @@ RequestScheduler::PickNext() {
       best_eff = eff;
     }
   }
-  if (best != queue_.begin()) {
-    ++stats_.aged;
-    SchedulerMetrics::Get().aged.Increment();
-  }
+  if (best != queue_.begin()) m_.aged.Increment();
   return best;
 }
 
@@ -474,24 +438,14 @@ void RequestScheduler::FinishFollowers(
     const Result<CondenseReply>& result, int slot,
     obs::RequestOutcome outcome, std::string_view reason) {
   if (followers.empty()) return;
-  auto& m = SchedulerMetrics::Get();
+  obs::Counter& terminal =
+      result.ok() ? m_.completed
+      : outcome == obs::RequestOutcome::kError   ? m_.failed
+      : outcome == obs::RequestOutcome::kExpired ? m_.expired
+                                                 : m_.cancelled;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (size_t i = 0; i < followers.size(); ++i) {
-      if (result.ok()) {
-        ++stats_.completed;
-        m.completed.Increment();
-      } else if (outcome == obs::RequestOutcome::kError) {
-        ++stats_.failed;
-        m.failed.Increment();
-      } else if (outcome == obs::RequestOutcome::kExpired) {
-        ++stats_.expired;
-        m.expired.Increment();
-      } else {
-        ++stats_.cancelled;
-        m.cancelled.Increment();
-      }
-    }
+    terminal.Add(static_cast<int64_t>(followers.size()));
   }
   for (const auto& follower : followers) {
     const int64_t queue_ns = obs::NowNs() - follower->submit_ns_;
@@ -499,8 +453,8 @@ void RequestScheduler::FinishFollowers(
       // A follower waited but never executed: it lands in the queue and
       // total latency histograms with exec_ns = 0 (no exec observation —
       // serve.latency.exec_ns counts real executions only).
-      m.queue_ns.Observe(queue_ns);
-      m.total_ns.Observe(queue_ns);
+      m_.queue_ns.Observe(queue_ns);
+      m_.total_ns.Observe(queue_ns);
     }
     RecordTerminal(follower->id(), slot, follower->request(),
                    follower->submit_ns_, queue_ns, /*exec_ns=*/0, outcome,
@@ -560,10 +514,8 @@ void RequestScheduler::Complete(const TicketPtr& ticket,
 }
 
 void RequestScheduler::UpdateGauges() {
-  stats_.queue_depth = static_cast<int64_t>(queue_.size());
-  auto& m = SchedulerMetrics::Get();
-  m.queue_depth.Set(stats_.queue_depth);
-  m.inflight.Set(stats_.inflight);
+  m_.queue_depth.Set(static_cast<int64_t>(queue_.size()));
+  m_.inflight.Set(inflight_);
 }
 
 }  // namespace freehgc::serve

@@ -17,6 +17,7 @@
 #include "common/result.h"
 #include "exec/exec_context.h"
 #include "obs/access_log.h"
+#include "obs/metrics.h"
 
 namespace freehgc::serve {
 
@@ -129,7 +130,8 @@ enum class ShutdownMode {
   kCancelQueued,
 };
 
-/// Scheduler counters (also mirrored into obs as serve.* metrics).
+/// Point-in-time snapshot of a scheduler's serve.* metrics
+/// (RequestScheduler::stats()).
 struct SchedulerStats {
   int64_t admitted = 0;
   int64_t completed = 0;   // terminal with a value
@@ -267,7 +269,13 @@ class RequestScheduler {
   /// worker slot to go idle, and joins them. Idempotent.
   void Shutdown(ShutdownMode mode = ShutdownMode::kDrain);
 
+  /// Snapshot of metrics(), taken under mu_ so the counters agree.
   SchedulerStats stats() const;
+
+  /// This scheduler's own registry, the only store of its serve.*
+  /// numbers (the service adds serve.evalctx.*). Per instance, so two
+  /// schedulers in one process never mix their counts.
+  obs::MetricsRegistry& metrics() { return metrics_; }
 
   int slots() const { return static_cast<int>(workers_.size()); }
   int queue_capacity() const { return queue_capacity_; }
@@ -286,7 +294,7 @@ class RequestScheduler {
                        const Result<CondenseReply>& result, int slot,
                        obs::RequestOutcome outcome, std::string_view reason);
   /// Dequeue pick honoring priority aging; callers hold mu_ and guarantee
-  /// a non-empty queue. Counts stats_.aged when aging overrode begin().
+  /// a non-empty queue. Counts serve.aged when aging overrode begin().
   std::map<std::pair<int, uint64_t>, TicketPtr>::iterator PickNext();
   /// Emits the access-log line + flight-recorder record for a request
   /// reaching a terminal state. Never called under mu_ (the access log
@@ -296,6 +304,28 @@ class RequestScheduler {
                       obs::RequestOutcome outcome, std::string_view reason,
                       bool evalctx_hit, uint64_t fingerprint);
 
+  /// Cached references into metrics_, registered at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& reg);
+    obs::Gauge& queue_depth;
+    obs::Gauge& inflight;
+    obs::Counter& admitted;
+    obs::Counter& completed;
+    obs::Counter& failed;
+    obs::Counter& shed;
+    obs::Counter& shed_budget;
+    obs::Counter& shed_slo;
+    obs::Counter& cancelled;
+    obs::Counter& expired;
+    obs::Counter& coalesced;
+    obs::Counter& aged;
+    obs::Histogram& queue_ns;
+    obs::Histogram& exec_ns;
+    obs::Histogram& total_ns;
+  };
+
+  obs::MetricsRegistry metrics_;
+  Metrics m_;
   const int queue_capacity_;
   int max_concurrent_ = 1;
   int64_t aging_quantum_ns_ = 0;  // 0 = aging off
@@ -320,10 +350,12 @@ class RequestScheduler {
   /// EWMA of completed executions' exec_ns (0 until the first
   /// completion); the SLO admission predictor.
   double ewma_exec_ns_ = 0.0;
+  /// Requests executing now: gates dispatch (work_cv_) and drain; the
+  /// serve.inflight gauge mirrors it.
+  int inflight_ = 0;
   uint64_t next_id_ = 1;
   bool accepting_ = true;
   bool stop_ = false;
-  SchedulerStats stats_;
 };
 
 }  // namespace freehgc::serve

@@ -258,9 +258,13 @@ std::string Server::HandleRequest(std::string_view payload) {
     case MsgType::kStats:
       return EncodeResponse(Status::OK(), service_->StatsJson());
     case MsgType::kMetrics:
-      // Prometheus text exposition of the live registry; scrape with
-      // `freehgc_client metrics` or watch with freehgc_top.
-      return EncodeResponse(Status::OK(), obs::PrometheusText());
+      // Prometheus text exposition of the process-global registry
+      // (kernels, pipeline.cache.*, store.*) followed by this service's
+      // serve.* registry; scrape with `freehgc_client metrics` or watch
+      // with freehgc_top.
+      return EncodeResponse(Status::OK(),
+                            obs::PrometheusText() +
+                                obs::PrometheusText(service_->metrics()));
     case MsgType::kHealth:
       return EncodeResponse(Status::OK(), service_->HealthJson());
     case MsgType::kFlightRecorder:

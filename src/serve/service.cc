@@ -23,7 +23,16 @@ struct ServeService::EvalEntry {
 };
 
 ServeService::ServeService(ServeOptions options)
-    : options_(std::move(options)), start_ns_(obs::NowNs()) {
+    : options_(std::move(options)),
+      start_ns_(obs::NowNs()),
+      scheduler_(std::make_unique<RequestScheduler>(
+          options_,
+          [this](const CondenseRequest& request, const RequestContext& rctx) {
+            return Execute(request, rctx);
+          })),
+      evalctx_builds_(scheduler_->metrics().GetCounter("serve.evalctx.builds")),
+      evalctx_lookups_(
+          scheduler_->metrics().GetCounter("serve.evalctx.lookups")) {
   if (!options_.access_log_path.empty()) {
     const Status st = access_log_.Open(options_.access_log_path);
     if (!st.ok()) {
@@ -45,11 +54,6 @@ ServeService::ServeService(ServeOptions options)
     FREEHGC_LOG(Warning)
         << "artifact budget ignored: no spill dir configured";
   }
-  scheduler_ = std::make_unique<RequestScheduler>(
-      options_,
-      [this](const CondenseRequest& request, const RequestContext& rctx) {
-        return Execute(request, rctx);
-      });
   if (options_.coalesce_requests) {
     // Work identity for request coalescing. Everything Execute() reads
     // from the request is mixed in except priority and deadline (which
@@ -186,13 +190,9 @@ std::shared_ptr<ServeService::EvalEntry> ServeService::GetOrBuildEvalContext(
       entry->ctx = hgnn::BuildEvalContext(*graph, opts, ctx, &cache_);
     }
     built_here = true;
-    eval_context_builds_.fetch_add(1, std::memory_order_relaxed);
-    obs::MetricsRegistry::Global()
-        .GetCounter("serve.evalctx.builds")
-        .Increment();
+    evalctx_builds_.Increment();
   });
-  obs::MetricsRegistry::Global().GetCounter("serve.evalctx.lookups")
-      .Increment();
+  evalctx_lookups_.Increment();
   if (built != nullptr) *built = built_here;
   return entry;
 }
@@ -268,8 +268,7 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
 std::string ServeService::StatsJson() const {
   const SchedulerStats s = scheduler_->stats();
   const pipeline::ArtifactCache::Stats c = cache_.stats();
-  auto& reg = obs::MetricsRegistry::Global();
-  const obs::Histogram& total = reg.GetHistogram("serve.latency.total_ns");
+  obs::MetricsRegistry& reg = scheduler_->metrics();
   std::string out = "{\n";
   out += StrFormat("  \"slots\": %d,\n", scheduler_->slots());
   out += StrFormat("  \"queue_capacity\": %d,\n",
@@ -309,23 +308,19 @@ std::string ServeService::StatsJson() const {
       c.spill_bytes);
   out += StrFormat("  \"eval_context_builds\": %lld,\n",
                    static_cast<long long>(eval_context_builds()));
-  const obs::Histogram& queue = reg.GetHistogram("serve.latency.queue_ns");
-  const obs::Histogram& exec = reg.GetHistogram("serve.latency.exec_ns");
-  out += StrFormat(
-      "  \"queue_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f},\n",
-      static_cast<double>(queue.ApproxQuantile(0.50)) * 1e-6,
-      static_cast<double>(queue.ApproxQuantile(0.95)) * 1e-6,
-      static_cast<double>(queue.ApproxQuantile(0.99)) * 1e-6);
-  out += StrFormat(
-      "  \"exec_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f},\n",
-      static_cast<double>(exec.ApproxQuantile(0.50)) * 1e-6,
-      static_cast<double>(exec.ApproxQuantile(0.95)) * 1e-6,
-      static_cast<double>(exec.ApproxQuantile(0.99)) * 1e-6);
-  out += StrFormat(
-      "  \"latency_ms\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f}\n",
-      static_cast<double>(total.ApproxQuantile(0.50)) * 1e-6,
-      static_cast<double>(total.ApproxQuantile(0.95)) * 1e-6,
-      static_cast<double>(total.ApproxQuantile(0.99)) * 1e-6);
+  // Quantiles come from the same registry as the counters above.
+  auto quantiles_ms = [&reg](const char* key, const char* histogram,
+                             const char* tail) {
+    const obs::Histogram& h = reg.GetHistogram(histogram);
+    return StrFormat(
+        "  \"%s\": {\"p50\": %.3f, \"p95\": %.3f, \"p99\": %.3f}%s\n", key,
+        static_cast<double>(h.ApproxQuantile(0.50)) * 1e-6,
+        static_cast<double>(h.ApproxQuantile(0.95)) * 1e-6,
+        static_cast<double>(h.ApproxQuantile(0.99)) * 1e-6, tail);
+  };
+  out += quantiles_ms("queue_ms", "serve.latency.queue_ns", ",");
+  out += quantiles_ms("exec_ms", "serve.latency.exec_ns", ",");
+  out += quantiles_ms("latency_ms", "serve.latency.total_ns", "");
   out += "}\n";
   return out;
 }

@@ -1,7 +1,6 @@
 #ifndef FREEHGC_SERVE_SERVICE_H_
 #define FREEHGC_SERVE_SERVICE_H_
 
-#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -105,11 +104,13 @@ class ServeService {
 
   SchedulerStats scheduler_stats() const { return scheduler_->stats(); }
 
+  /// This service's serve.* metrics (RequestScheduler::metrics()); the
+  /// METRICS wire op exposes them after the process-global registry.
+  obs::MetricsRegistry& metrics() { return scheduler_->metrics(); }
+
   /// How many EvalContexts were actually built — the coalescing test
   /// asserts this stays at 1 for K same-config requests.
-  int64_t eval_context_builds() const {
-    return eval_context_builds_.load(std::memory_order_relaxed);
-  }
+  int64_t eval_context_builds() const { return evalctx_builds_.Value(); }
 
   /// One-line-per-field JSON summary (request counters, store and cache
   /// occupancy, latency quantiles) — what the server dumps on shutdown.
@@ -145,9 +146,11 @@ class ServeService {
   using EvalKey = std::tuple<uint64_t, int, int, int64_t>;
   std::mutex eval_mu_;
   std::map<EvalKey, std::shared_ptr<EvalEntry>> eval_contexts_;
-  std::atomic<int64_t> eval_context_builds_{0};
 
-  std::unique_ptr<RequestScheduler> scheduler_;  // last: uses the above
+  std::unique_ptr<RequestScheduler> scheduler_;  // uses the above
+  /// serve.evalctx.{builds,lookups} in the scheduler's registry.
+  obs::Counter& evalctx_builds_;
+  obs::Counter& evalctx_lookups_;
 };
 
 }  // namespace freehgc::serve

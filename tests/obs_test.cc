@@ -232,6 +232,13 @@ TEST(MetricsTest, HistogramApproxQuantile) {
   EXPECT_GT(h.ApproxQuantile(0.99), 65536);
   // Quantiles are monotone in q.
   EXPECT_LE(h.ApproxQuantile(0.25), h.ApproxQuantile(0.75));
+
+  // The rank is the ceiling of q * count: p50 of three samples is the
+  // second one (100, bucket (64, 128]), not the minimum.
+  h.Reset();
+  for (int64_t v : {1, 100, 10000}) h.Observe(v);
+  EXPECT_GT(h.ApproxQuantile(0.5), 64);
+  EXPECT_LE(h.ApproxQuantile(0.5), 128);
 }
 
 TEST(MetricsTest, HistogramQuantileOverloadTailAllInTopBucket) {

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <mutex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <vector>
@@ -817,6 +818,36 @@ TEST(ServeServiceTest, IdenticalInflightRequestsCoalesceAtServiceLevel) {
   service.Shutdown();
 }
 
+// Each service counts into its own registry: a second service in the
+// same process starts from zero, latency quantiles included.
+TEST(ServeServiceTest, MetricsAreScopedToTheService) {
+  {
+    ServeService a(SmallServeOptions(1));
+    ASSERT_TRUE(a.store().Register("toy", datasets::MakeToy(5)).ok());
+    for (uint64_t seed = 1; seed <= 3; ++seed) {
+      ASSERT_TRUE(a.Condense(ToyRequest(seed)).ok());
+    }
+    const std::string json = a.StatsJson();
+    EXPECT_NE(json.find("\"completed\": 3,"), std::string::npos) << json;
+    EXPECT_EQ(json.find("\"latency_ms\": {\"p50\": 0.000,"),
+              std::string::npos)
+        << json;
+    EXPECT_EQ(a.eval_context_builds(), 1);
+    a.Shutdown();
+  }
+  ServeService b(SmallServeOptions(1));
+  ASSERT_TRUE(b.store().Register("toy", datasets::MakeToy(5)).ok());
+  EXPECT_EQ(b.eval_context_builds(), 0);
+  const std::string json = b.StatsJson();
+  for (const char* want :
+       {"\"completed\": 0,", "\"eval_context_builds\": 0,",
+        "\"queue_ms\": {\"p50\": 0.000,", "\"exec_ms\": {\"p50\": 0.000,",
+        "\"latency_ms\": {\"p50\": 0.000,"}) {
+    EXPECT_NE(json.find(want), std::string::npos) << want << " in " << json;
+  }
+  b.Shutdown();
+}
+
 TEST(ServeServiceTest, ValidatesBeforeAdmission) {
   ServeService service(SmallServeOptions(1));
   ASSERT_TRUE(service.store().Register("toy", datasets::MakeToy(5)).ok());
@@ -1276,6 +1307,53 @@ TEST(ServerTest, HelloNegotiationFetchGraphAndClusterOpRejection) {
   server.Wait();
 }
 
+
+// Two servers in one process each export only their own serve.*
+// counters, and the METRICS text (process-global registry followed by the
+// service's) declares every metric family exactly once.
+TEST(ServerTest, MetricsArePerServerAndEachFamilyIsTypedOnce) {
+  ServerOptions options;
+  options.serve = SmallServeOptions(1);
+  Server first(options);
+  Server second(options);
+  if (!first.Start().ok() || !second.Start().ok()) {
+    GTEST_SKIP() << "cannot bind loopback sockets here";
+  }
+  ServeClient c1;
+  ServeClient c2;
+  ASSERT_TRUE(c1.Connect(first.port()).ok());
+  ASSERT_TRUE(c2.Connect(second.port()).ok());
+  ASSERT_TRUE(c1.RegisterGenerator("toy", "toy", 5, 0.0).ok());
+  ASSERT_TRUE(c2.RegisterGenerator("toy", "toy", 5, 0.0).ok());
+  ASSERT_TRUE(c1.Condense(ToyRequest(1)).ok());
+  ASSERT_TRUE(c2.Condense(ToyRequest(1)).ok());
+  ASSERT_TRUE(c2.Condense(ToyRequest(2)).ok());
+
+  const std::pair<ServeClient*, double> expected[] = {{&c1, 1.0},
+                                                      {&c2, 2.0}};
+  for (const auto& [client, want] : expected) {
+    auto metrics = client->Metrics();
+    ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
+    double completed = -1.0;
+    ASSERT_TRUE(obs::FindPromValue(obs::ParsePrometheusText(*metrics),
+                                   "freehgc_serve_requests_completed_total",
+                                   &completed));
+    EXPECT_EQ(completed, want);
+    std::set<std::string> typed;
+    std::istringstream lines(*metrics);
+    for (std::string line; std::getline(lines, line);) {
+      if (line.rfind("# TYPE ", 0) != 0) continue;
+      const std::string name = line.substr(7, line.find(' ', 7) - 7);
+      EXPECT_TRUE(typed.insert(name).second) << name << " typed twice";
+    }
+    EXPECT_TRUE(typed.count("freehgc_serve_evalctx_builds_total"));
+    EXPECT_TRUE(typed.count("freehgc_serve_store_graphs"));
+  }
+  ASSERT_TRUE(c1.Shutdown().ok());
+  ASSERT_TRUE(c2.Shutdown().ok());
+  first.Wait();
+  second.Wait();
+}
 
 // Small frames on a long-lived connection must not wait out the peer's
 // delayed-ACK timer (>= 40 ms a frame when Nagle holds a split write):
