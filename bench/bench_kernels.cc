@@ -1,20 +1,26 @@
-// Sparse-kernel microbenchmark (two-pass SpGEMM overhaul acceptance):
-// times every hot kernel in sparse/ops.h against its single-threaded
-// reference (sparse/reference.h) and, for SpGEMM, the cold path (fresh
-// symbolic pass per product) against the warm path (symbolic plan served
-// from a pipeline::ArtifactCache) on the meta-path composition workload.
-// Writes BENCH_kernels.json.
+// Kernel microbenchmark. Sparse part (two-pass SpGEMM overhaul
+// acceptance): times every hot kernel in sparse/ops.h against its
+// single-threaded reference (sparse/reference.h) and, for SpGEMM, the
+// cold path (fresh symbolic pass per product) against the warm path
+// (symbolic plan served from a pipeline::ArtifactCache) on the meta-path
+// composition workload. Dense part: times MatMul, MatMulTA and MatMulTB
+// against their scalar references (dense/reference.h) at 1 and 4
+// threads, on the shapes the served HGNN trainer runs. Writes
+// BENCH_kernels.json; every row carries "dense" and "threads".
 //
 // Warm-plan SpGEMM must beat cold-plan SpGEMM strictly (FREEHGC_CHECK):
 // the warm path pays only operand fingerprinting plus the numeric fill,
 // the cold path additionally pays the merge + per-row sort of the
-// symbolic pass. `--smoke` runs a scaled-down workload with the same
-// assertion (CI gate); both modes exit non-zero on violation.
+// symbolic pass. `--smoke` runs a scaled-down sparse workload with the
+// same assertion (CI gate); both modes exit non-zero on violation. The
+// dense rows are the same in both modes; CI asserts each is >= 1.0x.
 //
 // All timed paths are bit-identical to their references (enforced by
-// tests/sparse_reference_test.cc; spot-checked here via CsrMatrix
-// equality on the composition results), so the comparison is pure speed.
+// tests/sparse_reference_test.cc and tests/dense_reference_test.cc;
+// spot-checked here on the composition results and every dense row), so
+// the comparison is pure speed.
 
+#include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
@@ -25,6 +31,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "dense/reference.h"
 #include "metapath/metapath.h"
 #include "obs/trace.h"
 #include "pipeline/artifact_cache.h"
@@ -48,9 +55,51 @@ int64_t BestOfNs(int reps, Fn&& fn) {
 
 struct KernelRow {
   std::string name;
+  bool dense = false;
+  int threads = 0;
   int64_t reference_ns = 0;
   int64_t optimized_ns = 0;
 };
+
+/// A dense product row: `op` names the kernel, the output is (m, n) and
+/// k is the contracted dimension. `relu_a` draws `a` through a ReLU, as
+/// the trainer's products on ReLU outputs see it: about half its entries
+/// are zero, which the reference's skip and the kernels' mask meet.
+struct DenseShape {
+  const char* op;
+  int64_t m, k, n;
+  bool relu_a;
+};
+
+/// The served trainer's shapes (SeHGNN, hidden 32): a ~108-row training
+/// step and a ~3150-row eval forward (AMiner's sizes in train_eval),
+/// 128-wide layer inputs (block features, or the head's concatenated
+/// ReLU'd block outputs), 8 classes.
+constexpr DenseShape kDenseShapes[] = {
+    {"matmul", 108, 128, 32, false},     // step: projection x W
+    {"matmul", 108, 128, 32, true},      // step: head hidden layer
+    {"matmul", 108, 32, 8, true},        // step: logits
+    {"matmul_ta", 128, 108, 32, false},  // step: projection dW = x^T dout
+    {"matmul_ta", 32, 108, 8, true},     // step: logit layer dW
+    {"matmul_tb", 108, 32, 128, false},  // step: head dx = dout W^T
+    {"matmul_tb", 108, 8, 32, false},    // step: logit layer dx
+    {"matmul", 3150, 128, 32, false},    // eval forward: projection x W
+    {"matmul", 3150, 128, 32, true},     // eval forward: head hidden layer
+    {"matmul", 3150, 32, 8, true},       // eval forward: logits
+};
+
+/// Each timed sample repeats a dense product until it has done at least
+/// this many multiply-adds, so every reference sample takes >= 1 ms.
+constexpr int64_t kDenseSampleMacs = int64_t{4} << 20;
+
+Matrix RandomDense(int64_t rows, int64_t cols, bool relu, Rng& rng) {
+  Matrix m(rows, cols);
+  for (int64_t i = 0; i < m.size(); ++i) {
+    const float v = rng.NextUniform(-1.0f, 1.0f);
+    m.data()[i] = relu ? std::max(0.0f, v) : v;
+  }
+  return m;
+}
 
 double Speedup(int64_t reference_ns, int64_t optimized_ns) {
   return optimized_ns > 0 ? static_cast<double>(reference_ns) /
@@ -164,12 +213,16 @@ int Run(bool smoke) {
   const int ppr_iters = smoke ? 5 : 15;
 
   std::vector<KernelRow> rows;
+  auto add_row = [&](const std::string& name, bool dense, int row_threads,
+                     int64_t ref_ns, int64_t opt_ns) {
+    rows.push_back({name, dense, row_threads, ref_ns, opt_ns});
+    std::printf("%-24s t=%d reference %10.3f ms  optimized %10.3f ms  "
+                "%6.2fx\n",
+                name.c_str(), row_threads, static_cast<double>(ref_ns) * 1e-6,
+                static_cast<double>(opt_ns) * 1e-6, Speedup(ref_ns, opt_ns));
+  };
   auto add = [&](const std::string& name, int64_t ref_ns, int64_t opt_ns) {
-    rows.push_back({name, ref_ns, opt_ns});
-    std::printf("%-14s reference %10.3f ms  optimized %10.3f ms  %6.2fx\n",
-                name.c_str(), static_cast<double>(ref_ns) * 1e-6,
-                static_cast<double>(opt_ns) * 1e-6,
-                Speedup(ref_ns, opt_ns));
+    add_row(name, /*dense=*/false, threads, ref_ns, opt_ns);
   };
 
   add("transpose",
@@ -217,6 +270,46 @@ int Run(bool smoke) {
             sparse::PprScores(sym, teleport, 0.15f, ppr_iters, 0.0f, &ex));
       }));
 
+  // --- Dense products vs their scalar references ------------------------
+  for (int dense_threads : {1, 4}) {
+    exec::ExecContext dex(dense_threads);
+    for (const DenseShape& shape : kDenseShapes) {
+      const std::string op = shape.op;
+      const bool ta = op == "matmul_ta", tb = op == "matmul_tb";
+      // MatMul: a (m,k) b (k,n). MatMulTA: a (k,m) b (k,n). MatMulTB:
+      // a (m,k) b (n,k).
+      const Matrix a = ta ? RandomDense(shape.k, shape.m, shape.relu_a, rng)
+                          : RandomDense(shape.m, shape.k, shape.relu_a, rng);
+      const Matrix b = tb ? RandomDense(shape.n, shape.k, false, rng)
+                          : RandomDense(shape.k, shape.n, false, rng);
+      auto reference = [&] {
+        return ta   ? dense::reference::MatMulTARef(a, b)
+               : tb ? dense::reference::MatMulTBRef(a, b)
+                    : dense::reference::MatMulRef(a, b);
+      };
+      auto optimized = [&] {
+        return ta   ? dense::MatMulTA(a, b, &dex)
+               : tb ? dense::MatMulTB(a, b, &dex)
+                    : dense::MatMul(a, b, &dex);
+      };
+      FREEHGC_CHECK(reference() == optimized()) << op << " differs";
+      const int64_t macs = shape.m * shape.k * shape.n;
+      const int64_t iters = (kDenseSampleMacs + macs - 1) / macs;
+      const int64_t ref_ns = BestOfNs(reps, [&] {
+        for (int64_t it = 0; it < iters; ++it) Consume(reference());
+      });
+      const int64_t opt_ns = BestOfNs(reps, [&] {
+        for (int64_t it = 0; it < iters; ++it) Consume(optimized());
+      });
+      add_row(StrFormat("%s_%lldx%lldx%lld%s", shape.op,
+                        static_cast<long long>(shape.m),
+                        static_cast<long long>(shape.k),
+                        static_cast<long long>(shape.n),
+                        shape.relu_a ? "_relu" : ""),
+              /*dense=*/true, dense_threads, ref_ns, opt_ns);
+    }
+  }
+
   // --- JSON -------------------------------------------------------------
   std::string json = "{\n";
   json += StrFormat("  \"smoke\": %s,\n", smoke ? "true" : "false");
@@ -233,9 +326,11 @@ int Run(bool smoke) {
   json += "  \"kernels\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     json += StrFormat(
-        "    {\"name\": \"%s\", \"reference_ns\": %lld, "
-        "\"optimized_ns\": %lld, \"speedup\": %.4f}%s\n",
-        rows[i].name.c_str(), static_cast<long long>(rows[i].reference_ns),
+        "    {\"name\": \"%s\", \"dense\": %s, \"threads\": %d, "
+        "\"reference_ns\": %lld, \"optimized_ns\": %lld, "
+        "\"speedup\": %.4f}%s\n",
+        rows[i].name.c_str(), rows[i].dense ? "true" : "false",
+        rows[i].threads, static_cast<long long>(rows[i].reference_ns),
         static_cast<long long>(rows[i].optimized_ns),
         Speedup(rows[i].reference_ns, rows[i].optimized_ns),
         i + 1 < rows.size() ? "," : "");

@@ -22,29 +22,50 @@ size_t SyntheticData::MemoryBytes() const {
 
 namespace {
 
+/// The dense products of the bi-level loop, run on one context and
+/// counted in nominal multiply-adds (SyntheticData::multiply_adds).
+struct Products {
+  exec::ExecContext* ex = nullptr;
+  int64_t macs = 0;
+
+  Matrix MatMul(const Matrix& a, const Matrix& b) {
+    macs += a.rows() * a.cols() * b.cols();
+    return dense::MatMul(a, b, ex);
+  }
+  Matrix MatMulTA(const Matrix& a, const Matrix& b) {
+    macs += a.rows() * a.cols() * b.cols();
+    return dense::MatMulTA(a, b, ex);
+  }
+  Matrix MatMulTB(const Matrix& a, const Matrix& b) {
+    macs += a.rows() * a.cols() * b.rows();
+    return dense::MatMulTB(a, b, ex);
+  }
+};
+
 /// softmax(S W) for a linear relay.
-Matrix RelayProbs(const Matrix& s, const Matrix& w) {
-  Matrix logits = dense::MatMul(s, w);
+Matrix RelayProbs(const Matrix& s, const Matrix& w, Products& prod) {
+  Matrix logits = prod.MatMul(s, w);
   dense::SoftmaxRows(logits);
   return logits;
 }
 
 /// Relay gradient g = S^T (P - Y) / n for rows labeled by `labels`.
 Matrix RelayGradient(const Matrix& s, const Matrix& w,
-                     const std::vector<int32_t>& labels) {
-  Matrix p = RelayProbs(s, w);
+                     const std::vector<int32_t>& labels, Products& prod) {
+  Matrix p = RelayProbs(s, w, prod);
   for (int64_t r = 0; r < p.rows(); ++r) {
     p.At(r, labels[static_cast<size_t>(r)]) -= 1.0f;
   }
-  Matrix g = dense::MatMulTA(s, p);
+  Matrix g = prod.MatMulTA(s, p);
   return dense::Scale(g, 1.0f / static_cast<float>(std::max<int64_t>(
                              1, s.rows())));
 }
 
 /// k-means on the rows of `x` restricted to `pool`; returns the k centers
-/// (HGCond's cluster-based hyper-node initialization).
+/// (HGCond's cluster-based hyper-node initialization). Adds its distance
+/// terms to `macs`.
 Matrix KMeansCenters(const Matrix& x, const std::vector<int32_t>& pool,
-                     int32_t k, int iters, Rng& rng) {
+                     int32_t k, int iters, Rng& rng, int64_t& macs) {
   const int64_t d = x.cols();
   Matrix centers(k, d);
   // Init: random distinct pool members.
@@ -57,6 +78,7 @@ Matrix KMeansCenters(const Matrix& x, const std::vector<int32_t>& pool,
   }
   std::vector<int32_t> assign(pool.size(), 0);
   for (int it = 0; it < iters; ++it) {
+    macs += static_cast<int64_t>(pool.size()) * k * d;
     for (size_t i = 0; i < pool.size(); ++i) {
       float best = std::numeric_limits<float>::infinity();
       for (int32_t c = 0; c < k; ++c) {
@@ -111,7 +133,6 @@ void Orthogonalize(std::vector<Matrix>& inits) {
 Result<SyntheticData> GradientMatchingCondense(
     const hgnn::EvalContext& ctx, const GradientMatchingOptions& opts,
     exec::ExecContext* ex) {
-  (void)ex;  // bi-level loop is dense/sequential; kept for API uniformity
   if (ctx.full == nullptr) {
     return Status::InvalidArgument("context has no graph");
   }
@@ -169,6 +190,9 @@ Result<SyntheticData> GradientMatchingCondense(
     train_labels.push_back(g.labels()[static_cast<size_t>(v)]);
   }
 
+  Products prod{ex};
+  int64_t kmeans_macs = 0;
+
   // Synthetic feature initialization.
   Matrix s(m, d);
   if (opts.hetero) {
@@ -199,7 +223,8 @@ Result<SyntheticData> GradientMatchingCondense(
         continue;
       }
       Matrix centers =
-          KMeansCenters(h_raw, pool, k, opts.kmeans_iters, rng);
+          KMeansCenters(h_raw, pool, k, opts.kmeans_iters, rng,
+                        kmeans_macs);
       for (int32_t i = 0; i < k; ++i) {
         std::copy(centers.Row(i), centers.Row(i) + raw_dim, s.Row(row + i));
       }
@@ -239,20 +264,20 @@ Result<SyntheticData> GradientMatchingCondense(
   for (auto& w : relay_inits) {
     for (int outer = 0; outer < opts.outer_iters; ++outer) {
       // Gradient matching step on S.
-      const Matrix g_real = RelayGradient(h_train, w, train_labels);
-      const Matrix g_syn = RelayGradient(s, w, syn_labels);
+      const Matrix g_real = RelayGradient(h_train, w, train_labels, prod);
+      const Matrix g_syn = RelayGradient(s, w, syn_labels, prod);
       Matrix diff = g_syn;  // G = g_syn - g_real
       dense::Axpy(-1.0f, g_real, diff);
 
       // dS = 2/m [ (P - Y) G^T + dA W^T ],
       // dA_i = P_i ⊙ u_i - P_i (P_i · u_i), u = S G.
-      Matrix p = RelayProbs(s, w);
+      Matrix p = RelayProbs(s, w, prod);
       Matrix p_minus_y = p;
       for (int32_t r = 0; r < m; ++r) {
         p_minus_y.At(r, syn_labels[static_cast<size_t>(r)]) -= 1.0f;
       }
-      Matrix ds = dense::MatMulTB(p_minus_y, diff);  // (m,C)x(d,C)^T
-      const Matrix u = dense::MatMul(s, diff);
+      Matrix ds = prod.MatMulTB(p_minus_y, diff);  // (m,C)x(d,C)^T
+      const Matrix u = prod.MatMul(s, diff);
       Matrix da(m, num_classes);
       for (int32_t r = 0; r < m; ++r) {
         const float* pr = p.Row(r);
@@ -264,13 +289,13 @@ Result<SyntheticData> GradientMatchingCondense(
           dar[c] = pr[c] * (ur[c] - dot);
         }
       }
-      dense::Axpy(1.0f, dense::MatMulTB(da, w), ds);
+      dense::Axpy(1.0f, prod.MatMulTB(da, w), ds);
       const float scale = -2.0f * opts.feat_lr / static_cast<float>(m);
       dense::Axpy(scale, ds, s);
 
       // Inner loop: relay training on the synthetic data.
       for (int inner = 0; inner < opts.inner_iters; ++inner) {
-        const Matrix gw = RelayGradient(s, w, syn_labels);
+        const Matrix gw = RelayGradient(s, w, syn_labels, prod);
         dense::Axpy(-opts.relay_lr, gw, w);
       }
     }
@@ -290,6 +315,7 @@ Result<SyntheticData> GradientMatchingCondense(
     offset += width;
   }
   out.seconds = timer.ElapsedSeconds();
+  out.multiply_adds = prod.macs + kmeans_macs;
   return out;
 }
 

@@ -51,6 +51,11 @@ struct SyntheticData {
   std::vector<Matrix> blocks;
   std::vector<int32_t> labels;
   double seconds = 0.0;
+  /// Work done, as multiply-adds: every dense product of the bi-level
+  /// loop at its nominal m*k*n, plus the k-means distance terms of
+  /// HGCond's cluster initialization. Unlike `seconds` it is exact and
+  /// repeatable, so it is what the Fig. 2(b) cost comparison asserts on.
+  int64_t multiply_adds = 0;
 
   /// Dense storage footprint of the synthetic data.
   size_t MemoryBytes() const;
@@ -60,10 +65,9 @@ struct SyntheticData {
 /// synthetic features are optimized so the relay model's loss gradient on
 /// them matches the gradient on the real training data, looping over
 /// relay initializations (outer) and relay training steps (inner) — the
-/// nested structure whose cost Figs. 2(b) and 8 measure. `ex` is the
-/// execution context shared by a sweep (null = default pool); the bi-level
-/// loop is dense and sequential, but taking the parameter keeps every
-/// condenser entry point uniform for pipeline::CondensationMethod.
+/// nested structure whose cost Figs. 2(b) and 8 measure. The loop itself
+/// is sequential; its dense products run row-parallel on `ex` (null =
+/// default pool), bit-identically for any thread count.
 Result<SyntheticData> GradientMatchingCondense(
     const hgnn::EvalContext& ctx, const GradientMatchingOptions& opts,
     exec::ExecContext* ex = nullptr);

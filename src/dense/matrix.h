@@ -12,6 +12,10 @@
 
 namespace freehgc {
 
+namespace exec {
+class ExecContext;
+}  // namespace exec
+
 /// Dense row-major float matrix. The workhorse container for node features
 /// and neural-network activations. Copyable and movable; copies of owned
 /// matrices are deep, copies of mapped views share the view.
@@ -96,15 +100,38 @@ class Matrix {
 
 namespace dense {
 
-/// out = a * b. Shapes (m,k)x(k,n)->(m,n). Blocked triple loop; no BLAS
-/// dependency.
-Matrix MatMul(const Matrix& a, const Matrix& b);
+// The three dense products (gemm.cc; no BLAS dependency). Each splits
+// its output rows over ctx->ParallelFor (null = default pool) with the
+// grain ProductRowGrain derives from the shape, and works each chunk in
+// register-tiled 4-lane vector blocks. Their rounding contract makes
+// every result bit-identical to the scalar loops in dense/reference.h at
+// any thread count:
+//  - each output element starts at +0.0f and adds its terms in
+//    ascending p (the contracted index);
+//  - each term is one rounded multiply and one rounded add: no FMA, no
+//    horizontal sum;
+//  - MatMul and MatMulTA skip every term whose `a` factor is 0, so a
+//    NaN or Inf in `b` behind such a zero never reaches the output.
+//    MatMulTB skips nothing.
+
+/// Minimum output rows per ParallelFor chunk of a product whose
+/// contracted dimension is k and output width n: enough multiply-adds
+/// that a chunk outweighs waking a pool worker, so small products stay
+/// one chunk and run inline. Whole 4-row tiles; a function of the shape
+/// only, never of the thread count.
+int64_t ProductRowGrain(int64_t k, int64_t n);
+
+/// out = a * b. Shapes (m,k)x(k,n)->(m,n).
+Matrix MatMul(const Matrix& a, const Matrix& b,
+              exec::ExecContext* ctx = nullptr);
 
 /// out = a^T * b. Shapes (k,m)x(k,n)->(m,n).
-Matrix MatMulTA(const Matrix& a, const Matrix& b);
+Matrix MatMulTA(const Matrix& a, const Matrix& b,
+                exec::ExecContext* ctx = nullptr);
 
 /// out = a * b^T. Shapes (m,k)x(n,k)->(m,n).
-Matrix MatMulTB(const Matrix& a, const Matrix& b);
+Matrix MatMulTB(const Matrix& a, const Matrix& b,
+                exec::ExecContext* ctx = nullptr);
 
 /// out = a + b (elementwise, same shape).
 Matrix Add(const Matrix& a, const Matrix& b);

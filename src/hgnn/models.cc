@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <unordered_map>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -82,39 +83,42 @@ HgnnModel::HgnnModel(const HgnnConfig& config,
   }
 }
 
-Matrix HgnnModel::Forward(const std::vector<Matrix>& blocks, bool train) {
+Matrix HgnnModel::Forward(const std::vector<Matrix>& blocks, bool train,
+                          exec::ExecContext* ex) {
   FREEHGC_CHECK(static_cast<int64_t>(blocks.size()) == num_blocks_);
-  cached_h_.clear();
-  cached_h_.reserve(static_cast<size_t>(num_blocks_));
+  std::vector<Matrix> hs;
+  hs.reserve(static_cast<size_t>(num_blocks_));
   for (int64_t p = 0; p < num_blocks_; ++p) {
     Matrix h = projections_[static_cast<size_t>(p)]->Forward(
-        blocks[static_cast<size_t>(p)]);
-    cached_h_.push_back(proj_relus_[static_cast<size_t>(p)].Forward(h));
+        blocks[static_cast<size_t>(p)], train, ex);
+    hs.push_back(
+        proj_relus_[static_cast<size_t>(p)].Forward(std::move(h), train));
   }
-  const int64_t n = cached_h_[0].rows();
+  const int64_t n = hs[0].rows();
   const int64_t hidden = config_.hidden;
 
   Matrix fused;
+  std::vector<float> weights;
   switch (config_.kind) {
     case HgnnKind::kHeteroSGC: {
       // Sum-scaled mean: identical direction to the mean, but unit-scale
       // activations so small training sets still produce usable
       // gradients.
       fused = Matrix(n, hidden);
-      for (const auto& h : cached_h_) dense::Axpy(1.0f, h, fused);
+      for (const auto& h : hs) dense::Axpy(1.0f, h, fused);
       break;
     }
     case HgnnKind::kSeHGNN: {
-      fused = cached_h_[0];
+      fused = hs[0];
       for (int64_t p = 1; p < num_blocks_; ++p) {
-        fused = fused.ConcatCols(cached_h_[static_cast<size_t>(p)]);
+        fused = fused.ConcatCols(hs[static_cast<size_t>(p)]);
       }
       break;
     }
     case HgnnKind::kHGB: {
       // Sum fusion; block 0 (raw features) acts as the residual branch.
       fused = Matrix(n, hidden);
-      for (const auto& h : cached_h_) dense::Axpy(1.0f, h, fused);
+      for (const auto& h : hs) dense::Axpy(1.0f, h, fused);
       break;
     }
     case HgnnKind::kHAN:
@@ -126,13 +130,13 @@ Matrix HgnnModel::Forward(const std::vector<Matrix>& blocks, bool train) {
       }
       float mx = *std::max_element(logits.begin(), logits.end());
       float sum = 0.0f;
-      cached_w_.assign(static_cast<size_t>(num_groups_), 0.0f);
+      weights.assign(static_cast<size_t>(num_groups_), 0.0f);
       for (int64_t gidx = 0; gidx < num_groups_; ++gidx) {
-        cached_w_[static_cast<size_t>(gidx)] =
+        weights[static_cast<size_t>(gidx)] =
             std::exp(logits[static_cast<size_t>(gidx)] - mx);
-        sum += cached_w_[static_cast<size_t>(gidx)];
+        sum += weights[static_cast<size_t>(gidx)];
       }
-      for (auto& w : cached_w_) w /= sum;
+      for (auto& w : weights) w /= sum;
       // Group sizes for averaging within groups.
       std::vector<float> group_size(static_cast<size_t>(num_groups_), 0.0f);
       for (int64_t p = 0; p < num_blocks_; ++p) {
@@ -147,18 +151,22 @@ Matrix HgnnModel::Forward(const std::vector<Matrix>& blocks, bool train) {
       const float scale = static_cast<float>(num_groups_);
       for (int64_t p = 0; p < num_blocks_; ++p) {
         const int64_t gidx = block_group_[static_cast<size_t>(p)];
-        const float coeff = scale * cached_w_[static_cast<size_t>(gidx)] /
+        const float coeff = scale * weights[static_cast<size_t>(gidx)] /
                             group_size[static_cast<size_t>(gidx)];
-        dense::Axpy(coeff, cached_h_[static_cast<size_t>(p)], fused);
+        dense::Axpy(coeff, hs[static_cast<size_t>(p)], fused);
       }
       break;
     }
   }
-  return head_.Forward(fused, train);
+  if (train) {
+    cached_h_ = std::move(hs);
+    cached_w_ = std::move(weights);
+  }
+  return head_.Forward(fused, train, ex);
 }
 
-void HgnnModel::Backward(const Matrix& dlogits) {
-  Matrix dfused = head_.Backward(dlogits);
+void HgnnModel::Backward(const Matrix& dlogits, exec::ExecContext* ex) {
+  Matrix dfused = head_.Backward(dlogits, ex);
   std::vector<Matrix> dh(static_cast<size_t>(num_blocks_));
   const int64_t hidden = config_.hidden;
 
@@ -223,9 +231,9 @@ void HgnnModel::Backward(const Matrix& dlogits) {
   }
 
   for (int64_t p = 0; p < num_blocks_; ++p) {
-    Matrix d = proj_relus_[static_cast<size_t>(p)].Backward(
-        dh[static_cast<size_t>(p)]);
-    projections_[static_cast<size_t>(p)]->Backward(d);
+    const Matrix d = proj_relus_[static_cast<size_t>(p)].Backward(
+        std::move(dh[static_cast<size_t>(p)]));
+    projections_[static_cast<size_t>(p)]->AccumulateGrads(d, ex);
   }
 }
 

@@ -52,12 +52,20 @@ class HgnnModel {
   HgnnModel(const HgnnConfig& config, const std::vector<int64_t>& block_dims,
             const std::vector<TypeId>& end_types, int32_t num_classes);
 
-  /// Computes logits for the given feature blocks.
-  Matrix Forward(const std::vector<Matrix>& blocks, bool train);
+  /// Computes logits for the given feature blocks. A train forward
+  /// caches what Backward needs; an inference forward (train = false)
+  /// keeps no state. Each output row depends only on the same row of the
+  /// blocks, and inference applies no dropout, so an inference forward
+  /// over gathered rows equals those rows of the full one bit for bit.
+  /// `ex` runs the dense products (null = default pool).
+  Matrix Forward(const std::vector<Matrix>& blocks, bool train,
+                 exec::ExecContext* ex = nullptr);
 
   /// Backpropagates dlogits through fusion and projections, accumulating
-  /// parameter gradients. Must follow a Forward on the same blocks.
-  void Backward(const Matrix& dlogits);
+  /// parameter gradients. Must follow a train Forward on the same blocks.
+  /// The projections' input gradients are never formed: nothing below
+  /// them is trainable.
+  void Backward(const Matrix& dlogits, exec::ExecContext* ex = nullptr);
 
   std::vector<nn::Parameter*> Params();
   void ZeroGrad();
@@ -77,7 +85,7 @@ class HgnnModel {
   int64_t num_groups_ = 0;
   nn::Mlp head_;
 
-  // Forward caches.
+  // Train-forward caches.
   std::vector<Matrix> cached_h_;   // projected+ReLU blocks
   std::vector<float> cached_w_;    // fusion weights (attention kinds)
 };

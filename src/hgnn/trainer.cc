@@ -26,11 +26,38 @@ EvalContext BuildEvalContext(const HeteroGraph& full,
 
 namespace {
 
+/// 0, 1, ..., num_rows - 1.
+std::vector<int32_t> AllRows(int64_t num_rows) {
+  std::vector<int32_t> all(static_cast<size_t>(num_rows));
+  for (int64_t i = 0; i < num_rows; ++i) {
+    all[static_cast<size_t>(i)] = static_cast<int32_t>(i);
+  }
+  return all;
+}
+
+/// The rows of every block listed in `index`.
+std::vector<Matrix> GatherBlockRows(const std::vector<Matrix>& blocks,
+                                    const std::vector<int32_t>& index) {
+  std::vector<Matrix> out;
+  out.reserve(blocks.size());
+  for (const Matrix& b : blocks) out.push_back(b.GatherRows(index));
+  return out;
+}
+
+/// The labels of the rows listed in `index`.
+std::vector<int32_t> GatherLabels(const std::vector<int32_t>& labels,
+                                  const std::vector<int32_t>& index) {
+  std::vector<int32_t> out;
+  out.reserve(index.size());
+  for (int32_t r : index) out.push_back(labels[static_cast<size_t>(r)]);
+  return out;
+}
+
 EvalMetrics RunTraining(const EvalContext& ctx,
                         const std::vector<Matrix>& train_blocks,
                         const std::vector<int32_t>& train_labels,
                         const std::vector<int32_t>& train_idx,
-                        const HgnnConfig& config) {
+                        const HgnnConfig& config, exec::ExecContext* ex) {
   FREEHGC_CHECK(ctx.full != nullptr);
   const HeteroGraph& full = *ctx.full;
   FREEHGC_CHECK(train_blocks.size() == ctx.full_features.blocks.size());
@@ -44,10 +71,27 @@ EvalMetrics RunTraining(const EvalContext& ctx,
   nn::Adam opt(config.lr);
   auto params = model.Params();
 
-  const std::vector<int32_t>& val_idx = full.val_index();
-  const std::vector<int32_t>& test_idx = full.test_index();
-
   FREEHGC_TRACE_SPAN("hgnn.train");
+  // Eval forwards score only the rows they read: the validation rows
+  // (the test rows when the graph has no validation split), and the test
+  // rows when validation accuracy improves. Inference is row-wise, so
+  // these logits equal the matching rows of a full-graph forward. An
+  // empty test split scores every row, as a full forward scored it.
+  const std::vector<int32_t> test_idx =
+      full.test_index().empty()
+          ? AllRows(ctx.full_features.blocks[0].rows())
+          : full.test_index();
+  const bool has_val = !full.val_index().empty();
+  const std::vector<int32_t>& val_idx = has_val ? full.val_index() : test_idx;
+  const std::vector<Matrix> val_blocks =
+      GatherBlockRows(ctx.full_features.blocks, val_idx);
+  const std::vector<int32_t> val_labels = GatherLabels(full.labels(), val_idx);
+  const std::vector<Matrix> test_blocks =
+      has_val ? GatherBlockRows(ctx.full_features.blocks, test_idx)
+              : std::vector<Matrix>{};
+  const std::vector<int32_t> test_labels =
+      GatherLabels(full.labels(), test_idx);
+
   static obs::Counter& epochs_ctr =
       obs::MetricsRegistry::Global().GetCounter("hgnn.epochs");
 
@@ -62,28 +106,26 @@ EvalMetrics RunTraining(const EvalContext& ctx,
       ScopedTimer step_timer(train_time);
       FREEHGC_TRACE_SPAN("hgnn.train_epoch");
       model.ZeroGrad();
-      Matrix logits = model.Forward(train_blocks, /*train=*/true);
+      Matrix logits = model.Forward(train_blocks, /*train=*/true, ex);
       Matrix dlogits;
       nn::SoftmaxCrossEntropy(logits, train_labels, train_idx, &dlogits);
-      model.Backward(dlogits);
+      model.Backward(dlogits, ex);
       opt.Step(params);
     }
     epochs_ctr.Increment();
     out.epochs_run = epoch;
 
     if (epoch % eval_every == 0 || epoch == config.epochs) {
-      Matrix full_logits =
-          model.Forward(ctx.full_features.blocks, /*train=*/false);
-      const float val_acc =
-          val_idx.empty()
-              ? nn::Accuracy(full_logits, full.labels(), test_idx)
-              : nn::Accuracy(full_logits, full.labels(), val_idx);
+      const Matrix val_logits = model.Forward(val_blocks, /*train=*/false, ex);
+      const float val_acc = nn::Accuracy(val_logits, val_labels, {});
       if (val_acc > best_val) {
         best_val = val_acc;
-        out.test_accuracy =
-            nn::Accuracy(full_logits, full.labels(), test_idx);
-        out.macro_f1 = nn::MacroF1(full_logits, full.labels(), test_idx,
-                                   full.num_classes());
+        const Matrix test_logits =
+            has_val ? model.Forward(test_blocks, /*train=*/false, ex)
+                    : val_logits;
+        out.test_accuracy = nn::Accuracy(test_logits, test_labels, {});
+        out.macro_f1 =
+            nn::MacroF1(test_logits, test_labels, {}, full.num_classes());
         since_best = 0;
       } else if (config.patience > 0) {
         since_best += eval_every;
@@ -112,7 +154,7 @@ EvalMetrics TrainAndEvaluate(const EvalContext& ctx,
   const PropagatedFeatures& train_feats =
       self_train ? ctx.full_features : train_features;
   return RunTraining(ctx, train_feats.blocks, train_graph.labels(),
-                     train_graph.train_index(), config);
+                     train_graph.train_index(), config, ex);
 }
 
 EvalMetrics WholeGraphBaseline(const EvalContext& ctx,
@@ -124,12 +166,10 @@ EvalMetrics WholeGraphBaseline(const EvalContext& ctx,
 EvalMetrics TrainOnBlocks(const EvalContext& ctx,
                           const std::vector<Matrix>& blocks,
                           const std::vector<int32_t>& labels,
-                          const HgnnConfig& config) {
-  std::vector<int32_t> all(labels.size());
-  for (size_t i = 0; i < labels.size(); ++i) {
-    all[i] = static_cast<int32_t>(i);
-  }
-  return RunTraining(ctx, blocks, labels, all, config);
+                          const HgnnConfig& config,
+                          exec::ExecContext* ex) {
+  return RunTraining(ctx, blocks, labels,
+                     AllRows(static_cast<int64_t>(labels.size())), config, ex);
 }
 
 }  // namespace freehgc::hgnn

@@ -50,8 +50,10 @@ EvalContext BuildEvalContext(const HeteroGraph& full,
 ///
 /// `train_graph` must share the schema of ctx.full (same types and
 /// relations) so the meta-path list applies to both. The train-graph
-/// propagation runs on `ex` (null = default pool); it is deliberately not
-/// cached — condensed graphs are seed-dependent and used once.
+/// propagation and every dense product of the training loop run on `ex`
+/// (null = default pool); results are bit-identical for any thread
+/// count. The propagation is deliberately not cached — condensed graphs
+/// are seed-dependent and used once.
 EvalMetrics TrainAndEvaluate(const EvalContext& ctx,
                              const HeteroGraph& train_graph,
                              const HgnnConfig& config,
@@ -66,11 +68,13 @@ EvalMetrics WholeGraphBaseline(const EvalContext& ctx,
 /// — the entry point used by gradient-matching condensers (GCond/HGCond),
 /// whose output is synthetic data rather than a subgraph. Every row of
 /// `blocks` is a training example labeled by `labels`; evaluation follows
-/// the same protocol as TrainAndEvaluate.
+/// the same protocol as TrainAndEvaluate, with the dense products on `ex`
+/// (null = default pool).
 EvalMetrics TrainOnBlocks(const EvalContext& ctx,
                           const std::vector<Matrix>& blocks,
                           const std::vector<int32_t>& labels,
-                          const HgnnConfig& config);
+                          const HgnnConfig& config,
+                          exec::ExecContext* ex = nullptr);
 
 }  // namespace freehgc::hgnn
 

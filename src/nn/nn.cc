@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <utility>
 
 #include "common/logging.h"
 
@@ -32,9 +33,9 @@ Linear::Linear(int64_t in_dim, int64_t out_dim, Rng& rng)
   w_.value.FillGlorot(rng);
 }
 
-Matrix Linear::Forward(const Matrix& x) {
-  cached_x_ = x;
-  Matrix out = dense::MatMul(x, w_.value);
+Matrix Linear::Forward(const Matrix& x, bool train, exec::ExecContext* ex) {
+  if (train) cached_x_ = x;
+  Matrix out = dense::MatMul(x, w_.value, ex);
   for (int64_t r = 0; r < out.rows(); ++r) {
     float* row = out.Row(r);
     const float* bias = b_.value.Row(0);
@@ -43,37 +44,40 @@ Matrix Linear::Forward(const Matrix& x) {
   return out;
 }
 
-Matrix Linear::Backward(const Matrix& dout) {
-  // dW += x^T dout ; db += column sums of dout ; dx = dout W^T
-  dense::Axpy(1.0f, dense::MatMulTA(cached_x_, dout), w_.grad);
+void Linear::AccumulateGrads(const Matrix& dout, exec::ExecContext* ex) {
+  // dW += x^T dout ; db += column sums of dout
+  dense::Axpy(1.0f, dense::MatMulTA(cached_x_, dout, ex), w_.grad);
   for (int64_t r = 0; r < dout.rows(); ++r) {
     const float* row = dout.Row(r);
     float* db = b_.grad.Row(0);
     for (int64_t c = 0; c < dout.cols(); ++c) db[c] += row[c];
   }
-  return dense::MatMulTB(dout, w_.value);
 }
 
-Matrix ReLU::Forward(const Matrix& x) {
-  cached_x_ = x;
-  Matrix out = x;
-  float* p = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) p[i] = std::max(0.0f, p[i]);
-  return out;
+Matrix Linear::Backward(const Matrix& dout, exec::ExecContext* ex) {
+  AccumulateGrads(dout, ex);
+  return dense::MatMulTB(dout, w_.value, ex);  // dx = dout W^T
 }
 
-Matrix ReLU::Backward(const Matrix& dout) {
-  Matrix dx = dout;
+Matrix ReLU::Forward(Matrix x, bool train) {
+  if (train) cached_x_ = x;
+  float* p = x.data();
+  for (int64_t i = 0; i < x.size(); ++i) p[i] = std::max(0.0f, p[i]);
+  return x;
+}
+
+Matrix ReLU::Backward(Matrix dout) {
   const float* x = cached_x_.data();
-  float* d = dx.data();
-  for (int64_t i = 0; i < dx.size(); ++i) {
+  float* d = dout.data();
+  for (int64_t i = 0; i < dout.size(); ++i) {
     if (x[i] <= 0.0f) d[i] = 0.0f;
   }
-  return dx;
+  return dout;
 }
 
-Matrix Dropout::Forward(const Matrix& x, bool train) {
-  active_ = train && rate_ > 0.0f;
+Matrix Dropout::Forward(Matrix x, bool train) {
+  if (!train) return x;
+  active_ = rate_ > 0.0f;
   if (!active_) return x;
   mask_ = Matrix(x.rows(), x.cols());
   const float keep = 1.0f - rate_;
@@ -82,19 +86,17 @@ Matrix Dropout::Forward(const Matrix& x, bool train) {
   for (int64_t i = 0; i < mask_.size(); ++i) {
     mp[i] = rng_.NextDouble() < keep ? scale : 0.0f;
   }
-  Matrix out = x;
-  float* op = out.data();
-  for (int64_t i = 0; i < out.size(); ++i) op[i] *= mp[i];
-  return out;
+  float* op = x.data();
+  for (int64_t i = 0; i < x.size(); ++i) op[i] *= mp[i];
+  return x;
 }
 
-Matrix Dropout::Backward(const Matrix& dout) {
+Matrix Dropout::Backward(Matrix dout) {
   if (!active_) return dout;
-  Matrix dx = dout;
   const float* mp = mask_.data();
-  float* d = dx.data();
-  for (int64_t i = 0; i < dx.size(); ++i) d[i] *= mp[i];
-  return dx;
+  float* d = dout.data();
+  for (int64_t i = 0; i < dout.size(); ++i) d[i] *= mp[i];
+  return dout;
 }
 
 Mlp::Mlp(const std::vector<int64_t>& dims, float dropout, uint64_t seed) {
@@ -109,26 +111,22 @@ Mlp::Mlp(const std::vector<int64_t>& dims, float dropout, uint64_t seed) {
   }
 }
 
-Matrix Mlp::Forward(const Matrix& x, bool train) {
-  Matrix h = x;
-  for (size_t i = 0; i < linears_.size(); ++i) {
-    h = linears_[i]->Forward(h);
-    if (i + 1 < linears_.size()) {
-      h = relus_[i].Forward(h);
-      h = dropouts_[i].Forward(h, train);
-    }
+Matrix Mlp::Forward(const Matrix& x, bool train, exec::ExecContext* ex) {
+  Matrix h = linears_[0]->Forward(x, train, ex);
+  for (size_t i = 1; i < linears_.size(); ++i) {
+    h = relus_[i - 1].Forward(std::move(h), train);
+    h = dropouts_[i - 1].Forward(std::move(h), train);
+    h = linears_[i]->Forward(h, train, ex);
   }
   return h;
 }
 
-Matrix Mlp::Backward(const Matrix& dout) {
-  Matrix d = dout;
-  for (size_t i = linears_.size(); i-- > 0;) {
-    if (i + 1 < linears_.size()) {
-      d = dropouts_[i].Backward(d);
-      d = relus_[i].Backward(d);
-    }
-    d = linears_[i]->Backward(d);
+Matrix Mlp::Backward(const Matrix& dout, exec::ExecContext* ex) {
+  Matrix d = linears_.back()->Backward(dout, ex);
+  for (size_t i = linears_.size() - 1; i-- > 0;) {
+    d = dropouts_[i].Backward(std::move(d));
+    d = relus_[i].Backward(std::move(d));
+    d = linears_[i]->Backward(d, ex);
   }
   return d;
 }

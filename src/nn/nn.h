@@ -45,16 +45,25 @@ class Adam {
 };
 
 /// Fully connected layer y = x W + b with cached input for backprop.
+///
+/// Every layer's Forward takes `train`: a train forward caches what its
+/// Backward needs, an inference forward (train = false) keeps no state,
+/// so it may run between a train forward and its Backward. `ex` runs the
+/// dense products (null = default pool).
 class Linear {
  public:
   /// Glorot-initialized (in x out) weights, zero bias.
   Linear(int64_t in_dim, int64_t out_dim, Rng& rng);
 
-  /// Forward pass; caches x for Backward.
-  Matrix Forward(const Matrix& x);
+  /// Forward pass; a train forward caches x for Backward.
+  Matrix Forward(const Matrix& x, bool train = true,
+                 exec::ExecContext* ex = nullptr);
 
-  /// Backward pass: accumulates dW, db from `dout` and returns dx.
-  Matrix Backward(const Matrix& dout);
+  /// Accumulates dW, db from `dout`. Must follow a train Forward.
+  void AccumulateGrads(const Matrix& dout, exec::ExecContext* ex = nullptr);
+
+  /// AccumulateGrads, then returns dx = dout W^T.
+  Matrix Backward(const Matrix& dout, exec::ExecContext* ex = nullptr);
 
   std::vector<Parameter*> Params() { return {&w_, &b_}; }
   const Matrix& weight() const { return w_.value; }
@@ -68,20 +77,22 @@ class Linear {
 /// Elementwise ReLU with cached mask.
 class ReLU {
  public:
-  Matrix Forward(const Matrix& x);
-  Matrix Backward(const Matrix& dout);
+  /// Forward pass; a train forward caches x for Backward.
+  Matrix Forward(Matrix x, bool train = true);
+  Matrix Backward(Matrix dout);
 
  private:
   Matrix cached_x_;
 };
 
-/// Inverted dropout. Identity when `train` is false or rate is 0.
+/// Inverted dropout. Identity when `train` is false or rate is 0; an
+/// inference forward leaves the last train forward's mask in place.
 class Dropout {
  public:
   explicit Dropout(float rate, uint64_t seed) : rate_(rate), rng_(seed) {}
 
-  Matrix Forward(const Matrix& x, bool train);
-  Matrix Backward(const Matrix& dout);
+  Matrix Forward(Matrix x, bool train);
+  Matrix Backward(Matrix dout);
 
  private:
   float rate_;
@@ -98,11 +109,12 @@ class Mlp {
   /// dims = {in, hidden..., out}. Requires >= 2 entries.
   Mlp(const std::vector<int64_t>& dims, float dropout, uint64_t seed);
 
-  /// Forward pass to logits.
-  Matrix Forward(const Matrix& x, bool train);
+  /// Forward pass to logits; an inference forward keeps no state.
+  Matrix Forward(const Matrix& x, bool train,
+                 exec::ExecContext* ex = nullptr);
 
   /// Backward from dlogits; populates parameter gradients, returns dx.
-  Matrix Backward(const Matrix& dout);
+  Matrix Backward(const Matrix& dout, exec::ExecContext* ex = nullptr);
 
   /// All trainable parameters (for the optimizer).
   std::vector<Parameter*> Params();

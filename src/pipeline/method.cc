@@ -233,7 +233,8 @@ Result<MethodRun> RunMethod(const hgnn::EvalContext& ctx,
   cfg.seed = spec.seed ^ 0xeea1ULL;
   if (data->synthetic) {
     ApplyEvalMetrics(
-        hgnn::TrainOnBlocks(ctx, data->blocks, data->labels, cfg), out);
+        hgnn::TrainOnBlocks(ctx, data->blocks, data->labels, cfg, env.exec),
+        out);
   } else {
     ApplyEvalMetrics(
         hgnn::TrainAndEvaluate(ctx, data->graph, cfg, env.exec), out);

@@ -241,7 +241,8 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
     cfg.seed = request.seed ^ 0xeea1ULL;
     const hgnn::EvalMetrics metrics =
         data.synthetic
-            ? hgnn::TrainOnBlocks(entry->ctx, data.blocks, data.labels, cfg)
+            ? hgnn::TrainOnBlocks(entry->ctx, data.blocks, data.labels, cfg,
+                                  ctx)
             : hgnn::TrainAndEvaluate(entry->ctx, data.graph, cfg, ctx);
     reply.evaluated = true;
     reply.accuracy = metrics.test_accuracy * 100.0f;

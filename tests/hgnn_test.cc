@@ -1,9 +1,12 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <functional>
+#include <vector>
 
 #include "datasets/generator.h"
+#include "exec/exec_context.h"
 #include "hgnn/models.h"
 #include "hgnn/propagate.h"
 #include "hgnn/trainer.h"
@@ -147,6 +150,95 @@ TEST_P(ModelKindTest, GradCheck) {
   EXPECT_GT(checked, 10);
 }
 
+/// Byte equality of two matrices (signed zeros and NaN payloads count).
+bool SameBytes(const Matrix& a, const Matrix& b) {
+  return a.rows() == b.rows() && a.cols() == b.cols() &&
+         (a.size() == 0 ||
+          std::memcmp(a.data(), b.data(),
+                      static_cast<size_t>(a.size()) * sizeof(float)) == 0);
+}
+
+std::vector<Matrix> GatherBlocks(const std::vector<Matrix>& blocks,
+                                 const std::vector<int32_t>& rows) {
+  std::vector<Matrix> out;
+  for (const Matrix& b : blocks) out.push_back(b.GatherRows(rows));
+  return out;
+}
+
+/// A model of the parameterized kind, with two Adam steps taken so its
+/// parameters (attention logits, biases) are no longer at their
+/// initial values.
+HgnnModel TrainedModel(HgnnKind kind, const HeteroGraph& g,
+                       const PropagatedFeatures& f) {
+  std::vector<int64_t> dims;
+  for (const auto& b : f.blocks) dims.push_back(b.cols());
+  HgnnConfig cfg;
+  cfg.kind = kind;
+  cfg.hidden = 8;
+  cfg.seed = 17;
+  HgnnModel model(cfg, dims, f.end_types, g.num_classes());
+  nn::Adam opt(0.05f);
+  for (int step = 0; step < 2; ++step) {
+    model.ZeroGrad();
+    Matrix dlogits;
+    nn::SoftmaxCrossEntropy(model.Forward(f.blocks, /*train=*/true),
+                            g.labels(), g.train_index(), &dlogits);
+    model.Backward(dlogits);
+    opt.Step(model.Params());
+  }
+  return model;
+}
+
+TEST_P(ModelKindTest, EvalForwardOnGatheredRowsMatchesFullForward) {
+  // The trainer's eval forwards run over the val/test rows only; that is
+  // exact because inference is row-wise.
+  const HeteroGraph g = datasets::MakeToy(14);
+  PropagateOptions popts;
+  popts.max_hops = 2;
+  const PropagatedFeatures f = PropagateFeatures(g, popts);
+  HgnnModel model = TrainedModel(GetParam(), g, f);
+  const Matrix full = model.Forward(f.blocks, /*train=*/false);
+  std::vector<int32_t> rows;
+  for (int32_t r = static_cast<int32_t>(full.rows()) - 1; r >= 0; r -= 3) {
+    rows.push_back(r);
+  }
+  rows.push_back(rows.front());  // a row gathered twice
+  const Matrix gathered =
+      model.Forward(GatherBlocks(f.blocks, rows), /*train=*/false);
+  EXPECT_TRUE(SameBytes(gathered, full.GatherRows(rows)))
+      << HgnnKindName(GetParam());
+}
+
+TEST_P(ModelKindTest, EvalForwardBetweenTrainForwardAndBackwardIsInert) {
+  // Two identical models take the same train step; one runs an eval
+  // forward on other rows between its Forward and Backward. Dropout is
+  // on, so the eval forward must also leave the dropout masks alone.
+  const HeteroGraph g = datasets::MakeToy(15);
+  PropagateOptions popts;
+  popts.max_hops = 2;
+  const PropagatedFeatures f = PropagateFeatures(g, popts);
+  HgnnModel plain = TrainedModel(GetParam(), g, f);
+  HgnnModel probed = TrainedModel(GetParam(), g, f);
+  const std::vector<int32_t> rows = {2, 5, 7};
+  for (HgnnModel* model : {&plain, &probed}) {
+    model->ZeroGrad();
+    const Matrix logits = model->Forward(f.blocks, /*train=*/true);
+    Matrix dlogits;
+    nn::SoftmaxCrossEntropy(logits, g.labels(), g.train_index(), &dlogits);
+    if (model == &probed) {
+      model->Forward(GatherBlocks(f.blocks, rows), /*train=*/false);
+    }
+    model->Backward(dlogits);
+  }
+  const auto want = plain.Params();
+  const auto got = probed.Params();
+  ASSERT_EQ(want.size(), got.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_TRUE(SameBytes(got[i]->grad, want[i]->grad))
+        << HgnnKindName(GetParam()) << " param " << i;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(AllKinds, ModelKindTest,
                          ::testing::Values(HgnnKind::kHeteroSGC,
                                            HgnnKind::kSeHGNN, HgnnKind::kHAN,
@@ -212,6 +304,79 @@ TEST(TrainerTest, TrainOnBlocksRunsOnSyntheticRows) {
   const EvalMetrics m = TrainOnBlocks(ctx, blocks, labels, cfg);
   EXPECT_GE(m.test_accuracy, 0.0f);
   EXPECT_LE(m.test_accuracy, 1.0f);
+}
+
+TEST(TrainerTest, ThreadCountDoesNotChangeResults) {
+  const HeteroGraph g = datasets::MakeAcm(33, /*scale=*/0.2);
+  PropagateOptions popts;
+  popts.max_hops = 2;
+  popts.max_paths = 4;
+  const EvalContext ctx = BuildEvalContext(g, popts);
+  std::vector<std::vector<int32_t>> keep(
+      static_cast<size_t>(g.NumNodeTypes()));
+  for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
+    for (int32_t v = 0; v < g.NodeCount(t); v += 4) {
+      keep[static_cast<size_t>(t)].push_back(v);
+    }
+  }
+  auto sub = g.InducedSubgraph(keep);
+  ASSERT_TRUE(sub.ok());
+  HgnnConfig cfg;
+  cfg.kind = HgnnKind::kSeHGNN;
+  cfg.hidden = 64;
+  cfg.epochs = 20;
+  cfg.seed = 5;
+  // The test-row eval forward's head product (rows x blocks*hidden x
+  // hidden) splits into several row chunks.
+  const int64_t head_in =
+      cfg.hidden * static_cast<int64_t>(ctx.full_features.blocks.size());
+  ASSERT_GE(exec::ExecContext::NumChunks(
+                static_cast<int64_t>(g.test_index().size()),
+                dense::ProductRowGrain(head_in, cfg.hidden)),
+            3);
+  const EvalMetrics base = TrainAndEvaluate(ctx, *sub, cfg, nullptr);
+  for (int threads : {1, 4}) {
+    exec::ExecContext ex(threads);
+    const EvalMetrics m = TrainAndEvaluate(ctx, *sub, cfg, &ex);
+    EXPECT_EQ(m.test_accuracy, base.test_accuracy) << threads;
+    EXPECT_EQ(m.macro_f1, base.macro_f1) << threads;
+    EXPECT_EQ(m.epochs_run, base.epochs_run) << threads;
+  }
+}
+
+TEST(TrainerTest, EmptyTestSplitScoresEveryRow) {
+  // nn::Accuracy and nn::MacroF1 score an empty index as every row, so a
+  // graph without a test split is scored on all of its target rows (and
+  // validated on them too when it has no validation split either).
+  const auto with_split = [](std::vector<int32_t> val, bool all_test) {
+    HeteroGraph g = datasets::MakeToy(10);
+    std::vector<int32_t> all(static_cast<size_t>(g.NodeCount(g.target_type())));
+    for (size_t i = 0; i < all.size(); ++i) all[i] = static_cast<int32_t>(i);
+    std::vector<int32_t> train = g.train_index();
+    EXPECT_TRUE(g.SetSplit(std::move(train), std::move(val),
+                           all_test ? all : std::vector<int32_t>{})
+                    .ok());
+    return g;
+  };
+  PropagateOptions popts;
+  popts.max_hops = 2;
+  HgnnConfig cfg;
+  cfg.hidden = 8;
+  cfg.epochs = 30;
+  const std::vector<int32_t> val = datasets::MakeToy(10).val_index();
+  ASSERT_FALSE(val.empty());
+  for (const std::vector<int32_t>& v : {std::vector<int32_t>{}, val}) {
+    const HeteroGraph empty_test = with_split(v, /*all_test=*/false);
+    const HeteroGraph all_test = with_split(v, /*all_test=*/true);
+    const EvalMetrics a =
+        WholeGraphBaseline(BuildEvalContext(empty_test, popts), cfg);
+    const EvalMetrics b =
+        WholeGraphBaseline(BuildEvalContext(all_test, popts), cfg);
+    EXPECT_EQ(a.test_accuracy, b.test_accuracy) << v.size();
+    EXPECT_EQ(a.macro_f1, b.macro_f1) << v.size();
+    EXPECT_EQ(a.epochs_run, b.epochs_run) << v.size();
+    EXPECT_GT(a.test_accuracy, 0.0f) << v.size();
+  }
 }
 
 TEST(TrainerTest, DeterministicUnderSeed) {
