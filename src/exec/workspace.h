@@ -33,10 +33,11 @@ class Workspace {
     return touched_;
   }
 
-  /// Byte marker array of at least `n` entries, all zero — the sparse
-  /// accumulator of symbolic (structure-only) passes, where no float
-  /// value is needed. Same invariant as ZeroedAccum: the caller must
-  /// re-zero exactly the entries it marked before returning.
+  /// Byte marker array of at least `n` entries, all zero — SpGEMM's
+  /// first-touch marker beside the float accumulator (a slot whose sum
+  /// cancels to zero is still touched). Same invariant as ZeroedAccum:
+  /// the caller must re-zero exactly the entries it marked before
+  /// returning.
   std::vector<uint8_t>& ZeroedMark(size_t n) {
     if (mark_.size() < n) mark_.resize(n, 0);
     return mark_;

@@ -68,8 +68,7 @@ std::vector<MetaPath> FilterByEndType(const std::vector<MetaPath>& paths,
 }
 
 CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
-                           int64_t max_row_nnz, exec::ExecContext* ctx,
-                           sparse::SpGemmPlanCache* plans) {
+                           int64_t max_row_nnz, exec::ExecContext* ctx) {
   FREEHGC_CHECK(!p.relations.empty());
   FREEHGC_TRACE_SPAN("metapath.compose");
   static obs::Counter& composed =
@@ -80,7 +79,7 @@ CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
   for (size_t i = 1; i < p.relations.size(); ++i) {
     const CsrMatrix next =
         sparse::RowNormalize(g.relation(p.relations[i]).adj, &ex);
-    acc = sparse::SpGemm(acc, next, max_row_nnz, &ex, plans);
+    acc = sparse::SpGemm(acc, next, max_row_nnz, &ex);
   }
   return acc;
 }

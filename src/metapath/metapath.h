@@ -11,10 +11,6 @@
 
 namespace freehgc {
 
-namespace sparse {
-class SpGemmPlanCache;
-}  // namespace sparse
-
 /// One meta-path P = o_0 <- o_1 <- ... <- o_k: a walk over the relation
 /// schema starting at `types[0]`. `relations[i]` connects types[i] (as src)
 /// to types[i+1] (as dst).
@@ -56,16 +52,10 @@ std::vector<MetaPath> FilterByEndType(const std::vector<MetaPath>& paths,
 /// Composes the row-normalized meta-path adjacency of Eq. (1):
 ///   A_hat(P) = A_hat(r_0) * A_hat(r_1) * ... * A_hat(r_{k-1}).
 /// Shape: (count(start_type), count(end_type)). The SpGEMM chain runs on
-/// `ctx` (row-chunk parallel, bit-identical across thread counts). When
-/// `plans` is non-null each SpGEMM serves its symbolic pass from it, so
-/// recomposing a path — or composing one sharing a prefix, or the same
-/// path at a different max_row_nnz budget (plans are budget-independent)
-/// — skips the structure computation. Results are bit-identical with and
-/// without plan reuse.
+/// `ctx` (row-chunk parallel, bit-identical across thread counts).
 CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
                            int64_t max_row_nnz = 0,
-                           exec::ExecContext* ctx = nullptr,
-                           sparse::SpGemmPlanCache* plans = nullptr);
+                           exec::ExecContext* ctx = nullptr);
 
 /// Borrowed memo of composed meta-path adjacencies. ComposeAdjacency is
 /// deterministic and seed-independent, so its result can be shared across

@@ -78,10 +78,9 @@ std::string AccessLog::FormatLine(const AccessRecord& rec) {
   AppendEscaped(out, rec.reason);
   std::snprintf(buf, sizeof(buf),
                 "\", \"evalctx_hit\": %s, \"cache\": {\"hits\": %" PRId64
-                ", \"misses\": %" PRId64 ", \"plan_hits\": %" PRId64
-                ", \"plan_misses\": %" PRId64 "}}",
+                ", \"misses\": %" PRId64 "}}",
                 rec.evalctx_hit ? "true" : "false", rec.cache_hits,
-                rec.cache_misses, rec.plan_hits, rec.plan_misses);
+                rec.cache_misses);
   out += buf;
   return out;
 }

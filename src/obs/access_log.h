@@ -28,13 +28,11 @@ struct AccessRecord {
   /// Status message for non-OK outcomes (shed/expired reason, error).
   std::string_view reason;
   bool evalctx_hit = false;
-  /// Cumulative artifact/plan-cache counters at completion time
-  /// (monotone across the log, so per-request deltas are recoverable by
-  /// diffing consecutive entries); -1 = not annotated.
+  /// Cumulative artifact-cache counters at completion time (monotone
+  /// across the log, so per-request deltas are recoverable by diffing
+  /// consecutive entries); -1 = not annotated.
   int64_t cache_hits = -1;
   int64_t cache_misses = -1;
-  int64_t plan_hits = -1;
-  int64_t plan_misses = -1;
 };
 
 /// Structured JSONL access log: exactly one line per terminal request,

@@ -57,18 +57,6 @@ obs::Counter& MissCounter() {
   return c;
 }
 
-obs::Counter& PlanHitCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.plan_hits");
-  return c;
-}
-
-obs::Counter& PlanMissCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.plan_misses");
-  return c;
-}
-
 obs::Counter& SpillCounter() {
   static obs::Counter& c =
       obs::MetricsRegistry::Global().GetCounter("pipeline.cache.spills");
@@ -239,11 +227,9 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
                          << "; recomputing";
   }
   // Compose outside the lock: the SpGEMM chain is the expensive part and
-  // must not serialize unrelated lookups. The chain's symbolic passes
-  // route back through this cache, so compositions sharing operand pairs
-  // (path prefixes, other budgets) skip straight to the numeric pass.
+  // must not serialize unrelated lookups.
   auto composed = std::make_shared<const CsrMatrix>(
-      ComposeAdjacency(g, p, max_row_nnz, ctx, this));
+      ComposeAdjacency(g, p, max_row_nnz, ctx));
   std::shared_ptr<const CsrMatrix> out;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -259,35 +245,6 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
   }
   TrimToBudget();
   return out;
-}
-
-const sparse::SpGemmPlan& ArtifactCache::Plan(const CsrMatrix& a,
-                                              const CsrMatrix& b,
-                                              exec::ExecContext* ctx) {
-  // Hashing both operands is O(nnz) per lookup — far below the symbolic
-  // pass it saves (merge + per-row sort), and conservative: equal
-  // fingerprints imply equal sparsity patterns.
-  const PlanKey key{a.ContentFingerprint(), b.ContentFingerprint()};
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = plans_.find(key);
-    if (it != plans_.end()) {
-      ++stats_.plan_hits;
-      PlanHitCounter().Increment();
-      return *it->second;
-    }
-  }
-  auto plan = std::make_unique<sparse::SpGemmPlan>(
-      sparse::SpGemmSymbolic(a, b, ctx));
-  std::lock_guard<std::mutex> lock(mu_);
-  auto [it, inserted] = plans_.emplace(key, std::move(plan));
-  ++stats_.plan_misses;
-  PlanMissCounter().Increment();
-  if (inserted) {
-    stats_.bytes += it->second->MemoryBytes();
-    UpdateByteGauges();
-  }
-  return *it->second;
 }
 
 std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
@@ -560,7 +517,6 @@ void ArtifactCache::Clear() {
   adjacencies_.clear();
   propagated_.clear();
   baselines_.clear();
-  plans_.clear();
   stats_ = Stats{};
   tick_ = 0;
   BytesGauge().Set(0);

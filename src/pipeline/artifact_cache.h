@@ -15,7 +15,6 @@
 #include "hgnn/propagate.h"
 #include "hgnn/trainer.h"
 #include "metapath/metapath.h"
-#include "sparse/ops.h"
 
 namespace freehgc::pipeline {
 
@@ -56,8 +55,7 @@ namespace freehgc::pipeline {
 /// Thread-safe. Hit/miss/bytes are mirrored into the obs registry as
 /// pipeline.cache.{hits,misses,spills,restores,spill_bytes} counters and
 /// the pipeline.cache.{bytes,resident_bytes,budget_bytes} gauges.
-class ArtifactCache final : public AdjacencyCache,
-                            public sparse::SpGemmPlanCache {
+class ArtifactCache final : public AdjacencyCache {
  public:
   ArtifactCache() = default;
   ~ArtifactCache() override;
@@ -88,18 +86,6 @@ class ArtifactCache final : public AdjacencyCache,
                                             int64_t max_row_nnz,
                                             exec::ExecContext* ctx) override;
 
-  // sparse::SpGemmPlanCache — symbolic SpGEMM plans keyed by the operand
-  // pair's ContentFingerprints. Composed() misses route their SpGEMM
-  // chain through this, so two adjacency cells sharing a path prefix (or
-  // one path at two max_row_nnz budgets — plans are budget-independent)
-  // share symbolic work even though the adjacency entries themselves are
-  // distinct. Plans stay resident (they are small and structure-only);
-  // plan lookups are tallied separately from artifact lookups
-  // (plan_hits/plan_misses): an artifact miss whose plans all hit is
-  // still an artifact miss.
-  const sparse::SpGemmPlan& Plan(const CsrMatrix& a, const CsrMatrix& b,
-                                 exec::ExecContext* ctx) override;
-
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz)
   /// (what hgnn::BuildEvalContext computes). The path compositions inside
   /// a miss also route through this cache. Under a finite budget, a miss
@@ -128,11 +114,7 @@ class ArtifactCache final : public AdjacencyCache,
   struct Stats {
     int64_t hits = 0;
     int64_t misses = 0;
-    /// SpGEMM symbolic-plan lookups, counted apart from artifact lookups
-    /// (mirrored as pipeline.cache.plan_{hits,misses} counters).
-    int64_t plan_hits = 0;
-    int64_t plan_misses = 0;
-    /// Resident heap bytes of cached artifacts (plans included).
+    /// Resident heap bytes of cached artifacts.
     size_t bytes = 0;
     /// Resident heap bytes of the evictable tiers only (what the budget
     /// constrains; mapped restored views count ~0).
@@ -164,8 +146,6 @@ class ArtifactCache final : public AdjacencyCache,
   using PropKey = std::tuple<uint64_t, uint64_t, int64_t>;
   /// (graph fp, config signature).
   using BaselineKey = std::pair<uint64_t, uint64_t>;
-  /// (operand a fp, operand b fp).
-  using PlanKey = std::pair<uint64_t, uint64_t>;
 
   /// One evictable entry: resident (value set), spilled (value null,
   /// spill_path set), or both during restore. `owned_bytes` is the heap
@@ -213,7 +193,6 @@ class ArtifactCache final : public AdjacencyCache,
   std::map<AdjKey, AdjEntry> adjacencies_;
   std::map<PropKey, PropEntry> propagated_;
   std::map<BaselineKey, hgnn::EvalMetrics> baselines_;
-  std::map<PlanKey, std::unique_ptr<sparse::SpGemmPlan>> plans_;
   Stats stats_;
   uint64_t tick_ = 0;
   bool spill_enabled_ = false;

@@ -114,15 +114,13 @@ ServeService::ServeService(ServeOptions options)
       });
     }
   }
-  // Access-log annotation: stamp cumulative artifact/plan-cache counters
-  // onto each line so per-request deltas fall out of consecutive entries.
+  // Access-log annotation: stamp cumulative artifact-cache counters onto
+  // each line so per-request deltas fall out of consecutive entries.
   scheduler_->set_telemetry(
       &access_log_, [this](obs::AccessRecord& rec) {
         const pipeline::ArtifactCache::Stats c = cache_.stats();
         rec.cache_hits = c.hits;
         rec.cache_misses = c.misses;
-        rec.plan_hits = c.plan_hits;
-        rec.plan_misses = c.plan_misses;
       });
 }
 
@@ -299,12 +297,10 @@ std::string ServeService::StatsJson() const {
       static_cast<long long>(store_.Evictions()));
   out += StrFormat(
       "  \"artifact_cache\": {\"hits\": %lld, \"misses\": %lld, "
-      "\"plan_hits\": %lld, \"plan_misses\": %lld, \"bytes\": %zu, "
-      "\"resident_bytes\": %zu, \"spills\": %lld, \"restores\": %lld, "
-      "\"spill_bytes\": %zu},\n",
+      "\"bytes\": %zu, \"resident_bytes\": %zu, \"spills\": %lld, "
+      "\"restores\": %lld, \"spill_bytes\": %zu},\n",
       static_cast<long long>(c.hits), static_cast<long long>(c.misses),
-      static_cast<long long>(c.plan_hits),
-      static_cast<long long>(c.plan_misses), c.bytes, c.resident_bytes,
+      c.bytes, c.resident_bytes,
       static_cast<long long>(c.spills), static_cast<long long>(c.restores),
       c.spill_bytes);
   out += StrFormat("  \"eval_context_builds\": %lld,\n",

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "common/fnv.h"
 #include "common/string_util.h"
 
 namespace freehgc {
@@ -188,16 +187,6 @@ Status CsrMatrix::Validate() const {
     }
   }
   return Status::OK();
-}
-
-uint64_t CsrMatrix::ContentFingerprint() const {
-  Fnv f;
-  const int64_t dims[2] = {rows_, cols_};
-  f.Bytes(dims, sizeof(dims));
-  f.Bytes(indptr_.data(), indptr_.size() * sizeof(int64_t));
-  f.Bytes(indices_.data(), indices_.size() * sizeof(int32_t));
-  f.Bytes(values_.data(), values_.size() * sizeof(float));
-  return f.h;
 }
 
 bool CsrMatrix::operator==(const CsrMatrix& other) const {

@@ -126,11 +126,6 @@ class CsrMatrix {
   /// the deserialization path); call this for the full contract.
   Status Validate() const;
 
-  /// Order-sensitive 64-bit FNV-1a hash of shape, structure, and values.
-  /// Used by pipeline::ArtifactCache to key reusable SpGEMM plans by
-  /// operand identity.
-  uint64_t ContentFingerprint() const;
-
   bool operator==(const CsrMatrix& other) const;
 
  private:

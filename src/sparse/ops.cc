@@ -1,9 +1,7 @@
 #include "sparse/ops.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cmath>
-#include <numeric>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -182,80 +180,10 @@ CsrMatrix SymNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
   return out;
 }
 
-SpGemmPlan SpGemmSymbolic(const CsrMatrix& a, const CsrMatrix& b,
-                          exec::ExecContext* ctx) {
+CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
+                 exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.cols() == b.rows());
-  FREEHGC_TRACE_SPAN("spgemm.symbolic");
-  static obs::Counter& symbolic_calls =
-      obs::MetricsRegistry::Global().GetCounter("spgemm.symbolic_calls");
-  symbolic_calls.Increment();
-  exec::ExecContext& ex = exec::Resolve(ctx);
-  const int32_t m = a.rows(), n = b.cols();
-  const int64_t chunk = exec::ExecContext::ChunkSize(m, kRowMergeGrain);
-  const int64_t num_chunks = exec::ExecContext::NumChunks(m, kRowMergeGrain);
-
-  SpGemmPlan plan;
-  plan.a_rows = m;
-  plan.a_cols = a.cols();
-  plan.b_cols = n;
-  plan.indptr.assign(static_cast<size_t>(m) + 1, 0);
-
-  // Per-row set merges with a byte-marker sparse accumulator; each chunk
-  // stages its rows' sorted column lists, spliced below at offsets known
-  // from the prefix-summed per-row counts.
-  std::vector<std::vector<int32_t>> chunk_indices(
-      static_cast<size_t>(num_chunks));
-  ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
-                                        exec::Workspace& ws) {
-    std::vector<uint8_t>& mark = ws.ZeroedMark(static_cast<size_t>(n));
-    std::vector<int32_t>& touched = ws.Touched();
-    auto& indices = chunk_indices[static_cast<size_t>(begin / chunk)];
-    for (int64_t i = begin; i < end; ++i) {
-      touched.clear();
-      auto ai = a.RowIndices(static_cast<int32_t>(i));
-      for (int32_t p : ai) {
-        for (int32_t j : b.RowIndices(p)) {
-          if (!mark[static_cast<size_t>(j)]) {
-            mark[static_cast<size_t>(j)] = 1;
-            touched.push_back(j);
-          }
-        }
-      }
-      std::sort(touched.begin(), touched.end());
-      for (int32_t j : touched) {
-        indices.push_back(j);
-        mark[static_cast<size_t>(j)] = 0;
-      }
-      plan.indptr[static_cast<size_t>(i) + 1] =
-          static_cast<int64_t>(touched.size());
-    }
-  });
-
-  for (size_t i = 1; i < plan.indptr.size(); ++i) {
-    plan.indptr[i] += plan.indptr[i - 1];
-  }
-  plan.indices.resize(static_cast<size_t>(plan.indptr.back()));
-  ex.ParallelFor(num_chunks, 1,
-                 [&](int64_t begin, int64_t end, exec::Workspace&) {
-                   for (int64_t c = begin; c < end; ++c) {
-                     const size_t offset = static_cast<size_t>(
-                         plan.indptr[static_cast<size_t>(c * chunk)]);
-                     const auto& ci = chunk_indices[static_cast<size_t>(c)];
-                     std::copy(ci.begin(), ci.end(),
-                               plan.indices.begin() + offset);
-                   }
-                 });
-  return plan;
-}
-
-CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
-                        const SpGemmPlan& plan, int64_t max_row_nnz,
-                        exec::ExecContext* ctx) {
-  FREEHGC_CHECK(a.cols() == b.rows());
-  FREEHGC_CHECK(plan.a_rows == a.rows());
-  FREEHGC_CHECK(plan.a_cols == a.cols());
-  FREEHGC_CHECK(plan.b_cols == b.cols());
-  FREEHGC_TRACE_SPAN("spgemm.numeric");
+  FREEHGC_TRACE_SPAN("spgemm");
   // Value metrics (flops = multiply-adds performed, rows truncated and
   // entries dropped by the max_row_nnz budget) accumulate per chunk and
   // land as one atomic add each, so totals are chunk-layout-deterministic
@@ -275,49 +203,91 @@ CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
   calls.Increment();
   exec::ExecContext& ex = exec::Resolve(ctx);
   const int32_t m = a.rows(), n = b.cols();
+  const int64_t chunk = exec::ExecContext::ChunkSize(m, kRowMergeGrain);
+  const int64_t num_chunks = exec::ExecContext::NumChunks(m, kRowMergeGrain);
 
-  // Pass 1 — fill values at the plan's exact offsets (no staging, no
-  // sort, no grow-as-you-go buffers: the plan already fixes where every
-  // structural entry lands). Per-row kept counts — exact zeros dropped,
-  // max_row_nnz budget applied — land in out_indptr for the prefix sum.
-  std::vector<float> plan_values(static_cast<size_t>(plan.nnz()));
-  std::vector<int64_t> out_indptr(static_cast<size_t>(m) + 1, 0);
+  // One Gustavson pass per row: accumulate into the workspace's dense
+  // accumulator, recording first touches in the byte marker; keep the
+  // nonzero sums, prune them to the budget, and stage the row (sorted by
+  // column) in its chunk's buffers. Nothing proportional to the unpruned
+  // product is ever allocated: memory is the pruned output plus one
+  // accumulator and marker of `n` entries per worker.
+  struct Staged {
+    std::vector<int32_t> indices;
+    std::vector<float> values;
+  };
+  std::vector<Staged> staged(static_cast<size_t>(num_chunks));
+  std::vector<int64_t> indptr(static_cast<size_t>(m) + 1, 0);
   ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
                                         exec::Workspace& ws) {
     std::vector<float>& accum = ws.ZeroedAccum(static_cast<size_t>(n));
+    std::vector<uint8_t>& mark = ws.ZeroedMark(static_cast<size_t>(n));
+    std::vector<int32_t>& cols = ws.Touched();
+    Staged& out = staged[static_cast<size_t>(begin / chunk)];
     int64_t flops = 0, truncated = 0, dropped = 0;
     obs::LocalHistogram row_hist;
     for (int64_t i = begin; i < end; ++i) {
+      cols.clear();
       auto ai = a.RowIndices(static_cast<int32_t>(i));
       auto av = a.RowValues(static_cast<int32_t>(i));
       for (size_t k = 0; k < ai.size(); ++k) {
-        const int32_t p = ai[k];
         const float apv = av[k];
-        auto bi = b.RowIndices(p);
-        auto bv = b.RowValues(p);
+        auto bi = b.RowIndices(ai[k]);
+        auto bv = b.RowValues(ai[k]);
         flops += static_cast<int64_t>(bi.size());
         for (size_t t = 0; t < bi.size(); ++t) {
-          accum[static_cast<size_t>(bi[t])] += apv * bv[t];
+          const size_t j = static_cast<size_t>(bi[t]);
+          if (!mark[j]) {
+            mark[j] = 1;
+            cols.push_back(bi[t]);
+          }
+          accum[j] += apv * bv[t];
         }
       }
-      const int64_t base = plan.indptr[static_cast<size_t>(i)];
-      const int64_t row_nnz = plan.indptr[static_cast<size_t>(i) + 1] - base;
-      int64_t nonzero = 0;
-      for (int64_t k = 0; k < row_nnz; ++k) {
-        const int32_t j = plan.indices[static_cast<size_t>(base + k)];
-        const float v = accum[static_cast<size_t>(j)];
-        plan_values[static_cast<size_t>(base + k)] = v;
-        accum[static_cast<size_t>(j)] = 0.0f;
-        if (v != 0.0f) ++nonzero;
+      // Exact zeros (cancellations) are dropped. Every touched slot
+      // leaves the row with its marker clear and its accumulator at
+      // +0.0f — zero slots here, pruned and kept slots once selected and
+      // copied out — so no residue (a -0.0f included) reaches the next
+      // row.
+      size_t nonzero = 0;
+      for (int32_t j : cols) {
+        mark[static_cast<size_t>(j)] = 0;
+        if (accum[static_cast<size_t>(j)] != 0.0f) {
+          cols[nonzero++] = j;
+        } else {
+          accum[static_cast<size_t>(j)] = 0.0f;
+        }
       }
-      int64_t kept = nonzero;
-      if (max_row_nnz > 0 && nonzero > max_row_nnz) {
-        kept = max_row_nnz;
+      cols.resize(nonzero);
+      if (max_row_nnz > 0 && static_cast<int64_t>(nonzero) > max_row_nnz) {
+        // Keep the max_row_nnz entries largest by (|value|, then smaller
+        // column): the column tie-break makes the comparator a total
+        // order, so the kept set is independent of touch order — hence
+        // of thread count. Partial select, not a full sort.
+        std::nth_element(cols.begin(), cols.begin() + max_row_nnz,
+                         cols.end(), [&](int32_t x, int32_t y) {
+                           const float ax =
+                               std::fabs(accum[static_cast<size_t>(x)]);
+                           const float ay =
+                               std::fabs(accum[static_cast<size_t>(y)]);
+                           if (ax != ay) return ax > ay;
+                           return x < y;
+                         });
+        for (size_t t = static_cast<size_t>(max_row_nnz); t < nonzero; ++t) {
+          accum[static_cast<size_t>(cols[t])] = 0.0f;
+        }
+        cols.resize(static_cast<size_t>(max_row_nnz));
         ++truncated;
-        dropped += nonzero - max_row_nnz;
+        dropped += static_cast<int64_t>(nonzero) - max_row_nnz;
       }
-      row_hist.Observe(kept);
-      out_indptr[static_cast<size_t>(i) + 1] = kept;
+      std::sort(cols.begin(), cols.end());
+      for (int32_t j : cols) {
+        out.indices.push_back(j);
+        out.values.push_back(accum[static_cast<size_t>(j)]);
+        accum[static_cast<size_t>(j)] = 0.0f;
+      }
+      row_hist.Observe(static_cast<int64_t>(cols.size()));
+      indptr[static_cast<size_t>(i) + 1] = static_cast<int64_t>(cols.size());
     }
     row_hist.FlushTo(row_nnz_hist);
     flops_ctr.Add(flops);
@@ -327,98 +297,33 @@ CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
     }
   });
 
-  for (size_t i = 1; i < out_indptr.size(); ++i) {
-    out_indptr[i] += out_indptr[i - 1];
-  }
-  const int64_t out_nnz = out_indptr.back();
+  for (size_t i = 1; i < indptr.size(); ++i) indptr[i] += indptr[i - 1];
+  const int64_t out_nnz = indptr.back();
   out_nnz_ctr.Add(out_nnz);
 
-  if (out_nnz == plan.nnz()) {
-    // Structure unchanged (no budget hit, no exact zeros): the plan's
-    // pattern is the output pattern and the values are already in place.
-    std::vector<int32_t> indices(plan.indices);
-    auto res = CsrMatrix::FromParts(m, n, std::move(out_indptr),
-                                    std::move(indices),
-                                    std::move(plan_values));
-    FREEHGC_CHECK(res.ok());
-    CsrMatrix out = std::move(res).value();
-    DebugValidated(out);
-    return out;
-  }
-
-  // Pass 2 — compact the surviving entries to their final offsets. The
-  // budget keeps the max_row_nnz entries largest by (|value|, then
-  // smaller column index): the column tie-break makes the comparator a
-  // total order, so the selected set is independent of candidate order —
-  // hence of thread count and of plan reuse.
+  // Splice the chunks at their prefix-summed offsets, releasing each
+  // chunk's staging as soon as it is copied.
   std::vector<int32_t> indices(static_cast<size_t>(out_nnz));
   std::vector<float> values(static_cast<size_t>(out_nnz));
-  ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
-                                        exec::Workspace& ws) {
-    std::vector<int32_t>& cand = ws.Touched();
-    for (int64_t i = begin; i < end; ++i) {
-      const int64_t base = plan.indptr[static_cast<size_t>(i)];
-      const int64_t row_nnz = plan.indptr[static_cast<size_t>(i) + 1] - base;
-      const int64_t out_base = out_indptr[static_cast<size_t>(i)];
-      const int64_t kept = out_indptr[static_cast<size_t>(i) + 1] - out_base;
-      if (kept == row_nnz) {
-        std::copy(plan.indices.begin() + base,
-                  plan.indices.begin() + base + row_nnz,
-                  indices.begin() + out_base);
-        std::copy(plan_values.begin() + base,
-                  plan_values.begin() + base + row_nnz,
-                  values.begin() + out_base);
-        continue;
-      }
-      cand.clear();
-      for (int64_t k = 0; k < row_nnz; ++k) {
-        if (plan_values[static_cast<size_t>(base + k)] != 0.0f) {
-          cand.push_back(static_cast<int32_t>(k));
-        }
-      }
-      if (static_cast<int64_t>(cand.size()) > kept) {
-        // Partial select, not a full sort; plan columns are ascending,
-        // so smaller in-row offset == smaller column index.
-        std::nth_element(
-            cand.begin(), cand.begin() + kept, cand.end(),
-            [&](int32_t x, int32_t y) {
-              const float ax =
-                  std::fabs(plan_values[static_cast<size_t>(base + x)]);
-              const float ay =
-                  std::fabs(plan_values[static_cast<size_t>(base + y)]);
-              if (ax != ay) return ax > ay;
-              return x < y;
-            });
-        cand.resize(static_cast<size_t>(kept));
-        std::sort(cand.begin(), cand.end());
-      }
-      for (size_t t = 0; t < cand.size(); ++t) {
-        const int64_t src = base + cand[t];
-        indices[static_cast<size_t>(out_base) + t] =
-            plan.indices[static_cast<size_t>(src)];
-        values[static_cast<size_t>(out_base) + t] =
-            plan_values[static_cast<size_t>(src)];
-      }
-    }
-  });
-  auto res = CsrMatrix::FromParts(m, n, std::move(out_indptr),
-                                  std::move(indices), std::move(values));
+  ex.ParallelFor(num_chunks, 1,
+                 [&](int64_t begin, int64_t end, exec::Workspace&) {
+                   for (int64_t c = begin; c < end; ++c) {
+                     Staged& s = staged[static_cast<size_t>(c)];
+                     const int64_t offset =
+                         indptr[static_cast<size_t>(c * chunk)];
+                     std::copy(s.indices.begin(), s.indices.end(),
+                               indices.begin() + offset);
+                     std::copy(s.values.begin(), s.values.end(),
+                               values.begin() + offset);
+                     s = Staged();
+                   }
+                 });
+  auto res = CsrMatrix::FromParts(m, n, std::move(indptr), std::move(indices),
+                                  std::move(values));
   FREEHGC_CHECK(res.ok());
   CsrMatrix out = std::move(res).value();
   DebugValidated(out);
   return out;
-}
-
-CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
-                 exec::ExecContext* ctx, SpGemmPlanCache* plans) {
-  FREEHGC_CHECK(a.cols() == b.rows());
-  FREEHGC_TRACE_SPAN("spgemm");
-  if (plans != nullptr) {
-    const SpGemmPlan& plan = plans->Plan(a, b, ctx);
-    return SpGemmNumeric(a, b, plan, max_row_nnz, ctx);
-  }
-  const SpGemmPlan plan = SpGemmSymbolic(a, b, ctx);
-  return SpGemmNumeric(a, b, plan, max_row_nnz, ctx);
 }
 
 Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
@@ -449,14 +354,6 @@ Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
   return out;
 }
 
-Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
-                  exec::ExecContext* ctx) {
-  FREEHGC_CHECK(a.rows() == x.rows());
-  FREEHGC_TRACE_SPAN("spmm_dense_t");
-  exec::ExecContext& ex = exec::Resolve(ctx);
-  return SpMmDense(Transpose(a, &ex), x, &ex);
-}
-
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
               std::vector<float>& y, exec::ExecContext* ctx) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.cols());
@@ -481,13 +378,6 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
   std::vector<float> y;
   SpMvInto(a, x, y, ctx);
   return y;
-}
-
-std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
-                         exec::ExecContext* ctx) {
-  FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.rows());
-  exec::ExecContext& ex = exec::Resolve(ctx);
-  return SpMv(Transpose(a, &ex), x, &ex);
 }
 
 CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
@@ -515,46 +405,6 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
                                 std::move(entries));
   FREEHGC_CHECK(res.ok());
   return std::move(res).value();
-}
-
-CsrMatrix AddElementwise(const CsrMatrix& a, const CsrMatrix& b) {
-  FREEHGC_CHECK(a.rows() == b.rows() && a.cols() == b.cols());
-  std::vector<int64_t> indptr(static_cast<size_t>(a.rows()) + 1, 0);
-  std::vector<int32_t> indices;
-  std::vector<float> values;
-  indices.reserve(static_cast<size_t>(a.nnz() + b.nnz()));
-  values.reserve(static_cast<size_t>(a.nnz() + b.nnz()));
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    auto ai = a.RowIndices(r);
-    auto av = a.RowValues(r);
-    auto bi = b.RowIndices(r);
-    auto bv = b.RowValues(r);
-    size_t i = 0, j = 0;
-    while (i < ai.size() || j < bi.size()) {
-      int32_t ci = i < ai.size() ? ai[i] : a.cols();
-      int32_t cj = j < bi.size() ? bi[j] : a.cols();
-      if (ci < cj) {
-        indices.push_back(ci);
-        values.push_back(av[i++]);
-      } else if (cj < ci) {
-        indices.push_back(cj);
-        values.push_back(bv[j++]);
-      } else {
-        indices.push_back(ci);
-        values.push_back(av[i++] + bv[j++]);
-      }
-    }
-    indptr[static_cast<size_t>(r) + 1] = static_cast<int64_t>(indices.size());
-  }
-  auto res = CsrMatrix::FromParts(a.rows(), a.cols(), std::move(indptr),
-                                  std::move(indices), std::move(values));
-  FREEHGC_CHECK(res.ok());
-  return std::move(res).value();
-}
-
-CsrMatrix Symmetrize(const CsrMatrix& a) {
-  FREEHGC_CHECK(a.rows() == a.cols());
-  return AddElementwise(a, Transpose(a));
 }
 
 std::vector<float> PprScores(const CsrMatrix& a,

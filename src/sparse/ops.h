@@ -14,8 +14,8 @@ namespace freehgc::sparse {
 // process-wide default (FREEHGC_THREADS / hardware concurrency). All
 // parallel paths follow the determinism contract (static chunking +
 // ordered reduction, see exec/exec_context.h): results are bit-identical
-// for every thread count, and SpGEMM results are additionally identical
-// with and without plan reuse (tests/sparse_reference_test.cc).
+// for every thread count and to the naive references in
+// sparse/reference.h (tests/sparse_reference_test.cc).
 
 /// Returns a^T. Two-pass parallel count/scatter: a per-chunk column
 /// histogram fixes every entry's output slot, so the scatter writes
@@ -34,77 +34,24 @@ CsrMatrix RowNormalize(const CsrMatrix& a,
 CsrMatrix SymNormalize(const CsrMatrix& a,
                        exec::ExecContext* ctx = nullptr);
 
-/// Reusable symbolic structure of a sparse-sparse product: the sorted
-/// per-row output column pattern of a * b, independent of either
-/// operand's values and of any row-nnz budget. Computing it is roughly
-/// half the cost of a full SpGemm (the merge plus the per-row sort);
-/// the numeric pass then fills values directly into exactly-allocated
-/// output with no staging, no sorting, and no second prefix sum.
+/// Sparse-sparse product a * b: one Gustavson pass per row (dense
+/// accumulator + touched list from the worker's Workspace), staged per
+/// chunk and spliced at prefix-summed offsets. Transient memory is
+/// O(pruned output) plus one accumulator and marker of b.cols() entries
+/// per worker; nothing proportional to the unpruned product is
+/// allocated.
 ///
-/// A plan is valid for any operand pair with the same sparsity patterns
-/// as the pair it was built from. pipeline::ArtifactCache keys retained
-/// plans by operand ContentFingerprints (conservative: equal fingerprints
-/// imply equal patterns), so warm sweep cells and warm serve requests
-/// skip the symbolic pass entirely.
-struct SpGemmPlan {
-  int32_t a_rows = 0;
-  int32_t a_cols = 0;
-  int32_t b_cols = 0;
-  /// Symbolic structure: indptr/indices of the unpruned product pattern
-  /// (sorted, unique columns per row).
-  std::vector<int64_t> indptr = {0};
-  std::vector<int32_t> indices;
-
-  int64_t nnz() const { return static_cast<int64_t>(indices.size()); }
-  size_t MemoryBytes() const {
-    return indptr.size() * sizeof(int64_t) +
-           indices.size() * sizeof(int32_t);
-  }
-};
-
-/// Borrowed memo of SpGemm symbolic plans. The canonical implementation
-/// is pipeline::ArtifactCache; declaring the interface here lets compose
-/// call sites (metapath, hgnn) reuse plans without a pipeline dependency.
-/// Returned references stay valid for the cache's lifetime.
-class SpGemmPlanCache {
- public:
-  virtual ~SpGemmPlanCache() = default;
-
-  /// The symbolic plan for (a, b), computed via SpGemmSymbolic on miss
-  /// and retained.
-  virtual const SpGemmPlan& Plan(const CsrMatrix& a, const CsrMatrix& b,
-                                 exec::ExecContext* ctx) = 0;
-};
-
-/// Symbolic pass: computes the output structure of a * b (parallel
-/// per-row set merges with exact-prefix-sum allocation).
-SpGemmPlan SpGemmSymbolic(const CsrMatrix& a, const CsrMatrix& b,
-                          exec::ExecContext* ctx = nullptr);
-
-/// Numeric pass: fills values for a * b into the structure described by
-/// `plan` (which must have been built for operands with a and b's
-/// sparsity patterns), then prunes to `max_row_nnz` and drops exact
-/// zeros. Bit-identical to SpGemm(a, b, max_row_nnz) by construction.
-CsrMatrix SpGemmNumeric(const CsrMatrix& a, const CsrMatrix& b,
-                        const SpGemmPlan& plan, int64_t max_row_nnz = 0,
-                        exec::ExecContext* ctx = nullptr);
-
-/// Sparse-sparse product a * b (symbolic + numeric pass).
-///
-/// `max_row_nnz` bounds densification: when > 0, each output row keeps only
-/// the `max_row_nnz` entries largest by (|value|, then smaller column
+/// Exact zeros (cancellations) are dropped. `max_row_nnz` bounds
+/// densification: when > 0, each output row keeps only the
+/// `max_row_nnz` entries largest by (|value|, then smaller column
 /// index) — the column tie-break pins the selection so equal-magnitude
-/// ties resolve identically at every thread count and with or without
-/// plan reuse. Meta-path composition (Eq. 1) chains several SpGEMMs,
-/// whose exact result densifies on power-law graphs; the budget mirrors
-/// the error-threshold sparsification the paper invokes for scalability.
+/// ties resolve identically at every thread count. Meta-path
+/// composition (Eq. 1) chains several SpGEMMs, whose exact result
+/// densifies on power-law graphs; the budget mirrors the
+/// error-threshold sparsification the paper invokes for scalability.
 /// 0 means exact.
-///
-/// When `plans` is non-null the symbolic pass is served from it (and
-/// retained for future calls over the same operands).
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b,
-                 int64_t max_row_nnz = 0, exec::ExecContext* ctx = nullptr,
-                 SpGemmPlanCache* plans = nullptr);
+                 int64_t max_row_nnz = 0, exec::ExecContext* ctx = nullptr);
 
 /// Dense product a * x (x dense (a.cols, d)). The inner loop is blocked
 /// over x's columns so the output row strip stays cache-resident while a
@@ -112,13 +59,6 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b,
 /// unchanged (bit-identical to the unblocked loop).
 Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
                  exec::ExecContext* ctx = nullptr);
-
-/// Dense product a^T * x: materializes the (parallel) transpose and runs
-/// the row-parallel SpMmDense over it. The gather accumulates each output
-/// element in ascending source-row order — exactly the order of the old
-/// sequential column-scatter — so the parallel path is value-preserving.
-Matrix SpMmDenseT(const CsrMatrix& a, const Matrix& x,
-                  exec::ExecContext* ctx = nullptr);
 
 /// y = a * x for a dense vector x.
 std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
@@ -129,23 +69,10 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
               std::vector<float>& y, exec::ExecContext* ctx = nullptr);
 
-/// y = a^T * x via the materialized parallel transpose (row-parallel
-/// gather in ascending source-row order; value-preserving vs the old
-/// sequential column-scatter).
-std::vector<float> SpMvT(const CsrMatrix& a, const std::vector<float>& x,
-                         exec::ExecContext* ctx = nullptr);
-
 /// Extracts the submatrix a[row_keep, col_keep] with indices remapped to
 /// the keep-list positions. Keep-lists must contain valid, unique ids.
 CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
                     const std::vector<int32_t>& col_keep);
-
-/// Elementwise sum a + b (same shape).
-CsrMatrix AddElementwise(const CsrMatrix& a, const CsrMatrix& b);
-
-/// Returns a square symmetric matrix max(a, a^T) built from a square a
-/// (union of edges in both directions, values summed).
-CsrMatrix Symmetrize(const CsrMatrix& a);
 
 /// Personalized PageRank score vector via power iteration:
 ///   pi <- alpha * teleport + (1 - alpha) * A^T pi

@@ -160,23 +160,6 @@ Matrix SpMmDenseRef(const CsrMatrix& a, const Matrix& x) {
   return out;
 }
 
-Matrix SpMmDenseTRef(const CsrMatrix& a, const Matrix& x) {
-  FREEHGC_CHECK(a.rows() == x.rows());
-  Matrix out(a.cols(), x.cols());
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    auto idx = a.RowIndices(r);
-    auto val = a.RowValues(r);
-    const float* x_row = x.Row(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      float* out_row = out.Row(idx[k]);
-      for (int64_t c = 0; c < x.cols(); ++c) {
-        out_row[c] += val[k] * x_row[c];
-      }
-    }
-  }
-  return out;
-}
-
 std::vector<float> SpMvRef(const CsrMatrix& a, const std::vector<float>& x) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.cols());
   std::vector<float> y(static_cast<size_t>(a.rows()), 0.0f);
@@ -192,20 +175,6 @@ std::vector<float> SpMvRef(const CsrMatrix& a, const std::vector<float>& x) {
   return y;
 }
 
-std::vector<float> SpMvTRef(const CsrMatrix& a, const std::vector<float>& x) {
-  FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.rows());
-  std::vector<float> y(static_cast<size_t>(a.cols()), 0.0f);
-  for (int32_t r = 0; r < a.rows(); ++r) {
-    const float xv = x[static_cast<size_t>(r)];
-    auto idx = a.RowIndices(r);
-    auto val = a.RowValues(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      y[static_cast<size_t>(idx[k])] += val[k] * xv;
-    }
-  }
-  return y;
-}
-
 std::vector<float> PprScoresRef(const CsrMatrix& a,
                                 const std::vector<float>& teleport,
                                 float alpha, int max_iters, float tol) {
@@ -213,7 +182,15 @@ std::vector<float> PprScoresRef(const CsrMatrix& a,
   FREEHGC_CHECK(static_cast<int32_t>(teleport.size()) == a.rows());
   std::vector<float> pi = teleport;
   for (int it = 0; it < max_iters; ++it) {
-    const std::vector<float> propagated = SpMvTRef(a, pi);
+    std::vector<float> propagated(pi.size(), 0.0f);
+    for (int32_t r = 0; r < a.rows(); ++r) {
+      auto idx = a.RowIndices(r);
+      auto val = a.RowValues(r);
+      for (size_t k = 0; k < idx.size(); ++k) {
+        propagated[static_cast<size_t>(idx[k])] +=
+            val[k] * pi[static_cast<size_t>(r)];
+      }
+    }
     double delta = 0.0;
     for (size_t i = 0; i < pi.size(); ++i) {
       const float next =

@@ -39,23 +39,17 @@ CsrMatrix SpGemmRef(const CsrMatrix& a, const CsrMatrix& b,
 /// sparse-entry order (matches the blocked kernel's per-element order).
 Matrix SpMmDenseRef(const CsrMatrix& a, const Matrix& x);
 
-/// Sequential a^T * x via column scatter (ascending source-row order —
-/// the order the transpose-then-gather optimized path reproduces).
-Matrix SpMmDenseTRef(const CsrMatrix& a, const Matrix& x);
-
 /// Sequential y = a * x.
 std::vector<float> SpMvRef(const CsrMatrix& a, const std::vector<float>& x);
 
-/// Sequential y = a^T * x via column scatter. No zero-skip: every stored
-/// entry contributes, exactly like the optimized transpose-gather path.
-std::vector<float> SpMvTRef(const CsrMatrix& a, const std::vector<float>& x);
-
 /// Sequential PPR power iteration:
 ///   pi <- alpha * teleport + (1 - alpha) * A^T pi
-/// with the L1 delta folded left-to-right in doubles. The optimized
-/// kernel's chunked delta reduction associates differently, so
-/// differential runs must use tol = 0 (both sides then run exactly
-/// max_iters and the per-element arithmetic is identical).
+/// with A^T pi as a column scatter in ascending source-row order (no
+/// zero-skip: every stored entry contributes) and the L1 delta folded
+/// left-to-right in doubles. The optimized kernel's chunked delta
+/// reduction associates differently, so differential runs must use
+/// tol = 0 (both sides then run exactly max_iters and the per-element
+/// arithmetic is identical).
 std::vector<float> PprScoresRef(const CsrMatrix& a,
                                 const std::vector<float>& teleport,
                                 float alpha, int max_iters, float tol);

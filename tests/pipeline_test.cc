@@ -89,43 +89,6 @@ TEST(ArtifactCacheTest, ComposedMemoizesByGraphPathAndBudget) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
-TEST(ArtifactCacheTest, SpGemmPlansSharedAcrossBudgets) {
-  const HeteroGraph g = datasets::MakeToy(7);
-  MetaPathOptions mp;
-  mp.max_hops = 2;
-  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
-  const MetaPath* two_hop = nullptr;
-  for (const auto& p : paths) {
-    if (p.hops() == 2) {
-      two_hop = &p;
-      break;
-    }
-  }
-  ASSERT_NE(two_hop, nullptr);
-
-  ArtifactCache cache;
-  cache.Composed(g, *two_hop, 0, nullptr);
-  EXPECT_EQ(cache.stats().plan_misses, 1);
-  EXPECT_EQ(cache.stats().plan_hits, 0);
-
-  // The same path at a different row budget is a distinct adjacency
-  // entry (artifact miss) whose single SpGEMM reuses the symbolic plan:
-  // plans are budget-independent, and plan tallies stay separate from
-  // the artifact hit/miss stats.
-  const auto budgeted = cache.Composed(g, *two_hop, 4, nullptr);
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits, 0);
-  EXPECT_EQ(cache.stats().plan_misses, 1);
-  EXPECT_EQ(cache.stats().plan_hits, 1);
-
-  // Plan-served composition is bit-identical to the plan-free one.
-  EXPECT_EQ(*budgeted, ComposeAdjacency(g, *two_hop, 4));
-
-  cache.Clear();
-  EXPECT_EQ(cache.stats().plan_hits, 0);
-  EXPECT_EQ(cache.stats().plan_misses, 0);
-}
-
 TEST(ArtifactCacheTest, PropagatedAndBaselineMemoize) {
   const HeteroGraph g = datasets::MakeToy(7);
   hgnn::PropagateOptions popts;

@@ -1,18 +1,16 @@
 // Differential test harness for the optimized sparse kernels: every
 // kernel in sparse/ops.h is compared bit-for-bit against the naive
 // single-threaded references in sparse/reference.h, on a seeded corpus
-// of adversarial shapes, across thread counts {1, 2, 4} and — for
-// SpGEMM — with and without symbolic-plan reuse. Exact float equality
-// throughout (EXPECT_EQ on the raw arrays, no tolerances): the
-// optimized kernels' determinism contract promises the references'
-// accumulation orders per output element, so any drift is a bug.
+// of adversarial shapes, across thread counts {1, 2, 4}. Exact float
+// equality throughout (EXPECT_EQ on the raw arrays, no tolerances; raw
+// bytes where a zero's sign matters): the optimized kernels'
+// determinism contract promises the references' accumulation orders
+// per output element, so any drift is a bug.
 
 #include <algorithm>
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
-#include <map>
-#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -117,33 +115,6 @@ std::vector<CorpusEntry> Corpus() {
   return corpus;
 }
 
-/// Test-local SpGemmPlanCache: memoizes one plan per operand pair by
-/// address (sufficient inside a single test body).
-class TestPlanCache : public sparse::SpGemmPlanCache {
- public:
-  const sparse::SpGemmPlan& Plan(const CsrMatrix& a, const CsrMatrix& b,
-                                 exec::ExecContext* ctx) override {
-    const auto key = std::make_pair(&a, &b);
-    auto it = plans_.find(key);
-    if (it == plans_.end()) {
-      it = plans_
-               .emplace(key, std::make_unique<sparse::SpGemmPlan>(
-                                 sparse::SpGemmSymbolic(a, b, ctx)))
-               .first;
-    } else {
-      ++hits_;
-    }
-    return *it->second;
-  }
-  int hits() const { return hits_; }
-
- private:
-  std::map<std::pair<const CsrMatrix*, const CsrMatrix*>,
-           std::unique_ptr<sparse::SpGemmPlan>>
-      plans_;
-  int hits_ = 0;
-};
-
 template <typename T>
 std::vector<T> ToVec(std::span<const T> s) {
   return {s.begin(), s.end()};
@@ -203,7 +174,7 @@ TEST(SparseReferenceTest, NormalizeMatchesReference) {
   }
 }
 
-TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndPlanReuse) {
+TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreads) {
   for (const auto& e : Corpus()) {
     // Square the matrix against its own transpose so every corpus shape
     // yields a composable pair (m x n) * (n x m).
@@ -216,22 +187,63 @@ TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreadsAndPlanReuse) {
         const std::string context = e.name +
                                     " budget=" + std::to_string(budget) +
                                     " threads=" + std::to_string(threads);
-        // Plan reuse off: fresh symbolic pass inside SpGemm.
-        const CsrMatrix cold = sparse::SpGemm(e.m, bt, budget, &ex);
-        ExpectValid(cold, context + " cold");
-        ExpectBitIdentical(cold, want, context + " cold");
-        // Plan reuse on: first call populates, second is served the
-        // memoized plan. Both must equal the reference.
-        TestPlanCache plans;
-        const CsrMatrix warm0 =
-            sparse::SpGemm(e.m, bt, budget, &ex, &plans);
-        const CsrMatrix warm1 =
-            sparse::SpGemm(e.m, bt, budget, &ex, &plans);
-        EXPECT_EQ(plans.hits(), 1) << context;
-        ExpectValid(warm1, context + " warm");
-        ExpectBitIdentical(warm0, want, context + " plan-miss");
-        ExpectBitIdentical(warm1, want, context + " plan-hit");
+        const CsrMatrix got = sparse::SpGemm(e.m, bt, budget, &ex);
+        ExpectValid(got, context);
+        ExpectBitIdentical(got, want, context);
       }
+    }
+  }
+}
+
+TEST(SparseReferenceTest, SpGemmLeavesNoResidueAfterCancelledSlots) {
+  // Four rows in one chunk (the row grain is 64), so one worker's
+  // accumulator and marker carry over from row to row:
+  //   row 0: columns 0 and 1 cancel to exactly +0.0f, and columns 2
+  //          and 5 receive only -0.0f products (1e-30 * -1e-30
+  //          underflows); columns 3 and 4 survive;
+  //   row 1: touches every column again, all sums nonzero;
+  //   row 2: every product cancels — an empty output row;
+  //   row 3: touches the cancelled columns again.
+  // Budget 1 also prunes rows 1 and 3, so pruned slots must be reset
+  // as well. Compared by raw bytes, where +0.0f and -0.0f differ.
+  const float tiny = 1e-30f;
+  const CsrMatrix a = FromCooOrDie(
+      4, 5,
+      {{0, 0, 1.0f}, {0, 1, 1.0f}, {0, 2, -tiny},
+       {1, 0, 2.0f}, {1, 3, 1.0f},
+       {2, 0, 1.0f}, {2, 4, 1.0f},
+       {3, 2, 3.0f}, {3, 3, -1.0f}});
+  const CsrMatrix b = FromCooOrDie(
+      5, 6,
+      {{0, 0, 1.0f}, {0, 1, 2.0f}, {0, 3, 3.0f},
+       {1, 0, -1.0f}, {1, 1, -2.0f}, {1, 4, 5.0f},
+       {2, 2, tiny}, {2, 5, tiny},
+       {3, 0, 0.5f}, {3, 1, -0.25f}, {3, 2, 4.0f}, {3, 4, -7.0f},
+       {3, 5, 1.5f},
+       {4, 0, -1.0f}, {4, 1, -2.0f}, {4, 3, -3.0f}});
+  auto bytes = [](auto span) {
+    const auto* p = reinterpret_cast<const unsigned char*>(span.data());
+    return std::vector<unsigned char>(p, p + span.size_bytes());
+  };
+  for (int64_t budget : {int64_t{0}, int64_t{1}, int64_t{6}}) {
+    const CsrMatrix want = sparse::reference::SpGemmRef(a, b, budget);
+    ASSERT_TRUE(want.Validate().ok());
+    // The corpus exercises what the test is named for.
+    EXPECT_EQ(want.RowNnz(0), budget == 1 ? 1 : 2);  // columns 3, 4
+    EXPECT_EQ(want.RowNnz(1), budget == 1 ? 1 : 6);
+    EXPECT_EQ(want.RowNnz(2), 0);
+    EXPECT_EQ(want.RowNnz(3), budget == 1 ? 1 : 5);
+    for (int threads = 1; threads <= 4; ++threads) {
+      exec::ExecContext ex(threads);
+      const CsrMatrix got = sparse::SpGemm(a, b, budget, &ex);
+      const std::string context = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads);
+      ExpectValid(got, context);
+      ASSERT_EQ(got.rows(), want.rows()) << context;
+      ASSERT_EQ(got.cols(), want.cols()) << context;
+      EXPECT_EQ(bytes(got.indptr()), bytes(want.indptr())) << context;
+      EXPECT_EQ(bytes(got.indices()), bytes(want.indices())) << context;
+      EXPECT_EQ(bytes(got.values()), bytes(want.values())) << context;
     }
   }
 }
@@ -245,18 +257,12 @@ TEST(SparseReferenceTest, SpMmDenseMatchesReference) {
     for (int64_t i = 0; i < x.size(); ++i) {
       x.data()[i] = rng.NextUniform(-1.0f, 1.0f);
     }
-    Matrix xt(e.m.rows(), 70);
-    for (int64_t i = 0; i < xt.size(); ++i) {
-      xt.data()[i] = rng.NextUniform(-1.0f, 1.0f);
-    }
     const Matrix want = sparse::reference::SpMmDenseRef(e.m, x);
-    const Matrix want_t = sparse::reference::SpMmDenseTRef(e.m, xt);
     for (int threads : kThreadCounts) {
       exec::ExecContext ex(threads);
       const std::string context =
           e.name + " threads=" + std::to_string(threads);
       EXPECT_TRUE(sparse::SpMmDense(e.m, x, &ex) == want) << context;
-      EXPECT_TRUE(sparse::SpMmDenseT(e.m, xt, &ex) == want_t) << context;
     }
   }
 }
@@ -266,16 +272,12 @@ TEST(SparseReferenceTest, SpMvMatchesReference) {
     Rng rng(103);
     std::vector<float> x(static_cast<size_t>(e.m.cols()));
     for (auto& v : x) v = rng.NextUniform(-1.0f, 1.0f);
-    std::vector<float> xt(static_cast<size_t>(e.m.rows()));
-    for (auto& v : xt) v = rng.NextUniform(-1.0f, 1.0f);
     const std::vector<float> want = sparse::reference::SpMvRef(e.m, x);
-    const std::vector<float> want_t = sparse::reference::SpMvTRef(e.m, xt);
     for (int threads : kThreadCounts) {
       exec::ExecContext ex(threads);
       const std::string context =
           e.name + " threads=" + std::to_string(threads);
       EXPECT_EQ(sparse::SpMv(e.m, x, &ex), want) << context;
-      EXPECT_EQ(sparse::SpMvT(e.m, xt, &ex), want_t) << context;
     }
   }
 }
@@ -298,31 +300,11 @@ TEST(SparseReferenceTest, PprScoresMatchesReference) {
   }
 }
 
-TEST(SparseReferenceTest, SymbolicPlanIsBudgetIndependentSuperset) {
-  const CsrMatrix a = PowerLawSparse(120, 120, 31);
-  const CsrMatrix b = sparse::reference::TransposeRef(a);
-  const sparse::SpGemmPlan plan = sparse::SpGemmSymbolic(a, b);
-  // One plan serves every budget.
-  for (int64_t budget : {int64_t{0}, int64_t{4}, int64_t{32}}) {
-    const CsrMatrix want = sparse::reference::SpGemmRef(a, b, budget);
-    const CsrMatrix got = sparse::SpGemmNumeric(a, b, plan, budget);
-    ExpectBitIdentical(got, want, "budget=" + std::to_string(budget));
-    // The plan's structure contains every surviving output entry.
-    for (int32_t r = 0; r < got.rows(); ++r) {
-      for (int32_t c : got.RowIndices(r)) {
-        const auto row = plan.indices.begin() + plan.indptr[r];
-        const auto row_end = plan.indices.begin() + plan.indptr[r + 1];
-        EXPECT_TRUE(std::binary_search(row, row_end, c));
-      }
-    }
-  }
-}
-
 TEST(SparseReferenceTest, PruningTieBreakKeepsSmallerColumns) {
   // Row 0 of a*b has four entries of equal magnitude 1.0 at columns
   // 0..3. With max_row_nnz = 2 the pinned rule (|value| desc, then
   // smaller column) must keep columns {0, 1} — at every thread count,
-  // with and without a plan, and regardless of sign.
+  // and regardless of sign.
   std::vector<CooEntry> ae, be;
   for (int32_t c = 0; c < 4; ++c) {
     ae.push_back({0, c, 1.0f});
@@ -332,17 +314,12 @@ TEST(SparseReferenceTest, PruningTieBreakKeepsSmallerColumns) {
   const CsrMatrix b = FromCooOrDie(4, 4, std::move(be));
   for (int threads : kThreadCounts) {
     exec::ExecContext ex(threads);
-    TestPlanCache plans;
-    for (sparse::SpGemmPlanCache* p :
-         {static_cast<sparse::SpGemmPlanCache*>(nullptr),
-          static_cast<sparse::SpGemmPlanCache*>(&plans)}) {
-      const CsrMatrix got = sparse::SpGemm(a, b, 2, &ex, p);
-      ASSERT_EQ(got.RowNnz(0), 2);
-      EXPECT_EQ(got.RowIndices(0)[0], 0);
-      EXPECT_EQ(got.RowIndices(0)[1], 1);
-      EXPECT_EQ(got.RowValues(0)[0], 1.0f);
-      EXPECT_EQ(got.RowValues(0)[1], -1.0f);
-    }
+    const CsrMatrix got = sparse::SpGemm(a, b, 2, &ex);
+    ASSERT_EQ(got.RowNnz(0), 2);
+    EXPECT_EQ(got.RowIndices(0)[0], 0);
+    EXPECT_EQ(got.RowIndices(0)[1], 1);
+    EXPECT_EQ(got.RowValues(0)[0], 1.0f);
+    EXPECT_EQ(got.RowValues(0)[1], -1.0f);
   }
 }
 

@@ -103,18 +103,6 @@ TEST(CsrTest, ValidateRejectsNonFiniteValues) {
   EXPECT_TRUE(m.Validate().ok());
 }
 
-TEST(CsrTest, ContentFingerprintSeparatesStructureAndValues) {
-  const CsrMatrix a = FromCooOrDie(2, 2, {{0, 0, 1.0f}, {1, 1, 2.0f}});
-  CsrMatrix same = a;
-  EXPECT_EQ(a.ContentFingerprint(), same.ContentFingerprint());
-  // A value change alone must change the fingerprint (plans are keyed
-  // conservatively by full content, not just the sparsity pattern).
-  same.mutable_values()[0] = 3.0f;
-  EXPECT_NE(a.ContentFingerprint(), same.ContentFingerprint());
-  const CsrMatrix other = FromCooOrDie(2, 2, {{0, 1, 1.0f}, {1, 1, 2.0f}});
-  EXPECT_NE(a.ContentFingerprint(), other.ContentFingerprint());
-}
-
 TEST(CsrTest, BasicAccessors) {
   CsrMatrix m = FromCooOrDie(3, 4, {{0, 1, 2.0f}, {0, 3, 3.0f}, {2, 0, 1.0f}});
   EXPECT_EQ(m.rows(), 3);
@@ -200,29 +188,11 @@ TEST(SparseOpsTest, SpMmDenseMatchesDense) {
   }
 }
 
-TEST(SparseOpsTest, SpMmDenseTMatchesTranspose) {
-  CsrMatrix a = RandomSparse(5, 7, 0.4, 7);
-  Rng rng(8);
-  Matrix x(5, 2);
-  x.FillGaussian(rng, 1.0f);
-  Matrix ref = sparse::SpMmDense(sparse::Transpose(a), x);
-  Matrix got = sparse::SpMmDenseT(a, x);
-  for (int64_t i = 0; i < ref.rows(); ++i) {
-    for (int64_t j = 0; j < ref.cols(); ++j) {
-      EXPECT_NEAR(got.At(i, j), ref.At(i, j), 1e-4f);
-    }
-  }
-}
-
-TEST(SparseOpsTest, SpMvAndSpMvT) {
+TEST(SparseOpsTest, SpMv) {
   CsrMatrix a = FromCooOrDie(2, 3, {{0, 0, 1.0f}, {0, 2, 2.0f}, {1, 1, 3.0f}});
   const auto y = sparse::SpMv(a, {1.0f, 1.0f, 1.0f});
   EXPECT_FLOAT_EQ(y[0], 3.0f);
   EXPECT_FLOAT_EQ(y[1], 3.0f);
-  const auto yt = sparse::SpMvT(a, {1.0f, 2.0f});
-  EXPECT_FLOAT_EQ(yt[0], 1.0f);
-  EXPECT_FLOAT_EQ(yt[1], 6.0f);
-  EXPECT_FLOAT_EQ(yt[2], 2.0f);
 }
 
 TEST(SparseOpsTest, SubmatrixRemapsIndices) {
@@ -235,26 +205,6 @@ TEST(SparseOpsTest, SubmatrixRemapsIndices) {
   EXPECT_TRUE(sub.Contains(0, 0));
   EXPECT_TRUE(sub.Contains(1, 1));  // (2,3) -> (1,1)
   EXPECT_EQ(sub.nnz(), 2);
-}
-
-TEST(SparseOpsTest, AddElementwise) {
-  CsrMatrix a = FromCooOrDie(2, 2, {{0, 0, 1.0f}, {1, 1, 2.0f}});
-  CsrMatrix b = FromCooOrDie(2, 2, {{0, 0, 3.0f}, {0, 1, 4.0f}});
-  CsrMatrix c = sparse::AddElementwise(a, b);
-  EXPECT_EQ(c.nnz(), 3);
-  EXPECT_FLOAT_EQ(c.RowValues(0)[0], 4.0f);
-  EXPECT_FLOAT_EQ(c.RowValues(0)[1], 4.0f);
-  EXPECT_FLOAT_EQ(c.RowValues(1)[0], 2.0f);
-}
-
-TEST(SparseOpsTest, SymmetrizeIsSymmetric) {
-  CsrMatrix a = RandomSparse(6, 6, 0.3, 9);
-  CsrMatrix s = sparse::Symmetrize(a);
-  for (int32_t r = 0; r < s.rows(); ++r) {
-    for (int32_t c : s.RowIndices(r)) {
-      EXPECT_TRUE(s.Contains(c, r));
-    }
-  }
 }
 
 TEST(PprTest, ConservesProbabilityMass) {

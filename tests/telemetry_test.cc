@@ -224,16 +224,13 @@ TEST(AccessLogTest, GoldenLineFormat) {
   rec.evalctx_hit = true;
   rec.cache_hits = 5;
   rec.cache_misses = 1;
-  rec.plan_hits = 4;
-  rec.plan_misses = 2;
   EXPECT_EQ(
       AccessLog::FormatLine(rec),
       "{\"id\": 7, \"slot\": 2, \"graph\": \"acm\", \"method\": "
       "\"freehgc\", \"fingerprint\": \"0000000000001234\", \"priority\": 1, "
       "\"queue_ns\": 1000, \"exec_ns\": 2000, \"total_ns\": 3000, "
       "\"outcome\": \"ok\", \"reason\": \"\", \"evalctx_hit\": true, "
-      "\"cache\": {\"hits\": 5, \"misses\": 1, \"plan_hits\": 4, "
-      "\"plan_misses\": 2}}");
+      "\"cache\": {\"hits\": 5, \"misses\": 1}}");
 }
 
 TEST(AccessLogTest, EscapesReasonStrings) {
