@@ -2,23 +2,29 @@
 // sparse/ops.h against its single-threaded reference
 // (sparse/reference.h), and the cold meta-path composition workload
 // (every >= 2-hop path composed from scratch, as an EvalContext build
-// does). Dense part: times MatMul, MatMulTA and MatMulTB against their
-// scalar references (dense/reference.h) at 1 and 4 threads, on the
-// shapes the served HGNN trainer runs. Writes BENCH_kernels.json; every
-// row carries "dense" and "threads". `--smoke` runs a scaled-down sparse
-// workload; the dense rows are the same in both modes. CI asserts that
-// the spgemm row and every dense row is >= 1.0x.
+// does). The selection kernels run on what FreeHGC feeds them: the
+// bipartite_block and ppr rows on a composed target-to-other-type path
+// (ppr on its SymNormalize'd block with symmetric = true, as NIM calls
+// it), the jaccard row on the largest group of composed paths sharing
+// an end type. Dense part: times MatMul, MatMulTA and MatMulTB against
+// their scalar references (dense/reference.h) at 1 and 4 threads, on
+// the shapes the served HGNN trainer runs. Writes BENCH_kernels.json;
+// every row carries "dense" and "threads". `--smoke` runs a scaled-down
+// sparse workload; the dense rows are the same in both modes. CI
+// asserts that the spgemm, bipartite_block and jaccard rows and every
+// dense row are >= 1.0x.
 //
 // All timed paths are bit-identical to their references (enforced by
 // tests/sparse_reference_test.cc and tests/dense_reference_test.cc;
-// spot-checked here on the spgemm row and every dense row), so
-// the comparison is pure speed.
+// spot-checked here on the spgemm, bipartite_block, jaccard and ppr
+// rows and every dense row), so the comparison is pure speed.
 
 #include <algorithm>
 #include <cinttypes>
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -85,6 +91,9 @@ constexpr DenseShape kDenseShapes[] = {
 /// this many multiply-adds, so every reference sample takes >= 1 ms.
 constexpr int64_t kDenseSampleMacs = int64_t{4} << 20;
 
+/// Shortest reference sample of the selection-kernel rows.
+constexpr int64_t kMinSampleNs = 1'000'000;
+
 Matrix RandomDense(int64_t rows, int64_t cols, bool relu, Rng& rng) {
   Matrix m(rows, cols);
   for (int64_t i = 0; i < m.size(); ++i) {
@@ -108,6 +117,19 @@ void Consume(const Matrix& m) {
 }
 void Consume(const std::vector<float>& v) {
   g_sink += static_cast<int64_t>(v.size());
+}
+void Consume(const std::vector<std::vector<float>>& v) {
+  g_sink += static_cast<int64_t>(v.size());
+}
+
+/// How many calls one timed sample repeats so that a sample of
+/// `reference` takes at least kMinSampleNs.
+template <typename Fn>
+int64_t ItersForMinSample(Fn&& reference) {
+  const int64_t t0 = obs::NowNs();
+  Consume(reference());
+  const int64_t once = std::max<int64_t>(1, obs::NowNs() - t0);
+  return (kMinSampleNs + once - 1) / once;
 }
 
 int Run(bool smoke) {
@@ -173,9 +195,41 @@ int Run(bool smoke) {
   }
   std::vector<float> vec(static_cast<size_t>(rect->cols()));
   for (auto& v : vec) v = rng.NextUniform(-1.0f, 1.0f);
-  std::vector<float> teleport(static_cast<size_t>(sym.rows()),
-                              1.0f / static_cast<float>(sym.rows()));
-  const int ppr_iters = smoke ? 5 : 15;
+  // NIM's operands: the largest composed path from the target type to
+  // another type (row budget as served), its bipartite block, and the
+  // Jaccard term's largest group of paths sharing an end type.
+  std::vector<CsrMatrix> composed;
+  for (const auto& p : all_paths) {
+    composed.push_back(ComposeAdjacency(g, p, budget, &ex));
+  }
+  const CsrMatrix* nim_path = nullptr;
+  std::map<TypeId, std::vector<const CsrMatrix*>> groups;
+  for (size_t i = 0; i < all_paths.size(); ++i) {
+    groups[all_paths[i].end_type()].push_back(&composed[i]);
+    if (all_paths[i].end_type() != g.target_type() &&
+        (nim_path == nullptr || composed[i].nnz() > nim_path->nnz())) {
+      nim_path = &composed[i];
+    }
+  }
+  FREEHGC_CHECK(nim_path != nullptr) << "no target-to-other-type path";
+  const std::vector<const CsrMatrix*>* jaccard_group = nullptr;
+  for (const auto& [end, group] : groups) {
+    if (jaccard_group == nullptr || group.size() > jaccard_group->size()) {
+      jaccard_group = &group;
+    }
+  }
+  FREEHGC_CHECK(jaccard_group->size() >= 2) << "no Jaccard group";
+  const CsrMatrix nim_block =
+      sparse::SymNormalize(sparse::BipartiteBlock(*nim_path, &ex), &ex);
+  // Teleport mass on every 16th target node, as NIM spreads it over the
+  // selected targets.
+  std::vector<float> teleport(static_cast<size_t>(nim_block.rows()), 0.0f);
+  const int32_t seeds = (nim_path->rows() + 15) / 16;
+  for (int32_t t = 0; t < nim_path->rows(); t += 16) {
+    teleport[static_cast<size_t>(t)] = 1.0f / static_cast<float>(seeds);
+  }
+  // NimOptions::max_iters: NIM's PPR never stops sooner (0.85^30 >> tol).
+  const int ppr_iters = 30;
 
   std::vector<KernelRow> rows;
   auto add_row = [&](const std::string& name, bool dense, int row_threads,
@@ -188,6 +242,18 @@ int Run(bool smoke) {
   };
   auto add = [&](const std::string& name, int64_t ref_ns, int64_t opt_ns) {
     add_row(name, /*dense=*/false, threads, ref_ns, opt_ns);
+  };
+  // A row whose samples repeat both sides until the reference's takes
+  // kMinSampleNs.
+  auto add_repeated = [&](const std::string& name, auto&& reference,
+                          auto&& optimized) {
+    const int64_t iters = ItersForMinSample(reference);
+    add(name, BestOfNs(reps, [&] {
+          for (int64_t it = 0; it < iters; ++it) Consume(reference());
+        }),
+        BestOfNs(reps, [&] {
+          for (int64_t it = 0; it < iters; ++it) Consume(optimized());
+        }));
   };
 
   add("transpose",
@@ -218,15 +284,30 @@ int Run(bool smoke) {
   add("spmv",
       BestOfNs(reps, [&] { Consume(sparse::reference::SpMvRef(*rect, vec)); }),
       BestOfNs(reps, [&] { Consume(sparse::SpMv(*rect, vec, &ex)); }));
-  add("ppr",
-      BestOfNs(reps, [&] {
-        Consume(sparse::reference::PprScoresRef(sym, teleport, 0.15f,
-                                                ppr_iters, 0.0f));
-      }),
-      BestOfNs(reps, [&] {
-        Consume(
-            sparse::PprScores(sym, teleport, 0.15f, ppr_iters, 0.0f, &ex));
-      }));
+  auto bipartite_ref = [&] {
+    return sparse::reference::BipartiteBlockRef(*nim_path);
+  };
+  auto bipartite_opt = [&] { return sparse::BipartiteBlock(*nim_path, &ex); };
+  FREEHGC_CHECK(bipartite_ref() == bipartite_opt()) << "bipartite differs";
+  add_repeated("bipartite_block", bipartite_ref, bipartite_opt);
+  auto jaccard_ref = [&] {
+    return reference::PerPathJaccardRef(*jaccard_group);
+  };
+  auto jaccard_opt = [&] { return PerPathJaccard(*jaccard_group, &ex); };
+  FREEHGC_CHECK(jaccard_ref() == jaccard_opt()) << "jaccard differs";
+  add_repeated("jaccard", jaccard_ref, jaccard_opt);
+  // tol = 0 pins both sides to ppr_iters iterations (the chunked delta
+  // associates differently from the reference's sequential fold).
+  auto ppr_ref = [&] {
+    return sparse::reference::PprScoresRef(nim_block, teleport, 0.15f,
+                                           ppr_iters, 0.0f);
+  };
+  auto ppr_opt = [&] {
+    return sparse::PprScores(nim_block, teleport, 0.15f, ppr_iters, 0.0f,
+                             &ex, /*symmetric=*/true);
+  };
+  FREEHGC_CHECK(ppr_ref() == ppr_opt()) << "ppr differs";
+  add_repeated("ppr", ppr_ref, ppr_opt);
 
   // --- Dense products vs their scalar references ------------------------
   for (int dense_threads : {1, 4}) {

@@ -32,30 +32,6 @@ const char* NimScorerName(NimScorer scorer) {
   return "?";
 }
 
-namespace {
-
-/// Embeds a bipartite (nt x ns) matrix into the square symmetric block
-/// matrix [[0, A], [A^T, 0]] of size (nt + ns).
-CsrMatrix BipartiteBlock(const CsrMatrix& a) {
-  const int32_t nt = a.rows();
-  const int32_t ns = a.cols();
-  std::vector<CooEntry> entries;
-  entries.reserve(static_cast<size_t>(2 * a.nnz()));
-  for (int32_t r = 0; r < nt; ++r) {
-    auto idx = a.RowIndices(r);
-    auto val = a.RowValues(r);
-    for (size_t k = 0; k < idx.size(); ++k) {
-      entries.push_back({r, nt + idx[k], val[k]});
-      entries.push_back({nt + idx[k], r, val[k]});
-    }
-  }
-  auto res = CsrMatrix::FromCoo(nt + ns, nt + ns, std::move(entries));
-  FREEHGC_CHECK(res.ok());
-  return std::move(res).value();
-}
-
-}  // namespace
-
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father,
@@ -83,7 +59,7 @@ std::vector<int32_t> CondenseFatherType(
     const std::shared_ptr<const CsrMatrix> composed_pin =
         ComposedAdjacency(cache, g, p, opts.max_row_nnz, &ex);
     const CsrMatrix& composed = *composed_pin;
-    const CsrMatrix raw_block = BipartiteBlock(composed);
+    const CsrMatrix raw_block = sparse::BipartiteBlock(composed, &ex);
     switch (opts.scorer) {
       case NimScorer::kPprPowerIteration: {
         const CsrMatrix block = sparse::SymNormalize(raw_block, &ex);

@@ -14,9 +14,10 @@ namespace freehgc::core {
 
 std::vector<int32_t> PruneUninfluentialByWalks(
     const CsrMatrix& adj, const std::vector<int32_t>& pool,
-    double prune_fraction, int walks, int length, uint64_t seed) {
+    double prune_fraction, int walks, int length, uint64_t seed,
+    exec::ExecContext* ctx) {
   if (prune_fraction <= 0.0 || pool.size() < 4) return pool;
-  const CsrMatrix adj_t = sparse::Transpose(adj);
+  const CsrMatrix adj_t = sparse::Transpose(adj, ctx);
   Rng rng(seed);
   std::vector<std::pair<int64_t, int32_t>> scored;  // (visits, node)
   scored.reserve(pool.size());
@@ -221,7 +222,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
         class_pool = PruneUninfluentialByWalks(
             *composed[m], class_pool, opts.walk_prune_fraction,
             opts.walk_count, opts.walk_length,
-            opts.seed ^ (m * 131 + c));
+            opts.seed ^ (m * 131 + c), &ex);
       }
       std::vector<double> gains;
       const std::vector<int32_t> picked = GreedyCoverageSelect(

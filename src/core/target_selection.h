@@ -36,10 +36,12 @@ struct TargetSelectionOptions {
 /// `length` steps over the bipartite reach graph (row -> random reached
 /// column -> random incident row -> ...) and returns the pool restricted
 /// to the top (1 - prune_fraction) estimated-influence candidates.
-/// Exposed for tests and the scalability bench.
+/// Exposed for tests and the scalability bench. The transpose the walks
+/// step back through runs on `ctx`; the walks themselves are sequential.
 std::vector<int32_t> PruneUninfluentialByWalks(
     const CsrMatrix& adj, const std::vector<int32_t>& pool,
-    double prune_fraction, int walks, int length, uint64_t seed);
+    double prune_fraction, int walks, int length, uint64_t seed,
+    exec::ExecContext* ctx = nullptr);
 
 /// Algorithm 1: condense target-type nodes.
 ///

@@ -43,6 +43,14 @@ class Workspace {
     return mark_;
   }
 
+  /// 64-bit mask words, at least `n` of them, all zero — PerPathJaccard's
+  /// per-column path bitmasks. Same invariant as ZeroedMark: the caller
+  /// must re-zero exactly the words it set before returning.
+  std::vector<uint64_t>& ZeroedBits(size_t n) {
+    if (bits_.size() < n) bits_.resize(n, 0);
+    return bits_;
+  }
+
   /// Float scratch of exactly `n` entries, value-initialized to `fill`.
   std::vector<float>& F32(size_t n, float fill = 0.0f) {
     f32_.assign(n, fill);
@@ -79,6 +87,7 @@ class Workspace {
   size_t BytesReserved() const {
     return accum_.capacity() * sizeof(float) +
            mark_.capacity() * sizeof(uint8_t) +
+           bits_.capacity() * sizeof(uint64_t) +
            touched_.capacity() * sizeof(int32_t) +
            (f32_.capacity() + f32b_.capacity()) * sizeof(float) +
            f64_.capacity() * sizeof(double) +
@@ -89,6 +98,7 @@ class Workspace {
  private:
   std::vector<float> accum_;
   std::vector<uint8_t> mark_;
+  std::vector<uint64_t> bits_;
   std::vector<int32_t> touched_;
   std::vector<float> f32_, f32b_;
   std::vector<double> f64_;

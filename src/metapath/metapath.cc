@@ -1,6 +1,7 @@
 #include "metapath/metapath.h"
 
 #include <algorithm>
+#include <bit>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -94,9 +95,19 @@ std::shared_ptr<const CsrMatrix> ComposedAdjacency(AdjacencyCache* cache,
       ComposeAdjacency(g, p, max_row_nnz, ctx));
 }
 
+namespace {
+
+/// |A ∩ B| / |A ∪ B| from the set sizes; two empty sets score 1 (the
+/// paper's convention for |union| = 0).
+float JaccardFromCounts(size_t inter, size_t na, size_t nb) {
+  if (na == 0 && nb == 0) return 1.0f;
+  return static_cast<float>(inter) / static_cast<float>(na + nb - inter);
+}
+
+}  // namespace
+
 float JaccardOfSortedSets(std::span<const int32_t> a,
                           std::span<const int32_t> b) {
-  if (a.empty() && b.empty()) return 1.0f;  // paper convention: |union|=0
   size_t i = 0, j = 0, inter = 0;
   while (i < a.size() && j < b.size()) {
     if (a[i] < b[j]) {
@@ -109,8 +120,7 @@ float JaccardOfSortedSets(std::span<const int32_t> a,
       ++j;
     }
   }
-  const size_t uni = a.size() + b.size() - inter;
-  return static_cast<float>(inter) / static_cast<float>(uni);
+  return JaccardFromCounts(inter, a.size(), b.size());
 }
 
 std::vector<std::vector<float>> PerPathJaccard(
@@ -118,59 +128,103 @@ std::vector<std::vector<float>> PerPathJaccard(
   FREEHGC_CHECK(!paths.empty());
   FREEHGC_TRACE_SPAN("metapath.jaccard");
   const int32_t rows = paths[0]->rows();
-  for (const auto* p : paths) FREEHGC_CHECK(p->rows() == rows);
+  int32_t cols = 0;
+  for (const auto* p : paths) {
+    FREEHGC_CHECK(p->rows() == rows);
+    cols = std::max(cols, p->cols());
+  }
   const size_t l = paths.size();
   std::vector<std::vector<float>> out(
       l, std::vector<float>(static_cast<size_t>(rows), 0.0f));
   if (l < 2) return out;
   const float norm = 1.0f / static_cast<float>(l - 1);
-  // Each node's pairwise set intersections are independent of every
-  // other node's: parallel over node chunks, each writing column v only.
+  // Column c's mask holds one bit per path (one word per 64 paths): bit
+  // i is set while path i's row of the current node reaches c.
+  const size_t words = (l + 63) / 64;
+  // Each node's pairwise intersections are independent of every other
+  // node's: parallel over node chunks, each writing column v only.
   exec::Resolve(ctx).ParallelFor(
-      rows, 128, [&](int64_t begin, int64_t end, exec::Workspace&) {
+      rows, 128, [&](int64_t begin, int64_t end, exec::Workspace& ws) {
+        std::vector<uint64_t>& mask =
+            ws.ZeroedBits(static_cast<size_t>(cols) * words);
+        std::vector<int32_t>& inter = ws.I32(l);
         for (int64_t v = begin; v < end; ++v) {
+          const int32_t row = static_cast<int32_t>(v);
           for (size_t i = 0; i < l; ++i) {
+            uint64_t* word = mask.data() + i / 64;
+            const uint64_t bit = uint64_t{1} << (i % 64);
+            for (int32_t c : paths[i]->RowIndices(row)) {
+              word[static_cast<size_t>(c) * words] |= bit;
+            }
+          }
+          for (size_t i = 0; i + 1 < l; ++i) {
+            // |R_i ∩ R_j| for every j > i: count the bits above i in the
+            // masks of R_i's columns.
+            std::fill(inter.begin() + static_cast<ptrdiff_t>(i) + 1,
+                      inter.end(), 0);
+            const size_t w0 = (i + 1) / 64;
+            const uint64_t above_i = ~uint64_t{0} << ((i + 1) % 64);
+            const auto idx = paths[i]->RowIndices(row);
+            for (int32_t c : idx) {
+              const uint64_t* col =
+                  mask.data() + static_cast<size_t>(c) * words;
+              for (size_t w = w0; w < words; ++w) {
+                uint64_t bits = w == w0 ? col[w] & above_i : col[w];
+                for (; bits != 0; bits &= bits - 1) {
+                  ++inter[w * 64 +
+                          static_cast<size_t>(std::countr_zero(bits))];
+                }
+              }
+            }
+            // Same pair order and per-path add order as the pairwise
+            // merge (reference::PerPathJaccardRef).
             for (size_t j = i + 1; j < l; ++j) {
-              const float jac = JaccardOfSortedSets(
-                  paths[i]->RowIndices(static_cast<int32_t>(v)),
-                  paths[j]->RowIndices(static_cast<int32_t>(v)));
+              const float jac = JaccardFromCounts(
+                  static_cast<size_t>(inter[j]), idx.size(),
+                  static_cast<size_t>(paths[j]->RowNnz(row)));
               out[i][static_cast<size_t>(v)] += jac;
               out[j][static_cast<size_t>(v)] += jac;
             }
           }
+          // Scale, and clear exactly the mask words this node set.
           for (size_t i = 0; i < l; ++i) {
             out[i][static_cast<size_t>(v)] *= norm;
+            uint64_t* word = mask.data() + i / 64;
+            for (int32_t c : paths[i]->RowIndices(row)) {
+              word[static_cast<size_t>(c) * words] = 0;
+            }
           }
         }
       });
   return out;
 }
 
-std::vector<float> PerNodeJaccard(
-    const std::vector<const CsrMatrix*>& paths, exec::ExecContext* ctx) {
+namespace reference {
+
+std::vector<std::vector<float>> PerPathJaccardRef(
+    const std::vector<const CsrMatrix*>& paths) {
   FREEHGC_CHECK(!paths.empty());
-  FREEHGC_TRACE_SPAN("metapath.jaccard");
   const int32_t rows = paths[0]->rows();
   for (const auto* p : paths) FREEHGC_CHECK(p->rows() == rows);
-  std::vector<float> out(static_cast<size_t>(rows), 0.0f);
-  if (paths.size() < 2) return out;
   const size_t l = paths.size();
-  const float norm = 2.0f / static_cast<float>(l * (l - 1));
-  exec::Resolve(ctx).ParallelFor(
-      rows, 128, [&](int64_t begin, int64_t end, exec::Workspace&) {
-        for (int64_t v = begin; v < end; ++v) {
-          float acc = 0.0f;
-          for (size_t i = 0; i < l; ++i) {
-            for (size_t j = i + 1; j < l; ++j) {
-              acc += JaccardOfSortedSets(
-                  paths[i]->RowIndices(static_cast<int32_t>(v)),
-                  paths[j]->RowIndices(static_cast<int32_t>(v)));
-            }
-          }
-          out[static_cast<size_t>(v)] = acc * norm;
-        }
-      });
+  std::vector<std::vector<float>> out(
+      l, std::vector<float>(static_cast<size_t>(rows), 0.0f));
+  if (l < 2) return out;
+  const float norm = 1.0f / static_cast<float>(l - 1);
+  for (int32_t v = 0; v < rows; ++v) {
+    for (size_t i = 0; i < l; ++i) {
+      for (size_t j = i + 1; j < l; ++j) {
+        const float jac = JaccardOfSortedSets(paths[i]->RowIndices(v),
+                                              paths[j]->RowIndices(v));
+        out[i][static_cast<size_t>(v)] += jac;
+        out[j][static_cast<size_t>(v)] += jac;
+      }
+    }
+    for (size_t i = 0; i < l; ++i) out[i][static_cast<size_t>(v)] *= norm;
+  }
   return out;
 }
+
+}  // namespace reference
 
 }  // namespace freehgc

@@ -92,22 +92,18 @@ std::shared_ptr<const CsrMatrix> ComposedAdjacency(AdjacencyCache* cache,
                                                    int64_t max_row_nnz,
                                                    exec::ExecContext* ctx);
 
-/// Per-node average pairwise Jaccard similarity (Eqs. 4-6) among the reach
-/// sets of several meta-paths that share start and end types.
-///
-/// For node v, J_hat(v) = mean over path pairs (i, j) of
+/// Per-path mean pairwise Jaccard similarity (Eqs. 4-6): result[i][v] is
+/// the mean, over every *other* path j, of
 ///   |RF_i(v) ∩ RF_j(v)| / |RF_i(v) ∪ RF_j(v)|
-/// where RF_p(v) is the set of end-type nodes with non-zero entry in row v
-/// of path p's composed adjacency. Two empty sets have J = 1 (the paper's
-/// convention for |union| = 0). With fewer than two paths the result is
-/// all zeros (no duplication possible). Row-parallel over nodes.
-std::vector<float> PerNodeJaccard(const std::vector<const CsrMatrix*>& paths,
-                                  exec::ExecContext* ctx = nullptr);
-
-/// Per-path refinement of Eq. (6): result[i][v] is the mean Jaccard
-/// similarity between path i's reach set of node v and every *other*
-/// path's reach set of v, i.e. J_hat(phi_i) evaluated per node. With a
-/// single path the result is all zeros. Row-parallel over nodes.
+/// where RF_p(v) is the set of end-type nodes with an entry in row v of
+/// path p's composed adjacency, i.e. J_hat(phi_i) evaluated per node. Two
+/// empty sets have J = 1 (the paper's convention for |union| = 0). With a
+/// single path the result is all zeros.
+///
+/// Row-parallel over nodes. Per node, each column's path bitmask (one
+/// word per 64 paths, from the worker's Workspace) gives every pairwise
+/// intersection in one sweep over each path's row; the sums are
+/// bit-identical to reference::PerPathJaccardRef's pairwise merges.
 std::vector<std::vector<float>> PerPathJaccard(
     const std::vector<const CsrMatrix*>& paths,
     exec::ExecContext* ctx = nullptr);
@@ -115,6 +111,16 @@ std::vector<std::vector<float>> PerPathJaccard(
 /// Jaccard similarity of two sorted index sets.
 float JaccardOfSortedSets(std::span<const int32_t> a,
                           std::span<const int32_t> b);
+
+namespace reference {
+
+/// Sequential PerPathJaccard by pairwise sorted merges
+/// (JaccardOfSortedSets), pairs in (i, j > i) order: the ground truth of
+/// the differential tests and bench_kernels' `jaccard` row.
+std::vector<std::vector<float>> PerPathJaccardRef(
+    const std::vector<const CsrMatrix*>& paths);
+
+}  // namespace reference
 
 }  // namespace freehgc
 

@@ -222,7 +222,7 @@ std::vector<double> Hits(const CsrMatrix& a, bool hubs,
   // the materialized transpose, hub = A auth over a itself. The gather
   // accumulates sources in ascending order, matching the sequential
   // scatter's per-element order.
-  const CsrMatrix at = Transpose(a);
+  const CsrMatrix at = Transpose(a, &ex);
   std::vector<double> hub(static_cast<size_t>(n), 1.0);
   std::vector<double> auth(static_cast<size_t>(n), 1.0);
   auto gather = [&](const CsrMatrix& m, const std::vector<double>& x,

@@ -131,6 +131,48 @@ CsrMatrix Transpose(const CsrMatrix& a, exec::ExecContext* ctx) {
   return out;
 }
 
+CsrMatrix BipartiteBlock(const CsrMatrix& a, exec::ExecContext* ctx) {
+  FREEHGC_TRACE_SPAN("bipartite_block");
+  exec::ExecContext& ex = exec::Resolve(ctx);
+  const int32_t nt = a.rows(), ns = a.cols();
+  const int64_t nnz = a.nnz();
+  // The bottom block rows are a's columns in ascending source-row order,
+  // which is exactly what Transpose emits.
+  const CsrMatrix at = Transpose(a, &ex);
+  std::vector<int64_t> indptr(static_cast<size_t>(nt) + ns + 1);
+  std::copy(a.indptr().begin(), a.indptr().end(), indptr.begin());
+  for (int32_t j = 1; j <= ns; ++j) {
+    indptr[static_cast<size_t>(nt) + j] = nnz + at.indptr()[j];
+  }
+  std::vector<int32_t> indices(static_cast<size_t>(2 * nnz));
+  std::vector<float> values(static_cast<size_t>(2 * nnz));
+  // 0.0f + v is FromCoo's duplicate-sum over one entry: it maps -0.0f to
+  // +0.0f and leaves every other value unchanged.
+  const int32_t* a_idx = a.indices().data();
+  const float* a_val = a.values().data();
+  const int32_t* at_idx = at.indices().data();
+  const float* at_val = at.values().data();
+  int32_t* top_idx = indices.data();
+  float* top_val = values.data();
+  int32_t* bottom_idx = top_idx + nnz;
+  float* bottom_val = top_val + nnz;
+  ex.ParallelFor(nnz, kAxpyGrain,
+                 [&](int64_t begin, int64_t end, exec::Workspace&) {
+                   for (int64_t k = begin; k < end; ++k) {
+                     top_idx[k] = a_idx[k] + nt;
+                     top_val[k] = 0.0f + a_val[k];
+                     bottom_idx[k] = at_idx[k];
+                     bottom_val[k] = 0.0f + at_val[k];
+                   }
+                 });
+  auto res = CsrMatrix::FromParts(nt + ns, nt + ns, std::move(indptr),
+                                  std::move(indices), std::move(values));
+  FREEHGC_CHECK(res.ok());
+  CsrMatrix out = std::move(res).value();
+  DebugValidated(out);
+  return out;
+}
+
 CsrMatrix RowNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
   FREEHGC_TRACE_SPAN("row_normalize");
   CsrMatrix out = a;
@@ -354,10 +396,10 @@ Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
   return out;
 }
 
-void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
-              std::vector<float>& y, exec::ExecContext* ctx) {
+std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
+                        exec::ExecContext* ctx) {
   FREEHGC_CHECK(static_cast<int32_t>(x.size()) == a.cols());
-  y.resize(static_cast<size_t>(a.rows()));
+  std::vector<float> y(static_cast<size_t>(a.rows()));
   exec::Resolve(ctx).ParallelFor(
       a.rows(), kRowScaleGrain,
       [&](int64_t begin, int64_t end, exec::Workspace&) {
@@ -371,12 +413,6 @@ void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
           y[static_cast<size_t>(r)] = acc;
         }
       });
-}
-
-std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
-                        exec::ExecContext* ctx) {
-  std::vector<float> y;
-  SpMvInto(a, x, y, ctx);
   return y;
 }
 
@@ -427,25 +463,34 @@ std::vector<float> PprScores(const CsrMatrix& a,
       symmetric ? CsrMatrix() : Transpose(a, &ex);
   const CsrMatrix& at = symmetric ? a : at_owned;
   std::vector<float> pi = teleport;
-  std::vector<float> propagated;  // reused across iterations
+  std::vector<float> next_pi(pi.size());  // swapped with pi every iteration
   for (int it = 0; it < max_iters; ++it) {
-    // pi_next = alpha * teleport + (1 - alpha) * A^T pi
+    // pi_next = alpha * teleport + (1 - alpha) * A^T pi, one pass per
+    // iteration: each chunk gathers its rows of A^T pi, forms pi_next in
+    // the second buffer and returns its partial L1 delta. The chunk
+    // layout is the delta's kAxpyGrain layout, so the ordered fold (and
+    // with it the iteration count) is unchanged.
     iters_ctr.Increment();
-    SpMvInto(at, pi, propagated, &ex);
     const double delta = ex.ParallelReduce(
         static_cast<int64_t>(pi.size()), kAxpyGrain, 0.0,
         [&](int64_t begin, int64_t end, exec::Workspace&) {
           double d = 0.0;
           for (int64_t i = begin; i < end; ++i) {
+            auto idx = at.RowIndices(static_cast<int32_t>(i));
+            auto val = at.RowValues(static_cast<int32_t>(i));
+            float propagated = 0.0f;
+            for (size_t k = 0; k < idx.size(); ++k) {
+              propagated += val[k] * pi[static_cast<size_t>(idx[k])];
+            }
             const float next = alpha * teleport[static_cast<size_t>(i)] +
-                               (1.0f - alpha) *
-                                   propagated[static_cast<size_t>(i)];
+                               (1.0f - alpha) * propagated;
             d += std::fabs(next - pi[static_cast<size_t>(i)]);
-            pi[static_cast<size_t>(i)] = next;
+            next_pi[static_cast<size_t>(i)] = next;
           }
           return d;
         },
         [](double acc, double part) { return acc + part; });
+    pi.swap(next_pi);
     if (delta < static_cast<double>(tol)) break;
   }
   return pi;

@@ -23,6 +23,16 @@ namespace freehgc::sparse {
 /// the result is bit-identical to the sequential transpose).
 CsrMatrix Transpose(const CsrMatrix& a, exec::ExecContext* ctx = nullptr);
 
+/// Embeds a bipartite (nt x ns) matrix into the square symmetric block
+/// matrix [[0, A], [A^T, 0]] of size nt + ns — the graph NIM scores per
+/// meta-path. Built straight from CSR: the top rows are a's rows with
+/// columns shifted by nt, the bottom rows are Transpose(a). Every value
+/// is stored as 0.0f + v, the sum a COO build gives a single entry, so
+/// the result is byte-identical to reference::BipartiteBlockRef (a
+/// stored -0.0f becomes +0.0f).
+CsrMatrix BipartiteBlock(const CsrMatrix& a,
+                         exec::ExecContext* ctx = nullptr);
+
 /// Returns D^-1 A (rows scaled to sum 1; zero rows stay zero). This is the
 /// row-normalized adjacency \hat{A} of Eq. (1) in the paper.
 CsrMatrix RowNormalize(const CsrMatrix& a,
@@ -64,11 +74,6 @@ Matrix SpMmDense(const CsrMatrix& a, const Matrix& x,
 std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
                         exec::ExecContext* ctx = nullptr);
 
-/// y = a * x written into a caller-owned buffer (resized to a.rows()),
-/// so iterative solvers reuse one allocation across iterations.
-void SpMvInto(const CsrMatrix& a, const std::vector<float>& x,
-              std::vector<float>& y, exec::ExecContext* ctx = nullptr);
-
 /// Extracts the submatrix a[row_keep, col_keep] with indices remapped to
 /// the keep-list positions. Keep-lists must contain valid, unique ids.
 CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
@@ -82,14 +87,16 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
 /// alpha (I - (1-alpha) A)^-1 restricted to the teleport distribution,
 /// which is exactly the aggregate neighbor-influence score of Eq. (13).
 ///
-/// Internally materializes a^T once so each iteration is a row-parallel
-/// gather SpMv; the L1 delta uses an ordered chunk reduction. Callers
-/// whose matrix is bit-exactly symmetric (structure and values — e.g. a
-/// SymNormalize'd bipartite block, whose mirror entries multiply the same
-/// value by the same single-rounded inv_sqrt product) may pass
-/// `symmetric = true` to skip the transpose entirely: a^T == a
-/// bit-for-bit, so the iterates are unchanged while the peak transient
-/// drops by the transposed copy plus its histogram scratch.
+/// Internally materializes a^T once so each iteration is one row-parallel
+/// pass: every chunk gathers its rows of a^T pi, forms the next iterate
+/// in a second buffer and returns its partial L1 delta, which an ordered
+/// chunk reduction folds. Callers whose matrix is bit-exactly symmetric
+/// (structure and values — e.g. a SymNormalize'd bipartite block, whose
+/// mirror entries multiply the same value by the same single-rounded
+/// inv_sqrt product) may pass `symmetric = true` to skip the transpose
+/// entirely: a^T == a bit-for-bit, so the iterates are unchanged while
+/// the peak transient drops by the transposed copy plus its histogram
+/// scratch.
 std::vector<float> PprScores(const CsrMatrix& a,
                              const std::vector<float>& teleport, float alpha,
                              int max_iters = 50, float tol = 1e-6f,

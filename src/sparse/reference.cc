@@ -47,6 +47,24 @@ CsrMatrix TransposeRef(const CsrMatrix& a) {
                         std::move(indices), std::move(values));
 }
 
+CsrMatrix BipartiteBlockRef(const CsrMatrix& a) {
+  const int32_t nt = a.rows();
+  const int32_t ns = a.cols();
+  std::vector<CooEntry> entries;
+  entries.reserve(static_cast<size_t>(2 * a.nnz()));
+  for (int32_t r = 0; r < nt; ++r) {
+    auto idx = a.RowIndices(r);
+    auto val = a.RowValues(r);
+    for (size_t k = 0; k < idx.size(); ++k) {
+      entries.push_back({r, nt + idx[k], val[k]});
+      entries.push_back({nt + idx[k], r, val[k]});
+    }
+  }
+  auto res = CsrMatrix::FromCoo(nt + ns, nt + ns, std::move(entries));
+  FREEHGC_CHECK(res.ok());
+  return std::move(res).value();
+}
+
 CsrMatrix RowNormalizeRef(const CsrMatrix& a) {
   CsrMatrix out = a;
   auto& values = out.mutable_values();

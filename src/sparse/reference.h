@@ -21,6 +21,10 @@ namespace freehgc::sparse::reference {
 /// Sequential a^T via column-bucket scatter in ascending source-row order.
 CsrMatrix TransposeRef(const CsrMatrix& a);
 
+/// Sequential [[0, A], [A^T, 0]] through a COO build: every entry of `a`
+/// and its mirror go through CsrMatrix::FromCoo's sort and duplicate-sum.
+CsrMatrix BipartiteBlockRef(const CsrMatrix& a);
+
 /// Sequential D^-1 A.
 CsrMatrix RowNormalizeRef(const CsrMatrix& a);
 

@@ -108,14 +108,16 @@ TEST(JaccardTest, PerNodeAveragesPairs) {
   // disjoint ones (J=0).
   CsrMatrix p1 = Adj(2, 3, {{0, 0, 1}, {0, 1, 1}, {1, 0, 1}});
   CsrMatrix p2 = Adj(2, 3, {{0, 0, 1}, {0, 1, 1}, {1, 2, 1}});
-  const auto j = PerNodeJaccard({&p1, &p2});
-  EXPECT_FLOAT_EQ(j[0], 1.0f);
-  EXPECT_FLOAT_EQ(j[1], 0.0f);
+  // With two paths, each path's mean over the other path is the pair's J.
+  const auto pp = PerPathJaccard({&p1, &p2});
+  for (const auto& j : pp) {
+    EXPECT_FLOAT_EQ(j[0], 1.0f);
+    EXPECT_FLOAT_EQ(j[1], 0.0f);
+  }
 }
 
 TEST(JaccardTest, SinglePathYieldsZero) {
   CsrMatrix p1 = Adj(2, 2, {{0, 0, 1}});
-  EXPECT_EQ(PerNodeJaccard({&p1}), (std::vector<float>{0.0f, 0.0f}));
   const auto pp = PerPathJaccard({&p1});
   EXPECT_EQ(pp[0], (std::vector<float>{0.0f, 0.0f}));
 }

@@ -11,6 +11,7 @@
 #include <cmath>
 #include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -21,6 +22,7 @@
 #include "common/rng.h"
 #include "dense/matrix.h"
 #include "exec/exec_context.h"
+#include "metapath/metapath.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
 #include "sparse/reference.h"
@@ -297,6 +299,128 @@ TEST(SparseReferenceTest, PprScoresMatchesReference) {
     exec::ExecContext ex(threads);
     EXPECT_EQ(sparse::PprScores(a, teleport, 0.15f, 20, 0.0f, &ex), want)
         << "threads=" << threads;
+  }
+}
+
+/// Raw-byte equality of two float arrays: unlike EXPECT_EQ on floats,
+/// this tells +0.0f from -0.0f.
+void ExpectSameBytes(std::span<const float> got, std::span<const float> want,
+                     const std::string& context) {
+  ASSERT_EQ(got.size(), want.size()) << context;
+  if (got.empty()) return;  // memcmp must not see an empty span's null
+  EXPECT_EQ(std::memcmp(got.data(), want.data(), got.size() * sizeof(float)),
+            0)
+      << context;
+}
+
+/// Thread counts of the bipartite-block and Jaccard suites: 3 adds a
+/// worker count that does not divide the chunk count evenly.
+constexpr int kThreadCountsWide[] = {1, 2, 3, 4};
+
+/// A 7 x 6 matrix with empty rows 1 and 4, empty columns 2 and 5, and
+/// stored +0.0f and -0.0f values (built from parts: a COO build would
+/// sum -0.0f into +0.0f).
+CsrMatrix SignedZeroSparse() {
+  auto res = CsrMatrix::FromParts(
+      7, 6, {0, 3, 3, 5, 6, 6, 8, 10}, {0, 1, 3, 0, 4, 1, 3, 4, 0, 1},
+      {-0.0f, 0.0f, 1.5f, -2.0f, -0.0f, 0.25f, 0.0f, -0.0f, 3.0f, -1.0f});
+  EXPECT_TRUE(res.ok());
+  return std::move(res).value();
+}
+
+TEST(SparseReferenceTest, BipartiteBlockMatchesReference) {
+  std::vector<CorpusEntry> inputs = Corpus();
+  inputs.push_back({"signed_zeros", SignedZeroSparse()});
+  // More than one kAxpyGrain (2048) of entries, so the copy is chunked.
+  inputs.push_back({"multi_chunk", RandomSparse(400, 300, 0.05, 31)});
+  for (const auto& e : inputs) {
+    const CsrMatrix want = sparse::reference::BipartiteBlockRef(e.m);
+    ExpectValid(want, e.name + " reference");
+    for (int threads : kThreadCountsWide) {
+      exec::ExecContext ex(threads);
+      const CsrMatrix got = sparse::BipartiteBlock(e.m, &ex);
+      const std::string context =
+          e.name + " threads=" + std::to_string(threads);
+      ExpectValid(got, context);
+      ExpectBitIdentical(got, want, context);
+      ExpectSameBytes(got.values(), want.values(), context);
+    }
+  }
+  // The stored -0.0f entries come out as +0.0f on both sides.
+  const CsrMatrix block = sparse::BipartiteBlock(SignedZeroSparse());
+  int zeros = 0;
+  for (float v : block.values()) {
+    if (v != 0.0f) continue;
+    ++zeros;
+    EXPECT_FALSE(std::signbit(v));
+  }
+  EXPECT_EQ(zeros, 10);  // five stored zeros, each mirrored
+}
+
+/// `l` paths over 300 nodes and 160 end-type columns. Node v % 5 picks
+/// the row pattern: 0 empty on every path, 1 the same set on every path,
+/// 2 pairwise-disjoint sets, 3 empty on every third path and random
+/// otherwise, 4 random.
+std::vector<CsrMatrix> JaccardPaths(size_t l, uint64_t seed) {
+  constexpr int32_t kRows = 300, kCols = 160;
+  Rng rng(seed);
+  std::vector<CsrMatrix> paths;
+  for (size_t p = 0; p < l; ++p) {
+    std::vector<CooEntry> entries;
+    for (int32_t v = 0; v < kRows; ++v) {
+      switch (v % 5) {
+        case 1:
+          for (int32_t c = v % 7; c < kCols; c += 9) {
+            entries.push_back({v, c, 1.0f});
+          }
+          break;
+        case 2:
+          entries.push_back({v, static_cast<int32_t>(2 * p), 1.0f});
+          entries.push_back({v, static_cast<int32_t>(2 * p + 1), 1.0f});
+          break;
+        case 3:
+          if (p % 3 == 0) break;
+          [[fallthrough]];
+        case 4:
+          for (int32_t c = 0; c < kCols; ++c) {
+            if (rng.NextDouble() < 0.1) entries.push_back({v, c, 1.0f});
+          }
+          break;
+        default:
+          break;
+      }
+    }
+    paths.push_back(FromCooOrDie(kRows, kCols, std::move(entries)));
+  }
+  return paths;
+}
+
+TEST(SparseReferenceTest, PerPathJaccardMatchesReference) {
+  // Path counts around the 64-paths-per-mask-word boundary.
+  for (size_t l : {1, 2, 3, 24, 64, 65, 70}) {
+    const std::vector<CsrMatrix> owned = JaccardPaths(l, 100 + l);
+    std::vector<const CsrMatrix*> paths;
+    for (const auto& m : owned) paths.push_back(&m);
+    const auto want = reference::PerPathJaccardRef(paths);
+    ASSERT_EQ(want.size(), l);
+    for (int threads : kThreadCountsWide) {
+      exec::ExecContext ex(threads);
+      const auto got = PerPathJaccard(paths, &ex);
+      ASSERT_EQ(got.size(), l);
+      for (size_t i = 0; i < l; ++i) {
+        ExpectSameBytes(got[i], want[i],
+                        "l=" + std::to_string(l) + " path=" +
+                            std::to_string(i) +
+                            " threads=" + std::to_string(threads));
+      }
+    }
+    if (l >= 2) {
+      // Node 0 is empty everywhere (J = 1 per pair), node 1 identical
+      // (J = 1), node 2 disjoint (J = 0).
+      EXPECT_EQ(want[0][0], 1.0f);
+      EXPECT_EQ(want[0][1], 1.0f);
+      EXPECT_EQ(want[0][2], 0.0f);
+    }
   }
 }
 
