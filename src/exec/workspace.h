@@ -14,10 +14,10 @@ namespace freehgc::exec {
 /// whose buffers grow monotonically and are reused across calls, so
 /// steady-state kernel execution performs no heap allocation.
 ///
-/// Buffers hold no semantic state between uses except `accum`, which is
-/// guaranteed all-zero on handout: kernels using the sparse-accumulator
-/// pattern must re-zero exactly the entries they touched before
-/// returning (the SPA idiom does this for free).
+/// Buffers hold no semantic state between uses except the Zeroed*
+/// buffers (`accum`, `mark`, `bits`), which are guaranteed all-zero on
+/// handout: kernels using them must re-zero exactly the entries they
+/// touched before returning (the SPA idiom does this for free).
 class Workspace {
  public:
   /// Dense float accumulator of at least `n` entries, all zero. The
@@ -57,18 +57,6 @@ class Workspace {
     return f32_;
   }
 
-  /// Second float scratch (kernels needing two live vectors at once).
-  std::vector<float>& F32B(size_t n, float fill = 0.0f) {
-    f32b_.assign(n, fill);
-    return f32b_;
-  }
-
-  /// Double scratch of exactly `n` entries.
-  std::vector<double>& F64(size_t n, double fill = 0.0) {
-    f64_.assign(n, fill);
-    return f64_;
-  }
-
   /// int32 scratch of exactly `n` entries.
   std::vector<int32_t>& I32(size_t n, int32_t fill = 0) {
     i32_.assign(n, fill);
@@ -89,8 +77,7 @@ class Workspace {
            mark_.capacity() * sizeof(uint8_t) +
            bits_.capacity() * sizeof(uint64_t) +
            touched_.capacity() * sizeof(int32_t) +
-           (f32_.capacity() + f32b_.capacity()) * sizeof(float) +
-           f64_.capacity() * sizeof(double) +
+           f32_.capacity() * sizeof(float) +
            i32_.capacity() * sizeof(int32_t) +
            i64_.capacity() * sizeof(int64_t);
   }
@@ -100,8 +87,7 @@ class Workspace {
   std::vector<uint8_t> mark_;
   std::vector<uint64_t> bits_;
   std::vector<int32_t> touched_;
-  std::vector<float> f32_, f32b_;
-  std::vector<double> f64_;
+  std::vector<float> f32_;
   std::vector<int32_t> i32_;
   std::vector<int64_t> i64_;
 };
