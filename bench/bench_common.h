@@ -15,11 +15,12 @@
 
 #include "common/logging.h"
 #include "common/string_util.h"
+#include "common/table.h"
 #include "datasets/generator.h"
-#include "eval/experiment.h"
 #include "exec/exec_context.h"
 #include "hgnn/trainer.h"
 #include "obs/metrics.h"
+#include "pipeline/sweep.h"
 
 namespace freehgc::bench {
 
@@ -29,40 +30,26 @@ namespace freehgc::bench {
 /// any value; only wall-clock changes.
 inline int BenchThreads() { return exec::DefaultExec().num_threads(); }
 
-/// A dataset plus its prebuilt evaluation context (meta-paths + full-graph
-/// propagated features) and the shared evaluator configuration.
+/// A dataset prepared by pipeline::PrepareDataset over its own artifact
+/// cache. Benches pass `env` to every method run on it, so each run
+/// reuses the dataset's composed meta-paths and propagated features, as
+/// a served request does.
 struct Env {
-  HeteroGraph graph;
-  hgnn::EvalContext ctx;
-  hgnn::HgnnConfig eval_cfg;
+  pipeline::ArtifactCache cache;
+  pipeline::PipelineEnv env{nullptr, &cache};
+  std::unique_ptr<pipeline::PreparedDataset> data;
 };
 
-/// Repo-default dataset scales: mid-scale datasets run at full preset
-/// size; AMiner is halved (still ~55k nodes) to keep the large-scale
-/// benches within a 1-core budget.
-inline double DefaultScale(const std::string& name) {
-  return name == "aminer" ? 0.5 : 1.0;
-}
-
-/// Builds a dataset + evaluation context. `max_paths` caps meta-path
-/// enumeration (12 by default; many-relation schemas truncate).
+/// Prepares preset `name`; `scale` <= 0 = pipeline::DefaultDatasetScale.
 inline std::unique_ptr<Env> MakeEnv(const std::string& name,
-                                    uint64_t seed = 1, int max_paths = 12,
                                     double scale = -1.0) {
   auto env = std::make_unique<Env>();
-  auto g = datasets::MakeByName(name, seed,
-                                scale > 0 ? scale : DefaultScale(name),
-                                &exec::DefaultExec());
-  FREEHGC_CHECK(g.ok());
-  env->graph = std::move(g).value();
-  hgnn::PropagateOptions popts;
-  popts.max_hops = std::min(3, datasets::RecommendedHops(name));
-  popts.max_paths = max_paths;
-  env->ctx = hgnn::BuildEvalContext(env->graph, popts);
-  env->eval_cfg.kind = hgnn::HgnnKind::kSeHGNN;  // test model of the paper
-  env->eval_cfg.hidden = 32;
-  env->eval_cfg.epochs = 60;
-  env->eval_cfg.patience = 0;
+  pipeline::DatasetSpec spec;
+  spec.name = name;
+  spec.scale = scale;
+  auto data = pipeline::PrepareDataset(spec, env->env);
+  FREEHGC_CHECK(data.ok());
+  env->data = std::move(data).value();
   return env;
 }
 

@@ -6,7 +6,6 @@
 //       the condensed-graph size, with HGCond consistently slower
 //       (clustering init + OPS parameter exploration), on Freebase and
 //       AMiner.
-#include "baselines/gradient_matching.h"
 #include "bench/bench_common.h"
 #include "common/string_util.h"
 
@@ -15,24 +14,25 @@ using namespace freehgc::bench;
 
 int main() {
   PrintHeader("Fig. 2(a): HGCond accuracy vs ratio (flat/degrading)");
+  const hgnn::HgnnConfig eval_cfg = pipeline::SweepSpec::DefaultEvalConfig();
   for (const std::string name : {"acm", "imdb"}) {
     auto env = MakeEnv(name);
-    const auto ideal = hgnn::WholeGraphBaseline(env->ctx, env->eval_cfg);
+    const hgnn::EvalContext& ctx = env->data->ctx;
+    const auto ideal = hgnn::WholeGraphBaseline(ctx, eval_cfg);
     std::printf("%s ideal (whole-graph SeHGNN): %.2f\n", name.c_str(),
                 100.0f * ideal.test_accuracy);
-    eval::TablePrinter table(
-        {"Evaluator", "r=1.2%", "r=2.4%", "r=4.8%", "r=7.2%"});
+    TablePrinter table({"Evaluator", "r=1.2%", "r=2.4%", "r=4.8%", "r=7.2%"});
     for (auto kind : {hgnn::HgnnKind::kHeteroSGC, hgnn::HgnnKind::kHGT,
                       hgnn::HgnnKind::kHGB, hgnn::HgnnKind::kSeHGNN}) {
-      hgnn::HgnnConfig cfg = env->eval_cfg;
+      hgnn::HgnnConfig cfg = eval_cfg;
       cfg.kind = kind;
       std::vector<std::string> row = {
           std::string("HGC-") + hgnn::HgnnKindName(kind)};
       for (double r : {0.012, 0.024, 0.048, 0.072}) {
-        eval::RunOptions run;
+        pipeline::RunSpec run;
         run.ratio = r;
-        const auto agg = eval::RunMethodSeeds(
-            env->ctx, eval::MethodKind::kHGCond, run, cfg, {1, 2});
+        const auto agg =
+            pipeline::RunMethodSeeds(ctx, "hgcond", run, cfg, {1, 2}, env->env);
         row.push_back(StrFormat("%.1f", agg.accuracy.mean));
       }
       table.AddRow(std::move(row));
@@ -42,21 +42,16 @@ int main() {
 
   PrintHeader("Fig. 2(b): GCond vs HGCond condensation time vs size");
   for (const std::string name : {"freebase", "aminer"}) {
-    auto env = MakeEnv(name, /*seed=*/1, /*max_paths=*/12,
-                       name == "aminer" ? 0.3 : 1.0);
-    eval::TablePrinter table({"Method", "r=1.2%", "r=2.4%", "r=4.8%",
-                              "r=9.6%"});
-    for (bool hetero : {false, true}) {
-      std::vector<std::string> row = {hetero ? "HGCond" : "GCond"};
+    auto env = MakeEnv(name, name == "aminer" ? 0.3 : 1.0);
+    TablePrinter table({"Method", "r=1.2%", "r=2.4%", "r=4.8%", "r=9.6%"});
+    for (const std::string key : {"gcond", "hgcond"}) {
+      const pipeline::CondensationMethod* method =
+          pipeline::MethodRegistry::Global().Find(key);
+      std::vector<std::string> row = {method->display_name()};
       for (double r : {0.012, 0.024, 0.048, 0.096}) {
-        baselines::GradientMatchingOptions gm;
-        gm.ratio = r;
-        gm.hetero = hetero;
-        if (hetero) {
-          gm.relay_inits += 2;
-          gm.inner_iters += 2;
-        }
-        auto res = baselines::GradientMatchingCondense(env->ctx, gm);
+        pipeline::RunSpec run;
+        run.ratio = r;
+        auto res = method->Condense(env->data->ctx, run, env->env);
         row.push_back(res.ok() ? StrFormat("%.2fs", res->seconds) : "err");
       }
       table.AddRow(std::move(row));

@@ -57,7 +57,8 @@ std::unordered_set<int64_t> CapturedNodes(
 int main() {
   PrintHeader("Fig. 9: selection interpretability (FreeHGC vs Herding)");
   auto env = MakeEnv("acm");
-  const HeteroGraph& g = env->graph;
+  const HeteroGraph& g = env->data->graph;
+  const hgnn::EvalContext& ctx = env->data->ctx;
   const TypeId target = g.target_type();
 
   // 80-node sample of target nodes (from the training pool so both
@@ -70,9 +71,9 @@ int main() {
 
   // FreeHGC: rank the sample by the aggregated criterion score.
   std::vector<double> scores;
-  core::CondenseTargetNodes(g, env->ctx.paths,
+  core::CondenseTargetNodes(g, ctx.paths, ctx.options.max_row_nnz,
                             static_cast<int32_t>(g.train_index().size()) / 2,
-                            {}, &scores);
+                            {}, &scores, env->env.exec, env->env.cache);
   std::vector<int32_t> by_score = sample;
   std::stable_sort(by_score.begin(), by_score.end(),
                    [&](int32_t a, int32_t b) {

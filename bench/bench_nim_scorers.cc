@@ -16,7 +16,7 @@ int main() {
   for (const std::string name : {"dblp", "aminer"}) {
     auto env = MakeEnv(name);
     std::printf("%s (r = 2.4%%):\n", name.c_str());
-    eval::TablePrinter table({"Scorer", "Accuracy", "Condense time"});
+    TablePrinter table({"Scorer", "Accuracy", "Condense time"});
     for (auto scorer :
          {core::NimScorer::kPprPowerIteration, core::NimScorer::kPprPush,
           core::NimScorer::kDegree, core::NimScorer::kCloseness,
@@ -25,19 +25,20 @@ int main() {
       std::vector<double> accs;
       double seconds = 0.0;
       for (uint64_t seed : Seeds()) {
-        eval::RunOptions run;
+        pipeline::RunSpec run;
         run.ratio = 0.024;
         run.seed = seed;
         run.freehgc.nim.scorer = scorer;
-        auto res = eval::RunMethod(env->ctx, eval::MethodKind::kFreeHGC,
-                                   run, env->eval_cfg);
+        auto res = pipeline::RunMethod(
+            env->data->ctx, "freehgc", run,
+            pipeline::SweepSpec::DefaultEvalConfig(), env->env);
         if (res.ok()) {
           accs.push_back(res->accuracy);
           seconds += res->condense_seconds;
         }
       }
       table.AddRow({core::NimScorerName(scorer),
-                    eval::Cell(eval::Aggregate(accs)),
+                    pipeline::Cell(pipeline::Aggregate(accs)),
                     StrFormat("%.2fs", seconds / Seeds().size())});
     }
     table.Print();

@@ -18,25 +18,25 @@ int main() {
       hgnn::HgnnKind::kHeteroSGC, hgnn::HgnnKind::kHGT,
       hgnn::HgnnKind::kHGB, hgnn::HgnnKind::kSeHGNN};
 
-  eval::TablePrinter table({"Dataset", "HSGC", "WA", "HGT", "WA", "HGB",
-                            "WA", "SeH", "WA"});
+  TablePrinter table(
+      {"Dataset", "HSGC", "WA", "HGT", "WA", "HGB", "WA", "SeH", "WA"});
   for (const auto& name : datasets) {
     auto env = MakeEnv(name);
+    const hgnn::EvalContext& ctx = env->data->ctx;
     std::vector<std::string> row = {name};
     for (auto kind : models) {
-      hgnn::HgnnConfig cfg = env->eval_cfg;
+      hgnn::HgnnConfig cfg = pipeline::SweepSpec::DefaultEvalConfig();
       cfg.kind = kind;
       std::vector<double> accs;
       for (uint64_t seed : Seeds()) {
-        eval::RunOptions run;
+        pipeline::RunSpec run;
         run.ratio = 0.024;
         run.seed = seed;
-        auto res =
-            eval::RunMethod(env->ctx, eval::MethodKind::kHGCond, run, cfg);
+        auto res = pipeline::RunMethod(ctx, "hgcond", run, cfg, env->env);
         if (res.ok() && !res->oom) accs.push_back(res->accuracy);
       }
-      const auto whole = hgnn::WholeGraphBaseline(env->ctx, cfg);
-      row.push_back(StrFormat("%.1f", eval::Aggregate(accs).mean));
+      const auto whole = hgnn::WholeGraphBaseline(ctx, cfg);
+      row.push_back(StrFormat("%.1f", pipeline::Aggregate(accs).mean));
       row.push_back(StrFormat("%.1f", 100.0f * whole.test_accuracy));
     }
     table.AddRow(std::move(row));

@@ -13,27 +13,28 @@ int main() {
       {"mutag", {0.005, 0.010, 0.020}},
       {"am", {0.002, 0.004, 0.008}},
   };
-  const std::vector<eval::MethodKind> methods = {
-      eval::MethodKind::kHerding, eval::MethodKind::kGCond,
-      eval::MethodKind::kHGCond, eval::MethodKind::kFreeHGC};
+  const std::vector<std::string> methods = {"herding", "gcond", "hgcond",
+                                            "freehgc"};
+  const hgnn::HgnnConfig cfg = pipeline::SweepSpec::DefaultEvalConfig();
 
   for (const auto& [name, ratios] : configs) {
     auto env = MakeEnv(name);
-    const auto whole = hgnn::WholeGraphBaseline(env->ctx, env->eval_cfg);
+    const hgnn::EvalContext& ctx = env->data->ctx;
+    const auto whole = hgnn::WholeGraphBaseline(ctx, cfg);
     std::printf("%s (Whole ACC: %.2f)\n", name.c_str(),
                 100.0f * whole.test_accuracy);
 
     std::vector<std::string> headers = {"Method"};
     for (double r : ratios) headers.push_back(StrFormat("r=%.1f%%", 100 * r));
-    eval::TablePrinter table(std::move(headers));
-    for (auto m : methods) {
-      std::vector<std::string> row = {eval::MethodName(m)};
+    TablePrinter table(std::move(headers));
+    for (const std::string& m : methods) {
+      std::vector<std::string> row = {pipeline::DisplayName(m)};
       for (double r : ratios) {
-        eval::RunOptions run;
+        pipeline::RunSpec run;
         run.ratio = r;
         const auto agg =
-            eval::RunMethodSeeds(env->ctx, m, run, env->eval_cfg, Seeds());
-        row.push_back(agg.oom ? "OOM" : eval::Cell(agg.accuracy));
+            pipeline::RunMethodSeeds(ctx, m, run, cfg, Seeds(), env->env);
+        row.push_back(agg.oom ? "OOM" : pipeline::Cell(agg.accuracy));
       }
       table.AddRow(std::move(row));
     }

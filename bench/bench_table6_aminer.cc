@@ -12,32 +12,33 @@ using namespace freehgc::bench;
 int main() {
   PrintHeader("Table VI: large-scale AMiner (accuracy %)");
   auto env = MakeEnv("aminer");
-  const auto whole = hgnn::WholeGraphBaseline(env->ctx, env->eval_cfg);
+  const hgnn::EvalContext& ctx = env->data->ctx;
+  const hgnn::HgnnConfig cfg = pipeline::SweepSpec::DefaultEvalConfig();
+  const auto whole = hgnn::WholeGraphBaseline(ctx, cfg);
 
   // Paper AMiner has 4.89M nodes; this env's graph is scaled down, so the
   // projected-footprint gate multiplies node counts back up.
   const double memory_scale =
-      4891819.0 / static_cast<double>(env->graph.TotalNodes());
+      4891819.0 / static_cast<double>(env->data->graph.TotalNodes());
 
   const std::vector<double> ratios = {0.0005, 0.002, 0.008};
   std::vector<std::string> headers = {"Methods"};
   for (double r : ratios) headers.push_back(StrFormat("r=%.2f%%", 100 * r));
   headers.push_back("Whole acc");
-  eval::TablePrinter table(std::move(headers));
+  TablePrinter table(std::move(headers));
 
-  for (auto m : {eval::MethodKind::kHerding, eval::MethodKind::kGCond,
-                 eval::MethodKind::kHGCond, eval::MethodKind::kFreeHGC}) {
-    std::vector<std::string> row = {eval::MethodName(m)};
+  for (const std::string m : {"herding", "gcond", "hgcond", "freehgc"}) {
+    std::vector<std::string> row = {pipeline::DisplayName(m)};
     for (double r : ratios) {
-      eval::RunOptions run;
+      pipeline::RunSpec run;
       run.ratio = r;
-      if (m == eval::MethodKind::kGCond) {
+      if (m == "gcond") {
         run.gm.memory_budget_bytes = 24ULL << 30;  // 24GB TITAN RTX
         run.gm.memory_scale = memory_scale;
       }
       const auto agg =
-          eval::RunMethodSeeds(env->ctx, m, run, env->eval_cfg, Seeds());
-      row.push_back(agg.oom ? "OOM" : eval::Cell(agg.accuracy));
+          pipeline::RunMethodSeeds(ctx, m, run, cfg, Seeds(), env->env);
+      row.push_back(agg.oom ? "OOM" : pipeline::Cell(agg.accuracy));
     }
     row.push_back(StrFormat("%.2f", 100.0f * whole.test_accuracy));
     table.AddRow(std::move(row));

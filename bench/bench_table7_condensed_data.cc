@@ -21,13 +21,14 @@ Cells Measure(const Env& env, const std::vector<Matrix>* blocks,
   Cells out;
   out.storage = HumanBytes(storage_bytes);
   for (auto kind : {hgnn::HgnnKind::kHGB, hgnn::HgnnKind::kSeHGNN}) {
-    hgnn::HgnnConfig cfg = env.eval_cfg;
+    hgnn::HgnnConfig cfg = pipeline::SweepSpec::DefaultEvalConfig();
     cfg.kind = kind;
     hgnn::EvalMetrics m;
     if (subgraph != nullptr) {
-      m = hgnn::TrainAndEvaluate(env.ctx, *subgraph, cfg);
+      m = hgnn::TrainAndEvaluate(env.data->ctx, *subgraph, cfg, env.env.exec);
     } else {
-      m = hgnn::TrainOnBlocks(env.ctx, *blocks, *labels, cfg);
+      m = hgnn::TrainOnBlocks(env.data->ctx, *blocks, *labels, cfg,
+                              env.env.exec);
     }
     if (kind == hgnn::HgnnKind::kHGB) {
       out.th = StrFormat("%.2fs", m.train_seconds);
@@ -49,14 +50,16 @@ int main() {
       {"acm", 0.024},  {"dblp", 0.024},   {"imdb", 0.024},
       {"freebase", 0.024}, {"aminer", 0.002},
   };
-  eval::TablePrinter table({"Dataset", "Variant", "Accuracy", "Storage",
-                            "TH", "TS"});
+  TablePrinter table({"Dataset", "Variant", "Accuracy", "Storage", "TH",
+                      "TS"});
   for (const auto& [name, ratio] : configs) {
     auto env = MakeEnv(name);
+    const HeteroGraph& graph = env->data->graph;
+    const hgnn::EvalContext& ctx = env->data->ctx;
 
     // Whole graph.
-    const Cells whole = Measure(*env, nullptr, nullptr, &env->graph,
-                                env->graph.MemoryBytes());
+    const Cells whole =
+        Measure(*env, nullptr, nullptr, &graph, graph.MemoryBytes());
     table.AddRow({name + StrFormat(" r=%.1f%%", 100 * ratio), "Whole",
                   whole.acc, whole.storage, whole.th, whole.ts});
 
@@ -67,7 +70,7 @@ int main() {
     gm.relay_inits = 5;
     gm.inner_iters = 6;
     gm.seed = 1;
-    auto syn = baselines::GradientMatchingCondense(env->ctx, gm);
+    auto syn = baselines::GradientMatchingCondense(ctx, gm, env->env.exec);
     if (syn.ok()) {
       const Cells hg = Measure(*env, &syn->blocks, &syn->labels, nullptr,
                                syn->MemoryBytes());
@@ -77,9 +80,9 @@ int main() {
     // FreeHGC condensed graph.
     core::FreeHgcOptions fopts;
     fopts.ratio = ratio;
-    fopts.max_hops = env->ctx.options.max_hops;
-    fopts.max_paths = env->ctx.options.max_paths;
-    auto cond = core::Condense(env->graph, fopts);
+    fopts.max_hops = ctx.options.max_hops;
+    fopts.max_paths = ctx.options.max_paths;
+    auto cond = core::Condense(graph, fopts, env->env.exec, env->env.cache);
     if (cond.ok()) {
       const Cells fr = Measure(*env, nullptr, nullptr, &cond->graph,
                                cond->graph.MemoryBytes());

@@ -20,15 +20,16 @@ double RunVariant(const Env& env, double ratio,
                   const core::FreeHgcOptions& base) {
   std::vector<double> accs;
   for (uint64_t seed : Seeds()) {
-    eval::RunOptions run;
+    pipeline::RunSpec run;
     run.ratio = ratio;
     run.seed = seed;
     run.freehgc = base;
-    auto res = eval::RunMethod(env.ctx, eval::MethodKind::kFreeHGC, run,
-                               env.eval_cfg);
+    auto res = pipeline::RunMethod(env.data->ctx, "freehgc", run,
+                                   pipeline::SweepSpec::DefaultEvalConfig(),
+                                   env.env);
     if (res.ok()) accs.push_back(res->accuracy);
   }
-  return eval::Aggregate(accs).mean;
+  return pipeline::Aggregate(accs).mean;
 }
 
 }  // namespace
@@ -68,7 +69,7 @@ int main() {
       headers.push_back(StrFormat("r=%.2f%%", 100 * r));
       headers.push_back("Delta");
     }
-    eval::TablePrinter table(std::move(headers));
+    TablePrinter table(std::move(headers));
 
     std::vector<double> baseline;
     for (double r : ratios) {

@@ -10,7 +10,6 @@
 
 #include "core/freehgc.h"
 #include "datasets/generator.h"
-#include "eval/experiment.h"
 #include "hgnn/trainer.h"
 
 int main() {

@@ -193,11 +193,10 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
     switch (opts.target_strategy) {
       case TargetStrategy::kCriterion: {
         TargetSelectionOptions topts = opts.target;
-        topts.max_row_nnz = opts.max_row_nnz;
         topts.seed = opts.seed;
-        selected_target =
-            CondenseTargetNodes(g, paths, target_budget, topts,
-                                /*scores_out=*/nullptr, &ex, cache);
+        selected_target = CondenseTargetNodes(
+            g, paths, opts.max_row_nnz, target_budget, topts,
+            /*scores_out=*/nullptr, &ex, cache);
         break;
       }
       case TargetStrategy::kHerding: {
@@ -245,14 +244,11 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
       const int32_t budget = Budget(opts.ratio, g.NodeCount(t));
       auto& mapping = mappings[static_cast<size_t>(t)];
       switch (opts.father_strategy) {
-        case FatherStrategy::kNim: {
-          NimOptions nopts = opts.nim;
-          nopts.max_row_nnz = opts.max_row_nnz;
-          mapping.keep =
-              CondenseFatherType(g, t, FilterByEndType(paths, t),
-                                 selected_target, budget, nopts, &ex, cache);
+        case FatherStrategy::kNim:
+          mapping.keep = CondenseFatherType(
+              g, t, FilterByEndType(paths, t), opts.max_row_nnz,
+              selected_target, budget, opts.nim, &ex, cache);
           break;
-        }
         case FatherStrategy::kHerding:
           mapping.keep =
               HerdingSelect(g.Features(t), AllNodes(g.NodeCount(t)), budget);
@@ -311,12 +307,9 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
             parent_count += static_cast<int64_t>(pk.second->size());
           }
           if (budget * 4 < parent_count * 3) {
-            NimOptions nopts = opts.nim;
-            nopts.max_row_nnz = opts.max_row_nnz;
-            mapping.keep =
-                CondenseFatherType(g, t, FilterByEndType(paths, t),
-                                   selected_target, budget, nopts, &ex,
-                                   cache);
+            mapping.keep = CondenseFatherType(
+                g, t, FilterByEndType(paths, t), opts.max_row_nnz,
+                selected_target, budget, opts.nim, &ex, cache);
             break;
           }
           LeafSynthesis synth = SynthesizeLeafType(g, t, parents, budget, &ex);

@@ -34,7 +34,7 @@ const char* NimScorerName(NimScorer scorer) {
 
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
-    const std::vector<MetaPath>& paths_to_father,
+    const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
     const std::vector<int32_t>& selected_targets, int32_t budget,
     const NimOptions& opts, exec::ExecContext* ctx, AdjacencyCache* cache) {
   const TypeId target = g.target_type();
@@ -57,7 +57,7 @@ std::vector<int32_t> CondenseFatherType(
     any_path = true;
     // Pin held for one score only; released (spillable) per iteration.
     const std::shared_ptr<const CsrMatrix> composed_pin =
-        ComposedAdjacency(cache, g, p, opts.max_row_nnz, &ex);
+        ComposedAdjacency(cache, g, p, max_row_nnz, &ex);
     const CsrMatrix& composed = *composed_pin;
     const CsrMatrix raw_block = sparse::BipartiteBlock(composed, &ex);
     switch (opts.scorer) {

@@ -38,14 +38,13 @@ struct NimOptions {
   int max_iters = 30;
   /// Residual threshold for the push-based approximation.
   float push_epsilon = 1e-4f;
-  /// Row-nnz budget for composed meta-path adjacencies.
-  int64_t max_row_nnz = 512;
 };
 
 /// Neighbor Influence Maximization (Eqs. 10-13): scores every node of the
 /// father type `father` by its aggregate Personalized-PageRank influence
 /// with respect to the selected target nodes, summed across all meta-paths
-/// from the target type to `father`, and keeps the top `budget`.
+/// from the target type to `father` (each composed under the row-nnz budget
+/// `max_row_nnz`, 0 = exact), and keeps the top `budget`.
 ///
 /// Per path, the bipartite composed adjacency is embedded into a square
 /// symmetric block matrix, sym-normalized (A_hat^sym of Eq. 10), and a PPR
@@ -56,7 +55,7 @@ struct NimOptions {
 /// non-null, memoizes the composed path adjacencies across calls.
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
-    const std::vector<MetaPath>& paths_to_father,
+    const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
     const std::vector<int32_t>& selected_targets, int32_t budget,
     const NimOptions& opts, exec::ExecContext* ctx = nullptr,
     AdjacencyCache* cache = nullptr);

@@ -145,7 +145,7 @@ std::vector<int32_t> GreedyCoverageSelect(
 
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
-                                         int32_t budget,
+                                         int64_t max_row_nnz, int32_t budget,
                                          const TargetSelectionOptions& opts,
                                          std::vector<double>* scores_out,
                                          exec::ExecContext* ctx,
@@ -174,7 +174,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
   for (size_t i = 0; i < paths.size(); ++i) {
     FREEHGC_CHECK(paths[i].start_type() == target);
     pins.push_back(
-        ComposedAdjacency(cache, g, paths[i], opts.max_row_nnz, &ex));
+        ComposedAdjacency(cache, g, paths[i], max_row_nnz, &ex));
     composed.push_back(pins.back().get());
     group_of_end[paths[i].end_type()].push_back(i);
   }

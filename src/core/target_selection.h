@@ -13,8 +13,6 @@ namespace freehgc::core {
 /// Controls for the unified data-selection criterion of Section IV-B
 /// (Eqs. 2-9). The two booleans are the Table VIII ablation switches.
 struct TargetSelectionOptions {
-  /// Row-nnz budget for composed meta-path adjacencies (0 = exact).
-  int64_t max_row_nnz = 512;
   /// Include the receptive-field maximization term R(S) (Variant#1
   /// disables this).
   bool use_receptive_field = true;
@@ -53,7 +51,8 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 /// class distribution), the top-scored nodes across all meta-paths
 /// (Eq. 9).
 ///
-/// `paths` must all start at the target type. Returns original target-node
+/// `paths` must all start at the target type; each is composed under the
+/// row-nnz budget `max_row_nnz` (0 = exact). Returns original target-node
 /// ids, |result| == min(budget, train pool size). `scores_out`, when non
 /// null, receives the aggregated per-node score (0 for never-selected
 /// nodes) — used by the Fig. 9 interpretability bench.
@@ -64,7 +63,7 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 /// are seed/ratio-independent, so sweeps share them across cells).
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
-                                         int32_t budget,
+                                         int64_t max_row_nnz, int32_t budget,
                                          const TargetSelectionOptions& opts,
                                          std::vector<double>* scores_out =
                                              nullptr,

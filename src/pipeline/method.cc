@@ -205,6 +205,11 @@ std::vector<std::string> MethodRegistry::Keys() const {
   return keys;
 }
 
+std::string DisplayName(const std::string& key) {
+  const CondensationMethod* m = MethodRegistry::Global().Find(key);
+  return m != nullptr ? m->display_name() : key;
+}
+
 void ApplyEvalMetrics(const hgnn::EvalMetrics& metrics, MethodRun& out) {
   out.accuracy = metrics.test_accuracy * 100.0f;
   out.macro_f1 = metrics.macro_f1 * 100.0f;

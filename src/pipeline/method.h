@@ -30,7 +30,8 @@ struct PipelineEnv {
 struct RunSpec {
   double ratio = 0.024;
   uint64_t seed = 1;
-  /// FreeHGC configuration (ratio/seed fields are overwritten).
+  /// FreeHGC configuration. ratio and seed come from this spec;
+  /// max_hops, max_paths and max_row_nnz come from the EvalContext.
   core::FreeHgcOptions freehgc;
   /// Gradient-matching configuration (ratio/seed/hetero overwritten).
   baselines::GradientMatchingOptions gm;
@@ -68,9 +69,9 @@ struct MethodRun {
 };
 
 /// A condensation method behind the registry: one polymorphic Condense
-/// entry point replacing the per-method dispatch switch eval::RunMethod
-/// used to hold. Implementations are stateless (all run state flows
-/// through spec/env), so one registered instance serves every thread.
+/// entry point per method. Implementations are stateless (all run state
+/// flows through spec/env), so one registered instance serves every
+/// thread.
 class CondensationMethod {
  public:
   virtual ~CondensationMethod() = default;
@@ -115,6 +116,10 @@ class MethodRegistry {
   MethodRegistry();
   std::unique_ptr<Impl> impl_;
 };
+
+/// Display name of the method registered as `key`; `key` itself when no
+/// method holds it.
+std::string DisplayName(const std::string& key);
 
 /// Copies a train-and-evaluate outcome into a MethodRun: percent-scaled
 /// accuracy and macro-F1 plus the training wall-clock.

@@ -28,6 +28,27 @@ struct DatasetSpec {
   uint64_t graph_seed = 1;
 };
 
+/// A generated dataset and its evaluation context. `ctx.full` points at
+/// `graph`, so the object stays where PrepareDataset put it.
+struct PreparedDataset {
+  PreparedDataset() = default;
+  PreparedDataset(const PreparedDataset&) = delete;
+  PreparedDataset& operator=(const PreparedDataset&) = delete;
+
+  HeteroGraph graph;
+  hgnn::EvalContext ctx;
+};
+
+/// Generates `ds` and builds its evaluation context: the preset at
+/// `ds.scale` (or DefaultDatasetScale), meta-paths of `ds.max_hops` hops
+/// (or min(3, RecommendedHops)), capped at `ds.max_paths`. With
+/// `env.cache` the propagated blocks, and the compositions behind them,
+/// come from and land in that cache, so later method runs on the same
+/// env reuse them; without it this is hgnn::BuildEvalContext. The sweep
+/// and the paper benches prepare their datasets here.
+Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
+    const DatasetSpec& ds, const PipelineEnv& env = {});
+
 /// Declarative sweep grid: dataset × ratio × method × model, each cell
 /// aggregated over `seeds`. The benches are thin configurations of this.
 struct SweepSpec {

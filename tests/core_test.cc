@@ -14,6 +14,9 @@
 namespace freehgc::core {
 namespace {
 
+/// Row-nnz budget for composed adjacencies (FreeHgcOptions' default).
+constexpr int64_t kMaxRowNnz = 512;
+
 CsrMatrix Adj(int32_t rows, int32_t cols, std::vector<CooEntry> e) {
   auto r = CsrMatrix::FromCoo(rows, cols, std::move(e));
   EXPECT_TRUE(r.ok());
@@ -159,7 +162,7 @@ TEST_P(TargetSelectionRatioTest, BudgetAndClassBalanceHold) {
       g.num_classes(),
       static_cast<int32_t>(ratio * g.NodeCount(g.target_type())));
   TargetSelectionOptions opts;
-  const auto sel = CondenseTargetNodes(g, paths, budget, opts);
+  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, budget, opts);
   EXPECT_LE(static_cast<int32_t>(sel.size()), budget + g.num_classes());
   EXPECT_GE(static_cast<int32_t>(sel.size()), std::min<int32_t>(
       budget, static_cast<int32_t>(g.train_index().size())) - g.num_classes());
@@ -184,15 +187,15 @@ TEST(TargetSelectionTest, DeterministicAndAblationSwitchesChangeResult) {
   mp.max_paths = 8;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   TargetSelectionOptions opts;
-  const auto a = CondenseTargetNodes(g, paths, 20, opts);
-  const auto b = CondenseTargetNodes(g, paths, 20, opts);
+  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
+  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
   EXPECT_EQ(a, b);
   TargetSelectionOptions no_rf = opts;
   no_rf.use_receptive_field = false;
   TargetSelectionOptions no_jac = opts;
   no_jac.use_jaccard = false;
-  const auto c = CondenseTargetNodes(g, paths, 20, no_rf);
-  const auto d = CondenseTargetNodes(g, paths, 20, no_jac);
+  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_rf);
+  const auto d = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_jac);
   EXPECT_TRUE(a != c || a != d);  // switches have an effect
 }
 
@@ -202,7 +205,7 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   std::vector<double> scores;
-  const auto sel = CondenseTargetNodes(g, paths, 10, {}, &scores);
+  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, 10, {}, &scores);
   EXPECT_EQ(scores.size(),
             static_cast<size_t>(g.NodeCount(g.target_type())));
   // Selected nodes carry positive scores.
@@ -233,7 +236,7 @@ TEST(NimTest, SelectsFathersConnectedToSelectedTargets) {
   const auto paths = EnumerateMetaPaths(g, t, mp);
   NimOptions nopts;
   const auto sel = CondenseFatherType(g, f, FilterByEndType(paths, f),
-                                      {0, 1}, 1, nopts);
+                                      kMaxRowNnz, {0, 1}, 1, nopts);
   ASSERT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 0);
 }
@@ -246,11 +249,12 @@ TEST(NimTest, BudgetZeroAndClamping) {
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   NimOptions nopts;
   EXPECT_TRUE(CondenseFatherType(g, father, FilterByEndType(paths, father),
-                                 g.train_index(), 0, nopts)
+                                 kMaxRowNnz, g.train_index(), 0, nopts)
                   .empty());
   const auto all = CondenseFatherType(g, father,
                                       FilterByEndType(paths, father),
-                                      g.train_index(), 10000, nopts);
+                                      kMaxRowNnz, g.train_index(), 10000,
+                                      nopts);
   EXPECT_EQ(static_cast<int32_t>(all.size()), g.NodeCount(father));
 }
 

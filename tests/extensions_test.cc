@@ -14,6 +14,9 @@
 namespace freehgc::core {
 namespace {
 
+/// Row-nnz budget for composed adjacencies (FreeHgcOptions' default).
+constexpr int64_t kMaxRowNnz = 512;
+
 class NimScorerTest : public ::testing::TestWithParam<NimScorer> {};
 
 TEST_P(NimScorerTest, ProducesValidSelection) {
@@ -32,7 +35,7 @@ TEST_P(NimScorerTest, ProducesValidSelection) {
   opts.scorer = GetParam();
   const auto sel = CondenseFatherType(g, father,
                                       FilterByEndType(paths, father),
-                                      g.train_index(), 20, opts);
+                                      kMaxRowNnz, g.train_index(), 20, opts);
   EXPECT_EQ(sel.size(), 20u);
   std::set<int32_t> uniq(sel.begin(), sel.end());
   EXPECT_EQ(uniq.size(), 20u);
@@ -70,10 +73,10 @@ TEST(NimScorerTest, PushApproximatesPowerIteration) {
   b.push_epsilon = 1e-6f;
   const auto sa = CondenseFatherType(g, father,
                                      FilterByEndType(paths, father),
-                                     g.train_index(), 30, a);
+                                     kMaxRowNnz, g.train_index(), 30, a);
   const auto sb = CondenseFatherType(g, father,
                                      FilterByEndType(paths, father),
-                                     g.train_index(), 30, b);
+                                     kMaxRowNnz, g.train_index(), 30, b);
   std::set<int32_t> inter;
   std::set<int32_t> sa_set(sa.begin(), sa.end());
   for (int32_t v : sb) {

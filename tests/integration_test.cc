@@ -8,9 +8,9 @@
 #include "baselines/coreset.h"
 #include "core/freehgc.h"
 #include "datasets/generator.h"
-#include "eval/experiment.h"
 #include "graph/serialize.h"
 #include "hgnn/trainer.h"
+#include "pipeline/method.h"
 
 namespace freehgc {
 namespace {
@@ -40,13 +40,13 @@ hgnn::HgnnConfig FastConfig() {
 
 TEST(IntegrationTest, FreeHgcBeatsRandomSelection) {
   const Fixture f = MakeAcmFixture(101);
-  eval::RunOptions run;
+  pipeline::RunSpec run;
   run.ratio = 0.05;
   run.seed = 1;
   const auto free_res =
-      eval::RunMethod(f.ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "freehgc", run, FastConfig());
   const auto rand_res =
-      eval::RunMethod(f.ctx, eval::MethodKind::kRandom, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "random", run, FastConfig());
   ASSERT_TRUE(free_res.ok() && rand_res.ok());
   // The paper's central claim at the smallest scale we test: structure-
   // aware selection beats structure-blind random selection.
@@ -57,27 +57,27 @@ TEST(IntegrationTest, AccuracyGrowsWithRatio) {
   // Fig. 7's monotonicity claim (allowing small noise): FreeHGC accuracy
   // at a large ratio exceeds accuracy at a tiny ratio.
   const Fixture f = MakeAcmFixture(103);
-  eval::RunOptions run;
+  pipeline::RunSpec run;
   run.seed = 2;
   run.ratio = 0.012;
   const auto lo =
-      eval::RunMethod(f.ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "freehgc", run, FastConfig());
   run.ratio = 0.12;
   const auto hi =
-      eval::RunMethod(f.ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "freehgc", run, FastConfig());
   ASSERT_TRUE(lo.ok() && hi.ok());
   EXPECT_GE(hi->accuracy, lo->accuracy - 1.0f);
 }
 
 TEST(IntegrationTest, FreeHgcCondensesFasterThanGradientMatching) {
   const Fixture f = MakeAcmFixture(105);
-  eval::RunOptions run;
+  pipeline::RunSpec run;
   run.ratio = 0.024;
   run.seed = 3;
   const auto free_res =
-      eval::RunMethod(f.ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "freehgc", run, FastConfig());
   const auto hg_res =
-      eval::RunMethod(f.ctx, eval::MethodKind::kHGCond, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "hgcond", run, FastConfig());
   ASSERT_TRUE(free_res.ok() && hg_res.ok());
   // Training-free condensation must be cheaper than bi-level gradient
   // matching with clustering + OPS (Figs. 2b / 8).
@@ -118,13 +118,13 @@ TEST(IntegrationTest, GeneralizationAcrossAllFiveHgnns) {
 
 TEST(IntegrationTest, WholePipelineDeterministic) {
   const Fixture f = MakeAcmFixture(111);
-  eval::RunOptions run;
+  pipeline::RunSpec run;
   run.ratio = 0.05;
   run.seed = 9;
   const auto a =
-      eval::RunMethod(f.ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "freehgc", run, FastConfig());
   const auto b =
-      eval::RunMethod(f.ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(f.ctx, "freehgc", run, FastConfig());
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_FLOAT_EQ(a->accuracy, b->accuracy);
   EXPECT_EQ(a->storage_bytes, b->storage_bytes);
@@ -161,10 +161,10 @@ TEST(IntegrationTest, DeepHierarchyDatasetEndToEnd) {
   popts.max_hops = 3;
   popts.max_paths = 10;
   const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
-  eval::RunOptions run;
+  pipeline::RunSpec run;
   run.ratio = 0.05;
   const auto res =
-      eval::RunMethod(ctx, eval::MethodKind::kFreeHGC, run, FastConfig());
+      pipeline::RunMethod(ctx, "freehgc", run, FastConfig());
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_GT(res->accuracy, 100.0f / static_cast<float>(g.num_classes()));
 }

@@ -5,8 +5,9 @@
 #include <string>
 #include <vector>
 
+#include "common/table.h"
 #include "datasets/generator.h"
-#include "eval/experiment.h"
+#include "graph/serialize.h"
 #include "obs/metrics.h"
 #include "pipeline/artifact_cache.h"
 #include "pipeline/method.h"
@@ -31,24 +32,33 @@ TEST(MethodRegistryTest, BuiltinMethodsRegistered) {
   EXPECT_EQ(MethodRegistry::Global().Find("no-such-method"), nullptr);
 }
 
+// The seven builtin keys, in the paper's method order.
+const char* const kBuiltinKeys[] = {"random", "herding", "kcenter",
+                                    "coarsening", "gcond", "hgcond",
+                                    "freehgc"};
+
 TEST(MethodRegistryTest, EnumFacadeResolvesThroughRegistry) {
-  using eval::MethodKind;
-  const std::vector<std::pair<MethodKind, std::string>> expected = {
-      {MethodKind::kRandom, "Random-HG"},
-      {MethodKind::kHerding, "Herding-HG"},
-      {MethodKind::kKCenter, "K-Center-HG"},
-      {MethodKind::kCoarsening, "Coarsening-HG"},
-      {MethodKind::kGCond, "GCond"},
-      {MethodKind::kHGCond, "HGCond"},
-      {MethodKind::kFreeHGC, "FreeHGC"},
+  const std::vector<std::pair<std::string, std::string>> expected = {
+      {"random", "Random-HG"},
+      {"herding", "Herding-HG"},
+      {"kcenter", "K-Center-HG"},
+      {"coarsening", "Coarsening-HG"},
+      {"gcond", "GCond"},
+      {"hgcond", "HGCond"},
+      {"freehgc", "FreeHGC"},
   };
-  for (const auto& [kind, name] : expected) {
-    const CondensationMethod* m =
-        MethodRegistry::Global().Find(eval::MethodKey(kind));
+  for (const auto& [key, name] : expected) {
+    const CondensationMethod* m = MethodRegistry::Global().Find(key);
     ASSERT_NE(m, nullptr) << name;
     EXPECT_EQ(m->display_name(), name);
-    EXPECT_STREQ(eval::MethodName(kind), name.c_str());
   }
+}
+
+TEST(MethodNameTest, AllNamed) {
+  EXPECT_EQ(DisplayName("freehgc"), "FreeHGC");
+  EXPECT_EQ(DisplayName("hgcond"), "HGCond");
+  EXPECT_EQ(DisplayName("coarsening"), "Coarsening-HG");
+  EXPECT_EQ(DisplayName("no-such-method"), "no-such-method");
 }
 
 TEST(MethodRegistryTest, UnknownKeyIsNotFound) {
@@ -59,6 +69,91 @@ TEST(MethodRegistryTest, UnknownKeyIsNotFound) {
   auto res = RunMethod(ctx, "no-such-method", RunSpec{}, hgnn::HgnnConfig{});
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
+}
+
+// --- running methods --------------------------------------------------------
+
+TEST(AggregateTest, MeanAndStd) {
+  const MeanStd m = Aggregate({1.0, 2.0, 3.0});
+  EXPECT_DOUBLE_EQ(m.mean, 2.0);
+  EXPECT_DOUBLE_EQ(m.std, 1.0);
+  const MeanStd single = Aggregate({5.0});
+  EXPECT_DOUBLE_EQ(single.mean, 5.0);
+  EXPECT_DOUBLE_EQ(single.std, 0.0);
+  const MeanStd empty = Aggregate({});
+  EXPECT_DOUBLE_EQ(empty.mean, 0.0);
+}
+
+TEST(CellTest, Formats) {
+  EXPECT_EQ(Cell({91.274, 0.456}), "91.27 ± 0.46");
+}
+
+TEST(TablePrinterTest, PrintsWithoutCrashing) {
+  TablePrinter t({"Dataset", "Acc"});
+  t.AddRow({"ACM", "91.3"});
+  t.AddRow({"DBLP"});  // short row padded
+  t.Print();
+}
+
+// Index into kBuiltinKeys. A printer-less 4-byte struct on purpose: ctest
+// names each instance after gtest's byte dump of the parameter, and those
+// names are tracked across changes.
+struct MethodIndex {
+  int32_t index;
+};
+
+class RunMethodTest : public ::testing::TestWithParam<MethodIndex> {};
+
+TEST_P(RunMethodTest, EndToEndOnToy) {
+  const HeteroGraph g = datasets::MakeToy(5);
+  hgnn::PropagateOptions popts;
+  popts.max_hops = 2;
+  popts.max_paths = 6;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  RunSpec run;
+  run.ratio = 0.2;
+  run.seed = 1;
+  run.gm.outer_iters = 2;
+  run.gm.inner_iters = 2;
+  run.gm.relay_inits = 2;
+  hgnn::HgnnConfig cfg;
+  cfg.hidden = 8;
+  cfg.epochs = 30;
+  auto res = RunMethod(ctx, kBuiltinKeys[GetParam().index], run, cfg);
+  ASSERT_TRUE(res.ok()) << res.status().ToString();
+  EXPECT_FALSE(res->oom);
+  EXPECT_GE(res->accuracy, 0.0f);
+  EXPECT_LE(res->accuracy, 100.0f);
+  EXPECT_GT(res->storage_bytes, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    AllMethods, RunMethodTest,
+    ::testing::Values(MethodIndex{0}, MethodIndex{1}, MethodIndex{2},
+                      MethodIndex{3}, MethodIndex{4}, MethodIndex{5},
+                      MethodIndex{6}),
+    [](const auto& info) {
+      std::string out;
+      for (char c : DisplayName(kBuiltinKeys[info.param.index])) {
+        if (c != '-') out += c;
+      }
+      return out;
+    });
+
+TEST(RunMethodSeedsTest, AggregatesOverSeeds) {
+  const HeteroGraph g = datasets::MakeToy(7);
+  hgnn::PropagateOptions popts;
+  popts.max_hops = 2;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  RunSpec run;
+  run.ratio = 0.2;
+  hgnn::HgnnConfig cfg;
+  cfg.hidden = 8;
+  cfg.epochs = 20;
+  const AggregatedRun agg = RunMethodSeeds(ctx, "random", run, cfg, {1, 2, 3});
+  EXPECT_FALSE(agg.oom);
+  EXPECT_GE(agg.accuracy.mean, 0.0);
+  EXPECT_GE(agg.accuracy.std, 0.0);
 }
 
 // --- artifact cache ---------------------------------------------------------
@@ -233,6 +328,42 @@ TEST(CondenseCacheTest, CacheOnVsOffProducesIdenticalCondensedGraph) {
             cached1->graph.ContentFingerprint());
   EXPECT_EQ(uncached->graph.ContentFingerprint(),
             cached2->graph.ContentFingerprint());
+}
+
+TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
+  // A prepared dataset's cache already holds every composition FreeHGC
+  // needs, and running on it changes no byte of the condensed graph.
+  ArtifactCache cache;
+  PipelineEnv env;
+  env.cache = &cache;
+  DatasetSpec toy;
+  toy.name = "toy";
+  auto data = PrepareDataset(toy, env);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const hgnn::EvalContext& ctx = (*data)->ctx;
+  EXPECT_EQ(ctx.full, &(*data)->graph);
+  EXPECT_GT(cache.stats().misses, 0);
+
+  RunSpec run;
+  run.ratio = 0.3;
+  const ArtifactCache::Stats before = cache.stats();
+  auto shared = MethodRegistry::Global().Find("freehgc")->Condense(ctx, run,
+                                                                  env);
+  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
+  EXPECT_EQ(cache.stats().misses, before.misses);
+  EXPECT_GT(cache.stats().hits, before.hits);
+
+  core::FreeHgcOptions fopts;
+  fopts.ratio = run.ratio;
+  fopts.max_hops = ctx.options.max_hops;
+  fopts.max_paths = ctx.options.max_paths;
+  fopts.max_row_nnz = ctx.options.max_row_nnz;
+  auto cold = core::Condense((*data)->graph, fopts);
+  ASSERT_TRUE(cold.ok());
+  auto shared_bytes = SerializeHeteroGraph(shared->graph);
+  auto cold_bytes = SerializeHeteroGraph(cold->graph);
+  ASSERT_TRUE(shared_bytes.ok() && cold_bytes.ok());
+  EXPECT_EQ(*shared_bytes, *cold_bytes);
 }
 
 }  // namespace
