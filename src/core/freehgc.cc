@@ -192,10 +192,8 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
     FREEHGC_TRACE_SPAN("condense.target");
     switch (opts.target_strategy) {
       case TargetStrategy::kCriterion: {
-        TargetSelectionOptions topts = opts.target;
-        topts.seed = opts.seed;
         selected_target = CondenseTargetNodes(
-            g, paths, opts.max_row_nnz, target_budget, topts,
+            g, paths, opts.max_row_nnz, target_budget, opts.seed, opts.target,
             /*scores_out=*/nullptr, &ex, cache);
         break;
       }

@@ -146,6 +146,7 @@ std::vector<int32_t> GreedyCoverageSelect(
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
+                                         uint64_t seed,
                                          const TargetSelectionOptions& opts,
                                          std::vector<double>* scores_out,
                                          exec::ExecContext* ctx,
@@ -222,7 +223,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
         class_pool = PruneUninfluentialByWalks(
             *composed[m], class_pool, opts.walk_prune_fraction,
             opts.walk_count, opts.walk_length,
-            opts.seed ^ (m * 131 + c), &ex);
+            seed ^ (m * 131 + c), &ex);
       }
       std::vector<double> gains;
       const std::vector<int32_t> picked = GreedyCoverageSelect(

@@ -27,7 +27,6 @@ struct TargetSelectionOptions {
   double walk_prune_fraction = 0.0;
   int walk_count = 4;
   int walk_length = 3;
-  uint64_t seed = 1;
 };
 
 /// Estimates each pool node's influence with `walks` random walks of
@@ -53,7 +52,8 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 ///
 /// `paths` must all start at the target type; each is composed under the
 /// row-nnz budget `max_row_nnz` (0 = exact). Returns original target-node
-/// ids, |result| == min(budget, train pool size). `scores_out`, when non
+/// ids, |result| == min(budget, train pool size). `seed` drives the
+/// random-walk pruning (unused when it is off). `scores_out`, when non
 /// null, receives the aggregated per-node score (0 for never-selected
 /// nodes) — used by the Fig. 9 interpretability bench.
 /// Path composition, the Jaccard diversity term, and the initial greedy
@@ -64,6 +64,7 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
+                                         uint64_t seed,
                                          const TargetSelectionOptions& opts,
                                          std::vector<double>* scores_out =
                                              nullptr,

@@ -185,19 +185,6 @@ Result<ContainerSummary> InspectContainer(const std::string& path);
 /// InspectContainer dispatches here automatically on the spill magic.
 Result<ContainerSummary> InspectSpillFile(const std::string& path);
 
-/// Loads a heterogeneous graph from plain CSV files, the interchange
-/// format for bringing real datasets into the library:
-///   <dir>/types.csv      rows "name,count,feat_dim"
-///   <dir>/edges.csv      rows "relation,src_type,dst_type,src_id,dst_id"
-///   <dir>/features_<type>.csv   one row of feat_dim floats per node
-///                               (optional per type)
-///   <dir>/labels.csv     rows "id,label"; first line "target,<type>,
-///                        <num_classes>"
-/// Reverse relations are added automatically; the split defaults to
-/// 24/6/70 deterministic under `seed`.
-Result<HeteroGraph> LoadHeteroGraphCsv(const std::string& dir,
-                                       uint64_t seed = 1);
-
 }  // namespace freehgc
 
 #endif  // FREEHGC_GRAPH_SERIALIZE_H_

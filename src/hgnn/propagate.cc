@@ -96,16 +96,20 @@ PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
   return out;
 }
 
-PropagatedFeatures PropagateFeatures(const HeteroGraph& g,
-                                     const PropagateOptions& opts,
-                                     exec::ExecContext* ctx) {
+std::vector<MetaPath> EnumeratePropagationPaths(const HeteroGraph& g,
+                                                const PropagateOptions& opts) {
   MetaPathOptions mp_opts;
   mp_opts.max_hops = opts.max_hops;
   mp_opts.max_paths = opts.max_paths;
   mp_opts.max_row_nnz = opts.max_row_nnz;
-  const std::vector<MetaPath> paths =
-      EnumerateMetaPaths(g, g.target_type(), mp_opts);
-  return PropagateAlongPaths(g, paths, opts.max_row_nnz, ctx);
+  return EnumerateMetaPaths(g, g.target_type(), mp_opts);
+}
+
+PropagatedFeatures PropagateFeatures(const HeteroGraph& g,
+                                     const PropagateOptions& opts,
+                                     exec::ExecContext* ctx) {
+  return PropagateAlongPaths(g, EnumeratePropagationPaths(g, opts),
+                             opts.max_row_nnz, ctx);
 }
 
 }  // namespace freehgc::hgnn

@@ -38,6 +38,12 @@ struct PropagateOptions {
   int64_t max_row_nnz = 512;
 };
 
+/// The meta-paths a propagation under `opts` runs along: every path of at
+/// most opts.max_hops hops from the target type, capped at opts.max_paths
+/// (EnumerateMetaPaths' order). Every EvalContext build enumerates here.
+std::vector<MetaPath> EnumeratePropagationPaths(const HeteroGraph& g,
+                                                const PropagateOptions& opts);
+
 /// Enumerates meta-paths from the graph's target type and mean-propagates
 /// features along each (Eq. 1 composition). The returned block layout is a
 /// function of the *schema*, so a condensed graph produced from `g`

@@ -14,11 +14,7 @@ EvalContext BuildEvalContext(const HeteroGraph& full,
   EvalContext ctx;
   ctx.full = &full;
   ctx.options = opts;
-  MetaPathOptions mp_opts;
-  mp_opts.max_hops = opts.max_hops;
-  mp_opts.max_paths = opts.max_paths;
-  mp_opts.max_row_nnz = opts.max_row_nnz;
-  ctx.paths = EnumerateMetaPaths(full, full.target_type(), mp_opts);
+  ctx.paths = EnumeratePropagationPaths(full, opts);
   ctx.full_features =
       PropagateAlongPaths(full, ctx.paths, opts.max_row_nnz, ctx_exec, cache);
   return ctx;

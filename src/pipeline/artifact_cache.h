@@ -86,10 +86,12 @@ class ArtifactCache final : public AdjacencyCache {
                                             int64_t max_row_nnz,
                                             exec::ExecContext* ctx) override;
 
-  /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz)
-  /// (what hgnn::BuildEvalContext computes). The path compositions inside
-  /// a miss also route through this cache. Under a finite budget, a miss
-  /// streams blocks through a spool file instead of materializing them.
+  /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz),
+  /// the blocks of every cached EvalContext: pipeline::BuildEvalContext
+  /// aliases them, holding the returned pin for the context's lifetime.
+  /// The path compositions inside a miss also route through this cache.
+  /// Under a finite budget, a miss streams blocks through a spool file
+  /// instead of materializing them.
   std::shared_ptr<const hgnn::PropagatedFeatures> Propagated(
       const HeteroGraph& g, const std::vector<MetaPath>& paths,
       int64_t max_row_nnz, exec::ExecContext* ctx);

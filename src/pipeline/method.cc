@@ -205,6 +205,33 @@ std::vector<std::string> MethodRegistry::Keys() const {
   return keys;
 }
 
+hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
+                                   const hgnn::PropagateOptions& opts,
+                                   const PipelineEnv& env) {
+  if (env.cache == nullptr) {
+    return hgnn::BuildEvalContext(graph, opts, env.exec);
+  }
+  hgnn::EvalContext ctx;
+  ctx.full = &graph;
+  ctx.options = opts;
+  ctx.paths = hgnn::EnumeratePropagationPaths(graph, opts);
+  const std::shared_ptr<const hgnn::PropagatedFeatures> pin =
+      env.cache->Propagated(graph, ctx.paths, opts.max_row_nnz, env.exec);
+  hgnn::PropagatedFeatures& f = ctx.full_features;
+  f.names = pin->names;
+  f.end_types = pin->end_types;
+  f.blocks.reserve(pin->blocks.size());
+  for (const Matrix& b : pin->blocks) {
+    f.blocks.push_back(
+        b.is_mapped()
+            ? b
+            : Matrix::FromView(b.rows(), b.cols(),
+                               {b.data(), static_cast<size_t>(b.size())},
+                               pin));
+  }
+  return ctx;
+}
+
 std::string DisplayName(const std::string& key) {
   const CondensationMethod* m = MethodRegistry::Global().Find(key);
   return m != nullptr ? m->display_name() : key;

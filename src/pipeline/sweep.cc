@@ -91,37 +91,19 @@ std::string SweepResult::ToJson() const {
 
 Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
     const DatasetSpec& ds, const PipelineEnv& env) {
-  exec::ExecContext& ex = exec::Resolve(env.exec);
   auto out = std::make_unique<PreparedDataset>();
   const double scale =
       ds.scale > 0 ? ds.scale : DefaultDatasetScale(ds.name);
   FREEHGC_ASSIGN_OR_RETURN(
-      out->graph, datasets::MakeByName(ds.name, ds.graph_seed, scale, &ex));
+      out->graph,
+      datasets::MakeByName(ds.name, ds.graph_seed, scale, env.exec));
 
   hgnn::PropagateOptions popts;
   popts.max_hops = ds.max_hops > 0
                        ? ds.max_hops
                        : std::min(3, datasets::RecommendedHops(ds.name));
   popts.max_paths = ds.max_paths;
-
-  const HeteroGraph& graph = out->graph;
-  hgnn::EvalContext& ctx = out->ctx;
-  if (env.cache != nullptr) {
-    // Same construction as hgnn::BuildEvalContext, but the propagated
-    // feature blocks come from (and land in) the cache, so a repeated
-    // preparation skips even the dense propagation.
-    ctx.full = &graph;
-    ctx.options = popts;
-    MetaPathOptions mp_opts;
-    mp_opts.max_hops = popts.max_hops;
-    mp_opts.max_paths = popts.max_paths;
-    mp_opts.max_row_nnz = popts.max_row_nnz;
-    ctx.paths = EnumerateMetaPaths(graph, graph.target_type(), mp_opts);
-    ctx.full_features =
-        *env.cache->Propagated(graph, ctx.paths, popts.max_row_nnz, &ex);
-  } else {
-    ctx = hgnn::BuildEvalContext(graph, popts, &ex, nullptr);
-  }
+  out->ctx = BuildEvalContext(out->graph, popts, env);
   return out;
 }
 

@@ -41,11 +41,11 @@ struct PreparedDataset {
 
 /// Generates `ds` and builds its evaluation context: the preset at
 /// `ds.scale` (or DefaultDatasetScale), meta-paths of `ds.max_hops` hops
-/// (or min(3, RecommendedHops)), capped at `ds.max_paths`. With
-/// `env.cache` the propagated blocks, and the compositions behind them,
-/// come from and land in that cache, so later method runs on the same
-/// env reuse them; without it this is hgnn::BuildEvalContext. The sweep
-/// and the paper benches prepare their datasets here.
+/// (or min(3, RecommendedHops)), capped at `ds.max_paths`, built by
+/// BuildEvalContext on `env`: with `env.cache` the context aliases the
+/// cache's propagated blocks, and later method runs on the same env
+/// reuse the compositions behind them. The sweep and the paper benches
+/// prepare their datasets here.
 Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
     const DatasetSpec& ds, const PipelineEnv& env = {});
 

@@ -151,7 +151,7 @@ void ServeService::Shutdown(ShutdownMode mode) { scheduler_->Shutdown(mode); }
 
 std::shared_ptr<ServeService::EvalEntry> ServeService::GetOrBuildEvalContext(
     const GraphStore::GraphRef& graph, const hgnn::PropagateOptions& opts,
-    exec::ExecContext* ctx, bool* built) {
+    const pipeline::PipelineEnv& env, bool* built) {
   const uint64_t fp = cache_.FingerprintOf(*graph);
   const EvalKey key{fp, opts.max_hops, opts.max_paths, opts.max_row_nnz};
   std::shared_ptr<EvalEntry> entry;
@@ -168,25 +168,7 @@ std::shared_ptr<ServeService::EvalEntry> ServeService::GetOrBuildEvalContext(
     FREEHGC_TRACE_SPAN("serve.build_eval_context");
     entry->graph = graph;
     entry->fingerprint = fp;
-    if (cache_.spill_enabled()) {
-      // Spillable build: same construction as hgnn::BuildEvalContext,
-      // but the propagated blocks come from the tiered cache — streamed
-      // through a spool file under a finite budget, and view-backed
-      // (≈0 heap) when restored — so the EvalContext path works under a
-      // heap cap. Matrix copies of view-backed blocks share the mapping.
-      entry->ctx.full = graph.get();
-      entry->ctx.options = opts;
-      MetaPathOptions mp_opts;
-      mp_opts.max_hops = opts.max_hops;
-      mp_opts.max_paths = opts.max_paths;
-      mp_opts.max_row_nnz = opts.max_row_nnz;
-      entry->ctx.paths =
-          EnumerateMetaPaths(*graph, graph->target_type(), mp_opts);
-      entry->ctx.full_features =
-          *cache_.Propagated(*graph, entry->ctx.paths, opts.max_row_nnz, ctx);
-    } else {
-      entry->ctx = hgnn::BuildEvalContext(*graph, opts, ctx, &cache_);
-    }
+    entry->ctx = pipeline::BuildEvalContext(*graph, opts, env);
     built_here = true;
     evalctx_builds_.Increment();
   });
@@ -204,9 +186,12 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   popts.max_hops = request.max_hops > 0 ? request.max_hops : 2;
   popts.max_paths = request.max_paths;
   popts.max_row_nnz = request.max_row_nnz;
+  pipeline::PipelineEnv env;
+  env.exec = ctx;
+  env.cache = &cache_;
   bool built = false;
   std::shared_ptr<EvalEntry> entry =
-      GetOrBuildEvalContext(graph, popts, ctx, &built);
+      GetOrBuildEvalContext(graph, popts, env, &built);
 
   FREEHGC_ASSIGN_OR_RETURN(
       const pipeline::CondensationMethod* method,
@@ -215,9 +200,6 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   pipeline::RunSpec spec;
   spec.ratio = request.ratio;
   spec.seed = request.seed;
-  pipeline::PipelineEnv env;
-  env.exec = ctx;
-  env.cache = &cache_;
   FREEHGC_ASSIGN_OR_RETURN(pipeline::CondensedData data,
                            method->Condense(entry->ctx, spec, env));
 

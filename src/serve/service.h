@@ -12,6 +12,7 @@
 #include "hgnn/trainer.h"
 #include "obs/access_log.h"
 #include "pipeline/artifact_cache.h"
+#include "pipeline/method.h"
 #include "serve/graph_store.h"
 #include "serve/scheduler.h"
 
@@ -42,7 +43,7 @@ struct ServeOptions : SchedulerOptions {
   /// GraphStore::SetResidentBudget). SIZE_MAX = unlimited.
   size_t store_resident_budget_bytes = SIZE_MAX;
   /// Directory for artifact spool files. Non-empty enables the
-  /// ArtifactCache spill tier (and the spillable EvalContext build path).
+  /// ArtifactCache spill tier.
   std::string spill_dir;
   /// Spill-aware admission: when > 0 and a budget is configured, new
   /// submissions are shed with kResourceExhausted while a budgeted tier
@@ -71,9 +72,11 @@ struct ServeOptions : SchedulerOptions {
 /// Coalescing: requests against the same (graph fingerprint, max_hops,
 /// max_paths, max_row_nnz) share one EvalContext — the expensive
 /// enumerate-paths + SpGEMM + propagate step runs once (the first request
-/// builds, concurrent duplicates block on the build, later ones hit), and
-/// the composed adjacencies inside it land in the ArtifactCache where
-/// condensation itself re-reads them. Determinism: all shared artifacts
+/// builds, concurrent duplicates block on the build, later ones hit).
+/// The build is pipeline::BuildEvalContext on the shared ArtifactCache,
+/// so the cache owns the context's propagated blocks in every spill mode,
+/// and the composed adjacencies behind them land where condensation
+/// itself re-reads them. Determinism: all shared artifacts
 /// are outputs of deterministic kernels, so concurrent requests return
 /// results bit-identical to sequential execution (tests/serve_test.cc).
 class ServeService {
@@ -134,7 +137,7 @@ class ServeService {
   /// = coalescing-cache hit).
   std::shared_ptr<EvalEntry> GetOrBuildEvalContext(
       const GraphStore::GraphRef& graph, const hgnn::PropagateOptions& opts,
-      exec::ExecContext* ctx, bool* built = nullptr);
+      const pipeline::PipelineEnv& env, bool* built = nullptr);
 
   const ServeOptions options_;
   GraphStore store_;

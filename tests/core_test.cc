@@ -162,7 +162,7 @@ TEST_P(TargetSelectionRatioTest, BudgetAndClassBalanceHold) {
       g.num_classes(),
       static_cast<int32_t>(ratio * g.NodeCount(g.target_type())));
   TargetSelectionOptions opts;
-  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, budget, opts);
+  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, budget, 1, opts);
   EXPECT_LE(static_cast<int32_t>(sel.size()), budget + g.num_classes());
   EXPECT_GE(static_cast<int32_t>(sel.size()), std::min<int32_t>(
       budget, static_cast<int32_t>(g.train_index().size())) - g.num_classes());
@@ -187,15 +187,15 @@ TEST(TargetSelectionTest, DeterministicAndAblationSwitchesChangeResult) {
   mp.max_paths = 8;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   TargetSelectionOptions opts;
-  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
-  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
+  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts);
+  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts);
   EXPECT_EQ(a, b);
   TargetSelectionOptions no_rf = opts;
   no_rf.use_receptive_field = false;
   TargetSelectionOptions no_jac = opts;
   no_jac.use_jaccard = false;
-  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_rf);
-  const auto d = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_jac);
+  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, no_rf);
+  const auto d = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, no_jac);
   EXPECT_TRUE(a != c || a != d);  // switches have an effect
 }
 
@@ -205,7 +205,8 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   std::vector<double> scores;
-  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, 10, {}, &scores);
+  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, 10, 1, {},
+                                       &scores);
   EXPECT_EQ(scores.size(),
             static_cast<size_t>(g.NodeCount(g.target_type())));
   // Selected nodes carry positive scores.

@@ -1,0 +1,117 @@
+// Golden output corpus. tests/golden/evalctx.txt holds one line of FNV-64
+// fingerprints per dataset: the enumerated meta-path list, every
+// propagated feature block of the evaluation context, and FreeHGC's
+// serialized condensed graph. Every line must match for the uncached and
+// the cached PrepareDataset at 1 and 4 threads, so an accidental output
+// change anywhere on the data path (generator, compose, propagate,
+// selection, serialization) fails here. A change that moves outputs on
+// purpose replaces the lines this test prints on a mismatch.
+
+#include <gtest/gtest.h>
+
+#include <cinttypes>
+#include <cstdio>
+#include <fstream>
+#include <map>
+#include <memory>
+#include <string>
+
+#include "common/fnv.h"
+#include "common/string_util.h"
+#include "exec/exec_context.h"
+#include "graph/serialize.h"
+#include "pipeline/artifact_cache.h"
+#include "pipeline/method.h"
+#include "pipeline/sweep.h"
+
+namespace freehgc::pipeline {
+namespace {
+
+constexpr double kScale = 0.2;
+constexpr double kRatio = 0.05;
+constexpr uint64_t kSeed = 1;
+
+std::string Hex(uint64_t h) { return StrFormat("%016" PRIx64, h); }
+
+/// One corpus line: "<dataset> paths=<fp> blocks=<fp>,... freehgc=<fp>".
+std::string CorpusLine(const std::string& dataset, bool cached,
+                       int threads) {
+  exec::ExecContext ex(threads);
+  ArtifactCache cache;
+  PipelineEnv env;
+  env.exec = &ex;
+  env.cache = cached ? &cache : nullptr;
+  DatasetSpec ds;
+  ds.name = dataset;
+  ds.scale = kScale;
+  auto data = PrepareDataset(ds, env);
+  if (!data.ok()) return "error: " + data.status().ToString();
+  const hgnn::EvalContext& ctx = (*data)->ctx;
+
+  Fnv paths;
+  for (const MetaPath& p : ctx.paths) {
+    paths.Vec(p.relations);
+    paths.Vec(p.types);
+  }
+  std::string line = dataset + " paths=" + Hex(paths.h) + " blocks=";
+  for (size_t i = 0; i < ctx.full_features.blocks.size(); ++i) {
+    const Matrix& b = ctx.full_features.blocks[i];
+    Fnv f;
+    f.Pod(b.rows());
+    f.Pod(b.cols());
+    f.Bytes(b.data(), static_cast<size_t>(b.size()) * sizeof(float));
+    line += (i == 0 ? "" : ",") + Hex(f.h);
+  }
+
+  RunSpec run;
+  run.ratio = kRatio;
+  run.seed = kSeed;
+  auto condensed =
+      MethodRegistry::Global().Find("freehgc")->Condense(ctx, run, env);
+  if (!condensed.ok()) return "error: " + condensed.status().ToString();
+  auto bytes = SerializeHeteroGraph(condensed->graph);
+  if (!bytes.ok()) return "error: " + bytes.status().ToString();
+  Fnv graph;
+  graph.Bytes(bytes->data(), bytes->size());
+  return line + " freehgc=" + Hex(graph.h);
+}
+
+/// Corpus lines keyed by dataset; '#' lines are comments.
+std::map<std::string, std::string> ReadCorpus() {
+  std::map<std::string, std::string> out;
+  std::ifstream in(FREEHGC_GOLDEN_DIR "/evalctx.txt");
+  std::string line;
+  while (std::getline(in, line)) {
+    if (line.empty() || line[0] == '#') continue;
+    out[line.substr(0, line.find(' '))] = line;
+  }
+  return out;
+}
+
+class GoldenTest : public ::testing::TestWithParam<std::string> {};
+
+TEST_P(GoldenTest, EvalContextAndFreeHgcMatchCorpus) {
+  const std::string& dataset = GetParam();
+  const std::string expected = ReadCorpus()[dataset];
+  std::string replacement;
+  for (bool cached : {false, true}) {
+    for (int threads : {1, 4}) {
+      const std::string got = CorpusLine(dataset, cached, threads);
+      if (replacement.empty()) replacement = got;
+      EXPECT_EQ(got, expected) << (cached ? "cached" : "uncached") << ", "
+                               << threads << " threads";
+    }
+  }
+  if (HasFailure()) {
+    std::printf("replacement line for tests/golden/evalctx.txt:\n%s\n",
+                replacement.c_str());
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Datasets, GoldenTest,
+                         ::testing::Values("acm", "dblp", "imdb", "freebase",
+                                           "aminer"),
+                         [](const auto& info) { return info.param; });
+
+}  // namespace
+}  // namespace freehgc::pipeline

@@ -366,5 +366,30 @@ TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
   EXPECT_EQ(*shared_bytes, *cold_bytes);
 }
 
+TEST(PrepareDatasetTest, CachedContextSharesTheCacheEntrysBlocks) {
+  // With a cache, the prepared context aliases the cache entry's owned
+  // blocks instead of copying them.
+  ArtifactCache cache;
+  PipelineEnv env;
+  env.cache = &cache;
+  DatasetSpec toy;
+  toy.name = "toy";
+  auto data = PrepareDataset(toy, env);
+  ASSERT_TRUE(data.ok()) << data.status().ToString();
+  const hgnn::EvalContext& ctx = (*data)->ctx;
+
+  const ArtifactCache::Stats before = cache.stats();
+  const auto pin = cache.Propagated((*data)->graph, ctx.paths,
+                                    ctx.options.max_row_nnz, nullptr);
+  EXPECT_EQ(cache.stats().hits, before.hits + 1);
+  EXPECT_EQ(cache.stats().misses, before.misses);
+  ASSERT_EQ(pin->blocks.size(), ctx.full_features.blocks.size());
+  for (size_t i = 0; i < pin->blocks.size(); ++i) {
+    ASSERT_FALSE(pin->blocks[i].is_mapped()) << i;
+    EXPECT_EQ(ctx.full_features.blocks[i].data(), pin->blocks[i].data())
+        << i;
+  }
+}
+
 }  // namespace
 }  // namespace freehgc::pipeline

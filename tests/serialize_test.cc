@@ -502,43 +502,5 @@ TEST(ContainerV3Test, RoundTripsEmptyRelation) {
   std::remove(path.c_str());
 }
 
-TEST(CsvLoaderTest, LoadsMinimalDataset) {
-  const std::string dir = "/tmp/freehgc_csv_test";
-  ASSERT_EQ(system(("mkdir -p " + dir).c_str()), 0);
-  {
-    std::ofstream types(dir + "/types.csv");
-    types << "paper,3,2\nauthor,2,2\n";
-    std::ofstream edges(dir + "/edges.csv");
-    edges << "pa,paper,author,0,0\npa,paper,author,1,0\n"
-          << "pa,paper,author,2,1\n";
-    std::ofstream feats(dir + "/features_paper.csv");
-    feats << "1.0,0.0\n0.5,0.5\n0.0,1.0\n";
-    std::ofstream labels(dir + "/labels.csv");
-    labels << "target,paper,2\n0,0\n1,0\n2,1\n";
-  }
-  auto g = LoadHeteroGraphCsv(dir);
-  ASSERT_TRUE(g.ok()) << g.status().ToString();
-  EXPECT_EQ(g->NumNodeTypes(), 2);
-  EXPECT_EQ(g->NodeCount(g->TypeByName("paper").value()), 3);
-  EXPECT_EQ(g->NumRelations(), 2);  // pa + auto reverse
-  EXPECT_EQ(g->labels(), (std::vector<int32_t>{0, 0, 1}));
-  EXPECT_FLOAT_EQ(g->Features(0).At(1, 1), 0.5f);
-  EXPECT_TRUE(g->Validate().ok());
-  ASSERT_EQ(system(("rm -rf " + dir).c_str()), 0);
-}
-
-TEST(CsvLoaderTest, RejectsMalformedInputs) {
-  const std::string dir = "/tmp/freehgc_csv_bad";
-  ASSERT_EQ(system(("mkdir -p " + dir).c_str()), 0);
-  {
-    std::ofstream types(dir + "/types.csv");
-    types << "paper,3\n";  // missing dim column
-  }
-  EXPECT_FALSE(LoadHeteroGraphCsv(dir).ok());
-  EXPECT_EQ(LoadHeteroGraphCsv("/tmp/no_such_dir_xyz").status().code(),
-            StatusCode::kNotFound);
-  ASSERT_EQ(system(("rm -rf " + dir).c_str()), 0);
-}
-
 }  // namespace
 }  // namespace freehgc
