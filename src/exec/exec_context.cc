@@ -19,7 +19,7 @@ int DefaultNumThreads() {
 
 int ThreadsPerSlot(int slots) {
   if (slots < 1) slots = 1;
-  const int per_slot = DefaultNumThreads() / slots;
+  const int per_slot = DefaultNumThreads() - slots + 1;
   return per_slot > 0 ? per_slot : 1;
 }
 
@@ -29,17 +29,19 @@ int ConcurrentSlotBudget(int slots) {
   return slots < cores ? slots : cores;
 }
 
-ExecContext::ExecContext(int num_threads) {
+ExecContext::ExecContext(int num_threads)
+    : owned_pool_(std::make_unique<ThreadPool>(
+          num_threads > 0 ? num_threads : DefaultNumThreads())),
+      pool_(owned_pool_.get()) {
   obs::InitObservabilityFromEnv();
   // The constructing thread drives ParallelFor invokes as worker 0;
   // label it for the trace unless the embedder already named it.
   obs::SetCurrentThreadNameIfUnset("main");
-  const int n = num_threads > 0 ? num_threads : DefaultNumThreads();
-  pool_ = std::make_unique<ThreadPool>(n);
-  workspaces_.reserve(static_cast<size_t>(n));
-  for (int w = 0; w < n; ++w) {
-    workspaces_.push_back(std::make_unique<Workspace>());
-  }
+}
+
+ExecContext::ExecContext(ThreadPool& shared) : pool_(&shared) {
+  obs::InitObservabilityFromEnv();
+  obs::SetCurrentThreadNameIfUnset("main");
 }
 
 ExecContext::~ExecContext() = default;
@@ -59,12 +61,13 @@ void ExecContext::NoteParallelFor(int64_t num_chunks, int64_t busy_ns,
   calls.Increment();
   chunks.Add(num_chunks);
   busy.Add(busy_ns);
-  // Idle = pool capacity over the invoke's wall time not spent in chunks
-  // (workers waiting on the slowest chunk, wake-up latency).
+  // Idle = the participants' capacity over the invoke's wall time not
+  // spent in chunks (workers waiting on the slowest chunk, wake-up
+  // latency). Helpers busy with another driver's invoke never joined, so
+  // they are not capacity this invoke left idle.
   const int64_t capacity_ns = wall_ns * static_cast<int64_t>(workers);
   if (capacity_ns > busy_ns) idle.Add(capacity_ns - busy_ns);
-  size_t bytes = 0;
-  for (const auto& ws : workspaces_) bytes += ws->BytesReserved();
+  const size_t bytes = ws_.BytesReserved() + pool_->HelperWorkspaceBytes();
   ws_hwm.UpdateMax(static_cast<int64_t>(bytes));
 }
 

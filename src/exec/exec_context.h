@@ -19,14 +19,15 @@ namespace freehgc::exec {
 /// Per-thread scratch arena for *nested* parallel regions: when a kernel
 /// issues a ParallelFor from inside another ParallelFor body, the nested
 /// call runs serially on the calling thread with this workspace instead
-/// of the pool's per-worker arenas (which the enclosing chunk may still
-/// be using). One level of nesting is supported; deeper nesting would
-/// alias this arena, so kernels must not rely on it.
+/// of the driver's or a helper's arena (which the enclosing chunk may
+/// still be using). One level of nesting is supported; deeper nesting
+/// would alias this arena, so kernels must not rely on it.
 Workspace& NestedWorkspace();
 
-/// Execution context shared by every hot path of the library: a fixed
-/// thread pool, deterministic parallel-for / ordered parallel-reduce
-/// primitives, and one reusable Workspace per worker.
+/// Execution context shared by every hot path of the library: a thread
+/// pool to borrow helpers from, deterministic parallel-for / ordered
+/// parallel-reduce primitives, and the driver's reusable Workspace (the
+/// pool keeps one per helper).
 ///
 /// Determinism contract (what makes results bit-identical across thread
 /// counts):
@@ -44,23 +45,28 @@ Workspace& NestedWorkspace();
 ///    never sharing a stream across chunks.
 ///
 /// An ExecContext is not itself thread-safe: one thread drives it at a
-/// time (the library is single-driver; parallelism lives *inside* the
-/// kernels).
+/// time. Several contexts may share one ThreadPool and drive it
+/// concurrently (a server's slots do): each ParallelFor then runs on its
+/// driver plus whichever helpers are idle.
 class ExecContext {
  public:
-  /// Creates a context with `num_threads` workers. 0 (the default) means
-  /// "resolve automatically": the FREEHGC_THREADS environment variable if
-  /// set to a positive integer, otherwise the hardware concurrency.
+  /// Creates a context over its own pool of `num_threads` workers. 0 (the
+  /// default) means "resolve automatically": the FREEHGC_THREADS
+  /// environment variable if set to a positive integer, otherwise the
+  /// hardware concurrency.
   explicit ExecContext(int num_threads = 0);
+
+  /// Creates a context that drives `shared`, a pool other contexts may
+  /// drive at the same time. `shared` must outlive the context.
+  explicit ExecContext(ThreadPool& shared);
   ~ExecContext();
 
   ExecContext(const ExecContext&) = delete;
   ExecContext& operator=(const ExecContext&) = delete;
 
+  /// The most threads one ParallelFor uses: the driver plus every helper
+  /// of the pool.
   int num_threads() const { return pool_->size(); }
-
-  /// Worker `w`'s scratch arena (w ∈ [0, num_threads())).
-  Workspace& workspace(int w) { return *workspaces_[static_cast<size_t>(w)]; }
 
   /// Runs fn(begin, end, ws) over static chunks of [0, n). `grain` is the
   /// minimum chunk size (>= 1); the chunk layout is a pure function of
@@ -74,12 +80,13 @@ class ExecContext {
     const int64_t num_chunks = (n + chunk - 1) / chunk;
     if (ThreadPool::InParallelRegion()) {
       // Nested parallel region (a kernel called from inside another
-      // ParallelFor body, e.g. a per-relation Transpose): the pool's
-      // invoke state is single-driver, so a nested invoke would corrupt
-      // the outer invoke and deadlock. Run the same chunk layout
-      // serially on this thread instead — bit-identical output, and a
-      // dedicated per-thread workspace so the nested kernel cannot
-      // alias buffers the enclosing chunk is still using.
+      // ParallelFor body, e.g. a per-relation Transpose): the body may be
+      // on a helper thread, and a nested Run would make it a second
+      // driver of this context, sharing the driver's workspace with the
+      // enclosing chunk. Run the same chunk layout serially on this
+      // thread instead — bit-identical output, and a dedicated
+      // per-thread workspace so the nested kernel cannot alias buffers
+      // the enclosing chunk is still using.
       Workspace& ws = NestedWorkspace();
       for (int64_t c = 0; c < num_chunks; ++c) {
         fn(c * chunk, std::min(n, (c + 1) * chunk), ws);
@@ -95,7 +102,7 @@ class ExecContext {
     const bool obs_on =
         obs::DetailedMetricsEnabled() || obs::TracingEnabled();
     if (num_threads() == 1 || num_chunks == 1) {
-      Workspace& ws = workspace(0);
+      Workspace& ws = ws_;
       auto run_serial = [&] {
         ThreadPool::RegionScope in_region;
         for (int64_t c = 0; c < num_chunks; ++c) {
@@ -114,16 +121,12 @@ class ExecContext {
       }
       return;
     }
-    std::atomic<int64_t> cursor{0};
     std::atomic<int64_t> busy_ns{0};
     std::mutex err_mu;
     int64_t err_chunk = -1;
     std::exception_ptr err;
-    auto run_chunks = [&](int worker) {
-      Workspace& ws = workspace(worker);
-      for (;;) {
-        const int64_t c = cursor.fetch_add(1, std::memory_order_relaxed);
-        if (c >= num_chunks) break;
+    auto run_chunks = [&](Workspace& ws, ThreadPool::Cursor& chunks) {
+      for (int64_t c; (c = chunks.Next()) >= 0;) {
         try {
           fn(c * chunk, std::min(n, (c + 1) * chunk), ws);
         } catch (...) {
@@ -136,19 +139,21 @@ class ExecContext {
       }
     };
     const int64_t t0 = obs_on ? obs::NowNs() : 0;
-    pool_->ParallelInvoke([&](int worker) {
-      if (obs_on) {
-        const int64_t w0 = obs::NowNs();
-        FREEHGC_TRACE_SPAN_WORKER("parallel_for", worker);
-        run_chunks(worker);
-        busy_ns.fetch_add(obs::NowNs() - w0, std::memory_order_relaxed);
-      } else {
-        run_chunks(worker);
-      }
-    });
+    const int workers = pool_->Run(
+        num_chunks, ws_,
+        [&](int worker, Workspace& ws, ThreadPool::Cursor& chunks) {
+          if (obs_on) {
+            const int64_t w0 = obs::NowNs();
+            FREEHGC_TRACE_SPAN_WORKER("parallel_for", worker);
+            run_chunks(ws, chunks);
+            busy_ns.fetch_add(obs::NowNs() - w0, std::memory_order_relaxed);
+          } else {
+            run_chunks(ws, chunks);
+          }
+        });
     if (obs_on) {
       NoteParallelFor(num_chunks, busy_ns.load(std::memory_order_relaxed),
-                      obs::NowNs() - t0, num_threads());
+                      obs::NowNs() - t0, workers);
     }
     if (err) std::rethrow_exception(err);
   }
@@ -195,14 +200,16 @@ class ExecContext {
  private:
   /// Metrics hook run after an observed ParallelFor (only when tracing
   /// or detailed metrics are armed): bumps the exec.* counters (calls,
-  /// chunks, per-worker busy/idle nanoseconds) and raises the workspace
-  /// high-water-mark gauge. Call/chunk counts are deterministic; the
-  /// *_ns counters measure the schedule and are not.
+  /// chunks, per-worker busy/idle nanoseconds over the `workers` that
+  /// took part) and raises the workspace high-water-mark gauge (the
+  /// driver's arena plus the pool's helpers'). Call/chunk counts are
+  /// deterministic; the *_ns counters measure the schedule and are not.
   void NoteParallelFor(int64_t num_chunks, int64_t busy_ns, int64_t wall_ns,
                        int workers);
 
-  std::unique_ptr<ThreadPool> pool_;
-  std::vector<std::unique_ptr<Workspace>> workspaces_;
+  std::unique_ptr<ThreadPool> owned_pool_;  // null when driving a shared one
+  ThreadPool* pool_;
+  Workspace ws_;  // the driver's arena; helpers use the pool's
 };
 
 /// Thread count ExecContext resolves for num_threads == 0: the
@@ -210,19 +217,19 @@ class ExecContext {
 /// otherwise std::thread::hardware_concurrency() (min 1).
 int DefaultNumThreads();
 
-/// Per-driver worker count for a service running `slots` concurrent
-/// single-driver ExecContexts (ExecContext is single-driver by contract,
-/// so a multi-slot server gives each slot its own context): splits
-/// DefaultNumThreads() evenly, min 1 per slot, so the slots together do
-/// not oversubscribe the machine.
+/// The most threads one request uses on a service running `slots`
+/// concurrent ExecContexts over one shared ThreadPool: the slot's own
+/// thread plus the pool's DefaultNumThreads() - slots helpers, so the
+/// slots and the helpers together are DefaultNumThreads() threads and a
+/// lone request borrows every helper. Min 1.
 int ThreadsPerSlot(int slots);
 
 /// How many of `slots` worker slots may *execute* concurrently without
-/// time-slicing: min(slots, DefaultNumThreads()). ThreadsPerSlot keeps a
-/// slot's internal parallelism within budget, but on a machine with fewer
-/// cores than slots the slots themselves still contend (each runs a
-/// >= 1-thread context), so the scheduler additionally caps concurrent
-/// dispatch at this value — extra slots stay parked until a token frees.
+/// time-slicing: min(slots, DefaultNumThreads()). On a machine with fewer
+/// cores than slots the slot threads themselves would contend (each
+/// drives its context on its own thread), so the scheduler caps
+/// concurrent dispatch at this value — extra slots stay parked until a
+/// token frees.
 int ConcurrentSlotBudget(int slots);
 
 /// Process-wide default context (lazily constructed with

@@ -51,13 +51,15 @@ RequestScheduler::RequestScheduler(const SchedulerOptions& options,
     aging_quantum_ns_ = options.aging_quantum_ms * 1'000'000;
   }
   if (options.slo_ms > 0) slo_ns_ = options.slo_ms * 1'000'000;
-  const int per_slot = options.threads_per_slot > 0
-                           ? options.threads_per_slot
-                           : exec::ThreadsPerSlot(slots);
+  // One pool for every slot: a request runs on its slot's thread plus
+  // whichever of the threads_per_slot - 1 shared helpers are idle.
+  pool_ = std::make_unique<exec::ThreadPool>(
+      options.threads_per_slot > 0 ? options.threads_per_slot
+                                   : exec::ThreadsPerSlot(slots));
   slot_exec_.reserve(static_cast<size_t>(slots));
   workers_.reserve(static_cast<size_t>(slots));
   for (int s = 0; s < slots; ++s) {
-    slot_exec_.push_back(std::make_unique<exec::ExecContext>(per_slot));
+    slot_exec_.push_back(std::make_unique<exec::ExecContext>(*pool_));
   }
   for (int s = 0; s < slots; ++s) {
     workers_.emplace_back([this, s] { WorkerLoop(s); });

@@ -152,11 +152,14 @@ struct SchedulerStats {
 
 /// Scheduler configuration.
 struct SchedulerOptions {
-  /// Worker slots, each with its own single-driver ExecContext.
+  /// Worker slots, each driving its own ExecContext over the shared pool.
   int slots = 2;
   /// Bounded admission queue; beyond it submissions are shed.
   int queue_capacity = 32;
-  /// Threads per slot ExecContext; 0 = exec::ThreadsPerSlot(slots).
+  /// The most threads one request uses: its slot's thread plus the
+  /// threads_per_slot - 1 helpers every slot shares. 0 =
+  /// exec::ThreadsPerSlot(slots), which makes the slots plus the helpers
+  /// the machine's core count.
   int threads_per_slot = 0;
   /// Max requests *executing* at once. On a machine with fewer cores than
   /// slots, letting every slot run just time-slices the cores and
@@ -180,12 +183,13 @@ struct SchedulerOptions {
 };
 
 /// Bounded-admission request scheduler: a priority-FIFO queue feeding N
-/// worker slots. Each slot owns its own single-driver ExecContext (the
-/// exec layer's contract) sized by exec::ThreadsPerSlot, so S slots
-/// together use the machine's thread budget without oversubscription;
-/// what the slots *share* is whatever the work function closes over
-/// (the serve layer passes the GraphStore + ArtifactCache, which are
-/// thread-safe).
+/// worker slots. Each slot drives its own ExecContext (one driver per
+/// context, the exec layer's contract), and every context borrows from
+/// one exec::ThreadPool of threads_per_slot - 1 helpers: a lone request
+/// gets every idle helper, busy slots split them, and the slots plus the
+/// helpers stay within the machine's thread budget. What the slots also
+/// share is whatever the work function closes over (the serve layer
+/// passes the GraphStore + ArtifactCache, which are thread-safe).
 ///
 /// Overload semantics: admission beyond `queue_capacity` queued requests
 /// is shed immediately with kResourceExhausted — the queue never blocks a
@@ -278,6 +282,8 @@ class RequestScheduler {
   obs::MetricsRegistry& metrics() { return metrics_; }
 
   int slots() const { return static_cast<int>(workers_.size()); }
+  /// The helper pool every slot's ExecContext drives.
+  const exec::ThreadPool& pool() const { return *pool_; }
   int queue_capacity() const { return queue_capacity_; }
 
  private:
@@ -335,6 +341,7 @@ class RequestScheduler {
   AnnotateFn annotate_;
   AdmissionGuard admission_guard_;
   CoalesceKeyFn coalesce_key_fn_;
+  std::unique_ptr<exec::ThreadPool> pool_;  // outlives slot_exec_
   std::vector<std::unique_ptr<exec::ExecContext>> slot_exec_;
   std::vector<std::thread> workers_;
 

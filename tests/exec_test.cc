@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "core/freehgc.h"
@@ -31,17 +33,39 @@ TEST(ThreadPoolTest, StartupAndShutdown) {
 }
 
 TEST(ThreadPoolTest, InvokeRunsEveryWorkerExactlyOnce) {
+  // Two threads drive one pool at once: every chunk of every Run is
+  // claimed exactly once, worker ids stay in [0, size()), and no body is
+  // still running once its Run has returned.
   exec::ThreadPool pool(4);
-  for (int round = 0; round < 50; ++round) {
-    std::vector<std::atomic<int>> hits(4);
-    for (auto& h : hits) h = 0;
-    pool.ParallelInvoke([&](int worker) {
-      ASSERT_GE(worker, 0);
-      ASSERT_LT(worker, 4);
-      ++hits[static_cast<size_t>(worker)];
-    });
-    for (const auto& h : hits) EXPECT_EQ(h, 1);
-  }
+  constexpr int64_t kChunks = 64;
+  auto drive = [&pool] {
+    exec::Workspace ws;
+    for (int round = 0; round < 50; ++round) {
+      std::vector<std::atomic<int>> hits(kChunks);
+      for (auto& h : hits) h = 0;
+      std::atomic<int> inside{0};
+      const int participants = pool.Run(
+          kChunks, ws,
+          [&](int worker, exec::Workspace&, exec::ThreadPool::Cursor& chunks) {
+            ++inside;
+            EXPECT_GE(worker, 0);
+            EXPECT_LT(worker, pool.size());
+            for (int64_t c; (c = chunks.Next()) >= 0;) {
+              // Long enough chunks that helpers join mid-job.
+              std::this_thread::sleep_for(std::chrono::microseconds(10));
+              ++hits[static_cast<size_t>(c)];
+            }
+            --inside;
+          });
+      EXPECT_EQ(inside, 0) << "a body outlived its Run";
+      EXPECT_GE(participants, 1);
+      EXPECT_LE(participants, pool.size());
+      for (const auto& h : hits) EXPECT_EQ(h, 1);
+    }
+  };
+  std::thread other(drive);
+  drive();
+  other.join();
 }
 
 // --- ParallelFor ----------------------------------------------------------
@@ -279,6 +303,38 @@ TEST(DeterminismTest, CondenseBitIdenticalAcrossThreadCounts) {
     }
     ExpectGraphsIdentical(got.value().graph, ref.value().graph);
   }
+}
+
+TEST(DeterminismTest, SharedPoolDriversBitIdentical) {
+  // Two contexts over one pool, driven from two threads at once, borrow
+  // each other's helpers chunk by chunk; the results must still be
+  // byte-identical to a one-thread run.
+  const HeteroGraph g = datasets::MakeAcm(1, 0.3);
+  const CsrMatrix a = sparse::RowNormalize(g.relation(1).adj);
+  const CsrMatrix b = sparse::Transpose(a);
+  core::FreeHgcOptions opts;
+  opts.ratio = 0.05;
+  opts.max_hops = 2;
+  exec::ExecContext ex1(1);
+  const CsrMatrix ref_product = sparse::SpGemm(a, b, 32, &ex1);
+  auto ref = core::Condense(g, opts, &ex1);
+  ASSERT_TRUE(ref.ok());
+
+  exec::ThreadPool pool(4);
+  auto drive = [&] {
+    exec::ExecContext ex(pool);
+    for (int round = 0; round < 3; ++round) {
+      EXPECT_TRUE(sparse::SpGemm(a, b, 32, &ex) == ref_product) << round;
+      auto got = core::Condense(g, opts, &ex);
+      ASSERT_TRUE(got.ok()) << round;
+      EXPECT_EQ(got.value().selected_target, ref.value().selected_target);
+      EXPECT_EQ(got.value().kept_per_type, ref.value().kept_per_type);
+      ExpectGraphsIdentical(got.value().graph, ref.value().graph);
+    }
+  };
+  std::thread other(drive);
+  drive();
+  other.join();
 }
 
 TEST(DeterminismTest, GeneratorBitIdenticalAcrossThreadCounts) {

@@ -1,10 +1,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
 #include <fstream>
+#include <mutex>
+#include <set>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/timer.h"
@@ -112,9 +117,38 @@ TEST_F(TracingTest, SpanOpenWhileTracingOffIsDropped) {
   EXPECT_TRUE(SpansNamed(obs::SnapshotSpans(), "late_enable").empty());
 }
 
+/// Runs a ParallelFor of `n` one-item chunks in which every chunk waits,
+/// until a shared 5 s deadline, for `want` distinct threads to have
+/// entered a chunk, then calls on_chunk(ws, on_caller). Returns how many
+/// distinct threads entered. A pool wakes idle helpers only while chunks
+/// remain, so the rendezvous holds the chunks open until they join.
+template <typename Fn>
+size_t RendezvousParallelFor(exec::ExecContext& ex, int64_t n, size_t want,
+                             Fn on_chunk) {
+  std::mutex mu;
+  std::condition_variable cv;
+  std::set<std::thread::id> entered;
+  const std::thread::id caller = std::this_thread::get_id();
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  ex.ParallelFor(n, 1, [&](int64_t, int64_t, exec::Workspace& ws) {
+    {
+      std::unique_lock<std::mutex> lock(mu);
+      entered.insert(std::this_thread::get_id());
+      cv.notify_all();
+      cv.wait_until(lock, deadline, [&] { return entered.size() >= want; });
+    }
+    on_chunk(ws, std::this_thread::get_id() == caller);
+  });
+  return entered.size();
+}
+
 TEST_F(TracingTest, ParallelForSpansCarryWorkerAttribution) {
   exec::ExecContext ex(4);
-  ex.ParallelFor(10000, 1, [](int64_t, int64_t, exec::Workspace&) {});
+  // Idle helpers join while work is available: all four workers enter.
+  const size_t entered = RendezvousParallelFor(
+      ex, 64, 4, [](exec::Workspace&, bool) {});
+  EXPECT_EQ(entered, 4u);
   const auto spans =
       SpansNamed(obs::SnapshotSpans(), "parallel_for");
   ASSERT_FALSE(spans.empty());
@@ -122,7 +156,7 @@ TEST_F(TracingTest, ParallelForSpansCarryWorkerAttribution) {
     EXPECT_GE(s.worker, 0);
     EXPECT_LT(s.worker, 4);
   }
-  // Every worker participated in the invoke.
+  // Each participant's span carries its own worker id.
   std::vector<int32_t> workers;
   for (const SpanRecord& s : spans) workers.push_back(s.worker);
   std::sort(workers.begin(), workers.end());
@@ -184,6 +218,25 @@ TEST(MetricsTest, GaugeUpdateMaxKeepsHighWaterMark) {
   EXPECT_EQ(g.Value(), 10);
   g.UpdateMax(25);
   EXPECT_EQ(g.Value(), 25);
+}
+
+TEST(MetricsTest, WorkspaceGaugeCountsHelperWorkspaces) {
+  // The exec.workspace_bytes_hwm gauge covers the pool's helper arenas,
+  // not just the driver's: grow a workspace only on the helper.
+  obs::Gauge& hwm =
+      MetricsRegistry::Global().GetGauge("exec.workspace_bytes_hwm");
+  obs::SetDetailedMetricsEnabled(true);
+  hwm.Reset();
+  constexpr size_t kFloats = size_t{1} << 20;
+  exec::ExecContext ex(2);
+  const size_t entered = RendezvousParallelFor(
+      ex, 2, 2, [&](exec::Workspace& ws, bool on_caller) {
+        if (!on_caller) ws.F32(kFloats);
+      });
+  obs::SetDetailedMetricsEnabled(false);
+  ASSERT_EQ(entered, 2u) << "the helper never joined";
+  EXPECT_GE(hwm.Value(), static_cast<int64_t>(kFloats * sizeof(float)));
+  hwm.Reset();
 }
 
 TEST(MetricsTest, HistogramBucketsPowerOfTwo) {

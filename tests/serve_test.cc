@@ -8,9 +8,11 @@
 
 #include <csignal>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
@@ -699,6 +701,45 @@ TEST(SchedulerTest, MaxConcurrentCapsDispatchBelowSlotCount) {
             std::min(4, exec::DefaultNumThreads()));
   EXPECT_EQ(exec::ConcurrentSlotBudget(1), 1);
   EXPECT_GE(exec::ConcurrentSlotBudget(0), 1);
+}
+
+TEST(SchedulerTest, SlotsShareOneHelperPoolWithinTheCoreBudget) {
+  // Every slot drives one shared pool: S slot threads plus cores - S
+  // helpers, so the server never runs more than `cores` compute threads
+  // (S when S > cores), and one request may use cores - S + 1 of them.
+  const char* saved = std::getenv("FREEHGC_THREADS");
+  const std::string saved_value = saved != nullptr ? saved : "";
+  for (const char* cores : {"1", "3", "4", "8"}) {
+    ::setenv("FREEHGC_THREADS", cores, 1);
+    const int n = exec::DefaultNumThreads();
+    for (int slots : {1, 2, 4}) {
+      SchedulerOptions opts;
+      opts.slots = slots;
+      std::atomic<int> request_threads{0};
+      RequestScheduler sched(
+          opts,
+          [&](const CondenseRequest&,
+              const RequestContext& rc) -> Result<CondenseReply> {
+            request_threads = rc.exec->num_threads();
+            return CondenseReply{};
+          });
+      const int helpers = sched.pool().size() - 1;
+      EXPECT_EQ(helpers, std::max(0, n - slots))
+          << "cores " << n << " slots " << slots;
+      EXPECT_LE(slots + helpers, std::max(n, slots));
+      EXPECT_EQ(sched.pool().size(), exec::ThreadsPerSlot(slots));
+      auto t = sched.Submit({});
+      ASSERT_TRUE(t.ok());
+      EXPECT_TRUE((*t)->Wait().ok());
+      EXPECT_EQ(request_threads, sched.pool().size());
+      sched.Shutdown();
+    }
+  }
+  if (saved != nullptr) {
+    ::setenv("FREEHGC_THREADS", saved_value.c_str(), 1);
+  } else {
+    ::unsetenv("FREEHGC_THREADS");
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -15,7 +15,10 @@
 // effective priority per quantum waited (0 disables aging);
 // --slo-ms sheds a submission at admission when its predicted latency
 // exceeds the SLO (0 disables); --no-coalesce turns off duplicate
-// in-flight request coalescing.
+// in-flight request coalescing. --threads-per-slot is the most threads
+// one request uses: its slot's thread plus the helpers every slot shares
+// (0 = cores - slots + 1, so the slots plus the helpers are the cores; a
+// lone request borrows every idle helper).
 //
 // Binds the requested port (0 = ephemeral; the bound port is printed and
 // optionally written to --port-file so scripts can find it), serves the
