@@ -32,8 +32,8 @@ inline int BenchThreads() { return exec::DefaultExec().num_threads(); }
 
 /// A dataset prepared by pipeline::PrepareDataset over its own artifact
 /// cache. Benches pass `env` to every method run on it, so each run
-/// reuses the dataset's composed meta-paths and propagated features, as
-/// a served request does.
+/// reuses the dataset's propagated features and the meta-paths FreeHGC
+/// composed on its first run, as a served request does.
 struct Env {
   pipeline::ArtifactCache cache;
   pipeline::PipelineEnv env{nullptr, &cache};

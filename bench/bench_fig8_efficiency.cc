@@ -6,9 +6,11 @@
 //
 // Every time is the median of kRepeats runs, under two accountings:
 //   - shared: each method condenses the prepared dataset on its artifact
-//     cache, which is what a served request pays once the meta-path
-//     compositions and propagated features exist. The bench exits
-//     nonzero unless FreeHGC < GCond < HGCond here on every dataset.
+//     cache, which is what a served request pays once the propagated
+//     features and FreeHGC's selection compositions exist (preparing
+//     the dataset composes nothing; FreeHGC's first repeat composes into
+//     the cache, so its median is a warm run). The bench exits nonzero
+//     unless FreeHGC < GCond < HGCond here on every dataset.
 //   - end to end: each method also pays its own preprocessing. GCond and
 //     HGCond are charged the median uncached hgnn::BuildEvalContext;
 //     FreeHGC runs a cold core::Condense with no cache, which composes

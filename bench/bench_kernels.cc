@@ -10,14 +10,16 @@
 // their scalar references (dense/reference.h) at 1 and 4 threads, on
 // the shapes the served HGNN trainer runs. Writes BENCH_kernels.json;
 // every row carries "dense" and "threads". `--smoke` runs a scaled-down
-// sparse workload; the dense rows are the same in both modes. CI
-// asserts that the spgemm, bipartite_block and jaccard rows and every
-// dense row are >= 1.0x.
+// sparse workload; the dense rows and the spgemm_truncating row (the
+// author-paper-author product of AMiner at scale 0.25, reporting how
+// many rows the budget truncates) are the same in both modes. CI
+// asserts that the spgemm, spgemm_truncating, bipartite_block and
+// jaccard rows and every dense row are >= 1.0x.
 //
 // All timed paths are bit-identical to their references (enforced by
 // tests/sparse_reference_test.cc and tests/dense_reference_test.cc;
-// spot-checked here on the spgemm, bipartite_block, jaccard and ppr
-// rows and every dense row), so the comparison is pure speed.
+// spot-checked here on both spgemm rows, the bipartite_block, jaccard
+// and ppr rows and every dense row), so the comparison is pure speed.
 
 #include <algorithm>
 #include <cinttypes>
@@ -277,6 +279,41 @@ int Run(bool smoke) {
       BestOfNs(reps, [&] {
         Consume(sparse::SpGemm(square, square_t, budget, &ex));
       }));
+  // The truncating shape: AMiner's author-paper-author product at the
+  // scale cold_job serves, where most rows exceed the row budget and
+  // the finalize (threshold select + column-order emit) dominates.
+  auto aminer_res = datasets::MakeByName("aminer", 1, 0.25, &ex);
+  FREEHGC_CHECK(aminer_res.ok());
+  const HeteroGraph aminer = std::move(aminer_res).value();
+  MetaPathOptions apa_opts;
+  apa_opts.max_hops = 2;
+  const MetaPath* apa = nullptr;
+  const auto aminer_paths =
+      EnumerateMetaPaths(aminer, aminer.target_type(), apa_opts);
+  for (const auto& p : aminer_paths) {
+    if (p.hops() == 2 && p.end_type() == aminer.target_type()) apa = &p;
+  }
+  FREEHGC_CHECK(apa != nullptr) << "no author-paper-author path";
+  const CsrMatrix ap =
+      sparse::RowNormalize(aminer.relation(apa->relations[0]).adj, &ex);
+  const CsrMatrix pa =
+      sparse::RowNormalize(aminer.relation(apa->relations[1]).adj, &ex);
+  obs::Counter& truncated_ctr =
+      obs::MetricsRegistry::Global().GetCounter("spgemm.rows_truncated");
+  const int64_t truncated_before = truncated_ctr.Value();
+  const CsrMatrix apa_product = sparse::SpGemm(ap, pa, budget, &ex);
+  const int64_t apa_rows_truncated = truncated_ctr.Value() - truncated_before;
+  FREEHGC_CHECK(apa_product == sparse::reference::SpGemmRef(ap, pa, budget))
+      << "spgemm_truncating differs";
+  std::printf("spgemm_truncating: %s, %d rows, %lld truncated, nnz %lld\n",
+              apa->Name(aminer).c_str(), apa_product.rows(),
+              static_cast<long long>(apa_rows_truncated),
+              static_cast<long long>(apa_product.nnz()));
+  add("spgemm_truncating",
+      BestOfNs(reps, [&] {
+        Consume(sparse::reference::SpGemmRef(ap, pa, budget));
+      }),
+      BestOfNs(reps, [&] { Consume(sparse::SpGemm(ap, pa, budget, &ex)); }));
   add("spmm_dense",
       BestOfNs(reps,
                [&] { Consume(sparse::reference::SpMmDenseRef(*rect, feats)); }),
@@ -359,6 +396,11 @@ int Run(bool smoke) {
       "\"ns\": %lld},\n",
       paths.size(), static_cast<long long>(budget),
       static_cast<long long>(compose_ns));
+  json += StrFormat(
+      "  \"spgemm_truncating\": {\"dataset\": \"aminer\", \"scale\": 0.25, "
+      "\"rows\": %d, \"rows_truncated\": %lld, \"output_nnz\": %lld},\n",
+      apa_product.rows(), static_cast<long long>(apa_rows_truncated),
+      static_cast<long long>(apa_product.nnz()));
   json += "  \"kernels\": [\n";
   for (size_t i = 0; i < rows.size(); ++i) {
     json += StrFormat(

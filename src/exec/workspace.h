@@ -15,7 +15,7 @@ namespace freehgc::exec {
 /// steady-state kernel execution performs no heap allocation.
 ///
 /// Buffers hold no semantic state between uses except the Zeroed*
-/// buffers (`accum`, `mark`, `bits`), which are guaranteed all-zero on
+/// buffers (`accum`, `bits`), which are guaranteed all-zero on
 /// handout: kernels using them must re-zero exactly the entries they
 /// touched before returning (the SPA idiom does this for free).
 class Workspace {
@@ -33,22 +33,21 @@ class Workspace {
     return touched_;
   }
 
-  /// Byte marker array of at least `n` entries, all zero — SpGEMM's
-  /// first-touch marker beside the float accumulator (a slot whose sum
-  /// cancels to zero is still touched). Same invariant as ZeroedAccum:
-  /// the caller must re-zero exactly the entries it marked before
-  /// returning.
-  std::vector<uint8_t>& ZeroedMark(size_t n) {
-    if (mark_.size() < n) mark_.resize(n, 0);
-    return mark_;
-  }
-
-  /// 64-bit mask words, at least `n` of them, all zero — PerPathJaccard's
-  /// per-column path bitmasks. Same invariant as ZeroedMark: the caller
-  /// must re-zero exactly the words it set before returning.
+  /// 64-bit mask words, at least `n` of them, all zero — SpGEMM's
+  /// one-bit-per-column first-touch marker (a slot whose sum cancels to
+  /// zero is still touched) and PerPathJaccard's per-column path
+  /// bitmasks. Same invariant as ZeroedAccum: the caller must re-zero
+  /// exactly the words it set before returning.
   std::vector<uint64_t>& ZeroedBits(size_t n) {
     if (bits_.size() < n) bits_.resize(n, 0);
     return bits_;
+  }
+
+  /// 64-bit key scratch (cleared on handout, capacity preserved) —
+  /// SpGEMM's packed (|value|, column) selection keys.
+  std::vector<uint64_t>& Keys() {
+    keys_.clear();
+    return keys_;
   }
 
   /// Float scratch of exactly `n` entries, value-initialized to `fill`.
@@ -74,8 +73,8 @@ class Workspace {
   /// "exec.workspace_bytes_hwm" gauge.
   size_t BytesReserved() const {
     return accum_.capacity() * sizeof(float) +
-           mark_.capacity() * sizeof(uint8_t) +
            bits_.capacity() * sizeof(uint64_t) +
+           keys_.capacity() * sizeof(uint64_t) +
            touched_.capacity() * sizeof(int32_t) +
            f32_.capacity() * sizeof(float) +
            i32_.capacity() * sizeof(int32_t) +
@@ -84,8 +83,8 @@ class Workspace {
 
  private:
   std::vector<float> accum_;
-  std::vector<uint8_t> mark_;
   std::vector<uint64_t> bits_;
+  std::vector<uint64_t> keys_;
   std::vector<int32_t> touched_;
   std::vector<float> f32_;
   std::vector<int32_t> i32_;

@@ -1,7 +1,6 @@
 #include "hgnn/propagate.h"
 
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -51,16 +50,22 @@ Matrix RawFeatureBlock(const HeteroGraph& g, exec::ExecContext* ctx) {
 }
 
 Matrix PropagateOneBlock(const HeteroGraph& g, const MetaPath& p,
-                         int64_t max_row_nnz, exec::ExecContext* ctx,
-                         AdjacencyCache* cache) {
+                         exec::ExecContext* ctx) {
   FREEHGC_CHECK(p.start_type() == g.target_type());
   FREEHGC_CHECK(g.HasFeatures(p.end_type()));
+  FREEHGC_CHECK(!p.relations.empty());
   exec::ExecContext& ex = exec::Resolve(ctx);
-  // The pin lives only for this product; an uncached adjacency frees on
-  // release, a budgeted cache may spill it afterwards.
-  const std::shared_ptr<const CsrMatrix> adj =
-      ComposedAdjacency(cache, g, p, max_row_nnz, &ex);
-  Matrix block = sparse::SpMmDense(*adj, g.Features(p.end_type()), &ex);
+  // Right to left, one sparse x dense product per hop: the exact
+  // A_hat(r0) (A_hat(r1) (... X)), never the composed A_hat(P). A 1-hop
+  // block thus equals SpMmDense(ComposeAdjacency(g, p, K), X) byte for
+  // byte, for any K.
+  auto hop = [&](size_t i, const Matrix& x) {
+    return sparse::SpMmDense(
+        sparse::RowNormalize(g.relation(p.relations[i]).adj, &ex), x, &ex);
+  };
+  size_t i = p.relations.size() - 1;
+  Matrix block = hop(i, g.Features(p.end_type()));
+  while (i-- > 0) block = hop(i, block);
   L2NormalizeRows(block, ex);
   return block;
 }
@@ -73,9 +78,9 @@ void NoteBlocksPropagated(int64_t count) {
 
 PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
                                        const std::vector<MetaPath>& paths,
-                                       int64_t max_row_nnz,
+                                       int64_t /*max_row_nnz*/,
                                        exec::ExecContext* ctx,
-                                       AdjacencyCache* cache) {
+                                       AdjacencyCache* /*cache*/) {
   const TypeId target = g.target_type();
   FREEHGC_CHECK(target >= 0);
   FREEHGC_TRACE_SPAN("hgnn.propagate");
@@ -88,7 +93,7 @@ PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
     FREEHGC_CHECK(p.start_type() == target);
     const TypeId end = p.end_type();
     if (!g.HasFeatures(end)) continue;
-    out.blocks.push_back(PropagateOneBlock(g, p, max_row_nnz, &ex, cache));
+    out.blocks.push_back(PropagateOneBlock(g, p, &ex));
     out.names.push_back(p.Name(g));
     out.end_types.push_back(end);
   }

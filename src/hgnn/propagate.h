@@ -15,10 +15,13 @@ namespace freehgc::hgnn {
 ///
 /// Following SeHGNN (and the paper's Section IV-C finding that neighbor
 /// attention can be replaced by mean aggregation), neighbor aggregation is
-/// moved entirely to pre-processing: feature block p is
-///   H_p = A_hat(P_p) * X_{end(P_p)}
-/// plus block 0 = the raw target features. Every HGNN evaluator consumes
-/// this structure and differs only in how it fuses the blocks.
+/// moved entirely to pre-processing: feature block p is the exact
+/// meta-path product
+///   H_p = A_hat(r_0) (A_hat(r_1) (... X_{end(P_p)}))
+/// computed right to left, one sparse x dense product per hop, so the
+/// composed A_hat(P_p) is never formed; plus block 0 = the raw target
+/// features. Every HGNN evaluator consumes this structure and differs
+/// only in how it fuses the blocks.
 struct PropagatedFeatures {
   /// Block 0 is the raw target features; block p >= 1 corresponds to
   /// paths[p-1]. Every block has target-node-count rows.
@@ -34,7 +37,10 @@ struct PropagateOptions {
   int max_hops = 2;
   /// Cap on enumerated meta-paths (0 = unlimited).
   int max_paths = 24;
-  /// Row-nnz budget for composed adjacencies (0 = exact).
+  /// Row-nnz budget of FreeHGC's selection compose (0 = exact), which
+  /// reads it from EvalContext::options. Propagation ignores it: every
+  /// block is the exact product. It stays in the EvalContext and
+  /// propagated-feature cache keys.
   int64_t max_row_nnz = 512;
 };
 
@@ -45,21 +51,20 @@ std::vector<MetaPath> EnumeratePropagationPaths(const HeteroGraph& g,
                                                 const PropagateOptions& opts);
 
 /// Enumerates meta-paths from the graph's target type and mean-propagates
-/// features along each (Eq. 1 composition). The returned block layout is a
-/// function of the *schema*, so a condensed graph produced from `g`
-/// (identical types/relations) yields an identically shaped layout —
-/// which is what lets a model trained on the condensed graph run on the
-/// full graph.
+/// features along each (Eq. 1, applied hop by hop). The returned block
+/// layout is a function of the *schema*, so a condensed graph produced
+/// from `g` (identical types/relations) yields an identically shaped
+/// layout — which is what lets a model trained on the condensed graph run
+/// on the full graph.
 PropagatedFeatures PropagateFeatures(const HeteroGraph& g,
                                      const PropagateOptions& opts,
                                      exec::ExecContext* ctx = nullptr);
 
 /// Same propagation with a fixed externally supplied path list (used to
 /// guarantee identical block order between the condensed and full graphs).
-/// Composition, the sparse-dense product, and the per-block row
-/// normalization all run on `ctx`. `cache`, when non-null, memoizes the
-/// composed adjacencies (they are what a whole-graph propagation shares
-/// with CondenseTargetNodes/CondenseFatherType over the same graph).
+/// The per-hop products and the per-block row normalization run on
+/// `ctx`. `max_row_nnz` and `cache` are ignored: propagation composes
+/// nothing, so there is no adjacency to budget or memoize.
 PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
                                        const std::vector<MetaPath>& paths,
                                        int64_t max_row_nnz,
@@ -75,14 +80,12 @@ PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
 /// Block 0: the raw target features, L2-row-normalized.
 Matrix RawFeatureBlock(const HeteroGraph& g, exec::ExecContext* ctx = nullptr);
 
-/// The feature block of one meta-path (A_hat(p) * X_end, L2-row-
-/// normalized). The path must start at the target type and its end type
-/// must have features (callers skip featureless end types, exactly like
-/// PropagateAlongPaths).
+/// The feature block of one meta-path (the exact right-to-left product
+/// A_hat(r0) (A_hat(r1) (... X_end)), L2-row-normalized). The path must
+/// start at the target type and its end type must have features (callers
+/// skip featureless end types, exactly like PropagateAlongPaths).
 Matrix PropagateOneBlock(const HeteroGraph& g, const MetaPath& p,
-                         int64_t max_row_nnz,
-                         exec::ExecContext* ctx = nullptr,
-                         AdjacencyCache* cache = nullptr);
+                         exec::ExecContext* ctx = nullptr);
 
 /// Bumps the hgnn.blocks_propagated counter (streamed builds bypass
 /// PropagateAlongPaths but should still show up in the metric).

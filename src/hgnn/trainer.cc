@@ -10,13 +10,13 @@ namespace freehgc::hgnn {
 EvalContext BuildEvalContext(const HeteroGraph& full,
                              const PropagateOptions& opts,
                              exec::ExecContext* ctx_exec,
-                             AdjacencyCache* cache) {
+                             AdjacencyCache* /*cache*/) {
   EvalContext ctx;
   ctx.full = &full;
   ctx.options = opts;
   ctx.paths = EnumeratePropagationPaths(full, opts);
   ctx.full_features =
-      PropagateAlongPaths(full, ctx.paths, opts.max_row_nnz, ctx_exec, cache);
+      PropagateAlongPaths(full, ctx.paths, opts.max_row_nnz, ctx_exec);
   return ctx;
 }
 

@@ -34,10 +34,9 @@ struct EvalContext {
 };
 
 /// Enumerates meta-paths on the full graph and pre-propagates its
-/// features. Propagation runs on `ctx` (null = default pool); `cache`,
-/// when non-null, memoizes the composed adjacencies — the same ones
-/// core::Condense composes over the same graph, so building the context
-/// through a sweep's ArtifactCache makes later condensation runs hit.
+/// features. Propagation runs on `ctx` (null = default pool). `cache` is
+/// ignored: propagation composes no adjacency (pipeline::BuildEvalContext
+/// is the cache-aware build).
 EvalContext BuildEvalContext(const HeteroGraph& full,
                              const PropagateOptions& opts,
                              exec::ExecContext* ctx = nullptr,

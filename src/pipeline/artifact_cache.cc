@@ -287,8 +287,6 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
                          << "; recomputing";
   }
 
-  // The per-path compositions inside the miss route back through this
-  // cache, so a later Composed() over the same graph/paths also hits.
   std::shared_ptr<const hgnn::PropagatedFeatures> features;
   std::string path;
   uint64_t file_bytes = 0;
@@ -309,7 +307,7 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
       }
       for (const auto& p : paths) {
         if (!g.HasFeatures(p.end_type())) continue;
-        Matrix block = hgnn::PropagateOneBlock(g, p, max_row_nnz, ctx, this);
+        Matrix block = hgnn::PropagateOneBlock(g, p, ctx);
         FREEHGC_RETURN_IF_ERROR(
             w.AddBlock(block, p.Name(g), p.end_type()));
         ++blocks;
@@ -330,7 +328,7 @@ std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
   }
   if (features == nullptr) {
     features = std::make_shared<const hgnn::PropagatedFeatures>(
-        hgnn::PropagateAlongPaths(g, paths, max_row_nnz, ctx, this));
+        hgnn::PropagateAlongPaths(g, paths, max_row_nnz, ctx));
   }
   std::shared_ptr<const hgnn::PropagatedFeatures> out;
   {

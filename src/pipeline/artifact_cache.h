@@ -20,13 +20,14 @@ namespace freehgc::pipeline {
 
 /// Tiered cache of the deterministic, seed/ratio-independent artifacts a
 /// sweep (or a serving process) recomputes per cell today: composed
-/// meta-path adjacencies (the dominant SpGEMM cost of both condensation
-/// and evaluation-context building), whole-graph pre-propagated feature
-/// blocks, and whole-graph training baselines.
+/// meta-path adjacencies (the dominant SpGEMM cost of condensation),
+/// whole-graph pre-propagated feature blocks, and whole-graph training
+/// baselines.
 ///
 /// Keying: every entry is keyed by the graph's 64-bit ContentFingerprint
 /// plus the computation's parameters (path signature + max_row_nnz for
-/// adjacencies; path-list signature for propagation; HgnnConfig signature
+/// adjacencies; path-list signature + max_row_nnz for propagation, whose
+/// blocks do not depend on the budget; HgnnConfig signature
 /// for baselines). A changed graph changes its fingerprint, so stale
 /// entries are unreachable rather than invalidated. Determinism
 /// invariant: every cached value is the exact output of a deterministic
@@ -89,9 +90,10 @@ class ArtifactCache final : public AdjacencyCache {
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz),
   /// the blocks of every cached EvalContext: pipeline::BuildEvalContext
   /// aliases them, holding the returned pin for the context's lifetime.
-  /// The path compositions inside a miss also route through this cache.
-  /// Under a finite budget, a miss streams blocks through a spool file
-  /// instead of materializing them.
+  /// A miss propagates right to left and composes nothing, so it creates
+  /// no Composed entry; the blocks do not depend on max_row_nnz, which
+  /// only keys the entry. Under a finite budget, a miss streams blocks
+  /// through a spool file instead of materializing them.
   std::shared_ptr<const hgnn::PropagatedFeatures> Propagated(
       const HeteroGraph& g, const std::vector<MetaPath>& paths,
       int64_t max_row_nnz, exec::ExecContext* ctx);

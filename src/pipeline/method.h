@@ -27,10 +27,10 @@ struct PipelineEnv {
 
 /// Builds the evaluation context of `graph` (which must outlive it).
 /// Without `env.cache` this is hgnn::BuildEvalContext. With it, the cache
-/// owns the propagated blocks: they come from ArtifactCache::Propagated
-/// (and the compositions behind a miss land in the cache), mapped blocks
-/// are copied as they are (sharing the mapping), and owned blocks become
-/// zero-copy views that pin the cache entry for the context's lifetime.
+/// owns the propagated blocks: they come from ArtifactCache::Propagated,
+/// mapped blocks are copied as they are (sharing the mapping), and owned
+/// blocks become zero-copy views that pin the cache entry for the
+/// context's lifetime.
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
                                    const hgnn::PropagateOptions& opts,
                                    const PipelineEnv& env);

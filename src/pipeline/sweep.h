@@ -43,9 +43,9 @@ struct PreparedDataset {
 /// `ds.scale` (or DefaultDatasetScale), meta-paths of `ds.max_hops` hops
 /// (or min(3, RecommendedHops)), capped at `ds.max_paths`, built by
 /// BuildEvalContext on `env`: with `env.cache` the context aliases the
-/// cache's propagated blocks, and later method runs on the same env
-/// reuse the compositions behind them. The sweep and the paper benches
-/// prepare their datasets here.
+/// cache's propagated blocks (preparing composes no meta-path; FreeHGC
+/// composes its own on its first run on the env). The sweep and the
+/// paper benches prepare their datasets here.
 Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
     const DatasetSpec& ds, const PipelineEnv& env = {});
 

@@ -162,7 +162,7 @@ std::shared_ptr<ServeService::EvalEntry> ServeService::GetOrBuildEvalContext(
     entry = slot;
   }
   // The first request through builds; concurrent duplicates block here
-  // instead of each paying the SpGEMM + propagation cost.
+  // instead of each paying the propagation cost.
   bool built_here = false;
   std::call_once(entry->once, [&] {
     FREEHGC_TRACE_SPAN("serve.build_eval_context");

@@ -70,13 +70,13 @@ struct ServeOptions : SchedulerOptions {
 /// condensers against the shared state.
 ///
 /// Coalescing: requests against the same (graph fingerprint, max_hops,
-/// max_paths, max_row_nnz) share one EvalContext — the expensive
-/// enumerate-paths + SpGEMM + propagate step runs once (the first request
-/// builds, concurrent duplicates block on the build, later ones hit).
-/// The build is pipeline::BuildEvalContext on the shared ArtifactCache,
-/// so the cache owns the context's propagated blocks in every spill mode,
-/// and the composed adjacencies behind them land where condensation
-/// itself re-reads them. Determinism: all shared artifacts
+/// max_paths, max_row_nnz) share one EvalContext — the enumerate-paths +
+/// propagate step runs once (the first request builds, concurrent
+/// duplicates block on the build, later ones hit). The build is
+/// pipeline::BuildEvalContext on the shared ArtifactCache, so the cache
+/// owns the context's propagated blocks in every spill mode; it composes
+/// nothing, and FreeHGC's selection composes into the same cache on its
+/// first request. Determinism: all shared artifacts
 /// are outputs of deterministic kernels, so concurrent requests return
 /// results bit-identical to sequential execution (tests/serve_test.cc).
 class ServeService {

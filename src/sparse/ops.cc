@@ -1,7 +1,10 @@
 #include "sparse/ops.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <functional>
+#include <utility>
 
 #include "common/logging.h"
 #include "obs/metrics.h"
@@ -42,6 +45,16 @@ int64_t TransposeGrain(int64_t rows, int64_t cols) {
                                                   int64_t{sizeof(int64_t)}));
   const int64_t chunks = std::min<int64_t>(16, by_mem);
   return std::max<int64_t>(2048, (rows + chunks - 1) / chunks);
+}
+
+// SpGEMM's truncation order as one integer: bits(|v|) in the high word,
+// ~col in the low word. Non-negative IEEE floats order like their bit
+// patterns, and ~col gives the smaller column the larger key, so keys
+// compare exactly as (|value| desc, column asc) does. A NaN's magnitude
+// bits exceed +inf's, so NaN ranks above +inf.
+uint64_t SelectionKey(float v, int32_t col) {
+  return uint64_t{std::bit_cast<uint32_t>(v) & 0x7fffffffu} << 32 |
+         static_cast<uint32_t>(~col);
 }
 
 // Debug builds assert the full CSR contract (sorted unique columns,
@@ -249,27 +262,31 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
   const int64_t num_chunks = exec::ExecContext::NumChunks(m, kRowMergeGrain);
 
   // One Gustavson pass per row: accumulate into the workspace's dense
-  // accumulator, recording first touches in the byte marker; keep the
-  // nonzero sums, prune them to the budget, and stage the row (sorted by
-  // column) in its chunk's buffers. Nothing proportional to the unpruned
-  // product is ever allocated: memory is the pruned output plus one
-  // accumulator and marker of `n` entries per worker.
+  // accumulator, recording first touches in a bit-per-column marker;
+  // find the budget's threshold key, then stage the surviving nonzeros
+  // in column order in the chunk's buffers. Nothing proportional to the
+  // unpruned product is ever allocated: memory is the pruned output plus
+  // one accumulator of `n` floats and one marker of `n` bits per worker.
   struct Staged {
     std::vector<int32_t> indices;
     std::vector<float> values;
   };
   std::vector<Staged> staged(static_cast<size_t>(num_chunks));
   std::vector<int64_t> indptr(static_cast<size_t>(m) + 1, 0);
+  const size_t budget = static_cast<size_t>(std::max<int64_t>(max_row_nnz, 0));
   ex.ParallelFor(m, kRowMergeGrain, [&](int64_t begin, int64_t end,
                                         exec::Workspace& ws) {
     std::vector<float>& accum = ws.ZeroedAccum(static_cast<size_t>(n));
-    std::vector<uint8_t>& mark = ws.ZeroedMark(static_cast<size_t>(n));
+    std::vector<uint64_t>& seen =
+        ws.ZeroedBits((static_cast<size_t>(n) + 63) / 64);
     std::vector<int32_t>& cols = ws.Touched();
+    std::vector<uint64_t>& keys = ws.Keys();
     Staged& out = staged[static_cast<size_t>(begin / chunk)];
     int64_t flops = 0, truncated = 0, dropped = 0;
     obs::LocalHistogram row_hist;
     for (int64_t i = begin; i < end; ++i) {
       cols.clear();
+      int32_t lo = n, hi = -1;  // lowest and highest touched column
       auto ai = a.RowIndices(static_cast<int32_t>(i));
       auto av = a.RowValues(static_cast<int32_t>(i));
       for (size_t k = 0; k < ai.size(); ++k) {
@@ -278,58 +295,72 @@ CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,
         auto bv = b.RowValues(ai[k]);
         flops += static_cast<int64_t>(bi.size());
         for (size_t t = 0; t < bi.size(); ++t) {
-          const size_t j = static_cast<size_t>(bi[t]);
-          if (!mark[j]) {
-            mark[j] = 1;
-            cols.push_back(bi[t]);
+          const int32_t j = bi[t];
+          uint64_t& word = seen[static_cast<size_t>(j) >> 6];
+          const uint64_t bit = uint64_t{1} << (j & 63);
+          if (!(word & bit)) {
+            word |= bit;
+            cols.push_back(j);
+            lo = std::min(lo, j);
+            hi = std::max(hi, j);
           }
-          accum[j] += apv * bv[t];
+          accum[static_cast<size_t>(j)] += apv * bv[t];
         }
       }
-      // Exact zeros (cancellations) are dropped. Every touched slot
-      // leaves the row with its marker clear and its accumulator at
-      // +0.0f — zero slots here, pruned and kept slots once selected and
-      // copied out — so no residue (a -0.0f included) reaches the next
-      // row.
-      size_t nonzero = 0;
-      for (int32_t j : cols) {
-        mark[static_cast<size_t>(j)] = 0;
-        if (accum[static_cast<size_t>(j)] != 0.0f) {
-          cols[nonzero++] = j;
-        } else {
-          accum[static_cast<size_t>(j)] = 0.0f;
+      // Keep the `budget` nonzeros largest by (|value|, then smaller
+      // column): the K-th largest packed key is the threshold, and keys
+      // are unique, so exactly K keys reach it. 0 keeps every nonzero
+      // (a nonzero's key is at least 1 << 32).
+      uint64_t threshold = 0;
+      if (budget > 0 && cols.size() > budget) {
+        keys.clear();
+        for (int32_t j : cols) {
+          const float v = accum[static_cast<size_t>(j)];
+          if (v != 0.0f) keys.push_back(SelectionKey(v, j));
+        }
+        if (keys.size() > budget) {
+          std::nth_element(keys.begin(), keys.begin() + (budget - 1),
+                           keys.end(), std::greater<>());
+          threshold = keys[budget - 1];
+          ++truncated;
+          dropped += static_cast<int64_t>(keys.size() - budget);
         }
       }
-      cols.resize(nonzero);
-      if (max_row_nnz > 0 && static_cast<int64_t>(nonzero) > max_row_nnz) {
-        // Keep the max_row_nnz entries largest by (|value|, then smaller
-        // column): the column tie-break makes the comparator a total
-        // order, so the kept set is independent of touch order — hence
-        // of thread count. Partial select, not a full sort.
-        std::nth_element(cols.begin(), cols.begin() + max_row_nnz,
-                         cols.end(), [&](int32_t x, int32_t y) {
-                           const float ax =
-                               std::fabs(accum[static_cast<size_t>(x)]);
-                           const float ay =
-                               std::fabs(accum[static_cast<size_t>(y)]);
-                           if (ax != ay) return ax > ay;
-                           return x < y;
-                         });
-        for (size_t t = static_cast<size_t>(max_row_nnz); t < nonzero; ++t) {
-          accum[static_cast<size_t>(cols[t])] = 0.0f;
-        }
-        cols.resize(static_cast<size_t>(max_row_nnz));
-        ++truncated;
-        dropped += static_cast<int64_t>(nonzero) - max_row_nnz;
-      }
-      std::sort(cols.begin(), cols.end());
-      for (int32_t j : cols) {
-        out.indices.push_back(j);
-        out.values.push_back(accum[static_cast<size_t>(j)]);
+      // Emit in column order, dropping exact zeros (cancellations) and
+      // sub-threshold keys. Every touched slot leaves the row with its
+      // marker clear and its accumulator at +0.0f, so no residue (a
+      // -0.0f included) reaches the next row. A row whose touched span
+      // is dense in marker words walks them; a sparse, wide row sorts
+      // its touched list instead. Both give the same bytes.
+      const size_t row_start = out.indices.size();
+      auto emit = [&](int32_t j) {
+        const float v = accum[static_cast<size_t>(j)];
         accum[static_cast<size_t>(j)] = 0.0f;
+        if (v != 0.0f && SelectionKey(v, j) >= threshold) {
+          out.indices.push_back(j);
+          out.values.push_back(v);
+        }
+      };
+      const size_t w_lo = static_cast<size_t>(lo) >> 6;
+      const size_t w_hi = static_cast<size_t>(hi) >> 6;
+      if (!cols.empty() && w_hi - w_lo < 2 * cols.size()) {
+        for (size_t w = w_lo; w <= w_hi; ++w) {
+          for (uint64_t word = std::exchange(seen[w], 0); word != 0;
+               word &= word - 1) {
+            emit(static_cast<int32_t>((w << 6) | std::countr_zero(word)));
+          }
+        }
+      } else {
+        std::sort(cols.begin(), cols.end());
+        for (int32_t j : cols) {
+          seen[static_cast<size_t>(j) >> 6] = 0;
+          emit(j);
+        }
       }
-      row_hist.Observe(static_cast<int64_t>(cols.size()));
-      indptr[static_cast<size_t>(i) + 1] = static_cast<int64_t>(cols.size());
+      const int64_t row_nnz =
+          static_cast<int64_t>(out.indices.size() - row_start);
+      row_hist.Observe(row_nnz);
+      indptr[static_cast<size_t>(i) + 1] = row_nnz;
     }
     row_hist.FlushTo(row_nnz_hist);
     flops_ctr.Add(flops);

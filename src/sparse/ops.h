@@ -45,21 +45,25 @@ CsrMatrix SymNormalize(const CsrMatrix& a,
                        exec::ExecContext* ctx = nullptr);
 
 /// Sparse-sparse product a * b: one Gustavson pass per row (dense
-/// accumulator + touched list from the worker's Workspace), staged per
-/// chunk and spliced at prefix-summed offsets. Transient memory is
-/// O(pruned output) plus one accumulator and marker of b.cols() entries
-/// per worker; nothing proportional to the unpruned product is
-/// allocated.
+/// accumulator plus a one-bit-per-column first-touch marker from the
+/// worker's Workspace), staged per chunk and spliced at prefix-summed
+/// offsets. Transient memory is O(pruned output) plus one accumulator
+/// of b.cols() floats and one marker of b.cols() bits per worker;
+/// nothing proportional to the unpruned product is allocated.
 ///
 /// Exact zeros (cancellations) are dropped. `max_row_nnz` bounds
 /// densification: when > 0, each output row keeps only the
 /// `max_row_nnz` entries largest by (|value|, then smaller column
 /// index) — the column tie-break pins the selection so equal-magnitude
-/// ties resolve identically at every thread count. Meta-path
-/// composition (Eq. 1) chains several SpGEMMs, whose exact result
-/// densifies on power-law graphs; the budget mirrors the
-/// error-threshold sparsification the paper invokes for scalability.
-/// 0 means exact.
+/// ties resolve identically at every thread count. The order is taken
+/// on the magnitude's IEEE bits, so NaN ranks above +inf. A row is
+/// finalized without a per-row sort: `nth_element` over packed
+/// (|value|, column) keys finds the K-th key, and the survivors are
+/// emitted by walking the marker words in column order (a sparse, wide
+/// row sorts its touched list instead). Meta-path composition (Eq. 1)
+/// chains several SpGEMMs, whose exact result densifies on power-law
+/// graphs; the budget mirrors the error-threshold sparsification the
+/// paper invokes for scalability. 0 means exact.
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b,
                  int64_t max_row_nnz = 0, exec::ExecContext* ctx = nullptr);
 

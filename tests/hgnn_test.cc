@@ -10,6 +10,9 @@
 #include "hgnn/models.h"
 #include "hgnn/propagate.h"
 #include "hgnn/trainer.h"
+#include "metapath/metapath.h"
+#include "obs/metrics.h"
+#include "sparse/ops.h"
 
 namespace freehgc::hgnn {
 namespace {
@@ -73,6 +76,111 @@ TEST(PropagateTest, CondensedGraphSharesBlockLayout) {
     EXPECT_EQ(f.blocks[p].rows(),
               sub->NodeCount(sub->target_type()));
   }
+}
+
+TEST(PropagateTest, MultiHopBlocksAreTheExactProduct) {
+  // Every >= 2-hop block is A_hat(r0) (A_hat(r1) (... X_end)) with no
+  // row budget, L2-row-normalized: checked against a float64 dense
+  // evaluation of the same product.
+  const HeteroGraph g = datasets::MakeToy(4);
+  PropagateOptions opts;
+  opts.max_hops = 3;
+  opts.max_row_nnz = 1;  // ignored by propagation
+  const EvalContext ctx = BuildEvalContext(g, opts);
+  using Dense = std::vector<std::vector<double>>;
+  int checked = 0;
+  size_t block = 1;
+  for (const MetaPath& p : ctx.paths) {
+    if (!g.HasFeatures(p.end_type())) continue;
+    const Matrix& got = ctx.full_features.blocks[block++];
+    if (p.hops() < 2) continue;
+    const Matrix& x = g.Features(p.end_type());
+    Dense y(static_cast<size_t>(x.rows()),
+            std::vector<double>(static_cast<size_t>(x.cols())));
+    for (int64_t r = 0; r < x.rows(); ++r) {
+      for (int64_t c = 0; c < x.cols(); ++c) {
+        y[static_cast<size_t>(r)][static_cast<size_t>(c)] = x.Row(r)[c];
+      }
+    }
+    for (size_t i = p.relations.size(); i-- > 0;) {
+      const CsrMatrix& adj = g.relation(p.relations[i]).adj;
+      Dense next(static_cast<size_t>(adj.rows()),
+                 std::vector<double>(static_cast<size_t>(x.cols()), 0.0));
+      for (int32_t r = 0; r < adj.rows(); ++r) {
+        double sum = 0.0;
+        for (float v : adj.RowValues(r)) sum += v;
+        if (sum == 0.0) continue;
+        auto idx = adj.RowIndices(r);
+        auto val = adj.RowValues(r);
+        for (size_t k = 0; k < idx.size(); ++k) {
+          for (size_t c = 0; c < next[0].size(); ++c) {
+            next[static_cast<size_t>(r)][c] +=
+                val[k] / sum * y[static_cast<size_t>(idx[k])][c];
+          }
+        }
+      }
+      y = std::move(next);
+    }
+    ASSERT_EQ(got.rows(), static_cast<int64_t>(y.size()));
+    for (int64_t r = 0; r < got.rows(); ++r) {
+      const std::vector<double>& row = y[static_cast<size_t>(r)];
+      double sq = 0.0;
+      for (double v : row) sq += v * v;
+      const double inv = sq > 0.0 ? 1.0 / std::sqrt(sq) : 0.0;
+      for (int64_t c = 0; c < got.cols(); ++c) {
+        EXPECT_NEAR(got.Row(r)[c], row[static_cast<size_t>(c)] * inv, 1e-5)
+            << p.Name(g) << " row " << r << " col " << c;
+      }
+    }
+    ++checked;
+  }
+  EXPECT_GE(checked, 2);
+}
+
+TEST(PropagateTest, OneHopBlocksMatchTheComposedAdjacencyProduct) {
+  // A 1-hop block is byte-equal to SpMmDense(ComposeAdjacency(g, p,
+  // 512), X_end), L2-row-normalized as propagation does it.
+  const HeteroGraph g = datasets::MakeToy(5);
+  PropagateOptions opts;
+  opts.max_hops = 2;
+  const EvalContext ctx = BuildEvalContext(g, opts);
+  int checked = 0;
+  size_t block = 1;
+  for (const MetaPath& p : ctx.paths) {
+    if (!g.HasFeatures(p.end_type())) continue;
+    const Matrix& got = ctx.full_features.blocks[block++];
+    if (p.hops() != 1) continue;
+    Matrix want = sparse::SpMmDense(ComposeAdjacency(g, p, 512),
+                                    g.Features(p.end_type()));
+    for (int64_t r = 0; r < want.rows(); ++r) {
+      float* row = want.Row(r);
+      double sq = 0.0;
+      for (int64_t c = 0; c < want.cols(); ++c) sq += double(row[c]) * row[c];
+      if (sq <= 0.0) continue;
+      const float inv = static_cast<float>(1.0 / std::sqrt(sq));
+      for (int64_t c = 0; c < want.cols(); ++c) row[c] *= inv;
+    }
+    ASSERT_EQ(got.rows(), want.rows());
+    ASSERT_EQ(got.cols(), want.cols());
+    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                          static_cast<size_t>(got.size()) * sizeof(float)),
+              0)
+        << p.Name(g);
+    ++checked;
+  }
+  EXPECT_GE(checked, 1);
+}
+
+TEST(PropagateTest, BuildEvalContextComposesNothing) {
+  const HeteroGraph g = datasets::MakeToy(6);
+  PropagateOptions opts;
+  opts.max_hops = 3;
+  obs::Counter& compose_calls =
+      obs::MetricsRegistry::Global().GetCounter("metapath.compose_calls");
+  const int64_t before = compose_calls.Value();
+  const EvalContext ctx = BuildEvalContext(g, opts);
+  EXPECT_GT(ctx.full_features.blocks.size(), 2u);
+  EXPECT_EQ(compose_calls.Value(), before);
 }
 
 class ModelKindTest : public ::testing::TestWithParam<HgnnKind> {};

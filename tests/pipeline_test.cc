@@ -331,27 +331,42 @@ TEST(CondenseCacheTest, CacheOnVsOffProducesIdenticalCondensedGraph) {
 }
 
 TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
-  // A prepared dataset's cache already holds every composition FreeHGC
-  // needs, and running on it changes no byte of the condensed graph.
+  // Preparing a dataset composes nothing: propagation runs right to left
+  // over the relations. FreeHGC's first run composes what its selection
+  // needs into the cache, a second run composes nothing new, and both
+  // are byte-equal to an uncached core::Condense.
+  obs::Counter& compose_calls =
+      obs::MetricsRegistry::Global().GetCounter("metapath.compose_calls");
   ArtifactCache cache;
   PipelineEnv env;
   env.cache = &cache;
   DatasetSpec toy;
   toy.name = "toy";
+  const int64_t composed_before = compose_calls.Value();
   auto data = PrepareDataset(toy, env);
   ASSERT_TRUE(data.ok()) << data.status().ToString();
+  EXPECT_EQ(compose_calls.Value(), composed_before);
   const hgnn::EvalContext& ctx = (*data)->ctx;
   EXPECT_EQ(ctx.full, &(*data)->graph);
-  EXPECT_GT(cache.stats().misses, 0);
+  EXPECT_EQ(cache.stats().misses, 1);  // the propagated blocks
 
   RunSpec run;
   run.ratio = 0.3;
-  const ArtifactCache::Stats before = cache.stats();
-  auto shared = MethodRegistry::Global().Find("freehgc")->Condense(ctx, run,
-                                                                  env);
-  ASSERT_TRUE(shared.ok()) << shared.status().ToString();
-  EXPECT_EQ(cache.stats().misses, before.misses);
-  EXPECT_GT(cache.stats().hits, before.hits);
+  const CondensationMethod* freehgc =
+      MethodRegistry::Global().Find("freehgc");
+  const ArtifactCache::Stats prepared = cache.stats();
+  auto first = freehgc->Condense(ctx, run, env);
+  ASSERT_TRUE(first.ok()) << first.status().ToString();
+  const ArtifactCache::Stats after_first = cache.stats();
+  EXPECT_GT(after_first.misses, prepared.misses);
+  EXPECT_GT(compose_calls.Value(), composed_before);
+
+  const int64_t composed_first = compose_calls.Value();
+  auto second = freehgc->Condense(ctx, run, env);
+  ASSERT_TRUE(second.ok()) << second.status().ToString();
+  EXPECT_EQ(cache.stats().misses, after_first.misses);
+  EXPECT_GT(cache.stats().hits, after_first.hits);
+  EXPECT_EQ(compose_calls.Value(), composed_first);
 
   core::FreeHgcOptions fopts;
   fopts.ratio = run.ratio;
@@ -360,10 +375,12 @@ TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
   fopts.max_row_nnz = ctx.options.max_row_nnz;
   auto cold = core::Condense((*data)->graph, fopts);
   ASSERT_TRUE(cold.ok());
-  auto shared_bytes = SerializeHeteroGraph(shared->graph);
   auto cold_bytes = SerializeHeteroGraph(cold->graph);
-  ASSERT_TRUE(shared_bytes.ok() && cold_bytes.ok());
-  EXPECT_EQ(*shared_bytes, *cold_bytes);
+  auto first_bytes = SerializeHeteroGraph(first->graph);
+  auto second_bytes = SerializeHeteroGraph(second->graph);
+  ASSERT_TRUE(cold_bytes.ok() && first_bytes.ok() && second_bytes.ok());
+  EXPECT_EQ(*first_bytes, *cold_bytes);
+  EXPECT_EQ(*second_bytes, *cold_bytes);
 }
 
 TEST(PrepareDatasetTest, CachedContextSharesTheCacheEntrysBlocks) {

@@ -12,6 +12,8 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstring>
+#include <limits>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -197,6 +199,44 @@ TEST(SparseReferenceTest, SpGemmMatchesReferenceAcrossThreads) {
   }
 }
 
+/// Raw bytes of a span, where +0.0f and -0.0f (and NaN payloads) differ.
+template <typename T>
+std::vector<unsigned char> RawBytes(std::span<const T> s) {
+  const auto* p = reinterpret_cast<const unsigned char*>(s.data());
+  return std::vector<unsigned char>(p, p + s.size_bytes());
+}
+
+void ExpectSameBytes(const CsrMatrix& got, const CsrMatrix& want,
+                     const std::string& context) {
+  ASSERT_EQ(got.rows(), want.rows()) << context;
+  ASSERT_EQ(got.cols(), want.cols()) << context;
+  EXPECT_EQ(RawBytes(got.indptr()), RawBytes(want.indptr())) << context;
+  EXPECT_EQ(RawBytes(got.indices()), RawBytes(want.indices())) << context;
+  EXPECT_EQ(RawBytes(got.values()), RawBytes(want.values())) << context;
+}
+
+/// CSR from per-row (column, value) lists, kept exactly as given (an
+/// explicit -0.0f entry stays -0.0f). Columns must ascend within a row.
+CsrMatrix FromRows(
+    int32_t cols,
+    const std::vector<std::vector<std::pair<int32_t, float>>>& rows) {
+  std::vector<int64_t> indptr{0};
+  std::vector<int32_t> indices;
+  std::vector<float> values;
+  for (const auto& row : rows) {
+    for (const auto& [c, v] : row) {
+      indices.push_back(c);
+      values.push_back(v);
+    }
+    indptr.push_back(static_cast<int64_t>(indices.size()));
+  }
+  auto res = CsrMatrix::FromParts(static_cast<int32_t>(rows.size()), cols,
+                                  std::move(indptr), std::move(indices),
+                                  std::move(values));
+  EXPECT_TRUE(res.ok());
+  return std::move(res).value();
+}
+
 TEST(SparseReferenceTest, SpGemmLeavesNoResidueAfterCancelledSlots) {
   // Four rows in one chunk (the row grain is 64), so one worker's
   // accumulator and marker carry over from row to row:
@@ -223,10 +263,6 @@ TEST(SparseReferenceTest, SpGemmLeavesNoResidueAfterCancelledSlots) {
        {3, 0, 0.5f}, {3, 1, -0.25f}, {3, 2, 4.0f}, {3, 4, -7.0f},
        {3, 5, 1.5f},
        {4, 0, -1.0f}, {4, 1, -2.0f}, {4, 3, -3.0f}});
-  auto bytes = [](auto span) {
-    const auto* p = reinterpret_cast<const unsigned char*>(span.data());
-    return std::vector<unsigned char>(p, p + span.size_bytes());
-  };
   for (int64_t budget : {int64_t{0}, int64_t{1}, int64_t{6}}) {
     const CsrMatrix want = sparse::reference::SpGemmRef(a, b, budget);
     ASSERT_TRUE(want.Validate().ok());
@@ -241,11 +277,7 @@ TEST(SparseReferenceTest, SpGemmLeavesNoResidueAfterCancelledSlots) {
       const std::string context = "budget=" + std::to_string(budget) +
                                   " threads=" + std::to_string(threads);
       ExpectValid(got, context);
-      ASSERT_EQ(got.rows(), want.rows()) << context;
-      ASSERT_EQ(got.cols(), want.cols()) << context;
-      EXPECT_EQ(bytes(got.indptr()), bytes(want.indptr())) << context;
-      EXPECT_EQ(bytes(got.indices()), bytes(want.indices())) << context;
-      EXPECT_EQ(bytes(got.values()), bytes(want.values())) << context;
+      ExpectSameBytes(got, want, context);
     }
   }
 }
@@ -444,6 +476,169 @@ TEST(SparseReferenceTest, PruningTieBreakKeepsSmallerColumns) {
     EXPECT_EQ(got.RowIndices(0)[1], 1);
     EXPECT_EQ(got.RowValues(0)[0], 1.0f);
     EXPECT_EQ(got.RowValues(0)[1], -1.0f);
+  }
+}
+
+TEST(SparseReferenceTest, TruncatingSpGemmMatchesReferenceOnBothEmitPaths) {
+  // SpGemm emits a row in column order either by walking its marker
+  // words (touched columns dense in their span) or, when the span is
+  // more than ~2 words per touched column, by sorting the touched list.
+  // b's rows come in two kinds: "clustered" rows inside one narrow
+  // window (their products walk) and "spread" rows over the full width
+  // (their products sort). Values come from a tiny set, so |v| ties,
+  // negative values, exact cancellations and explicit -0.0f entries
+  // (whose products are -0.0f) are everywhere.
+  constexpr int32_t kCols = 64 * 256;
+  constexpr float kValues[] = {1.0f, -1.0f, 0.5f, -0.5f, 2.0f, -0.0f};
+  Rng rng(33);
+  auto value = [&] {
+    return kValues[rng.NextBounded(sizeof(kValues) / sizeof(kValues[0]))];
+  };
+  auto row_of = [&](int32_t lo, int32_t width, int32_t count) {
+    std::vector<int32_t> cs;
+    for (int32_t k = 0; k < count; ++k) {
+      cs.push_back(lo + static_cast<int32_t>(rng.NextBounded(
+                            static_cast<uint64_t>(width))));
+    }
+    std::sort(cs.begin(), cs.end());
+    cs.erase(std::unique(cs.begin(), cs.end()), cs.end());
+    std::vector<std::pair<int32_t, float>> row;
+    for (int32_t c : cs) row.emplace_back(c, value());
+    return row;
+  };
+  constexpr int32_t kClustered = 60, kSpread = 60;
+  std::vector<std::vector<std::pair<int32_t, float>>> b_rows;
+  for (int32_t r = 0; r < kClustered; ++r) {
+    // Windows of 512 columns (8 words) at one of 4 offsets, so rows
+    // sharing a window also cancel and tie with each other.
+    const int32_t lo = static_cast<int32_t>(rng.NextBounded(4)) * 4096;
+    b_rows.push_back(
+        row_of(lo, 512, 20 + static_cast<int32_t>(rng.NextBounded(60))));
+  }
+  for (int32_t r = 0; r < kSpread; ++r) {
+    b_rows.push_back(
+        row_of(0, kCols, 2 + static_cast<int32_t>(rng.NextBounded(6))));
+  }
+  const CsrMatrix b = FromRows(kCols, b_rows);
+  // 300 rows of a (several 64-row chunks): even rows combine clustered
+  // b rows, odd rows spread ones; every 7th row is empty.
+  std::vector<std::vector<std::pair<int32_t, float>>> a_rows;
+  for (int32_t r = 0; r < 300; ++r) {
+    std::vector<std::pair<int32_t, float>> row;
+    if (r % 7 != 0) {
+      const int32_t base = r % 2 == 0 ? 0 : kClustered;
+      const int32_t count = 1 + static_cast<int32_t>(rng.NextBounded(5));
+      std::vector<int32_t> ks;
+      for (int32_t k = 0; k < count; ++k) {
+        ks.push_back(base + static_cast<int32_t>(rng.NextBounded(
+                                r % 2 == 0 ? kClustered : kSpread)));
+      }
+      std::sort(ks.begin(), ks.end());
+      ks.erase(std::unique(ks.begin(), ks.end()), ks.end());
+      for (int32_t k : ks) row.emplace_back(k, value());
+    }
+    a_rows.push_back(std::move(row));
+  }
+  const CsrMatrix a = FromRows(kClustered + kSpread, a_rows);
+
+  // The corpus reaches both emit paths, truncating on each (the
+  // kernel's rule: sort when the touched span exceeds ~2 words per
+  // touched column).
+  int walk_rows = 0, sort_rows = 0, walk_truncated = 0, sort_truncated = 0;
+  const CsrMatrix exact = sparse::reference::SpGemmRef(a, b, 0);
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    std::vector<int32_t> touched;
+    for (int32_t k : a.RowIndices(r)) {
+      for (int32_t c : b.RowIndices(k)) touched.push_back(c);
+    }
+    std::sort(touched.begin(), touched.end());
+    touched.erase(std::unique(touched.begin(), touched.end()),
+                  touched.end());
+    if (touched.empty()) continue;
+    const size_t span = static_cast<size_t>(touched.back() / 64 -
+                                            touched.front() / 64 + 1);
+    const bool truncates = exact.RowNnz(r) > 4;
+    if (span <= 2 * touched.size()) {
+      ++walk_rows;
+      walk_truncated += truncates ? 1 : 0;
+    } else {
+      ++sort_rows;
+      sort_truncated += truncates ? 1 : 0;
+    }
+  }
+  EXPECT_GT(walk_truncated, 0);
+  EXPECT_GT(sort_truncated, 0);
+  EXPECT_GT(walk_rows, walk_truncated);
+  EXPECT_GT(sort_rows, sort_truncated);
+
+  for (int64_t budget : {int64_t{0}, int64_t{1}, int64_t{4}, int64_t{16},
+                         int64_t{64}}) {
+    const CsrMatrix want = sparse::reference::SpGemmRef(a, b, budget);
+    ExpectValid(want, "reference budget=" + std::to_string(budget));
+    for (int threads : {1, 3, 4}) {
+      exec::ExecContext ex(threads);
+      const std::string context = "budget=" + std::to_string(budget) +
+                                  " threads=" + std::to_string(threads);
+      const CsrMatrix got = sparse::SpGemm(a, b, budget, &ex);
+      ExpectValid(got, context);
+      ExpectSameBytes(got, want, context);
+    }
+  }
+}
+
+TEST(SparseReferenceTest, SpGemmRanksNanAboveInfAtEveryThreadCount) {
+#ifndef NDEBUG
+  // Debug builds assert that every kernel output is finite.
+  GTEST_SKIP() << "non-finite SpGEMM output aborts a Debug build";
+#endif
+  // Truncation orders by the magnitude's IEEE bits: NaN > +inf = |-inf|
+  // > finite, ties to the smaller column. SpGemmRef's comparator is not
+  // a strict weak order on NaN, so the kernel is pinned by hand here
+  // and compared across thread counts, not against the reference.
+  const float inf = std::numeric_limits<float>::infinity();
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const CsrMatrix a = FromRows(3, {{{0, 1.0f}, {1, 1.0f}, {2, 1.0f}}});
+  const CsrMatrix b = FromRows(
+      5, {{{3, -inf}}, {{1, nan}, {4, inf}}, {{0, 5.0f}, {2, -7.0f}}});
+  const std::vector<std::vector<int32_t>> keeps = {
+      {1}, {1, 3}, {1, 3, 4}, {1, 2, 3, 4}, {0, 1, 2, 3, 4}};
+  for (int64_t budget = 1; budget <= 5; ++budget) {
+    for (int threads : {1, 3, 4}) {
+      exec::ExecContext ex(threads);
+      const CsrMatrix got = sparse::SpGemm(a, b, budget, &ex);
+      const std::vector<int32_t> cols = ToVec(got.RowIndices(0));
+      EXPECT_EQ(cols, keeps[static_cast<size_t>(budget - 1)])
+          << "budget=" << budget << " threads=" << threads;
+    }
+  }
+
+  // A wider corpus with NaN and inf sprinkled in: byte-identical output
+  // at every thread count.
+  Rng rng(77);
+  std::vector<std::vector<std::pair<int32_t, float>>> rows;
+  for (int32_t r = 0; r < 200; ++r) {
+    std::vector<std::pair<int32_t, float>> row;
+    for (int32_t c = 0; c < 300; ++c) {
+      if (rng.NextDouble() >= 0.08) continue;
+      const uint64_t kind = rng.NextBounded(20);
+      row.emplace_back(c, kind == 0   ? nan
+                          : kind == 1 ? inf
+                          : kind == 2 ? -inf
+                                      : rng.NextUniform(-2.0f, 2.0f));
+    }
+    rows.push_back(std::move(row));
+  }
+  const CsrMatrix m = FromRows(300, rows);
+  const CsrMatrix mt = sparse::reference::TransposeRef(m);
+  exec::ExecContext ex1(1);
+  for (int64_t budget : {int64_t{0}, int64_t{3}, int64_t{16}}) {
+    const CsrMatrix want = sparse::SpGemm(m, mt, budget, &ex1);
+    for (int threads : {3, 4}) {
+      exec::ExecContext ex(threads);
+      ExpectSameBytes(sparse::SpGemm(m, mt, budget, &ex), want,
+                      "budget=" + std::to_string(budget) +
+                          " threads=" + std::to_string(threads));
+    }
   }
 }
 
