@@ -163,7 +163,12 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
 
   // Compose every meta-path adjacency once (through the cache when one is
   // supplied), grouped by end type for the Jaccard term (Eq. 6 compares
-  // paths sharing source and target types).
+  // paths sharing source and target types). The Jaccard term, the greedy
+  // coverage and the degree fallback read only pool rows, so only the
+  // train-pool rows are composed; the random walks of the pruning step
+  // wander onto arbitrary rows and need the full product.
+  const RowSet rows =
+      opts.walk_prune_fraction > 0.0 ? RowSet::kAll : RowSet::kTrain;
   std::map<TypeId, std::vector<size_t>> group_of_end;
   // Every path's adjacency is used across the whole selection loop, so
   // the pins are held for the function's duration (a budgeted cache can
@@ -175,7 +180,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
   for (size_t i = 0; i < paths.size(); ++i) {
     FREEHGC_CHECK(paths[i].start_type() == target);
     pins.push_back(
-        ComposedAdjacency(cache, g, paths[i], max_row_nnz, &ex));
+        ComposedAdjacency(cache, g, paths[i], max_row_nnz, &ex, rows));
     composed.push_back(pins.back().get());
     group_of_end[paths[i].end_type()].push_back(i);
   }

@@ -51,7 +51,9 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 /// (Eq. 9).
 ///
 /// `paths` must all start at the target type; each is composed under the
-/// row-nnz budget `max_row_nnz` (0 = exact). Returns original target-node
+/// row-nnz budget `max_row_nnz` (0 = exact), over the train-pool rows
+/// only (RowSet::kTrain) unless walk pruning is on, whose walks need
+/// every row (RowSet::kAll). Returns original target-node
 /// ids, |result| == min(budget, train pool size). `seed` drives the
 /// random-walk pruning (unused when it is off). `scores_out`, when non
 /// null, receives the aggregated per-node score (0 for never-selected

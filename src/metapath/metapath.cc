@@ -68,15 +68,52 @@ std::vector<MetaPath> FilterByEndType(const std::vector<MetaPath>& paths,
   return out;
 }
 
+namespace {
+
+/// `a` with every row outside `rows` emptied (same shape).
+CsrMatrix KeepRows(const CsrMatrix& a, const std::vector<int32_t>& rows) {
+  std::vector<uint8_t> keep(static_cast<size_t>(a.rows()), 0);
+  for (int32_t r : rows) {
+    FREEHGC_CHECK(r >= 0 && r < a.rows());
+    keep[static_cast<size_t>(r)] = 1;
+  }
+  std::vector<int64_t> indptr(static_cast<size_t>(a.rows()) + 1, 0);
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    indptr[static_cast<size_t>(r) + 1] =
+        indptr[static_cast<size_t>(r)] +
+        (keep[static_cast<size_t>(r)] ? a.RowNnz(r) : 0);
+  }
+  std::vector<int32_t> indices;
+  std::vector<float> values;
+  indices.reserve(static_cast<size_t>(indptr.back()));
+  values.reserve(static_cast<size_t>(indptr.back()));
+  for (int32_t r = 0; r < a.rows(); ++r) {
+    if (!keep[static_cast<size_t>(r)]) continue;
+    const auto idx = a.RowIndices(r);
+    const auto val = a.RowValues(r);
+    indices.insert(indices.end(), idx.begin(), idx.end());
+    values.insert(values.end(), val.begin(), val.end());
+  }
+  auto res = CsrMatrix::FromParts(a.rows(), a.cols(), std::move(indptr),
+                                  std::move(indices), std::move(values));
+  FREEHGC_CHECK(res.ok());
+  return std::move(res).value();
+}
+
+}  // namespace
+
 CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
-                           int64_t max_row_nnz, exec::ExecContext* ctx) {
+                           int64_t max_row_nnz, exec::ExecContext* ctx,
+                           const std::vector<int32_t>* rows) {
   FREEHGC_CHECK(!p.relations.empty());
   FREEHGC_TRACE_SPAN("metapath.compose");
   static obs::Counter& composed =
       obs::MetricsRegistry::Global().GetCounter("metapath.compose_calls");
   composed.Increment();
   exec::ExecContext& ex = exec::Resolve(ctx);
-  CsrMatrix acc = sparse::RowNormalize(g.relation(p.relations[0]).adj, &ex);
+  const CsrMatrix& first = g.relation(p.relations[0]).adj;
+  CsrMatrix acc = sparse::RowNormalize(
+      rows != nullptr ? KeepRows(first, *rows) : first, &ex);
   for (size_t i = 1; i < p.relations.size(); ++i) {
     const CsrMatrix next =
         sparse::RowNormalize(g.relation(p.relations[i]).adj, &ex);
@@ -85,14 +122,13 @@ CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
   return acc;
 }
 
-std::shared_ptr<const CsrMatrix> ComposedAdjacency(AdjacencyCache* cache,
-                                                   const HeteroGraph& g,
-                                                   const MetaPath& p,
-                                                   int64_t max_row_nnz,
-                                                   exec::ExecContext* ctx) {
-  if (cache != nullptr) return cache->Composed(g, p, max_row_nnz, ctx);
-  return std::make_shared<const CsrMatrix>(
-      ComposeAdjacency(g, p, max_row_nnz, ctx));
+std::shared_ptr<const CsrMatrix> ComposedAdjacency(
+    AdjacencyCache* cache, const HeteroGraph& g, const MetaPath& p,
+    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) {
+  if (cache != nullptr) return cache->Composed(g, p, max_row_nnz, ctx, rows);
+  return std::make_shared<const CsrMatrix>(ComposeAdjacency(
+      g, p, max_row_nnz, ctx,
+      rows == RowSet::kTrain ? &g.train_index() : nullptr));
 }
 
 namespace {

@@ -53,9 +53,26 @@ std::vector<MetaPath> FilterByEndType(const std::vector<MetaPath>& paths,
 ///   A_hat(P) = A_hat(r_0) * A_hat(r_1) * ... * A_hat(r_{k-1}).
 /// Shape: (count(start_type), count(end_type)). The SpGEMM chain runs on
 /// `ctx` (row-chunk parallel, bit-identical across thread counts).
+///
+/// `rows`, when non-null, restricts the product to those start-type rows
+/// (any order, duplicates allowed): only they are kept in the first
+/// factor, every other row comes out empty. Normalization, Gustavson
+/// accumulation and the max_row_nnz truncation are all row-local, so
+/// each kept row is byte-identical to the same row of the full product,
+/// while the SpGEMM chain does work only for the kept rows.
 CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
                            int64_t max_row_nnz = 0,
-                           exec::ExecContext* ctx = nullptr);
+                           exec::ExecContext* ctx = nullptr,
+                           const std::vector<int32_t>* rows = nullptr);
+
+/// Which start-type rows of a composed adjacency a caller reads.
+enum class RowSet : uint8_t {
+  /// Every row: the full product.
+  kAll,
+  /// Only the graph's train_index() rows (the candidate pool of target
+  /// selection); every other row is empty.
+  kTrain,
+};
 
 /// Borrowed memo of composed meta-path adjacencies. ComposeAdjacency is
 /// deterministic and seed-independent, so its result can be shared across
@@ -75,22 +92,28 @@ class AdjacencyCache {
   virtual ~AdjacencyCache() = default;
 
   /// A pin of the composed adjacency of `p` over `g` at the given
-  /// row-nnz budget (computed via ComposeAdjacency on miss).
-  virtual std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
-                                                    const MetaPath& p,
-                                                    int64_t max_row_nnz,
-                                                    exec::ExecContext* ctx) = 0;
+  /// row-nnz budget, restricted to `rows` (computed via ComposeAdjacency
+  /// on miss). Each row set is its own entry.
+  virtual std::shared_ptr<const CsrMatrix> Composed(
+      const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
+      exec::ExecContext* ctx, RowSet rows) = 0;
+
+  /// The full product: Composed(g, p, max_row_nnz, ctx, RowSet::kAll).
+  std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
+                                            const MetaPath& p,
+                                            int64_t max_row_nnz,
+                                            exec::ExecContext* ctx) {
+    return Composed(g, p, max_row_nnz, ctx, RowSet::kAll);
+  }
 };
 
 /// Cache-aware accessor used at compose call sites: returns a pin of the
 /// cached adjacency when `cache` is non-null, otherwise composes a
 /// one-off owned matrix. Either way the matrix lives as long as the
 /// returned pointer does.
-std::shared_ptr<const CsrMatrix> ComposedAdjacency(AdjacencyCache* cache,
-                                                   const HeteroGraph& g,
-                                                   const MetaPath& p,
-                                                   int64_t max_row_nnz,
-                                                   exec::ExecContext* ctx);
+std::shared_ptr<const CsrMatrix> ComposedAdjacency(
+    AdjacencyCache* cache, const HeteroGraph& g, const MetaPath& p,
+    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows = RowSet::kAll);
 
 /// Per-path mean pairwise Jaccard similarity (Eqs. 4-6): result[i][v] is
 /// the mean, over every *other* path j, of

@@ -6,6 +6,7 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
+#include <tuple>
 #include <utility>
 
 #include "common/logging.h"
@@ -31,11 +32,14 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 /// Hash of an entry key, stored in the spool-file header so a file can be
 /// matched back to its slot (and recognized by the orphan GC) without
 /// payload IO.
-uint64_t KeyHash(const std::tuple<uint64_t, uint64_t, int64_t>& key) {
+template <typename... Fields>
+uint64_t KeyHash(const std::tuple<Fields...>& key) {
   uint64_t h = kFnvOffset;
-  h = Mix(h, std::get<0>(key));
-  h = Mix(h, std::get<1>(key));
-  h = Mix(h, static_cast<uint64_t>(std::get<2>(key)));
+  std::apply(
+      [&h](const Fields&... f) {
+        ((h = Mix(h, static_cast<uint64_t>(f))), ...);
+      },
+      key);
   return h;
 }
 
@@ -94,12 +98,13 @@ obs::Gauge& BudgetGauge() {
 }
 
 std::string HexKeyPath(const std::string& dir, const char* prefix,
-                       const std::tuple<uint64_t, uint64_t, int64_t>& key) {
+                       uint64_t fingerprint, uint64_t signature,
+                       int64_t max_row_nnz) {
   char buf[128];
   std::snprintf(buf, sizeof(buf), "/%s-%016llx-%016llx-%lld.spill", prefix,
-                static_cast<unsigned long long>(std::get<0>(key)),
-                static_cast<unsigned long long>(std::get<1>(key)),
-                static_cast<long long>(std::get<2>(key)));
+                static_cast<unsigned long long>(fingerprint),
+                static_cast<unsigned long long>(signature),
+                static_cast<long long>(max_row_nnz));
   return dir + buf;
 }
 
@@ -179,17 +184,21 @@ uint64_t ArtifactCache::FingerprintOf(const HeteroGraph& g) {
 }
 
 std::string ArtifactCache::AdjSpillPath(const AdjKey& key) const {
-  return HexKeyPath(spill_.spill_dir, "adj", key);
+  const auto& [fp, sig, max_row_nnz, rows] = key;
+  return HexKeyPath(spill_.spill_dir,
+                    rows == RowSet::kTrain ? "adj-train" : "adj", fp, sig,
+                    max_row_nnz);
 }
 
 std::string ArtifactCache::PropSpillPath(const PropKey& key) const {
-  return HexKeyPath(spill_.spill_dir, "prop", key);
+  const auto& [fp, sig, max_row_nnz] = key;
+  return HexKeyPath(spill_.spill_dir, "prop", fp, sig, max_row_nnz);
 }
 
 std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
     const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
-    exec::ExecContext* ctx) {
-  const AdjKey key{FingerprintOf(g), PathSignature(p), max_row_nnz};
+    exec::ExecContext* ctx, RowSet rows) {
+  const AdjKey key{FingerprintOf(g), PathSignature(p), max_row_nnz, rows};
   std::string spilled_path;
   {
     std::lock_guard<std::mutex> lock(mu_);
@@ -228,8 +237,7 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
   }
   // Compose outside the lock: the SpGEMM chain is the expensive part and
   // must not serialize unrelated lookups.
-  auto composed = std::make_shared<const CsrMatrix>(
-      ComposeAdjacency(g, p, max_row_nnz, ctx));
+  auto composed = ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows);
   std::shared_ptr<const CsrMatrix> out;
   {
     std::lock_guard<std::mutex> lock(mu_);

@@ -6,6 +6,7 @@
 #include <memory>
 #include <mutex>
 #include <string>
+#include <tuple>
 #include <unordered_map>
 #include <vector>
 
@@ -25,10 +26,10 @@ namespace freehgc::pipeline {
 /// baselines.
 ///
 /// Keying: every entry is keyed by the graph's 64-bit ContentFingerprint
-/// plus the computation's parameters (path signature + max_row_nnz for
-/// adjacencies; path-list signature + max_row_nnz for propagation, whose
-/// blocks do not depend on the budget; HgnnConfig signature
-/// for baselines). A changed graph changes its fingerprint, so stale
+/// plus the computation's parameters (path signature + max_row_nnz + row
+/// set for adjacencies; path-list signature + max_row_nnz for
+/// propagation, whose blocks do not depend on the budget; HgnnConfig
+/// signature for baselines). A changed graph changes its fingerprint, so stale
 /// entries are unreachable rather than invalidated. Determinism
 /// invariant: every cached value is the exact output of a deterministic
 /// computation, so cached and uncached runs are bit-identical
@@ -81,11 +82,14 @@ class ArtifactCache final : public AdjacencyCache {
   /// True once ConfigureSpill succeeded.
   bool spill_enabled() const { return spill_enabled_; }
 
-  // AdjacencyCache:
+  // AdjacencyCache. A RowSet::kTrain entry needs no hash of the pool:
+  // the fingerprint already covers the graph's train_index.
+  using AdjacencyCache::Composed;
   std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
                                             const MetaPath& p,
                                             int64_t max_row_nnz,
-                                            exec::ExecContext* ctx) override;
+                                            exec::ExecContext* ctx,
+                                            RowSet rows) override;
 
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz),
   /// the blocks of every cached EvalContext: pipeline::BuildEvalContext
@@ -144,8 +148,8 @@ class ArtifactCache final : public AdjacencyCache {
     int64_t total_edges = 0;
     int32_t num_relations = 0;
   };
-  /// (graph fp, path signature, max_row_nnz).
-  using AdjKey = std::tuple<uint64_t, uint64_t, int64_t>;
+  /// (graph fp, path signature, max_row_nnz, row set).
+  using AdjKey = std::tuple<uint64_t, uint64_t, int64_t, RowSet>;
   /// (graph fp, path-list signature, max_row_nnz).
   using PropKey = std::tuple<uint64_t, uint64_t, int64_t>;
   /// (graph fp, config signature).

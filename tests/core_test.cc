@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cmath>
+#include <memory>
 #include <set>
+#include <vector>
 
 #include "core/freehgc.h"
 #include "core/other_types.h"
@@ -211,6 +213,91 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
             static_cast<size_t>(g.NodeCount(g.target_type())));
   // Selected nodes carry positive scores.
   for (int32_t v : sel) EXPECT_GT(scores[static_cast<size_t>(v)], 0.0);
+}
+
+/// Serves compositions like an uncached run while recording the row set
+/// of every request; with `force_full` it ignores the request and serves
+/// the full product (what selection composed before row restriction).
+class RowSetRecorder final : public AdjacencyCache {
+ public:
+  explicit RowSetRecorder(bool force_full = false) : force_full_(force_full) {}
+
+  std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
+                                            const MetaPath& p,
+                                            int64_t max_row_nnz,
+                                            exec::ExecContext* ctx,
+                                            RowSet rows) override {
+    requested.push_back(rows);
+    return ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx,
+                             force_full_ ? RowSet::kAll : rows);
+  }
+
+  std::vector<RowSet> requested;
+
+ private:
+  bool force_full_;
+};
+
+TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
+  // Selection reads only train-pool rows, so composing just those rows
+  // changes nothing: the picks and every pool score equal a run on the
+  // full products, with or without a cache, at 1 and 4 threads.
+  const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 8;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  const TargetSelectionOptions opts;
+  exec::ExecContext ex1(1);
+  RowSetRecorder full(/*force_full=*/true);
+  std::vector<double> want_scores;
+  const auto want = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts,
+                                        &want_scores, &ex1, &full);
+  ASSERT_EQ(want.size(), 20u);
+  for (int threads : {1, 4}) {
+    exec::ExecContext ex(threads);
+    RowSetRecorder recorder;
+    std::vector<double> uncached_scores, cached_scores;
+    const auto uncached = CondenseTargetNodes(
+        g, paths, kMaxRowNnz, 20, 1, opts, &uncached_scores, &ex);
+    const auto cached = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1,
+                                            opts, &cached_scores, &ex,
+                                            &recorder);
+    EXPECT_EQ(uncached, want) << threads;
+    EXPECT_EQ(cached, want) << threads;
+    for (int32_t v : g.train_index()) {
+      const size_t i = static_cast<size_t>(v);
+      EXPECT_EQ(uncached_scores[i], want_scores[i]) << v;
+      EXPECT_EQ(cached_scores[i], want_scores[i]) << v;
+    }
+    EXPECT_EQ(recorder.requested,
+              std::vector<RowSet>(paths.size(), RowSet::kTrain));
+  }
+}
+
+TEST(TargetSelectionTest, WalkPruningStillComposesFullRows) {
+  // The pruning walks step onto arbitrary rows, so with
+  // walk_prune_fraction > 0 selection asks for full products and its
+  // picks stay those of the full-row selection.
+  const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 8;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  TargetSelectionOptions opts;
+  opts.walk_prune_fraction = 0.3;
+  RowSetRecorder recorder;
+  const auto picks = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts,
+                                         nullptr, nullptr, &recorder);
+  EXPECT_EQ(recorder.requested,
+            std::vector<RowSet>(paths.size(), RowSet::kAll));
+  EXPECT_EQ(picks, CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts));
+  // The picks of the selection before row restriction, which composed
+  // every row of every path.
+  const std::vector<int32_t> full_row_picks = {
+      3,   20,  57,  62,  81,  100, 123, 124, 151, 157,
+      171, 187, 188, 214, 240, 247, 259, 272, 277, 281};
+  EXPECT_EQ(picks, full_row_picks);
 }
 
 // --- NIM ----------------------------------------------------------------------

@@ -1,5 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstring>
+#include <set>
+
+#include "datasets/generator.h"
+#include "exec/exec_context.h"
 #include "metapath/metapath.h"
 #include "sparse/ops.h"
 
@@ -90,6 +96,84 @@ TEST(MetaPathTest, ComposeMatchesManualProduct) {
   for (int32_t r = 0; r < composed.rows(); ++r) {
     EXPECT_NEAR(composed.RowSum(r), 1.0f, 1e-5f);
   }
+}
+
+/// Byte-compares row r of `got` and `want`.
+bool RowBytesEqual(const CsrMatrix& got, const CsrMatrix& want, int32_t r) {
+  const auto gi = got.RowIndices(r), wi = want.RowIndices(r);
+  const auto gv = got.RowValues(r), wv = want.RowValues(r);
+  return gi.size() == wi.size() &&
+         std::equal(gi.begin(), gi.end(), wi.begin()) &&
+         std::memcmp(gv.data(), wv.data(), gv.size() * sizeof(float)) == 0;
+}
+
+TEST(MetaPathTest, RowRestrictedComposeKeepsExactlyTheRequestedRows) {
+  // Every kept row is byte-identical to the full product's row, at every
+  // thread count and row budget; every other row is empty.
+  const HeteroGraph g = datasets::MakeDblp(3, 0.3);
+  MetaPathOptions opts;
+  opts.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), opts);
+  bool one_hop = false, two_hop = false;
+  for (const auto& p : paths) {
+    one_hop |= p.hops() == 1;
+    two_hop |= p.hops() == 2;
+  }
+  ASSERT_TRUE(one_hop && two_hop);
+  const int32_t n = g.NodeCount(g.target_type());
+
+  // The train pool reversed (unsorted) with a duplicate, no rows, every
+  // row, and a scattered handful.
+  std::vector<int32_t> unsorted(g.train_index().rbegin(),
+                                g.train_index().rend());
+  unsorted.push_back(unsorted.front());
+  std::vector<int32_t> all(static_cast<size_t>(n));
+  for (int32_t r = 0; r < n; ++r) all[static_cast<size_t>(r)] = r;
+  const std::vector<std::vector<int32_t>> row_sets = {
+      unsorted, {}, all, {n - 1, 0, n / 2, 7}};
+
+  exec::ExecContext ex1(1);
+  for (int64_t budget : {0, 4, 512}) {
+    for (const auto& p : paths) {
+      const CsrMatrix full = ComposeAdjacency(g, p, budget, &ex1);
+      for (int threads : {1, 3, 4}) {
+        exec::ExecContext ex(threads);
+        for (const auto& rows : row_sets) {
+          const std::set<int32_t> kept(rows.begin(), rows.end());
+          const CsrMatrix got = ComposeAdjacency(g, p, budget, &ex, &rows);
+          ASSERT_TRUE(got.Validate().ok());
+          ASSERT_EQ(got.rows(), full.rows());
+          ASSERT_EQ(got.cols(), full.cols());
+          for (int32_t r = 0; r < n; ++r) {
+            if (kept.count(r) != 0) {
+              EXPECT_TRUE(RowBytesEqual(got, full, r))
+                  << p.Name(g) << " budget " << budget << " threads "
+                  << threads << " row " << r;
+            } else {
+              EXPECT_EQ(got.RowNnz(r), 0) << p.Name(g) << " row " << r;
+            }
+          }
+          if (rows.size() == all.size()) {
+            EXPECT_TRUE(got == full);
+          }
+        }
+      }
+    }
+  }
+}
+
+TEST(MetaPathTest, ComposedAdjacencyWithoutCacheHonorsTheRowSet) {
+  const HeteroGraph g = datasets::MakeDblp(3, 0.3);
+  MetaPathOptions opts;
+  opts.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), opts);
+  ASSERT_FALSE(paths.empty());
+  const MetaPath& p = paths.back();
+  EXPECT_TRUE(*ComposedAdjacency(nullptr, g, p, 512, nullptr) ==
+              ComposeAdjacency(g, p, 512));
+  EXPECT_TRUE(
+      *ComposedAdjacency(nullptr, g, p, 512, nullptr, RowSet::kTrain) ==
+      ComposeAdjacency(g, p, 512, nullptr, &g.train_index()));
 }
 
 TEST(JaccardTest, SortedSetBasics) {

@@ -184,6 +184,83 @@ TEST(ArtifactCacheTest, ComposedMemoizesByGraphPathAndBudget) {
   EXPECT_EQ(cache.stats().bytes, 0u);
 }
 
+TEST(ArtifactCacheTest, TrainRowEntriesAreDistinctFromFullOnes) {
+  const HeteroGraph g = datasets::MakeToy(7);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  ASSERT_FALSE(paths.empty());
+  const MetaPath& p = paths.back();
+
+  ArtifactCache cache;
+  auto full = cache.Composed(g, p, 512, nullptr);
+  auto train = cache.Composed(g, p, 512, nullptr, RowSet::kTrain);
+  EXPECT_NE(full.get(), train.get());
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.Composed(g, p, 512, nullptr, RowSet::kTrain).get(),
+            train.get());
+  EXPECT_EQ(cache.Composed(g, p, 512, nullptr, RowSet::kAll).get(),
+            full.get());
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(*full, ComposeAdjacency(g, p, 512));
+  EXPECT_EQ(*train, ComposeAdjacency(g, p, 512, nullptr, &g.train_index()));
+  EXPECT_LT(train->nnz(), full->nnz());
+
+  // Both entries spill under their own names and restore bit-identically.
+  const std::string dir = ::testing::TempDir() + "/train_rows_spill";
+  ArtifactCache::SpillOptions spill;
+  spill.resident_bytes_budget = 0;
+  spill.spill_dir = dir;
+  ASSERT_TRUE(cache.ConfigureSpill(spill).ok());
+  const CsrMatrix full_copy = *full, train_copy = *train;
+  full.reset();  // unpinned: the trim may evict both entries
+  train.reset();
+  cache.TrimToBudget();
+  EXPECT_EQ(cache.stats().spills, 2);
+  const auto full_back = cache.Composed(g, p, 512, nullptr);
+  const auto train_back = cache.Composed(g, p, 512, nullptr, RowSet::kTrain);
+  EXPECT_EQ(cache.stats().restores, 2);
+  EXPECT_EQ(*full_back, full_copy);
+  EXPECT_EQ(*train_back, train_copy);
+}
+
+TEST(CondenseCacheTest, FreeHgcComposesTrainRowsForSelectionOnly) {
+  // Target selection composes the train-pool rows of every path; NIM
+  // composes the full product of each father-ending path it scores. A
+  // second run composes nothing new.
+  obs::Counter& compose_calls =
+      obs::MetricsRegistry::Global().GetCounter("metapath.compose_calls");
+  const HeteroGraph g = datasets::MakeToy(7);
+  core::FreeHgcOptions opts;
+  opts.ratio = 0.3;
+  opts.max_hops = 2;
+  MetaPathOptions mp;
+  mp.max_hops = opts.max_hops;
+  mp.max_paths = opts.max_paths;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+
+  ArtifactCache cache;
+  const int64_t before = compose_calls.Value();
+  auto first = core::Condense(g, opts, nullptr, &cache);
+  ASSERT_TRUE(first.ok());
+  const int64_t first_calls = compose_calls.Value() - before;
+  EXPECT_GT(first_calls, static_cast<int64_t>(paths.size()));
+  EXPECT_EQ(cache.stats().misses, first_calls);
+  // Every path's train-row entry is resident: a lookup is a hit.
+  const ArtifactCache::Stats after_first = cache.stats();
+  for (const MetaPath& p : paths) {
+    cache.Composed(g, p, opts.max_row_nnz, nullptr, RowSet::kTrain);
+  }
+  EXPECT_EQ(cache.stats().misses, after_first.misses);
+
+  auto second = core::Condense(g, opts, nullptr, &cache);
+  ASSERT_TRUE(second.ok());
+  EXPECT_EQ(compose_calls.Value() - before, first_calls);
+  EXPECT_EQ(cache.stats().misses, after_first.misses);
+  EXPECT_EQ(first->graph.ContentFingerprint(),
+            second->graph.ContentFingerprint());
+}
+
 TEST(ArtifactCacheTest, PropagatedAndBaselineMemoize) {
   const HeteroGraph g = datasets::MakeToy(7);
   hgnn::PropagateOptions popts;

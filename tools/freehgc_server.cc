@@ -52,6 +52,8 @@
 // heartbeats load so routers can place and fail over requests. The
 // shard keeps serving direct connections too.
 
+#include <malloc.h>
+
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -136,6 +138,15 @@ bool ParseMetaFlag(const std::string& arg, int* port) {
 }  // namespace
 
 int main(int argc, char** argv) {
+  // Pin glibc's allocator thresholds. By default the mmap threshold
+  // rises to the largest block freed so far, so whether a request's
+  // multi-MB buffers (the trainer's per-epoch matrices) come from the
+  // heap or from fresh mmap/munmap pairs, page-faulted on every touch,
+  // depends on what earlier requests happened to free. Fixed values keep
+  // every buffer up to 8 MiB on the heap, and the trim threshold keeps
+  // that heap from being handed back and re-faulted between requests.
+  mallopt(M_MMAP_THRESHOLD, 8 << 20);
+  mallopt(M_TRIM_THRESHOLD, 64 << 20);
   freehgc::serve::ServerOptions options;
   std::string port_file;
   std::string spool_dir;
