@@ -7,13 +7,14 @@
 // control).
 //
 // Workload: one resident mid-scale ACM graph, three meta-path
-// configurations x five seeds (15 distinct request classes). The cold
-// phase pays every EvalContext build and SpGEMM; warm phases replay the
-// mix against the populated ArtifactCache + coalesced contexts.
+// configurations x five seeds (15 distinct request classes), all
+// condense-only FreeHGC: they read no propagated feature blocks, so no
+// phase runs a propagation build. The cold phase pays every SpGEMM; warm
+// phases replay the mix against the populated ArtifactCache.
 //
 // Gates (FREEHGC_CHECK):
-//   - warm throughput strictly exceeds cold at every slot count, with
-//     zero warm EvalContext builds;
+//   - warm throughput strictly exceeds cold at every slot count, and no
+//     phase runs a propagation build;
 //   - 4-slot cold p50 and throughput are no worse than 2-slot (the PR-4
 //     era regression: slots time-slicing the cores made 4 slots ~2x
 //     *slower* cold; the scheduler's concurrent-dispatch cap kills it);
@@ -63,7 +64,7 @@ double Prom(const std::vector<obs::PromSample>& samples,
 }
 
 /// The request mix: 3 meta-path configurations x `seeds_per_path` seeds
-/// (distinct coalesce keys; 3 distinct EvalContexts regardless of seeds).
+/// (distinct coalesce keys).
 std::vector<serve::CondenseRequest> MakeWorkload(int seeds_per_path = 5) {
   const int path_caps[3] = {4, 6, 8};
   std::vector<serve::CondenseRequest> reqs;
@@ -269,7 +270,7 @@ std::string RunOpenLoopSection(double warm_capacity_rps,
   const auto workload = MakeWorkload(/*seeds_per_path=*/20);
 
   // Warm the caches so the open-loop phases measure steady state, not
-  // first-touch EvalContext builds.
+  // first-touch compositions.
   RunPhase(service, workload, /*clients=*/4, /*duration_seconds=*/0);
 
   loadgen::LoadSpec spec;
@@ -327,8 +328,8 @@ int Run() {
     opts.slots = slots;
     opts.queue_capacity = 64;  // closed-loop: measure service, not sheds
 
-    // kColdTrials fresh services, each paying its EvalContext builds
-    // from scratch; the gates compare element-wise medians. The last
+    // kColdTrials fresh services, each paying its compositions from
+    // scratch; the gates compare element-wise medians. The last
     // service stays up for the warm phase.
     std::vector<PhaseResult> cold_trials;
     PhaseResult warm;
@@ -338,7 +339,7 @@ int Run() {
       FREEHGC_CHECK(info.ok()) << info.status().ToString();
       cold_trials.push_back(RunPhase(service, workload, kClients,
                                      /*duration_seconds=*/0, /*passes=*/3));
-      FREEHGC_CHECK(cold_trials.back().eval_context_builds == 3);
+      FREEHGC_CHECK(cold_trials.back().eval_context_builds == 0);
       if (trial + 1 == kColdTrials) {
         warm = RunPhase(service, workload, kClients, kWarmSeconds);
       }
@@ -349,7 +350,7 @@ int Run() {
     Print(slots, "warm", warm);
 
     // Acceptance: with the caches hot, the same mix runs strictly faster
-    // (no EvalContext builds, SpGEMM memoized).
+    // (SpGEMM memoized).
     FREEHGC_CHECK(warm.throughput_rps > cold.throughput_rps)
         << "warm throughput " << warm.throughput_rps
         << " req/s did not exceed cold " << cold.throughput_rps

@@ -55,16 +55,6 @@ std::string HumanBytes(size_t bytes) {
   return StrFormat("%.1f%s", value, units[unit]);
 }
 
-std::string PadRight(const std::string& s, size_t width) {
-  if (s.size() >= width) return s;
-  return s + std::string(width - s.size(), ' ');
-}
-
-std::string PadLeft(const std::string& s, size_t width) {
-  if (s.size() >= width) return s;
-  return std::string(width - s.size(), ' ') + s;
-}
-
 size_t DisplayWidth(const std::string& s) {
   size_t w = 0;
   for (unsigned char c : s) {

@@ -20,11 +20,6 @@ std::string StrFormat(const char* fmt, ...)
 /// Formats a byte count with a binary unit suffix (e.g. "1.5MB").
 std::string HumanBytes(size_t bytes);
 
-/// Left-pads/truncates `s` to exactly `width` characters (for ASCII
-/// tables).
-std::string PadRight(const std::string& s, size_t width);
-std::string PadLeft(const std::string& s, size_t width);
-
 /// Terminal display width of a UTF-8 string: the number of code points,
 /// i.e. bytes that are not continuation bytes. Multi-byte glyphs like "±"
 /// count as one column, which is what byte-based padding gets wrong.

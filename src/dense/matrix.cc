@@ -90,14 +90,6 @@ Matrix Scale(const Matrix& a, float alpha) {
   return out;
 }
 
-void AddRowVector(Matrix& a, const std::vector<float>& bias) {
-  FREEHGC_CHECK(static_cast<int64_t>(bias.size()) == a.cols());
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    float* row = a.Row(r);
-    for (int64_t c = 0; c < a.cols(); ++c) row[c] += bias[c];
-  }
-}
-
 void SoftmaxRows(Matrix& a) {
   for (int64_t r = 0; r < a.rows(); ++r) {
     float* row = a.Row(r);
@@ -111,19 +103,6 @@ void SoftmaxRows(Matrix& a) {
     const float inv = sum > 0 ? 1.0f / sum : 0.0f;
     for (int64_t c = 0; c < a.cols(); ++c) row[c] *= inv;
   }
-}
-
-std::vector<int32_t> ArgmaxRows(const Matrix& a) {
-  std::vector<int32_t> out(static_cast<size_t>(a.rows()), 0);
-  for (int64_t r = 0; r < a.rows(); ++r) {
-    const float* row = a.Row(r);
-    int32_t best = 0;
-    for (int64_t c = 1; c < a.cols(); ++c) {
-      if (row[c] > row[best]) best = static_cast<int32_t>(c);
-    }
-    out[static_cast<size_t>(r)] = best;
-  }
-  return out;
 }
 
 std::vector<float> ColumnMean(const Matrix& a,
@@ -141,14 +120,6 @@ std::vector<float> ColumnMean(const Matrix& a,
   const float inv = 1.0f / static_cast<float>(n);
   for (auto& v : out) v *= inv;
   return out;
-}
-
-float MeanAbs(const Matrix& a) {
-  if (a.size() == 0) return 0.0f;
-  double acc = 0.0;
-  const float* p = a.data();
-  for (int64_t i = 0; i < a.size(); ++i) acc += std::fabs(p[i]);
-  return static_cast<float>(acc / static_cast<double>(a.size()));
 }
 
 float RowSquaredDistance(const Matrix& a, int64_t i, const Matrix& b,

@@ -142,21 +142,12 @@ void Axpy(float alpha, const Matrix& b, Matrix& a);
 /// out = alpha * a.
 Matrix Scale(const Matrix& a, float alpha);
 
-/// Adds a length-cols bias row vector to every row of a (in place).
-void AddRowVector(Matrix& a, const std::vector<float>& bias);
-
 /// Row-wise in-place softmax.
 void SoftmaxRows(Matrix& a);
-
-/// Row-wise argmax.
-std::vector<int32_t> ArgmaxRows(const Matrix& a);
 
 /// Column mean of the selected rows (all rows when index is empty).
 std::vector<float> ColumnMean(const Matrix& a,
                               const std::vector<int32_t>& index);
-
-/// Mean of |a_ij| over all entries; 0 for empty.
-float MeanAbs(const Matrix& a);
 
 /// Squared L2 distance between row i of a and row j of b.
 float RowSquaredDistance(const Matrix& a, int64_t i, const Matrix& b,

@@ -16,6 +16,7 @@ Result<TypeId> HeteroGraph::AddNodeType(const std::string& name,
   if (type_index_.count(name) > 0) {
     return Status::InvalidArgument("duplicate node type: " + name);
   }
+  fingerprint_.Clear();
   const TypeId id = static_cast<TypeId>(type_names_.size());
   type_names_.push_back(name);
   type_counts_.push_back(count);
@@ -36,12 +37,14 @@ Result<RelationId> HeteroGraph::AddRelation(const std::string& name,
         name.c_str(), adj.rows(), adj.cols(), NodeCount(src),
         NodeCount(dst)));
   }
+  fingerprint_.Clear();
   const RelationId id = static_cast<RelationId>(relations_.size());
   relations_.push_back({name, src, dst, std::move(adj)});
   return id;
 }
 
 void HeteroGraph::EnsureReverseRelations(exec::ExecContext* ctx) {
+  fingerprint_.Clear();
   const size_t original = relations_.size();
   // Candidates: relations with no schema-level reverse. Self-relations
   // (src == dst) are their own reverse only when symmetric, so they stay
@@ -94,6 +97,7 @@ Status HeteroGraph::SetFeatures(TypeId type, Matrix features) {
                   static_cast<int>(features.rows()), NodeCount(type),
                   TypeName(type).c_str()));
   }
+  fingerprint_.Clear();
   features_[type] = std::move(features);
   return Status::OK();
 }
@@ -111,6 +115,7 @@ Status HeteroGraph::SetTarget(TypeId type, std::vector<int32_t> labels,
       return Status::OutOfRange("label outside [0, num_classes)");
     }
   }
+  fingerprint_.Clear();
   target_type_ = type;
   labels_ = std::move(labels);
   num_classes_ = num_classes;
@@ -129,6 +134,7 @@ Status HeteroGraph::SetSplit(std::vector<int32_t> train,
       if (v < 0 || v >= n) return Status::OutOfRange("split id out of range");
     }
   }
+  fingerprint_.Clear();
   train_index_ = std::move(train);
   val_index_ = std::move(val);
   test_index_ = std::move(test);
@@ -202,6 +208,7 @@ bool HeteroGraph::IsMapped() const {
 }
 
 uint64_t HeteroGraph::ContentFingerprint() const {
+  if (const uint64_t memo = fingerprint_.Load(); memo != 0) return memo;
   // The byte sequence below is the canonical graph identity; the v3
   // container stores this exact hash in its header (computed while
   // streaming) so a mapped registration can skip the recompute.
@@ -234,6 +241,7 @@ uint64_t HeteroGraph::ContentFingerprint() const {
   f.Vec(train_index_);
   f.Vec(val_index_);
   f.Vec(test_index_);
+  fingerprint_.Set(f.h);
   return f.h;
 }
 

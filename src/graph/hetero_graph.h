@@ -1,6 +1,7 @@
 #ifndef FREEHGC_GRAPH_HETERO_GRAPH_H_
 #define FREEHGC_GRAPH_HETERO_GRAPH_H_
 
+#include <atomic>
 #include <cstdint>
 #include <string>
 #include <unordered_map>
@@ -132,8 +133,17 @@ class HeteroGraph {
   /// features, labels, class count and splits. Two graphs with equal
   /// fingerprints are treated as interchangeable by pipeline::ArtifactCache
   /// (the 64-bit collision risk is accepted; see DESIGN.md, "Pipeline").
-  /// Costs one linear pass over the graph — cheap next to any SpGEMM.
+  /// Costs one linear pass over the graph on first use; the value is then
+  /// memoized with the graph (copies carry it, every mutator clears it).
+  /// Thread-safe on a shared const graph.
   uint64_t ContentFingerprint() const;
+
+  /// Seeds ContentFingerprint's memo with a value already known to hash
+  /// this content — a v3 container's CRC-covered header fingerprint — so
+  /// the first lookup skips the pass. The caller vouches for the value.
+  void SeedContentFingerprint(uint64_t fingerprint) {
+    fingerprint_.Set(fingerprint);
+  }
 
   /// Classifies every type into root/father/leaf by BFS distance from the
   /// target type over the (undirected) type-connectivity graph, per Fig. 5.
@@ -168,6 +178,28 @@ class HeteroGraph {
   std::vector<int32_t> train_index_;
   std::vector<int32_t> val_index_;
   std::vector<int32_t> test_index_;
+
+  /// ContentFingerprint's memo; 0 = not computed. A copy carries the
+  /// value (same content); a move hands it over and clears the source.
+  struct FingerprintMemo {
+    mutable std::atomic<uint64_t> value{0};
+    FingerprintMemo() = default;
+    FingerprintMemo(const FingerprintMemo& o) : value(o.Load()) {}
+    FingerprintMemo(FingerprintMemo&& o) noexcept : value(o.Take()) {}
+    FingerprintMemo& operator=(const FingerprintMemo& o) {
+      Set(o.Load());
+      return *this;
+    }
+    FingerprintMemo& operator=(FingerprintMemo&& o) noexcept {
+      Set(o.Take());
+      return *this;
+    }
+    uint64_t Load() const { return value.load(std::memory_order_relaxed); }
+    uint64_t Take() { return value.exchange(0, std::memory_order_relaxed); }
+    void Set(uint64_t v) const { value.store(v, std::memory_order_relaxed); }
+    void Clear() { Set(0); }
+  };
+  FingerprintMemo fingerprint_;
 };
 
 }  // namespace freehgc

@@ -43,7 +43,9 @@ uint64_t KeyHash(const std::tuple<Fields...>& key) {
   return h;
 }
 
-size_t PropagatedOwnedBytes(const hgnn::PropagatedFeatures& f) {
+size_t OwnedBytes(const CsrMatrix& m) { return m.OwnedBytes(); }
+
+size_t OwnedBytes(const hgnn::PropagatedFeatures& f) {
   size_t bytes = 0;
   for (const auto& b : f.blocks) bytes += b.OwnedBytes();
   return bytes;
@@ -163,26 +165,6 @@ Status ArtifactCache::ConfigureSpill(const SpillOptions& opts) {
   return Status::OK();
 }
 
-uint64_t ArtifactCache::FingerprintOf(const HeteroGraph& g) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = fp_memo_.find(&g);
-    if (it != fp_memo_.end() && it->second.total_nodes == g.TotalNodes() &&
-        it->second.total_edges == g.TotalEdges() &&
-        it->second.num_relations == g.NumRelations()) {
-      return it->second.fingerprint;
-    }
-  }
-  FpEntry e;
-  e.fingerprint = g.ContentFingerprint();
-  e.total_nodes = g.TotalNodes();
-  e.total_edges = g.TotalEdges();
-  e.num_relations = g.NumRelations();
-  std::lock_guard<std::mutex> lock(mu_);
-  fp_memo_[&g] = e;
-  return e.fingerprint;
-}
-
 std::string ArtifactCache::AdjSpillPath(const AdjKey& key) const {
   const auto& [fp, sig, max_row_nnz, rows] = key;
   return HexKeyPath(spill_.spill_dir,
@@ -195,173 +177,148 @@ std::string ArtifactCache::PropSpillPath(const PropKey& key) const {
   return HexKeyPath(spill_.spill_dir, "prop", fp, sig, max_row_nnz);
 }
 
+template <typename T, typename Key, typename Restore, typename Build>
+std::shared_ptr<const T> ArtifactCache::GetOrLoad(
+    std::map<Key, Entry<T>>& entries, const Key& key, Restore restore,
+    Build build, bool* built) {
+  if (built != nullptr) *built = false;
+  std::string spilled_path;
+  {
+    std::unique_lock<std::mutex> lock(mu_);
+    loaded_.wait(lock, [&] { return !entries[key].loading; });
+    Entry<T>& e = entries[key];
+    if (e.value != nullptr) {
+      RecordHit();
+      e.tick = ++tick_;
+      return e.value;
+    }
+    e.loading = true;
+    spilled_path = e.spill_path;
+  }
+  Built<T> got;
+  if (!spilled_path.empty()) {
+    // Spill-tier hit: restore as a zero-copy mapped view (bit-identical
+    // to the owned entry, ~0 heap — it never needs evicting again).
+    Result<std::shared_ptr<const T>> restored = restore(spilled_path);
+    if (restored.ok()) {
+      got.value = std::move(*restored);
+    } else {
+      FREEHGC_LOG(Warning) << "artifact restore failed (" << spilled_path
+                           << "): " << restored.status().message()
+                           << "; recomputing";
+    }
+  }
+  const bool miss = got.value == nullptr;
+  // Build outside the lock: the SpGEMM chain or propagation is the
+  // expensive part and must not serialize unrelated lookups.
+  if (miss) got = build();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    Entry<T>& e = entries[key];
+    e.loading = false;
+    e.value = got.value;
+    e.owned_bytes = OwnedBytes(*e.value);
+    AddResident(e.owned_bytes);
+    e.tick = ++tick_;
+    if (!miss) {
+      ++stats_.restores;
+      RestoreCounter().Increment();
+      RecordHit();
+    } else {
+      RecordMiss();
+      if (!got.spill_path.empty()) {
+        // Spool-through build: the file already is this entry's spill
+        // copy.
+        e.spill_path = got.spill_path;
+        ++stats_.spills;
+        stats_.spill_bytes += got.file_bytes;
+        SpillCounter().Increment();
+        SpillBytesCounter().Add(static_cast<int64_t>(got.file_bytes));
+      }
+    }
+  }
+  loaded_.notify_all();
+  if (miss) {
+    if (built != nullptr) *built = true;
+    TrimToBudget();
+  }
+  return got.value;
+}
+
 std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
     const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
     exec::ExecContext* ctx, RowSet rows) {
   const AdjKey key{FingerprintOf(g), PathSignature(p), max_row_nnz, rows};
-  std::string spilled_path;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = adjacencies_.find(key);
-    if (it != adjacencies_.end()) {
-      if (it->second.value != nullptr) {
-        RecordHit();
-        it->second.tick = ++tick_;
-        return it->second.value;
-      }
-      spilled_path = it->second.spill_path;
-    }
-  }
-  if (!spilled_path.empty()) {
-    // Spill-tier hit: restore as a zero-copy mapped view (bit-identical
-    // to the owned entry, ~0 heap — it never needs evicting again).
-    Result<CsrMatrix> restored = section_io::MapCsrSpill(spilled_path);
-    if (restored.ok()) {
-      auto sp = std::make_shared<const CsrMatrix>(std::move(*restored));
-      std::lock_guard<std::mutex> lock(mu_);
-      AdjEntry& e = adjacencies_[key];
-      if (e.value == nullptr) {
-        e.value = sp;
-        e.owned_bytes = sp->OwnedBytes();
-        AddResident(e.owned_bytes);
-        ++stats_.restores;
-        RestoreCounter().Increment();
-      }
-      RecordHit();
-      e.tick = ++tick_;
-      return e.value;
-    }
-    FREEHGC_LOG(Warning) << "adjacency restore failed (" << spilled_path
-                         << "): " << restored.status().message()
-                         << "; recomputing";
-  }
-  // Compose outside the lock: the SpGEMM chain is the expensive part and
-  // must not serialize unrelated lookups.
-  auto composed = ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows);
-  std::shared_ptr<const CsrMatrix> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    AdjEntry& e = adjacencies_[key];
-    RecordMiss();
-    if (e.value == nullptr) {
-      e.value = std::move(composed);
-      e.owned_bytes = e.value->OwnedBytes();
-      AddResident(e.owned_bytes);
-    }
-    e.tick = ++tick_;
-    out = e.value;
-  }
-  TrimToBudget();
-  return out;
+  return GetOrLoad(
+      adjacencies_, key,
+      [](const std::string& path)
+          -> Result<std::shared_ptr<const CsrMatrix>> {
+        FREEHGC_ASSIGN_OR_RETURN(CsrMatrix m, section_io::MapCsrSpill(path));
+        return std::make_shared<const CsrMatrix>(std::move(m));
+      },
+      [&] {
+        Built<CsrMatrix> out;
+        out.value = ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows);
+        return out;
+      },
+      nullptr);
 }
 
 std::shared_ptr<const hgnn::PropagatedFeatures> ArtifactCache::Propagated(
     const HeteroGraph& g, const std::vector<MetaPath>& paths,
-    int64_t max_row_nnz, exec::ExecContext* ctx) {
+    int64_t max_row_nnz, exec::ExecContext* ctx, bool* propagated) {
   const PropKey key{FingerprintOf(g), PathListSignature(paths), max_row_nnz};
-  std::string spilled_path;
-  bool stream;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    auto it = propagated_.find(key);
-    if (it != propagated_.end()) {
-      if (it->second.value != nullptr) {
-        RecordHit();
-        it->second.tick = ++tick_;
-        return it->second.value;
-      }
-      spilled_path = it->second.spill_path;
-    }
-    stream = spill_enabled_ && spill_.resident_bytes_budget != SIZE_MAX;
-  }
-  if (!spilled_path.empty()) {
-    auto restored = hgnn::MapPropagatedSpill(spilled_path);
-    if (restored.ok()) {
+  auto build = [&] {
+    Built<hgnn::PropagatedFeatures> out;
+    bool stream;
+    {
       std::lock_guard<std::mutex> lock(mu_);
-      PropEntry& e = propagated_[key];
-      if (e.value == nullptr) {
-        e.value = std::move(*restored);
-        e.owned_bytes = PropagatedOwnedBytes(*e.value);
-        AddResident(e.owned_bytes);
-        ++stats_.restores;
-        RestoreCounter().Increment();
-      }
-      RecordHit();
-      e.tick = ++tick_;
-      return e.value;
+      stream = spill_enabled_ && spill_.resident_bytes_budget != SIZE_MAX;
     }
-    FREEHGC_LOG(Warning) << "propagated restore failed (" << spilled_path
-                         << "): " << restored.status().message()
-                         << "; recomputing";
-  }
-
-  std::shared_ptr<const hgnn::PropagatedFeatures> features;
-  std::string path;
-  uint64_t file_bytes = 0;
-  if (stream) {
-    // Budgeted build: spool each block to disk as it is computed, then
-    // map the file back — the whole block set never lives on the heap at
-    // once, and the entry is born in its restored (view-backed) form.
-    path = PropSpillPath(key);
-    auto write_and_map =
-        [&]() -> Result<std::shared_ptr<const hgnn::PropagatedFeatures>> {
-      FREEHGC_ASSIGN_OR_RETURN(hgnn::PropagatedSpillWriter w,
-                               hgnn::PropagatedSpillWriter::Create(path));
-      int64_t blocks = 0;
-      {
-        Matrix raw = hgnn::RawFeatureBlock(g, ctx);
-        FREEHGC_RETURN_IF_ERROR(w.AddBlock(raw, "raw", g.target_type()));
-        ++blocks;
+    if (stream) {
+      // Budgeted build: spool each block to disk as it is computed, then
+      // map the file back — the whole block set never lives on the heap
+      // at once, and the entry is born in its restored (view-backed)
+      // form.
+      const std::string path = PropSpillPath(key);
+      auto write_and_map =
+          [&]() -> Result<std::shared_ptr<const hgnn::PropagatedFeatures>> {
+        FREEHGC_ASSIGN_OR_RETURN(hgnn::PropagatedSpillWriter w,
+                                 hgnn::PropagatedSpillWriter::Create(path));
+        int64_t blocks = 0;
+        {
+          Matrix raw = hgnn::RawFeatureBlock(g, ctx);
+          FREEHGC_RETURN_IF_ERROR(w.AddBlock(raw, "raw", g.target_type()));
+          ++blocks;
+        }
+        for (const auto& p : paths) {
+          if (!g.HasFeatures(p.end_type())) continue;
+          Matrix block = hgnn::PropagateOneBlock(g, p, ctx);
+          FREEHGC_RETURN_IF_ERROR(
+              w.AddBlock(block, p.Name(g), p.end_type()));
+          ++blocks;
+        }
+        FREEHGC_ASSIGN_OR_RETURN(out.file_bytes, w.Finish(KeyHash(key)));
+        hgnn::NoteBlocksPropagated(blocks);
+        return hgnn::MapPropagatedSpill(path);
+      };
+      auto streamed = write_and_map();
+      if (streamed.ok()) {
+        out.value = std::move(*streamed);
+        out.spill_path = path;
+        return out;
       }
-      for (const auto& p : paths) {
-        if (!g.HasFeatures(p.end_type())) continue;
-        Matrix block = hgnn::PropagateOneBlock(g, p, ctx);
-        FREEHGC_RETURN_IF_ERROR(
-            w.AddBlock(block, p.Name(g), p.end_type()));
-        ++blocks;
-      }
-      FREEHGC_ASSIGN_OR_RETURN(file_bytes, w.Finish(KeyHash(key)));
-      hgnn::NoteBlocksPropagated(blocks);
-      return hgnn::MapPropagatedSpill(path);
-    };
-    auto streamed = write_and_map();
-    if (streamed.ok()) {
-      features = std::move(*streamed);
-    } else {
       FREEHGC_LOG(Warning) << "streamed propagation spill failed (" << path
                            << "): " << streamed.status().message()
                            << "; falling back to in-heap build";
-      path.clear();
+      out.file_bytes = 0;
     }
-  }
-  if (features == nullptr) {
-    features = std::make_shared<const hgnn::PropagatedFeatures>(
+    out.value = std::make_shared<const hgnn::PropagatedFeatures>(
         hgnn::PropagateAlongPaths(g, paths, max_row_nnz, ctx));
-  }
-  std::shared_ptr<const hgnn::PropagatedFeatures> out;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    PropEntry& e = propagated_[key];
-    RecordMiss();
-    if (e.value == nullptr) {
-      e.value = std::move(features);
-      e.owned_bytes = PropagatedOwnedBytes(*e.value);
-      AddResident(e.owned_bytes);
-      if (!path.empty()) {
-        // Spool-through build: the file already is this entry's spill
-        // copy.
-        e.spill_path = path;
-        ++stats_.spills;
-        stats_.spill_bytes += file_bytes;
-        SpillCounter().Increment();
-        SpillBytesCounter().Add(static_cast<int64_t>(file_bytes));
-      }
-    }
-    e.tick = ++tick_;
-    out = e.value;
-  }
-  TrimToBudget();
-  return out;
+    return out;
+  };
+  return GetOrLoad(propagated_, key, hgnn::MapPropagatedSpill, build,
+                   propagated);
 }
 
 hgnn::EvalMetrics ArtifactCache::WholeGraphBaseline(
@@ -519,7 +476,6 @@ void ArtifactCache::Clear() {
   for (const auto& [key, e] : propagated_) {
     if (!e.spill_path.empty()) std::remove(e.spill_path.c_str());
   }
-  fp_memo_.clear();
   adjacencies_.clear();
   propagated_.clear();
   baselines_.clear();

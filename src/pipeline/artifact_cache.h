@@ -1,13 +1,13 @@
 #ifndef FREEHGC_PIPELINE_ARTIFACT_CACHE_H_
 #define FREEHGC_PIPELINE_ARTIFACT_CACHE_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
 #include <memory>
 #include <mutex>
 #include <string>
 #include <tuple>
-#include <unordered_map>
 #include <vector>
 
 #include "exec/exec_context.h"
@@ -48,6 +48,11 @@ namespace freehgc::pipeline {
 /// finite budget, propagated-feature misses are *streamed*: each block
 /// is spooled to disk as it is computed, so the whole PropagatedFeatures
 /// never materializes on the heap at once.
+///
+/// Single flight: Composed and Propagated run one computation (or spill
+/// restore) per key at a time. Concurrent callers of a key that is being
+/// loaded wait for it and count as hits, so two requests that arrive
+/// together on a cold graph compose or propagate it once.
 ///
 /// Pinning: Composed/Propagated return shared_ptr pins. A pinned entry
 /// (use_count > 1) is never spilled; eviction considers it once every
@@ -97,10 +102,13 @@ class ArtifactCache final : public AdjacencyCache {
   /// A miss propagates right to left and composes nothing, so it creates
   /// no Composed entry; the blocks do not depend on max_row_nnz, which
   /// only keys the entry. Under a finite budget, a miss streams blocks
-  /// through a spool file instead of materializing them.
+  /// through a spool file instead of materializing them. `propagated`
+  /// (optional) reports whether this call ran the propagation (false for
+  /// a hit, a restore, or a wait on another caller's build).
   std::shared_ptr<const hgnn::PropagatedFeatures> Propagated(
       const HeteroGraph& g, const std::vector<MetaPath>& paths,
-      int64_t max_row_nnz, exec::ExecContext* ctx);
+      int64_t max_row_nnz, exec::ExecContext* ctx,
+      bool* propagated = nullptr);
 
   /// Whole-graph train-and-evaluate baseline for (ctx.full, config).
   /// Training is deterministic given config, so the metrics are exact.
@@ -108,10 +116,11 @@ class ArtifactCache final : public AdjacencyCache {
                                        const hgnn::HgnnConfig& config,
                                        exec::ExecContext* ex);
 
-  /// Memoized ContentFingerprint. The memo is keyed by address and
-  /// re-verified against cheap structural stats (node/edge/relation
-  /// counts), so a graph object rebuilt at a reused address re-hashes.
-  uint64_t FingerprintOf(const HeteroGraph& g);
+  /// The graph identity every entry of `g` is keyed by: its
+  /// ContentFingerprint, which the graph memoizes itself.
+  uint64_t FingerprintOf(const HeteroGraph& g) const {
+    return g.ContentFingerprint();
+  }
 
   /// Spills cold unpinned entries until the resident tier fits the
   /// budget. Runs automatically after inserts/restores; exposed so a
@@ -137,17 +146,11 @@ class ArtifactCache final : public AdjacencyCache {
   };
   Stats stats() const;
 
-  /// Drops every entry (and the fingerprint memo), unlinks every spool
-  /// file this cache wrote; stats reset too.
+  /// Drops every entry, unlinks every spool file this cache wrote; stats
+  /// reset too. Not concurrent with lookups.
   void Clear();
 
  private:
-  struct FpEntry {
-    uint64_t fingerprint = 0;
-    int64_t total_nodes = 0;
-    int64_t total_edges = 0;
-    int32_t num_relations = 0;
-  };
   /// (graph fp, path signature, max_row_nnz, row set).
   using AdjKey = std::tuple<uint64_t, uint64_t, int64_t, RowSet>;
   /// (graph fp, path-list signature, max_row_nnz).
@@ -156,8 +159,9 @@ class ArtifactCache final : public AdjacencyCache {
   using BaselineKey = std::pair<uint64_t, uint64_t>;
 
   /// One evictable entry: resident (value set), spilled (value null,
-  /// spill_path set), or both during restore. `owned_bytes` is the heap
-  /// cost charged against the budget (0 for restored mapped views).
+  /// spill_path set), or being loaded (value null, `loading` set).
+  /// `owned_bytes` is the heap cost charged against the budget (0 for
+  /// restored mapped views).
   template <typename T>
   struct Entry {
     std::shared_ptr<const T> value;
@@ -165,6 +169,16 @@ class ArtifactCache final : public AdjacencyCache {
     size_t owned_bytes = 0;
     uint64_t tick = 0;    ///< LRU stamp (monotonic touch counter)
     bool spilling = false;  ///< spool write in flight; skip re-planning
+    bool loading = false;   ///< one caller restores or computes the value
+  };
+
+  /// What a miss built: the value, plus the spool file it was streamed
+  /// through (empty for a heap build) and that file's size.
+  template <typename T>
+  struct Built {
+    std::shared_ptr<const T> value;
+    std::string spill_path;
+    uint64_t file_bytes = 0;
   };
   using AdjEntry = Entry<CsrMatrix>;
   using PropEntry = Entry<hgnn::PropagatedFeatures>;
@@ -182,6 +196,16 @@ class ArtifactCache final : public AdjacencyCache {
     size_t owned_bytes = 0;
   };
 
+  /// The single-flight lookup behind Composed and Propagated: a resident
+  /// entry is a hit; otherwise this caller restores the spilled copy
+  /// (`restore(path)`, a hit) or runs `build()` (a miss), outside the
+  /// lock, while concurrent callers of `key` wait for it. `built`
+  /// (optional) reports whether this call ran `build`.
+  template <typename T, typename Key, typename Restore, typename Build>
+  std::shared_ptr<const T> GetOrLoad(std::map<Key, Entry<T>>& entries,
+                                     const Key& key, Restore restore,
+                                     Build build, bool* built);
+
   void RecordHit();
   void RecordMiss();
   void UpdateByteGauges();
@@ -197,7 +221,7 @@ class ArtifactCache final : public AdjacencyCache {
   void ExecuteEvictions(std::vector<SpillJob> jobs);
 
   mutable std::mutex mu_;
-  std::unordered_map<const HeteroGraph*, FpEntry> fp_memo_;
+  std::condition_variable loaded_;  ///< signalled when a load finishes
   std::map<AdjKey, AdjEntry> adjacencies_;
   std::map<PropKey, PropEntry> propagated_;
   std::map<BaselineKey, hgnn::EvalMetrics> baselines_;

@@ -54,6 +54,7 @@ class CoarseningMethod final : public CondensationMethod {
     static const std::string n = "Coarsening-HG";
     return n;
   }
+  bool reads_feature_blocks() const override { return false; }
 
   Result<CondensedData> Condense(const hgnn::EvalContext& ctx,
                                  const RunSpec& spec,
@@ -123,6 +124,8 @@ class FreeHgcMethod final : public CondensationMethod {
     static const std::string n = "FreeHGC";
     return n;
   }
+  // Selection reads the graph and its composed meta-paths only.
+  bool reads_feature_blocks() const override { return false; }
 
   Result<CondensedData> Condense(const hgnn::EvalContext& ctx,
                                  const RunSpec& spec,
@@ -207,8 +210,9 @@ std::vector<std::string> MethodRegistry::Keys() const {
 
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
                                    const hgnn::PropagateOptions& opts,
-                                   const PipelineEnv& env) {
+                                   const PipelineEnv& env, bool* propagated) {
   if (env.cache == nullptr) {
+    if (propagated != nullptr) *propagated = true;
     return hgnn::BuildEvalContext(graph, opts, env.exec);
   }
   hgnn::EvalContext ctx;
@@ -216,7 +220,8 @@ hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
   ctx.options = opts;
   ctx.paths = hgnn::EnumeratePropagationPaths(graph, opts);
   const std::shared_ptr<const hgnn::PropagatedFeatures> pin =
-      env.cache->Propagated(graph, ctx.paths, opts.max_row_nnz, env.exec);
+      env.cache->Propagated(graph, ctx.paths, opts.max_row_nnz, env.exec,
+                            propagated);
   hgnn::PropagatedFeatures& f = ctx.full_features;
   f.names = pin->names;
   f.end_types = pin->end_types;

@@ -30,10 +30,12 @@ struct PipelineEnv {
 /// owns the propagated blocks: they come from ArtifactCache::Propagated,
 /// mapped blocks are copied as they are (sharing the mapping), and owned
 /// blocks become zero-copy views that pin the cache entry for the
-/// context's lifetime.
+/// context's lifetime. `propagated` (optional) reports whether this call
+/// ran the propagation rather than reusing the cache's blocks.
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
                                    const hgnn::PropagateOptions& opts,
-                                   const PipelineEnv& env);
+                                   const PipelineEnv& env,
+                                   bool* propagated = nullptr);
 
 /// Knobs shared by every method in a sweep (per-cell: ratio + seed; the
 /// rest is method configuration a sweep holds fixed).
@@ -91,6 +93,11 @@ class CondensationMethod {
 
   /// Paper-style display name ("FreeHGC", "HGCond", ...).
   virtual const std::string& display_name() const = 0;
+
+  /// Whether Condense reads ctx.paths and ctx.full_features. A method
+  /// that does not reads only ctx.full and ctx.options, so a caller may
+  /// hand it a context without propagated blocks.
+  virtual bool reads_feature_blocks() const { return true; }
 
   /// Condenses ctx.full at spec.ratio/seed. ResourceExhausted is the
   /// contract for a (simulated) memory-gate failure; RunMethod maps it to

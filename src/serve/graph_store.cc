@@ -89,6 +89,7 @@ Result<GraphInfo> GraphStore::RegisterMappedFile(const std::string& name,
   Timer timer;
   FREEHGC_ASSIGN_OR_RETURN(MappedGraph mg, MapHeteroGraphDetailed(path));
   FREEHGC_RETURN_IF_ERROR(mg.graph.Validate());
+  mg.graph.SeedContentFingerprint(mg.fingerprint);
   auto info = Insert(name, std::move(mg.graph), mg.fingerprint, path,
                      std::move(mg.mapping));
   if (info.ok()) ObserveLoad("store.load.mapped_ns", timer);
@@ -190,6 +191,9 @@ Result<GraphStore::GraphRef> GraphStore::Get(const std::string& name) {
         path.c_str(), static_cast<unsigned long long>(expect_fp),
         static_cast<unsigned long long>(mg.fingerprint)));
   }
+  // Every request keys the artifact cache by this fingerprint; seeding it
+  // keeps a re-map from re-hashing the whole graph.
+  mg.graph.SeedContentFingerprint(mg.fingerprint);
   auto graph = std::make_shared<const HeteroGraph>(std::move(mg.graph));
   if (mg.mapping != nullptr) {
     mg.mapping->Advise(MappedFile::AccessPattern::kWillNeed);

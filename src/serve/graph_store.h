@@ -73,7 +73,8 @@ class GraphStore {
 
   /// Registers the v3 container at `path` as a mapped (zero-copy)
   /// resident graph. Every section CRC is verified, after which the
-  /// container's stored content fingerprint is trusted — mapped
+  /// container's stored content fingerprint is trusted and seeds the
+  /// graph's ContentFingerprint memo (here and on every re-map) — mapped
   /// registration skips the full-graph FNV pass a heap load pays. The
   /// entry's shared_ptr keeps the mapping alive, even across Remove.
   Result<GraphInfo> RegisterMappedFile(const std::string& name,

@@ -67,8 +67,8 @@ struct CondenseReply {
   /// Scheduler-assigned request id, echoed over the wire so client-side
   /// observations join against server-side spans and access-log lines.
   uint64_t request_id = 0;
-  /// Whether the evaluation context was reused from the coalescing cache
-  /// (false = this request built it).
+  /// False when this request ran a propagation build; true when it
+  /// reused the artifact cache's blocks or read no blocks at all.
   bool evalctx_hit = false;
 };
 

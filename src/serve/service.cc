@@ -12,16 +12,6 @@
 
 namespace freehgc::serve {
 
-/// One coalesced evaluation context. `graph` keeps the resident copy
-/// alive for as long as the entry exists (EvalContext::full borrows it),
-/// so a Remove from the store cannot invalidate a cached context.
-struct ServeService::EvalEntry {
-  std::once_flag once;
-  GraphStore::GraphRef graph;
-  uint64_t fingerprint = 0;
-  hgnn::EvalContext ctx;
-};
-
 ServeService::ServeService(ServeOptions options)
     : options_(std::move(options)),
       start_ns_(obs::NowNs()),
@@ -30,9 +20,8 @@ ServeService::ServeService(ServeOptions options)
           [this](const CondenseRequest& request, const RequestContext& rctx) {
             return Execute(request, rctx);
           })),
-      evalctx_builds_(scheduler_->metrics().GetCounter("serve.evalctx.builds")),
-      evalctx_lookups_(
-          scheduler_->metrics().GetCounter("serve.evalctx.lookups")) {
+      evalctx_builds_(
+          scheduler_->metrics().GetCounter("serve.evalctx.builds")) {
   if (!options_.access_log_path.empty()) {
     const Status st = access_log_.Open(options_.access_log_path);
     if (!st.ok()) {
@@ -149,37 +138,14 @@ bool ServeService::Cancel(uint64_t id) { return scheduler_->Cancel(id); }
 
 void ServeService::Shutdown(ShutdownMode mode) { scheduler_->Shutdown(mode); }
 
-std::shared_ptr<ServeService::EvalEntry> ServeService::GetOrBuildEvalContext(
-    const GraphStore::GraphRef& graph, const hgnn::PropagateOptions& opts,
-    const pipeline::PipelineEnv& env, bool* built) {
-  const uint64_t fp = cache_.FingerprintOf(*graph);
-  const EvalKey key{fp, opts.max_hops, opts.max_paths, opts.max_row_nnz};
-  std::shared_ptr<EvalEntry> entry;
-  {
-    std::lock_guard<std::mutex> lock(eval_mu_);
-    auto& slot = eval_contexts_[key];
-    if (!slot) slot = std::make_shared<EvalEntry>();
-    entry = slot;
-  }
-  // The first request through builds; concurrent duplicates block here
-  // instead of each paying the propagation cost.
-  bool built_here = false;
-  std::call_once(entry->once, [&] {
-    FREEHGC_TRACE_SPAN("serve.build_eval_context");
-    entry->graph = graph;
-    entry->fingerprint = fp;
-    entry->ctx = pipeline::BuildEvalContext(*graph, opts, env);
-    built_here = true;
-    evalctx_builds_.Increment();
-  });
-  evalctx_lookups_.Increment();
-  if (built != nullptr) *built = built_here;
-  return entry;
-}
-
 Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
                                             const RequestContext& rctx) {
   exec::ExecContext* ctx = rctx.exec;
+  FREEHGC_ASSIGN_OR_RETURN(
+      const pipeline::CondensationMethod* method,
+      pipeline::MethodRegistry::Global().FindOrError(request.method));
+  // Held until the reply is built, and no longer: an idle graph stays
+  // evictable under the store's residency budget.
   FREEHGC_ASSIGN_OR_RETURN(GraphStore::GraphRef graph,
                            store_.Get(request.graph));
   hgnn::PropagateOptions popts;
@@ -189,24 +155,27 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   pipeline::PipelineEnv env;
   env.exec = ctx;
   env.cache = &cache_;
-  bool built = false;
-  std::shared_ptr<EvalEntry> entry =
-      GetOrBuildEvalContext(graph, popts, env, &built);
-
-  FREEHGC_ASSIGN_OR_RETURN(
-      const pipeline::CondensationMethod* method,
-      pipeline::MethodRegistry::Global().FindOrError(request.method));
+  hgnn::EvalContext ectx;
+  bool propagated = false;
+  if (request.evaluate || method->reads_feature_blocks()) {
+    FREEHGC_TRACE_SPAN("serve.build_eval_context");
+    ectx = pipeline::BuildEvalContext(*graph, popts, env, &propagated);
+    if (propagated) evalctx_builds_.Increment();
+  } else {
+    ectx.full = graph.get();
+    ectx.options = popts;
+  }
 
   pipeline::RunSpec spec;
   spec.ratio = request.ratio;
   spec.seed = request.seed;
   FREEHGC_ASSIGN_OR_RETURN(pipeline::CondensedData data,
-                           method->Condense(entry->ctx, spec, env));
+                           method->Condense(ectx, spec, env));
 
   CondenseReply reply;
   reply.request_id = rctx.id;
-  reply.evalctx_hit = !built;
-  reply.graph_fingerprint = entry->fingerprint;
+  reply.evalctx_hit = !propagated;
+  reply.graph_fingerprint = graph->ContentFingerprint();
   reply.condense_seconds = data.seconds;
   reply.storage_bytes = data.storage_bytes;
   if (!data.synthetic) {
@@ -221,9 +190,9 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
     cfg.seed = request.seed ^ 0xeea1ULL;
     const hgnn::EvalMetrics metrics =
         data.synthetic
-            ? hgnn::TrainOnBlocks(entry->ctx, data.blocks, data.labels, cfg,
+            ? hgnn::TrainOnBlocks(ectx, data.blocks, data.labels, cfg,
                                   ctx)
-            : hgnn::TrainAndEvaluate(entry->ctx, data.graph, cfg, ctx);
+            : hgnn::TrainAndEvaluate(ectx, data.graph, cfg, ctx);
     reply.evaluated = true;
     reply.accuracy = metrics.test_accuracy * 100.0f;
     reply.macro_f1 = metrics.macro_f1 * 100.0f;

@@ -2,11 +2,8 @@
 #define FREEHGC_SERVE_SERVICE_H_
 
 #include <cstdint>
-#include <map>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <tuple>
 
 #include "hgnn/models.h"
 #include "hgnn/trainer.h"
@@ -65,20 +62,21 @@ struct ServeOptions : SchedulerOptions {
 };
 
 /// The condensation service: a GraphStore of resident graphs, one shared
-/// ArtifactCache, a coalesced per-(graph, meta-path config) EvalContext
-/// cache, and a RequestScheduler whose work body runs MethodRegistry
-/// condensers against the shared state.
+/// ArtifactCache, and a RequestScheduler whose work body runs
+/// MethodRegistry condensers against the shared state.
 ///
-/// Coalescing: requests against the same (graph fingerprint, max_hops,
-/// max_paths, max_row_nnz) share one EvalContext — the enumerate-paths +
-/// propagate step runs once (the first request builds, concurrent
-/// duplicates block on the build, later ones hit). The build is
-/// pipeline::BuildEvalContext on the shared ArtifactCache, so the cache
-/// owns the context's propagated blocks in every spill mode; it composes
-/// nothing, and FreeHGC's selection composes into the same cache on its
-/// first request. Determinism: all shared artifacts
-/// are outputs of deterministic kernels, so concurrent requests return
-/// results bit-identical to sequential execution (tests/serve_test.cc).
+/// A request builds only what it reads. Its EvalContext gets propagated
+/// feature blocks only when it evaluates or its method reads them
+/// (CondensationMethod::reads_feature_blocks); FreeHGC and Coarsening-HG
+/// condense from the graph alone. The blocks come from
+/// pipeline::BuildEvalContext on the shared ArtifactCache, which owns
+/// them and coalesces concurrent builds of one (graph fingerprint, path
+/// list, max_row_nnz) key. A request holds its GraphRef only while it
+/// runs, so the GraphStore may evict an idle graph; its cache entries
+/// stay valid across the re-map because they are keyed by content.
+/// Determinism: all shared artifacts are outputs of deterministic
+/// kernels, so concurrent requests return results bit-identical to
+/// sequential execution (tests/serve_test.cc).
 class ServeService {
  public:
   explicit ServeService(ServeOptions options = {});
@@ -111,8 +109,9 @@ class ServeService {
   /// METRICS wire op exposes them after the process-global registry.
   obs::MetricsRegistry& metrics() { return scheduler_->metrics(); }
 
-  /// How many EvalContexts were actually built — the coalescing test
-  /// asserts this stays at 1 for K same-config requests.
+  /// How many requests ran a propagation build (serve.evalctx.builds):
+  /// K concurrent evaluating requests on one cold graph count 1, and a
+  /// request that reads no feature blocks never counts.
   int64_t eval_context_builds() const { return evalctx_builds_.Value(); }
 
   /// One-line-per-field JSON summary (request counters, store and cache
@@ -128,16 +127,9 @@ class ServeService {
   const obs::AccessLog& access_log() const { return access_log_; }
 
  private:
-  struct EvalEntry;
-
   /// The scheduler work body (runs on a slot thread).
   Result<CondenseReply> Execute(const CondenseRequest& request,
                                 const RequestContext& rctx);
-  /// `built` (optional) reports whether this call built the entry (false
-  /// = coalescing-cache hit).
-  std::shared_ptr<EvalEntry> GetOrBuildEvalContext(
-      const GraphStore::GraphRef& graph, const hgnn::PropagateOptions& opts,
-      const pipeline::PipelineEnv& env, bool* built = nullptr);
 
   const ServeOptions options_;
   GraphStore store_;
@@ -145,15 +137,9 @@ class ServeService {
   obs::AccessLog access_log_;  // before scheduler_: outlives its writers
   const int64_t start_ns_;
 
-  /// (graph fingerprint, max_hops, max_paths, max_row_nnz) -> entry.
-  using EvalKey = std::tuple<uint64_t, int, int, int64_t>;
-  std::mutex eval_mu_;
-  std::map<EvalKey, std::shared_ptr<EvalEntry>> eval_contexts_;
-
   std::unique_ptr<RequestScheduler> scheduler_;  // uses the above
-  /// serve.evalctx.{builds,lookups} in the scheduler's registry.
+  /// serve.evalctx.builds in the scheduler's registry.
   obs::Counter& evalctx_builds_;
-  obs::Counter& evalctx_lookups_;
 };
 
 }  // namespace freehgc::serve

@@ -214,12 +214,6 @@ TEST(StringUtilTest, HumanBytes) {
   EXPECT_EQ(HumanBytes(3 * 1024 * 1024), "3.0MB");
 }
 
-TEST(StringUtilTest, Padding) {
-  EXPECT_EQ(PadRight("ab", 4), "ab  ");
-  EXPECT_EQ(PadLeft("ab", 4), "  ab");
-  EXPECT_EQ(PadRight("abcde", 3), "abcde");
-}
-
 TEST(StringUtilTest, DisplayWidth) {
   EXPECT_EQ(DisplayWidth(""), 0u);
   EXPECT_EQ(DisplayWidth("abc"), 3u);

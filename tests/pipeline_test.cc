@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <optional>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/table.h"
@@ -297,6 +300,99 @@ TEST(ArtifactCacheTest, FingerprintDistinguishesGraphContent) {
   EXPECT_NE(cache.FingerprintOf(a), cache.FingerprintOf(c));
   // Memoized: repeated lookups agree.
   EXPECT_EQ(cache.FingerprintOf(a), cache.FingerprintOf(a));
+}
+
+TEST(ArtifactCacheTest, FingerprintFollowsTheGraphNotItsAddress) {
+  // Graph B is built in the storage graph A was freed from, with equal
+  // node, edge and relation counts and one different feature value: it
+  // must get its own fingerprint and its own cache entries.
+  ArtifactCache cache;
+  std::optional<HeteroGraph> slot;
+  slot.emplace(datasets::MakeToy(7));
+  const HeteroGraph* storage = &*slot;
+  const TypeId t = slot->target_type();
+  ASSERT_TRUE(slot->HasFeatures(t));
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(*slot, t, mp);
+  ASSERT_FALSE(paths.empty());
+  const uint64_t fp_a = cache.FingerprintOf(*slot);
+  const auto adj_a = cache.Composed(*slot, paths[0], 0, nullptr);
+
+  HeteroGraph b = datasets::MakeToy(7);
+  Matrix features = b.Features(t);
+  features.At(0, 0) += 1.0f;
+  ASSERT_TRUE(b.SetFeatures(t, std::move(features)).ok());
+  slot.reset();
+  slot.emplace(std::move(b));
+  ASSERT_EQ(&*slot, storage);
+  const uint64_t fp_b = cache.FingerprintOf(*slot);
+  EXPECT_NE(fp_b, fp_a);
+  const auto adj_b = cache.Composed(*slot, paths[0], 0, nullptr);
+  EXPECT_NE(adj_b.get(), adj_a.get());
+  EXPECT_EQ(cache.stats().misses, 2);
+
+  // A mutator clears the memo: restoring A's feature value restores A's
+  // fingerprint.
+  Matrix restored = slot->Features(t);
+  restored.At(0, 0) -= 1.0f;
+  ASSERT_TRUE(slot->SetFeatures(t, std::move(restored)).ok());
+  EXPECT_EQ(slot->ContentFingerprint(), fp_a);
+}
+
+TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
+  // Single flight: N threads asking for the same cold Propagated and
+  // Composed keys run one propagation and one compose, and every caller
+  // gets the same pinned entry.
+  const HeteroGraph g = datasets::MakeToy(7);
+  hgnn::PropagateOptions popts;
+  popts.max_hops = 2;
+  const auto prop_paths = hgnn::EnumeratePropagationPaths(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const MetaPath path = EnumerateMetaPaths(g, g.target_type(), mp).back();
+
+  obs::Counter& blocks =
+      obs::MetricsRegistry::Global().GetCounter("hgnn.blocks_propagated");
+  int64_t one_build = blocks.Value();
+  {
+    ArtifactCache reference;
+    reference.Propagated(g, prop_paths, popts.max_row_nnz, nullptr);
+  }
+  one_build = blocks.Value() - one_build;
+  ASSERT_GT(one_build, 0);
+
+  constexpr int kThreads = 8;
+  ArtifactCache cache;
+  std::vector<std::shared_ptr<const hgnn::PropagatedFeatures>> props(
+      kThreads);
+  std::vector<std::shared_ptr<const CsrMatrix>> adjs(kThreads);
+  std::vector<int> propagated(kThreads, 0);
+  std::atomic<int> ready{0};
+  const int64_t before = blocks.Value();
+  std::vector<std::thread> threads;
+  for (int i = 0; i < kThreads; ++i) {
+    threads.emplace_back([&, i] {
+      exec::ExecContext ex(1);
+      ready.fetch_add(1);
+      while (ready.load() < kThreads) std::this_thread::yield();
+      bool built = false;
+      props[static_cast<size_t>(i)] =
+          cache.Propagated(g, prop_paths, popts.max_row_nnz, &ex, &built);
+      propagated[static_cast<size_t>(i)] = built ? 1 : 0;
+      adjs[static_cast<size_t>(i)] = cache.Composed(g, path, 0, &ex);
+    });
+  }
+  for (auto& t : threads) t.join();
+
+  EXPECT_EQ(blocks.Value() - before, one_build);
+  EXPECT_EQ(cache.stats().misses, 2);
+  EXPECT_EQ(cache.stats().hits, 2 * (kThreads - 1));
+  EXPECT_EQ(std::count(propagated.begin(), propagated.end(), 1), 1);
+  for (int i = 1; i < kThreads; ++i) {
+    EXPECT_EQ(props[static_cast<size_t>(i)].get(), props[0].get()) << i;
+    EXPECT_EQ(adjs[static_cast<size_t>(i)].get(), adjs[0].get()) << i;
+  }
 }
 
 // --- determinism invariant --------------------------------------------------

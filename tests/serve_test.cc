@@ -22,6 +22,7 @@
 #include <thread>
 #include <vector>
 
+#include "common/string_util.h"
 #include "datasets/generator.h"
 #include "exec/exec_context.h"
 #include "graph/serialize.h"
@@ -803,22 +804,35 @@ TEST(ServeServiceTest, ConcurrentResultsBitIdenticalToSequential) {
   service.Shutdown();
 }
 
-/// Coalescing: K same-config requests build the EvalContext once.
+CondenseRequest EvalRequest(uint64_t seed) {
+  CondenseRequest req = ToyRequest(seed);
+  req.evaluate = true;
+  return req;
+}
+
+/// Coalescing: K concurrent same-config evaluating requests propagate
+/// once; a condense-only FreeHGC request reads no blocks and builds none.
 TEST(ServeServiceTest, SameConfigRequestsCoalesceEvalContext) {
   ServeService service(SmallServeOptions(4));
   ASSERT_TRUE(service.store().Register("toy", datasets::MakeToy(5)).ok());
+  auto plain = service.Condense(ToyRequest(9));
+  ASSERT_TRUE(plain.ok()) << plain.status().ToString();
+  EXPECT_EQ(service.eval_context_builds(), 0);
+  EXPECT_TRUE(plain->evalctx_hit);
+
   std::vector<TicketPtr> tickets;
   for (uint64_t seed = 1; seed <= 6; ++seed) {
-    auto t = service.Submit(ToyRequest(seed));
+    auto t = service.Submit(EvalRequest(seed));
     ASSERT_TRUE(t.ok());
     tickets.push_back(*t);
   }
   for (auto& t : tickets) ASSERT_TRUE(t->Wait().ok());
   EXPECT_EQ(service.eval_context_builds(), 1);
 
-  // A different meta-path config is a different context.
-  CondenseRequest other = ToyRequest(1);
-  other.max_paths = 3;
+  // A config with a different propagation path list is a different
+  // build (toy's first three paths are all it has, so cap at one).
+  CondenseRequest other = EvalRequest(1);
+  other.max_paths = 1;
   ASSERT_TRUE(service.Condense(other).ok());
   EXPECT_EQ(service.eval_context_builds(), 2);
   service.Shutdown();
@@ -866,7 +880,7 @@ TEST(ServeServiceTest, MetricsAreScopedToTheService) {
     ServeService a(SmallServeOptions(1));
     ASSERT_TRUE(a.store().Register("toy", datasets::MakeToy(5)).ok());
     for (uint64_t seed = 1; seed <= 3; ++seed) {
-      ASSERT_TRUE(a.Condense(ToyRequest(seed)).ok());
+      ASSERT_TRUE(a.Condense(EvalRequest(seed)).ok());
     }
     const std::string json = a.StatsJson();
     EXPECT_NE(json.find("\"completed\": 3,"), std::string::npos) << json;
@@ -936,6 +950,49 @@ TEST(ServeServiceTest, EvaluateReproducesPipelineRunMethod) {
   EXPECT_FLOAT_EQ(reply->accuracy, run->accuracy);
   EXPECT_FLOAT_EQ(reply->macro_f1, run->macro_f1);
   service.Shutdown();
+}
+
+// A store budget never wedges the server: a graph that has served a
+// request is evictable once the request is done. Six ACM uploads through
+// a spool dir under a budget that holds about two of them, one condense
+// after each.
+TEST(ServeServiceTest, StoreBudgetEvictsServedGraphsInsteadOfShedding) {
+  constexpr size_t kBudget = 14000000;
+  const std::string spool =
+      StrFormat("/tmp/freehgc_test_wedge_%d", static_cast<int>(::getpid()));
+  ServeOptions opts = SmallServeOptions(1);
+  opts.store_resident_budget_bytes = kBudget;
+  ServeService service(opts);
+  ASSERT_TRUE(service.store().SetSpoolDir(spool).ok());
+
+  std::vector<std::string> spooled;
+  for (uint64_t seed = 1; seed <= 6; ++seed) {
+    auto bytes = SerializeHeteroGraph(datasets::MakeAcm(seed, 2.0));
+    ASSERT_TRUE(bytes.ok());
+    const std::string name = StrFormat("acm%d", static_cast<int>(seed));
+    auto info = service.store().RegisterSerialized(name, *bytes);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    ASSERT_TRUE(info->mapped);
+    ASSERT_LE(info->memory_bytes, kBudget);
+    spooled.push_back(info->source_path);
+
+    CondenseRequest req;
+    req.graph = name;
+    req.method = "freehgc";
+    req.ratio = 0.05;
+    req.seed = seed;
+    auto reply = service.Condense(req);
+    ASSERT_TRUE(reply.ok()) << "upload " << seed << ": "
+                            << reply.status().ToString();
+    EXPECT_EQ(reply->graph_fingerprint, info->fingerprint);
+    EXPECT_LE(service.store().MappedResidentBytes(), kBudget)
+        << "after the request on upload " << seed;
+  }
+  EXPECT_EQ(service.scheduler_stats().shed, 0);
+  EXPECT_GT(service.store().Evictions(), 0);
+  service.Shutdown();
+  for (const std::string& path : spooled) std::remove(path.c_str());
+  ::rmdir(spool.c_str());
 }
 
 // ---------------------------------------------------------------------------
@@ -1238,14 +1295,14 @@ TEST(ServerTest, LoopbackRoundTripAndGracefulShutdown) {
   ASSERT_TRUE(list.ok());
   EXPECT_EQ(list->size(), 2u);
 
-  CondenseRequest req = ToyRequest(3);
+  CondenseRequest req = EvalRequest(3);
   auto reply = client.Condense(req);
   ASSERT_TRUE(reply.ok()) << reply.status().ToString();
   EXPECT_GT(reply->nodes, 0);
   EXPECT_FALSE(reply->graph_bytes.empty());
-  // The wire reply carries the scheduler-assigned request id and the
-  // eval-context coalescing outcome (first request on this graph config
-  // builds).
+  // The wire reply carries the scheduler-assigned request id and whether
+  // the request ran a propagation build (the first evaluating request on
+  // this graph config does).
   EXPECT_GT(reply->request_id, 0u);
   EXPECT_FALSE(reply->evalctx_hit);
   auto reply2 = client.Condense(req);
