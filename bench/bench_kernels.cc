@@ -4,7 +4,7 @@
 // (every >= 2-hop path composed from scratch, as an EvalContext build
 // does). The selection kernels run on what FreeHGC feeds them: the
 // bipartite_block and ppr rows on a composed target-to-other-type path
-// (ppr on its SymNormalize'd block with symmetric = true, as NIM calls
+// (ppr on its bit-exactly symmetric SymNormalize'd block, as NIM calls
 // it), the jaccard row on the largest group of composed paths sharing
 // an end type. Dense part: times MatMul, MatMulTA and MatMulTB against
 // their scalar references (dense/reference.h) at 1 and 4 threads, on
@@ -341,7 +341,7 @@ int Run(bool smoke) {
   };
   auto ppr_opt = [&] {
     return sparse::PprScores(nim_block, teleport, 0.15f, ppr_iters, 0.0f,
-                             &ex, /*symmetric=*/true);
+                             &ex);
   };
   FREEHGC_CHECK(ppr_ref() == ppr_opt()) << "ppr differs";
   add_repeated("ppr", ppr_ref, ppr_opt);

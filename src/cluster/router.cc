@@ -11,7 +11,18 @@
 
 namespace freehgc::cluster {
 
-Router::Router(RouterOptions options) : options_(std::move(options)) {}
+Router::Metrics::Metrics(obs::MetricsRegistry& reg)
+    : requests(reg.GetCounter("cluster.router.requests")),
+      resolves(reg.GetCounter("cluster.router.resolves")),
+      cache_hits(reg.GetCounter("cluster.router.cache_hits")),
+      failovers(reg.GetCounter("cluster.router.failovers")),
+      retries(reg.GetCounter("cluster.router.retries")),
+      shards_marked_dead(reg.GetCounter("cluster.router.shards_marked_dead")),
+      replications(reg.GetCounter("cluster.router.replications")),
+      invalidations(reg.GetCounter("cluster.router.invalidations")) {}
+
+Router::Router(RouterOptions options)
+    : options_(std::move(options)), m_(metrics_) {}
 
 Router::~Router() { Close(); }
 
@@ -56,7 +67,7 @@ void Router::WatcherLoop() {
       // We fell behind the bounded event log: drop everything and start
       // from the current version.
       std::lock_guard<std::mutex> lock(mu_);
-      stats_.invalidations += static_cast<int64_t>(cache_.size());
+      m_.invalidations.Add(static_cast<int64_t>(cache_.size()));
       cache_.clear();
       suspect_.clear();
       continue;
@@ -66,7 +77,7 @@ void Router::WatcherLoop() {
     for (const MetaEvent& e : res->events) {
       switch (e.type) {
         case MetaEventType::kPlacementChanged:
-          if (cache_.erase(e.name) > 0) ++stats_.invalidations;
+          if (cache_.erase(e.name) > 0) m_.invalidations.Increment();
           break;
         case MetaEventType::kShardJoined:
           suspect_.erase(e.shard_id);
@@ -74,7 +85,7 @@ void Router::WatcherLoop() {
         case MetaEventType::kShardDead:
           // Membership changed: every cached placement's liveness flags
           // are stale.
-          stats_.invalidations += static_cast<int64_t>(cache_.size());
+          m_.invalidations.Add(static_cast<int64_t>(cache_.size()));
           cache_.clear();
           break;
       }
@@ -88,7 +99,7 @@ Result<Placement> Router::ResolveCached(const std::string& name,
     std::lock_guard<std::mutex> lock(mu_);
     auto it = cache_.find(name);
     if (it != cache_.end()) {
-      ++stats_.cache_hits;
+      m_.cache_hits.Increment();
       return it->second;
     }
   }
@@ -97,10 +108,8 @@ Result<Placement> Router::ResolveCached(const std::string& name,
     return meta_.Resolve(name);
   }();
   FREEHGC_RETURN_IF_ERROR(placement.status());
+  m_.resolves.Increment();
   std::lock_guard<std::mutex> lock(mu_);
-  ++stats_.resolves;
-  obs::MetricsRegistry::Global().GetCounter("cluster.router.resolves")
-      .Increment();
   cache_[name] = *placement;
   return *placement;
 }
@@ -126,28 +135,17 @@ std::vector<ShardEndpoint> Router::Candidates(const Placement& placement,
 
 void Router::MarkSuspect(uint32_t shard_id) {
   std::lock_guard<std::mutex> lock(mu_);
-  if (suspect_.insert(shard_id).second) {
-    ++stats_.shards_marked_dead;
-    obs::MetricsRegistry::Global()
-        .GetCounter("cluster.router.shards_marked_dead")
-        .Increment();
-  }
+  if (suspect_.insert(shard_id).second) m_.shards_marked_dead.Increment();
 }
 
 Result<serve::CondenseReply> Router::Condense(
     const serve::CondenseRequest& req) {
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    ++stats_.requests;
-  }
+  m_.requests.Increment();
   Status last_error = Status::Unavailable(
       StrFormat("no live shard holds graph '%s'", req.graph.c_str()));
   for (int round = 0; round < std::max(1, options_.attempts); ++round) {
     if (round > 0) {
-      {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.retries;
-      }
+      m_.retries.Increment();
       std::this_thread::sleep_for(std::chrono::milliseconds(
           options_.backoff_ms << (round - 1)));
     }
@@ -168,13 +166,7 @@ Result<serve::CondenseReply> Router::Condense(
     }
     bool first = true;
     for (const ShardEndpoint& ep : candidates) {
-      if (!first) {
-        std::lock_guard<std::mutex> lock(mu_);
-        ++stats_.failovers;
-        obs::MetricsRegistry::Global()
-            .GetCounter("cluster.router.failovers")
-            .Increment();
-      }
+      if (!first) m_.failovers.Increment();
       first = false;
       serve::ServeClient shard;
       Status conn = shard.Connect(ep.port);
@@ -306,12 +298,9 @@ void Router::MaybeReplicate(const std::string& name) {
       return meta_.Place(record);
     }();
     FREEHGC_RETURN_IF_ERROR(committed.status());
+    m_.replications.Increment();
     std::lock_guard<std::mutex> lock(mu_);
     cache_[name] = *committed;
-    ++stats_.replications;
-    obs::MetricsRegistry::Global()
-        .GetCounter("cluster.router.replications")
-        .Increment();
     return Status::OK();
   }();
   if (!st.ok()) {
@@ -332,8 +321,16 @@ Result<std::vector<ShardStatus>> Router::Shards() {
 }
 
 RouterStats Router::stats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  RouterStats s;
+  s.requests = m_.requests.Value();
+  s.resolves = m_.resolves.Value();
+  s.cache_hits = m_.cache_hits.Value();
+  s.failovers = m_.failovers.Value();
+  s.retries = m_.retries.Value();
+  s.shards_marked_dead = m_.shards_marked_dead.Value();
+  s.replications = m_.replications.Value();
+  s.invalidations = m_.invalidations.Value();
+  return s;
 }
 
 }  // namespace freehgc::cluster

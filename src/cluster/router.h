@@ -14,6 +14,7 @@
 #include "common/result.h"
 #include "cluster/meta_client.h"
 #include "cluster/types.h"
+#include "obs/metrics.h"
 #include "serve/client.h"
 #include "serve/graph_store.h"
 #include "serve/scheduler.h"
@@ -64,7 +65,8 @@ struct RouterStats {
 ///
 /// Thread-safe: many threads may Condense concurrently (each request
 /// uses its own shard connection; the shared meta connection is
-/// serialized).
+/// serialized). The router's own registry is the only store of its
+/// cluster.router.* counters; stats() snapshots it.
 class Router {
  public:
   explicit Router(RouterOptions options);
@@ -121,7 +123,23 @@ class Router {
   std::map<std::string, int64_t> request_counts_;
   std::map<std::string, uint64_t> rr_;
   std::set<std::string> replicating_;  // replication in flight per graph
-  RouterStats stats_;
+
+  /// Cached references into metrics_, one counter per RouterStats field,
+  /// registered at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& reg);
+    obs::Counter& requests;
+    obs::Counter& resolves;
+    obs::Counter& cache_hits;
+    obs::Counter& failovers;
+    obs::Counter& retries;
+    obs::Counter& shards_marked_dead;
+    obs::Counter& replications;
+    obs::Counter& invalidations;
+  };
+
+  obs::MetricsRegistry metrics_;
+  Metrics m_;
 };
 
 }  // namespace freehgc::cluster

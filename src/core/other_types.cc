@@ -70,12 +70,9 @@ std::vector<int32_t> CondenseFatherType(
         // The bipartite block is bit-exactly symmetric: BipartiteBlock
         // mirrors each entry with the same value, and SymNormalize scales
         // mirror entries by the same single-rounded inv_sqrt product. So
-        // PPR can iterate over the block itself instead of materializing
-        // its transpose — at graph scale that transient (the transposed
-        // copy plus its column histograms) is larger than the block.
-        const std::vector<float> pi =
-            sparse::PprScores(block, teleport, opts.alpha, opts.max_iters,
-                              1e-6f, &ex, /*symmetric=*/true);
+        // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy.
+        const std::vector<float> pi = sparse::PprScores(
+            block, teleport, opts.alpha, opts.max_iters, 1e-6f, &ex);
         for (int32_t j = 0; j < ns; ++j) {
           influence[static_cast<size_t>(j)] +=
               static_cast<double>(pi[static_cast<size_t>(nt + j)]);

@@ -14,8 +14,9 @@ namespace freehgc::obs {
 /// parser the polling tools (freehgc_top, bench_serve_load) use to read a
 /// snapshot back. The wire op `METRICS` (serve/wire.h) returns
 /// PrometheusText() followed by PrometheusText() of the service's own
-/// registry, so any Prometheus-compatible scraper can poll a live
-/// freehgc_server without restarting it.
+/// registries (scheduler, graph store, artifact cache), so any
+/// Prometheus-compatible scraper can poll a live freehgc_server without
+/// restarting it.
 ///
 /// Mapping from registry names to exposition names:
 ///   - dots become underscores and everything is prefixed "freehgc_"

@@ -51,54 +51,6 @@ size_t OwnedBytes(const hgnn::PropagatedFeatures& f) {
   return bytes;
 }
 
-obs::Counter& HitCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.hits");
-  return c;
-}
-
-obs::Counter& MissCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.misses");
-  return c;
-}
-
-obs::Counter& SpillCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.spills");
-  return c;
-}
-
-obs::Counter& RestoreCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.restores");
-  return c;
-}
-
-obs::Counter& SpillBytesCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("pipeline.cache.spill_bytes");
-  return c;
-}
-
-obs::Gauge& BytesGauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::Global().GetGauge("pipeline.cache.bytes");
-  return g;
-}
-
-obs::Gauge& ResidentGauge() {
-  static obs::Gauge& g = obs::MetricsRegistry::Global().GetGauge(
-      "pipeline.cache.resident_bytes");
-  return g;
-}
-
-obs::Gauge& BudgetGauge() {
-  static obs::Gauge& g =
-      obs::MetricsRegistry::Global().GetGauge("pipeline.cache.budget_bytes");
-  return g;
-}
-
 std::string HexKeyPath(const std::string& dir, const char* prefix,
                        uint64_t fingerprint, uint64_t signature,
                        int64_t max_row_nnz) {
@@ -145,6 +97,17 @@ uint64_t ConfigSignature(const hgnn::HgnnConfig& config) {
   return h;
 }
 
+ArtifactCache::Metrics::Metrics(obs::MetricsRegistry& reg)
+    : hits(reg.GetCounter("pipeline.cache.hits")),
+      misses(reg.GetCounter("pipeline.cache.misses")),
+      spills(reg.GetCounter("pipeline.cache.spills")),
+      restores(reg.GetCounter("pipeline.cache.restores")),
+      spill_bytes(reg.GetCounter("pipeline.cache.spill_bytes")),
+      bytes(reg.GetGauge("pipeline.cache.bytes")),
+      resident_bytes(reg.GetGauge("pipeline.cache.resident_bytes")),
+      peak_resident_bytes(reg.GetGauge("pipeline.cache.peak_resident_bytes")),
+      budget_bytes(reg.GetGauge("pipeline.cache.budget_bytes")) {}
+
 ArtifactCache::~ArtifactCache() { Clear(); }
 
 Status ArtifactCache::ConfigureSpill(const SpillOptions& opts) {
@@ -158,10 +121,7 @@ Status ArtifactCache::ConfigureSpill(const SpillOptions& opts) {
   std::lock_guard<std::mutex> lock(mu_);
   spill_ = opts;
   spill_enabled_ = true;
-  BudgetGauge().Set(
-      opts.resident_bytes_budget == SIZE_MAX
-          ? 0
-          : static_cast<int64_t>(opts.resident_bytes_budget));
+  SetBudgetGauge();
   return Status::OK();
 }
 
@@ -188,7 +148,7 @@ std::shared_ptr<const T> ArtifactCache::GetOrLoad(
     loaded_.wait(lock, [&] { return !entries[key].loading; });
     Entry<T>& e = entries[key];
     if (e.value != nullptr) {
-      RecordHit();
+      m_.hits.Increment();
       e.tick = ++tick_;
       return e.value;
     }
@@ -218,22 +178,19 @@ std::shared_ptr<const T> ArtifactCache::GetOrLoad(
     e.loading = false;
     e.value = got.value;
     e.owned_bytes = OwnedBytes(*e.value);
-    AddResident(e.owned_bytes);
+    AddResident(static_cast<int64_t>(e.owned_bytes));
     e.tick = ++tick_;
     if (!miss) {
-      ++stats_.restores;
-      RestoreCounter().Increment();
-      RecordHit();
+      m_.restores.Increment();
+      m_.hits.Increment();
     } else {
-      RecordMiss();
+      m_.misses.Increment();
       if (!got.spill_path.empty()) {
         // Spool-through build: the file already is this entry's spill
         // copy.
         e.spill_path = got.spill_path;
-        ++stats_.spills;
-        stats_.spill_bytes += got.file_bytes;
-        SpillCounter().Increment();
-        SpillBytesCounter().Add(static_cast<int64_t>(got.file_bytes));
+        m_.spills.Increment();
+        m_.spill_bytes.Add(static_cast<int64_t>(got.file_bytes));
       }
     }
   }
@@ -329,17 +286,17 @@ hgnn::EvalMetrics ArtifactCache::WholeGraphBaseline(
     std::lock_guard<std::mutex> lock(mu_);
     auto it = baselines_.find(key);
     if (it != baselines_.end()) {
-      RecordHit();
+      m_.hits.Increment();
       return it->second;
     }
   }
   const hgnn::EvalMetrics metrics = hgnn::WholeGraphBaseline(ctx, config, ex);
   std::lock_guard<std::mutex> lock(mu_);
   auto [it, inserted] = baselines_.emplace(key, metrics);
-  RecordMiss();
+  m_.misses.Increment();
   if (inserted) {
-    stats_.bytes += sizeof(hgnn::EvalMetrics);
-    UpdateByteGauges();
+    m_.bytes.Set(m_.bytes.Value() +
+                 static_cast<int64_t>(sizeof(hgnn::EvalMetrics)));
   }
   return it->second;
 }
@@ -373,7 +330,7 @@ std::vector<ArtifactCache::SpillJob> ArtifactCache::PlanEvictions() {
               return a.tick < b.tick;
             });
   std::vector<SpillJob> jobs;
-  size_t projected = stats_.resident_bytes;
+  size_t projected = ResidentBytes();
   for (const Candidate& c : candidates) {
     if (projected <= spill_.resident_bytes_budget) break;
     SpillJob job;
@@ -414,33 +371,22 @@ void ArtifactCache::ExecuteEvictions(std::vector<SpillJob> jobs) {
             : hgnn::WritePropagatedSpill(*job.prop, job.path, job.header_fp);
 
     std::lock_guard<std::mutex> lock(mu_);
+    auto drop = [&](auto& e) {
+      e.spilling = false;
+      if (!written.ok()) return;
+      e.spill_path = job.path;
+      e.value.reset();
+      AddResident(-static_cast<int64_t>(e.owned_bytes));
+      e.owned_bytes = 0;
+    };
     if (job.is_adj) {
-      AdjEntry& e = adjacencies_[job.akey];
-      e.spilling = false;
-      if (written.ok()) {
-        e.spill_path = job.path;
-        e.value.reset();
-        stats_.resident_bytes -= e.owned_bytes;
-        stats_.bytes -= e.owned_bytes;
-        e.owned_bytes = 0;
-      }
+      drop(adjacencies_[job.akey]);
     } else {
-      PropEntry& e = propagated_[job.pkey];
-      e.spilling = false;
-      if (written.ok()) {
-        e.spill_path = job.path;
-        e.value.reset();
-        stats_.resident_bytes -= e.owned_bytes;
-        stats_.bytes -= e.owned_bytes;
-        e.owned_bytes = 0;
-      }
+      drop(propagated_[job.pkey]);
     }
     if (written.ok()) {
-      ++stats_.spills;
-      stats_.spill_bytes += *written;
-      SpillCounter().Increment();
-      SpillBytesCounter().Add(static_cast<int64_t>(*written));
-      UpdateByteGauges();
+      m_.spills.Increment();
+      m_.spill_bytes.Add(static_cast<int64_t>(*written));
     } else {
       FREEHGC_LOG(Warning) << "artifact spill failed (" << job.path
                            << "): " << written.status().message()
@@ -454,8 +400,7 @@ void ArtifactCache::TrimToBudget() {
   std::vector<SpillJob> jobs;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    if (!spill_enabled_ ||
-        stats_.resident_bytes <= spill_.resident_bytes_budget) {
+    if (!spill_enabled_ || ResidentBytes() <= spill_.resident_bytes_budget) {
       return;
     }
     jobs = PlanEvictions();
@@ -465,7 +410,16 @@ void ArtifactCache::TrimToBudget() {
 
 ArtifactCache::Stats ArtifactCache::stats() const {
   std::lock_guard<std::mutex> lock(mu_);
-  return stats_;
+  Stats s;
+  s.hits = m_.hits.Value();
+  s.misses = m_.misses.Value();
+  s.bytes = static_cast<size_t>(m_.bytes.Value());
+  s.resident_bytes = ResidentBytes();
+  s.peak_resident_bytes = static_cast<size_t>(m_.peak_resident_bytes.Value());
+  s.spills = m_.spills.Value();
+  s.restores = m_.restores.Value();
+  s.spill_bytes = static_cast<size_t>(m_.spill_bytes.Value());
+  return s;
 }
 
 void ArtifactCache::Clear() {
@@ -479,33 +433,22 @@ void ArtifactCache::Clear() {
   adjacencies_.clear();
   propagated_.clear();
   baselines_.clear();
-  stats_ = Stats{};
   tick_ = 0;
-  BytesGauge().Set(0);
-  ResidentGauge().Set(0);
+  metrics_.ResetAll();
+  SetBudgetGauge();  // configuration, not a count: it survives Clear
 }
 
-void ArtifactCache::RecordHit() {
-  ++stats_.hits;
-  HitCounter().Increment();
+void ArtifactCache::AddResident(int64_t delta) {
+  m_.bytes.Set(m_.bytes.Value() + delta);
+  m_.resident_bytes.Set(m_.resident_bytes.Value() + delta);
+  m_.peak_resident_bytes.UpdateMax(m_.resident_bytes.Value());
 }
 
-void ArtifactCache::RecordMiss() {
-  ++stats_.misses;
-  MissCounter().Increment();
-}
-
-void ArtifactCache::UpdateByteGauges() {
-  BytesGauge().Set(static_cast<int64_t>(stats_.bytes));
-  ResidentGauge().Set(static_cast<int64_t>(stats_.resident_bytes));
-}
-
-void ArtifactCache::AddResident(size_t bytes) {
-  stats_.resident_bytes += bytes;
-  stats_.bytes += bytes;
-  stats_.peak_resident_bytes =
-      std::max(stats_.peak_resident_bytes, stats_.resident_bytes);
-  UpdateByteGauges();
+void ArtifactCache::SetBudgetGauge() {
+  m_.budget_bytes.Set(
+      !spill_enabled_ || spill_.resident_bytes_budget == SIZE_MAX
+          ? 0
+          : static_cast<int64_t>(spill_.resident_bytes_budget));
 }
 
 }  // namespace freehgc::pipeline

@@ -16,6 +16,7 @@
 #include "hgnn/propagate.h"
 #include "hgnn/trainer.h"
 #include "metapath/metapath.h"
+#include "obs/metrics.h"
 
 namespace freehgc::pipeline {
 
@@ -59,12 +60,13 @@ namespace freehgc::pipeline {
 /// outside pin is released. Callers hold the pin across every use of the
 /// value and drop it when done (see metapath::AdjacencyCache).
 ///
-/// Thread-safe. Hit/miss/bytes are mirrored into the obs registry as
-/// pipeline.cache.{hits,misses,spills,restores,spill_bytes} counters and
-/// the pipeline.cache.{bytes,resident_bytes,budget_bytes} gauges.
+/// Thread-safe. The cache's own registry (metrics()) is the only store of
+/// its numbers: the pipeline.cache.{hits,misses,spills,restores,
+/// spill_bytes} counters and the pipeline.cache.{bytes,resident_bytes,
+/// peak_resident_bytes,budget_bytes} gauges. stats() snapshots it.
 class ArtifactCache final : public AdjacencyCache {
  public:
-  ArtifactCache() = default;
+  ArtifactCache() : m_(metrics_) {}
   ~ArtifactCache() override;
   ArtifactCache(const ArtifactCache&) = delete;
   ArtifactCache& operator=(const ArtifactCache&) = delete;
@@ -146,8 +148,13 @@ class ArtifactCache final : public AdjacencyCache {
   };
   Stats stats() const;
 
-  /// Drops every entry, unlinks every spool file this cache wrote; stats
-  /// reset too. Not concurrent with lookups.
+  /// This cache's registry, the only store of its pipeline.cache.*
+  /// numbers. Per instance, so two caches in one process never mix their
+  /// counts.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
+
+  /// Drops every entry, unlinks every spool file this cache wrote; the
+  /// registry resets too. Not concurrent with lookups.
   void Clear();
 
  private:
@@ -206,10 +213,15 @@ class ArtifactCache final : public AdjacencyCache {
                                      const Key& key, Restore restore,
                                      Build build, bool* built);
 
-  void RecordHit();
-  void RecordMiss();
-  void UpdateByteGauges();
-  void AddResident(size_t bytes);
+  /// Moves the bytes and resident_bytes gauges by `delta` and raises
+  /// peak_resident_bytes (lock held).
+  void AddResident(int64_t delta);
+  /// Resident tier size, read from its gauge (lock held).
+  size_t ResidentBytes() const {
+    return static_cast<size_t>(m_.resident_bytes.Value());
+  }
+  /// pipeline.cache.budget_bytes: 0 for no budget (lock held).
+  void SetBudgetGauge();
 
   std::string AdjSpillPath(const AdjKey& key) const;
   std::string PropSpillPath(const PropKey& key) const;
@@ -220,12 +232,27 @@ class ArtifactCache final : public AdjacencyCache {
   /// Writes the spool files (no lock) and commits the drops.
   void ExecuteEvictions(std::vector<SpillJob> jobs);
 
+  /// Cached references into metrics_, registered at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& reg);
+    obs::Counter& hits;
+    obs::Counter& misses;
+    obs::Counter& spills;
+    obs::Counter& restores;
+    obs::Counter& spill_bytes;
+    obs::Gauge& bytes;
+    obs::Gauge& resident_bytes;
+    obs::Gauge& peak_resident_bytes;
+    obs::Gauge& budget_bytes;
+  };
+
+  obs::MetricsRegistry metrics_;
+  Metrics m_;
   mutable std::mutex mu_;
   std::condition_variable loaded_;  ///< signalled when a load finishes
   std::map<AdjKey, AdjEntry> adjacencies_;
   std::map<PropKey, PropEntry> propagated_;
   std::map<BaselineKey, hgnn::EvalMetrics> baselines_;
-  Stats stats_;
   uint64_t tick_ = 0;
   bool spill_enabled_ = false;
   SpillOptions spill_;

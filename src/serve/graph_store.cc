@@ -20,21 +20,8 @@ namespace freehgc::serve {
 
 namespace {
 
-void ObserveLoad(const char* histogram, const Timer& timer) {
-  obs::MetricsRegistry::Global().GetHistogram(histogram).Observe(
-      static_cast<int64_t>(timer.ElapsedSeconds() * 1e9));
-}
-
-obs::Counter& EvictionCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("store.evictions");
-  return c;
-}
-
-obs::Counter& RemapCounter() {
-  static obs::Counter& c =
-      obs::MetricsRegistry::Global().GetCounter("store.remaps");
-  return c;
+void ObserveLoad(obs::Histogram& histogram, const Timer& timer) {
+  histogram.Observe(static_cast<int64_t>(timer.ElapsedSeconds() * 1e9));
 }
 
 bool EndsWith(const std::string& s, const char* suffix) {
@@ -43,6 +30,17 @@ bool EndsWith(const std::string& s, const char* suffix) {
 }
 
 }  // namespace
+
+GraphStore::Metrics::Metrics(obs::MetricsRegistry& reg)
+    : graphs(reg.GetGauge("serve.store.graphs")),
+      bytes(reg.GetGauge("serve.store.bytes")),
+      resident_bytes(reg.GetGauge("store.resident_bytes")),
+      mapped_resident_bytes(reg.GetGauge("store.mapped_resident_bytes")),
+      resident_budget_bytes(reg.GetGauge("store.resident_budget_bytes")),
+      evictions(reg.GetCounter("store.evictions")),
+      remaps(reg.GetCounter("store.remaps")),
+      load_heap_ns(reg.GetHistogram("store.load.heap_ns")),
+      load_mapped_ns(reg.GetHistogram("store.load.mapped_ns")) {}
 
 Result<GraphInfo> GraphStore::Register(const std::string& name,
                                        HeteroGraph graph) {
@@ -65,7 +63,7 @@ Result<GraphInfo> GraphStore::RegisterSerialized(const std::string& name,
   FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, DeserializeHeteroGraph(container));
   if (spool.empty()) {
     auto info = Register(name, std::move(g));
-    if (info.ok()) ObserveLoad("store.load.heap_ns", timer);
+    if (info.ok()) ObserveLoad(m_.load_heap_ns, timer);
     return info;
   }
   // Spool-on-upload: persist as a v3 container keyed by content
@@ -92,7 +90,7 @@ Result<GraphInfo> GraphStore::RegisterMappedFile(const std::string& name,
   mg.graph.SeedContentFingerprint(mg.fingerprint);
   auto info = Insert(name, std::move(mg.graph), mg.fingerprint, path,
                      std::move(mg.mapping));
-  if (info.ok()) ObserveLoad("store.load.mapped_ns", timer);
+  if (info.ok()) ObserveLoad(m_.load_mapped_ns, timer);
   return info;
 }
 
@@ -213,7 +211,7 @@ Result<GraphStore::GraphRef> GraphStore::Get(const std::string& name) {
   e.mapping = std::move(mg.mapping);
   e.info.resident = true;
   e.tick = ++tick_;
-  RemapCounter().Increment();
+  m_.remaps.Increment();
   TrimLocked(&e);
   UpdateGauges();
   return e.graph;
@@ -243,20 +241,6 @@ bool GraphStore::Remove(const std::string& name) {
   return erased;
 }
 
-int64_t GraphStore::Count() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return static_cast<int64_t>(graphs_.size());
-}
-
-size_t GraphStore::TotalBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  for (const auto& [name, entry] : graphs_) {
-    bytes += entry.info.memory_bytes;
-  }
-  return bytes;
-}
-
 int64_t GraphStore::MappedCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t mapped = 0;
@@ -264,25 +248,6 @@ int64_t GraphStore::MappedCount() const {
     if (entry.info.mapped) ++mapped;
   }
   return mapped;
-}
-
-size_t GraphStore::ResidentBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t bytes = 0;
-  for (const auto& [name, entry] : graphs_) {
-    bytes += entry.resident_bytes;
-  }
-  return bytes;
-}
-
-size_t GraphStore::MappedResidentBytes() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return MappedResidentLocked();
-}
-
-int64_t GraphStore::Evictions() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return evictions_;
 }
 
 size_t GraphStore::MappedResidentLocked() const {
@@ -317,35 +282,24 @@ void GraphStore::TrimLocked(const Entry* protect) {
     victim->graph.reset();
     victim->mapping.reset();
     victim->info.resident = false;
-    ++evictions_;
-    EvictionCounter().Increment();
+    m_.evictions.Increment();
   }
 }
 
-void GraphStore::UpdateGauges() const {
-  static obs::Gauge& count =
-      obs::MetricsRegistry::Global().GetGauge("serve.store.graphs");
-  static obs::Gauge& bytes =
-      obs::MetricsRegistry::Global().GetGauge("serve.store.bytes");
-  static obs::Gauge& resident =
-      obs::MetricsRegistry::Global().GetGauge("store.resident_bytes");
-  static obs::Gauge& mapped_resident = obs::MetricsRegistry::Global().GetGauge(
-      "store.mapped_resident_bytes");
-  static obs::Gauge& budget = obs::MetricsRegistry::Global().GetGauge(
-      "store.resident_budget_bytes");
-  count.Set(static_cast<int64_t>(graphs_.size()));
+void GraphStore::UpdateGauges() {
   size_t total = 0;
-  size_t res = 0;
+  size_t resident = 0;
   for (const auto& [name, entry] : graphs_) {
     total += entry.info.memory_bytes;
-    res += entry.resident_bytes;
+    resident += entry.resident_bytes;
   }
-  bytes.Set(static_cast<int64_t>(total));
-  resident.Set(static_cast<int64_t>(res));
-  mapped_resident.Set(static_cast<int64_t>(MappedResidentLocked()));
-  budget.Set(resident_budget_ == SIZE_MAX
-                 ? 0
-                 : static_cast<int64_t>(resident_budget_));
+  m_.graphs.Set(static_cast<int64_t>(graphs_.size()));
+  m_.bytes.Set(static_cast<int64_t>(total));
+  m_.resident_bytes.Set(static_cast<int64_t>(resident));
+  m_.mapped_resident_bytes.Set(static_cast<int64_t>(MappedResidentLocked()));
+  m_.resident_budget_bytes.Set(
+      resident_budget_ == SIZE_MAX ? 0
+                                   : static_cast<int64_t>(resident_budget_));
 }
 
 Result<int> SweepSpoolDir(const std::string& dir) {

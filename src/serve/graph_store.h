@@ -13,6 +13,7 @@
 #include "common/result.h"
 #include "exec/exec_context.h"
 #include "graph/hetero_graph.h"
+#include "obs/metrics.h"
 
 namespace freehgc::serve {
 
@@ -50,11 +51,18 @@ struct GraphInfo {
 /// collision with the same fingerprint returns the existing entry, a
 /// collision with different content is FailedPrecondition (a resident
 /// graph never changes under a request's feet).
+///
+/// The store's own registry (metrics()) is the only store of its
+/// numbers: the serve.store.{graphs,bytes} and store.{resident_bytes,
+/// mapped_resident_bytes,resident_budget_bytes} gauges, the
+/// store.{evictions,remaps} counters and the store.load.{heap,mapped}_ns
+/// histograms. Count(), Evictions() and the byte accessors read it; every
+/// mutation refreshes the gauges under the store lock.
 class GraphStore {
  public:
   using GraphRef = std::shared_ptr<const HeteroGraph>;
 
-  GraphStore() = default;
+  GraphStore() : m_(metrics_) {}
   GraphStore(const GraphStore&) = delete;
   GraphStore& operator=(const GraphStore&) = delete;
 
@@ -121,23 +129,31 @@ class GraphStore {
   /// name was registered.
   bool Remove(const std::string& name);
 
-  /// Resident graphs / bytes (mirrored into the serve.store.* gauges).
-  int64_t Count() const;
-  size_t TotalBytes() const;
+  /// Registered graphs / their bytes: the serve.store.{graphs,bytes}
+  /// gauges.
+  int64_t Count() const { return m_.graphs.Value(); }
+  size_t TotalBytes() const { return GaugeBytes(m_.bytes); }
 
   /// Resident graphs backed by mapped containers.
   int64_t MappedCount() const;
 
   /// Heap bytes actually owned by resident graphs (mapped arrays live in
   /// the page cache and are excluded) — the store.resident_bytes gauge.
-  size_t ResidentBytes() const;
+  size_t ResidentBytes() const { return GaugeBytes(m_.resident_bytes); }
 
   /// Bytes of mapped graphs currently resident (what SetResidentBudget
   /// constrains) — the store.mapped_resident_bytes gauge.
-  size_t MappedResidentBytes() const;
+  size_t MappedResidentBytes() const {
+    return GaugeBytes(m_.mapped_resident_bytes);
+  }
 
-  /// Mapped graphs evicted under the residency budget so far.
-  int64_t Evictions() const;
+  /// Mapped graphs evicted under the residency budget so far
+  /// (store.evictions).
+  int64_t Evictions() const { return m_.evictions.Value(); }
+
+  /// This store's registry, the only store of its numbers. Per instance,
+  /// so two stores in one process never mix their counts.
+  const obs::MetricsRegistry& metrics() const { return metrics_; }
 
  private:
   struct Entry {
@@ -160,14 +176,32 @@ class GraphStore {
   /// budget; `protect` (may be null) is never evicted. Callers hold mu_.
   void TrimLocked(const Entry* protect);
   size_t MappedResidentLocked() const;  // callers hold mu_
-  void UpdateGauges() const;            // callers hold mu_
+  void UpdateGauges();                  // callers hold mu_
+  static size_t GaugeBytes(const obs::Gauge& g) {
+    return static_cast<size_t>(g.Value());
+  }
 
+  /// Cached references into metrics_, registered at construction.
+  struct Metrics {
+    explicit Metrics(obs::MetricsRegistry& reg);
+    obs::Gauge& graphs;
+    obs::Gauge& bytes;
+    obs::Gauge& resident_bytes;
+    obs::Gauge& mapped_resident_bytes;
+    obs::Gauge& resident_budget_bytes;
+    obs::Counter& evictions;
+    obs::Counter& remaps;
+    obs::Histogram& load_heap_ns;
+    obs::Histogram& load_mapped_ns;
+  };
+
+  obs::MetricsRegistry metrics_;
+  Metrics m_;
   mutable std::mutex mu_;
   std::map<std::string, Entry> graphs_;
   std::string spool_dir_;  // empty = spool-on-upload disabled
   size_t resident_budget_ = SIZE_MAX;
   uint64_t tick_ = 0;
-  int64_t evictions_ = 0;
 };
 
 /// Orphan-spool garbage collection for a server spool directory: removes

@@ -259,12 +259,15 @@ std::string Server::HandleRequest(std::string_view payload) {
       return EncodeResponse(Status::OK(), service_->StatsJson());
     case MsgType::kMetrics:
       // Prometheus text exposition of the process-global registry
-      // (kernels, pipeline.cache.*, store.*) followed by this service's
-      // serve.* registry; scrape with `freehgc_client metrics` or watch
-      // with freehgc_top.
-      return EncodeResponse(Status::OK(),
-                            obs::PrometheusText() +
-                                obs::PrometheusText(service_->metrics()));
+      // (kernels, exec.*) followed by this service's own registries:
+      // scheduler (serve.*), graph store (serve.store.*, store.*) and
+      // artifact cache (pipeline.cache.*). Scrape with `freehgc_client
+      // metrics` or watch with freehgc_top.
+      return EncodeResponse(
+          Status::OK(),
+          obs::PrometheusText() + obs::PrometheusText(service_->metrics()) +
+              obs::PrometheusText(service_->store().metrics()) +
+              obs::PrometheusText(service_->cache().metrics()));
     case MsgType::kHealth:
       return EncodeResponse(Status::OK(), service_->HealthJson());
     case MsgType::kFlightRecorder:

@@ -68,40 +68,36 @@ ServeService::ServeService(ServeOptions options)
       return f.h != 0 ? f.h : 1;  // 0 means "don't coalesce"
     });
   }
-  // Spill-aware admission (the budget_shed_factor contract): consult the
-  // budget gauges on every Submit and shed instead of queueing work that
-  // would only deepen spill-tier thrashing.
-  if (options_.budget_shed_factor > 0) {
-    const double factor = options_.budget_shed_factor;
-    const size_t art_budget =
-        cache_.spill_enabled() ? options_.artifact_budget_bytes : SIZE_MAX;
-    const size_t store_budget = options_.store_resident_budget_bytes;
-    if (art_budget != SIZE_MAX || store_budget != SIZE_MAX) {
-      scheduler_->set_admission_guard([this, factor, art_budget,
-                                       store_budget]() -> Status {
-        if (art_budget != SIZE_MAX) {
-          const size_t resident = cache_.stats().resident_bytes;
-          if (static_cast<double>(resident) >
-              factor * static_cast<double>(art_budget)) {
-            return Status::ResourceExhausted(StrFormat(
-                "artifact cache under budget pressure (%zu resident bytes "
-                "> %.1fx the %zu-byte budget); request shed",
-                resident, factor, art_budget));
-          }
-        }
-        if (store_budget != SIZE_MAX) {
-          const size_t resident = store_.MappedResidentBytes();
-          if (static_cast<double>(resident) >
-              factor * static_cast<double>(store_budget)) {
-            return Status::ResourceExhausted(StrFormat(
-                "graph store under budget pressure (%zu mapped-resident "
-                "bytes > %.1fx the %zu-byte budget); request shed",
-                resident, factor, store_budget));
-          }
-        }
-        return Status::OK();
-      });
-    }
+  // Spill-aware admission: read the budgeted tiers' resident gauges on
+  // every Submit and shed instead of queueing work that would only
+  // deepen spill-tier thrashing.
+  const size_t art_budget =
+      cache_.spill_enabled() ? options_.artifact_budget_bytes : SIZE_MAX;
+  const size_t store_budget = options_.store_resident_budget_bytes;
+  if (art_budget != SIZE_MAX || store_budget != SIZE_MAX) {
+    scheduler_->set_admission_guard([this, art_budget,
+                                     store_budget]() -> Status {
+      auto over = [](size_t resident, size_t budget) {
+        return budget != SIZE_MAX &&
+               static_cast<double>(resident) >
+                   kBudgetShedFactor * static_cast<double>(budget);
+      };
+      const size_t cached = cache_.stats().resident_bytes;
+      if (over(cached, art_budget)) {
+        return Status::ResourceExhausted(StrFormat(
+            "artifact cache under budget pressure (%zu resident bytes "
+            "> %.1fx the %zu-byte budget); request shed",
+            cached, kBudgetShedFactor, art_budget));
+      }
+      const size_t mapped = store_.MappedResidentBytes();
+      if (over(mapped, store_budget)) {
+        return Status::ResourceExhausted(StrFormat(
+            "graph store under budget pressure (%zu mapped-resident "
+            "bytes > %.1fx the %zu-byte budget); request shed",
+            mapped, kBudgetShedFactor, store_budget));
+      }
+      return Status::OK();
+    });
   }
   // Access-log annotation: stamp cumulative artifact-cache counters onto
   // each line so per-request deltas fall out of consecutive entries.

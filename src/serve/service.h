@@ -42,13 +42,6 @@ struct ServeOptions : SchedulerOptions {
   /// Directory for artifact spool files. Non-empty enables the
   /// ArtifactCache spill tier.
   std::string spill_dir;
-  /// Spill-aware admission: when > 0 and a budget is configured, new
-  /// submissions are shed with kResourceExhausted while a budgeted tier
-  /// sits past `factor ×` its budget — the ArtifactCache resident tier
-  /// (artifact_budget_bytes, spill enabled) or the GraphStore
-  /// mapped-resident set (store_resident_budget_bytes). Shedding before
-  /// the spill tier thrashes; counted in serve.shed.budget. 0 disables.
-  double budget_shed_factor = 2.0;
 
   ServeOptions() {
     // Aging keeps low-priority work from starving under a sustained
@@ -65,6 +58,14 @@ struct ServeOptions : SchedulerOptions {
 /// ArtifactCache, and a RequestScheduler whose work body runs
 /// MethodRegistry condensers against the shared state.
 ///
+/// Spill-aware admission: with a budget configured, Submit sheds new
+/// requests with kResourceExhausted while a budgeted tier sits past
+/// kBudgetShedFactor times its budget — the ArtifactCache resident tier
+/// (artifact_budget_bytes, spill enabled) or the GraphStore
+/// mapped-resident set (store_resident_budget_bytes). Shedding beats
+/// queueing work the spill tier would thrash through; counted in
+/// serve.shed.budget.
+///
 /// A request builds only what it reads. Its EvalContext gets propagated
 /// feature blocks only when it evaluates or its method reads them
 /// (CondensationMethod::reads_feature_blocks); FreeHGC and Coarsening-HG
@@ -79,6 +80,9 @@ struct ServeOptions : SchedulerOptions {
 /// sequential execution (tests/serve_test.cc).
 class ServeService {
  public:
+  /// How far past its budget a tier may grow before Submit sheds.
+  static constexpr double kBudgetShedFactor = 2.0;
+
   explicit ServeService(ServeOptions options = {});
   ~ServeService();
 
@@ -106,7 +110,8 @@ class ServeService {
   SchedulerStats scheduler_stats() const { return scheduler_->stats(); }
 
   /// This service's serve.* metrics (RequestScheduler::metrics()); the
-  /// METRICS wire op exposes them after the process-global registry.
+  /// METRICS wire op exposes them, then store().metrics() and
+  /// cache().metrics(), after the process-global registry.
   obs::MetricsRegistry& metrics() { return scheduler_->metrics(); }
 
   /// How many requests ran a propagation build (serve.evalctx.builds):

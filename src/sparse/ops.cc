@@ -477,27 +477,18 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
 std::vector<float> PprScores(const CsrMatrix& a,
                              const std::vector<float>& teleport, float alpha,
                              int max_iters, float tol,
-                             exec::ExecContext* ctx, bool symmetric) {
+                             exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.rows() == a.cols());
   FREEHGC_CHECK(static_cast<int32_t>(teleport.size()) == a.rows());
   FREEHGC_TRACE_SPAN("ppr");
   static obs::Counter& iters_ctr =
       obs::MetricsRegistry::Global().GetCounter("ppr.iterations");
   exec::ExecContext& ex = exec::Resolve(ctx);
-  // A^T pi as a row-parallel gather over the materialized transpose: the
-  // per-element accumulation order (ascending source row) matches the
-  // sequential column-scatter exactly, so the refactor is bit-preserving.
-  // A bit-exactly symmetric input (caller-asserted) needs no transpose at
-  // all — a^T == a including value order, so iterating over `a` itself
-  // produces the same bits without the transposed copy.
-  const CsrMatrix at_owned =
-      symmetric ? CsrMatrix() : Transpose(a, &ex);
-  const CsrMatrix& at = symmetric ? a : at_owned;
   std::vector<float> pi = teleport;
   std::vector<float> next_pi(pi.size());  // swapped with pi every iteration
   for (int it = 0; it < max_iters; ++it) {
-    // pi_next = alpha * teleport + (1 - alpha) * A^T pi, one pass per
-    // iteration: each chunk gathers its rows of A^T pi, forms pi_next in
+    // pi_next = alpha * teleport + (1 - alpha) * A pi, one pass per
+    // iteration: each chunk gathers its rows of A pi, forms pi_next in
     // the second buffer and returns its partial L1 delta. The chunk
     // layout is the delta's kAxpyGrain layout, so the ordered fold (and
     // with it the iteration count) is unchanged.
@@ -507,8 +498,8 @@ std::vector<float> PprScores(const CsrMatrix& a,
         [&](int64_t begin, int64_t end, exec::Workspace&) {
           double d = 0.0;
           for (int64_t i = begin; i < end; ++i) {
-            auto idx = at.RowIndices(static_cast<int32_t>(i));
-            auto val = at.RowValues(static_cast<int32_t>(i));
+            auto idx = a.RowIndices(static_cast<int32_t>(i));
+            auto val = a.RowValues(static_cast<int32_t>(i));
             float propagated = 0.0f;
             for (size_t k = 0; k < idx.size(); ++k) {
               propagated += val[k] * pi[static_cast<size_t>(idx[k])];

@@ -84,28 +84,24 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
                     const std::vector<int32_t>& col_keep);
 
 /// Personalized PageRank score vector via power iteration:
-///   pi <- alpha * teleport + (1 - alpha) * A^T pi
+///   pi <- alpha * teleport + (1 - alpha) * A pi
 /// where `a` should be (sym-)normalized and `teleport` sums to 1.
 /// Terminates after `max_iters` or when the L1 change drops below `tol`.
-/// The result approximates the column mass of the PPR matrix
+/// For a bit-exactly symmetric `a` (structure and values — e.g. a
+/// SymNormalize'd bipartite block, whose mirror entries multiply the same
+/// value by the same single-rounded inv_sqrt product), A pi == A^T pi bit
+/// for bit, and the result approximates the column mass of the PPR matrix
 /// alpha (I - (1-alpha) A)^-1 restricted to the teleport distribution,
 /// which is exactly the aggregate neighbor-influence score of Eq. (13).
+/// reference::PprScoresRef is the A^T oracle for any `a`.
 ///
-/// Internally materializes a^T once so each iteration is one row-parallel
-/// pass: every chunk gathers its rows of a^T pi, forms the next iterate
-/// in a second buffer and returns its partial L1 delta, which an ordered
-/// chunk reduction folds. Callers whose matrix is bit-exactly symmetric
-/// (structure and values — e.g. a SymNormalize'd bipartite block, whose
-/// mirror entries multiply the same value by the same single-rounded
-/// inv_sqrt product) may pass `symmetric = true` to skip the transpose
-/// entirely: a^T == a bit-for-bit, so the iterates are unchanged while
-/// the peak transient drops by the transposed copy plus its histogram
-/// scratch.
+/// Each iteration is one row-parallel pass over `a`: every chunk gathers
+/// its rows of A pi, forms the next iterate in a second buffer and
+/// returns its partial L1 delta, which an ordered chunk reduction folds.
 std::vector<float> PprScores(const CsrMatrix& a,
                              const std::vector<float>& teleport, float alpha,
                              int max_iters = 50, float tol = 1e-6f,
-                             exec::ExecContext* ctx = nullptr,
-                             bool symmetric = false);
+                             exec::ExecContext* ctx = nullptr);
 
 }  // namespace freehgc::sparse
 

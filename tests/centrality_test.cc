@@ -4,6 +4,7 @@
 
 #include "sparse/centrality.h"
 #include "sparse/ops.h"
+#include "sparse/reference.h"
 
 namespace freehgc::sparse {
 namespace {
@@ -37,7 +38,8 @@ CsrMatrix Path() {
 TEST(PprPushTest, MatchesPowerIterationOnSmallGraph) {
   const CsrMatrix a = sparse::RowNormalize(Path());
   std::vector<float> dense_teleport = {1.0f, 0, 0, 0, 0};
-  const auto exact = PprScores(a, dense_teleport, 0.2f, 200, 1e-8f);
+  const auto exact =
+      reference::PprScoresRef(a, dense_teleport, 0.2f, 200, 1e-8f);
   const auto push = PprPush(a, {{0, 1.0f}}, 0.2f, /*epsilon=*/1e-7f);
   for (size_t i = 0; i < exact.size(); ++i) {
     EXPECT_NEAR(push[i], exact[i], 5e-3f) << "node " << i;

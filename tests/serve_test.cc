@@ -20,6 +20,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
 #include "common/string_util.h"
@@ -995,6 +996,61 @@ TEST(ServeServiceTest, StoreBudgetEvictsServedGraphsInsteadOfShedding) {
   ::rmdir(spool.c_str());
 }
 
+// Spill-aware admission: once mapped graphs the store cannot evict (their
+// GraphRefs are held) sit past kBudgetShedFactor times the store budget,
+// Submit sheds with kResourceExhausted and counts serve.shed.budget.
+TEST(ServeServiceTest, StoreBudgetPressureShedsSubmissions) {
+  std::vector<std::string> paths;
+  size_t largest = 0;
+  for (uint64_t seed = 1; seed <= 3; ++seed) {
+    const HeteroGraph g = datasets::MakeToy(seed);
+    paths.push_back(StrFormat("%s/freehgc_test_shed_%d_%d.fhgc",
+                              testing::TempDir().c_str(),
+                              static_cast<int>(::getpid()),
+                              static_cast<int>(seed)));
+    ASSERT_TRUE(SaveHeteroGraphV3(g, paths.back()).ok());
+    largest = std::max(largest, g.MemoryBytes());
+  }
+  ServeOptions opts = SmallServeOptions(1);
+  opts.store_resident_budget_bytes = largest;
+  ServeService service(opts);
+
+  std::vector<GraphStore::GraphRef> held;
+  auto register_and_hold = [&](size_t i) {
+    const std::string name = StrFormat("g%d", static_cast<int>(i));
+    ASSERT_TRUE(service.store().RegisterMappedFile(name, paths[i]).ok());
+    auto ref = service.store().Get(name);
+    ASSERT_TRUE(ref.ok()) << ref.status().ToString();
+    held.push_back(*ref);
+  };
+  CondenseRequest req = ToyRequest(1);
+  req.graph = "g0";
+  req.return_graph = false;
+
+  // Two graphs fit inside 2x the budget: admitted.
+  register_and_hold(0);
+  register_and_hold(1);
+  ASSERT_LE(service.store().MappedResidentBytes(),
+            static_cast<size_t>(ServeService::kBudgetShedFactor *
+                                static_cast<double>(largest)));
+  ASSERT_TRUE(service.Condense(req).ok());
+
+  // The third pushes the pinned set past 2x the budget: shed.
+  register_and_hold(2);
+  ASSERT_GT(service.store().MappedResidentBytes(),
+            static_cast<size_t>(ServeService::kBudgetShedFactor *
+                                static_cast<double>(largest)));
+  EXPECT_EQ(service.store().Evictions(), 0);
+  auto shed = service.Submit(req);
+  ASSERT_FALSE(shed.ok());
+  EXPECT_EQ(shed.status().code(), StatusCode::kResourceExhausted);
+  EXPECT_EQ(service.scheduler_stats().shed_budget, 1);
+
+  service.Shutdown();
+  held.clear();
+  for (const std::string& path : paths) std::remove(path.c_str());
+}
+
 // ---------------------------------------------------------------------------
 // Wire codecs.
 
@@ -1406,9 +1462,12 @@ TEST(ServerTest, HelloNegotiationFetchGraphAndClusterOpRejection) {
 }
 
 
-// Two servers in one process each export only their own serve.*
-// counters, and the METRICS text (process-global registry followed by the
-// service's) declares every metric family exactly once.
+// Two servers in one process each export only their own numbers — the
+// scheduler's serve.*, the store's serve.store.* / store.* and the
+// cache's pipeline.cache.* — and the METRICS text (process-global
+// registry followed by the service's) declares every metric family
+// exactly once. The servers carry different loads: one graph and one
+// condense on the first, two of each on the second.
 TEST(ServerTest, MetricsArePerServerAndEachFamilyIsTypedOnce) {
   ServerOptions options;
   options.serve = SmallServeOptions(1);
@@ -1423,20 +1482,36 @@ TEST(ServerTest, MetricsArePerServerAndEachFamilyIsTypedOnce) {
   ASSERT_TRUE(c2.Connect(second.port()).ok());
   ASSERT_TRUE(c1.RegisterGenerator("toy", "toy", 5, 0.0).ok());
   ASSERT_TRUE(c2.RegisterGenerator("toy", "toy", 5, 0.0).ok());
+  ASSERT_TRUE(c2.RegisterGenerator("toy6", "toy", 6, 0.0).ok());
   ASSERT_TRUE(c1.Condense(ToyRequest(1)).ok());
   ASSERT_TRUE(c2.Condense(ToyRequest(1)).ok());
-  ASSERT_TRUE(c2.Condense(ToyRequest(2)).ok());
+  CondenseRequest other = ToyRequest(2);
+  other.graph = "toy6";
+  ASSERT_TRUE(c2.Condense(other).ok());
 
-  const std::pair<ServeClient*, double> expected[] = {{&c1, 1.0},
-                                                      {&c2, 2.0}};
-  for (const auto& [client, want] : expected) {
+  const std::tuple<ServeClient*, Server*, double> expected[] = {
+      {&c1, &first, 1.0}, {&c2, &second, 2.0}};
+  for (const auto& [client, server, want] : expected) {
     auto metrics = client->Metrics();
     ASSERT_TRUE(metrics.ok()) << metrics.status().ToString();
-    double completed = -1.0;
-    ASSERT_TRUE(obs::FindPromValue(obs::ParsePrometheusText(*metrics),
-                                   "freehgc_serve_requests_completed_total",
-                                   &completed));
-    EXPECT_EQ(completed, want);
+    const std::vector<obs::PromSample> samples =
+        obs::ParsePrometheusText(*metrics);
+    auto value = [&samples](const char* name) {
+      double v = -1.0;
+      EXPECT_TRUE(obs::FindPromValue(samples, name, &v)) << name;
+      return v;
+    };
+    EXPECT_EQ(value("freehgc_serve_requests_completed_total"), want);
+    ServeService& service = server->service();
+    const pipeline::ArtifactCache::Stats cache = service.cache().stats();
+    EXPECT_EQ(value("freehgc_serve_store_graphs"), want);
+    EXPECT_EQ(value("freehgc_serve_store_graphs"),
+              static_cast<double>(service.store().Count()));
+    EXPECT_GT(cache.misses, 0);
+    EXPECT_EQ(value("freehgc_pipeline_cache_misses_total"),
+              static_cast<double>(cache.misses));
+    EXPECT_EQ(value("freehgc_pipeline_cache_bytes"),
+              static_cast<double>(cache.bytes));
     std::set<std::string> typed;
     std::istringstream lines(*metrics);
     for (std::string line; std::getline(lines, line);) {
@@ -1446,6 +1521,8 @@ TEST(ServerTest, MetricsArePerServerAndEachFamilyIsTypedOnce) {
     }
     EXPECT_TRUE(typed.count("freehgc_serve_evalctx_builds_total"));
     EXPECT_TRUE(typed.count("freehgc_serve_store_graphs"));
+    // Registered at construction, so present before the first hit.
+    EXPECT_TRUE(typed.count("freehgc_pipeline_cache_hits_total"));
   }
   ASSERT_TRUE(c1.Shutdown().ok());
   ASSERT_TRUE(c2.Shutdown().ok());

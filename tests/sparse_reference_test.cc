@@ -321,9 +321,11 @@ TEST(SparseReferenceTest, PprScoresMatchesReference) {
   // optimized kernel's chunked double reduction associates the L1 delta
   // differently from the reference's sequential fold, so a nonzero tol
   // could stop them on different iterations even though every pi update
-  // is bit-identical.
-  const CsrMatrix a =
-      sparse::reference::SymNormalizeRef(PowerLawSparse(250, 250, 29));
+  // is bit-identical. The input is bit-exactly symmetric, as NIM builds
+  // it, so PprScores' A pi equals the reference's A^T pi bit for bit.
+  const CsrMatrix a = sparse::SymNormalize(
+      sparse::BipartiteBlock(PowerLawSparse(150, 100, 29)));
+  ASSERT_EQ(a.rows(), 250);
   std::vector<float> teleport(250, 1.0f / 250.0f);
   const std::vector<float> want =
       sparse::reference::PprScoresRef(a, teleport, 0.15f, 20, 0.0f);

@@ -209,12 +209,14 @@ TEST(SparseOpsTest, SubmatrixRemapsIndices) {
 
 TEST(PprTest, ConservesProbabilityMass) {
   // Symmetric normalized chain graph is substochastic; use a row-stochastic
-  // matrix to check mass conservation.
+  // matrix to check mass conservation. PprScores iterates A pi, so it gets
+  // the column-stochastic transpose.
   CsrMatrix a = FromCooOrDie(
       3, 3,
       {{0, 1, 1.0f}, {1, 0, 0.5f}, {1, 2, 0.5f}, {2, 1, 1.0f}});
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f};
-  const auto pi = sparse::PprScores(a, teleport, 0.15f, 100, 1e-9f);
+  const auto pi =
+      sparse::PprScores(sparse::Transpose(a), teleport, 0.15f, 100, 1e-9f);
   float sum = 0.0f;
   for (float x : pi) sum += x;
   EXPECT_NEAR(sum, 1.0f, 1e-3f);
