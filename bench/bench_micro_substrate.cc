@@ -84,19 +84,19 @@ BENCHMARK(BM_SpGemmColdWorkspace);
 
 void BM_PersonalizedPageRank(benchmark::State& state) {
   const HeteroGraph& g = ToyGraph();
-  // Co-citation a * a^T: square, and bit-exactly symmetric (entry (i, j)
-  // and (j, i) sum the same products in the same ascending-k order).
+  // NIM's operand: the sym-normalized bipartite block of a relation, with
+  // teleport mass on its first 10 source rows.
   const CsrMatrix& cites = g.relation(0).adj;
-  const CsrMatrix sym = sparse::SymNormalize(
-      sparse::SpGemm(cites, sparse::Transpose(cites)));
-  std::vector<float> teleport(static_cast<size_t>(sym.rows()), 0.0f);
+  const CsrMatrix block =
+      sparse::SymNormalize(sparse::BipartiteBlock(cites));
+  std::vector<float> teleport(static_cast<size_t>(block.rows()), 0.0f);
   for (int i = 0; i < 10; ++i) teleport[static_cast<size_t>(i)] = 0.1f;
   const int threads = static_cast<int>(state.range(1));
   exec::ExecContext ex(threads);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        sparse::PprScores(sym, teleport, 0.15f,
-                          static_cast<int>(state.range(0)), 1e-6f, &ex));
+        sparse::PprScores(block, cites.rows(), teleport, 0.15f,
+                          static_cast<int>(state.range(0)), &ex));
   }
   state.counters["threads"] = threads;
 }

@@ -68,11 +68,6 @@ void ShardAgent::Stop() {
   if (thread_.joinable()) thread_.join();
 }
 
-int64_t ShardAgent::heartbeats() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  return heartbeats_;
-}
-
 void ShardAgent::Loop() {
   auto& sent = obs::MetricsRegistry::Global()
                    .GetCounter("cluster.shard.heartbeats");
@@ -94,8 +89,6 @@ void ShardAgent::Loop() {
     auto version = meta_.Heartbeat(HeartbeatBody());
     if (version.ok()) {
       sent.Increment();
-      std::lock_guard<std::mutex> lock(mu_);
-      ++heartbeats_;
       continue;
     }
     if (version.status().code() == StatusCode::kNotFound) {

@@ -47,9 +47,6 @@ class ShardAgent {
   /// TTL declares the shard dead, which is exactly the failover path).
   void Stop();
 
-  /// Heartbeats successfully delivered (tests poll this).
-  int64_t heartbeats() const;
-
  private:
   void Loop();
   /// Builds the current announcement from the service's store/scheduler.
@@ -64,7 +61,6 @@ class ShardAgent {
   mutable std::mutex mu_;
   std::condition_variable stop_cv_;
   bool stop_ = false;
-  int64_t heartbeats_ = 0;
   std::thread thread_;
 };
 

@@ -70,12 +70,13 @@ std::vector<int32_t> CondenseFatherType(
         // The bipartite block is bit-exactly symmetric: BipartiteBlock
         // mirrors each entry with the same value, and SymNormalize scales
         // mirror entries by the same single-rounded inv_sqrt product. So
-        // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy.
-        const std::vector<float> pi = sparse::PprScores(
-            block, teleport, opts.alpha, opts.max_iters, 1e-6f, &ex);
+        // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy;
+        // it iterates only the half chain that feeds the father rows.
+        const std::vector<float> father_pi = sparse::PprScores(
+            block, nt, teleport, opts.alpha, opts.max_iters, &ex);
         for (int32_t j = 0; j < ns; ++j) {
           influence[static_cast<size_t>(j)] +=
-              static_cast<double>(pi[static_cast<size_t>(nt + j)]);
+              static_cast<double>(father_pi[static_cast<size_t>(j)]);
         }
         break;
       }

@@ -34,7 +34,7 @@ struct NimOptions {
   NimScorer scorer = NimScorer::kPprPowerIteration;
   /// PPR restart probability (alpha in Eq. 11).
   float alpha = 0.15f;
-  /// Power-iteration budget for the PPR approximation.
+  /// Power iterations of the PPR approximation; all of them always run.
   int max_iters = 30;
   /// Residual threshold for the push-based approximation.
   float push_epsilon = 1e-4f;

@@ -185,20 +185,34 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
     group_of_end[paths[i].end_type()].push_back(i);
   }
 
-  // Per-path per-node diversity 1 - J_hat (Eq. 7); zero when disabled or
-  // the path is alone in its group.
+  // Per-path per-node diversity 1 - J_hat (Eq. 7), on the pool nodes the
+  // greedy reads: 1 when the path is alone in its group. It depends only
+  // on the graph and the group, so a cache keeps it across requests.
   std::vector<std::vector<float>> diversity(paths.size());
   if (opts.use_jaccard) {
     for (const auto& [end, members] : group_of_end) {
-      std::vector<const CsrMatrix*> group;
-      for (size_t i : members) group.push_back(composed[i]);
-      const auto jac = PerPathJaccard(group, &ex);
+      if (members.size() == 1) {
+        diversity[members[0]].assign(static_cast<size_t>(n_target), 1.0f);
+        continue;
+      }
+      std::shared_ptr<const CsrMatrix> div_pin;
+      if (cache != nullptr) {
+        std::vector<MetaPath> group;
+        for (size_t i : members) group.push_back(paths[i]);
+        div_pin = cache->Diversity(g, group, max_row_nnz, &ex, rows);
+      } else {
+        std::vector<const CsrMatrix*> group;
+        for (size_t i : members) group.push_back(composed[i]);
+        div_pin = std::make_shared<const CsrMatrix>(
+            PathDiversity(g, group, &ex));
+      }
       for (size_t gi = 0; gi < members.size(); ++gi) {
         auto& div = diversity[members[gi]];
-        div.resize(static_cast<size_t>(n_target));
-        for (int32_t v = 0; v < n_target; ++v) {
-          div[static_cast<size_t>(v)] =
-              1.0f - jac[gi][static_cast<size_t>(v)];
+        div.assign(static_cast<size_t>(n_target), 0.0f);
+        const auto idx = div_pin->RowIndices(static_cast<int32_t>(gi));
+        const auto val = div_pin->RowValues(static_cast<int32_t>(gi));
+        for (size_t k = 0; k < idx.size(); ++k) {
+          div[static_cast<size_t>(idx[k])] = val[k];
         }
       }
     }

@@ -61,8 +61,9 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 /// Path composition, the Jaccard diversity term, and the initial greedy
 /// gain pass run on `ctx`; the lazy-greedy loop itself is sequential (its
 /// order is the algorithm). Bit-identical for every thread count.
-/// `cache`, when non-null, memoizes the composed path adjacencies (they
-/// are seed/ratio-independent, so sweeps share them across cells).
+/// `cache`, when non-null, memoizes the composed path adjacencies and
+/// each end-type group's Jaccard diversity (both are seed- and
+/// ratio-independent, so sweeps and warm requests share them).
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,

@@ -131,6 +131,18 @@ std::shared_ptr<const CsrMatrix> ComposedAdjacency(
       rows == RowSet::kTrain ? &g.train_index() : nullptr));
 }
 
+std::shared_ptr<const CsrMatrix> AdjacencyCache::Diversity(
+    const HeteroGraph& g, const std::vector<MetaPath>& group,
+    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) {
+  std::vector<std::shared_ptr<const CsrMatrix>> pins;
+  std::vector<const CsrMatrix*> composed;
+  for (const MetaPath& p : group) {
+    pins.push_back(ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows));
+    composed.push_back(pins.back().get());
+  }
+  return std::make_shared<const CsrMatrix>(PathDiversity(g, composed, ctx));
+}
+
 namespace {
 
 /// |A ∩ B| / |A ∪ B| from the set sizes; two empty sets score 1 (the
@@ -233,6 +245,34 @@ std::vector<std::vector<float>> PerPathJaccard(
         }
       });
   return out;
+}
+
+CsrMatrix PathDiversity(const HeteroGraph& g,
+                        const std::vector<const CsrMatrix*>& group,
+                        exec::ExecContext* ctx) {
+  const std::vector<std::vector<float>> jac = PerPathJaccard(group, ctx);
+  std::vector<int32_t> pool = g.train_index();
+  std::sort(pool.begin(), pool.end());
+  pool.erase(std::unique(pool.begin(), pool.end()), pool.end());
+  const size_t l = group.size();
+  std::vector<int64_t> indptr(l + 1);
+  std::vector<int32_t> indices;
+  std::vector<float> values;
+  indices.reserve(l * pool.size());
+  values.reserve(l * pool.size());
+  for (size_t i = 0; i < l; ++i) {
+    indptr[i] = static_cast<int64_t>(indices.size());
+    for (int32_t v : pool) {
+      indices.push_back(v);
+      values.push_back(1.0f - jac[i][static_cast<size_t>(v)]);
+    }
+  }
+  indptr[l] = static_cast<int64_t>(indices.size());
+  auto m = CsrMatrix::FromParts(static_cast<int32_t>(l), group[0]->rows(),
+                                std::move(indptr), std::move(indices),
+                                std::move(values));
+  FREEHGC_CHECK(m.ok()) << m.status().message();
+  return std::move(m).value();
 }
 
 namespace reference {

@@ -98,6 +98,16 @@ class AdjacencyCache {
       const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
       exec::ExecContext* ctx, RowSet rows) = 0;
 
+  /// A pin of the per-path diversity of `group` (paths sharing start and
+  /// end types, each composed at `max_row_nnz` restricted to `rows`):
+  /// PathDiversity of their composed adjacencies. It depends only on the
+  /// graph and the group, never on a ratio or seed, so a cache keeps one
+  /// entry per group. This default composes the group uncached and
+  /// computes it afresh.
+  virtual std::shared_ptr<const CsrMatrix> Diversity(
+      const HeteroGraph& g, const std::vector<MetaPath>& group,
+      int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows);
+
   /// The full product: Composed(g, p, max_row_nnz, ctx, RowSet::kAll).
   std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
                                             const MetaPath& p,
@@ -130,6 +140,16 @@ std::shared_ptr<const CsrMatrix> ComposedAdjacency(
 std::vector<std::vector<float>> PerPathJaccard(
     const std::vector<const CsrMatrix*>& paths,
     exec::ExecContext* ctx = nullptr);
+
+/// Per-path diversity 1 - J_hat (Eq. 7) on the train pool: row i holds
+/// 1 - PerPathJaccard(group)[i][v] for every v in g.train_index(), one
+/// entry per pool node in ascending node order (stored even when it is
+/// 0). Target selection reads diversity only on pool nodes, so this is
+/// all of Eq. 7 it needs. `group` holds the composed adjacencies of
+/// paths from the target type.
+CsrMatrix PathDiversity(const HeteroGraph& g,
+                        const std::vector<const CsrMatrix*>& group,
+                        exec::ExecContext* ctx = nullptr);
 
 /// Jaccard similarity of two sorted index sets.
 float JaccardOfSortedSets(std::span<const int32_t> a,

@@ -20,6 +20,9 @@ namespace {
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 constexpr uint64_t kFnvPrime = 1099511628211ULL;
+/// Mixed into a path group's signature to key its diversity entry apart
+/// from every adjacency in the same map.
+constexpr uint64_t kDiversityDomain = 0x64697665727369ULL;  // "diversi"
 
 uint64_t Mix(uint64_t h, uint64_t v) {
   for (int i = 0; i < 8; ++i) {
@@ -49,6 +52,12 @@ size_t OwnedBytes(const hgnn::PropagatedFeatures& f) {
   size_t bytes = 0;
   for (const auto& b : f.blocks) bytes += b.OwnedBytes();
   return bytes;
+}
+
+/// Restores a spilled adjacency or diversity entry as a mapped view.
+Result<std::shared_ptr<const CsrMatrix>> MapCsrEntry(const std::string& path) {
+  FREEHGC_ASSIGN_OR_RETURN(CsrMatrix m, section_io::MapCsrSpill(path));
+  return std::make_shared<const CsrMatrix>(std::move(m));
 }
 
 std::string HexKeyPath(const std::string& dir, const char* prefix,
@@ -207,15 +216,33 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
     exec::ExecContext* ctx, RowSet rows) {
   const AdjKey key{FingerprintOf(g), PathSignature(p), max_row_nnz, rows};
   return GetOrLoad(
-      adjacencies_, key,
-      [](const std::string& path)
-          -> Result<std::shared_ptr<const CsrMatrix>> {
-        FREEHGC_ASSIGN_OR_RETURN(CsrMatrix m, section_io::MapCsrSpill(path));
-        return std::make_shared<const CsrMatrix>(std::move(m));
-      },
+      adjacencies_, key, MapCsrEntry,
       [&] {
         Built<CsrMatrix> out;
         out.value = ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows);
+        return out;
+      },
+      nullptr);
+}
+
+std::shared_ptr<const CsrMatrix> ArtifactCache::Diversity(
+    const HeteroGraph& g, const std::vector<MetaPath>& group,
+    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) {
+  const AdjKey key{FingerprintOf(g),
+                   Mix(PathListSignature(group), kDiversityDomain),
+                   max_row_nnz, rows};
+  return GetOrLoad(
+      adjacencies_, key, MapCsrEntry,
+      [&] {
+        std::vector<std::shared_ptr<const CsrMatrix>> pins;
+        std::vector<const CsrMatrix*> composed;
+        for (const MetaPath& p : group) {
+          pins.push_back(Composed(g, p, max_row_nnz, ctx, rows));
+          composed.push_back(pins.back().get());
+        }
+        Built<CsrMatrix> out;
+        out.value = std::make_shared<const CsrMatrix>(
+            PathDiversity(g, composed, ctx));
         return out;
       },
       nullptr);

@@ -23,15 +23,18 @@ namespace freehgc::pipeline {
 /// Tiered cache of the deterministic, seed/ratio-independent artifacts a
 /// sweep (or a serving process) recomputes per cell today: composed
 /// meta-path adjacencies (the dominant SpGEMM cost of condensation),
-/// whole-graph pre-propagated feature blocks, and whole-graph training
-/// baselines.
+/// each path group's Jaccard diversity (Eq. 7), whole-graph
+/// pre-propagated feature blocks, and whole-graph training baselines.
 ///
 /// Keying: every entry is keyed by the graph's 64-bit ContentFingerprint
 /// plus the computation's parameters (path signature + max_row_nnz + row
-/// set for adjacencies; path-list signature + max_row_nnz for
-/// propagation, whose blocks do not depend on the budget; HgnnConfig
-/// signature for baselines). A changed graph changes its fingerprint, so stale
-/// entries are unreachable rather than invalidated. Determinism
+/// set for adjacencies; the group's path-list signature, tagged so it
+/// never equals a path signature, + max_row_nnz + row set for
+/// diversities, which live in the adjacency map as CsrMatrix entries;
+/// path-list signature + max_row_nnz for propagation, whose blocks do
+/// not depend on the budget; HgnnConfig signature for baselines). A
+/// changed graph changes its fingerprint, so stale entries are
+/// unreachable rather than invalidated. Determinism
 /// invariant: every cached value is the exact output of a deterministic
 /// computation, so cached and uncached runs are bit-identical
 /// (tests/pipeline_test.cc) — and so are spilled-and-restored runs
@@ -50,15 +53,15 @@ namespace freehgc::pipeline {
 /// is spooled to disk as it is computed, so the whole PropagatedFeatures
 /// never materializes on the heap at once.
 ///
-/// Single flight: Composed and Propagated run one computation (or spill
-/// restore) per key at a time. Concurrent callers of a key that is being
-/// loaded wait for it and count as hits, so two requests that arrive
-/// together on a cold graph compose or propagate it once.
+/// Single flight: Composed, Diversity and Propagated run one computation
+/// (or spill restore) per key at a time. Concurrent callers of a key that
+/// is being loaded wait for it and count as hits, so two requests that
+/// arrive together on a cold graph compose or propagate it once.
 ///
-/// Pinning: Composed/Propagated return shared_ptr pins. A pinned entry
-/// (use_count > 1) is never spilled; eviction considers it once every
-/// outside pin is released. Callers hold the pin across every use of the
-/// value and drop it when done (see metapath::AdjacencyCache).
+/// Pinning: Composed/Diversity/Propagated return shared_ptr pins. A
+/// pinned entry (use_count > 1) is never spilled; eviction considers it
+/// once every outside pin is released. Callers hold the pin across every
+/// use of the value and drop it when done (see metapath::AdjacencyCache).
 ///
 /// Thread-safe. The cache's own registry (metrics()) is the only store of
 /// its numbers: the pipeline.cache.{hits,misses,spills,restores,
@@ -75,8 +78,8 @@ class ArtifactCache final : public AdjacencyCache {
   /// the default (SIZE_MAX) it never evicts but may still restore
   /// entries spilled under an earlier, tighter budget.
   struct SpillOptions {
-    /// Heap bytes the evictable tiers (adjacencies + propagated
-    /// features) may keep resident. SIZE_MAX = unlimited.
+    /// Heap bytes the evictable tiers (adjacencies, diversities and
+    /// propagated features) may keep resident. SIZE_MAX = unlimited.
     size_t resident_bytes_budget = SIZE_MAX;
     /// Directory for spool files; created if missing. Must be non-empty.
     std::string spill_dir;
@@ -97,6 +100,11 @@ class ArtifactCache final : public AdjacencyCache {
                                             int64_t max_row_nnz,
                                             exec::ExecContext* ctx,
                                             RowSet rows) override;
+  /// A miss composes the group through Composed (hits once target
+  /// selection has pinned its paths) and runs PathDiversity on them.
+  std::shared_ptr<const CsrMatrix> Diversity(
+      const HeteroGraph& g, const std::vector<MetaPath>& group,
+      int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) override;
 
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz),
   /// the blocks of every cached EvalContext: pipeline::BuildEvalContext
@@ -158,7 +166,7 @@ class ArtifactCache final : public AdjacencyCache {
   void Clear();
 
  private:
-  /// (graph fp, path signature, max_row_nnz, row set).
+  /// (graph fp, path or tagged group signature, max_row_nnz, row set).
   using AdjKey = std::tuple<uint64_t, uint64_t, int64_t, RowSet>;
   /// (graph fp, path-list signature, max_row_nnz).
   using PropKey = std::tuple<uint64_t, uint64_t, int64_t>;
@@ -203,10 +211,10 @@ class ArtifactCache final : public AdjacencyCache {
     size_t owned_bytes = 0;
   };
 
-  /// The single-flight lookup behind Composed and Propagated: a resident
-  /// entry is a hit; otherwise this caller restores the spilled copy
-  /// (`restore(path)`, a hit) or runs `build()` (a miss), outside the
-  /// lock, while concurrent callers of `key` wait for it. `built`
+  /// The single-flight lookup behind Composed, Diversity and Propagated:
+  /// a resident entry is a hit; otherwise this caller restores the
+  /// spilled copy (`restore(path)`, a hit) or runs `build()` (a miss),
+  /// outside the lock, while concurrent callers of `key` wait for it. `built`
   /// (optional) reports whether this call ran `build`.
   template <typename T, typename Key, typename Restore, typename Build>
   std::shared_ptr<const T> GetOrLoad(std::map<Key, Entry<T>>& entries,

@@ -10,8 +10,9 @@
 namespace freehgc::sparse {
 
 /// Push-based approximate Personalized PageRank (Andersen-Chung-Lang
-/// forward push). Equivalent to reference::PprScoresRef (and, for a
-/// symmetric `a`, PprScores) up to the residual threshold `epsilon`, but
+/// forward push). Equivalent to reference::PprScoresRef (and, on the
+/// father half of a symmetric bipartite block, PprScores) up to the
+/// residual threshold `epsilon`, but
 /// touches only the neighbourhood where mass actually
 /// flows — the O(E / epsilon) technique the paper invokes for scaling
 /// neighbor influence maximization to large HINs (Section IV-C).

@@ -474,48 +474,51 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
   return std::move(res).value();
 }
 
-std::vector<float> PprScores(const CsrMatrix& a,
+std::vector<float> PprScores(const CsrMatrix& block, int32_t split,
                              const std::vector<float>& teleport, float alpha,
-                             int max_iters, float tol,
-                             exec::ExecContext* ctx) {
-  FREEHGC_CHECK(a.rows() == a.cols());
-  FREEHGC_CHECK(static_cast<int32_t>(teleport.size()) == a.rows());
+                             int max_iters, exec::ExecContext* ctx) {
+  const int32_t n = block.rows();
+  FREEHGC_CHECK(block.cols() == n);
+  FREEHGC_CHECK(split >= 0 && split <= n);
+  FREEHGC_CHECK(static_cast<int32_t>(teleport.size()) == n);
+  // Bipartite layout, from each row's first and last (sorted) column: no
+  // computed row may read the half it is written into.
+  for (int32_t r = 0; r < n; ++r) {
+    const auto idx = block.RowIndices(r);
+    if (idx.empty()) continue;
+    FREEHGC_CHECK(r < split ? idx.front() >= split : idx.back() < split)
+        << "PprScores: row " << r << " has an entry inside its half (split "
+        << split << ")";
+  }
   FREEHGC_TRACE_SPAN("ppr");
   static obs::Counter& iters_ctr =
       obs::MetricsRegistry::Global().GetCounter("ppr.iterations");
   exec::ExecContext& ex = exec::Resolve(ctx);
   std::vector<float> pi = teleport;
-  std::vector<float> next_pi(pi.size());  // swapped with pi every iteration
   for (int it = 0; it < max_iters; ++it) {
-    // pi_next = alpha * teleport + (1 - alpha) * A pi, one pass per
-    // iteration: each chunk gathers its rows of A pi, forms pi_next in
-    // the second buffer and returns its partial L1 delta. The chunk
-    // layout is the delta's kAxpyGrain layout, so the ordered fold (and
-    // with it the iteration count) is unchanged.
+    // The last step computes the father rows [split, n); going back, the
+    // steps alternate with the target rows [0, split).
+    const bool father = (max_iters - 1 - it) % 2 == 0;
+    const int64_t begin_row = father ? split : 0;
+    const int64_t end_row = father ? n : split;
     iters_ctr.Increment();
-    const double delta = ex.ParallelReduce(
-        static_cast<int64_t>(pi.size()), kAxpyGrain, 0.0,
+    ex.ParallelFor(
+        end_row - begin_row, kRowScaleGrain,
         [&](int64_t begin, int64_t end, exec::Workspace&) {
-          double d = 0.0;
-          for (int64_t i = begin; i < end; ++i) {
-            auto idx = a.RowIndices(static_cast<int32_t>(i));
-            auto val = a.RowValues(static_cast<int32_t>(i));
+          for (int64_t i = begin_row + begin; i < begin_row + end; ++i) {
+            auto idx = block.RowIndices(static_cast<int32_t>(i));
+            auto val = block.RowValues(static_cast<int32_t>(i));
             float propagated = 0.0f;
             for (size_t k = 0; k < idx.size(); ++k) {
               propagated += val[k] * pi[static_cast<size_t>(idx[k])];
             }
-            const float next = alpha * teleport[static_cast<size_t>(i)] +
-                               (1.0f - alpha) * propagated;
-            d += std::fabs(next - pi[static_cast<size_t>(i)]);
-            next_pi[static_cast<size_t>(i)] = next;
+            pi[static_cast<size_t>(i)] =
+                alpha * teleport[static_cast<size_t>(i)] +
+                (1.0f - alpha) * propagated;
           }
-          return d;
-        },
-        [](double acc, double part) { return acc + part; });
-    pi.swap(next_pi);
-    if (delta < static_cast<double>(tol)) break;
+        });
   }
-  return pi;
+  return std::vector<float>(pi.begin() + split, pi.end());
 }
 
 }  // namespace freehgc::sparse

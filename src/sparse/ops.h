@@ -83,25 +83,29 @@ std::vector<float> SpMv(const CsrMatrix& a, const std::vector<float>& x,
 CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
                     const std::vector<int32_t>& col_keep);
 
-/// Personalized PageRank score vector via power iteration:
+/// Personalized PageRank on a bipartite block, by power iteration:
 ///   pi <- alpha * teleport + (1 - alpha) * A pi
-/// where `a` should be (sym-)normalized and `teleport` sums to 1.
-/// Terminates after `max_iters` or when the L1 change drops below `tol`.
-/// For a bit-exactly symmetric `a` (structure and values — e.g. a
-/// SymNormalize'd bipartite block, whose mirror entries multiply the same
-/// value by the same single-rounded inv_sqrt product), A pi == A^T pi bit
-/// for bit, and the result approximates the column mass of the PPR matrix
-/// alpha (I - (1-alpha) A)^-1 restricted to the teleport distribution,
-/// which is exactly the aggregate neighbor-influence score of Eq. (13).
-/// reference::PprScoresRef is the A^T oracle for any `a`.
+/// where `block` is n x n with the bipartite layout [[0, B], [C, 0]] of
+/// BipartiteBlock: its top `split` rows have entries only in columns
+/// [split, n) and its other rows only in columns [0, split). `teleport`
+/// has n entries. Runs exactly `max_iters` iterations and returns the
+/// n - split entries of pi in rows [split, n) (NIM's father half).
 ///
-/// Each iteration is one row-parallel pass over `a`: every chunk gathers
-/// its rows of A pi, forms the next iterate in a second buffer and
-/// returns its partial L1 delta, which an ordered chunk reduction folds.
-std::vector<float> PprScores(const CsrMatrix& a,
+/// Each half of A pi reads only the other half of pi, so the father half
+/// after max_iters steps depends on one alternating chain of
+/// half-iterates. Step `it` computes just the half whose parity feeds the
+/// father rows at max_iters, in place in one buffer (the half it reads is
+/// not written in that step), and each computed row keeps the full
+/// iteration's expression and summation order: the result equals the
+/// father half of the full iteration bit for bit. For a bit-exactly
+/// symmetric block (a SymNormalize'd BipartiteBlock, whose mirror
+/// entries multiply the same value by the same single-rounded inv_sqrt
+/// product), A pi == A^T pi bit for bit, which is Eq. (13)'s aggregate
+/// neighbor influence; reference::PprScoresRef (A^T pi, any matrix) is
+/// its oracle. Dies on a block with an entry inside a half.
+std::vector<float> PprScores(const CsrMatrix& block, int32_t split,
                              const std::vector<float>& teleport, float alpha,
-                             int max_iters = 50, float tol = 1e-6f,
-                             exec::ExecContext* ctx = nullptr);
+                             int max_iters, exec::ExecContext* ctx = nullptr);
 
 }  // namespace freehgc::sparse
 

@@ -50,10 +50,9 @@ std::vector<float> SpMvRef(const CsrMatrix& a, const std::vector<float>& x);
 ///   pi <- alpha * teleport + (1 - alpha) * A^T pi
 /// with A^T pi as a column scatter in ascending source-row order (no
 /// zero-skip: every stored entry contributes) and the L1 delta folded
-/// left-to-right in doubles. The optimized kernel's chunked delta
-/// reduction associates differently, so differential runs must use
-/// tol = 0 (both sides then run exactly max_iters and the per-element
-/// arithmetic is identical).
+/// left-to-right in doubles; it stops once that delta drops below `tol`.
+/// PprScores has no tolerance and always runs max_iters, so differential
+/// runs use tol = 0 and compare the father half of this result.
 std::vector<float> PprScoresRef(const CsrMatrix& a,
                                 const std::vector<float>& teleport,
                                 float alpha, int max_iters, float tol);

@@ -12,6 +12,7 @@
 #include "core/target_selection.h"
 #include "datasets/generator.h"
 #include "metapath/metapath.h"
+#include "pipeline/artifact_cache.h"
 
 namespace freehgc::core {
 namespace {
@@ -272,6 +273,24 @@ TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
     }
     EXPECT_EQ(recorder.requested,
               std::vector<RowSet>(paths.size(), RowSet::kTrain));
+
+    // On an ArtifactCache a repeated selection is served entirely from
+    // the cache: no miss (no compose and no PerPathJaccard), and the same
+    // picks and scores.
+    pipeline::ArtifactCache artifacts;
+    std::vector<double> first_scores, second_scores;
+    const auto first = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts,
+                                           &first_scores, &ex, &artifacts);
+    const int64_t misses = artifacts.stats().misses;
+    EXPECT_GT(misses, static_cast<int64_t>(paths.size()))
+        << "no diversity entry was cached";
+    const auto second = CondenseTargetNodes(
+        g, paths, kMaxRowNnz, 20, 1, opts, &second_scores, &ex, &artifacts);
+    EXPECT_EQ(artifacts.stats().misses, misses) << threads;
+    EXPECT_EQ(first, want) << threads;
+    EXPECT_EQ(second, want) << threads;
+    EXPECT_EQ(first_scores, uncached_scores) << threads;
+    EXPECT_EQ(second_scores, uncached_scores) << threads;
   }
 }
 

@@ -341,9 +341,9 @@ TEST(ArtifactCacheTest, FingerprintFollowsTheGraphNotItsAddress) {
 }
 
 TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
-  // Single flight: N threads asking for the same cold Propagated and
-  // Composed keys run one propagation and one compose, and every caller
-  // gets the same pinned entry.
+  // Single flight: N threads asking for the same cold Propagated,
+  // Composed and Diversity keys run one propagation, one compose and one
+  // Jaccard pass, and every caller gets the same pinned entry.
   const HeteroGraph g = datasets::MakeToy(7);
   hgnn::PropagateOptions popts;
   popts.max_hops = 2;
@@ -351,6 +351,20 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
   MetaPathOptions mp;
   mp.max_hops = 2;
   const MetaPath path = EnumerateMetaPaths(g, g.target_type(), mp).back();
+  // The diversity group: the largest set of paths (up to 3 hops)
+  // sharing an end type.
+  MetaPathOptions mp3 = mp;
+  mp3.max_hops = 3;
+  const auto longer_paths = EnumerateMetaPaths(g, g.target_type(), mp3);
+  std::vector<MetaPath> group;
+  for (const MetaPath& p : longer_paths) {
+    auto same_end = FilterByEndType(longer_paths, p.end_type());
+    if (same_end.size() > group.size()) group = std::move(same_end);
+  }
+  ASSERT_GE(group.size(), 2u);
+  const int64_t path_in_group = std::count_if(
+      group.begin(), group.end(),
+      [&](const MetaPath& p) { return p.relations == path.relations; });
 
   obs::Counter& blocks =
       obs::MetricsRegistry::Global().GetCounter("hgnn.blocks_propagated");
@@ -367,6 +381,7 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
   std::vector<std::shared_ptr<const hgnn::PropagatedFeatures>> props(
       kThreads);
   std::vector<std::shared_ptr<const CsrMatrix>> adjs(kThreads);
+  std::vector<std::shared_ptr<const CsrMatrix>> divs(kThreads);
   std::vector<int> propagated(kThreads, 0);
   std::atomic<int> ready{0};
   const int64_t before = blocks.Value();
@@ -381,18 +396,29 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
           cache.Propagated(g, prop_paths, popts.max_row_nnz, &ex, &built);
       propagated[static_cast<size_t>(i)] = built ? 1 : 0;
       adjs[static_cast<size_t>(i)] = cache.Composed(g, path, 0, &ex);
+      divs[static_cast<size_t>(i)] =
+          cache.Diversity(g, group, 0, &ex, RowSet::kAll);
     });
   }
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(blocks.Value() - before, one_build);
-  EXPECT_EQ(cache.stats().misses, 2);
-  EXPECT_EQ(cache.stats().hits, 2 * (kThreads - 1));
+  // The one diversity build composes its group through the cache: a hit
+  // for `path` (its builder already composed it), a miss for the others.
+  EXPECT_EQ(cache.stats().misses, 3 + static_cast<int64_t>(group.size()) -
+                                      path_in_group);
+  EXPECT_EQ(cache.stats().hits, 3 * (kThreads - 1) + path_in_group);
   EXPECT_EQ(std::count(propagated.begin(), propagated.end(), 1), 1);
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(props[static_cast<size_t>(i)].get(), props[0].get()) << i;
     EXPECT_EQ(adjs[static_cast<size_t>(i)].get(), adjs[0].get()) << i;
+    EXPECT_EQ(divs[static_cast<size_t>(i)].get(), divs[0].get()) << i;
   }
+  std::vector<CsrMatrix> composed;
+  for (const MetaPath& p : group) composed.push_back(ComposeAdjacency(g, p));
+  std::vector<const CsrMatrix*> ptrs;
+  for (const CsrMatrix& m : composed) ptrs.push_back(&m);
+  EXPECT_EQ(*divs[0], PathDiversity(g, ptrs));
 }
 
 // --- determinism invariant --------------------------------------------------

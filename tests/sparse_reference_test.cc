@@ -316,26 +316,6 @@ TEST(SparseReferenceTest, SpMvMatchesReference) {
   }
 }
 
-TEST(SparseReferenceTest, PprScoresMatchesReference) {
-  // tol = 0 pins both sides to exactly max_iters iterations: the
-  // optimized kernel's chunked double reduction associates the L1 delta
-  // differently from the reference's sequential fold, so a nonzero tol
-  // could stop them on different iterations even though every pi update
-  // is bit-identical. The input is bit-exactly symmetric, as NIM builds
-  // it, so PprScores' A pi equals the reference's A^T pi bit for bit.
-  const CsrMatrix a = sparse::SymNormalize(
-      sparse::BipartiteBlock(PowerLawSparse(150, 100, 29)));
-  ASSERT_EQ(a.rows(), 250);
-  std::vector<float> teleport(250, 1.0f / 250.0f);
-  const std::vector<float> want =
-      sparse::reference::PprScoresRef(a, teleport, 0.15f, 20, 0.0f);
-  for (int threads : kThreadCounts) {
-    exec::ExecContext ex(threads);
-    EXPECT_EQ(sparse::PprScores(a, teleport, 0.15f, 20, 0.0f, &ex), want)
-        << "threads=" << threads;
-  }
-}
-
 /// Raw-byte equality of two float arrays: unlike EXPECT_EQ on floats,
 /// this tells +0.0f from -0.0f.
 void ExpectSameBytes(std::span<const float> got, std::span<const float> want,
@@ -389,6 +369,84 @@ TEST(SparseReferenceTest, BipartiteBlockMatchesReference) {
     EXPECT_FALSE(std::signbit(v));
   }
   EXPECT_EQ(zeros, 10);  // five stored zeros, each mirrored
+}
+
+TEST(SparseReferenceTest, PprScoresMatchesReference) {
+  // PprScores iterates only the half chain that feeds the father rows
+  // [split, n); those rows must equal the father half of the reference's
+  // full iteration byte for byte. tol = 0 runs every reference iteration.
+  // Each block is SymNormalize(BipartiteBlock(m)), bit-exactly symmetric
+  // as NIM builds it, so PprScores' A pi equals the reference's A^T pi.
+  // Odd and even max_iters start the chain on different halves.
+  std::vector<CorpusEntry> inputs = Corpus();
+  inputs.push_back({"signed_zeros", SignedZeroSparse()});
+  // Halves of several kRowScaleGrain (512) rows, so each step is chunked.
+  inputs.push_back({"multi_chunk", PowerLawSparse(1500, 1100, 29)});
+  for (const auto& e : inputs) {
+    const CsrMatrix block =
+        sparse::SymNormalize(sparse::BipartiteBlock(e.m));
+    const int32_t split = e.m.rows();
+    // Positive teleport on every node, so both halves read it.
+    Rng rng(41);
+    std::vector<float> teleport(static_cast<size_t>(block.rows()));
+    for (auto& t : teleport) t = rng.NextUniform(0.0f, 1.0f);
+    for (int iters : {0, 1, 2, 7, 20}) {
+      const std::vector<float> full =
+          sparse::reference::PprScoresRef(block, teleport, 0.15f, iters, 0.0f);
+      const std::span<const float> want(full.data() + split,
+                                        full.size() - split);
+      for (int threads : kThreadCountsWide) {
+        exec::ExecContext ex(threads);
+        const std::vector<float> got = sparse::PprScores(
+            block, split, teleport, 0.15f, iters, &ex);
+        ExpectSameBytes(got, want,
+                        e.name + " iters=" + std::to_string(iters) +
+                            " threads=" + std::to_string(threads));
+      }
+    }
+  }
+}
+
+TEST(SparseReferenceTest, PprScoresOnIsolatedTeleportIsZero) {
+  // All teleport mass sits on targets 3-5, which have no edge: no mass
+  // ever reaches a father. The reference with tol = 1e-6 stops after 2
+  // iterations (the second changes nothing); PprScores runs all 30, and
+  // both father halves are all +0.0f.
+  const CsrMatrix m =
+      FromCooOrDie(6, 4, {{0, 0, 1.0f}, {0, 2, 0.5f}, {1, 1, 2.0f},
+                          {2, 3, 1.0f}, {2, 0, 1.0f}});
+  const CsrMatrix block = sparse::SymNormalize(sparse::BipartiteBlock(m));
+  std::vector<float> teleport(10, 0.0f);
+  for (int t : {3, 4, 5}) teleport[static_cast<size_t>(t)] = 1.0f / 3.0f;
+  const std::vector<float> stopped =
+      sparse::reference::PprScoresRef(block, teleport, 0.15f, 30, 1e-6f);
+  EXPECT_EQ(stopped,
+            sparse::reference::PprScoresRef(block, teleport, 0.15f, 2, 0.0f));
+  const std::vector<float> zeros(4, 0.0f);
+  ExpectSameBytes({stopped.data() + 6, 4}, zeros, "reference");
+  for (int threads : kThreadCountsWide) {
+    exec::ExecContext ex(threads);
+    ExpectSameBytes(sparse::PprScores(block, 6, teleport, 0.15f, 30, &ex),
+                    zeros, "threads=" + std::to_string(threads));
+  }
+}
+
+TEST(SparseReferenceTest, PprScoresRejectsANonBipartiteBlock) {
+  // The half-chain update writes one half in place while reading the
+  // other, so an entry inside a half (or a split that cuts through the
+  // layout) must be refused.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const CsrMatrix block = sparse::BipartiteBlock(
+      FromCooOrDie(2, 2, {{0, 0, 1.0f}, {1, 1, 1.0f}, {1, 0, 0.5f}}));
+  const std::vector<float> teleport(4, 0.25f);
+  EXPECT_EQ(sparse::PprScores(block, 2, teleport, 0.15f, 3).size(), 2u);
+  EXPECT_DEATH(sparse::PprScores(block, 3, teleport, 0.15f, 3),
+               "inside its half");
+  const CsrMatrix inside =
+      FromCooOrDie(4, 4, {{0, 2, 1.0f}, {2, 0, 1.0f}, {3, 1, 1.0f},
+                          {1, 3, 1.0f}, {3, 2, 1.0f}});
+  EXPECT_DEATH(sparse::PprScores(inside, 2, teleport, 0.15f, 3),
+               "inside its half");
 }
 
 /// `l` paths over 300 nodes and 160 end-type columns. Node v % 5 picks

@@ -6,6 +6,7 @@
 #include "common/rng.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
+#include "sparse/reference.h"
 
 namespace freehgc {
 namespace {
@@ -209,14 +210,14 @@ TEST(SparseOpsTest, SubmatrixRemapsIndices) {
 
 TEST(PprTest, ConservesProbabilityMass) {
   // Symmetric normalized chain graph is substochastic; use a row-stochastic
-  // matrix to check mass conservation. PprScores iterates A pi, so it gets
-  // the column-stochastic transpose.
+  // matrix to check mass conservation. The reference iterates A^T pi on
+  // any matrix (PprScores takes only bipartite blocks and returns half).
   CsrMatrix a = FromCooOrDie(
       3, 3,
       {{0, 1, 1.0f}, {1, 0, 0.5f}, {1, 2, 0.5f}, {2, 1, 1.0f}});
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f};
   const auto pi =
-      sparse::PprScores(sparse::Transpose(a), teleport, 0.15f, 100, 1e-9f);
+      sparse::reference::PprScoresRef(a, teleport, 0.15f, 100, 1e-9f);
   float sum = 0.0f;
   for (float x : pi) sum += x;
   EXPECT_NEAR(sum, 1.0f, 1e-3f);
@@ -230,7 +231,8 @@ TEST(PprTest, TeleportNodeGetsHighestScore) {
                                     {0, 3, 1.0f}, {3, 0, 1.0f}});
   CsrMatrix n = sparse::RowNormalize(a);
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f, 0.0f};
-  const auto pi = sparse::PprScores(n, teleport, 0.2f, 100);
+  const auto pi =
+      sparse::reference::PprScoresRef(n, teleport, 0.2f, 100, 1e-6f);
   EXPECT_GT(pi[0], pi[1]);
   EXPECT_GT(pi[0], pi[2]);
   EXPECT_NEAR(pi[1], pi[2], 1e-4f);  // symmetric leaves
@@ -241,8 +243,10 @@ TEST(PprTest, HigherAlphaStaysCloserToTeleport) {
                                     {2, 0, 1.0f}});
   CsrMatrix n = sparse::RowNormalize(a);
   std::vector<float> teleport = {1.0f, 0.0f, 0.0f};
-  const auto lo = sparse::PprScores(n, teleport, 0.1f, 200);
-  const auto hi = sparse::PprScores(n, teleport, 0.9f, 200);
+  const auto lo =
+      sparse::reference::PprScoresRef(n, teleport, 0.1f, 200, 1e-6f);
+  const auto hi =
+      sparse::reference::PprScoresRef(n, teleport, 0.9f, 200, 1e-6f);
   EXPECT_GT(hi[0], lo[0]);
 }
 

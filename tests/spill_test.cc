@@ -7,12 +7,14 @@
 #include <unistd.h>
 
 #include <cstdio>
+#include <cstring>
 #include <fstream>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "common/string_util.h"
+#include "core/freehgc.h"
 #include "datasets/generator.h"
 #include "graph/section_io.h"
 #include "graph/serialize.h"
@@ -256,6 +258,75 @@ TEST(SpillCacheTest, MappedEvictionVsPinnedReadStress) {
   const auto stats = cache.stats();
   EXPECT_GT(stats.spills, 0) << "stress never exercised the spill tier";
   EXPECT_GT(stats.restores, 0) << "stress never exercised restores";
+  cache.Clear();
+  RemoveTree(dir);
+}
+
+TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
+  // A path group's diversity entry is charged to the resident tier: under
+  // a zero budget it spills through the adjacency spool format once
+  // unpinned, and a warm condensation restores it (with every adjacency)
+  // as a mapped view, computing nothing and giving the uncached graph.
+  const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
+  core::FreeHgcOptions opts;
+  opts.ratio = 0.05;
+  opts.max_paths = 8;
+  exec::ExecContext ex(2);
+  auto condensed_bytes = [&](AdjacencyCache* cache) {
+    auto res = core::Condense(g, opts, &ex, cache);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (!res.ok()) return std::string();
+    auto bytes = SerializeHeteroGraph(res->graph);
+    EXPECT_TRUE(bytes.ok());
+    return bytes.ok() ? *bytes : std::string();
+  };
+  const std::string want = condensed_bytes(nullptr);
+  ASSERT_FALSE(want.empty());
+
+  // The largest group of Condense's paths sharing an end type, and its
+  // diversity computed uncached.
+  MetaPathOptions mp;
+  mp.max_hops = opts.max_hops;
+  mp.max_paths = opts.max_paths;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  std::vector<MetaPath> group;
+  for (const MetaPath& p : paths) {
+    auto same_end = FilterByEndType(paths, p.end_type());
+    if (same_end.size() > group.size()) group = std::move(same_end);
+  }
+  ASSERT_GE(group.size(), 2u);
+  std::vector<std::shared_ptr<const CsrMatrix>> pins;
+  std::vector<const CsrMatrix*> composed;
+  for (const MetaPath& p : group) {
+    pins.push_back(ComposedAdjacency(nullptr, g, p, opts.max_row_nnz, &ex,
+                                     RowSet::kTrain));
+    composed.push_back(pins.back().get());
+  }
+  const CsrMatrix want_div = PathDiversity(g, composed, &ex);
+
+  const std::string dir = ScratchDir("diversity");
+  pipeline::ArtifactCache cache;
+  ASSERT_TRUE(cache.ConfigureSpill({0, dir}).ok());
+  EXPECT_EQ(condensed_bytes(&cache), want);
+  cache.TrimToBudget();
+  const auto cold = cache.stats();
+  EXPECT_EQ(cold.resident_bytes, 0u) << "an entry stayed on the heap";
+  EXPECT_GT(cold.spills, 0);
+
+  EXPECT_EQ(condensed_bytes(&cache), want);
+  const auto warm = cache.stats();
+  EXPECT_EQ(warm.misses, cold.misses) << "the warm run recomputed an entry";
+  EXPECT_GT(warm.restores, cold.restores);
+
+  // The restored diversity entry is the uncached one, byte for byte.
+  const auto div =
+      cache.Diversity(g, group, opts.max_row_nnz, &ex, RowSet::kTrain);
+  EXPECT_EQ(cache.stats().misses, cold.misses);
+  EXPECT_EQ(*div, want_div);
+  ASSERT_EQ(div->values().size(), want_div.values().size());
+  EXPECT_EQ(std::memcmp(div->values().data(), want_div.values().data(),
+                        want_div.values().size() * sizeof(float)),
+            0);
   cache.Clear();
   RemoveTree(dir);
 }
