@@ -74,9 +74,7 @@ int main() {
     run.ratio = ratio;
     core::FreeHgcOptions fopts;
     fopts.ratio = ratio;
-    fopts.max_hops = ctx.options.max_hops;
-    fopts.max_paths = ctx.options.max_paths;
-    fopts.max_row_nnz = ctx.options.max_row_nnz;
+    static_cast<MetaPathOptions&>(fopts) = ctx.options;
 
     std::vector<double> build_s, gcond_s, hgcond_s, free_s, cold_s;
     std::vector<core::StageSeconds> stages, cold_stages;

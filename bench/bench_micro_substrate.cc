@@ -21,6 +21,7 @@
 #include "exec/exec_context.h"
 #include "hgnn/models.h"
 #include "hgnn/propagate.h"
+#include "hgnn/trainer.h"
 #include "metapath/metapath.h"
 #include "nn/nn.h"
 #include "sparse/ops.h"
@@ -122,13 +123,13 @@ BENCHMARK(BM_GreedyCoverage)->Arg(16)->Arg(64)->Arg(256);
 
 void BM_Propagate(benchmark::State& state) {
   const HeteroGraph& g = ToyGraph();
-  hgnn::PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 2;
   opts.max_paths = static_cast<int>(state.range(0));
   const int threads = static_cast<int>(state.range(1));
   exec::ExecContext ex(threads);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(hgnn::PropagateFeatures(g, opts, &ex));
+    benchmark::DoNotOptimize(hgnn::BuildEvalContext(g, opts, &ex));
   }
   state.counters["threads"] = threads;
 }
@@ -136,10 +137,11 @@ BENCHMARK(BM_Propagate)->ArgsProduct({{4, 8, 12}, {1, 2, 4}});
 
 void BM_TrainEpoch(benchmark::State& state) {
   const HeteroGraph& g = ToyGraph();
-  hgnn::PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 2;
   opts.max_paths = 8;
-  const hgnn::PropagatedFeatures feats = hgnn::PropagateFeatures(g, opts);
+  const hgnn::PropagatedFeatures feats =
+      hgnn::BuildEvalContext(g, opts).full_features;
   std::vector<int64_t> dims;
   for (const auto& b : feats.blocks) dims.push_back(b.cols());
   hgnn::HgnnConfig cfg;

@@ -80,8 +80,7 @@ int main() {
     // FreeHGC condensed graph.
     core::FreeHgcOptions fopts;
     fopts.ratio = ratio;
-    fopts.max_hops = ctx.options.max_hops;
-    fopts.max_paths = ctx.options.max_paths;
+    static_cast<MetaPathOptions&>(fopts) = ctx.options;
     auto cond = core::Condense(graph, fopts, env->env.exec, env->env.cache);
     if (cond.ok()) {
       const Cells fr = Measure(*env, nullptr, nullptr, &cond->graph,

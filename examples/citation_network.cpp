@@ -37,16 +37,15 @@ int main() {
     std::printf("  type %-7s -> %s\n", graph.TypeName(t).c_str(), role);
   }
 
-  hgnn::PropagateOptions popts;
-  popts.max_hops = datasets::RecommendedHops("dblp");
-  popts.max_paths = 12;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, popts);
+  MetaPathOptions mp;
+  mp.max_hops = datasets::RecommendedHops("dblp");
+  mp.max_paths = 12;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, mp);
 
   // Condense once.
   core::FreeHgcOptions opts;
   opts.ratio = 0.024;
-  opts.max_hops = popts.max_hops;
-  opts.max_paths = popts.max_paths;
+  static_cast<MetaPathOptions&>(opts) = mp;
   auto condensed = core::Condense(graph, opts);
   if (!condensed.ok()) {
     std::printf("condense failed: %s\n",

@@ -25,10 +25,10 @@ int main() {
       static_cast<long long>(graph.TotalEdges()), graph.NumNodeTypes(),
       graph.NumRelations());
 
-  hgnn::PropagateOptions popts;
-  popts.max_hops = datasets::RecommendedHops("mutag");
-  popts.max_paths = 12;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, popts);
+  MetaPathOptions mp;
+  mp.max_hops = datasets::RecommendedHops("mutag");
+  mp.max_paths = 12;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, mp);
   hgnn::HgnnConfig cfg;
   cfg.hidden = 32;
   cfg.epochs = 60;
@@ -67,8 +67,7 @@ int main() {
   {
     core::FreeHgcOptions opts;
     opts.ratio = ratio;
-    opts.max_hops = popts.max_hops;
-    opts.max_paths = popts.max_paths;
+    static_cast<MetaPathOptions&>(opts) = mp;
     auto res = core::Condense(graph, opts);
     if (res.ok()) {
       const auto m = hgnn::TrainAndEvaluate(ctx, res->graph, cfg);

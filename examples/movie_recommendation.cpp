@@ -23,10 +23,10 @@ int main() {
               static_cast<long long>(graph.TotalEdges()),
               graph.num_classes());
 
-  hgnn::PropagateOptions popts;
-  popts.max_hops = datasets::RecommendedHops("imdb");
-  popts.max_paths = 12;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, popts);
+  MetaPathOptions mp;
+  mp.max_hops = datasets::RecommendedHops("imdb");
+  mp.max_paths = 12;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, mp);
 
   hgnn::HgnnConfig cfg;
   cfg.hidden = 32;
@@ -42,8 +42,7 @@ int main() {
   for (double ratio : {0.012, 0.024, 0.048, 0.096, 0.12}) {
     core::FreeHgcOptions opts;
     opts.ratio = ratio;
-    opts.max_hops = popts.max_hops;
-    opts.max_paths = popts.max_paths;
+    static_cast<MetaPathOptions&>(opts) = mp;
     auto condensed = core::Condense(graph, opts);
     if (!condensed.ok()) continue;
     const auto metrics = hgnn::TrainAndEvaluate(ctx, condensed->graph, cfg);

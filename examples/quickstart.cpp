@@ -27,15 +27,15 @@ int main() {
 
   // 2. Build the evaluation context: meta-paths + pre-propagated features
   //    of the full graph (reused by training and testing).
-  hgnn::PropagateOptions popts;
-  popts.max_hops = datasets::RecommendedHops("acm");
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, popts);
+  MetaPathOptions mp;
+  mp.max_hops = datasets::RecommendedHops("acm");
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(graph, mp);
   std::printf("meta-path feature blocks: %zu\n", ctx.full_features.blocks.size());
 
   // 3. Condense to 2.4%% with FreeHGC — training-free, so this is fast.
   core::FreeHgcOptions opts;
   opts.ratio = 0.024;
-  opts.max_hops = popts.max_hops;
+  static_cast<MetaPathOptions&>(opts) = mp;
   auto condensed = core::Condense(graph, opts);
   if (!condensed.ok()) {
     std::printf("condensation failed: %s\n",

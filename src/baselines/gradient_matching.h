@@ -37,8 +37,6 @@ struct GradientMatchingOptions {
   /// ResourceExhausted when it exceeds the budget.
   size_t memory_budget_bytes = 0;
   double memory_scale = 1.0;
-  /// Total node count of the graph being condensed (used only by the
-  /// memory gate; filled in by GradientMatchingCondense).
   uint64_t seed = 1;
 };
 

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include "common/logging.h"
 #include "common/timer.h"
@@ -153,35 +152,18 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
   if (opts.ratio <= 0.0 || opts.ratio >= 1.0) {
     return Status::InvalidArgument("ratio must be in (0, 1)");
   }
-  // A caller-supplied context wins. With num_threads == 0 the process-wide
-  // default pool already has the right worker count (FREEHGC_THREADS /
-  // hardware resolution), so reuse it instead of spinning up a pool per
-  // call; only an explicit num_threads asks for a dedicated pool.
-  std::unique_ptr<exec::ExecContext> owned;
-  if (ctx == nullptr) {
-    if (opts.num_threads > 0) {
-      owned = std::make_unique<exec::ExecContext>(opts.num_threads);
-      ctx = owned.get();
-    } else {
-      ctx = &exec::DefaultExec();
-    }
-  }
-  exec::ExecContext& ex = *ctx;
+  exec::ExecContext& ex = exec::Resolve(ctx);
   FREEHGC_TRACE_SPAN("condense");
   Timer timer;
   StageSeconds stages;
   const TypeId target = g.target_type();
 
   // General meta-paths generation model (Section IV-A).
-  MetaPathOptions mp_opts;
-  mp_opts.max_hops = opts.max_hops;
-  mp_opts.max_paths = opts.max_paths;
-  mp_opts.max_row_nnz = opts.max_row_nnz;
   std::vector<MetaPath> paths;
   {
     ScopedTimer stage_timer(stages.metapath);
     FREEHGC_TRACE_SPAN("condense.metapath");
-    paths = EnumerateMetaPaths(g, target, mp_opts);
+    paths = EnumerateMetaPaths(g, target, opts);
   }
 
   // --- Target type (Algorithm 1) ----------------------------------------

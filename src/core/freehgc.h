@@ -10,6 +10,7 @@
 #include "dense/matrix.h"
 #include "exec/exec_context.h"
 #include "graph/hetero_graph.h"
+#include "metapath/metapath.h"
 
 namespace freehgc::core {
 
@@ -29,26 +30,17 @@ enum class LeafStrategy { kIlm, kHerding, kRandom };
 
 /// Full configuration of the FreeHGC pipeline. Defaults reproduce the
 /// paper's method; the strategy enums and the two booleans inside `target`
-/// are the ablation switches.
-struct FreeHgcOptions {
+/// are the ablation switches. The MetaPathOptions base is the meta-path
+/// configuration (hops K, path cap, compose row budget).
+struct FreeHgcOptions : MetaPathOptions {
   /// Condensation ratio r: every node type keeps ~r * N_type nodes.
   double ratio = 0.024;
-  /// Meta-path generation: maximum hops K and path-count cap.
-  int max_hops = 2;
-  int max_paths = 24;
-  /// Row-nnz budget for composed adjacencies (0 = exact).
-  int64_t max_row_nnz = 512;
   TargetSelectionOptions target;
   NimOptions nim;
   TargetStrategy target_strategy = TargetStrategy::kCriterion;
   FatherStrategy father_strategy = FatherStrategy::kNim;
   LeafStrategy leaf_strategy = LeafStrategy::kIlm;
   uint64_t seed = 1;
-  /// Worker count for the execution context the pipeline runs on.
-  /// 0 = the FREEHGC_THREADS environment override, falling back to the
-  /// hardware concurrency. The condensed result is bit-identical for
-  /// every value (see DESIGN.md, "Execution layer").
-  int num_threads = 0;
 };
 
 /// Wall-clock breakdown of one Condense call across its five pipeline
@@ -91,11 +83,9 @@ struct CondensedResult {
 ///      minimization,
 ///   5. assemble the condensed graph.
 /// Training-free: no model parameters are ever instantiated.
-/// When `ctx` is non-null it overrides `opts.num_threads`. With ctx ==
-/// nullptr and opts.num_threads == 0 the call runs on the process-wide
-/// DefaultExec() pool (same thread resolution, no per-call pool spin-up —
-/// sweeps run many Condense calls); only an explicit opts.num_threads > 0
-/// builds a dedicated pool for the call.
+/// Every stage runs on `ctx` (null = the process-wide DefaultExec()
+/// pool). The condensed result is bit-identical for every thread count
+/// (see DESIGN.md, "Execution layer").
 /// `cache`, when non-null, memoizes composed meta-path adjacencies: they
 /// depend only on (graph, path, max_row_nnz) — not on ratio or seed — so
 /// repeated runs skip the dominant SpGEMM cost. Cached and uncached runs

@@ -101,20 +101,4 @@ PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
   return out;
 }
 
-std::vector<MetaPath> EnumeratePropagationPaths(const HeteroGraph& g,
-                                                const PropagateOptions& opts) {
-  MetaPathOptions mp_opts;
-  mp_opts.max_hops = opts.max_hops;
-  mp_opts.max_paths = opts.max_paths;
-  mp_opts.max_row_nnz = opts.max_row_nnz;
-  return EnumerateMetaPaths(g, g.target_type(), mp_opts);
-}
-
-PropagatedFeatures PropagateFeatures(const HeteroGraph& g,
-                                     const PropagateOptions& opts,
-                                     exec::ExecContext* ctx) {
-  return PropagateAlongPaths(g, EnumeratePropagationPaths(g, opts),
-                             opts.max_row_nnz, ctx);
-}
-
 }  // namespace freehgc::hgnn

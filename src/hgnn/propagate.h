@@ -32,39 +32,18 @@ struct PropagatedFeatures {
   std::vector<TypeId> end_types;
 };
 
-/// Options controlling pre-propagation.
-struct PropagateOptions {
-  int max_hops = 2;
-  /// Cap on enumerated meta-paths (0 = unlimited).
-  int max_paths = 24;
-  /// Row-nnz budget of FreeHGC's selection compose (0 = exact), which
-  /// reads it from EvalContext::options. Propagation ignores it: every
-  /// block is the exact product. It stays in the EvalContext and
-  /// propagated-feature cache keys.
-  int64_t max_row_nnz = 512;
-};
+/// Former name of the meta-path configuration, still spelled by the
+/// benchmark package.
+using PropagateOptions = MetaPathOptions;
 
-/// The meta-paths a propagation under `opts` runs along: every path of at
-/// most opts.max_hops hops from the target type, capped at opts.max_paths
-/// (EnumerateMetaPaths' order). Every EvalContext build enumerates here.
-std::vector<MetaPath> EnumeratePropagationPaths(const HeteroGraph& g,
-                                                const PropagateOptions& opts);
-
-/// Enumerates meta-paths from the graph's target type and mean-propagates
-/// features along each (Eq. 1, applied hop by hop). The returned block
-/// layout is a function of the *schema*, so a condensed graph produced
-/// from `g` (identical types/relations) yields an identically shaped
-/// layout — which is what lets a model trained on the condensed graph run
-/// on the full graph.
-PropagatedFeatures PropagateFeatures(const HeteroGraph& g,
-                                     const PropagateOptions& opts,
-                                     exec::ExecContext* ctx = nullptr);
-
-/// Same propagation with a fixed externally supplied path list (used to
-/// guarantee identical block order between the condensed and full graphs).
-/// The per-hop products and the per-block row normalization run on
-/// `ctx`. `max_row_nnz` and `cache` are ignored: propagation composes
-/// nothing, so there is no adjacency to budget or memoize.
+/// Mean-propagates features along `paths` (Eq. 1, applied hop by hop).
+/// The block layout is a function of the path list and the *schema*, so
+/// a condensed graph produced from `g` (identical types/relations) run
+/// along the full graph's list yields an identically shaped layout —
+/// which is what lets a model trained on the condensed graph run on the
+/// full graph. The per-hop products and the per-block row normalization
+/// run on `ctx`. `max_row_nnz` and `cache` are ignored: propagation
+/// composes nothing, so there is no adjacency to budget or memoize.
 PropagatedFeatures PropagateAlongPaths(const HeteroGraph& g,
                                        const std::vector<MetaPath>& paths,
                                        int64_t max_row_nnz,

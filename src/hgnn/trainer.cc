@@ -8,13 +8,13 @@
 namespace freehgc::hgnn {
 
 EvalContext BuildEvalContext(const HeteroGraph& full,
-                             const PropagateOptions& opts,
+                             const MetaPathOptions& opts,
                              exec::ExecContext* ctx_exec,
                              AdjacencyCache* /*cache*/) {
   EvalContext ctx;
   ctx.full = &full;
   ctx.options = opts;
-  ctx.paths = EnumeratePropagationPaths(full, opts);
+  ctx.paths = EnumerateMetaPaths(full, full.target_type(), opts);
   ctx.full_features =
       PropagateAlongPaths(full, ctx.paths, opts.max_row_nnz, ctx_exec);
   return ctx;

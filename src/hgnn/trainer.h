@@ -21,7 +21,7 @@ struct EvalMetrics {
   int epochs_run = 0;
 };
 
-/// Everything that is fixed per (full graph, propagation options):
+/// Everything that is fixed per (full graph, meta-path configuration):
 /// the enumerated meta-path list and the full graph's propagated feature
 /// blocks. Built once, then reused across every condensation method and
 /// every evaluator model — this mirrors the paper's protocol where the
@@ -30,15 +30,16 @@ struct EvalContext {
   const HeteroGraph* full = nullptr;  // borrowed; must outlive the context
   std::vector<MetaPath> paths;
   PropagatedFeatures full_features;
-  PropagateOptions options;
+  MetaPathOptions options;
 };
 
-/// Enumerates meta-paths on the full graph and pre-propagates its
-/// features. Propagation runs on `ctx` (null = default pool). `cache` is
+/// Enumerates meta-paths from the full graph's target type
+/// (EnumerateMetaPaths under `opts`) and pre-propagates its features
+/// along them. Propagation runs on `ctx` (null = default pool). `cache` is
 /// ignored: propagation composes no adjacency (pipeline::BuildEvalContext
 /// is the cache-aware build).
 EvalContext BuildEvalContext(const HeteroGraph& full,
-                             const PropagateOptions& opts,
+                             const MetaPathOptions& opts,
                              exec::ExecContext* ctx = nullptr,
                              AdjacencyCache* cache = nullptr);
 

@@ -26,16 +26,19 @@ struct MetaPath {
   std::string Name(const HeteroGraph& g) const;
 };
 
-/// Options for the general meta-path generation model (Section IV-A).
+/// The meta-path configuration (general meta-path generation model,
+/// Section IV-A). The library's only declaration of these fields: stages
+/// hand it on whole (EvalContext::options, core::FreeHgcOptions' base).
 struct MetaPathOptions {
   /// Maximum number of hops K (paper hyper-parameter, Section V-B).
   int max_hops = 2;
   /// When > 0, each composed adjacency row keeps only this many
   /// largest-magnitude entries (budgeted densification for scalability).
-  int64_t max_row_nnz = 0;
+  /// 0 = exact. Only selection composes; propagation ignores it.
+  int64_t max_row_nnz = 512;
   /// Upper bound on the number of enumerated paths (safety valve for
   /// schemas with many relations, e.g. Freebase/AM). 0 = unlimited.
-  int max_paths = 0;
+  int max_paths = 24;
 };
 
 /// Enumerates every meta-path of length 1..max_hops starting at `start`

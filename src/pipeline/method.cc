@@ -133,9 +133,7 @@ class FreeHgcMethod final : public CondensationMethod {
     core::FreeHgcOptions fopts = spec.freehgc;
     fopts.ratio = spec.ratio;
     fopts.seed = spec.seed;
-    fopts.max_hops = ctx.options.max_hops;
-    fopts.max_paths = ctx.options.max_paths;
-    fopts.max_row_nnz = ctx.options.max_row_nnz;
+    static_cast<MetaPathOptions&>(fopts) = ctx.options;
     FREEHGC_ASSIGN_OR_RETURN(
         core::CondensedResult res,
         core::Condense(*ctx.full, fopts, env.exec, env.cache));
@@ -209,7 +207,7 @@ std::vector<std::string> MethodRegistry::Keys() const {
 }
 
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
-                                   const hgnn::PropagateOptions& opts,
+                                   const MetaPathOptions& opts,
                                    const PipelineEnv& env, bool* propagated) {
   if (env.cache == nullptr) {
     if (propagated != nullptr) *propagated = true;
@@ -218,7 +216,7 @@ hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
   hgnn::EvalContext ctx;
   ctx.full = &graph;
   ctx.options = opts;
-  ctx.paths = hgnn::EnumeratePropagationPaths(graph, opts);
+  ctx.paths = EnumerateMetaPaths(graph, graph.target_type(), opts);
   const std::shared_ptr<const hgnn::PropagatedFeatures> pin =
       env.cache->Propagated(graph, ctx.paths, opts.max_row_nnz, env.exec,
                             propagated);

@@ -33,7 +33,7 @@ struct PipelineEnv {
 /// context's lifetime. `propagated` (optional) reports whether this call
 /// ran the propagation rather than reusing the cache's blocks.
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
-                                   const hgnn::PropagateOptions& opts,
+                                   const MetaPathOptions& opts,
                                    const PipelineEnv& env,
                                    bool* propagated = nullptr);
 
@@ -42,8 +42,8 @@ hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
 struct RunSpec {
   double ratio = 0.024;
   uint64_t seed = 1;
-  /// FreeHGC configuration. ratio and seed come from this spec;
-  /// max_hops, max_paths and max_row_nnz come from the EvalContext.
+  /// FreeHGC configuration. ratio and seed come from this spec; its
+  /// MetaPathOptions base comes from the EvalContext.
   core::FreeHgcOptions freehgc;
   /// Gradient-matching configuration (ratio/seed/hetero overwritten).
   baselines::GradientMatchingOptions gm;

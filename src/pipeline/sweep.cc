@@ -98,12 +98,13 @@ Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
       out->graph,
       datasets::MakeByName(ds.name, ds.graph_seed, scale, env.exec));
 
-  hgnn::PropagateOptions popts;
-  popts.max_hops = ds.max_hops > 0
-                       ? ds.max_hops
-                       : std::min(3, datasets::RecommendedHops(ds.name));
-  popts.max_paths = ds.max_paths;
-  out->ctx = BuildEvalContext(out->graph, popts, env);
+  // The one translation of the spec's meta-path fields.
+  const MetaPathOptions mp{
+      .max_hops = ds.max_hops > 0
+                      ? ds.max_hops
+                      : std::min(3, datasets::RecommendedHops(ds.name)),
+      .max_paths = ds.max_paths};
+  out->ctx = BuildEvalContext(out->graph, mp, env);
   return out;
 }
 

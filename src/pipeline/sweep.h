@@ -20,7 +20,7 @@ struct DatasetSpec {
   std::vector<double> ratios;
   /// Preset scale; <= 0 = the repo default (AMiner halved, rest 1.0).
   double scale = -1.0;
-  /// Cap on enumerated meta-paths.
+  /// Cap on enumerated meta-paths (PrepareDataset's MetaPathOptions).
   int max_paths = 12;
   /// Meta-path hops; <= 0 = min(3, datasets::RecommendedHops(name)).
   int max_hops = -1;

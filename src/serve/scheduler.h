@@ -29,9 +29,11 @@ struct CondenseRequest {
   std::string method = "freehgc";
   double ratio = 0.1;
   uint64_t seed = 1;
-  /// Meta-path configuration; together with `graph` this is the artifact
-  /// identity — requests sharing it reuse the same cached evaluation
-  /// context and composed adjacencies. max_hops <= 0 resolves to 2.
+  /// Meta-path configuration, which Execute turns into a MetaPathOptions;
+  /// together with `graph` this is the artifact identity — requests
+  /// sharing it reuse the same cached evaluation context and composed
+  /// adjacencies. max_hops <= 0 resolves to 2; Submit rejects
+  /// max_paths < 1 and max_row_nnz < 0.
   int max_hops = 2;
   int max_paths = 12;
   int64_t max_row_nnz = 512;

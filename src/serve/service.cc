@@ -116,6 +116,13 @@ Result<TicketPtr> ServeService::Submit(CondenseRequest request) {
     return Status::InvalidArgument(
         StrFormat("ratio must be in (0, 1], got %g", request.ratio));
   }
+  // An uncapped enumeration grows several-fold per hop, and FreeHGC
+  // composes every path, so one request could hold a slot and the heap.
+  if (request.max_paths < 1 || request.max_row_nnz < 0) {
+    return Status::InvalidArgument(StrFormat(
+        "need max_paths >= 1 and max_row_nnz >= 0, got %d and %lld",
+        request.max_paths, static_cast<long long>(request.max_row_nnz)));
+  }
   // Validate graph + method now so a bad request fails fast instead of
   // occupying a queue slot only to fail on a worker.
   FREEHGC_RETURN_IF_ERROR(store_.Info(request.graph).status());
@@ -144,10 +151,11 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   // evictable under the store's residency budget.
   FREEHGC_ASSIGN_OR_RETURN(GraphStore::GraphRef graph,
                            store_.Get(request.graph));
-  hgnn::PropagateOptions popts;
-  popts.max_hops = request.max_hops > 0 ? request.max_hops : 2;
-  popts.max_paths = request.max_paths;
-  popts.max_row_nnz = request.max_row_nnz;
+  // The one translation of the request's meta-path fields.
+  const MetaPathOptions mp{
+      .max_hops = request.max_hops > 0 ? request.max_hops : 2,
+      .max_row_nnz = request.max_row_nnz,
+      .max_paths = request.max_paths};
   pipeline::PipelineEnv env;
   env.exec = ctx;
   env.cache = &cache_;
@@ -155,11 +163,11 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
   bool propagated = false;
   if (request.evaluate || method->reads_feature_blocks()) {
     FREEHGC_TRACE_SPAN("serve.build_eval_context");
-    ectx = pipeline::BuildEvalContext(*graph, popts, env, &propagated);
+    ectx = pipeline::BuildEvalContext(*graph, mp, env, &propagated);
     if (propagated) evalctx_builds_.Increment();
   } else {
     ectx.full = graph.get();
-    ectx.options = popts;
+    ectx.options = mp;
   }
 
   pipeline::RunSpec spec;

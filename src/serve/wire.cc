@@ -8,6 +8,7 @@
 
 #include <cerrno>
 #include <cstring>
+#include <limits>
 
 #include "common/string_util.h"
 
@@ -233,23 +234,36 @@ void EncodeCondenseRequest(WireWriter& w, const CondenseRequest& req) {
   w.PutI64(req.deadline_ms);
 }
 
+namespace {
+
+/// An i64 field the request holds as an int. A value outside int's range
+/// is rejected, not truncated: 2^32 would otherwise arrive as 0.
+Result<int> GetIntField(WireReader& r, const char* field) {
+  FREEHGC_ASSIGN_OR_RETURN(int64_t v, r.GetI64());
+  if (v < std::numeric_limits<int>::min() ||
+      v > std::numeric_limits<int>::max()) {
+    return Status::InvalidArgument(StrFormat(
+        "%s out of int range: %lld", field, static_cast<long long>(v)));
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 Result<CondenseRequest> DecodeCondenseRequest(WireReader& r) {
   CondenseRequest req;
   FREEHGC_ASSIGN_OR_RETURN(req.graph, r.GetString());
   FREEHGC_ASSIGN_OR_RETURN(req.method, r.GetString());
   FREEHGC_ASSIGN_OR_RETURN(req.ratio, r.GetF64());
   FREEHGC_ASSIGN_OR_RETURN(req.seed, r.GetU64());
-  FREEHGC_ASSIGN_OR_RETURN(int64_t max_hops, r.GetI64());
-  FREEHGC_ASSIGN_OR_RETURN(int64_t max_paths, r.GetI64());
+  FREEHGC_ASSIGN_OR_RETURN(req.max_hops, GetIntField(r, "max_hops"));
+  FREEHGC_ASSIGN_OR_RETURN(req.max_paths, GetIntField(r, "max_paths"));
   FREEHGC_ASSIGN_OR_RETURN(req.max_row_nnz, r.GetI64());
-  req.max_hops = static_cast<int>(max_hops);
-  req.max_paths = static_cast<int>(max_paths);
   FREEHGC_ASSIGN_OR_RETURN(uint8_t evaluate, r.GetU8());
   FREEHGC_ASSIGN_OR_RETURN(uint8_t return_graph, r.GetU8());
   req.evaluate = evaluate != 0;
   req.return_graph = return_graph != 0;
-  FREEHGC_ASSIGN_OR_RETURN(int64_t priority, r.GetI64());
-  req.priority = static_cast<int>(priority);
+  FREEHGC_ASSIGN_OR_RETURN(req.priority, GetIntField(r, "priority"));
   FREEHGC_ASSIGN_OR_RETURN(req.deadline_ms, r.GetI64());
   return req;
 }

@@ -15,9 +15,10 @@ namespace freehgc::sparse {
 namespace {
 
 // Minimum chunk widths (grains) per kernel. Chunk layout is a pure
-// function of (n, grain) — see exec::ExecContext::ChunkSize — so these
-// constants are part of the determinism contract: changing one changes
-// the float association of chunked reductions.
+// function of (n, grain) — see exec::ExecContext::ChunkSize. Every loop
+// in this file is row-local or elementwise (no ParallelReduce), so a
+// grain changes only scheduling, never an output value: these constants
+// can be retuned without moving any result.
 constexpr int64_t kRowMergeGrain = 64;   // SpGEMM row merges
 constexpr int64_t kRowScaleGrain = 512;  // normalize / SpMv rows
 constexpr int64_t kAxpyGrain = 2048;     // elementwise vector updates

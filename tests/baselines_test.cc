@@ -11,10 +11,10 @@ namespace freehgc::baselines {
 namespace {
 
 hgnn::EvalContext MakeContext(const HeteroGraph& g) {
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  popts.max_paths = 8;
-  return hgnn::BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 8;
+  return hgnn::BuildEvalContext(g, mp);
 }
 
 class CoresetKindTest : public ::testing::TestWithParam<CoresetKind> {};

@@ -285,13 +285,13 @@ TEST(DeterminismTest, CondenseBitIdenticalAcrossThreadCounts) {
   opts.ratio = 0.05;
   opts.max_hops = 2;
 
-  opts.num_threads = 1;
-  auto ref = core::Condense(g, opts);
+  exec::ExecContext ex1(1);
+  auto ref = core::Condense(g, opts, &ex1);
   ASSERT_TRUE(ref.ok());
 
   for (int threads : {2, 4}) {
-    opts.num_threads = threads;
-    auto got = core::Condense(g, opts);
+    exec::ExecContext ex(threads);
+    auto got = core::Condense(g, opts, &ex);
     ASSERT_TRUE(got.ok()) << threads;
     EXPECT_EQ(got.value().selected_target, ref.value().selected_target)
         << threads;

@@ -19,9 +19,9 @@ namespace {
 
 TEST(PropagateTest, BlockLayoutAndShapes) {
   const HeteroGraph g = datasets::MakeToy(1);
-  PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 2;
-  const PropagatedFeatures f = PropagateFeatures(g, opts);
+  const PropagatedFeatures f = BuildEvalContext(g, opts).full_features;
   ASSERT_GE(f.blocks.size(), 2u);
   EXPECT_EQ(f.names[0], "raw");
   EXPECT_EQ(f.end_types[0], g.target_type());
@@ -36,9 +36,9 @@ TEST(PropagateTest, MeanAggregationIsConvexCombination) {
   // Propagated feature values must lie within the range of the source
   // features (row-stochastic composition = convex combination).
   const HeteroGraph g = datasets::MakeToy(2);
-  PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 1;
-  const PropagatedFeatures f = PropagateFeatures(g, opts);
+  const PropagatedFeatures f = BuildEvalContext(g, opts).full_features;
   for (size_t p = 1; p < f.blocks.size(); ++p) {
     const Matrix& src = g.Features(f.end_types[p]);
     float lo = src.data()[0], hi = src.data()[0];
@@ -55,7 +55,7 @@ TEST(PropagateTest, MeanAggregationIsConvexCombination) {
 
 TEST(PropagateTest, CondensedGraphSharesBlockLayout) {
   const HeteroGraph g = datasets::MakeToy(3);
-  PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 2;
   const EvalContext ctx = BuildEvalContext(g, opts);
   // Induce a subgraph (same schema) and propagate along the same paths.
@@ -83,7 +83,7 @@ TEST(PropagateTest, MultiHopBlocksAreTheExactProduct) {
   // row budget, L2-row-normalized: checked against a float64 dense
   // evaluation of the same product.
   const HeteroGraph g = datasets::MakeToy(4);
-  PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 3;
   opts.max_row_nnz = 1;  // ignored by propagation
   const EvalContext ctx = BuildEvalContext(g, opts);
@@ -141,7 +141,7 @@ TEST(PropagateTest, OneHopBlocksMatchTheComposedAdjacencyProduct) {
   // A 1-hop block is byte-equal to SpMmDense(ComposeAdjacency(g, p,
   // 512), X_end), L2-row-normalized as propagation does it.
   const HeteroGraph g = datasets::MakeToy(5);
-  PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 2;
   const EvalContext ctx = BuildEvalContext(g, opts);
   int checked = 0;
@@ -173,7 +173,7 @@ TEST(PropagateTest, OneHopBlocksMatchTheComposedAdjacencyProduct) {
 
 TEST(PropagateTest, BuildEvalContextComposesNothing) {
   const HeteroGraph g = datasets::MakeToy(6);
-  PropagateOptions opts;
+  MetaPathOptions opts;
   opts.max_hops = 3;
   obs::Counter& compose_calls =
       obs::MetricsRegistry::Global().GetCounter("metapath.compose_calls");
@@ -187,9 +187,9 @@ class ModelKindTest : public ::testing::TestWithParam<HgnnKind> {};
 
 TEST_P(ModelKindTest, ForwardShapeAndDeterminism) {
   const HeteroGraph g = datasets::MakeToy(4);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const PropagatedFeatures f = PropagateFeatures(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const PropagatedFeatures f = BuildEvalContext(g, mp).full_features;
   std::vector<int64_t> dims;
   for (const auto& b : f.blocks) dims.push_back(b.cols());
 
@@ -209,10 +209,10 @@ TEST_P(ModelKindTest, ForwardShapeAndDeterminism) {
 
 TEST_P(ModelKindTest, GradCheck) {
   const HeteroGraph g = datasets::MakeToy(5);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  popts.max_paths = 3;
-  const PropagatedFeatures f = PropagateFeatures(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 3;
+  const PropagatedFeatures f = BuildEvalContext(g, mp).full_features;
   std::vector<int64_t> dims;
   for (const auto& b : f.blocks) dims.push_back(b.cols());
 
@@ -301,9 +301,9 @@ TEST_P(ModelKindTest, EvalForwardOnGatheredRowsMatchesFullForward) {
   // The trainer's eval forwards run over the val/test rows only; that is
   // exact because inference is row-wise.
   const HeteroGraph g = datasets::MakeToy(14);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const PropagatedFeatures f = PropagateFeatures(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const PropagatedFeatures f = BuildEvalContext(g, mp).full_features;
   HgnnModel model = TrainedModel(GetParam(), g, f);
   const Matrix full = model.Forward(f.blocks, /*train=*/false);
   std::vector<int32_t> rows;
@@ -322,9 +322,9 @@ TEST_P(ModelKindTest, EvalForwardBetweenTrainForwardAndBackwardIsInert) {
   // forward on other rows between its Forward and Backward. Dropout is
   // on, so the eval forward must also leave the dropout masks alone.
   const HeteroGraph g = datasets::MakeToy(15);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const PropagatedFeatures f = PropagateFeatures(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const PropagatedFeatures f = BuildEvalContext(g, mp).full_features;
   HgnnModel plain = TrainedModel(GetParam(), g, f);
   HgnnModel probed = TrainedModel(GetParam(), g, f);
   const std::vector<int32_t> rows = {2, 5, 7};
@@ -357,9 +357,9 @@ INSTANTIATE_TEST_SUITE_P(AllKinds, ModelKindTest,
 
 TEST(TrainerTest, WholeGraphBeatsChance) {
   const HeteroGraph g = datasets::MakeToy(6);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const EvalContext ctx = BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const EvalContext ctx = BuildEvalContext(g, mp);
   HgnnConfig cfg;
   cfg.hidden = 16;
   cfg.epochs = 80;
@@ -371,9 +371,9 @@ TEST(TrainerTest, WholeGraphBeatsChance) {
 
 TEST(TrainerTest, TrainOnSubgraphEvaluatesOnFull) {
   const HeteroGraph g = datasets::MakeToy(7);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const EvalContext ctx = BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const EvalContext ctx = BuildEvalContext(g, mp);
   std::vector<std::vector<int32_t>> keep(
       static_cast<size_t>(g.NumNodeTypes()));
   for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
@@ -393,9 +393,9 @@ TEST(TrainerTest, TrainOnSubgraphEvaluatesOnFull) {
 
 TEST(TrainerTest, TrainOnBlocksRunsOnSyntheticRows) {
   const HeteroGraph g = datasets::MakeToy(8);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const EvalContext ctx = BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const EvalContext ctx = BuildEvalContext(g, mp);
   // Synthetic data: 12 rows copied from real propagated rows.
   std::vector<Matrix> blocks;
   std::vector<int32_t> rows = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11};
@@ -416,10 +416,10 @@ TEST(TrainerTest, TrainOnBlocksRunsOnSyntheticRows) {
 
 TEST(TrainerTest, ThreadCountDoesNotChangeResults) {
   const HeteroGraph g = datasets::MakeAcm(33, /*scale=*/0.2);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  popts.max_paths = 4;
-  const EvalContext ctx = BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 4;
+  const EvalContext ctx = BuildEvalContext(g, mp);
   std::vector<std::vector<int32_t>> keep(
       static_cast<size_t>(g.NumNodeTypes()));
   for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
@@ -466,8 +466,8 @@ TEST(TrainerTest, EmptyTestSplitScoresEveryRow) {
                     .ok());
     return g;
   };
-  PropagateOptions popts;
-  popts.max_hops = 2;
+  MetaPathOptions mp;
+  mp.max_hops = 2;
   HgnnConfig cfg;
   cfg.hidden = 8;
   cfg.epochs = 30;
@@ -477,9 +477,9 @@ TEST(TrainerTest, EmptyTestSplitScoresEveryRow) {
     const HeteroGraph empty_test = with_split(v, /*all_test=*/false);
     const HeteroGraph all_test = with_split(v, /*all_test=*/true);
     const EvalMetrics a =
-        WholeGraphBaseline(BuildEvalContext(empty_test, popts), cfg);
+        WholeGraphBaseline(BuildEvalContext(empty_test, mp), cfg);
     const EvalMetrics b =
-        WholeGraphBaseline(BuildEvalContext(all_test, popts), cfg);
+        WholeGraphBaseline(BuildEvalContext(all_test, mp), cfg);
     EXPECT_EQ(a.test_accuracy, b.test_accuracy) << v.size();
     EXPECT_EQ(a.macro_f1, b.macro_f1) << v.size();
     EXPECT_EQ(a.epochs_run, b.epochs_run) << v.size();
@@ -489,9 +489,9 @@ TEST(TrainerTest, EmptyTestSplitScoresEveryRow) {
 
 TEST(TrainerTest, DeterministicUnderSeed) {
   const HeteroGraph g = datasets::MakeToy(9);
-  PropagateOptions popts;
-  popts.max_hops = 2;
-  const EvalContext ctx = BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const EvalContext ctx = BuildEvalContext(g, mp);
   HgnnConfig cfg;
   cfg.hidden = 8;
   cfg.epochs = 30;

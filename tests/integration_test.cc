@@ -23,10 +23,10 @@ struct Fixture {
 Fixture MakeAcmFixture(uint64_t seed) {
   Fixture f;
   f.graph = datasets::MakeAcm(seed, /*scale=*/0.15);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  popts.max_paths = 10;
-  f.ctx = hgnn::BuildEvalContext(f.graph, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 10;
+  f.ctx = hgnn::BuildEvalContext(f.graph, mp);
   return f;
 }
 
@@ -157,10 +157,10 @@ TEST(IntegrationTest, MappedGraphCondensesBitIdenticallyToHeapGraph) {
 TEST(IntegrationTest, DeepHierarchyDatasetEndToEnd) {
   // DBLP-style graph exercises the father/leaf split (Fig. 5 middle).
   HeteroGraph g = datasets::MakeDblp(113, /*scale=*/0.1);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 3;
-  popts.max_paths = 10;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 3;
+  mp.max_paths = 10;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, mp);
   pipeline::RunSpec run;
   run.ratio = 0.05;
   const auto res =

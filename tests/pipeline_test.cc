@@ -66,9 +66,9 @@ TEST(MethodNameTest, AllNamed) {
 
 TEST(MethodRegistryTest, UnknownKeyIsNotFound) {
   const HeteroGraph g = datasets::MakeToy(7);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, mp);
   auto res = RunMethod(ctx, "no-such-method", RunSpec{}, hgnn::HgnnConfig{});
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
@@ -109,10 +109,10 @@ class RunMethodTest : public ::testing::TestWithParam<MethodIndex> {};
 
 TEST_P(RunMethodTest, EndToEndOnToy) {
   const HeteroGraph g = datasets::MakeToy(5);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  popts.max_paths = 6;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 6;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, mp);
   RunSpec run;
   run.ratio = 0.2;
   run.seed = 1;
@@ -145,9 +145,9 @@ INSTANTIATE_TEST_SUITE_P(
 
 TEST(RunMethodSeedsTest, AggregatesOverSeeds) {
   const HeteroGraph g = datasets::MakeToy(7);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, mp);
   RunSpec run;
   run.ratio = 0.2;
   hgnn::HgnnConfig cfg;
@@ -237,10 +237,7 @@ TEST(CondenseCacheTest, FreeHgcComposesTrainRowsForSelectionOnly) {
   core::FreeHgcOptions opts;
   opts.ratio = 0.3;
   opts.max_hops = 2;
-  MetaPathOptions mp;
-  mp.max_hops = opts.max_hops;
-  mp.max_paths = opts.max_paths;
-  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), opts);
 
   ArtifactCache cache;
   const int64_t before = compose_calls.Value();
@@ -266,13 +263,13 @@ TEST(CondenseCacheTest, FreeHgcComposesTrainRowsForSelectionOnly) {
 
 TEST(ArtifactCacheTest, PropagatedAndBaselineMemoize) {
   const HeteroGraph g = datasets::MakeToy(7);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, popts);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, mp);
 
   ArtifactCache cache;
-  const auto f1 = cache.Propagated(g, ctx.paths, popts.max_row_nnz, nullptr);
-  const auto f2 = cache.Propagated(g, ctx.paths, popts.max_row_nnz, nullptr);
+  const auto f1 = cache.Propagated(g, ctx.paths, mp.max_row_nnz, nullptr);
+  const auto f2 = cache.Propagated(g, ctx.paths, mp.max_row_nnz, nullptr);
   EXPECT_EQ(f1.get(), f2.get());
   ASSERT_EQ(f1->blocks.size(), ctx.full_features.blocks.size());
   for (size_t i = 0; i < f1->blocks.size(); ++i) {
@@ -345,12 +342,10 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
   // Composed and Diversity keys run one propagation, one compose and one
   // Jaccard pass, and every caller gets the same pinned entry.
   const HeteroGraph g = datasets::MakeToy(7);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  const auto prop_paths = hgnn::EnumeratePropagationPaths(g, popts);
   MetaPathOptions mp;
   mp.max_hops = 2;
-  const MetaPath path = EnumerateMetaPaths(g, g.target_type(), mp).back();
+  const auto prop_paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  const MetaPath path = prop_paths.back();
   // The diversity group: the largest set of paths (up to 3 hops)
   // sharing an end type.
   MetaPathOptions mp3 = mp;
@@ -371,7 +366,7 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
   int64_t one_build = blocks.Value();
   {
     ArtifactCache reference;
-    reference.Propagated(g, prop_paths, popts.max_row_nnz, nullptr);
+    reference.Propagated(g, prop_paths, mp.max_row_nnz, nullptr);
   }
   one_build = blocks.Value() - one_build;
   ASSERT_GT(one_build, 0);
@@ -393,7 +388,7 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
       while (ready.load() < kThreads) std::this_thread::yield();
       bool built = false;
       props[static_cast<size_t>(i)] =
-          cache.Propagated(g, prop_paths, popts.max_row_nnz, &ex, &built);
+          cache.Propagated(g, prop_paths, mp.max_row_nnz, &ex, &built);
       propagated[static_cast<size_t>(i)] = built ? 1 : 0;
       adjs[static_cast<size_t>(i)] = cache.Composed(g, path, 0, &ex);
       divs[static_cast<size_t>(i)] =
@@ -567,19 +562,45 @@ TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
   EXPECT_GT(cache.stats().hits, after_first.hits);
   EXPECT_EQ(compose_calls.Value(), composed_first);
 
-  core::FreeHgcOptions fopts;
-  fopts.ratio = run.ratio;
-  fopts.max_hops = ctx.options.max_hops;
-  fopts.max_paths = ctx.options.max_paths;
-  fopts.max_row_nnz = ctx.options.max_row_nnz;
-  auto cold = core::Condense((*data)->graph, fopts);
-  ASSERT_TRUE(cold.ok());
-  auto cold_bytes = SerializeHeteroGraph(cold->graph);
+  // An uncached core::Condense of the prepared graph under `mp`.
+  auto direct_bytes = [&](const MetaPathOptions& mp) {
+    core::FreeHgcOptions fopts;
+    fopts.ratio = run.ratio;
+    static_cast<MetaPathOptions&>(fopts) = mp;
+    auto res = core::Condense((*data)->graph, fopts);
+    EXPECT_TRUE(res.ok()) << res.status().ToString();
+    if (!res.ok()) return std::string();
+    auto bytes = SerializeHeteroGraph(res->graph);
+    EXPECT_TRUE(bytes.ok());
+    return bytes.ok() ? *bytes : std::string();
+  };
+  const std::string cold_bytes = direct_bytes(ctx.options);
   auto first_bytes = SerializeHeteroGraph(first->graph);
   auto second_bytes = SerializeHeteroGraph(second->graph);
-  ASSERT_TRUE(cold_bytes.ok() && first_bytes.ok() && second_bytes.ok());
-  EXPECT_EQ(*first_bytes, *cold_bytes);
-  EXPECT_EQ(*second_bytes, *cold_bytes);
+  ASSERT_TRUE(first_bytes.ok() && second_bytes.ok());
+  EXPECT_EQ(*first_bytes, cold_bytes);
+  EXPECT_EQ(*second_bytes, cold_bytes);
+
+  // The registry hands the context's whole meta-path configuration on: a
+  // context that differs from the defaults in all three fields gives
+  // core::Condense's bytes under those fields, and each field counts, so
+  // a hand-off that dropped one would give the bytes of a reset below.
+  const MetaPathOptions other{.max_hops = 3, .max_row_nnz = 4, .max_paths = 3};
+  const hgnn::EvalContext other_ctx =
+      BuildEvalContext((*data)->graph, other, env);
+  auto handed = freehgc->Condense(other_ctx, run, env);
+  ASSERT_TRUE(handed.ok()) << handed.status().ToString();
+  auto handed_bytes = SerializeHeteroGraph(handed->graph);
+  ASSERT_TRUE(handed_bytes.ok());
+  EXPECT_EQ(*handed_bytes, direct_bytes(other));
+  const MetaPathOptions defaults;
+  MetaPathOptions hops = other, paths = other, budget = other;
+  hops.max_hops = defaults.max_hops;
+  paths.max_paths = defaults.max_paths;
+  budget.max_row_nnz = defaults.max_row_nnz;
+  EXPECT_NE(*handed_bytes, direct_bytes(hops));
+  EXPECT_NE(*handed_bytes, direct_bytes(paths));
+  EXPECT_NE(*handed_bytes, direct_bytes(budget));
 }
 
 TEST(PrepareDatasetTest, CachedContextSharesTheCacheEntrysBlocks) {

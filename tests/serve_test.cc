@@ -939,9 +939,9 @@ TEST(ServeServiceTest, EvaluateReproducesPipelineRunMethod) {
   ASSERT_TRUE(reply->evaluated);
 
   // The same run through the pipeline layer directly.
-  hgnn::PropagateOptions popts;
-  popts.max_paths = req.max_paths;
-  hgnn::EvalContext ctx = hgnn::BuildEvalContext(toy, popts);
+  MetaPathOptions mp;
+  mp.max_paths = req.max_paths;
+  hgnn::EvalContext ctx = hgnn::BuildEvalContext(toy, mp);
   pipeline::RunSpec spec;
   spec.ratio = req.ratio;
   spec.seed = req.seed;
@@ -1410,6 +1410,74 @@ TEST(ServerTest, LoopbackRoundTripAndGracefulShutdown) {
   server.Wait();  // drains and returns
   EXPECT_EQ(server.service().scheduler_stats().inflight, 0);
   EXPECT_EQ(server.service().scheduler_stats().queue_depth, 0);
+}
+
+// A meta-path configuration the server cannot bound is rejected before
+// admission, so nothing executes: an unlimited or negative path cap, a
+// negative row budget, and int fields sent out of int range (which the
+// decoder used to truncate, so max_paths = 2^32 arrived as 0).
+TEST(ServerTest, RejectsUnboundedMetaPathRequestsBeforeAdmission) {
+  ServerOptions options;
+  options.serve = SmallServeOptions(1);
+  Server server(options);
+  const Status st = server.Start();
+  if (!st.ok()) {
+    GTEST_SKIP() << "cannot bind a loopback socket here: " << st.ToString();
+  }
+  ServeClient client;
+  ASSERT_TRUE(client.Connect(server.port()).ok());
+  ASSERT_TRUE(client.RegisterGenerator("toy", "toy", 5, 0.0).ok());
+
+  for (const int max_paths : {0, -1}) {
+    CondenseRequest req = ToyRequest(1);
+    req.max_paths = max_paths;
+    EXPECT_EQ(client.Condense(req).status().code(),
+              StatusCode::kInvalidArgument)
+        << "max_paths " << max_paths;
+  }
+  CondenseRequest negative_budget = ToyRequest(1);
+  negative_budget.max_row_nnz = -1;
+  EXPECT_EQ(client.Condense(negative_budget).status().code(),
+            StatusCode::kInvalidArgument);
+
+  // The wire carries max_hops, max_paths and priority as i64.
+  auto condense_payload = [](int64_t max_hops, int64_t max_paths,
+                             int64_t priority) {
+    const CondenseRequest req = ToyRequest(1);
+    WireWriter w;
+    w.PutU8(static_cast<uint8_t>(MsgType::kCondense));
+    w.PutString(req.graph);
+    w.PutString(req.method);
+    w.PutF64(req.ratio);
+    w.PutU64(req.seed);
+    w.PutI64(max_hops);
+    w.PutI64(max_paths);
+    w.PutI64(req.max_row_nnz);
+    w.PutU8(0);
+    w.PutU8(0);
+    w.PutI64(priority);
+    w.PutI64(req.deadline_ms);
+    return w.Take();
+  };
+  ASSERT_TRUE(client.Call(condense_payload(2, 6, 0)).ok());
+  const int64_t completed = server.service().scheduler_stats().completed;
+  for (const int64_t bad : {int64_t{1} << 32, int64_t{1} << 31,
+                            -(int64_t{1} << 31) - 1}) {
+    EXPECT_EQ(client.Call(condense_payload(bad, 6, 0)).status().code(),
+              StatusCode::kInvalidArgument)
+        << "max_hops " << bad;
+    EXPECT_EQ(client.Call(condense_payload(2, bad, 0)).status().code(),
+              StatusCode::kInvalidArgument)
+        << "max_paths " << bad;
+    EXPECT_EQ(client.Call(condense_payload(2, 6, bad)).status().code(),
+              StatusCode::kInvalidArgument)
+        << "priority " << bad;
+  }
+  const SchedulerStats stats = server.service().scheduler_stats();
+  EXPECT_EQ(stats.admitted, 1);
+  EXPECT_EQ(stats.completed, completed);
+  ASSERT_TRUE(client.Shutdown().ok());
+  server.Wait();
 }
 
 // Protocol-v2 handshake: the Ping reply identifies the server; cluster

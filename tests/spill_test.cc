@@ -20,6 +20,7 @@
 #include "graph/serialize.h"
 #include "hgnn/feature_spill.h"
 #include "hgnn/propagate.h"
+#include "hgnn/trainer.h"
 #include "metapath/metapath.h"
 #include "pipeline/artifact_cache.h"
 #include "serve/graph_store.h"
@@ -98,10 +99,11 @@ TEST(SpillCsrTest, MappedRoundTripIsBitIdentical) {
 TEST(SpillPropagatedTest, MappedRoundTripIsBitIdentical) {
   const HeteroGraph g = datasets::MakeToy(7);
   exec::ExecContext ex(2);
-  hgnn::PropagateOptions popts;
-  popts.max_hops = 2;
-  popts.max_paths = 4;
-  const hgnn::PropagatedFeatures f = hgnn::PropagateFeatures(g, popts, &ex);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 4;
+  const hgnn::PropagatedFeatures f =
+      hgnn::BuildEvalContext(g, mp, &ex).full_features;
   ASSERT_GT(f.blocks.size(), 1u);
 
   const std::string dir = ScratchDir("prop");
@@ -285,10 +287,7 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
 
   // The largest group of Condense's paths sharing an end type, and its
   // diversity computed uncached.
-  MetaPathOptions mp;
-  mp.max_hops = opts.max_hops;
-  mp.max_paths = opts.max_paths;
-  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), opts);
   std::vector<MetaPath> group;
   for (const MetaPath& p : paths) {
     auto same_end = FilterByEndType(paths, p.end_type());

@@ -5,7 +5,7 @@
 //   freehgc_client --port=P upload NAME FILE
 //   freehgc_client --port=P list
 //   freehgc_client --port=P condense GRAPH [--method=freehgc] [--ratio=0.1]
-//                  [--seed=1] [--max-hops=2] [--max-paths=12]
+//                  [--seed=1] [--max-hops=2] [--max-paths=12 (>= 1)]
 //                  [--evaluate] [--output=FILE] [--deadline-ms=0]
 //                  [--priority=0]
 //   freehgc_client --port=P loadgen GRAPH [--method=freehgc] [--ratio=0.1]
@@ -239,7 +239,8 @@ int RunClusterCommand(int meta_port, const std::string& command,
   }
   if (command == "condense") {
     if (positional.size() != 1) {
-      std::fprintf(stderr, "usage: condense GRAPH [flags]\n");
+      std::fprintf(stderr,
+                   "usage: condense GRAPH [flags] (--max-paths >= 1)\n");
       return 2;
     }
     req.graph = positional[0];
@@ -468,7 +469,8 @@ int main(int argc, char** argv) {
   }
   if (command == "condense") {
     if (positional.size() != 1) {
-      std::fprintf(stderr, "usage: condense GRAPH [flags]\n");
+      std::fprintf(stderr,
+                   "usage: condense GRAPH [flags] (--max-paths >= 1)\n");
       return 2;
     }
     req.graph = positional[0];

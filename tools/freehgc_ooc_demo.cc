@@ -132,8 +132,8 @@ bool TryHeapSlurp(const std::string& path) {
 }
 
 int RunCondense(const std::string& path, const std::string& out, double ratio,
-                int max_hops, int max_paths, int64_t max_row_nnz,
-                uint64_t seed, bool try_heap) {
+                const freehgc::MetaPathOptions& mp, uint64_t seed,
+                bool try_heap) {
   if (try_heap && !TryHeapSlurp(path)) {
     return Fail(freehgc::Status::NotFound("cannot open " + path));
   }
@@ -148,9 +148,7 @@ int RunCondense(const std::string& path, const std::string& out, double ratio,
 
   freehgc::core::FreeHgcOptions opts;
   opts.ratio = ratio;
-  opts.max_hops = max_hops;
-  opts.max_paths = max_paths;
-  if (max_row_nnz > 0) opts.max_row_nnz = max_row_nnz;
+  static_cast<freehgc::MetaPathOptions&>(opts) = mp;
   opts.seed = seed;
   auto res = freehgc::core::Condense(*mapped, opts);
   if (!res.ok()) return Fail(res.status());
@@ -178,7 +176,7 @@ struct ServeBudget {
 };
 
 int RunServe(const std::string& path, const std::string& method, double ratio,
-             int max_hops, int max_paths, bool evaluate, bool try_heap,
+             const freehgc::MetaPathOptions& mp, bool evaluate, bool try_heap,
              const ServeBudget& budget) {
   if (try_heap && !TryHeapSlurp(path)) {
     return Fail(freehgc::Status::NotFound("cannot open " + path));
@@ -214,8 +212,8 @@ int RunServe(const std::string& path, const std::string& method, double ratio,
     request.graph = "g";
     request.method = method;
     request.ratio = ratio;
-    request.max_hops = max_hops;
-    request.max_paths = max_paths;
+    request.max_hops = mp.max_hops;
+    request.max_paths = mp.max_paths;
     request.evaluate = evaluate;
     request.return_graph = budget.fingerprint;
     auto reply = service.Condense(request);
@@ -264,9 +262,9 @@ int main(int argc, char** argv) {
   double scale = 1.0;
   double ratio = 0.01;
   uint64_t seed = 1;
-  int max_hops = 1;
-  int max_paths = 2;
-  int64_t max_row_nnz = 0;  // 0 = keep the FreeHgcOptions default
+  freehgc::MetaPathOptions mp;
+  mp.max_hops = 1;
+  mp.max_paths = 2;
   bool evaluate = false;
   bool try_heap = false;
   ServeBudget budget;
@@ -290,11 +288,11 @@ int main(int argc, char** argv) {
     } else if (FlagValue(arg, "--seed=", &v)) {
       seed = static_cast<uint64_t>(std::atoll(v.c_str()));
     } else if (FlagValue(arg, "--max-hops=", &v)) {
-      max_hops = std::atoi(v.c_str());
+      mp.max_hops = std::atoi(v.c_str());
     } else if (FlagValue(arg, "--max-paths=", &v)) {
-      max_paths = std::atoi(v.c_str());
+      mp.max_paths = std::atoi(v.c_str());
     } else if (FlagValue(arg, "--max-row-nnz=", &v)) {
-      max_row_nnz = std::atoll(v.c_str());
+      mp.max_row_nnz = std::atoll(v.c_str());
     } else if (FlagValue(arg, "--spill-dir=", &v)) {
       budget.spill_dir = v;
     } else if (FlagValue(arg, "--artifact-budget=", &v)) {
@@ -317,12 +315,10 @@ int main(int argc, char** argv) {
     return RunGenerate(preset, scale, seed, path);
   }
   if (phase == "condense") {
-    return RunCondense(path, out, ratio, max_hops, max_paths, max_row_nnz,
-                       seed, try_heap);
+    return RunCondense(path, out, ratio, mp, seed, try_heap);
   }
   if (phase == "serve") {
-    return RunServe(path, method, ratio, max_hops, max_paths, evaluate,
-                    try_heap, budget);
+    return RunServe(path, method, ratio, mp, evaluate, try_heap, budget);
   }
   std::fprintf(stderr, "unknown --phase=%s (generate|condense|serve)\n",
                phase.c_str());

@@ -1,13 +1,7 @@
-// freehgc_server: long-lived condensation service on 127.0.0.1.
-//
-//   freehgc_server [--port=0] [--port-file=PATH] [--slots=2]
-//                  [--queue-capacity=32] [--threads-per-slot=0]
-//                  [--max-concurrent=0] [--aging-quantum-ms=250]
-//                  [--slo-ms=0] [--no-coalesce]
-//                  [--spool-dir=PATH] [--map=NAME=PATH]...
-//                  [--access-log=PATH] [--spill-dir=PATH]
-//                  [--artifact-budget=BYTES] [--resident-budget=BYTES]
-//                  [--meta=HOST:PORT --shard-id=N [--heartbeat-ms=500]]
+// freehgc_server: long-lived condensation service on 127.0.0.1. kUsage
+// below lists its flags. A flag it cannot honour exits 2 with that usage:
+// an unknown flag, an integer value that is not wholly a number in range,
+// or --artifact-budget without --spill-dir.
 //
 // QoS knobs (see serve::ServeOptions): --max-concurrent caps how many
 // slots execute at once (0 = the core budget — surplus slots park
@@ -54,9 +48,13 @@
 
 #include <malloc.h>
 
+#include <cerrno>
 #include <csignal>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
@@ -83,16 +81,39 @@ void HandleQuit(int /*sig*/) {
   if (g_server != nullptr) g_server->RequestStop();
 }
 
-bool ParseIntFlag(const std::string& arg, const char* prefix, int* out) {
-  if (arg.rfind(prefix, 0) != 0) return false;
-  *out = std::atoi(arg.c_str() + std::string(prefix).size());
-  return true;
+constexpr char kUsage[] =
+    "usage: freehgc_server [--port=0] [--port-file=PATH] [--slots=2]\n"
+    "         [--queue-capacity=32] [--threads-per-slot=0]\n"
+    "         [--max-concurrent=0] [--aging-quantum-ms=250] [--slo-ms=0]\n"
+    "         [--no-coalesce] [--spool-dir=PATH] [--map=NAME=PATH]...\n"
+    "         [--access-log=PATH] [--resident-budget=BYTES]\n"
+    "         [--spill-dir=PATH [--artifact-budget=BYTES]]\n"
+    "         [--meta=HOST:PORT --shard-id=N [--heartbeat-ms=500]]\n";
+
+// Rejects the command line: the reason, then the usage, and exit 2.
+[[noreturn]] void Usage(const std::string& reason) {
+  std::fprintf(stderr, "freehgc_server: %s\n%s", reason.c_str(), kUsage);
+  std::exit(2);
 }
 
-bool ParseInt64Flag(const std::string& arg, const char* prefix,
-                    int64_t* out) {
+// Strict integer: the whole of `value` must be a base-10 integer in T's
+// range, or the command line is rejected (atoi would read "abc" as 0).
+template <typename T>
+T ParseIntValue(const std::string& flag, const char* value) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(value, &end, 10);
+  if (end == value || *end != '\0' || errno == ERANGE ||
+      v < std::numeric_limits<T>::min() || v > std::numeric_limits<T>::max()) {
+    Usage("bad integer value: " + flag);
+  }
+  return static_cast<T>(v);
+}
+
+template <typename T>
+bool ParseIntFlag(const std::string& arg, const char* prefix, T* out) {
   if (arg.rfind(prefix, 0) != 0) return false;
-  *out = std::atoll(arg.c_str() + std::string(prefix).size());
+  *out = ParseIntValue<T>(arg, arg.c_str() + std::strlen(prefix));
   return true;
 }
 
@@ -103,14 +124,14 @@ bool ParseBytesFlag(const std::string& arg, const char* prefix,
   const char* value = arg.c_str() + std::string(prefix).size();
   char* end = nullptr;
   unsigned long long n = std::strtoull(value, &end, 10);
-  if (end == value) return false;
+  if (end == value) Usage("bad byte count: " + arg);
   switch (*end) {
     case 'k': case 'K': n <<= 10; ++end; break;
     case 'm': case 'M': n <<= 20; ++end; break;
     case 'g': case 'G': n <<= 30; ++end; break;
     default: break;
   }
-  if (*end != '\0') return false;
+  if (*end != '\0') Usage("bad byte count: " + arg);
   *out = static_cast<size_t>(n);
   return true;
 }
@@ -124,14 +145,11 @@ bool ParseMetaFlag(const std::string& arg, int* port) {
   if (colon != std::string::npos) {
     const std::string host = value.substr(0, colon);
     if (host != "127.0.0.1" && host != "localhost") {
-      std::fprintf(stderr,
-                   "--meta only supports loopback hosts, got: %s\n",
-                   host.c_str());
-      std::exit(2);
+      Usage("--meta only supports loopback hosts, got: " + host);
     }
     value = value.substr(colon + 1);
   }
-  *port = std::atoi(value.c_str());
+  *port = ParseIntValue<int>(arg, value.c_str());
   return true;
 }
 
@@ -164,9 +182,9 @@ int main(int argc, char** argv) {
                      &options.serve.threads_per_slot) ||
         ParseIntFlag(arg, "--max-concurrent=",
                      &options.serve.max_concurrent) ||
-        ParseInt64Flag(arg, "--aging-quantum-ms=",
+        ParseIntFlag(arg, "--aging-quantum-ms=",
                        &options.serve.aging_quantum_ms) ||
-        ParseInt64Flag(arg, "--slo-ms=", &options.serve.slo_ms)) {
+        ParseIntFlag(arg, "--slo-ms=", &options.serve.slo_ms)) {
       continue;
     }
     if (arg == "--no-coalesce") {
@@ -205,15 +223,17 @@ int main(int argc, char** argv) {
       const std::string spec = arg.substr(std::string("--map=").size());
       const size_t eq = spec.find('=');
       if (eq == std::string::npos || eq == 0 || eq + 1 == spec.size()) {
-        std::fprintf(stderr, "--map expects NAME=PATH, got: %s\n",
-                     spec.c_str());
-        return 2;
+        Usage("--map expects NAME=PATH, got: " + spec);
       }
       maps.emplace_back(spec.substr(0, eq), spec.substr(eq + 1));
       continue;
     }
-    std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-    return 2;
+    Usage("unknown flag: " + arg);
+  }
+  if (options.serve.artifact_budget_bytes != SIZE_MAX &&
+      options.serve.spill_dir.empty()) {
+    // Without a spill tier the cache cannot honour a budget.
+    Usage("--artifact-budget needs --spill-dir");
   }
 
   // Orphan-spool GC: dead processes leave spill/tmp files behind, and a
