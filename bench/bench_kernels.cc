@@ -16,6 +16,11 @@
 // asserts that the spgemm, spgemm_truncating, bipartite_block and
 // jaccard rows and every dense row are >= 1.0x.
 //
+// Three stages that have no reference to race are recorded time-only,
+// beside "compose": one lazy-greedy coverage selection over the train
+// pool of a composed path, one propagated feature block, and one SeHGNN
+// training epoch on the whole graph's blocks.
+//
 // All timed paths are bit-identical to their references (enforced by
 // tests/sparse_reference_test.cc and tests/dense_reference_test.cc;
 // spot-checked here on both spgemm rows, the bipartite_block, jaccard
@@ -33,8 +38,12 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "core/target_selection.h"
 #include "dense/reference.h"
+#include "hgnn/models.h"
+#include "hgnn/propagate.h"
 #include "metapath/metapath.h"
+#include "nn/nn.h"
 #include "obs/trace.h"
 #include "sparse/ops.h"
 #include "sparse/reference.h"
@@ -353,6 +362,51 @@ int Run(bool smoke) {
   }
   add_repeated("ppr", ppr_ref, ppr_opt);
 
+  // --- Time-only stages ---------------------------------------------------
+  // Lazy-greedy coverage over the train pool, on the train-pool rows of
+  // the round-trip path as target selection composes them.
+  const CsrMatrix coverage_adj =
+      ComposeAdjacency(g, *round_trip, budget, &ex, &g.train_index());
+  const int32_t greedy_budget = 64;
+  const int64_t greedy_ns = BestOfNs(reps, [&] {
+    g_sink += static_cast<int64_t>(
+        core::GreedyCoverageSelect(coverage_adj, g.train_index(),
+                                   greedy_budget, nullptr, true, nullptr, &ex)
+            .size());
+  });
+  const int64_t block_ns = BestOfNs(
+      reps, [&] { Consume(hgnn::PropagateOneBlock(g, *round_trip, &ex)); });
+  // One SeHGNN epoch (forward, backward, Adam step) over the whole
+  // graph's blocks along the first 8 paths of at most 2 hops.
+  MetaPathOptions train_mp;
+  train_mp.max_hops = 2;
+  train_mp.max_paths = 8;
+  const hgnn::PropagatedFeatures train_feats = hgnn::PropagateAlongPaths(
+      g, EnumerateMetaPaths(g, g.target_type(), train_mp), budget, &ex);
+  std::vector<int64_t> dims;
+  for (const Matrix& b : train_feats.blocks) dims.push_back(b.cols());
+  hgnn::HgnnConfig train_cfg;
+  train_cfg.hidden = 32;
+  hgnn::HgnnModel model(train_cfg, dims, train_feats.end_types,
+                        g.num_classes());
+  nn::Adam adam(1e-3f);
+  std::vector<nn::Parameter*> params = model.Params();
+  const int64_t epoch_ns = BestOfNs(reps, [&] {
+    model.ZeroGrad();
+    Matrix dlogits;
+    nn::SoftmaxCrossEntropy(model.Forward(train_feats.blocks, true, &ex),
+                            g.labels(), g.train_index(), &dlogits);
+    model.Backward(dlogits, &ex);
+    adam.Step(params);
+  });
+  std::printf("greedy_coverage budget %d of %zu: %.3f ms\n", greedy_budget,
+              g.train_index().size(), static_cast<double>(greedy_ns) * 1e-6);
+  std::printf("propagate_block %s: %.3f ms\n", round_trip->Name(g).c_str(),
+              static_cast<double>(block_ns) * 1e-6);
+  std::printf("train_epoch %s, %zu blocks: %.3f ms\n",
+              hgnn::HgnnKindName(train_cfg.kind), train_feats.blocks.size(),
+              static_cast<double>(epoch_ns) * 1e-6);
+
   // --- Dense products vs their scalar references ------------------------
   for (int dense_threads : {1, 4}) {
     exec::ExecContext dex(dense_threads);
@@ -403,6 +457,19 @@ int Run(bool smoke) {
       "\"ns\": %lld},\n",
       paths.size(), static_cast<long long>(budget),
       static_cast<long long>(compose_ns));
+  json += StrFormat(
+      "  \"greedy_coverage\": {\"pool\": %zu, \"budget\": %d, "
+      "\"ns\": %lld},\n",
+      g.train_index().size(), greedy_budget,
+      static_cast<long long>(greedy_ns));
+  json += StrFormat(
+      "  \"propagate_block\": {\"path\": \"%s\", \"ns\": %lld},\n",
+      round_trip->Name(g).c_str(), static_cast<long long>(block_ns));
+  json += StrFormat(
+      "  \"train_epoch\": {\"model\": \"%s\", \"blocks\": %zu, "
+      "\"ns\": %lld},\n",
+      hgnn::HgnnKindName(train_cfg.kind), train_feats.blocks.size(),
+      static_cast<long long>(epoch_ns));
   json += StrFormat(
       "  \"spgemm_truncating\": {\"dataset\": \"aminer\", \"scale\": 0.25, "
       "\"rows\": %d, \"rows_truncated\": %lld, \"output_nnz\": %lld},\n",

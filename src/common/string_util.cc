@@ -1,5 +1,6 @@
 #include "common/string_util.h"
 
+#include <cmath>
 #include <cstdarg>
 #include <cstdio>
 
@@ -92,6 +93,17 @@ std::string JsonEscape(const std::string& s) {
     }
   }
   return out;
+}
+
+bool ParseDouble(const char* s, double* out) {
+  errno = 0;
+  char* end = nullptr;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    return false;
+  }
+  *out = v;
+  return true;
 }
 
 }  // namespace freehgc

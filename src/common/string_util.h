@@ -1,7 +1,10 @@
 #ifndef FREEHGC_COMMON_STRING_UTIL_H_
 #define FREEHGC_COMMON_STRING_UTIL_H_
 
+#include <cerrno>
+#include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 namespace freehgc {
@@ -29,6 +32,25 @@ size_t DisplayWidth(const std::string& s);
 /// Escapes `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, control characters).
 std::string JsonEscape(const std::string& s);
+
+/// Strict integer parse for command lines: true when the whole of `s` is
+/// a base-10 integer in T's range (atoi would read "abc" as 0). On false
+/// `*out` is untouched.
+template <typename T>
+bool ParseInt(const char* s, T* out) {
+  errno = 0;
+  char* end = nullptr;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::in_range<T>(v)) {
+    return false;
+  }
+  *out = static_cast<T>(v);
+  return true;
+}
+
+/// Strict floating-point parse: true when the whole of `s` is a finite
+/// number (atof would read "abc" as 0). On false `*out` is untouched.
+bool ParseDouble(const char* s, double* out);
 
 }  // namespace freehgc
 

@@ -175,7 +175,7 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
     switch (opts.target_strategy) {
       case TargetStrategy::kCriterion: {
         selected_target = CondenseTargetNodes(
-            g, paths, opts.max_row_nnz, target_budget, opts.seed, opts.target,
+            g, paths, opts.max_row_nnz, target_budget, opts.target,
             /*scores_out=*/nullptr, &ex, cache);
         break;
       }

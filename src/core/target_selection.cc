@@ -6,56 +6,10 @@
 #include <queue>
 
 #include "common/logging.h"
-#include "common/rng.h"
 #include "core/selection_util.h"
 #include "sparse/ops.h"
 
 namespace freehgc::core {
-
-std::vector<int32_t> PruneUninfluentialByWalks(
-    const CsrMatrix& adj, const std::vector<int32_t>& pool,
-    double prune_fraction, int walks, int length, uint64_t seed,
-    exec::ExecContext* ctx) {
-  if (prune_fraction <= 0.0 || pool.size() < 4) return pool;
-  const CsrMatrix adj_t = sparse::Transpose(adj, ctx);
-  Rng rng(seed);
-  std::vector<std::pair<int64_t, int32_t>> scored;  // (visits, node)
-  scored.reserve(pool.size());
-  std::vector<int32_t> visited;
-  for (int32_t v : pool) {
-    visited.clear();
-    for (int w = 0; w < walks; ++w) {
-      int32_t row = v;
-      for (int step = 0; step < length; ++step) {
-        const auto cols = adj.RowIndices(row);
-        if (cols.empty()) break;
-        const int32_t col = cols[static_cast<size_t>(
-            rng.NextBounded(cols.size()))];
-        visited.push_back(col);
-        const auto rows = adj_t.RowIndices(col);
-        if (rows.empty()) break;
-        row = rows[static_cast<size_t>(rng.NextBounded(rows.size()))];
-      }
-    }
-    std::sort(visited.begin(), visited.end());
-    const int64_t distinct = static_cast<int64_t>(
-        std::unique(visited.begin(), visited.end()) - visited.begin());
-    scored.push_back({distinct, v});
-  }
-  std::stable_sort(scored.begin(), scored.end(),
-                   [](const auto& a, const auto& b) {
-                     return a.first > b.first;
-                   });
-  const size_t keep = std::max<size_t>(
-      2, static_cast<size_t>((1.0 - prune_fraction) * pool.size()));
-  std::vector<int32_t> out;
-  out.reserve(keep);
-  for (size_t i = 0; i < keep && i < scored.size(); ++i) {
-    out.push_back(scored[i].second);
-  }
-  std::sort(out.begin(), out.end());
-  return out;
-}
 
 namespace {
 
@@ -146,7 +100,6 @@ std::vector<int32_t> GreedyCoverageSelect(
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
-                                         uint64_t seed,
                                          const TargetSelectionOptions& opts,
                                          std::vector<double>* scores_out,
                                          exec::ExecContext* ctx,
@@ -165,10 +118,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
   // supplied), grouped by end type for the Jaccard term (Eq. 6 compares
   // paths sharing source and target types). The Jaccard term, the greedy
   // coverage and the degree fallback read only pool rows, so only the
-  // train-pool rows are composed; the random walks of the pruning step
-  // wander onto arbitrary rows and need the full product.
-  const RowSet rows =
-      opts.walk_prune_fraction > 0.0 ? RowSet::kAll : RowSet::kTrain;
+  // train-pool rows are composed.
   std::map<TypeId, std::vector<size_t>> group_of_end;
   // Every path's adjacency is used across the whole selection loop, so
   // the pins are held for the function's duration (a budgeted cache can
@@ -179,8 +129,8 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
   composed.reserve(paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {
     FREEHGC_CHECK(paths[i].start_type() == target);
-    pins.push_back(
-        ComposedAdjacency(cache, g, paths[i], max_row_nnz, &ex, rows));
+    pins.push_back(ComposedAdjacency(cache, g, paths[i], max_row_nnz, &ex,
+                                     RowSet::kTrain));
     composed.push_back(pins.back().get());
     group_of_end[paths[i].end_type()].push_back(i);
   }
@@ -199,7 +149,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
       if (cache != nullptr) {
         std::vector<MetaPath> group;
         for (size_t i : members) group.push_back(paths[i]);
-        div_pin = cache->Diversity(g, group, max_row_nnz, &ex, rows);
+        div_pin = cache->Diversity(g, group, max_row_nnz, &ex);
       } else {
         std::vector<const CsrMatrix*> group;
         for (size_t i : members) group.push_back(composed[i]);
@@ -236,14 +186,8 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
       continue;
     }
     for (int32_t c = 0; c < num_classes; ++c) {
-      std::vector<int32_t> class_pool = PoolOfClass(labels, pool, c);
+      const std::vector<int32_t> class_pool = PoolOfClass(labels, pool, c);
       if (class_pool.empty()) continue;
-      if (opts.walk_prune_fraction > 0.0) {
-        class_pool = PruneUninfluentialByWalks(
-            *composed[m], class_pool, opts.walk_prune_fraction,
-            opts.walk_count, opts.walk_length,
-            seed ^ (m * 131 + c), &ex);
-      }
       std::vector<double> gains;
       const std::vector<int32_t> picked = GreedyCoverageSelect(
           *composed[m], class_pool, class_budget[static_cast<size_t>(c)],

@@ -19,26 +19,7 @@ struct TargetSelectionOptions {
   /// Include the meta-path similarity minimization term 1 - J(S)
   /// (Variant#2 disables this).
   bool use_jaccard = true;
-  /// Random-walk candidate pruning (the paper's scalability note: "use
-  /// random walks to identify and eliminate uninfluential nodes to greatly
-  /// decrease the computational workload"). Before the greedy loop, each
-  /// candidate's influence is estimated by short random walks and the
-  /// bottom `walk_prune_fraction` of the pool is dropped. 0 disables.
-  double walk_prune_fraction = 0.0;
-  int walk_count = 4;
-  int walk_length = 3;
 };
-
-/// Estimates each pool node's influence with `walks` random walks of
-/// `length` steps over the bipartite reach graph (row -> random reached
-/// column -> random incident row -> ...) and returns the pool restricted
-/// to the top (1 - prune_fraction) estimated-influence candidates.
-/// Exposed for tests and the scalability bench. The transpose the walks
-/// step back through runs on `ctx`; the walks themselves are sequential.
-std::vector<int32_t> PruneUninfluentialByWalks(
-    const CsrMatrix& adj, const std::vector<int32_t>& pool,
-    double prune_fraction, int walks, int length, uint64_t seed,
-    exec::ExecContext* ctx = nullptr);
 
 /// Algorithm 1: condense target-type nodes.
 ///
@@ -52,12 +33,11 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 ///
 /// `paths` must all start at the target type; each is composed under the
 /// row-nnz budget `max_row_nnz` (0 = exact), over the train-pool rows
-/// only (RowSet::kTrain) unless walk pruning is on, whose walks need
-/// every row (RowSet::kAll). Returns original target-node
-/// ids, |result| == min(budget, train pool size). `seed` drives the
-/// random-walk pruning (unused when it is off). `scores_out`, when non
-/// null, receives the aggregated per-node score (0 for never-selected
-/// nodes) — used by the Fig. 9 interpretability bench.
+/// only (RowSet::kTrain): every term reads only candidate rows. Returns
+/// original target-node ids, |result| == min(budget, train pool size).
+/// `scores_out`, when non null, receives the aggregated per-node score
+/// (0 for never-selected nodes) — used by the Fig. 9 interpretability
+/// bench.
 /// Path composition, the Jaccard diversity term, and the initial greedy
 /// gain pass run on `ctx`; the lazy-greedy loop itself is sequential (its
 /// order is the algorithm). Bit-identical for every thread count.
@@ -67,7 +47,6 @@ std::vector<int32_t> PruneUninfluentialByWalks(
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
-                                         uint64_t seed,
                                          const TargetSelectionOptions& opts,
                                          std::vector<double>* scores_out =
                                              nullptr,

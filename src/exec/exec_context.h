@@ -96,7 +96,7 @@ class ExecContext {
     // Per-invoke observability (spans, clock reads, exec.* counters) is
     // gated on one branch: iterative kernels issue thousands of tiny
     // invokes, and even a non-inlined counter call per invoke shows up
-    // (bench_micro_substrate's PPR regressed ~8% before this gate).
+    // (a PPR micro-benchmark regressed ~8% before this gate).
     // Kernel-level value counters (spgemm.flops, ...) amortize over real
     // work and stay on unconditionally.
     const bool obs_on =

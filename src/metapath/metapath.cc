@@ -133,11 +133,12 @@ std::shared_ptr<const CsrMatrix> ComposedAdjacency(
 
 std::shared_ptr<const CsrMatrix> AdjacencyCache::Diversity(
     const HeteroGraph& g, const std::vector<MetaPath>& group,
-    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) {
+    int64_t max_row_nnz, exec::ExecContext* ctx) {
   std::vector<std::shared_ptr<const CsrMatrix>> pins;
   std::vector<const CsrMatrix*> composed;
   for (const MetaPath& p : group) {
-    pins.push_back(ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows));
+    pins.push_back(ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx,
+                                     RowSet::kTrain));
     composed.push_back(pins.back().get());
   }
   return std::make_shared<const CsrMatrix>(PathDiversity(g, composed, ctx));

@@ -102,14 +102,14 @@ class AdjacencyCache {
       exec::ExecContext* ctx, RowSet rows) = 0;
 
   /// A pin of the per-path diversity of `group` (paths sharing start and
-  /// end types, each composed at `max_row_nnz` restricted to `rows`):
-  /// PathDiversity of their composed adjacencies. It depends only on the
-  /// graph and the group, never on a ratio or seed, so a cache keeps one
-  /// entry per group. This default composes the group uncached and
-  /// computes it afresh.
+  /// end types, each composed at `max_row_nnz` over the train-pool rows,
+  /// the only rows PathDiversity reads): PathDiversity of their composed
+  /// adjacencies. It depends only on the graph and the group, never on a
+  /// ratio or seed, so a cache keeps one entry per group. This default
+  /// composes the group uncached and computes it afresh.
   virtual std::shared_ptr<const CsrMatrix> Diversity(
       const HeteroGraph& g, const std::vector<MetaPath>& group,
-      int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows);
+      int64_t max_row_nnz, exec::ExecContext* ctx);
 
   /// The full product: Composed(g, p, max_row_nnz, ctx, RowSet::kAll).
   std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,

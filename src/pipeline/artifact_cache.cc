@@ -227,17 +227,17 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
 
 std::shared_ptr<const CsrMatrix> ArtifactCache::Diversity(
     const HeteroGraph& g, const std::vector<MetaPath>& group,
-    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) {
+    int64_t max_row_nnz, exec::ExecContext* ctx) {
   const AdjKey key{FingerprintOf(g),
                    Mix(PathListSignature(group), kDiversityDomain),
-                   max_row_nnz, rows};
+                   max_row_nnz, RowSet::kTrain};
   return GetOrLoad(
       adjacencies_, key, MapCsrEntry,
       [&] {
         std::vector<std::shared_ptr<const CsrMatrix>> pins;
         std::vector<const CsrMatrix*> composed;
         for (const MetaPath& p : group) {
-          pins.push_back(Composed(g, p, max_row_nnz, ctx, rows));
+          pins.push_back(Composed(g, p, max_row_nnz, ctx, RowSet::kTrain));
           composed.push_back(pins.back().get());
         }
         Built<CsrMatrix> out;

@@ -100,11 +100,12 @@ class ArtifactCache final : public AdjacencyCache {
                                             int64_t max_row_nnz,
                                             exec::ExecContext* ctx,
                                             RowSet rows) override;
-  /// A miss composes the group through Composed (hits once target
-  /// selection has pinned its paths) and runs PathDiversity on them.
+  /// A miss composes the group's train-pool rows through Composed (hits
+  /// once target selection has pinned its paths) and runs PathDiversity
+  /// on them.
   std::shared_ptr<const CsrMatrix> Diversity(
       const HeteroGraph& g, const std::vector<MetaPath>& group,
-      int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) override;
+      int64_t max_row_nnz, exec::ExecContext* ctx) override;
 
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz),
   /// the blocks of every cached EvalContext: pipeline::BuildEvalContext

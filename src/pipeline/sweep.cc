@@ -113,7 +113,6 @@ SweepRunner::SweepRunner(SweepSpec spec, PipelineEnv env)
 
 ArtifactCache* SweepRunner::cache() {
   if (env_.cache != nullptr) return env_.cache;
-  if (!spec_.use_cache) return nullptr;
   if (owned_cache_ == nullptr) {
     owned_cache_ = std::make_unique<ArtifactCache>();
   }
@@ -126,8 +125,7 @@ Result<SweepResult> SweepRunner::Run() {
 
   SweepResult out;
   out.threads = ex.num_threads();
-  const ArtifactCache::Stats before =
-      cache != nullptr ? cache->stats() : ArtifactCache::Stats{};
+  const ArtifactCache::Stats before = cache->stats();
   Timer total;
 
   PipelineEnv cell_env;
@@ -147,9 +145,7 @@ Result<SweepResult> SweepRunner::Run() {
         WholeCell whole;
         whole.dataset = ds.name;
         whole.model = hgnn::HgnnKindName(model);
-        whole.metrics = cache != nullptr
-                            ? cache->WholeGraphBaseline(ctx, cfg, &ex)
-                            : hgnn::WholeGraphBaseline(ctx, cfg, &ex);
+        whole.metrics = cache->WholeGraphBaseline(ctx, cfg, &ex);
         out.wholes.push_back(std::move(whole));
       }
 
@@ -173,12 +169,10 @@ Result<SweepResult> SweepRunner::Run() {
   }
 
   out.total_seconds = total.ElapsedSeconds();
-  if (cache != nullptr) {
-    const ArtifactCache::Stats after = cache->stats();
-    out.cache_stats.hits = after.hits - before.hits;
-    out.cache_stats.misses = after.misses - before.misses;
-    out.cache_stats.bytes = after.bytes;
-  }
+  const ArtifactCache::Stats after = cache->stats();
+  out.cache_stats.hits = after.hits - before.hits;
+  out.cache_stats.misses = after.misses - before.misses;
+  out.cache_stats.bytes = after.bytes;
   return out;
 }
 

@@ -65,10 +65,6 @@ struct SweepSpec {
   /// Evaluator config shared by every cell (kind overridden per model).
   /// Defaults mirror the bench harnesses: SeHGNN, hidden 32, 60 epochs.
   hgnn::HgnnConfig eval_cfg = DefaultEvalConfig();
-  /// When no external cache is supplied via PipelineEnv, whether the
-  /// runner creates its own ArtifactCache (false = run fully uncached —
-  /// the determinism tests compare this against a cached run).
-  bool use_cache = true;
 
   static hgnn::HgnnConfig DefaultEvalConfig();
 };
@@ -95,8 +91,8 @@ struct WholeCell {
 struct SweepResult {
   std::vector<SweepCell> cells;
   std::vector<WholeCell> wholes;
-  /// Cache activity during this sweep (delta when an external cache was
-  /// passed in; all-zero for uncached runs).
+  /// Cache activity during this sweep (a delta when an external cache
+  /// was passed in).
   ArtifactCache::Stats cache_stats;
   double total_seconds = 0.0;
   int threads = 0;
@@ -110,9 +106,9 @@ struct SweepResult {
                              const std::string& model) const;
 
   /// Machine-readable record. The "cells"/"whole" sections contain only
-  /// deterministic values (accuracies, storage, oom flags) — cached vs
-  /// uncached and cold vs warm runs produce them byte-identically, which
-  /// the CI cold/warm step diffs. Wall-clock and cache activity live in
+  /// deterministic values (accuracies, storage, oom flags) — cold and
+  /// warm runs produce them byte-identically, which the CI cold/warm step
+  /// diffs. Wall-clock and cache activity live in
   /// the separate "timing"/"cache" sections.
   std::string ToJson() const;
 };
@@ -120,19 +116,19 @@ struct SweepResult {
 /// Executes a SweepSpec over one shared execution context and artifact
 /// cache. Deterministic iteration order: dataset, then model, then ratio,
 /// then method, then seeds; every cell value is bit-identical for any
-/// thread count and for cached vs uncached execution.
+/// thread count and for a cold or warm cache.
 class SweepRunner {
  public:
   /// `env.exec` null = process-default pool; `env.cache` null = the runner
-  /// makes its own cache (or none, when !spec.use_cache). The runner keeps
-  /// its own cache across Run() calls, so repeated Run()s warm-start.
+  /// makes its own cache. The runner keeps its own cache across Run()
+  /// calls, so repeated Run()s warm-start.
   explicit SweepRunner(SweepSpec spec, PipelineEnv env = {});
 
   Result<SweepResult> Run();
 
   const SweepSpec& spec() const { return spec_; }
 
-  /// The cache Run() uses (owned or external); null when uncached.
+  /// The cache Run() uses (owned or external); never null.
   ArtifactCache* cache();
 
  private:

@@ -234,13 +234,6 @@ std::vector<GraphInfo> GraphStore::List() const {
   return out;
 }
 
-bool GraphStore::Remove(const std::string& name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  const bool erased = graphs_.erase(name) > 0;
-  if (erased) UpdateGauges();
-  return erased;
-}
-
 int64_t GraphStore::MappedCount() const {
   std::lock_guard<std::mutex> lock(mu_);
   int64_t mapped = 0;

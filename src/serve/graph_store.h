@@ -44,8 +44,8 @@ struct GraphInfo {
 /// a named synthetic generator) and every request against the same name
 /// shares the one immutable copy through a stable shared_ptr — in-process
 /// vineyard-style object sharing. A reference stays valid for as long as
-/// the caller holds it, even across Remove (removal only unlinks the
-/// name; in-flight requests keep the graph alive).
+/// the caller holds it, even past the store itself (in-flight requests
+/// keep the graph alive).
 ///
 /// Thread-safe. Registration is idempotent on identical content: a name
 /// collision with the same fingerprint returns the existing entry, a
@@ -84,7 +84,7 @@ class GraphStore {
   /// container's stored content fingerprint is trusted and seeds the
   /// graph's ContentFingerprint memo (here and on every re-map) — mapped
   /// registration skips the full-graph FNV pass a heap load pays. The
-  /// entry's shared_ptr keeps the mapping alive, even across Remove.
+  /// entry's shared_ptr keeps the mapping alive, even past the store.
   Result<GraphInfo> RegisterMappedFile(const std::string& name,
                                        const std::string& path);
 
@@ -124,10 +124,6 @@ class GraphStore {
 
   /// All resident graphs, sorted by name.
   std::vector<GraphInfo> List() const;
-
-  /// Unlinks `name` (existing references stay valid). Returns whether the
-  /// name was registered.
-  bool Remove(const std::string& name);
 
   /// Registered graphs / their bytes: the serve.store.{graphs,bytes}
   /// gauges.

@@ -165,7 +165,7 @@ TEST_P(TargetSelectionRatioTest, BudgetAndClassBalanceHold) {
       g.num_classes(),
       static_cast<int32_t>(ratio * g.NodeCount(g.target_type())));
   TargetSelectionOptions opts;
-  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, budget, 1, opts);
+  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, budget, opts);
   EXPECT_LE(static_cast<int32_t>(sel.size()), budget + g.num_classes());
   EXPECT_GE(static_cast<int32_t>(sel.size()), std::min<int32_t>(
       budget, static_cast<int32_t>(g.train_index().size())) - g.num_classes());
@@ -190,15 +190,15 @@ TEST(TargetSelectionTest, DeterministicAndAblationSwitchesChangeResult) {
   mp.max_paths = 8;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   TargetSelectionOptions opts;
-  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts);
-  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts);
+  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
+  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
   EXPECT_EQ(a, b);
   TargetSelectionOptions no_rf = opts;
   no_rf.use_receptive_field = false;
   TargetSelectionOptions no_jac = opts;
   no_jac.use_jaccard = false;
-  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, no_rf);
-  const auto d = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, no_jac);
+  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_rf);
+  const auto d = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_jac);
   EXPECT_TRUE(a != c || a != d);  // switches have an effect
 }
 
@@ -208,7 +208,7 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   std::vector<double> scores;
-  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, 10, 1, {},
+  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, 10, {},
                                        &scores);
   EXPECT_EQ(scores.size(),
             static_cast<size_t>(g.NodeCount(g.target_type())));
@@ -252,7 +252,7 @@ TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
   exec::ExecContext ex1(1);
   RowSetRecorder full(/*force_full=*/true);
   std::vector<double> want_scores;
-  const auto want = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts,
+  const auto want = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts,
                                         &want_scores, &ex1, &full);
   ASSERT_EQ(want.size(), 20u);
   for (int threads : {1, 4}) {
@@ -260,8 +260,8 @@ TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
     RowSetRecorder recorder;
     std::vector<double> uncached_scores, cached_scores;
     const auto uncached = CondenseTargetNodes(
-        g, paths, kMaxRowNnz, 20, 1, opts, &uncached_scores, &ex);
-    const auto cached = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1,
+        g, paths, kMaxRowNnz, 20, opts, &uncached_scores, &ex);
+    const auto cached = CondenseTargetNodes(g, paths, kMaxRowNnz, 20,
                                             opts, &cached_scores, &ex,
                                             &recorder);
     EXPECT_EQ(uncached, want) << threads;
@@ -279,44 +279,19 @@ TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
     // picks and scores.
     pipeline::ArtifactCache artifacts;
     std::vector<double> first_scores, second_scores;
-    const auto first = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts,
+    const auto first = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts,
                                            &first_scores, &ex, &artifacts);
     const int64_t misses = artifacts.stats().misses;
     EXPECT_GT(misses, static_cast<int64_t>(paths.size()))
         << "no diversity entry was cached";
     const auto second = CondenseTargetNodes(
-        g, paths, kMaxRowNnz, 20, 1, opts, &second_scores, &ex, &artifacts);
+        g, paths, kMaxRowNnz, 20, opts, &second_scores, &ex, &artifacts);
     EXPECT_EQ(artifacts.stats().misses, misses) << threads;
     EXPECT_EQ(first, want) << threads;
     EXPECT_EQ(second, want) << threads;
     EXPECT_EQ(first_scores, uncached_scores) << threads;
     EXPECT_EQ(second_scores, uncached_scores) << threads;
   }
-}
-
-TEST(TargetSelectionTest, WalkPruningStillComposesFullRows) {
-  // The pruning walks step onto arbitrary rows, so with
-  // walk_prune_fraction > 0 selection asks for full products and its
-  // picks stay those of the full-row selection.
-  const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
-  MetaPathOptions mp;
-  mp.max_hops = 2;
-  mp.max_paths = 8;
-  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
-  TargetSelectionOptions opts;
-  opts.walk_prune_fraction = 0.3;
-  RowSetRecorder recorder;
-  const auto picks = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts,
-                                         nullptr, nullptr, &recorder);
-  EXPECT_EQ(recorder.requested,
-            std::vector<RowSet>(paths.size(), RowSet::kAll));
-  EXPECT_EQ(picks, CondenseTargetNodes(g, paths, kMaxRowNnz, 20, 1, opts));
-  // The picks of the selection before row restriction, which composed
-  // every row of every path.
-  const std::vector<int32_t> full_row_picks = {
-      3,   20,  57,  62,  81,  100, 123, 124, 151, 157,
-      171, 187, 188, 214, 240, 247, 259, 272, 277, 281};
-  EXPECT_EQ(picks, full_row_picks);
 }
 
 // --- NIM ----------------------------------------------------------------------

@@ -1,13 +1,10 @@
-// Tests for the paper's extension points: alternative NIM scorers
-// (Section IV-C's "NIM can be replaced by ...") and random-walk candidate
-// pruning (Section IV-B's scalability note).
+// Tests for the paper's extension point: alternative NIM scorers
+// (Section IV-C's "NIM can be replaced by ...").
 #include <gtest/gtest.h>
 
 #include <set>
 
-#include "core/freehgc.h"
 #include "core/other_types.h"
-#include "core/target_selection.h"
 #include "datasets/generator.h"
 #include "metapath/metapath.h"
 
@@ -85,39 +82,6 @@ TEST(NimScorerTest, PushApproximatesPowerIteration) {
   // Note: sym-normalized power iteration vs row-normalized push differ in
   // weighting, so require substantial but not perfect overlap.
   EXPECT_GE(inter.size(), 15u);
-}
-
-TEST(WalkPruneTest, KeepsHighInfluenceNodes) {
-  // Node 0 reaches 4 columns; nodes 1..4 reach one each. Pruning half the
-  // pool must keep node 0.
-  std::vector<CooEntry> e;
-  for (int32_t c = 0; c < 4; ++c) e.push_back({0, c, 1.0f});
-  for (int32_t v = 1; v < 5; ++v) e.push_back({v, v - 1, 1.0f});
-  auto adj = CsrMatrix::FromCoo(5, 4, std::move(e));
-  ASSERT_TRUE(adj.ok());
-  const auto kept = PruneUninfluentialByWalks(*adj, {0, 1, 2, 3, 4}, 0.5,
-                                              /*walks=*/8, /*length=*/2, 1);
-  EXPECT_LE(kept.size(), 3u);
-  EXPECT_TRUE(std::count(kept.begin(), kept.end(), 0) > 0);
-}
-
-TEST(WalkPruneTest, ZeroFractionIsIdentity) {
-  auto adj = CsrMatrix::FromCoo(3, 3, {{0, 0, 1.0f}});
-  ASSERT_TRUE(adj.ok());
-  const std::vector<int32_t> pool = {0, 1, 2};
-  EXPECT_EQ(PruneUninfluentialByWalks(*adj, pool, 0.0, 4, 2, 1), pool);
-}
-
-TEST(WalkPruneTest, EndToEndSelectionStillValid) {
-  const HeteroGraph g = datasets::MakeAcm(7, /*scale=*/0.1);
-  FreeHgcOptions opts;
-  opts.ratio = 0.05;
-  opts.max_paths = 8;
-  opts.target.walk_prune_fraction = 0.5;
-  auto res = Condense(g, opts);
-  ASSERT_TRUE(res.ok()) << res.status().ToString();
-  EXPECT_TRUE(res->graph.Validate().ok());
-  EXPECT_GT(res->selected_target.size(), 0u);
 }
 
 }  // namespace

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <cstring>
 #include <optional>
 #include <set>
 #include <string>
@@ -357,9 +358,6 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
     if (same_end.size() > group.size()) group = std::move(same_end);
   }
   ASSERT_GE(group.size(), 2u);
-  const int64_t path_in_group = std::count_if(
-      group.begin(), group.end(),
-      [&](const MetaPath& p) { return p.relations == path.relations; });
 
   obs::Counter& blocks =
       obs::MetricsRegistry::Global().GetCounter("hgnn.blocks_propagated");
@@ -391,29 +389,40 @@ TEST(ArtifactCacheTest, ConcurrentColdLookupsComputeOnce) {
           cache.Propagated(g, prop_paths, mp.max_row_nnz, &ex, &built);
       propagated[static_cast<size_t>(i)] = built ? 1 : 0;
       adjs[static_cast<size_t>(i)] = cache.Composed(g, path, 0, &ex);
-      divs[static_cast<size_t>(i)] =
-          cache.Diversity(g, group, 0, &ex, RowSet::kAll);
+      divs[static_cast<size_t>(i)] = cache.Diversity(g, group, 0, &ex);
     });
   }
   for (auto& t : threads) t.join();
 
   EXPECT_EQ(blocks.Value() - before, one_build);
-  // The one diversity build composes its group through the cache: a hit
-  // for `path` (its builder already composed it), a miss for the others.
-  EXPECT_EQ(cache.stats().misses, 3 + static_cast<int64_t>(group.size()) -
-                                      path_in_group);
-  EXPECT_EQ(cache.stats().hits, 3 * (kThreads - 1) + path_in_group);
+  // The one diversity build composes its group's train-pool rows
+  // through the cache: a miss per path, since `path` was composed full.
+  EXPECT_EQ(cache.stats().misses, 3 + static_cast<int64_t>(group.size()));
+  EXPECT_EQ(cache.stats().hits, 3 * (kThreads - 1));
   EXPECT_EQ(std::count(propagated.begin(), propagated.end(), 1), 1);
   for (int i = 1; i < kThreads; ++i) {
     EXPECT_EQ(props[static_cast<size_t>(i)].get(), props[0].get()) << i;
     EXPECT_EQ(adjs[static_cast<size_t>(i)].get(), adjs[0].get()) << i;
     EXPECT_EQ(divs[static_cast<size_t>(i)].get(), divs[0].get()) << i;
   }
+  // PathDiversity reads only pool rows, so the entry built from train-pool
+  // rows is the full products' diversity, raw byte for byte.
   std::vector<CsrMatrix> composed;
   for (const MetaPath& p : group) composed.push_back(ComposeAdjacency(g, p));
   std::vector<const CsrMatrix*> ptrs;
   for (const CsrMatrix& m : composed) ptrs.push_back(&m);
-  EXPECT_EQ(*divs[0], PathDiversity(g, ptrs));
+  const CsrMatrix want = PathDiversity(g, ptrs);
+  const CsrMatrix& got = *divs[0];
+  ASSERT_EQ(got, want);
+  EXPECT_EQ(std::memcmp(got.indptr().data(), want.indptr().data(),
+                        want.indptr().size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(got.indices().data(), want.indices().data(),
+                        want.indices().size_bytes()),
+            0);
+  EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                        want.values().size_bytes()),
+            0);
 }
 
 // --- determinism invariant --------------------------------------------------
@@ -451,23 +460,19 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b) {
 }
 
 TEST(SweepDeterminismTest, CacheOnOffAndThreadCountsBitIdentical) {
-  // The hard invariant: cached and uncached sweeps produce bit-identical
-  // cell values, at every thread count.
+  // The hard invariant: sweeps produce bit-identical cell values at every
+  // thread count, each on a fresh runner (hence a cold cache). Cached vs
+  // uncached condensation is CondenseCacheTest's.
   std::vector<SweepResult> results;
   for (int threads : {1, 2, 4}) {
-    for (bool use_cache : {false, true}) {
-      exec::ExecContext ex(threads);
-      PipelineEnv env;
-      env.exec = &ex;
-      SweepSpec spec = SmallSpec();
-      spec.use_cache = use_cache;
-      SweepRunner runner(std::move(spec), env);
-      auto result = runner.Run();
-      ASSERT_TRUE(result.ok()) << result.status().ToString();
-      EXPECT_EQ(result->cache_stats.hits > 0 || result->cache_stats.misses > 0,
-                use_cache);
-      results.push_back(std::move(*result));
-    }
+    exec::ExecContext ex(threads);
+    PipelineEnv env;
+    env.exec = &ex;
+    SweepRunner runner(SmallSpec(), env);
+    auto result = runner.Run();
+    ASSERT_TRUE(result.ok()) << result.status().ToString();
+    EXPECT_GT(result->cache_stats.misses, 0) << threads;
+    results.push_back(std::move(*result));
   }
   for (size_t i = 1; i < results.size(); ++i) {
     ExpectBitIdentical(results[0], results[i]);

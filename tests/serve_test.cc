@@ -44,26 +44,27 @@ namespace {
 // GraphStore
 
 TEST(GraphStoreTest, RegisterGetInfoListRemove) {
-  GraphStore store;
-  auto info = store.Register("toy", datasets::MakeToy(5));
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_EQ(info->name, "toy");
-  EXPECT_GT(info->nodes, 0);
-  EXPECT_GT(info->memory_bytes, 0u);
+  GraphStore::GraphRef held;
+  int64_t nodes = 0;
+  {
+    GraphStore store;
+    auto info = store.Register("toy", datasets::MakeToy(5));
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_EQ(info->name, "toy");
+    EXPECT_GT(info->nodes, 0);
+    EXPECT_GT(info->memory_bytes, 0u);
+    nodes = info->nodes;
 
-  auto ref = store.Get("toy");
-  ASSERT_TRUE(ref.ok());
-  EXPECT_EQ((*ref)->TotalNodes(), info->nodes);
-  EXPECT_EQ(store.Count(), 1);
-  EXPECT_EQ(store.List().size(), 1u);
-  EXPECT_EQ(store.Get("missing").status().code(), StatusCode::kNotFound);
-
-  // References survive Remove: the store only unlinks the name.
-  GraphStore::GraphRef held = *ref;
-  EXPECT_TRUE(store.Remove("toy"));
-  EXPECT_FALSE(store.Remove("toy"));
-  EXPECT_EQ(store.Count(), 0);
-  EXPECT_EQ(held->TotalNodes(), info->nodes);
+    auto ref = store.Get("toy");
+    ASSERT_TRUE(ref.ok());
+    EXPECT_EQ((*ref)->TotalNodes(), info->nodes);
+    EXPECT_EQ(store.Count(), 1);
+    EXPECT_EQ(store.List().size(), 1u);
+    EXPECT_EQ(store.Get("missing").status().code(), StatusCode::kNotFound);
+    held = *ref;
+  }
+  // A held reference outlives the store's entry.
+  EXPECT_EQ(held->TotalNodes(), nodes);
 }
 
 TEST(GraphStoreTest, IdempotentOnSameContentConflictOnDifferent) {
@@ -116,29 +117,34 @@ TEST(GraphStoreTest, MappedFileRegistrationIsZeroCopyResident) {
   const std::string path = "/tmp/freehgc_test_store_map.fhgc";
   ASSERT_TRUE(SaveHeteroGraphV3(g, path).ok());
 
-  GraphStore store;
-  auto info = store.RegisterMappedFile("toy", path);
-  ASSERT_TRUE(info.ok()) << info.status().ToString();
-  EXPECT_TRUE(info->mapped);
-  EXPECT_EQ(info->source_path, path);
-  EXPECT_EQ(info->fingerprint, g.ContentFingerprint());
-  EXPECT_EQ(info->memory_bytes, g.MemoryBytes());
-  EXPECT_EQ(store.MappedCount(), 1);
-  // Mapped arrays live in the page cache: resident heap is only the
-  // labels/splits, far below the logical footprint.
-  EXPECT_LT(store.ResidentBytes(), info->memory_bytes);
+  GraphStore::GraphRef held;
+  {
+    GraphStore store;
+    auto info = store.RegisterMappedFile("toy", path);
+    ASSERT_TRUE(info.ok()) << info.status().ToString();
+    EXPECT_TRUE(info->mapped);
+    EXPECT_EQ(info->source_path, path);
+    EXPECT_EQ(info->fingerprint, g.ContentFingerprint());
+    EXPECT_EQ(info->memory_bytes, g.MemoryBytes());
+    EXPECT_EQ(store.MappedCount(), 1);
+    // Mapped arrays live in the page cache: resident heap is only the
+    // labels/splits, far below the logical footprint.
+    EXPECT_LT(store.ResidentBytes(), info->memory_bytes);
 
-  auto ref = store.Get("toy");
-  ASSERT_TRUE(ref.ok());
-  EXPECT_TRUE((*ref)->IsMapped());
-  EXPECT_EQ((*ref)->ContentFingerprint(), g.ContentFingerprint());
+    auto ref = store.Get("toy");
+    ASSERT_TRUE(ref.ok());
+    EXPECT_TRUE((*ref)->IsMapped());
+    EXPECT_EQ((*ref)->ContentFingerprint(), g.ContentFingerprint());
+    held = *ref;
+  }
 
-  // The mapping survives Remove + file unlink while a reference is held.
-  GraphStore::GraphRef held = *ref;
-  EXPECT_TRUE(store.Remove("toy"));
+  // The mapping outlives the store and the file's unlink while a
+  // reference is held.
   std::remove(path.c_str());
   EXPECT_EQ(held->ContentFingerprint(), g.ContentFingerprint());
+  EXPECT_EQ(held->relation(0).adj, g.relation(0).adj);
 
+  GraphStore store;
   auto missing = store.RegisterMappedFile("gone", path);
   EXPECT_FALSE(missing.ok());
 }

@@ -318,8 +318,7 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
   EXPECT_GT(warm.restores, cold.restores);
 
   // The restored diversity entry is the uncached one, byte for byte.
-  const auto div =
-      cache.Diversity(g, group, opts.max_row_nnz, &ex, RowSet::kTrain);
+  const auto div = cache.Diversity(g, group, opts.max_row_nnz, &ex);
   EXPECT_EQ(cache.stats().misses, cold.misses);
   EXPECT_EQ(*div, want_div);
   ASSERT_EQ(div->values().size(), want_div.values().size());

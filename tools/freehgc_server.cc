@@ -48,19 +48,18 @@
 
 #include <malloc.h>
 
-#include <cerrno>
 #include <csignal>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
-#include <limits>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "cluster/shard_agent.h"
+#include "common/string_util.h"
 #include "obs/flight_recorder.h"
 #include "serve/server.h"
 
@@ -96,24 +95,12 @@ constexpr char kUsage[] =
   std::exit(2);
 }
 
-// Strict integer: the whole of `value` must be a base-10 integer in T's
-// range, or the command line is rejected (atoi would read "abc" as 0).
-template <typename T>
-T ParseIntValue(const std::string& flag, const char* value) {
-  errno = 0;
-  char* end = nullptr;
-  const long long v = std::strtoll(value, &end, 10);
-  if (end == value || *end != '\0' || errno == ERANGE ||
-      v < std::numeric_limits<T>::min() || v > std::numeric_limits<T>::max()) {
-    Usage("bad integer value: " + flag);
-  }
-  return static_cast<T>(v);
-}
-
 template <typename T>
 bool ParseIntFlag(const std::string& arg, const char* prefix, T* out) {
   if (arg.rfind(prefix, 0) != 0) return false;
-  *out = ParseIntValue<T>(arg, arg.c_str() + std::strlen(prefix));
+  if (!freehgc::ParseInt(arg.c_str() + std::strlen(prefix), out)) {
+    Usage("bad integer value: " + arg);
+  }
   return true;
 }
 
@@ -149,7 +136,9 @@ bool ParseMetaFlag(const std::string& arg, int* port) {
     }
     value = value.substr(colon + 1);
   }
-  *port = ParseIntValue<int>(arg, value.c_str());
+  if (!freehgc::ParseInt(value.c_str(), port)) {
+    Usage("bad integer value: " + arg);
+  }
   return true;
 }
 

@@ -38,13 +38,15 @@ std::vector<std::string> SplitList(const std::string& csv) {
   return out;
 }
 
-[[noreturn]] void Usage() {
+[[noreturn]] void Usage(const std::string& reason = "") {
+  if (!reason.empty()) std::fprintf(stderr, "run_sweep: %s\n", reason.c_str());
   std::fprintf(
       stderr,
       "usage: run_sweep [--datasets=a,b] [--ratios=0.012,0.024]\n"
       "                 [--methods=key,key] [--seeds=1,2,3] [--threads=N]\n"
-      "                 [--no-cache] [--whole-baseline] [--repeat=N]\n"
+      "                 [--whole-baseline] [--repeat=N]\n"
       "                 [--json-prefix=PATH] [--quiet]\n"
+      "ratios lie in (0, 1); seeds, threads and repeat are integers\n"
       "registered methods:");
   for (const auto& key : pipeline::MethodRegistry::Global().Keys()) {
     std::fprintf(stderr, " %s", key.c_str());
@@ -76,24 +78,31 @@ int main(int argc, char** argv) {
     } else if (arg.rfind("--ratios=", 0) == 0) {
       ratios.clear();
       for (const auto& r : SplitList(value("--ratios="))) {
-        ratios.push_back(std::atof(r.c_str()));
+        double ratio;
+        if (!ParseDouble(r.c_str(), &ratio) || ratio <= 0.0 || ratio >= 1.0) {
+          Usage("bad ratio: " + r);
+        }
+        ratios.push_back(ratio);
       }
     } else if (arg.rfind("--methods=", 0) == 0) {
       spec.methods = SplitList(value("--methods="));
     } else if (arg.rfind("--seeds=", 0) == 0) {
       spec.seeds.clear();
       for (const auto& s : SplitList(value("--seeds="))) {
-        spec.seeds.push_back(
-            static_cast<uint64_t>(std::atoll(s.c_str())));
+        uint64_t seed;
+        if (!ParseInt(s.c_str(), &seed)) Usage("bad seed: " + s);
+        spec.seeds.push_back(seed);
       }
     } else if (arg.rfind("--threads=", 0) == 0) {
-      threads = std::atoi(value("--threads=").c_str());
+      if (!ParseInt(value("--threads=").c_str(), &threads) || threads < 0) {
+        Usage("bad integer value: " + arg);
+      }
     } else if (arg.rfind("--repeat=", 0) == 0) {
-      repeat = std::atoi(value("--repeat=").c_str());
+      if (!ParseInt(value("--repeat=").c_str(), &repeat)) {
+        Usage("bad integer value: " + arg);
+      }
     } else if (arg.rfind("--json-prefix=", 0) == 0) {
       json_prefix = value("--json-prefix=");
-    } else if (arg == "--no-cache") {
-      spec.use_cache = false;
     } else if (arg == "--whole-baseline") {
       spec.whole_graph_baseline = true;
     } else if (arg == "--quiet") {
