@@ -1,7 +1,11 @@
 // Golden output corpus. tests/golden/evalctx.txt holds one line of FNV-64
 // fingerprints per dataset: the enumerated meta-path list, every
-// propagated feature block of the evaluation context, and FreeHGC's
-// serialized condensed graph. Every line must match for the uncached and
+// propagated feature block of the evaluation context, FreeHGC's
+// serialized condensed graph, and that graph's canonical content. The
+// hash is the test's own frozen byte-serial FNV (frozen_fnv.h), so the
+// corpus does not move when the library's content hash does; a container
+// format change may move only `freehgc=`, never `graph=`. Every line must
+// match for the uncached and
 // the cached PrepareDataset at 1 and 4 threads, so an accidental output
 // change anywhere on the data path (generator, compose, propagate,
 // selection, serialization) fails here. A change that moves outputs on
@@ -16,9 +20,9 @@
 #include <memory>
 #include <string>
 
-#include "common/fnv.h"
 #include "common/string_util.h"
 #include "exec/exec_context.h"
+#include "frozen_fnv.h"
 #include "graph/serialize.h"
 #include "pipeline/artifact_cache.h"
 #include "pipeline/method.h"
@@ -27,13 +31,17 @@
 namespace freehgc::pipeline {
 namespace {
 
+using testing_util::FrozenFnv;
+using testing_util::FrozenGraphFnv;
+
 constexpr double kScale = 0.2;
 constexpr double kRatio = 0.05;
 constexpr uint64_t kSeed = 1;
 
 std::string Hex(uint64_t h) { return StrFormat("%016" PRIx64, h); }
 
-/// One corpus line: "<dataset> paths=<fp> blocks=<fp>,... freehgc=<fp>".
+/// One corpus line:
+/// "<dataset> paths=<fp> blocks=<fp>,... freehgc=<fp> graph=<fp>".
 std::string CorpusLine(const std::string& dataset, bool cached,
                        int threads) {
   exec::ExecContext ex(threads);
@@ -48,7 +56,7 @@ std::string CorpusLine(const std::string& dataset, bool cached,
   if (!data.ok()) return "error: " + data.status().ToString();
   const hgnn::EvalContext& ctx = (*data)->ctx;
 
-  Fnv paths;
+  FrozenFnv paths;
   for (const MetaPath& p : ctx.paths) {
     paths.Vec(p.relations);
     paths.Vec(p.types);
@@ -56,7 +64,7 @@ std::string CorpusLine(const std::string& dataset, bool cached,
   std::string line = dataset + " paths=" + Hex(paths.h) + " blocks=";
   for (size_t i = 0; i < ctx.full_features.blocks.size(); ++i) {
     const Matrix& b = ctx.full_features.blocks[i];
-    Fnv f;
+    FrozenFnv f;
     f.Pod(b.rows());
     f.Pod(b.cols());
     f.Bytes(b.data(), static_cast<size_t>(b.size()) * sizeof(float));
@@ -71,9 +79,10 @@ std::string CorpusLine(const std::string& dataset, bool cached,
   if (!condensed.ok()) return "error: " + condensed.status().ToString();
   auto bytes = SerializeHeteroGraph(condensed->graph);
   if (!bytes.ok()) return "error: " + bytes.status().ToString();
-  Fnv graph;
+  FrozenFnv graph;
   graph.Bytes(bytes->data(), bytes->size());
-  return line + " freehgc=" + Hex(graph.h);
+  return line + " freehgc=" + Hex(graph.h) +
+         " graph=" + Hex(FrozenGraphFnv(condensed->graph));
 }
 
 /// Corpus lines keyed by dataset; '#' lines are comments.
