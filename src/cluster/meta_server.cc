@@ -17,7 +17,9 @@ MetaServer::MetaServer(MetaServerOptions options)
     : options_(std::move(options)),
       service_(options_.meta),
       listener_(options_.port,
-                [this](std::string_view p) { return HandleRequest(p); }) {}
+                [this](const serve::Frame& f) {
+                  return HandleRequest(f.payload);
+                }) {}
 
 MetaServer::~MetaServer() {
   RequestStop();

@@ -5,7 +5,7 @@
 #include <cstring>
 #include <unordered_map>
 
-#include "common/fnv.h"
+#include "common/content_hash.h"
 #include "common/logging.h"
 #include "common/rng.h"
 #include "common/string_util.h"
@@ -106,28 +106,28 @@ class HeapSink : public GenSink {
 };
 
 /// Streams into a HeteroGraphV3Writer while folding every artifact into
-/// an FNV hash with HeteroGraph::ContentFingerprint's exact canonical
+/// a ContentHash with HeteroGraph::ContentFingerprint's exact canonical
 /// byte sequence — generation order matches fingerprint order, which is
 /// what makes the incremental hash possible.
 class V3Sink : public GenSink {
  public:
   explicit V3Sink(HeteroGraphV3Writer writer) : w_(std::move(writer)) {
-    fnv_.Tag(0x01);
+    hash_.Tag(0x01);
   }
   Status AddNodeType(const std::string& name, int32_t count) override {
-    fnv_.Str(name);
-    fnv_.Pod(count);
+    hash_.Str(name);
+    hash_.Pod(count);
     return w_.AddNodeType(name, count);
   }
   Status AddRelation(const std::string& name, TypeId src, TypeId dst,
                      CsrMatrix adj) override {
-    if (staged_.empty()) fnv_.Tag(0x02);
-    fnv_.Str(name);
-    fnv_.Pod(src);
-    fnv_.Pod(dst);
-    fnv_.Span(adj.indptr());
-    fnv_.Span(adj.indices());
-    fnv_.Span(adj.values());
+    if (staged_.empty()) hash_.Tag(0x02);
+    hash_.Str(name);
+    hash_.Pod(src);
+    hash_.Pod(dst);
+    hash_.Span(adj.indptr());
+    hash_.Span(adj.indices());
+    hash_.Span(adj.values());
     FREEHGC_RETURN_IF_ERROR(w_.AddRelation(name, src, dst, adj));
     staged_.push_back(std::move(adj));
     return Status::OK();
@@ -136,50 +136,50 @@ class V3Sink : public GenSink {
     return staged_[i];
   }
   Status EndRelations() override {
-    if (staged_.empty()) fnv_.Tag(0x02);  // zero-relation schema
+    if (staged_.empty()) hash_.Tag(0x02);  // zero-relation schema
     staged_.clear();
     staged_.shrink_to_fit();
-    fnv_.Tag(0x03);
+    hash_.Tag(0x03);
     return Status::OK();
   }
   Status BeginFeatures(TypeId type, int64_t rows, int64_t cols) override {
-    fnv_.Pod(rows);
-    fnv_.Pod(cols);
+    hash_.Pod(rows);
+    hash_.Pod(cols);
     row_bytes_ = static_cast<size_t>(cols) * sizeof(float);
     return w_.BeginFeatures(type, rows, cols);
   }
   Status AppendFeatureRows(const float* data, int64_t num_rows) override {
     FREEHGC_RETURN_IF_ERROR(w_.AppendFeatureRows(data, num_rows));
-    fnv_.Bytes(data, static_cast<size_t>(num_rows) * row_bytes_);
+    hash_.Bytes(data, static_cast<size_t>(num_rows) * row_bytes_);
     return Status::OK();
   }
   Status EndFeatures() override { return w_.EndFeatures(); }
   Status SetTarget(TypeId type, const std::vector<int32_t>& labels,
                    int32_t num_classes) override {
-    fnv_.Tag(0x04);
-    fnv_.Pod(type);
-    fnv_.Pod(num_classes);
-    fnv_.Vec(labels);
+    hash_.Tag(0x04);
+    hash_.Pod(type);
+    hash_.Pod(num_classes);
+    hash_.Vec(labels);
     return w_.SetTarget(type, labels, num_classes);
   }
   Status SetSplit(const std::vector<int32_t>& train,
                   const std::vector<int32_t>& val,
                   const std::vector<int32_t>& test) override {
-    fnv_.Tag(0x05);
-    fnv_.Vec(train);
-    fnv_.Vec(val);
-    fnv_.Vec(test);
+    hash_.Tag(0x05);
+    hash_.Vec(train);
+    hash_.Vec(val);
+    hash_.Vec(test);
     FREEHGC_RETURN_IF_ERROR(w_.SetSplit(train, val, test));
     return Status::OK();
   }
   Result<V3WriteSummary> Finish() {
-    FREEHGC_RETURN_IF_ERROR(w_.SetContentFingerprint(fnv_.h));
+    FREEHGC_RETURN_IF_ERROR(w_.SetContentFingerprint(hash_.Digest()));
     return w_.Finish();
   }
 
  private:
   HeteroGraphV3Writer w_;
-  Fnv fnv_;
+  ContentHash hash_;
   std::vector<CsrMatrix> staged_;
   size_t row_bytes_ = 0;
 };

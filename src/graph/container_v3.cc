@@ -15,9 +15,10 @@
 // sections onto HeteroGraph storage, and zero-copy view construction.
 // Every array payload (CSR indptr/indices/values, feature matrices,
 // labels, splits) is its own section, page-aligned and CRC-32 protected,
-// which is what lets MapHeteroGraph hand out zero-copy views: a mapped
-// int64 span is valid because section offsets are multiples of 4096 and
-// mmap returns page-aligned bases.
+// which is what lets one read path hand out zero-copy views for both a
+// mapped file and an adopted in-memory upload: an int64 span is valid
+// because section offsets are multiples of 4096 from a base that is
+// page-aligned (mmap) or 8-byte aligned (an adopted buffer).
 
 #include <cstddef>
 #include <cstdint>
@@ -451,13 +452,14 @@ Result<std::string> SerializeHeteroGraph(const HeteroGraph& g) {
 
 namespace {
 
-/// Builds a HeteroGraph from a validated section view. With a mapping the
-/// relations and features view the file directly (the mmap path); without
-/// one everything is deep-copied (the in-memory upload path, where the
-/// buffer is transient with no alignment guarantee).
-Result<HeteroGraph> BuildGraph(const SectionView& v) {
+/// Builds a HeteroGraph over a structurally validated section view: the
+/// relations and features view the container's bytes, pinned by
+/// `keepalive` (the file mapping, or an adopted upload buffer); only the
+/// small label and split arrays are copied. The caller decides whether
+/// to verify payload CRCs before and Validate after.
+Result<HeteroGraph> BuildGraph(const SectionView& v,
+                               const std::shared_ptr<const void>& keepalive) {
   const uint8_t* base = v.base();
-  const std::shared_ptr<const MappedFile>& keepalive = v.mapping();
   const SectionEntry* meta_sec = v.Find(kMeta, 0);
   if (meta_sec == nullptr) {
     return Status::InvalidArgument("v3 container missing meta section");
@@ -487,12 +489,9 @@ Result<HeteroGraph> BuildGraph(const SectionView& v) {
         const SectionEntry* va,
         v.RequireArray(kValues, i, nnz, sizeof(float)));
     Result<CsrMatrix> adj =
-        keepalive != nullptr
-            ? CsrMatrix::FromView(rm.rows, rm.cols, v.Span<int64_t>(*ip),
-                                  v.Span<int32_t>(*ix), v.Span<float>(*va),
-                                  keepalive)
-            : CsrMatrix::FromParts(rm.rows, rm.cols, v.Copy<int64_t>(*ip),
-                                   v.Copy<int32_t>(*ix), v.Copy<float>(*va));
+        CsrMatrix::FromView(rm.rows, rm.cols, v.Span<int64_t>(*ip),
+                            v.Span<int32_t>(*ix), v.Span<float>(*va),
+                            keepalive);
     if (!adj.ok()) return adj.status();
     auto added = g.AddRelation(rm.name, rm.src_type, rm.dst_type,
                                std::move(*adj));
@@ -501,26 +500,20 @@ Result<HeteroGraph> BuildGraph(const SectionView& v) {
   for (size_t ti = 0; ti < meta.types.size(); ++ti) {
     const auto& tm = meta.types[ti];
     if (!tm.has_features) continue;
-    if (tm.feat_rows != tm.count || tm.feat_cols < 0) {
+    int64_t count = 0;
+    if (tm.feat_rows != tm.count || tm.feat_cols < 0 ||
+        __builtin_mul_overflow(tm.feat_rows, tm.feat_cols, &count)) {
       return Status::InvalidArgument("v3 feature shape mismatch for " +
                                      tm.name);
     }
-    const uint64_t count = static_cast<uint64_t>(tm.feat_rows) *
-                           static_cast<uint64_t>(tm.feat_cols);
     FREEHGC_ASSIGN_OR_RETURN(
         const SectionEntry* fs,
-        v.RequireArray(kFeatures, static_cast<uint32_t>(ti), count,
-                       sizeof(float)));
-    Matrix m;
-    if (keepalive != nullptr) {
-      m = Matrix::FromView(tm.feat_rows, tm.feat_cols, v.Span<float>(*fs),
-                           keepalive);
-    } else {
-      m = Matrix(tm.feat_rows, tm.feat_cols);
-      if (fs->size > 0) std::memcpy(m.data(), base + fs->offset, fs->size);
-    }
-    FREEHGC_RETURN_IF_ERROR(g.SetFeatures(static_cast<TypeId>(ti),
-                                          std::move(m)));
+        v.RequireArray(kFeatures, static_cast<uint32_t>(ti),
+                       static_cast<uint64_t>(count), sizeof(float)));
+    FREEHGC_RETURN_IF_ERROR(g.SetFeatures(
+        static_cast<TypeId>(ti),
+        Matrix::FromView(tm.feat_rows, tm.feat_cols, v.Span<float>(*fs),
+                         keepalive)));
   }
   if (meta.target >= 0) {
     FREEHGC_ASSIGN_OR_RETURN(
@@ -535,40 +528,52 @@ Result<HeteroGraph> BuildGraph(const SectionView& v) {
     FREEHGC_ASSIGN_OR_RETURN(
         const SectionEntry* te,
         v.RequireArray(kTest, 0, meta.test_count, sizeof(int32_t)));
-    // Labels and splits are small; always owned, even when mapped.
+    // Labels and splits are small; always owned.
     FREEHGC_RETURN_IF_ERROR(g.SetTarget(meta.target, v.Copy<int32_t>(*ls),
                                         meta.num_classes));
     FREEHGC_RETURN_IF_ERROR(g.SetSplit(v.Copy<int32_t>(*tr),
                                        v.Copy<int32_t>(*va),
                                        v.Copy<int32_t>(*te)));
   }
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
   return g;
 }
 
-}  // namespace
-
-Result<MappedGraph> MapHeteroGraphDetailed(const std::string& path) {
-  FREEHGC_ASSIGN_OR_RETURN(
-      SectionView v,
-      SectionView::Map(path, section_io::GraphContainerFormat()));
-  // Verify every payload before handing out views: a sequential pass at
-  // CRC speed, and the kernel readahead it triggers doubles as a warmup.
-  FREEHGC_RETURN_IF_ERROR(v.VerifyAllCrcs());
-  MappedGraph out;
-  FREEHGC_ASSIGN_OR_RETURN(out.graph, BuildGraph(v));
+/// Wraps a graph built over `v` with the container's metadata.
+ContainerGraph Wrap(HeteroGraph graph, const SectionView& v) {
+  ContainerGraph out;
+  out.graph = std::move(graph);
   out.fingerprint = v.fingerprint();
   out.file_bytes = v.file_bytes();
   out.mapping = v.mapping();
   return out;
 }
 
-Result<HeteroGraph> MapHeteroGraph(const std::string& path) {
-  FREEHGC_ASSIGN_OR_RETURN(MappedGraph mg, MapHeteroGraphDetailed(path));
-  return std::move(mg.graph);
+}  // namespace
+
+Result<ContainerGraph> MapHeteroGraphDetailed(const std::string& path,
+                                              MapCheck check) {
+  FREEHGC_ASSIGN_OR_RETURN(
+      SectionView v,
+      SectionView::Map(path, section_io::GraphContainerFormat()));
+  if (check == MapCheck::kStructureOnly) {
+    FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, BuildGraph(v, v.mapping()));
+    return Wrap(std::move(g), v);
+  }
+  // Verify every payload before handing out views: a sequential pass at
+  // CRC speed, and the kernel readahead it triggers doubles as a warmup.
+  FREEHGC_RETURN_IF_ERROR(v.VerifyAllCrcs());
+  FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, BuildGraph(v, v.mapping()));
+  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  return Wrap(std::move(g), v);
 }
 
-Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
+Result<HeteroGraph> MapHeteroGraph(const std::string& path) {
+  FREEHGC_ASSIGN_OR_RETURN(ContainerGraph cg, MapHeteroGraphDetailed(path));
+  return std::move(cg.graph);
+}
+
+Result<ContainerGraph> AdoptHeteroGraph(std::string_view bytes,
+                                        std::shared_ptr<const void> owner) {
   ByteReader r(bytes);
   uint32_t magic = 0, version = 0;
   if (!ReadPod(r, &magic) || magic != kMagic) {
@@ -581,14 +586,33 @@ Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
     return Status::InvalidArgument(StrFormat(
         "unsupported graph container version %u (only v3 is read)", version));
   }
-  // In-memory buffers are transient, so the parse deep-copies into owned
-  // storage instead of handing out views.
+  // Typed views need 8-byte alignment. Sections sit at multiples of 4096
+  // from the start, so an aligned start suffices; otherwise (or with
+  // nothing to pin) copy once into an aligned buffer of our own.
+  if (owner == nullptr ||
+      reinterpret_cast<uintptr_t>(bytes.data()) % alignof(int64_t) != 0) {
+    auto copy = std::make_shared_for_overwrite<uint64_t[]>(
+        (bytes.size() + sizeof(uint64_t) - 1) / sizeof(uint64_t));
+    std::memcpy(copy.get(), bytes.data(), bytes.size());
+    bytes = std::string_view(reinterpret_cast<const char*>(copy.get()),
+                             bytes.size());
+    owner = std::move(copy);
+  }
   FREEHGC_ASSIGN_OR_RETURN(
       SectionView v,
       SectionView::Parse(reinterpret_cast<const uint8_t*>(bytes.data()),
                          bytes.size(), section_io::GraphContainerFormat()));
   FREEHGC_RETURN_IF_ERROR(v.VerifyAllCrcs());
-  return BuildGraph(v);
+  FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, BuildGraph(v, owner));
+  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  g.SetAdoptedBufferBytes(bytes.size());
+  return Wrap(std::move(g), v);
+}
+
+Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes) {
+  FREEHGC_ASSIGN_OR_RETURN(ContainerGraph cg,
+                           AdoptHeteroGraph(bytes, nullptr));
+  return std::move(cg.graph);
 }
 
 // --- Inspection -----------------------------------------------------------

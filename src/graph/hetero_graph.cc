@@ -4,7 +4,7 @@
 #include <deque>
 #include <unordered_set>
 
-#include "common/fnv.h"
+#include "common/content_hash.h"
 #include "common/string_util.h"
 #include "sparse/ops.h"
 
@@ -194,10 +194,11 @@ size_t HeteroGraph::ResidentHeapBytes() const {
   bytes += labels_.size() * sizeof(int32_t);
   bytes += (train_index_.size() + val_index_.size() + test_index_.size()) *
            sizeof(int32_t);
-  return bytes;
+  return bytes + adopted_bytes_;
 }
 
 bool HeteroGraph::IsMapped() const {
+  if (adopted_bytes_ > 0) return false;
   for (const auto& r : relations_) {
     if (r.adj.is_mapped()) return true;
   }
@@ -212,7 +213,7 @@ uint64_t HeteroGraph::ContentFingerprint() const {
   // The byte sequence below is the canonical graph identity; the v3
   // container stores this exact hash in its header (computed while
   // streaming) so a mapped registration can skip the recompute.
-  Fnv f;
+  ContentHash f;
   f.Tag(0x01);
   for (size_t t = 0; t < type_names_.size(); ++t) {
     f.Str(type_names_[t]);
@@ -241,8 +242,9 @@ uint64_t HeteroGraph::ContentFingerprint() const {
   f.Vec(train_index_);
   f.Vec(val_index_);
   f.Vec(test_index_);
-  fingerprint_.Set(f.h);
-  return f.h;
+  const uint64_t h = f.Digest();
+  fingerprint_.Set(h);
+  return h;
 }
 
 std::vector<TypeRole> HeteroGraph::ClassifySchema() const {

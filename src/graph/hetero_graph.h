@@ -121,12 +121,23 @@ class HeteroGraph {
   size_t MemoryBytes() const;
 
   /// Heap bytes actually owned by this graph: ~MemoryBytes() for a heap
-  /// load, only labels/splits for a mapped v3 graph (the arrays live in
-  /// the page cache). Feeds the serve layer's store.resident_bytes gauge.
+  /// build; only labels/splits for a mapped v3 graph (the arrays live in
+  /// the page cache); labels/splits plus the whole container for an
+  /// adopted one (its arrays view a heap buffer it pins). Feeds the serve
+  /// layer's store.resident_bytes gauge.
   size_t ResidentHeapBytes() const;
 
-  /// True when any relation or feature matrix views a mapped container.
+  /// True when the relation or feature arrays view a mapped container
+  /// file. An adopted container's views are heap memory, so it is not
+  /// mapped: the store neither counts it against --resident-budget nor
+  /// evicts it.
   bool IsMapped() const;
+
+  /// Declares that this graph's array views point into a heap buffer of
+  /// `bytes` bytes that they pin (an adopted v3 container, see
+  /// AdoptHeteroGraph), so ResidentHeapBytes counts it and IsMapped is
+  /// false.
+  void SetAdoptedBufferBytes(size_t bytes) { adopted_bytes_ = bytes; }
 
   /// 64-bit content hash over everything that affects computation results:
   /// type names/counts, relations (name, endpoints, full CSR arrays),
@@ -139,8 +150,10 @@ class HeteroGraph {
   uint64_t ContentFingerprint() const;
 
   /// Seeds ContentFingerprint's memo with a value already known to hash
-  /// this content — a v3 container's CRC-covered header fingerprint — so
-  /// the first lookup skips the pass. The caller vouches for the value.
+  /// this content: the fingerprint a verified upload was recomputed to,
+  /// or, for a container mapped back from the spool, its CRC-covered
+  /// header. The first lookup then skips the pass. The caller vouches
+  /// for the value.
   void SeedContentFingerprint(uint64_t fingerprint) {
     fingerprint_.Set(fingerprint);
   }
@@ -178,6 +191,8 @@ class HeteroGraph {
   std::vector<int32_t> train_index_;
   std::vector<int32_t> val_index_;
   std::vector<int32_t> test_index_;
+  /// Size of the adopted heap buffer the arrays view; 0 when none.
+  size_t adopted_bytes_ = 0;
 
   /// ContentFingerprint's memo; 0 = not computed. A copy carries the
   /// value (same content); a move hands it over and clears the source.

@@ -18,6 +18,25 @@ using serialize_internal::FilePtr;
 using serialize_internal::ReadPod;
 using serialize_internal::WritePod;
 
+/// The durable half of every publish: flushes and fsyncs the finished
+/// ".tmp" sibling, closes it and renames it over `final_path`. On failure
+/// the ".tmp" file is removed.
+Status SyncAndRename(FilePtr file, const std::string& tmp_path,
+                     const std::string& final_path) {
+  if (std::fflush(file.get()) != 0 || ::fsync(::fileno(file.get())) != 0) {
+    file.reset();
+    std::remove(tmp_path.c_str());
+    return Status::Internal("cannot finalize " + tmp_path);
+  }
+  file.reset();
+  if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
+    std::remove(tmp_path.c_str());
+    return Status::Internal("cannot rename " + tmp_path + " to " +
+                            final_path);
+  }
+  return Status::OK();
+}
+
 }  // namespace
 
 const char* KindName(uint32_t kind) {
@@ -88,17 +107,10 @@ struct SectionWriter::Impl {
     char page[kHeaderBytes] = {};
     std::memcpy(page, &h, sizeof(h));
     if (std::fseek(file.get(), 0, SEEK_SET) != 0 ||
-        std::fwrite(page, 1, sizeof(page), file.get()) != sizeof(page) ||
-        std::fflush(file.get()) != 0 || ::fsync(::fileno(file.get())) != 0) {
+        std::fwrite(page, 1, sizeof(page), file.get()) != sizeof(page)) {
       return Status::Internal("cannot finalize " + tmp_path);
     }
-    file.reset();
-    if (std::rename(tmp_path.c_str(), final_path.c_str()) != 0) {
-      std::remove(tmp_path.c_str());
-      return Status::Internal("cannot rename " + tmp_path + " to " +
-                              final_path);
-    }
-    return Status::OK();
+    return SyncAndRename(std::move(file), tmp_path, final_path);
   }
 
   /// Zero-pads to the next 4096-byte boundary.
@@ -267,6 +279,21 @@ Result<uint64_t> SectionWriter::Finish() {
   return h.file_size;
 }
 
+Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
+  const std::string tmp_path = path + ".tmp";
+  FilePtr file(std::fopen(tmp_path.c_str(), "wb"));
+  if (!file) {
+    return Status::InvalidArgument("cannot open for write: " + tmp_path);
+  }
+  if (!bytes.empty() &&
+      std::fwrite(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
+    file.reset();
+    std::remove(tmp_path.c_str());
+    return Status::Internal("short write to " + tmp_path);
+  }
+  return SyncAndRename(std::move(file), tmp_path, path);
+}
+
 // --- View -----------------------------------------------------------------
 
 namespace {
@@ -383,7 +410,9 @@ Result<const SectionEntry*> SectionView::RequireArray(uint32_t kind,
         StrFormat("%s container missing section %s[%u]", format_.label,
                   KindName(kind), index));
   }
-  if (s->size != count * elem_size || s->logical_count != count) {
+  // Divide rather than multiply: a hostile count must not wrap.
+  if (s->size % elem_size != 0 || s->size / elem_size != count ||
+      s->logical_count != count) {
     return Status::InvalidArgument(StrFormat(
         "%s section %s[%u] size does not match metadata", format_.label,
         KindName(kind), index));

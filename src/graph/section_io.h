@@ -16,6 +16,7 @@
 #include <memory>
 #include <span>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 #include <vector>
 
@@ -166,6 +167,11 @@ class SectionWriter {
   static Result<SectionWriter> Start(std::unique_ptr<Impl> impl);
   Impl* impl_ = nullptr;
 };
+
+/// Writes `bytes` to `path` with the publish SectionWriter's file sink
+/// uses: a ".tmp" sibling, fsync, then an atomic rename, so a killed
+/// writer never leaves a torn file under `path`.
+Status WriteFileAtomic(const std::string& path, std::string_view bytes);
 
 /// A parsed, validated section file: header + section table over either a
 /// held mapping (Map) or a caller-owned byte range (Parse). Structural

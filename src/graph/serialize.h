@@ -23,12 +23,15 @@ namespace freehgc {
 // 4096-byte header, every array payload in its own page-aligned section,
 // and a section table (with per-section CRC-32) at the end. Condensed
 // graphs round-trip exactly, so a condensation can be run once and
-// shipped. MapHeteroGraph returns a HeteroGraph whose CSR adjacencies and
-// feature matrices view the mapping directly — zero copies of
+// shipped. A loaded graph's CSR adjacencies and feature matrices view the
+// container's bytes directly, whether those are a file mapping
+// (MapHeteroGraph) or an adopted in-memory buffer such as a received
+// upload frame (AdoptHeteroGraph): zero copies of
 // indptr/indices/values/features; only the small label/split arrays are
 // materialized on the heap. The header stores the graph's
-// ContentFingerprint, so registration of a mapped graph never has to touch
-// the large payload pages beyond CRC verification.
+// ContentFingerprint (common/content_hash.h), so registration of a
+// mapped graph never has to touch the large payload pages beyond CRC
+// verification.
 
 /// Serializes `g` in memory to exactly the bytes SaveHeteroGraphV3 writes
 /// to disk — the payload of graph uploads, return_graph replies and
@@ -36,11 +39,12 @@ namespace freehgc {
 Result<std::string> SerializeHeteroGraph(const HeteroGraph& g);
 
 /// Parses an in-memory v3 container with the same integrity checks as
-/// MapHeteroGraph, deep-copying into owned storage (the buffer is
-/// transient). Any other version, including the retired 1 and 2, is
-/// InvalidArgument naming the version; so are truncation and checksum
-/// mismatches. The header fingerprint is not returned: callers that need
-/// an identity recompute it from content.
+/// MapHeteroGraph. `bytes` may be transient: they are copied once into an
+/// aligned buffer the graph adopts (AdoptHeteroGraph without an owner).
+/// Any other version, including the retired 1 and 2, is InvalidArgument
+/// naming the version; so are truncation and checksum mismatches. The
+/// header fingerprint is not returned: callers that need an identity
+/// recompute it from content.
 Result<HeteroGraph> DeserializeHeteroGraph(std::string_view bytes);
 
 /// Outcome of writing a v3 container.
@@ -121,23 +125,46 @@ class HeteroGraphV3Writer {
 Result<V3WriteSummary> SaveHeteroGraphV3(const HeteroGraph& g,
                                          const std::string& path);
 
-/// A mapped v3 graph plus the container metadata that came with it.
-struct MappedGraph {
-  HeteroGraph graph;         ///< storage views the mapping (zero-copy)
-  uint64_t fingerprint = 0;  ///< content fingerprint from the header
-  uint64_t file_bytes = 0;   ///< container size (== mapped bytes)
-  /// The underlying mapping (also held by every view inside `graph`).
-  /// Residency managers use it for madvise hints on cold/hot transitions.
+/// A v3 graph whose arrays view its container's bytes, plus the
+/// container metadata that came with it.
+struct ContainerGraph {
+  HeteroGraph graph;         ///< storage views the container (zero-copy)
+  /// Content fingerprint as the header claims it. Trusted only for files
+  /// this process spooled; an upload's is checked against a recompute.
+  uint64_t fingerprint = 0;
+  uint64_t file_bytes = 0;   ///< container size
+  /// The underlying mapping (also held by every view inside `graph`);
+  /// null for an adopted buffer. Residency managers use it for madvise
+  /// hints on cold/hot transitions.
   std::shared_ptr<const MappedFile> mapping;
 };
 
-/// Memory-maps a v3 container. Every section CRC is verified against the
-/// mapping before any view is handed out; the mapping stays alive for as
-/// long as any copy of the returned graph (or one of its matrices) does.
-Result<MappedGraph> MapHeteroGraphDetailed(const std::string& path);
+/// How much a map re-checks. kFull verifies every section CRC and then
+/// Validates the graph. kStructureOnly checks the header, the section
+/// table and each array's shape, but skips the payload CRC pass and
+/// Validate: only for a file this process has just written from bytes
+/// that already passed both (the spool of a verified upload).
+enum class MapCheck { kFull, kStructureOnly };
+
+/// Memory-maps a v3 container. The checks `check` names run before any
+/// view is handed out; the mapping stays alive for as long as any copy
+/// of the returned graph (or one of its matrices) does.
+Result<ContainerGraph> MapHeteroGraphDetailed(
+    const std::string& path, MapCheck check = MapCheck::kFull);
 
 /// MapHeteroGraphDetailed without the metadata.
 Result<HeteroGraph> MapHeteroGraph(const std::string& path);
+
+/// Parses an in-memory v3 container in place, with MapHeteroGraph's full
+/// checks (every section CRC, then Validate). When `bytes` starts on an
+/// 8-byte boundary and `owner` is set, the graph's arrays view `bytes`
+/// and pin `owner`, which must keep them alive and unchanged. Otherwise
+/// the bytes are first copied once into an aligned buffer the graph
+/// owns. Either way the graph counts the whole container in
+/// ResidentHeapBytes and is not IsMapped. The returned fingerprint is
+/// the header's claim, unverified: callers recompute it from content.
+Result<ContainerGraph> AdoptHeteroGraph(std::string_view bytes,
+                                        std::shared_ptr<const void> owner);
 
 // --- Container inspection -------------------------------------------------
 

@@ -9,6 +9,7 @@
 #include <tuple>
 #include <utility>
 
+#include "common/content_hash.h"
 #include "common/logging.h"
 #include "graph/section_io.h"
 #include "hgnn/feature_spill.h"
@@ -18,18 +19,16 @@ namespace freehgc::pipeline {
 
 namespace {
 
-constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
-constexpr uint64_t kFnvPrime = 1099511628211ULL;
 /// Mixed into a path group's signature to key its diversity entry apart
 /// from every adjacency in the same map.
 constexpr uint64_t kDiversityDomain = 0x64697665727369ULL;  // "diversi"
 
-uint64_t Mix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffULL;
-    h *= kFnvPrime;
-  }
-  return h;
+/// ContentHash over a fixed list of 64-bit words.
+template <typename... Words>
+uint64_t HashWords(const Words&... words) {
+  ContentHash h;
+  (h.Pod(static_cast<uint64_t>(words)), ...);
+  return h.Digest();
 }
 
 /// Hash of an entry key, stored in the spool-file header so a file can be
@@ -37,13 +36,7 @@ uint64_t Mix(uint64_t h, uint64_t v) {
 /// payload IO.
 template <typename... Fields>
 uint64_t KeyHash(const std::tuple<Fields...>& key) {
-  uint64_t h = kFnvOffset;
-  std::apply(
-      [&h](const Fields&... f) {
-        ((h = Mix(h, static_cast<uint64_t>(f))), ...);
-      },
-      key);
-  return h;
+  return std::apply(HashWords<Fields...>, key);
 }
 
 size_t OwnedBytes(const CsrMatrix& m) { return m.OwnedBytes(); }
@@ -74,36 +67,29 @@ std::string HexKeyPath(const std::string& dir, const char* prefix,
 }  // namespace
 
 uint64_t PathSignature(const MetaPath& p) {
-  uint64_t h = kFnvOffset;
+  ContentHash h;
   for (RelationId r : p.relations) {
-    h = Mix(h, static_cast<uint64_t>(r) + 1);
+    h.Pod(static_cast<uint64_t>(r) + 1);
   }
-  return h;
+  return h.Digest();
 }
 
 uint64_t PathListSignature(const std::vector<MetaPath>& paths) {
-  uint64_t h = kFnvOffset;
-  h = Mix(h, static_cast<uint64_t>(paths.size()));
+  ContentHash h;
+  h.Pod(static_cast<uint64_t>(paths.size()));
   for (const MetaPath& p : paths) {
-    h = Mix(h, PathSignature(p));
+    h.Pod(PathSignature(p));
   }
-  return h;
+  return h.Digest();
 }
 
 uint64_t ConfigSignature(const hgnn::HgnnConfig& config) {
-  uint64_t h = kFnvOffset;
-  h = Mix(h, static_cast<uint64_t>(config.kind));
-  h = Mix(h, static_cast<uint64_t>(config.hidden));
-  uint32_t bits;
-  static_assert(sizeof(bits) == sizeof(config.dropout));
-  std::memcpy(&bits, &config.dropout, sizeof(bits));
-  h = Mix(h, bits);
-  std::memcpy(&bits, &config.lr, sizeof(bits));
-  h = Mix(h, bits);
-  h = Mix(h, static_cast<uint64_t>(config.epochs));
-  h = Mix(h, static_cast<uint64_t>(config.patience));
-  h = Mix(h, config.seed);
-  return h;
+  uint32_t dropout_bits, lr_bits;
+  static_assert(sizeof(dropout_bits) == sizeof(config.dropout));
+  std::memcpy(&dropout_bits, &config.dropout, sizeof(dropout_bits));
+  std::memcpy(&lr_bits, &config.lr, sizeof(lr_bits));
+  return HashWords(config.kind, config.hidden, dropout_bits, lr_bits,
+                   config.epochs, config.patience, config.seed);
 }
 
 ArtifactCache::Metrics::Metrics(obs::MetricsRegistry& reg)
@@ -229,7 +215,7 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Diversity(
     const HeteroGraph& g, const std::vector<MetaPath>& group,
     int64_t max_row_nnz, exec::ExecContext* ctx) {
   const AdjKey key{FingerprintOf(g),
-                   Mix(PathListSignature(group), kDiversityDomain),
+                   HashWords(PathListSignature(group), kDiversityDomain),
                    max_row_nnz, RowSet::kTrain};
   return GetOrLoad(
       adjacencies_, key, MapCsrEntry,

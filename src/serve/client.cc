@@ -46,11 +46,13 @@ void ServeClient::Close() {
   }
 }
 
-Result<std::string> ServeClient::Call(std::string payload) {
+Result<std::string> ServeClient::Call(std::string payload,
+                                      std::string_view tail) {
   if (fd_ < 0) return Status::FailedPrecondition("client is not connected");
-  FREEHGC_RETURN_IF_ERROR(WriteFrame(fd_, payload));
-  FREEHGC_ASSIGN_OR_RETURN(std::string frame, ReadFrame(fd_));
-  FREEHGC_ASSIGN_OR_RETURN(WireResponse response, DecodeResponse(frame));
+  FREEHGC_RETURN_IF_ERROR(WriteFrame(fd_, payload, tail));
+  FREEHGC_ASSIGN_OR_RETURN(Frame frame, ReadFrame(fd_));
+  FREEHGC_ASSIGN_OR_RETURN(WireResponse response,
+                           DecodeResponse(frame.payload));
   FREEHGC_RETURN_IF_ERROR(response.status);
   return std::move(response.body);
 }
@@ -97,8 +99,10 @@ Result<GraphInfo> ServeClient::UploadGraph(const std::string& name,
   WireWriter w;
   w.PutU8(static_cast<uint8_t>(MsgType::kUploadGraph));
   w.PutString(name);
-  w.PutString(container);
-  FREEHGC_ASSIGN_OR_RETURN(std::string body, Call(w.Take()));
+  // The container's own length prefix goes here; its bytes leave as the
+  // frame's tail, straight from the caller's buffer.
+  w.PutU32(static_cast<uint32_t>(container.size()));
+  FREEHGC_ASSIGN_OR_RETURN(std::string body, Call(w.Take(), container));
   WireReader r(body);
   return DecodeGraphInfo(r);
 }

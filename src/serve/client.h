@@ -44,11 +44,12 @@ class ServeClient {
   /// shard-to-shard replication path).
   Result<std::string> FetchGraph(const std::string& name);
 
-  /// Sends one framed request payload and decodes the response envelope;
-  /// a non-OK server status comes back as that status. Public so protocol
-  /// extensions (src/cluster's meta ops) can reuse the connection
-  /// plumbing without reimplementing framing.
-  Result<std::string> Call(std::string payload);
+  /// Sends one framed request (`payload`, then `tail` uncopied; see
+  /// WriteFrame) and decodes the response envelope; a non-OK server
+  /// status comes back as that status. Public so protocol extensions
+  /// (src/cluster's meta ops) can reuse the connection plumbing without
+  /// reimplementing framing.
+  Result<std::string> Call(std::string payload, std::string_view tail = {});
 
   /// Builds `preset` server-side under (seed, scale) and registers it as
   /// `name`. scale <= 0 uses the preset default.
@@ -57,6 +58,7 @@ class ServeClient {
                                       uint64_t seed, double scale);
 
   /// Uploads a v3 container (SerializeHeteroGraph / SaveHeteroGraphV3).
+  /// The container is sent from `container` in place, never copied.
   Result<GraphInfo> UploadGraph(const std::string& name,
                                 std::string_view container);
 

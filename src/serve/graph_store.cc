@@ -54,29 +54,61 @@ Result<GraphInfo> GraphStore::Register(const std::string& name,
 
 Result<GraphInfo> GraphStore::RegisterSerialized(const std::string& name,
                                                  std::string_view container) {
+  return RegisterSerialized(name, container, nullptr);
+}
+
+Result<GraphInfo> GraphStore::RegisterSerialized(
+    const std::string& name, std::string_view container,
+    std::shared_ptr<const void> owner) {
+  if (name.empty()) {
+    return Status::InvalidArgument("graph name must not be empty");
+  }
   std::string spool;
   {
     std::lock_guard<std::mutex> lock(mu_);
     spool = spool_dir_;
   }
   Timer timer;
-  FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, DeserializeHeteroGraph(container));
+  // The one verification pass: every section CRC, Validate, and the
+  // content hash recomputed from the bytes. The header's claim must
+  // match it, so a spooled file can never carry a client-chosen identity.
+  FREEHGC_ASSIGN_OR_RETURN(ContainerGraph upload,
+                           AdoptHeteroGraph(container, std::move(owner)));
+  const uint64_t fp = upload.graph.ContentFingerprint();
+  if (upload.fingerprint != fp) {
+    return Status::InvalidArgument(StrFormat(
+        "upload header fingerprint %016llx does not match its content "
+        "(%016llx)",
+        static_cast<unsigned long long>(upload.fingerprint),
+        static_cast<unsigned long long>(fp)));
+  }
   if (spool.empty()) {
-    auto info = Register(name, std::move(g));
+    auto info = Insert(name, std::move(upload.graph), fp, {}, nullptr);
     if (info.ok()) ObserveLoad(m_.load_heap_ns, timer);
     return info;
   }
-  // Spool-on-upload: persist as a v3 container keyed by content
-  // fingerprint, free the heap copy, and re-register mapped. Identical
-  // content re-uploads rewrite the same file (atomically), so the spool
-  // dir never accumulates duplicates.
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
-  const uint64_t fp = g.ContentFingerprint();
+  // Spool-on-upload: publish the verified bytes verbatim under their
+  // content fingerprint and register the file mapped, so the resident
+  // arrays are page-cache-backed and evictable. Identical re-uploads
+  // rewrite the same file (atomically), so the spool dir never
+  // accumulates duplicates. The fresh file is mapped without a second
+  // CRC pass or Validate; a re-map after eviction still runs both.
+  upload = ContainerGraph();
   const std::string path = StrFormat(
       "%s/%016llx.fhgc", spool.c_str(), static_cast<unsigned long long>(fp));
-  FREEHGC_RETURN_IF_ERROR(SaveHeteroGraphV3(g, path).status());
-  g = HeteroGraph();
-  return RegisterMappedFile(name, path);
+  FREEHGC_RETURN_IF_ERROR(section_io::WriteFileAtomic(path, container));
+  FREEHGC_ASSIGN_OR_RETURN(
+      ContainerGraph mg,
+      MapHeteroGraphDetailed(path, MapCheck::kStructureOnly));
+  if (mg.fingerprint != fp) {
+    return Status::Internal("spool file " + path +
+                            " changed while it was registered");
+  }
+  mg.graph.SeedContentFingerprint(fp);
+  auto info = Insert(name, std::move(mg.graph), fp, path,
+                     std::move(mg.mapping));
+  if (info.ok()) ObserveLoad(m_.load_mapped_ns, timer);
+  return info;
 }
 
 Result<GraphInfo> GraphStore::RegisterMappedFile(const std::string& name,
@@ -85,8 +117,7 @@ Result<GraphInfo> GraphStore::RegisterMappedFile(const std::string& name,
     return Status::InvalidArgument("graph name must not be empty");
   }
   Timer timer;
-  FREEHGC_ASSIGN_OR_RETURN(MappedGraph mg, MapHeteroGraphDetailed(path));
-  FREEHGC_RETURN_IF_ERROR(mg.graph.Validate());
+  FREEHGC_ASSIGN_OR_RETURN(ContainerGraph mg, MapHeteroGraphDetailed(path));
   mg.graph.SeedContentFingerprint(mg.fingerprint);
   auto info = Insert(name, std::move(mg.graph), mg.fingerprint, path,
                      std::move(mg.mapping));
@@ -182,7 +213,7 @@ Result<GraphStore::GraphRef> GraphStore::Get(const std::string& name) {
     path = e.info.source_path;
     expect_fp = e.info.fingerprint;
   }
-  FREEHGC_ASSIGN_OR_RETURN(MappedGraph mg, MapHeteroGraphDetailed(path));
+  FREEHGC_ASSIGN_OR_RETURN(ContainerGraph mg, MapHeteroGraphDetailed(path));
   if (mg.fingerprint != expect_fp) {
     return Status::Internal(StrFormat(
         "spool file %s changed since eviction (was %016llx, now %016llx)",

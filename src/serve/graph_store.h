@@ -70,20 +70,31 @@ class GraphStore {
   Result<GraphInfo> Register(const std::string& name, HeteroGraph graph);
 
   /// Registers a graph from a SerializeHeteroGraph container (the upload
-  /// path). Corrupt or truncated payloads are InvalidArgument — nothing
-  /// is registered. The fingerprint is recomputed from content, never
-  /// taken from the untrusted header. With a spool dir set, the
-  /// upload is persisted as a v3 container (named by content fingerprint)
-  /// and re-registered as a mapped graph, so the heap copy is freed and
-  /// the resident arrays are page-cache-backed.
+  /// path). The bytes are verified once: every section CRC, Validate,
+  /// and the content fingerprint recomputed from content, never taken
+  /// from the untrusted header. Corrupt or truncated payloads, and a
+  /// header fingerprint that disagrees with the recompute, are
+  /// InvalidArgument; nothing is registered. Without a spool dir the
+  /// graph adopts the container (AdoptHeteroGraph): this overload copies
+  /// it once into an aligned buffer. With a spool dir the verified bytes
+  /// are published verbatim as `<fingerprint>.fhgc` and registered
+  /// mapped, so the resident arrays are page-cache-backed and evictable.
   Result<GraphInfo> RegisterSerialized(const std::string& name,
                                        std::string_view container);
+
+  /// RegisterSerialized over bytes that `owner` keeps alive and
+  /// unchanged, such as a received wire frame. An 8-byte-aligned
+  /// container is then adopted in place: the graph's arrays view it and
+  /// pin `owner`, with no copy at all.
+  Result<GraphInfo> RegisterSerialized(const std::string& name,
+                                       std::string_view container,
+                                       std::shared_ptr<const void> owner);
 
   /// Registers the v3 container at `path` as a mapped (zero-copy)
   /// resident graph. Every section CRC is verified, after which the
   /// container's stored content fingerprint is trusted and seeds the
   /// graph's ContentFingerprint memo (here and on every re-map) — mapped
-  /// registration skips the full-graph FNV pass a heap load pays. The
+  /// registration skips the full-graph hash pass an upload pays. The
   /// entry's shared_ptr keeps the mapping alive, even past the store.
   Result<GraphInfo> RegisterMappedFile(const std::string& name,
                                        const std::string& path);

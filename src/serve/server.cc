@@ -138,15 +138,15 @@ void WireListener::AcceptLoop() {
 void WireListener::HandleConnection(int fd) {
   obs::SetCurrentThreadNameIfUnset("io");
   for (;;) {
-    Result<std::string> payload = ReadFrame(fd);
-    if (!payload.ok()) {
-      if (payload.status().code() != StatusCode::kUnavailable) {
+    Result<Frame> frame = ReadFrame(fd);
+    if (!frame.ok()) {
+      if (frame.status().code() != StatusCode::kUnavailable) {
         FREEHGC_LOG(Warning) << "serve: dropping connection: "
-                             << payload.status().ToString();
+                             << frame.status().ToString();
       }
       break;
     }
-    const std::string response = handler_(*payload);
+    const std::string response = handler_(*frame);
     if (!WriteFrame(fd, response).ok()) break;
   }
   ::close(fd);
@@ -163,7 +163,7 @@ Server::Server(ServerOptions options)
     : options_(std::move(options)),
       service_(std::make_unique<ServeService>(options_.serve)),
       listener_(options_.port,
-                [this](std::string_view p) { return HandleRequest(p); }) {}
+                [this](const Frame& f) { return HandleRequest(f); }) {}
 
 Server::~Server() {
   RequestStop();
@@ -185,8 +185,8 @@ void Server::Wait() {
   if (drain) service_->Shutdown(ShutdownMode::kDrain);
 }
 
-std::string Server::HandleRequest(std::string_view payload) {
-  WireReader r(payload);
+std::string Server::HandleRequest(const Frame& frame) {
+  WireReader r(frame.payload);
   auto type = r.GetU8();
   if (!type.ok()) return EncodeResponse(type.status(), "");
   switch (static_cast<MsgType>(*type)) {
@@ -218,9 +218,12 @@ std::string Server::HandleRequest(std::string_view payload) {
     case MsgType::kUploadGraph: {
       auto name = r.GetString();
       if (!name.ok()) return EncodeResponse(name.status(), "");
-      auto container = r.GetString();
+      // The container is the frame's last field, so it lands 8-byte
+      // aligned (see Frame) and the graph adopts the frame in place.
+      auto container = r.GetStringView();
       if (!container.ok()) return EncodeResponse(container.status(), "");
-      auto info = service_->store().RegisterSerialized(*name, *container);
+      auto info = service_->store().RegisterSerialized(*name, *container,
+                                                       frame.buffer);
       if (!info.ok()) return EncodeResponse(info.status(), "");
       WireWriter w;
       EncodeGraphInfo(w, *info);

@@ -28,9 +28,10 @@ namespace freehgc::serve {
 /// responses), and Wait() joins every connection thread.
 class WireListener {
  public:
-  /// Maps one request payload to one encoded response payload. Called
-  /// concurrently from connection threads.
-  using Handler = std::function<std::string(std::string_view)>;
+  /// Maps one request frame to one encoded response payload. Called
+  /// concurrently from connection threads. A handler may keep
+  /// `frame.buffer` to use the payload's bytes past the call.
+  using Handler = std::function<std::string(const Frame& frame)>;
 
   /// `port` 0 binds an ephemeral port (read it back from port() after
   /// Start). The handler must outlive the listener.
@@ -107,8 +108,8 @@ class Server {
   void Wait();
 
  private:
-  /// Decodes one request payload and produces the encoded response.
-  std::string HandleRequest(std::string_view payload);
+  /// Decodes one request frame and produces the encoded response.
+  std::string HandleRequest(const Frame& frame);
 
   ServerOptions options_;
   std::unique_ptr<ServeService> service_;

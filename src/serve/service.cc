@@ -2,7 +2,7 @@
 
 #include <utility>
 
-#include "common/fnv.h"
+#include "common/content_hash.h"
 #include "common/logging.h"
 #include "common/string_util.h"
 #include "graph/serialize.h"
@@ -53,7 +53,7 @@ ServeService::ServeService(ServeOptions options)
     // happens outside any in-flight window in practice, and the name is
     // what Execute() resolves.
     scheduler_->set_coalesce_key([](const CondenseRequest& r) -> uint64_t {
-      Fnv f;
+      ContentHash f;
       f.Bytes(r.graph.data(), r.graph.size());
       f.Pod(uint8_t{0});
       f.Bytes(r.method.data(), r.method.size());
@@ -65,7 +65,8 @@ ServeService::ServeService(ServeOptions options)
       f.Pod(r.max_row_nnz);
       f.Pod(r.evaluate);
       f.Pod(r.return_graph);
-      return f.h != 0 ? f.h : 1;  // 0 means "don't coalesce"
+      const uint64_t h = f.Digest();
+      return h != 0 ? h : 1;  // 0 means "don't coalesce"
     });
   }
   // Spill-aware admission: read the budgeted tiers' resident gauges on

@@ -7,8 +7,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
 #include <limits>
+#include <memory>
 
 #include "common/string_util.h"
 
@@ -91,12 +93,17 @@ Result<double> WireReader::GetF64() {
 }
 
 Result<std::string> WireReader::GetString() {
+  FREEHGC_ASSIGN_OR_RETURN(std::string_view s, GetStringView());
+  return std::string(s);
+}
+
+Result<std::string_view> WireReader::GetStringView() {
   FREEHGC_ASSIGN_OR_RETURN(uint32_t len, GetU32());
   if (len > kMaxFrameBytes) {
     return Status::InvalidArgument("malformed wire payload: string too long");
   }
   FREEHGC_RETURN_IF_ERROR(Need(len));
-  std::string out(data_.substr(pos_, len));
+  const std::string_view out = data_.substr(pos_, len);
   pos_ += len;
   return out;
 }
@@ -128,23 +135,24 @@ Status ReadAll(int fd, char* data, size_t n, bool eof_ok) {
 
 }  // namespace
 
-Status WriteFrame(int fd, std::string_view payload) {
-  if (payload.size() > kMaxFrameBytes) {
-    return Status::InvalidArgument(
-        StrFormat("frame of %zu bytes exceeds the %u-byte cap",
-                  payload.size(), kMaxFrameBytes));
+Status WriteFrame(int fd, std::string_view payload, std::string_view tail) {
+  const size_t size = payload.size() + tail.size();
+  if (size > kMaxFrameBytes) {
+    return Status::InvalidArgument(StrFormat(
+        "frame of %zu bytes exceeds the %u-byte cap", size, kMaxFrameBytes));
   }
   WireWriter prefix;
-  prefix.PutU32(static_cast<uint32_t>(payload.size()));
-  // Prefix and payload leave in one gather-write: a separate 4-byte
+  prefix.PutU32(static_cast<uint32_t>(size));
+  // Prefix, payload and tail leave in one gather-write: a separate 4-byte
   // send would let Nagle hold the payload until the peer's delayed ACK
-  // (>= 40 ms per frame). The payload is sent in place, never copied.
-  iovec iov[2] = {
+  // (>= 40 ms per frame). Both parts are sent in place, never copied.
+  iovec iov[3] = {
       {const_cast<char*>(prefix.payload().data()), prefix.payload().size()},
-      {const_cast<char*>(payload.data()), payload.size()}};
+      {const_cast<char*>(payload.data()), payload.size()},
+      {const_cast<char*>(tail.data()), tail.size()}};
   msghdr msg{};
   msg.msg_iov = iov;
-  msg.msg_iovlen = 2;
+  msg.msg_iovlen = tail.empty() ? 2 : 3;
   while (msg.msg_iovlen > 0) {
     // MSG_NOSIGNAL: a peer that died mid-exchange (a SIGKILLed shard)
     // must surface as a Status the caller can fail over on, not a
@@ -180,7 +188,7 @@ Status SetNoDelay(int fd) {
   return Status::OK();
 }
 
-Result<std::string> ReadFrame(int fd) {
+Result<Frame> ReadFrame(int fd) {
   char prefix[4];
   FREEHGC_RETURN_IF_ERROR(ReadAll(fd, prefix, 4, /*eof_ok=*/true));
   uint32_t len = 0;
@@ -192,12 +200,19 @@ Result<std::string> ReadFrame(int fd) {
         StrFormat("announced frame of %u bytes exceeds the %u-byte cap", len,
                   kMaxFrameBytes));
   }
-  std::string payload(len, '\0');
+  // Up to 7 bytes of slack in front let the payload end on an 8-byte
+  // boundary (see Frame). Left uninitialized: the socket fills it.
+  auto buffer = std::make_shared_for_overwrite<char[]>(len + 7);
+  const size_t pad =
+      (0 - (reinterpret_cast<uintptr_t>(buffer.get()) + len)) % 8;
+  char* payload = buffer.get() + pad;
   if (len > 0) {
-    FREEHGC_RETURN_IF_ERROR(ReadAll(fd, payload.data(), len,
-                                    /*eof_ok=*/false));
+    FREEHGC_RETURN_IF_ERROR(ReadAll(fd, payload, len, /*eof_ok=*/false));
   }
-  return payload;
+  Frame frame;
+  frame.payload = std::string_view(payload, len);
+  frame.buffer = std::move(buffer);
+  return frame;
 }
 
 std::string EncodeResponse(const Status& status, std::string_view body) {

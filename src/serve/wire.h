@@ -2,6 +2,7 @@
 #define FREEHGC_SERVE_WIRE_H_
 
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -114,6 +115,8 @@ class WireReader {
   Result<int64_t> GetI64();
   Result<double> GetF64();
   Result<std::string> GetString();
+  /// A string field as a view into the payload, without copying it.
+  Result<std::string_view> GetStringView();
 
   size_t remaining() const { return data_.size() - pos_; }
 
@@ -124,15 +127,28 @@ class WireReader {
   size_t pos_ = 0;
 };
 
+/// One received frame. The payload sits in a shared heap buffer, placed
+/// so that it ends on an 8-byte boundary. A v3 container's size is
+/// always a multiple of 8, so a container sent as a frame's last field
+/// (an upload) starts 8-byte aligned and can be adopted in place: the
+/// graph's arrays view the frame and pin `buffer`.
+struct Frame {
+  std::shared_ptr<const void> buffer;  ///< owns the bytes `payload` views
+  std::string_view payload;
+};
+
 /// Blocking frame I/O over a connected socket fd (restarts on EINTR).
-/// WriteFrame sends the u32 length prefix + payload as one gather-write
-/// (sendmsg, MSG_NOSIGNAL; partial writes resume where they stopped);
-/// ReadFrame returns the payload. A clean EOF at a frame boundary is
+/// WriteFrame sends the u32 length prefix, `payload` and then `tail` as
+/// one frame in one gather-write (sendmsg, MSG_NOSIGNAL; partial writes
+/// resume where they stopped). Neither part is copied, so a large blob
+/// can leave as the tail without first being appended to the payload.
+/// ReadFrame receives one frame. A clean EOF at a frame boundary is
 /// kUnavailable ("connection closed") — the server loop's disconnect
 /// signal; EOF mid-frame is kInternal, and an announced length above
 /// kMaxFrameBytes is kInvalidArgument.
-Status WriteFrame(int fd, std::string_view payload);
-Result<std::string> ReadFrame(int fd);
+Status WriteFrame(int fd, std::string_view payload,
+                  std::string_view tail = {});
+Result<Frame> ReadFrame(int fd);
 
 /// Turns Nagle off (TCP_NODELAY) on a connected TCP socket, so the tail
 /// segment of a frame is never held back waiting for the peer's delayed

@@ -6,8 +6,10 @@
 #include <memory>
 #include <set>
 #include <span>
+#include <string>
 #include <vector>
 
+#include "common/content_hash.h"
 #include "common/crc32.h"
 #include "common/mapped_file.h"
 #include "common/result.h"
@@ -272,6 +274,61 @@ TEST(TimerTest, MeasuresElapsedTime) {
 }
 
 // --- Crc32 -----------------------------------------------------------------
+
+uint64_t HashOf(std::string_view s) {
+  ContentHash h;
+  h.Bytes(s.data(), s.size());
+  return h.Digest();
+}
+
+TEST(ContentHashTest, MatchesXxh64KnownVectors) {
+  // XXH64 with seed 0: the empty input, a sub-stripe input, and one that
+  // spans a full 32-byte stripe plus a tail.
+  EXPECT_EQ(HashOf(""), 0xEF46DB3751D8E999ULL);
+  EXPECT_EQ(HashOf("a"), 0xD24EC4F1A98C6E5BULL);
+  EXPECT_EQ(HashOf("abc"), 0x44BC2CF5AD770999ULL);
+  EXPECT_EQ(HashOf("Nobody inspects the spammish repetition"),
+            0xFBCEA83C8A378BF1ULL);
+}
+
+TEST(ContentHashTest, DigestIgnoresHowTheBytesAreSplit) {
+  // One byte sequence fed whole, then under random split points: 1-byte
+  // pieces (the separator tags), unaligned tails and empty spans must all
+  // give the same digest.
+  Rng rng(42);
+  for (size_t n : {0u, 1u, 7u, 31u, 32u, 33u, 64u, 1000u, 4099u}) {
+    std::vector<unsigned char> bytes(n);
+    for (auto& b : bytes) b = static_cast<unsigned char>(rng.NextBounded(256));
+    ContentHash whole;
+    whole.Bytes(bytes.data(), bytes.size());
+    const uint64_t want = whole.Digest();
+    for (int trial = 0; trial < 50; ++trial) {
+      ContentHash split;
+      size_t pos = 0;
+      while (pos < n) {
+        size_t len;
+        switch (rng.NextBounded(4)) {
+          case 0: len = 0; break;  // empty span
+          case 1: len = 1; break;  // a tag-sized piece
+          case 2: len = 1 + rng.NextBounded(40); break;  // unaligned
+          default: len = rng.NextBounded(n - pos + 1); break;
+        }
+        len = std::min(len, n - pos);
+        split.Bytes(bytes.data() + pos, len);
+        pos += len;
+      }
+      split.Bytes(nullptr, 0);
+      EXPECT_EQ(split.Digest(), want) << n << " bytes, trial " << trial;
+    }
+  }
+  // Digest() reads without consuming: feeding may continue after it.
+  ContentHash a, b;
+  a.Bytes("abc", 3);
+  (void)a.Digest();
+  a.Bytes("def", 3);
+  b.Bytes("abcdef", 6);
+  EXPECT_EQ(a.Digest(), b.Digest());
+}
 
 TEST(Crc32Test, MatchesKnownVector) {
   // The standard CRC-32 check value ("123456789" under IEEE 802.3).

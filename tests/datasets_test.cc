@@ -231,5 +231,24 @@ TEST(GeneratorV3Test, StreamedAminerPresetRoundTrips) {
   std::remove(path.c_str());
 }
 
+TEST(GeneratorV3Test, HeaderFingerprintEqualsHeapFingerprintForEveryPreset) {
+  // The streaming sink feeds the content hash in chunks (features leave
+  // in row chunks); the heap graph feeds whole arrays. The multi-lane
+  // hash must not care.
+  for (const char* preset : {"acm", "dblp", "imdb", "freebase", "aminer"}) {
+    const double scale = std::string(preset) == "aminer" ? 0.01 : 0.05;
+    auto config = datasets::PresetConfig(preset, scale);
+    ASSERT_TRUE(config.ok()) << preset;
+    const std::string path =
+        std::string("/tmp/freehgc_test_gen_v3_fp_") + preset + ".fhgc";
+    auto summary = datasets::GenerateToV3(*config, 3, path);
+    ASSERT_TRUE(summary.ok()) << preset << ": " << summary.status().ToString();
+    auto heap = Generate(*config, 3);
+    ASSERT_TRUE(heap.ok()) << preset;
+    EXPECT_EQ(summary->fingerprint, heap->ContentFingerprint()) << preset;
+    std::remove(path.c_str());
+  }
+}
+
 }  // namespace
 }  // namespace freehgc

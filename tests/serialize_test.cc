@@ -5,11 +5,13 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "core/freehgc.h"
 #include "datasets/generator.h"
 #include "graph/section_io.h"
@@ -500,6 +502,187 @@ TEST(ContainerV3Test, RoundTripsEmptyRelation) {
   EXPECT_EQ(mapped->relation(0).adj.nnz(), 0);
   ExpectGraphsEqual(*mapped, g);
   std::remove(path.c_str());
+}
+
+// ---------------------------------------------------------------------------
+// Adoption: the upload parser views the container instead of copying it.
+
+/// `bytes` copied into a fresh 8-byte-aligned buffer that pins itself.
+std::pair<std::string_view, std::shared_ptr<const void>> AlignedCopy(
+    std::string_view bytes) {
+  auto buf = std::make_shared<std::vector<uint64_t>>((bytes.size() + 7) / 8);
+  std::memcpy(buf->data(), bytes.data(), bytes.size());
+  return {std::string_view(reinterpret_cast<const char*>(buf->data()),
+                           bytes.size()),
+          buf};
+}
+
+bool Within(const void* p, std::string_view bytes) {
+  const auto* c = static_cast<const char*>(p);
+  return c >= bytes.data() && c < bytes.data() + bytes.size();
+}
+
+TEST(ContainerV3Test, AdoptViewsAnAlignedBufferAndCopiesAMisalignedOne) {
+  const HeteroGraph g = datasets::MakeToy(12);
+  auto bytes = SerializeHeteroGraph(g);
+  ASSERT_TRUE(bytes.ok());
+  auto [aligned, owner] = AlignedCopy(*bytes);
+
+  auto adopted = AdoptHeteroGraph(aligned, owner);
+  ASSERT_TRUE(adopted.ok()) << adopted.status().ToString();
+  ExpectGraphsEqual(adopted->graph, g);
+  EXPECT_EQ(adopted->fingerprint, g.ContentFingerprint());
+  EXPECT_EQ(adopted->mapping, nullptr);
+  // Zero-copy: the arrays point into the caller's buffer.
+  EXPECT_TRUE(Within(adopted->graph.relation(0).adj.indptr().data(), aligned));
+  EXPECT_TRUE(Within(adopted->graph.Features(0).data(), aligned));
+  // Heap-backed views are not a mapping, and the buffer is resident heap.
+  EXPECT_FALSE(adopted->graph.IsMapped());
+  EXPECT_GE(adopted->graph.ResidentHeapBytes(), bytes->size());
+
+  // One byte off the boundary: typed views would be misaligned, so the
+  // parser copies into an aligned buffer of its own.
+  std::vector<uint64_t> shifted((bytes->size() + 15) / 8);
+  const std::string_view odd(reinterpret_cast<const char*>(shifted.data()) + 1,
+                             bytes->size());
+  std::memcpy(const_cast<char*>(odd.data()), bytes->data(), bytes->size());
+  auto copied = AdoptHeteroGraph(odd, owner);
+  ASSERT_TRUE(copied.ok()) << copied.status().ToString();
+  ExpectGraphsEqual(copied->graph, g);
+  EXPECT_FALSE(Within(copied->graph.relation(0).adj.indptr().data(), odd));
+  EXPECT_EQ(reinterpret_cast<uintptr_t>(
+                copied->graph.relation(0).adj.indptr().data()) % 8, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Seeded mutation test of the upload decoder. Every container the
+// round-trip tests build is mutated (byte flips, truncations, insertions,
+// section-table and header edits) and fed to AdoptHeteroGraph, the parser
+// behind every upload. Half the mutants get every CRC re-sealed, so they
+// reach the structural checks behind the checksums. Each mutant must
+// fail with a Status or yield a graph that passes Validate; under ASan
+// and UBSan it must also touch no byte outside the buffer.
+
+constexpr size_t kHeaderSize = sizeof(section_io::FileHeader);
+constexpr size_t kEntrySize = sizeof(section_io::SectionEntry);
+
+/// Recomputes every CRC `bytes` carries that still lies in bounds, and the
+/// header's file size, so only the structural checks can reject it.
+void Reseal(std::string& bytes) {
+  if (bytes.size() < kHeaderSize) return;
+  section_io::FileHeader h;
+  std::memcpy(&h, bytes.data(), kHeaderSize);
+  h.file_size = bytes.size();
+  const uint64_t count = h.section_count;
+  if (h.table_offset <= bytes.size() &&
+      count <= (bytes.size() - h.table_offset) / kEntrySize) {
+    for (uint64_t i = 0; i < count; ++i) {
+      char* e = bytes.data() + h.table_offset + i * kEntrySize;
+      section_io::SectionEntry s;
+      std::memcpy(&s, e, kEntrySize);
+      if (s.offset <= bytes.size() && s.size <= bytes.size() - s.offset) {
+        s.crc = Crc32(bytes.data() + s.offset, s.size);
+        std::memcpy(e, &s, kEntrySize);
+      }
+    }
+    h.table_size = count * kEntrySize;
+    h.table_crc = Crc32(bytes.data() + h.table_offset, h.table_size);
+  }
+  h.header_crc = Crc32(&h, offsetof(section_io::FileHeader, header_crc));
+  std::memcpy(bytes.data(), &h, kHeaderSize);
+}
+
+/// One random mutant of `base`.
+std::string Mutate(const std::string& base, Rng& rng) {
+  std::string m = base;
+  auto pos = [&](size_t n) { return static_cast<size_t>(rng.NextBounded(n)); };
+  section_io::FileHeader h;
+  std::memcpy(&h, base.data(), kHeaderSize);
+  switch (rng.NextBounded(5)) {
+    case 0: {  // byte flips anywhere
+      const int flips = 1 + static_cast<int>(rng.NextBounded(8));
+      for (int i = 0; i < flips; ++i) {
+        m[pos(m.size())] ^= static_cast<char>(1 + rng.NextBounded(255));
+      }
+      break;
+    }
+    case 1:  // truncation
+      m.resize(pos(m.size()));
+      break;
+    case 2: {  // insertion of random bytes
+      std::string ins(1 + pos(64), '\0');
+      for (char& c : ins) c = static_cast<char>(rng.NextBounded(256));
+      m.insert(pos(m.size() + 1), ins);
+      break;
+    }
+    case 3: {  // section-table edit: one field of one entry
+      const size_t entry = h.table_offset + pos(h.section_count) * kEntrySize;
+      const size_t field = 4 + 4 * pos(11);  // kind..reserved, 4-byte steps
+      uint32_t v = 0;
+      std::memcpy(&v, m.data() + entry + field, 4);
+      const uint32_t edits[] = {v + 1, v - 1, v ^ 0x1000, 0, 0xffffffffu,
+                                static_cast<uint32_t>(rng.NextU64())};
+      v = edits[pos(6)];
+      std::memcpy(m.data() + entry + field, &v, 4);
+      break;
+    }
+    default: {  // header edit: section count or table placement
+      const size_t fields[] = {12, 16, 24, 32};  // count, size, table off/size
+      const size_t at = fields[pos(4)];
+      uint32_t v = 0;
+      std::memcpy(&v, m.data() + at, 4);
+      v += static_cast<uint32_t>(rng.NextBounded(3)) == 0 ? 48 : -4096u;
+      std::memcpy(m.data() + at, &v, 4);
+      break;
+    }
+  }
+  if (rng.NextBounded(2) == 0) Reseal(m);
+  return m;
+}
+
+TEST(ContainerMutationTest, EveryMutantFailsCleanlyOrValidates) {
+  std::vector<HeteroGraph> graphs;
+  graphs.push_back(datasets::MakeToy(5));
+  {
+    core::FreeHgcOptions opts;
+    opts.ratio = 0.1;
+    opts.max_paths = 6;
+    auto cond = core::Condense(datasets::MakeDblp(7, /*scale=*/0.05), opts);
+    ASSERT_TRUE(cond.ok());
+    graphs.push_back(std::move(cond->graph));
+  }
+  {
+    HeteroGraph g;
+    auto a = g.AddNodeType("a", 3);
+    auto b = g.AddNodeType("b", 2);
+    ASSERT_TRUE(a.ok() && b.ok());
+    auto adj = CsrMatrix::FromCoo(3, 2, {{0, 1, 1.0f}, {2, 0, 2.0f}});
+    ASSERT_TRUE(adj.ok());
+    ASSERT_TRUE(g.AddRelation("ab", *a, *b, std::move(*adj)).ok());
+    graphs.push_back(std::move(g));
+  }
+  Rng rng(20261021);
+  int parsed = 0, rejected = 0;
+  for (const HeteroGraph& g : graphs) {
+    auto bytes = SerializeHeteroGraph(g);
+    ASSERT_TRUE(bytes.ok());
+    for (int i = 0; i < 400; ++i) {
+      const std::string mutant = Mutate(*bytes, rng);
+      auto [view, owner] = AlignedCopy(mutant);
+      auto got = AdoptHeteroGraph(view, owner);
+      if (!got.ok()) {
+        EXPECT_NE(got.status().code(), StatusCode::kOk);
+        ++rejected;
+        continue;
+      }
+      ++parsed;
+      EXPECT_TRUE(got->graph.Validate().ok()) << "mutant " << i;
+      got->graph.ContentFingerprint();  // reads every array byte
+    }
+  }
+  // Both outcomes occur: the mutator reaches past the checksums.
+  EXPECT_GT(rejected, 0);
+  EXPECT_GT(parsed, 0);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <condition_variable>
 #include <fstream>
 #include <mutex>
@@ -23,6 +24,7 @@
 #include <tuple>
 #include <vector>
 
+#include "common/crc32.h"
 #include "common/string_util.h"
 #include "datasets/generator.h"
 #include "exec/exec_context.h"
@@ -178,6 +180,78 @@ TEST(GraphStoreTest, SpoolDirTurnsUploadsIntoMappedResidents) {
 
   std::remove(info->source_path.c_str());
   ::rmdir(spool.c_str());
+}
+
+TEST(GraphStoreTest, SpoolRejectsAnUploadWhoseHeaderFingerprintLies) {
+  const HeteroGraph g = datasets::MakeToy(34);
+  auto bytes = SerializeHeteroGraph(g);
+  ASSERT_TRUE(bytes.ok());
+  // Rewrite the header's content fingerprint (byte 40) and re-seal the
+  // header CRC (byte 52), so every checksum holds and only the recompute
+  // can tell.
+  std::string forged = *bytes;
+  const uint64_t claimed = g.ContentFingerprint() ^ 0x5a5a;
+  std::memcpy(forged.data() + 40, &claimed, sizeof(claimed));
+  const uint32_t header_crc = Crc32(forged.data(), 52);
+  std::memcpy(forged.data() + 52, &header_crc, sizeof(header_crc));
+
+  const std::string spool = "/tmp/freehgc_test_spool_forged";
+  GraphStore store;
+  ASSERT_TRUE(store.SetSpoolDir(spool).ok());
+  auto info = store.RegisterSerialized("forged", forged);
+  ASSERT_FALSE(info.ok());
+  EXPECT_EQ(info.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(info.status().message().find("fingerprint"), std::string::npos)
+      << info.status().ToString();
+  // Nothing registered, and no spool file under either identity.
+  EXPECT_EQ(store.Count(), 0);
+  EXPECT_EQ(store.MappedCount(), 0);
+  for (uint64_t fp : {claimed, g.ContentFingerprint()}) {
+    const std::string path = StrFormat(
+        "%s/%016llx.fhgc", spool.c_str(), static_cast<unsigned long long>(fp));
+    EXPECT_NE(::access(path.c_str(), F_OK), 0) << path;
+  }
+
+  // The honest container registers mapped under the recomputed identity.
+  auto honest = store.RegisterSerialized("honest", *bytes);
+  ASSERT_TRUE(honest.ok()) << honest.status().ToString();
+  EXPECT_TRUE(honest->mapped);
+  EXPECT_EQ(honest->fingerprint, g.ContentFingerprint());
+  std::remove(honest->source_path.c_str());
+  ::rmdir(spool.c_str());
+}
+
+TEST(GraphStoreTest, AdoptedUploadIsHeapResidentAndNeverEvicted) {
+  const HeteroGraph g = datasets::MakeToy(35);
+  auto bytes = SerializeHeteroGraph(g);
+  ASSERT_TRUE(bytes.ok());
+  auto buffer = std::make_shared<std::vector<uint64_t>>(
+      (bytes->size() + 7) / 8);
+  std::memcpy(buffer->data(), bytes->data(), bytes->size());
+  const std::string_view container(
+      reinterpret_cast<const char*>(buffer->data()), bytes->size());
+
+  GraphStore store;
+  auto info = store.RegisterSerialized("adopted", container, buffer);
+  ASSERT_TRUE(info.ok()) << info.status().ToString();
+  EXPECT_FALSE(info->mapped);
+  EXPECT_EQ(info->fingerprint, g.ContentFingerprint());
+  // The whole adopted container is resident heap, none of it counts as
+  // mapped, so the residency budget can neither charge nor evict it.
+  EXPECT_GE(store.ResidentBytes(), bytes->size());
+  EXPECT_EQ(store.MappedResidentBytes(), 0u);
+  store.SetResidentBudget(1);
+  EXPECT_EQ(store.Evictions(), 0);
+
+  auto ref = store.Get("adopted");
+  ASSERT_TRUE(ref.ok());
+  EXPECT_FALSE((*ref)->IsMapped());
+  EXPECT_GE((*ref)->ResidentHeapBytes(), bytes->size());
+  // Zero-copy: the resident arrays view the caller's buffer.
+  const auto* indptr = reinterpret_cast<const char*>(
+      (*ref)->relation(0).adj.indptr().data());
+  EXPECT_TRUE(indptr >= container.data() &&
+              indptr < container.data() + container.size());
 }
 
 // ---------------------------------------------------------------------------
@@ -1268,8 +1342,26 @@ TEST(WireTest, LargeFrameSurvivesPartialWrites) {
   EXPECT_EQ(polled, 1);
   ASSERT_TRUE(write_status.ok()) << write_status.ToString();
   ASSERT_TRUE(got.ok()) << got.status().ToString();
-  ASSERT_EQ(got->size(), payload.size());
-  EXPECT_TRUE(*got == payload) << "payload bytes differ after partial writes";
+  ASSERT_EQ(got->payload.size(), payload.size());
+  EXPECT_TRUE(got->payload == payload)
+      << "payload bytes differ after partial writes";
+}
+
+TEST(WireTest, FramePayloadEndsOnAnEightByteBoundary) {
+  // An upload's container is the frame's last field and its size is a
+  // multiple of 8, so it must start aligned whatever precedes it.
+  for (size_t head : {1u, 5u, 8u, 13u}) {
+    SocketPair sp(SOCK_STREAM);
+    ASSERT_TRUE(sp.ok);
+    const std::string prefix(head, 'h');
+    const std::string tail(64, 't');
+    ASSERT_TRUE(WriteFrame(sp.fd[0], prefix, tail).ok());
+    auto got = ReadFrame(sp.fd[1]);
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    ASSERT_EQ(got->payload, prefix + tail);
+    EXPECT_EQ(reinterpret_cast<uintptr_t>(got->payload.data() + head) % 8, 0u)
+        << head;
+  }
 }
 
 TEST(WireTest, ReadFrameReportsEofAndOversizeFrames) {
