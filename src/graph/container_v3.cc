@@ -555,15 +555,12 @@ Result<ContainerGraph> MapHeteroGraphDetailed(const std::string& path,
   FREEHGC_ASSIGN_OR_RETURN(
       SectionView v,
       SectionView::Map(path, section_io::GraphContainerFormat()));
-  if (check == MapCheck::kStructureOnly) {
-    FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, BuildGraph(v, v.mapping()));
-    return Wrap(std::move(g), v);
-  }
+  const bool full = check == MapCheck::kFull;
   // Verify every payload before handing out views: a sequential pass at
   // CRC speed, and the kernel readahead it triggers doubles as a warmup.
-  FREEHGC_RETURN_IF_ERROR(v.VerifyAllCrcs());
+  if (full) FREEHGC_RETURN_IF_ERROR(v.VerifyAllCrcs());
   FREEHGC_ASSIGN_OR_RETURN(HeteroGraph g, BuildGraph(v, v.mapping()));
-  FREEHGC_RETURN_IF_ERROR(g.Validate());
+  if (full) FREEHGC_RETURN_IF_ERROR(g.Validate());
   return Wrap(std::move(g), v);
 }
 

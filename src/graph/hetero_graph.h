@@ -40,7 +40,10 @@ enum class TypeRole { kRoot, kFather, kLeaf };
 /// target-type labels, matching the paper's formulation (Section II-A).
 ///
 /// Node ids are local to their type: type t has nodes 0..NodeCount(t)-1.
-/// The container owns everything; it is copyable (deep) and movable.
+/// Relation and feature arrays are either owned or views of a v3
+/// container (a file mapping or an adopted upload buffer) that the views
+/// keep alive. A copy deep-copies owned arrays and shares views; the
+/// graph is movable.
 class HeteroGraph {
  public:
   HeteroGraph() = default;
@@ -139,9 +142,10 @@ class HeteroGraph {
   /// false.
   void SetAdoptedBufferBytes(size_t bytes) { adopted_bytes_ = bytes; }
 
-  /// 64-bit content hash over everything that affects computation results:
-  /// type names/counts, relations (name, endpoints, full CSR arrays),
-  /// features, labels, class count and splits. Two graphs with equal
+  /// 64-bit content hash (ContentHash, common/content_hash.h) over
+  /// everything that affects computation results: type names/counts,
+  /// relations (name, endpoints, full CSR arrays), features, labels,
+  /// class count and splits. Two graphs with equal
   /// fingerprints are treated as interchangeable by pipeline::ArtifactCache
   /// (the 64-bit collision risk is accepted; see DESIGN.md, "Pipeline").
   /// Costs one linear pass over the graph on first use; the value is then
