@@ -2,6 +2,7 @@
 
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <utility>
 
@@ -285,11 +286,18 @@ Status WriteFileAtomic(const std::string& path, std::string_view bytes) {
   if (!file) {
     return Status::InvalidArgument("cannot open for write: " + tmp_path);
   }
-  if (!bytes.empty() &&
-      std::fwrite(bytes.data(), 1, bytes.size(), file.get()) != bytes.size()) {
-    file.reset();
-    std::remove(tmp_path.c_str());
-    return Status::Internal("short write to " + tmp_path);
+  // Written in 64 KiB pieces, not one call: from one large write the page
+  // cache may build large folios (up to 2 MiB), and a reader of the
+  // mapped file then faults in a whole folio per page it touches. Small
+  // writes keep a mapped graph's resident set at what it reads.
+  constexpr size_t kPiece = size_t{64} << 10;
+  for (size_t off = 0; off < bytes.size(); off += kPiece) {
+    const size_t n = std::min(kPiece, bytes.size() - off);
+    if (std::fwrite(bytes.data() + off, 1, n, file.get()) != n) {
+      file.reset();
+      std::remove(tmp_path.c_str());
+      return Status::Internal("short write to " + tmp_path);
+    }
   }
   return SyncAndRename(std::move(file), tmp_path, path);
 }

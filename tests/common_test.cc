@@ -273,7 +273,7 @@ TEST(TimerTest, MeasuresElapsedTime) {
   EXPECT_LE(t.ElapsedSeconds(), b / 1e3);
 }
 
-// --- Crc32 -----------------------------------------------------------------
+// --- ContentHash -----------------------------------------------------------
 
 uint64_t HashOf(std::string_view s) {
   ContentHash h;
@@ -329,6 +329,8 @@ TEST(ContentHashTest, DigestIgnoresHowTheBytesAreSplit) {
   b.Bytes("abcdef", 6);
   EXPECT_EQ(a.Digest(), b.Digest());
 }
+
+// --- Crc32 -----------------------------------------------------------------
 
 TEST(Crc32Test, MatchesKnownVector) {
   // The standard CRC-32 check value ("123456789" under IEEE 802.3).
