@@ -5,8 +5,8 @@
 // hash is the test's own frozen byte-serial FNV (frozen_fnv.h), so the
 // corpus does not move when the library's content hash does; a container
 // format change may move only `freehgc=`, never `graph=`. Every line must
-// match for the uncached and
-// the cached PrepareDataset at 1 and 4 threads, so an accidental output
+// match for the uncached and the cached PrepareDataset at 1 and 4
+// threads, so an accidental output
 // change anywhere on the data path (generator, compose, propagate,
 // selection, serialization) fails here. A change that moves outputs on
 // purpose replaces the lines this test prints on a mismatch.
