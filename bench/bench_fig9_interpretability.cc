@@ -73,7 +73,7 @@ int main() {
   std::vector<double> scores;
   core::CondenseTargetNodes(g, ctx.paths, ctx.options.max_row_nnz,
                             static_cast<int32_t>(g.train_index().size()) / 2,
-                            {}, &scores, env->env.exec, env->env.cache);
+                            {}, env->cache, &scores, env->env.exec);
   std::vector<int32_t> by_score = sample;
   std::stable_sort(by_score.begin(), by_score.end(),
                    [&](int32_t a, int32_t b) {

@@ -13,6 +13,7 @@
 #include "core/freehgc.h"
 #include "datasets/generator.h"
 #include "hgnn/trainer.h"
+#include "pipeline/artifact_cache.h"
 
 int main() {
   using namespace freehgc;
@@ -68,7 +69,8 @@ int main() {
     core::FreeHgcOptions opts;
     opts.ratio = ratio;
     static_cast<MetaPathOptions&>(opts) = mp;
-    auto res = core::Condense(graph, opts);
+    pipeline::ArtifactCache cache;
+    auto res = core::Condense(graph, opts, nullptr, &cache);
     if (res.ok()) {
       const auto m = hgnn::TrainAndEvaluate(ctx, res->graph, cfg);
       std::printf("FreeHGC    : %.2f%%  (condense %.2fs, %zu bytes)\n",

@@ -11,6 +11,7 @@
 #include "core/freehgc.h"
 #include "datasets/generator.h"
 #include "hgnn/trainer.h"
+#include "pipeline/artifact_cache.h"
 
 int main() {
   using namespace freehgc;
@@ -36,7 +37,8 @@ int main() {
   core::FreeHgcOptions opts;
   opts.ratio = 0.024;
   static_cast<MetaPathOptions&>(opts) = mp;
-  auto condensed = core::Condense(graph, opts);
+  pipeline::ArtifactCache cache;
+  auto condensed = core::Condense(graph, opts, nullptr, &cache);
   if (!condensed.ok()) {
     std::printf("condensation failed: %s\n",
                 condensed.status().ToString().c_str());

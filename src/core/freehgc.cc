@@ -146,6 +146,9 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
                                  const FreeHgcOptions& opts,
                                  exec::ExecContext* ctx,
                                  AdjacencyCache* cache) {
+  if (cache == nullptr) {
+    return Status::InvalidArgument("Condense needs an adjacency cache");
+  }
   if (g.target_type() < 0) {
     return Status::FailedPrecondition("graph has no target type");
   }
@@ -175,8 +178,8 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
     switch (opts.target_strategy) {
       case TargetStrategy::kCriterion: {
         selected_target = CondenseTargetNodes(
-            g, paths, opts.max_row_nnz, target_budget, opts.target,
-            /*scores_out=*/nullptr, &ex, cache);
+            g, paths, opts.max_row_nnz, target_budget, opts.target, *cache,
+            /*scores_out=*/nullptr, &ex);
         break;
       }
       case TargetStrategy::kHerding: {
@@ -227,7 +230,7 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
         case FatherStrategy::kNim:
           mapping.keep = CondenseFatherType(
               g, t, FilterByEndType(paths, t), opts.max_row_nnz,
-              selected_target, budget, opts.nim, &ex, cache);
+              selected_target, budget, opts.nim, *cache, &ex);
           break;
         case FatherStrategy::kHerding:
           mapping.keep =
@@ -289,7 +292,7 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
           if (budget * 4 < parent_count * 3) {
             mapping.keep = CondenseFatherType(
                 g, t, FilterByEndType(paths, t), opts.max_row_nnz,
-                selected_target, budget, opts.nim, &ex, cache);
+                selected_target, budget, opts.nim, *cache, &ex);
             break;
           }
           LeafSynthesis synth = SynthesizeLeafType(g, t, parents, budget, &ex);

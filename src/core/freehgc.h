@@ -86,15 +86,17 @@ struct CondensedResult {
 /// Every stage runs on `ctx` (null = the process-wide DefaultExec()
 /// pool). The condensed result is bit-identical for every thread count
 /// (see DESIGN.md, "Execution layer").
-/// `cache`, when non-null, memoizes composed meta-path adjacencies: they
-/// depend only on (graph, path, max_row_nnz) — not on ratio or seed — so
-/// repeated runs skip the dominant SpGEMM cost. Cached and uncached runs
-/// produce bit-identical results (the cache stores exact outputs of
+/// Every composed meta-path adjacency and path diversity comes from
+/// `cache`, which is required (null is InvalidArgument): they depend only
+/// on (graph, path, max_row_nnz) — not on ratio or seed — so repeated runs
+/// on one cache skip the dominant SpGEMM cost. A caller without a shared
+/// cache passes a local pipeline::ArtifactCache. Fresh, warm and spilled
+/// caches produce bit-identical results (the cache stores exact outputs of
 /// deterministic computations; tests/pipeline_test.cc enforces this).
 Result<CondensedResult> Condense(const HeteroGraph& g,
                                  const FreeHgcOptions& opts,
-                                 exec::ExecContext* ctx = nullptr,
-                                 AdjacencyCache* cache = nullptr);
+                                 exec::ExecContext* ctx,
+                                 AdjacencyCache* cache);
 
 /// Per-type rebuild rule used when assembling the condensed graph: either
 /// a keep-list of original ids, or hyper-node member sets plus synthetic

@@ -5,6 +5,7 @@
 #include <numeric>
 #include <queue>
 #include <unordered_set>
+#include <utility>
 
 #include "common/logging.h"
 #include "sparse/centrality.h"
@@ -36,7 +37,7 @@ std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
     const std::vector<int32_t>& selected_targets, int32_t budget,
-    const NimOptions& opts, exec::ExecContext* ctx, AdjacencyCache* cache) {
+    const NimOptions& opts, AdjacencyCache& cache, exec::ExecContext* ctx) {
   const TypeId target = g.target_type();
   FREEHGC_CHECK(target >= 0);
   exec::ExecContext& ex = exec::Resolve(ctx);
@@ -57,12 +58,14 @@ std::vector<int32_t> CondenseFatherType(
     any_path = true;
     // Pin held for one score only; released (spillable) per iteration.
     const std::shared_ptr<const CsrMatrix> composed_pin =
-        ComposedAdjacency(cache, g, p, max_row_nnz, &ex);
+        cache.Composed(g, p, max_row_nnz, &ex);
     const CsrMatrix& composed = *composed_pin;
-    const CsrMatrix raw_block = sparse::BipartiteBlock(composed, &ex);
+    CsrMatrix raw_block = sparse::BipartiteBlock(composed, &ex);
     switch (opts.scorer) {
       case NimScorer::kPprPowerIteration: {
-        const CsrMatrix block = sparse::SymNormalize(raw_block, &ex);
+        // Normalized in place: the raw block is not read again.
+        const CsrMatrix block =
+            sparse::SymNormalize(std::move(raw_block), &ex);
         std::vector<float> teleport(static_cast<size_t>(nt + ns), 0.0f);
         for (int32_t t : selected_targets) {
           teleport[static_cast<size_t>(t)] = teleport_mass;

@@ -50,15 +50,15 @@ struct NimOptions {
 /// symmetric block matrix, sym-normalized (A_hat^sym of Eq. 10), and a PPR
 /// vector with teleport uniform over `selected_targets` is computed; the
 /// father-block entries of the vector are the row sums of Eq. 13.
+/// Each path is composed through `cache`, which keeps it across calls.
 /// Path composition, normalization, and the PPR / centrality scorer all
-/// run on `ctx` (bit-identical for every thread count). `cache`, when
-/// non-null, memoizes the composed path adjacencies across calls.
+/// run on `ctx` (bit-identical for every thread count).
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
     const std::vector<int32_t>& selected_targets, int32_t budget,
-    const NimOptions& opts, exec::ExecContext* ctx = nullptr,
-    AdjacencyCache* cache = nullptr);
+    const NimOptions& opts, AdjacencyCache& cache,
+    exec::ExecContext* ctx = nullptr);
 
 /// Result of Information-Loss-Minimizing leaf synthesis (Eqs. 14-16).
 struct LeafSynthesis {

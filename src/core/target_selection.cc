@@ -101,9 +101,9 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
                                          const TargetSelectionOptions& opts,
+                                         AdjacencyCache& cache,
                                          std::vector<double>* scores_out,
-                                         exec::ExecContext* ctx,
-                                         AdjacencyCache* cache) {
+                                         exec::ExecContext* ctx) {
   const TypeId target = g.target_type();
   FREEHGC_CHECK(target >= 0);
   exec::ExecContext& ex = exec::Resolve(ctx);
@@ -114,11 +114,11 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
 
   std::vector<double> score(static_cast<size_t>(n_target), 0.0);
 
-  // Compose every meta-path adjacency once (through the cache when one is
-  // supplied), grouped by end type for the Jaccard term (Eq. 6 compares
-  // paths sharing source and target types). The Jaccard term, the greedy
-  // coverage and the degree fallback read only pool rows, so only the
-  // train-pool rows are composed.
+  // Compose every meta-path adjacency once through the cache, grouped by
+  // end type for the Jaccard term (Eq. 6 compares paths sharing source
+  // and target types). The Jaccard term, the greedy coverage and the
+  // degree fallback read only pool rows, so only the train-pool rows are
+  // composed.
   std::map<TypeId, std::vector<size_t>> group_of_end;
   // Every path's adjacency is used across the whole selection loop, so
   // the pins are held for the function's duration (a budgeted cache can
@@ -129,8 +129,8 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
   composed.reserve(paths.size());
   for (size_t i = 0; i < paths.size(); ++i) {
     FREEHGC_CHECK(paths[i].start_type() == target);
-    pins.push_back(ComposedAdjacency(cache, g, paths[i], max_row_nnz, &ex,
-                                     RowSet::kTrain));
+    pins.push_back(
+        cache.Composed(g, paths[i], max_row_nnz, &ex, RowSet::kTrain));
     composed.push_back(pins.back().get());
     group_of_end[paths[i].end_type()].push_back(i);
   }
@@ -145,17 +145,10 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
         diversity[members[0]].assign(static_cast<size_t>(n_target), 1.0f);
         continue;
       }
-      std::shared_ptr<const CsrMatrix> div_pin;
-      if (cache != nullptr) {
-        std::vector<MetaPath> group;
-        for (size_t i : members) group.push_back(paths[i]);
-        div_pin = cache->Diversity(g, group, max_row_nnz, &ex);
-      } else {
-        std::vector<const CsrMatrix*> group;
-        for (size_t i : members) group.push_back(composed[i]);
-        div_pin = std::make_shared<const CsrMatrix>(
-            PathDiversity(g, group, &ex));
-      }
+      std::vector<MetaPath> group;
+      for (size_t i : members) group.push_back(paths[i]);
+      const std::shared_ptr<const CsrMatrix> div_pin =
+          cache.Diversity(g, group, max_row_nnz, &ex);
       for (size_t gi = 0; gi < members.size(); ++gi) {
         auto& div = diversity[members[gi]];
         div.assign(static_cast<size_t>(n_target), 0.0f);

@@ -31,27 +31,27 @@ struct TargetSelectionOptions {
 /// class distribution), the top-scored nodes across all meta-paths
 /// (Eq. 9).
 ///
-/// `paths` must all start at the target type; each is composed under the
-/// row-nnz budget `max_row_nnz` (0 = exact), over the train-pool rows
-/// only (RowSet::kTrain): every term reads only candidate rows. Returns
-/// original target-node ids, |result| == min(budget, train pool size).
+/// `paths` must all start at the target type; each is composed through
+/// `cache` under the row-nnz budget `max_row_nnz` (0 = exact), over the
+/// train-pool rows only (RowSet::kTrain): every term reads only candidate
+/// rows. Each end-type group's Jaccard diversity also comes from `cache`
+/// (both are seed- and ratio-independent, so sweeps and warm requests
+/// share them). Returns original target-node ids, |result| ==
+/// min(budget, train pool size).
 /// `scores_out`, when non null, receives the aggregated per-node score
 /// (0 for never-selected nodes) — used by the Fig. 9 interpretability
 /// bench.
 /// Path composition, the Jaccard diversity term, and the initial greedy
 /// gain pass run on `ctx`; the lazy-greedy loop itself is sequential (its
 /// order is the algorithm). Bit-identical for every thread count.
-/// `cache`, when non-null, memoizes the composed path adjacencies and
-/// each end-type group's Jaccard diversity (both are seed- and
-/// ratio-independent, so sweeps and warm requests share them).
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
                                          const TargetSelectionOptions& opts,
+                                         AdjacencyCache& cache,
                                          std::vector<double>* scores_out =
                                              nullptr,
-                                         exec::ExecContext* ctx = nullptr,
-                                         AdjacencyCache* cache = nullptr);
+                                         exec::ExecContext* ctx = nullptr);
 
 /// Lazy-greedy maximization of coverage + modular diversity for a single
 /// composed meta-path adjacency: selects `budget` rows from `pool`

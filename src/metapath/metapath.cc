@@ -122,28 +122,6 @@ CsrMatrix ComposeAdjacency(const HeteroGraph& g, const MetaPath& p,
   return acc;
 }
 
-std::shared_ptr<const CsrMatrix> ComposedAdjacency(
-    AdjacencyCache* cache, const HeteroGraph& g, const MetaPath& p,
-    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows) {
-  if (cache != nullptr) return cache->Composed(g, p, max_row_nnz, ctx, rows);
-  return std::make_shared<const CsrMatrix>(ComposeAdjacency(
-      g, p, max_row_nnz, ctx,
-      rows == RowSet::kTrain ? &g.train_index() : nullptr));
-}
-
-std::shared_ptr<const CsrMatrix> AdjacencyCache::Diversity(
-    const HeteroGraph& g, const std::vector<MetaPath>& group,
-    int64_t max_row_nnz, exec::ExecContext* ctx) {
-  std::vector<std::shared_ptr<const CsrMatrix>> pins;
-  std::vector<const CsrMatrix*> composed;
-  for (const MetaPath& p : group) {
-    pins.push_back(ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx,
-                                     RowSet::kTrain));
-    composed.push_back(pins.back().get());
-  }
-  return std::make_shared<const CsrMatrix>(PathDiversity(g, composed, ctx));
-}
-
 namespace {
 
 /// |A ∩ B| / |A ∪ B| from the set sizes; two empty sets score 1 (the

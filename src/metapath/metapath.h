@@ -79,10 +79,12 @@ enum class RowSet : uint8_t {
 
 /// Borrowed memo of composed meta-path adjacencies. ComposeAdjacency is
 /// deterministic and seed-independent, so its result can be shared across
-/// every (method, ratio, seed) cell of a sweep; kernels that compose paths
-/// accept an optional AdjacencyCache* and route through it when present.
-/// The canonical implementation is pipeline::ArtifactCache — declaring the
-/// interface here keeps core/hgnn free of a pipeline dependency.
+/// every (method, ratio, seed) cell of a sweep. FreeHGC's selection stages
+/// take a required AdjacencyCache and compose every path through it: a
+/// cache miss is the only place selection composes an adjacency or
+/// computes a diversity. The canonical implementation is
+/// pipeline::ArtifactCache — declaring the interface here keeps core/hgnn
+/// free of a pipeline dependency.
 ///
 /// Pinning contract: the returned shared_ptr is a *pin*. The matrix stays
 /// valid as long as the caller holds the pointer; a tiered cache may evict
@@ -105,11 +107,10 @@ class AdjacencyCache {
   /// end types, each composed at `max_row_nnz` over the train-pool rows,
   /// the only rows PathDiversity reads): PathDiversity of their composed
   /// adjacencies. It depends only on the graph and the group, never on a
-  /// ratio or seed, so a cache keeps one entry per group. This default
-  /// composes the group uncached and computes it afresh.
+  /// ratio or seed, so a cache keeps one entry per group.
   virtual std::shared_ptr<const CsrMatrix> Diversity(
       const HeteroGraph& g, const std::vector<MetaPath>& group,
-      int64_t max_row_nnz, exec::ExecContext* ctx);
+      int64_t max_row_nnz, exec::ExecContext* ctx) = 0;
 
   /// The full product: Composed(g, p, max_row_nnz, ctx, RowSet::kAll).
   std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,
@@ -119,14 +120,6 @@ class AdjacencyCache {
     return Composed(g, p, max_row_nnz, ctx, RowSet::kAll);
   }
 };
-
-/// Cache-aware accessor used at compose call sites: returns a pin of the
-/// cached adjacency when `cache` is non-null, otherwise composes a
-/// one-off owned matrix. Either way the matrix lives as long as the
-/// returned pointer does.
-std::shared_ptr<const CsrMatrix> ComposedAdjacency(
-    AdjacencyCache* cache, const HeteroGraph& g, const MetaPath& p,
-    int64_t max_row_nnz, exec::ExecContext* ctx, RowSet rows = RowSet::kAll);
 
 /// Per-path mean pairwise Jaccard similarity (Eqs. 4-6): result[i][v] is
 /// the mean, over every *other* path j, of

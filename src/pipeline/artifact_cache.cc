@@ -205,7 +205,9 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Composed(
       adjacencies_, key, MapCsrEntry,
       [&] {
         Built<CsrMatrix> out;
-        out.value = ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx, rows);
+        out.value = std::make_shared<const CsrMatrix>(ComposeAdjacency(
+            g, p, max_row_nnz, ctx,
+            rows == RowSet::kTrain ? &g.train_index() : nullptr));
         return out;
       },
       nullptr);

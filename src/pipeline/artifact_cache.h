@@ -36,9 +36,11 @@ namespace freehgc::pipeline {
 /// changed graph changes its fingerprint, so stale entries are
 /// unreachable rather than invalidated. Determinism
 /// invariant: every cached value is the exact output of a deterministic
-/// computation, so cached and uncached runs are bit-identical
+/// computation, so runs on a fresh and on a warm cache are bit-identical
 /// (tests/pipeline_test.cc) — and so are spilled-and-restored runs
-/// (tests/spill_test.cc).
+/// (tests/spill_test.cc). FreeHGC's selection stages compose only
+/// through an AdjacencyCache, so a miss here is the one place an
+/// adjacency or a diversity is computed for them.
 ///
 /// Tiers: by default (no ConfigureSpill) the cache is the classic
 /// grow-only heap memo — nothing is ever evicted. With ConfigureSpill it

@@ -7,6 +7,7 @@
 
 #include "baselines/coarsening.h"
 #include "baselines/coreset.h"
+#include "common/logging.h"
 #include "common/string_util.h"
 
 namespace freehgc::pipeline {
@@ -206,13 +207,14 @@ std::vector<std::string> MethodRegistry::Keys() const {
   return keys;
 }
 
+PipelineEnv::PipelineEnv(exec::ExecContext* exec, ArtifactCache* cache)
+    : exec(exec), cache(cache) {
+  FREEHGC_CHECK(cache != nullptr);
+}
+
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
                                    const MetaPathOptions& opts,
                                    const PipelineEnv& env, bool* propagated) {
-  if (env.cache == nullptr) {
-    if (propagated != nullptr) *propagated = true;
-    return hgnn::BuildEvalContext(graph, opts, env.exec);
-  }
   hgnn::EvalContext ctx;
   ctx.full = &graph;
   ctx.options = opts;

@@ -16,22 +16,25 @@
 namespace freehgc::pipeline {
 
 /// Shared substrate a sweep threads through every cell: one execution
-/// context (thread pool) and one artifact cache. Both borrowed, both
-/// optional — null exec resolves to the process-default pool inside each
-/// kernel, null cache means every cell recomputes from scratch. Cached and
-/// uncached runs are bit-identical (the cache's determinism invariant).
+/// context (thread pool) and one artifact cache, both borrowed. A null
+/// exec resolves to the process-default pool inside each kernel; the
+/// cache is required (a caller with nothing to share passes a local
+/// ArtifactCache). Fresh, warm and spilled caches give bit-identical
+/// results (the cache's determinism invariant).
 struct PipelineEnv {
-  exec::ExecContext* exec = nullptr;
-  ArtifactCache* cache = nullptr;
+  PipelineEnv(exec::ExecContext* exec, ArtifactCache* cache);
+
+  exec::ExecContext* exec;
+  ArtifactCache* cache;  // never null
 };
 
-/// Builds the evaluation context of `graph` (which must outlive it).
-/// Without `env.cache` this is hgnn::BuildEvalContext. With it, the cache
-/// owns the propagated blocks: they come from ArtifactCache::Propagated,
-/// mapped blocks are copied as they are (sharing the mapping), and owned
-/// blocks become zero-copy views that pin the cache entry for the
-/// context's lifetime. `propagated` (optional) reports whether this call
-/// ran the propagation rather than reusing the cache's blocks.
+/// Builds the evaluation context of `graph` (which must outlive it). The
+/// cache owns the propagated blocks: they come from
+/// ArtifactCache::Propagated, mapped blocks are copied as they are
+/// (sharing the mapping), and owned blocks become zero-copy views that pin
+/// the cache entry for the context's lifetime. `propagated` (optional)
+/// reports whether this call ran the propagation rather than reusing the
+/// cache's blocks.
 hgnn::EvalContext BuildEvalContext(const HeteroGraph& graph,
                                    const MetaPathOptions& opts,
                                    const PipelineEnv& env,
@@ -149,7 +152,7 @@ void ApplyEvalMetrics(const hgnn::EvalMetrics& metrics, MethodRun& out);
 Result<MethodRun> RunMethod(const hgnn::EvalContext& ctx,
                             const std::string& key, const RunSpec& spec,
                             const hgnn::HgnnConfig& eval_cfg,
-                            const PipelineEnv& env = {});
+                            const PipelineEnv& env);
 
 /// Mean and sample standard deviation of a series.
 struct MeanStd {
@@ -173,7 +176,7 @@ AggregatedRun RunMethodSeeds(const hgnn::EvalContext& ctx,
                              const std::string& key, RunSpec spec,
                              const hgnn::HgnnConfig& eval_cfg,
                              const std::vector<uint64_t>& seeds,
-                             const PipelineEnv& env = {});
+                             const PipelineEnv& env);
 
 /// "%.2f ± %.2f" cell formatter.
 std::string Cell(const MeanStd& m);

@@ -108,29 +108,18 @@ Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
   return out;
 }
 
-SweepRunner::SweepRunner(SweepSpec spec, PipelineEnv env)
-    : spec_(std::move(spec)), env_(env) {}
-
-ArtifactCache* SweepRunner::cache() {
-  if (env_.cache != nullptr) return env_.cache;
-  if (owned_cache_ == nullptr) {
-    owned_cache_ = std::make_unique<ArtifactCache>();
-  }
-  return owned_cache_.get();
-}
+SweepRunner::SweepRunner(SweepSpec spec, exec::ExecContext* exec)
+    : spec_(std::move(spec)), exec_(exec) {}
 
 Result<SweepResult> SweepRunner::Run() {
-  exec::ExecContext& ex = exec::Resolve(env_.exec);
-  ArtifactCache* cache = this->cache();
+  exec::ExecContext& ex = exec::Resolve(exec_);
 
   SweepResult out;
   out.threads = ex.num_threads();
-  const ArtifactCache::Stats before = cache->stats();
+  const ArtifactCache::Stats before = cache_.stats();
   Timer total;
 
-  PipelineEnv cell_env;
-  cell_env.exec = &ex;
-  cell_env.cache = cache;
+  const PipelineEnv cell_env(&ex, &cache_);
 
   for (const DatasetSpec& ds : spec_.datasets) {
     FREEHGC_ASSIGN_OR_RETURN(std::unique_ptr<PreparedDataset> data,
@@ -145,7 +134,7 @@ Result<SweepResult> SweepRunner::Run() {
         WholeCell whole;
         whole.dataset = ds.name;
         whole.model = hgnn::HgnnKindName(model);
-        whole.metrics = cache->WholeGraphBaseline(ctx, cfg, &ex);
+        whole.metrics = cache_.WholeGraphBaseline(ctx, cfg, &ex);
         out.wholes.push_back(std::move(whole));
       }
 
@@ -169,7 +158,7 @@ Result<SweepResult> SweepRunner::Run() {
   }
 
   out.total_seconds = total.ElapsedSeconds();
-  const ArtifactCache::Stats after = cache->stats();
+  const ArtifactCache::Stats after = cache_.stats();
   out.cache_stats.hits = after.hits - before.hits;
   out.cache_stats.misses = after.misses - before.misses;
   out.cache_stats.bytes = after.bytes;

@@ -42,12 +42,12 @@ struct PreparedDataset {
 /// Generates `ds` and builds its evaluation context: the preset at
 /// `ds.scale` (or DefaultDatasetScale), meta-paths of `ds.max_hops` hops
 /// (or min(3, RecommendedHops)), capped at `ds.max_paths`, built by
-/// BuildEvalContext on `env`: with `env.cache` the context aliases the
-/// cache's propagated blocks (preparing composes no meta-path; FreeHGC
-/// composes its own on its first run on the env). The sweep and the
-/// paper benches prepare their datasets here.
+/// BuildEvalContext on `env`: the context aliases the cache's propagated
+/// blocks (preparing composes no meta-path; FreeHGC composes its own on
+/// its first run on the env). The sweep and the paper benches prepare
+/// their datasets here.
 Result<std::unique_ptr<PreparedDataset>> PrepareDataset(
-    const DatasetSpec& ds, const PipelineEnv& env = {});
+    const DatasetSpec& ds, const PipelineEnv& env);
 
 /// Declarative sweep grid: dataset × ratio × method × model, each cell
 /// aggregated over `seeds`. The benches are thin configurations of this.
@@ -91,8 +91,8 @@ struct WholeCell {
 struct SweepResult {
   std::vector<SweepCell> cells;
   std::vector<WholeCell> wholes;
-  /// Cache activity during this sweep (a delta when an external cache
-  /// was passed in).
+  /// Cache activity during this Run() (a delta: the runner's cache
+  /// persists across runs).
   ArtifactCache::Stats cache_stats;
   double total_seconds = 0.0;
   int threads = 0;
@@ -113,28 +113,24 @@ struct SweepResult {
   std::string ToJson() const;
 };
 
-/// Executes a SweepSpec over one shared execution context and artifact
-/// cache. Deterministic iteration order: dataset, then model, then ratio,
-/// then method, then seeds; every cell value is bit-identical for any
-/// thread count and for a cold or warm cache.
+/// Executes a SweepSpec over one shared execution context and the
+/// runner's own artifact cache. Deterministic iteration order: dataset,
+/// then model, then ratio, then method, then seeds; every cell value is
+/// bit-identical for any thread count and for a cold or warm cache.
 class SweepRunner {
  public:
-  /// `env.exec` null = process-default pool; `env.cache` null = the runner
-  /// makes its own cache. The runner keeps its own cache across Run()
-  /// calls, so repeated Run()s warm-start.
-  explicit SweepRunner(SweepSpec spec, PipelineEnv env = {});
+  /// `exec` null = process-default pool. The runner keeps its cache
+  /// across Run() calls, so repeated Run()s warm-start.
+  explicit SweepRunner(SweepSpec spec, exec::ExecContext* exec = nullptr);
 
   Result<SweepResult> Run();
 
   const SweepSpec& spec() const { return spec_; }
 
-  /// The cache Run() uses (owned or external); never null.
-  ArtifactCache* cache();
-
  private:
   SweepSpec spec_;
-  PipelineEnv env_;
-  std::unique_ptr<ArtifactCache> owned_cache_;
+  exec::ExecContext* exec_;
+  ArtifactCache cache_;
 };
 
 /// Repo-default dataset scale (AMiner halved to fit the 1-core budget).

@@ -157,9 +157,7 @@ Result<CondenseReply> ServeService::Execute(const CondenseRequest& request,
       .max_hops = request.max_hops > 0 ? request.max_hops : 2,
       .max_row_nnz = request.max_row_nnz,
       .max_paths = request.max_paths};
-  pipeline::PipelineEnv env;
-  env.exec = ctx;
-  env.cache = &cache_;
+  const pipeline::PipelineEnv env(ctx, &cache_);
   hgnn::EvalContext ectx;
   bool propagated = false;
   if (request.evaluate || method->reads_feature_blocks()) {

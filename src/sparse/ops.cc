@@ -206,7 +206,7 @@ CsrMatrix RowNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
   return out;
 }
 
-CsrMatrix SymNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
+CsrMatrix SymNormalize(CsrMatrix a, exec::ExecContext* ctx) {
   FREEHGC_CHECK(a.rows() == a.cols());
   FREEHGC_TRACE_SPAN("sym_normalize");
   exec::ExecContext& ex = exec::Resolve(ctx);
@@ -219,8 +219,7 @@ CsrMatrix SymNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
                          d > 0 ? 1.0f / std::sqrt(d) : 0.0f;
                    }
                  });
-  CsrMatrix out = a;
-  auto& values = out.mutable_values();
+  auto& values = a.mutable_values();
   ex.ParallelFor(
       a.rows(), kRowScaleGrain,
       [&](int64_t begin, int64_t end, exec::Workspace&) {
@@ -233,7 +232,7 @@ CsrMatrix SymNormalize(const CsrMatrix& a, exec::ExecContext* ctx) {
           }
         }
       });
-  return out;
+  return a;
 }
 
 CsrMatrix SpGemm(const CsrMatrix& a, const CsrMatrix& b, int64_t max_row_nnz,

@@ -40,9 +40,9 @@ CsrMatrix RowNormalize(const CsrMatrix& a,
 
 /// Returns D^-1/2 A D^-1/2 for a square matrix (degree = row value sums;
 /// zero-degree rows/cols stay zero). Used by the PPR-based neighbor
-/// influence maximization (Eq. 11 uses \hat{A}^{sym}).
-CsrMatrix SymNormalize(const CsrMatrix& a,
-                       exec::ExecContext* ctx = nullptr);
+/// influence maximization (Eq. 11 uses \hat{A}^{sym}). Scales `a`'s
+/// values in place, so a caller that moves its matrix in pays no copy.
+CsrMatrix SymNormalize(CsrMatrix a, exec::ExecContext* ctx = nullptr);
 
 /// Sparse-sparse product a * b: one Gustavson pass per row (dense
 /// accumulator plus a one-bit-per-column first-touch marker from the

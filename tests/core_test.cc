@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <set>
 #include <vector>
@@ -165,7 +166,9 @@ TEST_P(TargetSelectionRatioTest, BudgetAndClassBalanceHold) {
       g.num_classes(),
       static_cast<int32_t>(ratio * g.NodeCount(g.target_type())));
   TargetSelectionOptions opts;
-  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, budget, opts);
+  pipeline::ArtifactCache cache;
+  const auto sel =
+      CondenseTargetNodes(g, paths, kMaxRowNnz, budget, opts, cache);
   EXPECT_LE(static_cast<int32_t>(sel.size()), budget + g.num_classes());
   EXPECT_GE(static_cast<int32_t>(sel.size()), std::min<int32_t>(
       budget, static_cast<int32_t>(g.train_index().size())) - g.num_classes());
@@ -190,15 +193,17 @@ TEST(TargetSelectionTest, DeterministicAndAblationSwitchesChangeResult) {
   mp.max_paths = 8;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   TargetSelectionOptions opts;
-  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
-  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts);
+  pipeline::ArtifactCache cache;
+  const auto a = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts, cache);
+  const auto b = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts, cache);
   EXPECT_EQ(a, b);
   TargetSelectionOptions no_rf = opts;
   no_rf.use_receptive_field = false;
   TargetSelectionOptions no_jac = opts;
   no_jac.use_jaccard = false;
-  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_rf);
-  const auto d = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_jac);
+  const auto c = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_rf, cache);
+  const auto d =
+      CondenseTargetNodes(g, paths, kMaxRowNnz, 20, no_jac, cache);
   EXPECT_TRUE(a != c || a != d);  // switches have an effect
 }
 
@@ -208,17 +213,20 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   std::vector<double> scores;
-  const auto sel = CondenseTargetNodes(g, paths, kMaxRowNnz, 10, {},
-                                       &scores);
+  pipeline::ArtifactCache cache;
+  const auto sel =
+      CondenseTargetNodes(g, paths, kMaxRowNnz, 10, {}, cache, &scores);
   EXPECT_EQ(scores.size(),
             static_cast<size_t>(g.NodeCount(g.target_type())));
   // Selected nodes carry positive scores.
   for (int32_t v : sel) EXPECT_GT(scores[static_cast<size_t>(v)], 0.0);
 }
 
-/// Serves compositions like an uncached run while recording the row set
-/// of every request; with `force_full` it ignores the request and serves
-/// the full product (what selection composed before row restriction).
+/// Composes afresh on every lookup, memoizing nothing, while recording
+/// the row set of every composition request and the size of every
+/// diversity group; with `force_full` it ignores the row set and serves
+/// the full product (what selection composed before row restriction),
+/// diversity groups included.
 class RowSetRecorder final : public AdjacencyCache {
  public:
   explicit RowSetRecorder(bool force_full = false) : force_full_(force_full) {}
@@ -229,20 +237,43 @@ class RowSetRecorder final : public AdjacencyCache {
                                             exec::ExecContext* ctx,
                                             RowSet rows) override {
     requested.push_back(rows);
-    return ComposedAdjacency(nullptr, g, p, max_row_nnz, ctx,
-                             force_full_ ? RowSet::kAll : rows);
+    return std::make_shared<const CsrMatrix>(
+        Compose(g, p, max_row_nnz, ctx, rows));
+  }
+
+  std::shared_ptr<const CsrMatrix> Diversity(
+      const HeteroGraph& g, const std::vector<MetaPath>& group,
+      int64_t max_row_nnz, exec::ExecContext* ctx) override {
+    diversity_groups.push_back(group.size());
+    std::vector<CsrMatrix> adjs;
+    for (const MetaPath& p : group) {
+      adjs.push_back(Compose(g, p, max_row_nnz, ctx, RowSet::kTrain));
+    }
+    std::vector<const CsrMatrix*> composed;
+    for (const CsrMatrix& a : adjs) composed.push_back(&a);
+    return std::make_shared<const CsrMatrix>(PathDiversity(g, composed, ctx));
   }
 
   std::vector<RowSet> requested;
+  std::vector<size_t> diversity_groups;
 
  private:
+  CsrMatrix Compose(const HeteroGraph& g, const MetaPath& p,
+                    int64_t max_row_nnz, exec::ExecContext* ctx,
+                    RowSet rows) const {
+    const bool train = !force_full_ && rows == RowSet::kTrain;
+    return ComposeAdjacency(g, p, max_row_nnz, ctx,
+                            train ? &g.train_index() : nullptr);
+  }
+
   bool force_full_;
 };
 
 TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
   // Selection reads only train-pool rows, so composing just those rows
   // changes nothing: the picks and every pool score equal a run on the
-  // full products, with or without a cache, at 1 and 4 threads.
+  // full products, on a memo-free recorder and on a fresh and a warm
+  // ArtifactCache, at 1 and 4 threads.
   const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
   MetaPathOptions mp;
   mp.max_hops = 2;
@@ -253,44 +284,50 @@ TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
   RowSetRecorder full(/*force_full=*/true);
   std::vector<double> want_scores;
   const auto want = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts,
-                                        &want_scores, &ex1, &full);
+                                        full, &want_scores, &ex1);
   ASSERT_EQ(want.size(), 20u);
+  // One diversity lookup per end-type group of two or more paths.
+  std::map<TypeId, size_t> group_size;
+  for (const MetaPath& p : paths) ++group_size[p.end_type()];
+  std::vector<size_t> want_groups;
+  for (const auto& [end, n] : group_size) {
+    if (n > 1) want_groups.push_back(n);
+  }
+  ASSERT_FALSE(want_groups.empty());
+  EXPECT_EQ(full.diversity_groups, want_groups);
   for (int threads : {1, 4}) {
     exec::ExecContext ex(threads);
     RowSetRecorder recorder;
-    std::vector<double> uncached_scores, cached_scores;
-    const auto uncached = CondenseTargetNodes(
-        g, paths, kMaxRowNnz, 20, opts, &uncached_scores, &ex);
-    const auto cached = CondenseTargetNodes(g, paths, kMaxRowNnz, 20,
-                                            opts, &cached_scores, &ex,
-                                            &recorder);
-    EXPECT_EQ(uncached, want) << threads;
-    EXPECT_EQ(cached, want) << threads;
+    std::vector<double> recorded_scores;
+    EXPECT_EQ(CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts, recorder,
+                                  &recorded_scores, &ex),
+              want)
+        << threads;
     for (int32_t v : g.train_index()) {
       const size_t i = static_cast<size_t>(v);
-      EXPECT_EQ(uncached_scores[i], want_scores[i]) << v;
-      EXPECT_EQ(cached_scores[i], want_scores[i]) << v;
+      EXPECT_EQ(recorded_scores[i], want_scores[i]) << threads << " " << v;
     }
     EXPECT_EQ(recorder.requested,
               std::vector<RowSet>(paths.size(), RowSet::kTrain));
+    EXPECT_EQ(recorder.diversity_groups, want_groups) << threads;
 
     // On an ArtifactCache a repeated selection is served entirely from
     // the cache: no miss (no compose and no PerPathJaccard), and the same
-    // picks and scores.
+    // picks and scores as the recorder's run.
     pipeline::ArtifactCache artifacts;
-    std::vector<double> first_scores, second_scores;
-    const auto first = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts,
-                                           &first_scores, &ex, &artifacts);
+    std::vector<double> fresh_scores, warm_scores;
+    const auto fresh = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts,
+                                           artifacts, &fresh_scores, &ex);
     const int64_t misses = artifacts.stats().misses;
     EXPECT_GT(misses, static_cast<int64_t>(paths.size()))
         << "no diversity entry was cached";
-    const auto second = CondenseTargetNodes(
-        g, paths, kMaxRowNnz, 20, opts, &second_scores, &ex, &artifacts);
+    const auto warm = CondenseTargetNodes(g, paths, kMaxRowNnz, 20, opts,
+                                          artifacts, &warm_scores, &ex);
     EXPECT_EQ(artifacts.stats().misses, misses) << threads;
-    EXPECT_EQ(first, want) << threads;
-    EXPECT_EQ(second, want) << threads;
-    EXPECT_EQ(first_scores, uncached_scores) << threads;
-    EXPECT_EQ(second_scores, uncached_scores) << threads;
+    EXPECT_EQ(fresh, want) << threads;
+    EXPECT_EQ(warm, want) << threads;
+    EXPECT_EQ(fresh_scores, recorded_scores) << threads;
+    EXPECT_EQ(warm_scores, recorded_scores) << threads;
   }
 }
 
@@ -317,8 +354,9 @@ TEST(NimTest, SelectsFathersConnectedToSelectedTargets) {
   mp.max_hops = 1;
   const auto paths = EnumerateMetaPaths(g, t, mp);
   NimOptions nopts;
+  pipeline::ArtifactCache cache;
   const auto sel = CondenseFatherType(g, f, FilterByEndType(paths, f),
-                                      kMaxRowNnz, {0, 1}, 1, nopts);
+                                      kMaxRowNnz, {0, 1}, 1, nopts, cache);
   ASSERT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 0);
 }
@@ -330,13 +368,15 @@ TEST(NimTest, BudgetZeroAndClamping) {
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   NimOptions nopts;
+  pipeline::ArtifactCache cache;
   EXPECT_TRUE(CondenseFatherType(g, father, FilterByEndType(paths, father),
-                                 kMaxRowNnz, g.train_index(), 0, nopts)
+                                 kMaxRowNnz, g.train_index(), 0, nopts,
+                                 cache)
                   .empty());
   const auto all = CondenseFatherType(g, father,
                                       FilterByEndType(paths, father),
                                       kMaxRowNnz, g.train_index(), 10000,
-                                      nopts);
+                                      nopts, cache);
   EXPECT_EQ(static_cast<int32_t>(all.size()), g.NodeCount(father));
 }
 
@@ -550,7 +590,8 @@ TEST_P(CondenseRatioTest, InvariantsHold) {
   opts.ratio = GetParam();
   opts.max_hops = 2;
   opts.max_paths = 10;
-  auto res = Condense(g, opts);
+  pipeline::ArtifactCache cache;
+  auto res = Condense(g, opts, nullptr, &cache);
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_TRUE(res->graph.Validate().ok());
   EXPECT_EQ(res->graph.NumNodeTypes(), g.NumNodeTypes());
@@ -574,14 +615,24 @@ INSTANTIATE_TEST_SUITE_P(Ratios, CondenseRatioTest,
 TEST(CondenseTest, RejectsBadOptions) {
   const HeteroGraph g = datasets::MakeToy(71);
   FreeHgcOptions opts;
+  pipeline::ArtifactCache cache;
   opts.ratio = 0.0;
-  EXPECT_FALSE(Condense(g, opts).ok());
+  EXPECT_FALSE(Condense(g, opts, nullptr, &cache).ok());
   opts.ratio = 1.5;
-  EXPECT_FALSE(Condense(g, opts).ok());
+  EXPECT_FALSE(Condense(g, opts, nullptr, &cache).ok());
   HeteroGraph no_target;
   no_target.AddNodeType("x", 3).value();
   opts.ratio = 0.1;
-  EXPECT_FALSE(Condense(no_target, opts).ok());
+  EXPECT_FALSE(Condense(no_target, opts, nullptr, &cache).ok());
+}
+
+TEST(CondenseTest, NullCacheIsInvalidArgument) {
+  // Selection composes only through a cache, so Condense requires one.
+  const HeteroGraph g = datasets::MakeToy(71);
+  FreeHgcOptions opts;
+  opts.ratio = 0.2;
+  EXPECT_EQ(Condense(g, opts, nullptr, nullptr).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 TEST(CondenseTest, DeterministicUnderSeed) {
@@ -589,8 +640,9 @@ TEST(CondenseTest, DeterministicUnderSeed) {
   FreeHgcOptions opts;
   opts.ratio = 0.2;
   opts.seed = 5;
-  auto a = Condense(g, opts);
-  auto b = Condense(g, opts);
+  pipeline::ArtifactCache fresh_a, fresh_b;
+  auto a = Condense(g, opts, nullptr, &fresh_a);
+  auto b = Condense(g, opts, nullptr, &fresh_b);
   ASSERT_TRUE(a.ok() && b.ok());
   EXPECT_EQ(a->selected_target, b->selected_target);
   EXPECT_EQ(a->graph.TotalNodes(), b->graph.TotalNodes());
@@ -609,7 +661,8 @@ TEST(CondenseTest, AblationStrategiesRun) {
         opts.target_strategy = ts;
         opts.father_strategy = fs;
         opts.leaf_strategy = ls;
-        auto res = Condense(g, opts);
+        pipeline::ArtifactCache cache;
+        auto res = Condense(g, opts, nullptr, &cache);
         ASSERT_TRUE(res.ok()) << res.status().ToString();
         EXPECT_TRUE(res->graph.Validate().ok());
       }

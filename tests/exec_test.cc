@@ -13,6 +13,7 @@
 #include "exec/exec_context.h"
 #include "exec/thread_pool.h"
 #include "metapath/metapath.h"
+#include "pipeline/artifact_cache.h"
 #include "sparse/ops.h"
 
 namespace freehgc {
@@ -280,28 +281,35 @@ void ExpectGraphsIdentical(const HeteroGraph& a, const HeteroGraph& b) {
 }
 
 TEST(DeterminismTest, CondenseBitIdenticalAcrossThreadCounts) {
+  // Each thread count condenses on a fresh cache, then again on the now
+  // warm one; every run matches the one-thread fresh run.
   const HeteroGraph g = datasets::MakeAcm(1, 0.3);
   core::FreeHgcOptions opts;
   opts.ratio = 0.05;
   opts.max_hops = 2;
 
   exec::ExecContext ex1(1);
-  auto ref = core::Condense(g, opts, &ex1);
+  pipeline::ArtifactCache ref_cache;
+  auto ref = core::Condense(g, opts, &ex1, &ref_cache);
   ASSERT_TRUE(ref.ok());
 
-  for (int threads : {2, 4}) {
+  for (int threads : {1, 2, 4}) {
     exec::ExecContext ex(threads);
-    auto got = core::Condense(g, opts, &ex);
-    ASSERT_TRUE(got.ok()) << threads;
-    EXPECT_EQ(got.value().selected_target, ref.value().selected_target)
-        << threads;
-    ASSERT_EQ(got.value().kept_per_type.size(),
-              ref.value().kept_per_type.size());
-    for (size_t t = 0; t < ref.value().kept_per_type.size(); ++t) {
-      EXPECT_EQ(got.value().kept_per_type[t], ref.value().kept_per_type[t])
-          << "type " << t << " threads " << threads;
+    pipeline::ArtifactCache cache;
+    for (const char* leg : {"fresh", "warm"}) {
+      auto got = core::Condense(g, opts, &ex, &cache);
+      ASSERT_TRUE(got.ok()) << leg << " " << threads;
+      EXPECT_EQ(got.value().selected_target, ref.value().selected_target)
+          << leg << " " << threads;
+      ASSERT_EQ(got.value().kept_per_type.size(),
+                ref.value().kept_per_type.size());
+      for (size_t t = 0; t < ref.value().kept_per_type.size(); ++t) {
+        EXPECT_EQ(got.value().kept_per_type[t], ref.value().kept_per_type[t])
+            << "type " << t << " " << leg << " threads " << threads;
+      }
+      ExpectGraphsIdentical(got.value().graph, ref.value().graph);
     }
-    ExpectGraphsIdentical(got.value().graph, ref.value().graph);
+    EXPECT_GT(cache.stats().hits, 0) << threads;
   }
 }
 
@@ -317,15 +325,18 @@ TEST(DeterminismTest, SharedPoolDriversBitIdentical) {
   opts.max_hops = 2;
   exec::ExecContext ex1(1);
   const CsrMatrix ref_product = sparse::SpGemm(a, b, 32, &ex1);
-  auto ref = core::Condense(g, opts, &ex1);
+  pipeline::ArtifactCache ref_cache;
+  auto ref = core::Condense(g, opts, &ex1, &ref_cache);
   ASSERT_TRUE(ref.ok());
 
   exec::ThreadPool pool(4);
   auto drive = [&] {
     exec::ExecContext ex(pool);
+    // Round 0 condenses on the fresh cache, later rounds on the warm one.
+    pipeline::ArtifactCache cache;
     for (int round = 0; round < 3; ++round) {
       EXPECT_TRUE(sparse::SpGemm(a, b, 32, &ex) == ref_product) << round;
-      auto got = core::Condense(g, opts, &ex);
+      auto got = core::Condense(g, opts, &ex, &cache);
       ASSERT_TRUE(got.ok()) << round;
       EXPECT_EQ(got.value().selected_target, ref.value().selected_target);
       EXPECT_EQ(got.value().kept_per_type, ref.value().kept_per_type);

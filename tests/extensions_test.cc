@@ -7,6 +7,7 @@
 #include "core/other_types.h"
 #include "datasets/generator.h"
 #include "metapath/metapath.h"
+#include "pipeline/artifact_cache.h"
 
 namespace freehgc::core {
 namespace {
@@ -30,9 +31,11 @@ TEST_P(NimScorerTest, ProducesValidSelection) {
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   NimOptions opts;
   opts.scorer = GetParam();
+  pipeline::ArtifactCache cache;
   const auto sel = CondenseFatherType(g, father,
                                       FilterByEndType(paths, father),
-                                      kMaxRowNnz, g.train_index(), 20, opts);
+                                      kMaxRowNnz, g.train_index(), 20, opts,
+                                      cache);
   EXPECT_EQ(sel.size(), 20u);
   std::set<int32_t> uniq(sel.begin(), sel.end());
   EXPECT_EQ(uniq.size(), 20u);
@@ -68,12 +71,15 @@ TEST(NimScorerTest, PushApproximatesPowerIteration) {
   NimOptions b;
   b.scorer = NimScorer::kPprPush;
   b.push_epsilon = 1e-6f;
+  pipeline::ArtifactCache cache;
   const auto sa = CondenseFatherType(g, father,
                                      FilterByEndType(paths, father),
-                                     kMaxRowNnz, g.train_index(), 30, a);
+                                     kMaxRowNnz, g.train_index(), 30, a,
+                                     cache);
   const auto sb = CondenseFatherType(g, father,
                                      FilterByEndType(paths, father),
-                                     kMaxRowNnz, g.train_index(), 30, b);
+                                     kMaxRowNnz, g.train_index(), 30, b,
+                                     cache);
   std::set<int32_t> inter;
   std::set<int32_t> sa_set(sa.begin(), sa.end());
   for (int32_t v : sb) {

@@ -5,20 +5,24 @@
 // hash is the test's own frozen byte-serial FNV (frozen_fnv.h), so the
 // corpus does not move when the library's content hash does; a container
 // format change may move only `freehgc=`, never `graph=`. Every line must
-// match for the uncached and the cached PrepareDataset at 1 and 4
-// threads, so an accidental output
-// change anywhere on the data path (generator, compose, propagate,
-// selection, serialization) fails here. A change that moves outputs on
-// purpose replaces the lines this test prints on a mismatch.
+// match at 1 and 4 threads on a fresh cache, again on that warm cache,
+// and on a zero-budget spilling cache (streamed propagation, every entry
+// spilled) before and after it restores its entries, so an accidental
+// output change anywhere on the data path (generator, compose,
+// propagate, selection, serialization, spill) fails here. A change that
+// moves outputs on purpose replaces the lines this test prints on a
+// mismatch.
 
 #include <gtest/gtest.h>
 
 #include <cinttypes>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <map>
 #include <memory>
 #include <string>
+#include <utility>
 
 #include "common/string_util.h"
 #include "exec/exec_context.h"
@@ -42,13 +46,9 @@ std::string Hex(uint64_t h) { return StrFormat("%016" PRIx64, h); }
 
 /// One corpus line:
 /// "<dataset> paths=<fp> blocks=<fp>,... freehgc=<fp> graph=<fp>".
-std::string CorpusLine(const std::string& dataset, bool cached,
-                       int threads) {
-  exec::ExecContext ex(threads);
-  ArtifactCache cache;
-  PipelineEnv env;
-  env.exec = &ex;
-  env.cache = cached ? &cache : nullptr;
+std::string CorpusLine(const std::string& dataset, ArtifactCache& cache,
+                       exec::ExecContext& ex) {
+  const PipelineEnv env(&ex, &cache);
   DatasetSpec ds;
   ds.name = dataset;
   ds.scale = kScale;
@@ -103,13 +103,26 @@ TEST_P(GoldenTest, EvalContextAndFreeHgcMatchCorpus) {
   const std::string& dataset = GetParam();
   const std::string expected = ReadCorpus()[dataset];
   std::string replacement;
-  for (bool cached : {false, true}) {
-    for (int threads : {1, 4}) {
-      const std::string got = CorpusLine(dataset, cached, threads);
+  for (int threads : {1, 4}) {
+    exec::ExecContext ex(threads);
+    const std::string dir = ::testing::TempDir() + "/golden_spill_" +
+                            dataset + "_" + std::to_string(threads);
+    std::filesystem::remove_all(dir);
+    ArtifactCache cache, spilling;
+    ASSERT_TRUE(spilling.ConfigureSpill({0, dir}).ok());
+    const std::pair<const char*, ArtifactCache*> legs[] = {
+        {"fresh", &cache},
+        {"warm", &cache},
+        {"spilled", &spilling},
+        {"restored", &spilling}};
+    for (const auto& [leg, leg_cache] : legs) {
+      const std::string got = CorpusLine(dataset, *leg_cache, ex);
       if (replacement.empty()) replacement = got;
-      EXPECT_EQ(got, expected) << (cached ? "cached" : "uncached") << ", "
-                               << threads << " threads";
+      EXPECT_EQ(got, expected) << leg << " cache, " << threads << " threads";
     }
+    EXPECT_GT(spilling.stats().restores, 0) << threads;
+    spilling.Clear();
+    std::filesystem::remove_all(dir);
   }
   if (HasFailure()) {
     std::printf("replacement line for tests/golden/evalctx.txt:\n%s\n",

@@ -7,6 +7,7 @@
 #include "datasets/generator.h"
 #include "exec/exec_context.h"
 #include "metapath/metapath.h"
+#include "pipeline/artifact_cache.h"
 #include "sparse/ops.h"
 
 namespace freehgc {
@@ -162,18 +163,21 @@ TEST(MetaPathTest, RowRestrictedComposeKeepsExactlyTheRequestedRows) {
   }
 }
 
-TEST(MetaPathTest, ComposedAdjacencyWithoutCacheHonorsTheRowSet) {
+TEST(MetaPathTest, CachedCompositionHonorsTheRowSet) {
+  // ArtifactCache::Composed keeps one entry per row set, and each is the
+  // direct composition over those rows.
   const HeteroGraph g = datasets::MakeDblp(3, 0.3);
   MetaPathOptions opts;
   opts.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), opts);
   ASSERT_FALSE(paths.empty());
   const MetaPath& p = paths.back();
-  EXPECT_TRUE(*ComposedAdjacency(nullptr, g, p, 512, nullptr) ==
+  pipeline::ArtifactCache cache;
+  EXPECT_TRUE(*cache.Composed(g, p, 512, nullptr, RowSet::kAll) ==
               ComposeAdjacency(g, p, 512));
-  EXPECT_TRUE(
-      *ComposedAdjacency(nullptr, g, p, 512, nullptr, RowSet::kTrain) ==
-      ComposeAdjacency(g, p, 512, nullptr, &g.train_index()));
+  EXPECT_TRUE(*cache.Composed(g, p, 512, nullptr, RowSet::kTrain) ==
+              ComposeAdjacency(g, p, 512, nullptr, &g.train_index()));
+  EXPECT_EQ(cache.stats().misses, 2);
 }
 
 TEST(JaccardTest, SortedSetBasics) {

@@ -19,6 +19,7 @@
 #include "obs/exposition.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
+#include "pipeline/artifact_cache.h"
 #include "sparse/csr.h"
 #include "sparse/ops.h"
 
@@ -431,7 +432,8 @@ TEST(StageSecondsTest, BreakdownCoversCondenseSeconds) {
   exec::ExecContext ex(2);
   core::FreeHgcOptions opts;
   opts.ratio = 0.05;
-  auto res = core::Condense(g, opts, &ex);
+  pipeline::ArtifactCache cache;
+  auto res = core::Condense(g, opts, &ex, &cache);
   ASSERT_TRUE(res.ok());
   const core::StageSeconds& s = res->stage_seconds;
   for (double v : {s.metapath, s.target, s.father, s.leaf, s.assemble}) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cstring>
+#include <filesystem>
 #include <optional>
 #include <set>
 #include <string>
@@ -70,7 +71,9 @@ TEST(MethodRegistryTest, UnknownKeyIsNotFound) {
   MetaPathOptions mp;
   mp.max_hops = 2;
   const hgnn::EvalContext ctx = hgnn::BuildEvalContext(g, mp);
-  auto res = RunMethod(ctx, "no-such-method", RunSpec{}, hgnn::HgnnConfig{});
+  ArtifactCache cache;
+  auto res = RunMethod(ctx, "no-such-method", RunSpec{}, hgnn::HgnnConfig{},
+                       {nullptr, &cache});
   ASSERT_FALSE(res.ok());
   EXPECT_EQ(res.status().code(), StatusCode::kNotFound);
 }
@@ -123,7 +126,9 @@ TEST_P(RunMethodTest, EndToEndOnToy) {
   hgnn::HgnnConfig cfg;
   cfg.hidden = 8;
   cfg.epochs = 30;
-  auto res = RunMethod(ctx, kBuiltinKeys[GetParam().index], run, cfg);
+  ArtifactCache cache;
+  auto res = RunMethod(ctx, kBuiltinKeys[GetParam().index], run, cfg,
+                       {nullptr, &cache});
   ASSERT_TRUE(res.ok()) << res.status().ToString();
   EXPECT_FALSE(res->oom);
   EXPECT_GE(res->accuracy, 0.0f);
@@ -154,7 +159,9 @@ TEST(RunMethodSeedsTest, AggregatesOverSeeds) {
   hgnn::HgnnConfig cfg;
   cfg.hidden = 8;
   cfg.epochs = 20;
-  const AggregatedRun agg = RunMethodSeeds(ctx, "random", run, cfg, {1, 2, 3});
+  ArtifactCache cache;
+  const AggregatedRun agg =
+      RunMethodSeeds(ctx, "random", run, cfg, {1, 2, 3}, {nullptr, &cache});
   EXPECT_FALSE(agg.oom);
   EXPECT_GE(agg.accuracy.mean, 0.0);
   EXPECT_GE(agg.accuracy.std, 0.0);
@@ -459,20 +466,22 @@ void ExpectBitIdentical(const SweepResult& a, const SweepResult& b) {
   }
 }
 
-TEST(SweepDeterminismTest, CacheOnOffAndThreadCountsBitIdentical) {
+TEST(SweepDeterminismTest, FreshAndWarmCachesAndThreadCountsBitIdentical) {
   // The hard invariant: sweeps produce bit-identical cell values at every
-  // thread count, each on a fresh runner (hence a cold cache). Cached vs
-  // uncached condensation is CondenseCacheTest's.
+  // thread count, each on a fresh runner (hence a fresh cache) and again
+  // on that runner's warm cache. Spilled caches are CondenseCacheTest's.
   std::vector<SweepResult> results;
   for (int threads : {1, 2, 4}) {
     exec::ExecContext ex(threads);
-    PipelineEnv env;
-    env.exec = &ex;
-    SweepRunner runner(SmallSpec(), env);
-    auto result = runner.Run();
-    ASSERT_TRUE(result.ok()) << result.status().ToString();
-    EXPECT_GT(result->cache_stats.misses, 0) << threads;
-    results.push_back(std::move(*result));
+    SweepRunner runner(SmallSpec(), &ex);
+    auto fresh = runner.Run();
+    ASSERT_TRUE(fresh.ok()) << fresh.status().ToString();
+    EXPECT_GT(fresh->cache_stats.misses, 0) << threads;
+    auto warm = runner.Run();
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_EQ(warm->cache_stats.misses, 0) << threads;
+    results.push_back(std::move(*fresh));
+    results.push_back(std::move(*warm));
   }
   for (size_t i = 1; i < results.size(); ++i) {
     ExpectBitIdentical(results[0], results[i]);
@@ -508,37 +517,53 @@ TEST(SweepDeterminismTest, WarmSweepDoesStrictlyFewerSpgemmCalls) {
   ExpectBitIdentical(*cold, *warm);
 }
 
-TEST(CondenseCacheTest, CacheOnVsOffProducesIdenticalCondensedGraph) {
+TEST(CondenseCacheTest, FreshWarmAndSpilledCachesGiveIdenticalGraphs) {
+  // One condensation on a fresh cache, a repeat on the now warm cache,
+  // and a pair on a zero-budget spilling cache (every unpinned entry goes
+  // to disk; the second run restores them all as mapped views) agree.
   const HeteroGraph g = datasets::MakeToy(7);
   core::FreeHgcOptions opts;
   opts.ratio = 0.3;
   opts.max_hops = 2;
   ArtifactCache cache;
-  auto uncached = core::Condense(g, opts);
-  auto cached1 = core::Condense(g, opts, nullptr, &cache);
-  auto cached2 = core::Condense(g, opts, nullptr, &cache);  // warm
-  ASSERT_TRUE(uncached.ok());
-  ASSERT_TRUE(cached1.ok());
-  ASSERT_TRUE(cached2.ok());
+  auto fresh = core::Condense(g, opts, nullptr, &cache);
+  auto warm = core::Condense(g, opts, nullptr, &cache);
+  ASSERT_TRUE(fresh.ok());
+  ASSERT_TRUE(warm.ok());
   EXPECT_GT(cache.stats().hits, 0);
-  EXPECT_EQ(uncached->selected_target, cached1->selected_target);
-  EXPECT_EQ(uncached->selected_target, cached2->selected_target);
-  EXPECT_EQ(uncached->graph.ContentFingerprint(),
-            cached1->graph.ContentFingerprint());
-  EXPECT_EQ(uncached->graph.ContentFingerprint(),
-            cached2->graph.ContentFingerprint());
+
+  const std::string dir = ::testing::TempDir() + "/condense_spill";
+  std::filesystem::remove_all(dir);
+  ArtifactCache spilling;
+  ASSERT_TRUE(spilling.ConfigureSpill({0, dir}).ok());
+  auto spilled = core::Condense(g, opts, nullptr, &spilling);
+  spilling.TrimToBudget();
+  const int64_t spilled_misses = spilling.stats().misses;
+  EXPECT_GT(spilling.stats().spills, 0);
+  auto restored = core::Condense(g, opts, nullptr, &spilling);
+  ASSERT_TRUE(spilled.ok());
+  ASSERT_TRUE(restored.ok());
+  EXPECT_EQ(spilling.stats().misses, spilled_misses);
+  EXPECT_GT(spilling.stats().restores, 0);
+
+  for (const auto* other : {&warm, &spilled, &restored}) {
+    EXPECT_EQ((*other)->selected_target, fresh->selected_target);
+    EXPECT_EQ((*other)->graph.ContentFingerprint(),
+              fresh->graph.ContentFingerprint());
+  }
+  spilling.Clear();
+  std::filesystem::remove_all(dir);
 }
 
 TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
   // Preparing a dataset composes nothing: propagation runs right to left
   // over the relations. FreeHGC's first run composes what its selection
   // needs into the cache, a second run composes nothing new, and both
-  // are byte-equal to an uncached core::Condense.
+  // are byte-equal to a core::Condense on a fresh cache.
   obs::Counter& compose_calls =
       obs::MetricsRegistry::Global().GetCounter("metapath.compose_calls");
   ArtifactCache cache;
-  PipelineEnv env;
-  env.cache = &cache;
+  const PipelineEnv env(nullptr, &cache);
   DatasetSpec toy;
   toy.name = "toy";
   const int64_t composed_before = compose_calls.Value();
@@ -567,12 +592,13 @@ TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
   EXPECT_GT(cache.stats().hits, after_first.hits);
   EXPECT_EQ(compose_calls.Value(), composed_first);
 
-  // An uncached core::Condense of the prepared graph under `mp`.
+  // A core::Condense of the prepared graph under `mp`, on a fresh cache.
   auto direct_bytes = [&](const MetaPathOptions& mp) {
     core::FreeHgcOptions fopts;
     fopts.ratio = run.ratio;
     static_cast<MetaPathOptions&>(fopts) = mp;
-    auto res = core::Condense((*data)->graph, fopts);
+    ArtifactCache fresh;
+    auto res = core::Condense((*data)->graph, fopts, nullptr, &fresh);
     EXPECT_TRUE(res.ok()) << res.status().ToString();
     if (!res.ok()) return std::string();
     auto bytes = SerializeHeteroGraph(res->graph);
@@ -609,11 +635,10 @@ TEST(PrepareDatasetTest, FreeHgcOnPreparedCacheComposesNothingNew) {
 }
 
 TEST(PrepareDatasetTest, CachedContextSharesTheCacheEntrysBlocks) {
-  // With a cache, the prepared context aliases the cache entry's owned
-  // blocks instead of copying them.
+  // The prepared context aliases the cache entry's owned blocks instead
+  // of copying them.
   ArtifactCache cache;
-  PipelineEnv env;
-  env.cache = &cache;
+  const PipelineEnv env(nullptr, &cache);
   DatasetSpec toy;
   toy.name = "toy";
   auto data = PrepareDataset(toy, env);

@@ -16,6 +16,8 @@
 #include "datasets/generator.h"
 #include "graph/section_io.h"
 #include "graph/serialize.h"
+#include "mutate.h"
+#include "pipeline/artifact_cache.h"
 
 namespace freehgc {
 namespace {
@@ -80,7 +82,8 @@ TEST(SerializeTest, RoundTripsCondensedGraph) {
   core::FreeHgcOptions opts;
   opts.ratio = 0.1;
   opts.max_paths = 6;
-  auto cond = core::Condense(g, opts);
+  pipeline::ArtifactCache cache;
+  auto cond = core::Condense(g, opts, nullptr, &cache);
   ASSERT_TRUE(cond.ok());
   const std::string path = TempPath("condensed.fhgc");
   ASSERT_TRUE(SaveHeteroGraphV3(cond->graph, path).ok());
@@ -561,84 +564,8 @@ TEST(ContainerV3Test, AdoptViewsAnAlignedBufferAndCopiesAMisalignedOne) {
 // behind every upload. Half the mutants get every CRC re-sealed, so they
 // reach the structural checks behind the checksums. Each mutant must
 // fail with a Status or yield a graph that passes Validate; under ASan
-// and UBSan it must also touch no byte outside the buffer.
-
-constexpr size_t kHeaderSize = sizeof(section_io::FileHeader);
-constexpr size_t kEntrySize = sizeof(section_io::SectionEntry);
-
-/// Recomputes every CRC `bytes` carries that still lies in bounds, and the
-/// header's file size, so only the structural checks can reject it.
-void Reseal(std::string& bytes) {
-  if (bytes.size() < kHeaderSize) return;
-  section_io::FileHeader h;
-  std::memcpy(&h, bytes.data(), kHeaderSize);
-  h.file_size = bytes.size();
-  const uint64_t count = h.section_count;
-  if (h.table_offset <= bytes.size() &&
-      count <= (bytes.size() - h.table_offset) / kEntrySize) {
-    for (uint64_t i = 0; i < count; ++i) {
-      char* e = bytes.data() + h.table_offset + i * kEntrySize;
-      section_io::SectionEntry s;
-      std::memcpy(&s, e, kEntrySize);
-      if (s.offset <= bytes.size() && s.size <= bytes.size() - s.offset) {
-        s.crc = Crc32(bytes.data() + s.offset, s.size);
-        std::memcpy(e, &s, kEntrySize);
-      }
-    }
-    h.table_size = count * kEntrySize;
-    h.table_crc = Crc32(bytes.data() + h.table_offset, h.table_size);
-  }
-  h.header_crc = Crc32(&h, offsetof(section_io::FileHeader, header_crc));
-  std::memcpy(bytes.data(), &h, kHeaderSize);
-}
-
-/// One random mutant of `base`.
-std::string Mutate(const std::string& base, Rng& rng) {
-  std::string m = base;
-  auto pos = [&](size_t n) { return static_cast<size_t>(rng.NextBounded(n)); };
-  section_io::FileHeader h;
-  std::memcpy(&h, base.data(), kHeaderSize);
-  switch (rng.NextBounded(5)) {
-    case 0: {  // byte flips anywhere
-      const int flips = 1 + static_cast<int>(rng.NextBounded(8));
-      for (int i = 0; i < flips; ++i) {
-        m[pos(m.size())] ^= static_cast<char>(1 + rng.NextBounded(255));
-      }
-      break;
-    }
-    case 1:  // truncation
-      m.resize(pos(m.size()));
-      break;
-    case 2: {  // insertion of random bytes
-      std::string ins(1 + pos(64), '\0');
-      for (char& c : ins) c = static_cast<char>(rng.NextBounded(256));
-      m.insert(pos(m.size() + 1), ins);
-      break;
-    }
-    case 3: {  // section-table edit: one field of one entry
-      const size_t entry = h.table_offset + pos(h.section_count) * kEntrySize;
-      const size_t field = 4 + 4 * pos(11);  // kind..reserved, 4-byte steps
-      uint32_t v = 0;
-      std::memcpy(&v, m.data() + entry + field, 4);
-      const uint32_t edits[] = {v + 1, v - 1, v ^ 0x1000, 0, 0xffffffffu,
-                                static_cast<uint32_t>(rng.NextU64())};
-      v = edits[pos(6)];
-      std::memcpy(m.data() + entry + field, &v, 4);
-      break;
-    }
-    default: {  // header edit: section count or table placement
-      const size_t fields[] = {12, 16, 24, 32};  // count, size, table off/size
-      const size_t at = fields[pos(4)];
-      uint32_t v = 0;
-      std::memcpy(&v, m.data() + at, 4);
-      v += static_cast<uint32_t>(rng.NextBounded(3)) == 0 ? 48 : -4096u;
-      std::memcpy(m.data() + at, &v, 4);
-      break;
-    }
-  }
-  if (rng.NextBounded(2) == 0) Reseal(m);
-  return m;
-}
+// and UBSan it must also touch no byte outside the buffer. The mutator
+// lives in mutate.h.
 
 TEST(ContainerMutationTest, EveryMutantFailsCleanlyOrValidates) {
   std::vector<HeteroGraph> graphs;
@@ -647,7 +574,9 @@ TEST(ContainerMutationTest, EveryMutantFailsCleanlyOrValidates) {
     core::FreeHgcOptions opts;
     opts.ratio = 0.1;
     opts.max_paths = 6;
-    auto cond = core::Condense(datasets::MakeDblp(7, /*scale=*/0.05), opts);
+    pipeline::ArtifactCache cache;
+    auto cond = core::Condense(datasets::MakeDblp(7, /*scale=*/0.05), opts,
+                               nullptr, &cache);
     ASSERT_TRUE(cond.ok());
     graphs.push_back(std::move(cond->graph));
   }
@@ -667,7 +596,7 @@ TEST(ContainerMutationTest, EveryMutantFailsCleanlyOrValidates) {
     auto bytes = SerializeHeteroGraph(g);
     ASSERT_TRUE(bytes.ok());
     for (int i = 0; i < 400; ++i) {
-      const std::string mutant = Mutate(*bytes, rng);
+      const std::string mutant = testing_util::Mutate(*bytes, rng);
       auto [view, owner] = AlignedCopy(mutant);
       auto got = AdoptHeteroGraph(view, owner);
       if (!got.ok()) {

@@ -16,6 +16,8 @@
 #include <cstring>
 #include <condition_variable>
 #include <fstream>
+#include <functional>
+#include <memory>
 #include <mutex>
 #include <set>
 #include <sstream>
@@ -25,10 +27,12 @@
 #include <vector>
 
 #include "common/crc32.h"
+#include "common/rng.h"
 #include "common/string_util.h"
 #include "datasets/generator.h"
 #include "exec/exec_context.h"
 #include "graph/serialize.h"
+#include "mutate.h"
 #include "obs/access_log.h"
 #include "obs/exposition.h"
 #include "pipeline/method.h"
@@ -1025,8 +1029,9 @@ TEST(ServeServiceTest, EvaluateReproducesPipelineRunMethod) {
   pipeline::RunSpec spec;
   spec.ratio = req.ratio;
   spec.seed = req.seed;
+  pipeline::ArtifactCache cache;
   auto run = pipeline::RunMethod(ctx, "freehgc", spec,
-                                 service.options().eval);
+                                 service.options().eval, {nullptr, &cache});
   ASSERT_TRUE(run.ok());
   EXPECT_FLOAT_EQ(reply->accuracy, run->accuracy);
   EXPECT_FLOAT_EQ(reply->macro_f1, run->macro_f1);
@@ -1226,6 +1231,103 @@ TEST(WireTest, ReaderRejectsShortPayloads) {
   auto s = r.GetString();
   ASSERT_TRUE(s.ok());
   EXPECT_EQ(*s, "hello");
+}
+
+// Seeded mutation test of the wire decoders: byte flips, truncations and
+// insertions of every encoded message kind, fed through its decoder. Each
+// mutant sits in a heap buffer of exactly its size, so under ASan a read
+// one byte past the payload is a heap-buffer-overflow. Every mutant must
+// decode or fail with a Status naming the problem.
+TEST(WireMutationTest, EveryMutantDecodesOrFailsCleanly) {
+  CondenseRequest req;
+  req.graph = "acm";
+  req.method = "freehgc";
+  req.ratio = 0.05;
+  req.seed = 42;
+  req.max_row_nnz = 256;
+  req.evaluate = true;
+  req.priority = -2;
+  req.deadline_ms = 1500;
+  CondenseReply reply;
+  reply.nodes = 42;
+  reply.edges = 100;
+  reply.evaluated = true;
+  reply.accuracy = 96.5f;
+  reply.graph_bytes = std::string("\x00\x01\x02\x03", 4);
+  reply.graph_fingerprint = 0xdeadbeefcafef00dULL;
+  reply.request_id = 7077;
+  GraphInfo heap_info;
+  heap_info.name = "acm";
+  heap_info.nodes = 10;
+  heap_info.edges = 20;
+  GraphInfo mapped_info = heap_info;
+  mapped_info.name = "dblp";
+  mapped_info.mapped = true;
+  mapped_info.source_path = "/spool/dblp.fhgc";
+  HelloInfo hello;
+  hello.features = kFeatureAdminOps | kFeatureFetchGraph;
+  hello.role = "serve";
+
+  auto encoded = [](auto encode) {
+    WireWriter w;
+    encode(w);
+    return w.Take();
+  };
+  auto read_all = [](auto decode) {
+    return [decode](std::string_view payload) {
+      WireReader r(payload);
+      return decode(r).status();
+    };
+  };
+  struct Codec {
+    const char* name;
+    std::string bytes;
+    std::function<Status(std::string_view)> decode;
+  };
+  const Codec codecs[] = {
+      {"WireResponse",
+       EncodeResponse(Status::NotFound("no graph 'x'"), "body"),
+       [](std::string_view payload) {
+         auto got = DecodeResponse(payload);
+         if (got.ok()) got->status.ToString();
+         return got.status();
+       }},
+      {"CondenseRequest",
+       encoded([&](WireWriter& w) { EncodeCondenseRequest(w, req); }),
+       read_all(DecodeCondenseRequest)},
+      {"CondenseReply",
+       encoded([&](WireWriter& w) { EncodeCondenseReply(w, reply); }),
+       read_all(DecodeCondenseReply)},
+      {"GraphInfo list",
+       encoded([&](WireWriter& w) {
+         EncodeGraphInfoList(w, {heap_info, mapped_info});
+       }),
+       read_all(DecodeGraphInfoList)},
+      {"HelloInfo",
+       encoded([&](WireWriter& w) { EncodeHelloInfo(w, hello); }),
+       read_all(DecodeHelloInfo)},
+  };
+  Rng rng(20261021);
+  for (const Codec& codec : codecs) {
+    ASSERT_TRUE(codec.decode(codec.bytes).ok()) << codec.name;
+    int decoded = 0, rejected = 0;
+    for (int i = 0; i < 2000; ++i) {
+      const std::string mutant = testing_util::MutateBytes(codec.bytes, rng);
+      const auto buffer = std::make_unique<char[]>(mutant.size());
+      std::memcpy(buffer.get(), mutant.data(), mutant.size());
+      const Status st =
+          codec.decode(std::string_view(buffer.get(), mutant.size()));
+      if (st.ok()) {
+        ++decoded;
+      } else {
+        ++rejected;
+        EXPECT_FALSE(st.message().empty()) << codec.name << " mutant " << i;
+      }
+    }
+    // Both outcomes occur: the mutants reach past the first field.
+    EXPECT_GT(decoded, 0) << codec.name;
+    EXPECT_GT(rejected, 0) << codec.name;
+  }
 }
 
 TEST(WireTest, ResponseEnvelopeCarriesStatus) {

@@ -55,9 +55,8 @@ TEST(SpillCsrTest, MappedRoundTripIsBitIdentical) {
   mp.max_paths = 4;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   ASSERT_FALSE(paths.empty());
-  const std::shared_ptr<const CsrMatrix> m =
-      ComposedAdjacency(nullptr, g, paths[0], 0, &ex);
-  ASSERT_NE(m, nullptr);
+  const auto m =
+      std::make_shared<const CsrMatrix>(ComposeAdjacency(g, paths[0], 0, &ex));
   ASSERT_GT(m->nnz(), 0);
 
   const std::string dir = ScratchDir("csr");
@@ -209,14 +208,14 @@ TEST(SpillCacheTest, MappedEvictionVsPinnedReadStress) {
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   ASSERT_GE(paths.size(), 2u);
 
-  // Reference payloads, computed uncached.
+  // Reference payloads, composed directly.
   std::vector<int64_t> want_nnz;
   std::vector<double> want_sum;
   for (const auto& p : paths) {
-    const auto m = ComposedAdjacency(nullptr, g, p, 0, &ex);
-    want_nnz.push_back(m->nnz());
+    const CsrMatrix m = ComposeAdjacency(g, p, 0, &ex);
+    want_nnz.push_back(m.nnz());
     double s = 0.0;
-    for (const float v : m->values()) s += v;
+    for (const float v : m.values()) s += v;
     want_sum.push_back(s);
   }
 
@@ -268,7 +267,8 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
   // A path group's diversity entry is charged to the resident tier: under
   // a zero budget it spills through the adjacency spool format once
   // unpinned, and a warm condensation restores it (with every adjacency)
-  // as a mapped view, computing nothing and giving the uncached graph.
+  // as a mapped view, computing nothing and giving the graph of a fresh
+  // (and then warm) unbudgeted cache.
   const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
   core::FreeHgcOptions opts;
   opts.ratio = 0.05;
@@ -282,11 +282,13 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
     EXPECT_TRUE(bytes.ok());
     return bytes.ok() ? *bytes : std::string();
   };
-  const std::string want = condensed_bytes(nullptr);
+  pipeline::ArtifactCache fresh;
+  const std::string want = condensed_bytes(&fresh);
   ASSERT_FALSE(want.empty());
+  EXPECT_EQ(condensed_bytes(&fresh), want);
 
   // The largest group of Condense's paths sharing an end type, and its
-  // diversity computed uncached.
+  // diversity computed from direct compositions.
   const auto paths = EnumerateMetaPaths(g, g.target_type(), opts);
   std::vector<MetaPath> group;
   for (const MetaPath& p : paths) {
@@ -294,13 +296,13 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
     if (same_end.size() > group.size()) group = std::move(same_end);
   }
   ASSERT_GE(group.size(), 2u);
-  std::vector<std::shared_ptr<const CsrMatrix>> pins;
-  std::vector<const CsrMatrix*> composed;
+  std::vector<CsrMatrix> adjs;
   for (const MetaPath& p : group) {
-    pins.push_back(ComposedAdjacency(nullptr, g, p, opts.max_row_nnz, &ex,
-                                     RowSet::kTrain));
-    composed.push_back(pins.back().get());
+    adjs.push_back(
+        ComposeAdjacency(g, p, opts.max_row_nnz, &ex, &g.train_index()));
   }
+  std::vector<const CsrMatrix*> composed;
+  for (const CsrMatrix& a : adjs) composed.push_back(&a);
   const CsrMatrix want_div = PathDiversity(g, composed, &ex);
 
   const std::string dir = ScratchDir("diversity");
@@ -317,7 +319,8 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
   EXPECT_EQ(warm.misses, cold.misses) << "the warm run recomputed an entry";
   EXPECT_GT(warm.restores, cold.restores);
 
-  // The restored diversity entry is the uncached one, byte for byte.
+  // The restored diversity entry is the directly computed one, byte for
+  // byte.
   const auto div = cache.Diversity(g, group, opts.max_row_nnz, &ex);
   EXPECT_EQ(cache.stats().misses, cold.misses);
   EXPECT_EQ(*div, want_div);

@@ -19,7 +19,8 @@
 //   freehgc_client --port=P shutdown
 //
 // --port-file=PATH reads the port a server wrote with its own
-// --port-file flag.
+// --port-file flag. An unknown flag or a malformed number exits 2 with
+// the usage.
 //
 // Cluster mode: pass --meta-port=P (or --meta-port-file=PATH) instead of
 // --port to route through a freehgc_meta service. Then:
@@ -34,6 +35,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench/loadgen/loadgen.h"
@@ -53,11 +55,39 @@ int Fail(const Status& st) {
   return 1;
 }
 
+constexpr char kUsage[] =
+    "usage: freehgc_client --port=P (or --port-file=PATH) "
+    "ping|register|upload|list|condense|loadgen|stats|metrics|"
+    "health|flight|shutdown ...\n"
+    "       freehgc_client --meta-port=P (or --meta-port-file=PATH) "
+    "ping|upload|condense|resolve|shards|stats|shutdown ...\n";
+
+[[noreturn]] void Usage(const std::string& reason) {
+  std::fprintf(stderr, "freehgc_client: %s\n%s", reason.c_str(), kUsage);
+  std::exit(2);
+}
+
 bool FlagValue(const std::string& arg, const char* prefix,
                std::string* out) {
   const std::string p = prefix;
   if (arg.rfind(p, 0) != 0) return false;
   *out = arg.substr(p.size());
+  return true;
+}
+
+/// True when `arg` is `prefix` followed by a value, which is parsed into
+/// `*out`; a malformed value exits 2 with the usage.
+template <typename T>
+bool NumberFlag(const std::string& arg, const char* prefix, T* out) {
+  std::string v;
+  if (!FlagValue(arg, prefix, &v)) return false;
+  bool ok = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = freehgc::ParseDouble(v.c_str(), out);
+  } else {
+    ok = freehgc::ParseInt(v.c_str(), out);
+  }
+  if (!ok) Usage("bad numeric value: " + arg);
   return true;
 }
 
@@ -83,6 +113,17 @@ bool ReadFile(const std::string& path, std::string* out) {
                           out->size();
   std::fclose(f);
   return ok;
+}
+
+/// Reads the port a server wrote to `path` (digits plus a newline); an
+/// unreadable or malformed file exits 2 with the usage.
+void ReadPortFile(const std::string& path, int* port) {
+  std::string contents;
+  if (!ReadFile(path, &contents)) Usage("cannot read port file " + path);
+  contents.erase(contents.find_last_not_of(" \t\r\n") + 1);
+  if (!freehgc::ParseInt(contents.c_str(), port)) {
+    Usage("bad port file " + path);
+  }
 }
 
 // Open-loop load settings for the `loadgen` command.
@@ -343,59 +384,34 @@ int main(int argc, char** argv) {
 
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (NumberFlag(arg, "--port=", &port) ||
+        NumberFlag(arg, "--meta-port=", &meta_port) ||
+        NumberFlag(arg, "--replicas=", &replicas) ||
+        NumberFlag(arg, "--ratio=", &req.ratio) ||
+        NumberFlag(arg, "--seed=", &seed) ||
+        NumberFlag(arg, "--scale=", &scale) ||
+        NumberFlag(arg, "--max-hops=", &req.max_hops) ||
+        NumberFlag(arg, "--max-paths=", &req.max_paths) ||
+        NumberFlag(arg, "--deadline-ms=", &req.deadline_ms) ||
+        NumberFlag(arg, "--priority=", &req.priority) ||
+        NumberFlag(arg, "--classes=", &lg.classes) ||
+        NumberFlag(arg, "--rate=", &lg.rate) ||
+        NumberFlag(arg, "--ramp-s=", &lg.ramp_s) ||
+        NumberFlag(arg, "--sustain-s=", &lg.sustain_s) ||
+        NumberFlag(arg, "--overload-s=", &lg.overload_s) ||
+        NumberFlag(arg, "--overload-x=", &lg.overload_x) ||
+        NumberFlag(arg, "--threads=", &lg.threads)) {
+      continue;
+    }
     std::string v;
-    if (FlagValue(arg, "--port=", &v)) {
-      port = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--port-file=", &v)) {
-      std::string contents;
-      if (!ReadFile(v, &contents)) {
-        std::fprintf(stderr, "cannot read port file %s\n", v.c_str());
-        return 2;
-      }
-      port = std::atoi(contents.c_str());
-    } else if (FlagValue(arg, "--meta-port=", &v)) {
-      meta_port = std::atoi(v.c_str());
+    if (FlagValue(arg, "--port-file=", &v)) {
+      ReadPortFile(v, &port);
     } else if (FlagValue(arg, "--meta-port-file=", &v)) {
-      std::string contents;
-      if (!ReadFile(v, &contents)) {
-        std::fprintf(stderr, "cannot read port file %s\n", v.c_str());
-        return 2;
-      }
-      meta_port = std::atoi(contents.c_str());
-    } else if (FlagValue(arg, "--replicas=", &v)) {
-      replicas = std::atoi(v.c_str());
+      ReadPortFile(v, &meta_port);
     } else if (FlagValue(arg, "--method=", &v)) {
       req.method = v;
-    } else if (FlagValue(arg, "--ratio=", &v)) {
-      req.ratio = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--seed=", &v)) {
-      seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (FlagValue(arg, "--scale=", &v)) {
-      scale = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--max-hops=", &v)) {
-      req.max_hops = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--max-paths=", &v)) {
-      req.max_paths = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--deadline-ms=", &v)) {
-      req.deadline_ms = std::atoll(v.c_str());
-    } else if (FlagValue(arg, "--priority=", &v)) {
-      req.priority = std::atoi(v.c_str());
     } else if (FlagValue(arg, "--output=", &v)) {
       output = v;
-    } else if (FlagValue(arg, "--classes=", &v)) {
-      lg.classes = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--rate=", &v)) {
-      lg.rate = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--ramp-s=", &v)) {
-      lg.ramp_s = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--sustain-s=", &v)) {
-      lg.sustain_s = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--overload-s=", &v)) {
-      lg.overload_s = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--overload-x=", &v)) {
-      lg.overload_x = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--threads=", &v)) {
-      lg.threads = std::atoi(v.c_str());
     } else if (FlagValue(arg, "--report=", &v)) {
       lg.report = v;
     } else if (arg == "--check") {
@@ -403,8 +419,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--evaluate") {
       req.evaluate = true;
     } else if (arg.rfind("--", 0) == 0) {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      Usage("unknown flag: " + arg);
     } else if (command.empty()) {
       command = arg;
     } else {
@@ -412,14 +427,7 @@ int main(int argc, char** argv) {
     }
   }
   if ((port <= 0 && meta_port <= 0) || command.empty()) {
-    std::fprintf(stderr,
-                 "usage: freehgc_client --port=P (or --port-file=PATH) "
-                 "ping|register|upload|list|condense|loadgen|stats|metrics|"
-                 "health|flight|shutdown ...\n"
-                 "       freehgc_client --meta-port=P (or "
-                 "--meta-port-file=PATH) "
-                 "ping|upload|condense|resolve|shards|stats|shutdown ...\n");
-    return 2;
+    Usage("a port and a command are required");
   }
   if (meta_port > 0) {
     req.seed = seed;

@@ -14,7 +14,8 @@
 //
 // Speaks the same length-prefixed wire protocol as freehgc_server; the
 // bound port is printed and optionally written to --port-file. Stops on
-// SIGINT/SIGTERM or a client shutdown message.
+// SIGINT/SIGTERM or a client shutdown message. An unknown flag or a
+// malformed integer exits 2 with the usage.
 
 #include <csignal>
 #include <cstdio>
@@ -22,8 +23,19 @@
 #include <string>
 
 #include "cluster/meta_server.h"
+#include "common/string_util.h"
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: freehgc_meta [--port=0] [--port-file=PATH] "
+    "[--heartbeat-ttl-ms=2000]\n"
+    "                    [--max-events=1024]\n";
+
+[[noreturn]] void Usage(const std::string& reason) {
+  std::fprintf(stderr, "freehgc_meta: %s\n%s", reason.c_str(), kUsage);
+  std::exit(2);
+}
 
 freehgc::cluster::MetaServer* g_server = nullptr;
 
@@ -36,7 +48,9 @@ void HandleSignal(int /*sig*/) {
 
 bool ParseIntFlag(const std::string& arg, const char* prefix, int* out) {
   if (arg.rfind(prefix, 0) != 0) return false;
-  *out = std::atoi(arg.c_str() + std::string(prefix).size());
+  if (!freehgc::ParseInt(arg.c_str() + std::string(prefix).size(), out)) {
+    Usage("bad integer value: " + arg);
+  }
   return true;
 }
 
@@ -58,8 +72,7 @@ int main(int argc, char** argv) {
       port_file = arg.substr(std::string("--port-file=").size());
       continue;
     }
-    std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-    return 2;
+    Usage("unknown flag: " + arg);
   }
   if (ttl_ms > 0) options.meta.heartbeat_ttl_ms = ttl_ms;
   if (max_events > 0) options.meta.max_events = static_cast<size_t>(max_events);

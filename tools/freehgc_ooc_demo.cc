@@ -4,21 +4,26 @@
 //                    --seed=1 --path=/tmp/aminer.fhgc
 //   freehgc_ooc_demo --phase=condense --path=/tmp/aminer.fhgc \
 //                    [--out=/tmp/aminer_small.fhgc] [--ratio=0.01] \
-//                    [--max-hops=1] [--max-paths=2] [--try-heap]
+//                    [--max-hops=1] [--max-paths=2] [--max-row-nnz=512] \
+//                    [--try-heap]
 //   freehgc_ooc_demo --phase=serve --path=/tmp/aminer.fhgc \
 //                    [--method=herding] [--ratio=0.01] [--max-hops=1] \
-//                    [--max-paths=2] [--evaluate] [--try-heap] \
-//                    [--spill-dir=DIR] [--artifact-budget=BYTES] \
-//                    [--resident-budget=BYTES] [--fingerprint]
+//                    [--max-paths=2] [--max-row-nnz=512] [--evaluate] \
+//                    [--try-heap] [--spill-dir=DIR] \
+//                    [--artifact-budget=BYTES] [--resident-budget=BYTES] \
+//                    [--fingerprint]
+//
+// A malformed numeric flag exits 2 with the usage.
 //
 // The generate phase streams a preset schema straight into a v3
 // container (datasets::GenerateToV3) without ever materializing the heap
 // graph, then maps the result to report its logical in-heap footprint.
 // The condense phase maps the container and runs the paper's
-// training-free selection (core::Condense) directly against the mapped
-// arrays; its heap working set is the composed meta-path adjacencies and
-// score vectors, a fraction of the graph itself, so it fits under a cap
-// the full graph does not. The serve phase registers the container as a
+// training-free selection (core::Condense, on a local artifact cache)
+// directly against the mapped arrays; its heap working set is the
+// composed meta-path adjacencies and score vectors, a fraction of the
+// graph itself, so it fits under a cap the full graph does not. The
+// serve phase registers the container as a
 // zero-copy mapped graph in a ServeService and runs one condense request
 // against it (this path pre-propagates dense feature blocks, so its
 // working set is larger — run it uncapped or at a smaller scale).
@@ -44,18 +49,52 @@
 #include <cstring>
 #include <new>
 #include <string>
+#include <type_traits>
 
+#include "common/string_util.h"
 #include "core/freehgc.h"
 #include "datasets/generator.h"
 #include "graph/serialize.h"
+#include "pipeline/artifact_cache.h"
 #include "serve/service.h"
 
 namespace {
+
+constexpr char kUsage[] =
+    "usage: freehgc_ooc_demo --phase=generate|condense|serve "
+    "[--preset=NAME] [--scale=X]\n"
+    "         [--seed=N] [--path=FILE] [--out=FILE] [--method=KEY] "
+    "[--ratio=X]\n"
+    "         [--max-hops=N] [--max-paths=N] [--max-row-nnz=N] "
+    "[--evaluate]\n"
+    "         [--try-heap] [--spill-dir=DIR] [--artifact-budget=BYTES]\n"
+    "         [--resident-budget=BYTES] [--fingerprint]\n";
+
+[[noreturn]] void Usage(const std::string& reason) {
+  std::fprintf(stderr, "freehgc_ooc_demo: %s\n%s", reason.c_str(), kUsage);
+  std::exit(2);
+}
 
 bool FlagValue(const std::string& arg, const char* prefix, std::string* out) {
   const std::string p(prefix);
   if (arg.rfind(p, 0) != 0) return false;
   *out = arg.substr(p.size());
+  return true;
+}
+
+/// True when `arg` is `prefix` followed by a value, which is parsed into
+/// `*out`; a malformed value exits 2 with the usage.
+template <typename T>
+bool NumberFlag(const std::string& arg, const char* prefix, T* out) {
+  std::string v;
+  if (!FlagValue(arg, prefix, &v)) return false;
+  bool ok = false;
+  if constexpr (std::is_floating_point_v<T>) {
+    ok = freehgc::ParseDouble(v.c_str(), out);
+  } else {
+    ok = freehgc::ParseInt(v.c_str(), out);
+  }
+  if (!ok) Usage("bad numeric value: " + arg);
   return true;
 }
 
@@ -150,7 +189,8 @@ int RunCondense(const std::string& path, const std::string& out, double ratio,
   opts.ratio = ratio;
   static_cast<freehgc::MetaPathOptions&>(opts) = mp;
   opts.seed = seed;
-  auto res = freehgc::core::Condense(*mapped, opts);
+  freehgc::pipeline::ArtifactCache cache;
+  auto res = freehgc::core::Condense(*mapped, opts, nullptr, &cache);
   if (!res.ok()) return Fail(res.status());
   std::printf("OOC condensed_nodes=%lld condensed_edges=%lld "
               "condensed_bytes=%zu condense_seconds=%.3f\n",
@@ -214,6 +254,7 @@ int RunServe(const std::string& path, const std::string& method, double ratio,
     request.ratio = ratio;
     request.max_hops = mp.max_hops;
     request.max_paths = mp.max_paths;
+    request.max_row_nnz = mp.max_row_nnz;
     request.evaluate = evaluate;
     request.return_graph = budget.fingerprint;
     auto reply = service.Condense(request);
@@ -270,6 +311,16 @@ int main(int argc, char** argv) {
   ServeBudget budget;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (NumberFlag(arg, "--scale=", &scale) ||
+        NumberFlag(arg, "--ratio=", &ratio) ||
+        NumberFlag(arg, "--seed=", &seed) ||
+        NumberFlag(arg, "--max-hops=", &mp.max_hops) ||
+        NumberFlag(arg, "--max-paths=", &mp.max_paths) ||
+        NumberFlag(arg, "--max-row-nnz=", &mp.max_row_nnz) ||
+        NumberFlag(arg, "--artifact-budget=", &budget.artifact_budget) ||
+        NumberFlag(arg, "--resident-budget=", &budget.resident_budget)) {
+      continue;
+    }
     std::string v;
     if (FlagValue(arg, "--phase=", &v)) {
       phase = v;
@@ -281,24 +332,8 @@ int main(int argc, char** argv) {
       out = v;
     } else if (FlagValue(arg, "--method=", &v)) {
       method = v;
-    } else if (FlagValue(arg, "--scale=", &v)) {
-      scale = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--ratio=", &v)) {
-      ratio = std::atof(v.c_str());
-    } else if (FlagValue(arg, "--seed=", &v)) {
-      seed = static_cast<uint64_t>(std::atoll(v.c_str()));
-    } else if (FlagValue(arg, "--max-hops=", &v)) {
-      mp.max_hops = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--max-paths=", &v)) {
-      mp.max_paths = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--max-row-nnz=", &v)) {
-      mp.max_row_nnz = std::atoll(v.c_str());
     } else if (FlagValue(arg, "--spill-dir=", &v)) {
       budget.spill_dir = v;
-    } else if (FlagValue(arg, "--artifact-budget=", &v)) {
-      budget.artifact_budget = static_cast<size_t>(std::atoll(v.c_str()));
-    } else if (FlagValue(arg, "--resident-budget=", &v)) {
-      budget.resident_budget = static_cast<size_t>(std::atoll(v.c_str()));
     } else if (arg == "--fingerprint") {
       budget.fingerprint = true;
     } else if (arg == "--evaluate") {
@@ -306,8 +341,7 @@ int main(int argc, char** argv) {
     } else if (arg == "--try-heap") {
       try_heap = true;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      Usage("unknown flag: " + arg);
     }
   }
 

@@ -10,7 +10,8 @@
 // hits served from the resident tier (vs restored from spill files),
 // resident graph/cache bytes, cumulative spilled bytes, and graph-store
 // evictions. --iterations=N exits after N polls (0 = until interrupted);
-// --once is --iterations=1 (handy in scripts and CI).
+// --once is --iterations=1 (handy in scripts and CI). An unknown flag or
+// a malformed integer exits 2 with the usage.
 //
 // Everything shown is derived from the same Prometheus text any scraper
 // sees — this tool is a reference consumer of the exposition format, not
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "cluster/meta_client.h"
+#include "common/string_util.h"
 #include "obs/exposition.h"
 #include "obs/rate_window.h"
 #include "obs/trace.h"
@@ -43,10 +45,33 @@ using freehgc::Status;
 using freehgc::obs::PromSample;
 using freehgc::serve::ServeClient;
 
+constexpr char kUsage[] =
+    "usage: freehgc_top --port=P (or --port-file=PATH) "
+    "[--interval-ms=1000] [--iterations=0] [--once]\n"
+    "       freehgc_top --meta-port=P (or --meta-port-file="
+    "PATH) ...  # per-shard cluster dashboard\n";
+
+[[noreturn]] void Usage(const std::string& reason) {
+  std::fprintf(stderr, "freehgc_top: %s\n%s", reason.c_str(), kUsage);
+  std::exit(2);
+}
+
 bool FlagValue(const std::string& arg, const char* prefix, std::string* out) {
   const std::string p = prefix;
   if (arg.rfind(p, 0) != 0) return false;
   *out = arg.substr(p.size());
+  return true;
+}
+
+/// True when `arg` is `prefix` followed by a value, which is parsed into
+/// `*out`; a malformed integer exits 2 with the usage.
+template <typename T>
+bool IntFlag(const std::string& arg, const char* prefix, T* out) {
+  std::string v;
+  if (!FlagValue(arg, prefix, &v)) return false;
+  if (!freehgc::ParseInt(v.c_str(), out)) {
+    Usage("bad integer value: " + arg);
+  }
   return true;
 }
 
@@ -147,40 +172,24 @@ int main(int argc, char** argv) {
   long iterations = 0;  // 0 = forever
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
+    if (IntFlag(arg, "--port=", &port) ||
+        IntFlag(arg, "--meta-port=", &meta_port) ||
+        IntFlag(arg, "--interval-ms=", &interval_ms) ||
+        IntFlag(arg, "--iterations=", &iterations)) {
+      continue;
+    }
     std::string v;
-    if (FlagValue(arg, "--port=", &v)) {
-      port = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--port-file=", &v)) {
-      if (!ReadPortFile(v, &port)) {
-        std::fprintf(stderr, "cannot read port file %s\n", v.c_str());
-        return 2;
-      }
-    } else if (FlagValue(arg, "--meta-port=", &v)) {
-      meta_port = std::atoi(v.c_str());
+    if (FlagValue(arg, "--port-file=", &v)) {
+      if (!ReadPortFile(v, &port)) Usage("cannot read port file " + v);
     } else if (FlagValue(arg, "--meta-port-file=", &v)) {
-      if (!ReadPortFile(v, &meta_port)) {
-        std::fprintf(stderr, "cannot read port file %s\n", v.c_str());
-        return 2;
-      }
-    } else if (FlagValue(arg, "--interval-ms=", &v)) {
-      interval_ms = std::atoi(v.c_str());
-    } else if (FlagValue(arg, "--iterations=", &v)) {
-      iterations = std::atol(v.c_str());
+      if (!ReadPortFile(v, &meta_port)) Usage("cannot read port file " + v);
     } else if (arg == "--once") {
       iterations = 1;
     } else {
-      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
-      return 2;
+      Usage("unknown flag: " + arg);
     }
   }
-  if (port <= 0 && meta_port <= 0) {
-    std::fprintf(stderr,
-                 "usage: freehgc_top --port=P (or --port-file=PATH) "
-                 "[--interval-ms=1000] [--iterations=0] [--once]\n"
-                 "       freehgc_top --meta-port=P (or --meta-port-file="
-                 "PATH) ...  # per-shard cluster dashboard\n");
-    return 2;
-  }
+  if (port <= 0 && meta_port <= 0) Usage("a port is required");
   if (interval_ms < 1) interval_ms = 1;
   if (meta_port > 0) return RunMetaMode(meta_port, interval_ms, iterations);
 

@@ -126,9 +126,7 @@ int main(int argc, char** argv) {
   }
 
   exec::ExecContext ex(threads);
-  pipeline::PipelineEnv env;
-  env.exec = &ex;
-  pipeline::SweepRunner runner(std::move(spec), env);
+  pipeline::SweepRunner runner(std::move(spec), &ex);
 
   for (int run = 1; run <= repeat; ++run) {
     auto result = runner.Run();
