@@ -13,13 +13,16 @@
 // sparse workload; the dense rows and the spgemm_truncating row (the
 // author-paper-author product of AMiner at scale 0.25, reporting how
 // many rows the budget truncates) are the same in both modes. CI
-// asserts that the spgemm, spgemm_truncating, bipartite_block and
-// jaccard rows and every dense row are >= 1.0x.
+// asserts that the spgemm, spgemm_truncating, bipartite_block, jaccard
+// and ppr rows and every dense row are >= 1.0x.
 //
-// Three stages that have no reference to race are recorded time-only,
+// Four stages that have no reference to race are recorded time-only,
 // beside "compose": one lazy-greedy coverage selection over the train
-// pool of a composed path, one propagated feature block, and one SeHGNN
-// training epoch on the whole graph's blocks.
+// pool of a composed path, one NIM block build (BipartiteBlock then
+// SymNormalize, the work an ArtifactCache::NimBlock miss adds to its
+// compose) on AMiner's author-paper product at scale 0.25, one
+// propagated feature block, and one SeHGNN training epoch on the whole
+// graph's blocks.
 //
 // All timed paths are bit-identical to their references (enforced by
 // tests/sparse_reference_test.cc and tests/dense_reference_test.cc;
@@ -324,6 +327,21 @@ int Run(bool smoke) {
         Consume(sparse::reference::SpGemmRef(ap, pa, budget));
       }),
       BestOfNs(reps, [&] { Consume(sparse::SpGemm(ap, pa, budget, &ex)); }));
+  // Time-only: the miss cost of NIM's cached block (ArtifactCache::
+  // NimBlock minus the compose) on AMiner's author-paper product.
+  const MetaPath* author_paper = nullptr;
+  for (const auto& p : aminer_paths) {
+    if (p.hops() == 1 && p.relations[0] == apa->relations[0]) {
+      author_paper = &p;
+    }
+  }
+  FREEHGC_CHECK(author_paper != nullptr) << "no author-paper path";
+  const CsrMatrix ap_product =
+      ComposeAdjacency(aminer, *author_paper, budget, &ex);
+  const int64_t nim_block_ns = BestOfNs(reps, [&] {
+    Consume(sparse::SymNormalize(sparse::BipartiteBlock(ap_product, &ex),
+                                 &ex));
+  });
   add("spmm_dense",
       BestOfNs(reps,
                [&] { Consume(sparse::reference::SpMmDenseRef(*rect, feats)); }),
@@ -371,7 +389,7 @@ int Run(bool smoke) {
   const int64_t greedy_ns = BestOfNs(reps, [&] {
     g_sink += static_cast<int64_t>(
         core::GreedyCoverageSelect(coverage_adj, g.train_index(),
-                                   greedy_budget, nullptr, true, nullptr, &ex)
+                                   greedy_budget, nullptr, true)
             .size());
   });
   const int64_t block_ns = BestOfNs(
@@ -401,6 +419,10 @@ int Run(bool smoke) {
   });
   std::printf("greedy_coverage budget %d of %zu: %.3f ms\n", greedy_budget,
               g.train_index().size(), static_cast<double>(greedy_ns) * 1e-6);
+  std::printf("nim_block %s, nnz %lld: %.3f ms\n",
+              author_paper->Name(aminer).c_str(),
+              static_cast<long long>(ap_product.nnz()),
+              static_cast<double>(nim_block_ns) * 1e-6);
   std::printf("propagate_block %s: %.3f ms\n", round_trip->Name(g).c_str(),
               static_cast<double>(block_ns) * 1e-6);
   std::printf("train_epoch %s, %zu blocks: %.3f ms\n",
@@ -462,6 +484,12 @@ int Run(bool smoke) {
       "\"ns\": %lld},\n",
       g.train_index().size(), greedy_budget,
       static_cast<long long>(greedy_ns));
+  json += StrFormat(
+      "  \"nim_block\": {\"dataset\": \"aminer\", \"scale\": 0.25, "
+      "\"path\": \"%s\", \"nnz\": %lld, \"ns\": %lld},\n",
+      author_paper->Name(aminer).c_str(),
+      static_cast<long long>(ap_product.nnz()),
+      static_cast<long long>(nim_block_ns));
   json += StrFormat(
       "  \"propagate_block\": {\"path\": \"%s\", \"ns\": %lld},\n",
       round_trip->Name(g).c_str(), static_cast<long long>(block_ns));

@@ -33,6 +33,21 @@ const char* NimScorerName(NimScorer scorer) {
   return "?";
 }
 
+namespace {
+
+/// The unnormalized bipartite block of `p`'s full composed adjacency,
+/// read by the push and centrality scorers. The composed pin is released
+/// on return, so the entry is spillable again.
+CsrMatrix RawBlock(const HeteroGraph& g, const MetaPath& p,
+                   int64_t max_row_nnz, AdjacencyCache& cache,
+                   exec::ExecContext* ctx) {
+  const std::shared_ptr<const CsrMatrix> composed =
+      cache.Composed(g, p, max_row_nnz, ctx);
+  return sparse::BipartiteBlock(*composed, ctx);
+}
+
+}  // namespace
+
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
@@ -52,73 +67,99 @@ std::vector<int32_t> CondenseFatherType(
           ? 0.0f
           : 1.0f / static_cast<float>(selected_targets.size());
 
-  bool any_path = false;
+  std::vector<const MetaPath*> paths;
   for (const auto& p : paths_to_father) {
-    if (p.end_type() != father || p.start_type() != target) continue;
-    any_path = true;
-    // Pin held for one score only; released (spillable) per iteration.
-    const std::shared_ptr<const CsrMatrix> composed_pin =
-        cache.Composed(g, p, max_row_nnz, &ex);
-    const CsrMatrix& composed = *composed_pin;
-    CsrMatrix raw_block = sparse::BipartiteBlock(composed, &ex);
-    switch (opts.scorer) {
-      case NimScorer::kPprPowerIteration: {
-        // Normalized in place: the raw block is not read again.
-        const CsrMatrix block =
-            sparse::SymNormalize(std::move(raw_block), &ex);
-        std::vector<float> teleport(static_cast<size_t>(nt + ns), 0.0f);
-        for (int32_t t : selected_targets) {
-          teleport[static_cast<size_t>(t)] = teleport_mass;
-        }
-        // The bipartite block is bit-exactly symmetric: BipartiteBlock
-        // mirrors each entry with the same value, and SymNormalize scales
-        // mirror entries by the same single-rounded inv_sqrt product. So
-        // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy;
-        // it iterates only the half chain that feeds the father rows.
-        const std::vector<float> father_pi = sparse::PprScores(
-            block, nt, teleport, opts.alpha, opts.max_iters, &ex);
+    if (p.end_type() == father && p.start_type() == target) {
+      paths.push_back(&p);
+    }
+  }
+  switch (opts.scorer) {
+    case NimScorer::kPprPowerIteration: {
+      // Pin every path's block first, in path order, so that a miss
+      // builds on `ex` with the kernels' own parallelism rather than
+      // nested-serially inside the loop over paths below.
+      std::vector<std::shared_ptr<const CsrMatrix>> blocks;
+      blocks.reserve(paths.size());
+      for (const MetaPath* p : paths) {
+        blocks.push_back(cache.NimBlock(g, *p, max_row_nnz, &ex));
+      }
+      std::vector<float> teleport(static_cast<size_t>(nt + ns), 0.0f);
+      for (int32_t t : selected_targets) {
+        teleport[static_cast<size_t>(t)] = teleport_mass;
+      }
+      // The bipartite block is bit-exactly symmetric: BipartiteBlock
+      // mirrors each entry with the same value, and SymNormalize scales
+      // mirror entries by the same single-rounded inv_sqrt product. So
+      // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy; it
+      // iterates only the half chain that feeds the father rows.
+      auto score = [&](size_t i) {
+        return sparse::PprScores(*blocks[i], nt, teleport, opts.alpha,
+                                 opts.max_iters, &ex);
+      };
+      std::vector<std::vector<float>> father_pi(blocks.size());
+      if (blocks.size() == 1) {
+        father_pi[0] = score(0);  // keeps PprScores' row parallelism
+      } else {
+        // One path per chunk: each PprScores runs inline (a nested
+        // ParallelFor is serial), so the paths' PPRs run concurrently.
+        ex.ParallelFor(static_cast<int64_t>(blocks.size()), 1,
+                       [&](int64_t begin, int64_t end, exec::Workspace&) {
+                         for (int64_t i = begin; i < end; ++i) {
+                           father_pi[static_cast<size_t>(i)] =
+                               score(static_cast<size_t>(i));
+                         }
+                       });
+      }
+      // Summed in path order, so the double sums do not depend on which
+      // path finished first.
+      for (const std::vector<float>& pi : father_pi) {
         for (int32_t j = 0; j < ns; ++j) {
           influence[static_cast<size_t>(j)] +=
-              static_cast<double>(father_pi[static_cast<size_t>(j)]);
+              static_cast<double>(pi[static_cast<size_t>(j)]);
         }
-        break;
       }
-      case NimScorer::kPprPush: {
-        std::vector<std::pair<int32_t, float>> teleport;
-        teleport.reserve(selected_targets.size());
-        for (int32_t t : selected_targets) {
-          teleport.push_back({t, teleport_mass});
-        }
+      break;
+    }
+    case NimScorer::kPprPush: {
+      std::vector<std::pair<int32_t, float>> teleport;
+      teleport.reserve(selected_targets.size());
+      for (int32_t t : selected_targets) {
+        teleport.push_back({t, teleport_mass});
+      }
+      for (const MetaPath* p : paths) {
+        const CsrMatrix raw_block = RawBlock(g, *p, max_row_nnz, cache, &ex);
         const std::vector<float> pi = sparse::PprPush(
             raw_block, teleport, opts.alpha, opts.push_epsilon);
         for (int32_t j = 0; j < ns; ++j) {
           influence[static_cast<size_t>(j)] +=
               static_cast<double>(pi[static_cast<size_t>(nt + j)]);
         }
-        break;
       }
-      default: {
-        // Target-independent centrality replacements.
-        sparse::CentralityKind kind = sparse::CentralityKind::kDegree;
-        if (opts.scorer == NimScorer::kCloseness) {
-          kind = sparse::CentralityKind::kCloseness;
-        } else if (opts.scorer == NimScorer::kBetweenness) {
-          kind = sparse::CentralityKind::kBetweenness;
-        } else if (opts.scorer == NimScorer::kHubs) {
-          kind = sparse::CentralityKind::kHubs;
-        } else if (opts.scorer == NimScorer::kAuthorities) {
-          kind = sparse::CentralityKind::kAuthorities;
-        }
-        const std::vector<double> c =
-            sparse::Centrality(raw_block, kind, {}, &ex);
+      break;
+    }
+    default: {
+      // Target-independent centrality replacements.
+      sparse::CentralityKind kind = sparse::CentralityKind::kDegree;
+      if (opts.scorer == NimScorer::kCloseness) {
+        kind = sparse::CentralityKind::kCloseness;
+      } else if (opts.scorer == NimScorer::kBetweenness) {
+        kind = sparse::CentralityKind::kBetweenness;
+      } else if (opts.scorer == NimScorer::kHubs) {
+        kind = sparse::CentralityKind::kHubs;
+      } else if (opts.scorer == NimScorer::kAuthorities) {
+        kind = sparse::CentralityKind::kAuthorities;
+      }
+      for (const MetaPath* p : paths) {
+        const std::vector<double> c = sparse::Centrality(
+            RawBlock(g, *p, max_row_nnz, cache, &ex), kind, {}, &ex);
         for (int32_t j = 0; j < ns; ++j) {
           influence[static_cast<size_t>(j)] += c[static_cast<size_t>(nt + j)];
         }
-        break;
       }
+      break;
     }
   }
-  if (!any_path) {
+  if (paths.empty()) {
     // No meta-path reaches this type (disconnected schema); fall back to
     // degree so the budget is still honoured.
     for (RelationId r : g.RelationsFrom(father)) {

@@ -50,9 +50,14 @@ struct NimOptions {
 /// symmetric block matrix, sym-normalized (A_hat^sym of Eq. 10), and a PPR
 /// vector with teleport uniform over `selected_targets` is computed; the
 /// father-block entries of the vector are the row sums of Eq. 13.
-/// Each path is composed through `cache`, which keeps it across calls.
-/// Path composition, normalization, and the PPR / centrality scorer all
-/// run on `ctx` (bit-identical for every thread count).
+/// The PPR scorer reads each path's normalized block from
+/// `cache.NimBlock`, so a warm call does only the teleport-dependent
+/// work; the push and centrality scorers embed `cache.Composed`'s full
+/// product. All blocks are pinned first, in path order (a miss builds
+/// on `ctx` with the kernels' parallelism); then, with two or more
+/// paths, the paths' PPRs run concurrently on `ctx`, one path per task,
+/// and their scores are summed in path order. Bit-identical for every
+/// thread count.
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,

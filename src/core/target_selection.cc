@@ -30,7 +30,7 @@ struct Candidate {
 std::vector<int32_t> GreedyCoverageSelect(
     const CsrMatrix& adj, const std::vector<int32_t>& pool, int32_t budget,
     const std::vector<float>* diversity, bool use_coverage,
-    std::vector<double>* gains_out, exec::ExecContext* ctx) {
+    std::vector<double>* gains_out) {
   const int32_t k =
       std::min<int32_t>(budget, static_cast<int32_t>(pool.size()));
   if (gains_out != nullptr) gains_out->clear();
@@ -42,37 +42,27 @@ std::vector<int32_t> GreedyCoverageSelect(
       adj.cols() > 0 ? 1.0 / static_cast<double>(adj.cols()) : 0.0;
   std::vector<uint8_t> covered(static_cast<size_t>(adj.cols()), 0);
 
-  auto node_gain = [&](int32_t v) {
+  // A candidate's gain given its count of not-yet-covered columns.
+  auto gain_of = [&](int32_t v, int64_t fresh) {
     double gain = 0.0;
+    if (use_coverage) gain += static_cast<double>(fresh) * inv_cols;
+    if (diversity != nullptr) gain += (*diversity)[static_cast<size_t>(v)];
+    return gain;
+  };
+  auto node_gain = [&](int32_t v) {
+    int64_t fresh = 0;
     if (use_coverage) {
-      int64_t fresh = 0;
       for (int32_t c : adj.RowIndices(v)) {
         if (!covered[static_cast<size_t>(c)]) ++fresh;
       }
-      gain += static_cast<double>(fresh) * inv_cols;
     }
-    if (diversity != nullptr) {
-      gain += (*diversity)[static_cast<size_t>(v)];
-    }
-    return gain;
+    return gain_of(v, fresh);
   };
 
-  // Round-0 gains see an empty coverage set, so every candidate is
-  // independent: compute them in parallel, then heap-push in pool order
-  // (identical heap state to the sequential code).
-  std::vector<double> init_gain(pool.size());
-  exec::Resolve(ctx).ParallelFor(
-      static_cast<int64_t>(pool.size()), 256,
-      [&](int64_t begin, int64_t end, exec::Workspace&) {
-        for (int64_t i = begin; i < end; ++i) {
-          init_gain[static_cast<size_t>(i)] =
-              node_gain(pool[static_cast<size_t>(i)]);
-        }
-      });
+  // Round-0 gains see an empty coverage set, and CSR rows hold strictly
+  // ascending (unique) columns, so a row's fresh count is its length.
   std::priority_queue<Candidate> heap;
-  for (size_t i = 0; i < pool.size(); ++i) {
-    heap.push({init_gain[i], pool[i], 0});
-  }
+  for (int32_t v : pool) heap.push({gain_of(v, adj.RowNnz(v)), v, 0});
 
   std::vector<int32_t> out;
   out.reserve(static_cast<size_t>(k));
@@ -184,7 +174,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
       std::vector<double> gains;
       const std::vector<int32_t> picked = GreedyCoverageSelect(
           *composed[m], class_pool, class_budget[static_cast<size_t>(c)],
-          div, opts.use_receptive_field, &gains, &ex);
+          div, opts.use_receptive_field, &gains);
       for (size_t i = 0; i < picked.size(); ++i) {
         score[static_cast<size_t>(picked[i])] += gains[i];
       }

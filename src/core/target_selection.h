@@ -41,9 +41,9 @@ struct TargetSelectionOptions {
 /// `scores_out`, when non null, receives the aggregated per-node score
 /// (0 for never-selected nodes) — used by the Fig. 9 interpretability
 /// bench.
-/// Path composition, the Jaccard diversity term, and the initial greedy
-/// gain pass run on `ctx`; the lazy-greedy loop itself is sequential (its
-/// order is the algorithm). Bit-identical for every thread count.
+/// Path composition and the Jaccard diversity term run on `ctx`; the
+/// lazy-greedy loop itself is sequential (its order is the algorithm).
+/// Bit-identical for every thread count.
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
                                          int64_t max_row_nnz, int32_t budget,
@@ -59,15 +59,12 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
 /// (+ diversity[v] per selected v). Exposed for tests (submodularity
 /// properties) and the Fig. 9 bench. `gains_out`, when non-null, receives
 /// each selected node's marginal gain in selection order.
-/// The initial heap population (every candidate's gain against an empty
-/// selection) is embarrassingly parallel and runs on `ctx`; heap pushes
-/// happen in pool order afterwards, so results match the sequential code
-/// exactly.
+/// Against the empty round-0 selection a candidate's coverage is its row
+/// length, so the initial heap costs no column scan.
 std::vector<int32_t> GreedyCoverageSelect(
     const CsrMatrix& adj, const std::vector<int32_t>& pool, int32_t budget,
     const std::vector<float>* diversity, bool use_coverage,
-    std::vector<double>* gains_out = nullptr,
-    exec::ExecContext* ctx = nullptr);
+    std::vector<double>* gains_out = nullptr);
 
 }  // namespace freehgc::core
 

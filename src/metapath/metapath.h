@@ -82,7 +82,7 @@ enum class RowSet : uint8_t {
 /// every (method, ratio, seed) cell of a sweep. FreeHGC's selection stages
 /// take a required AdjacencyCache and compose every path through it: a
 /// cache miss is the only place selection composes an adjacency or
-/// computes a diversity. The canonical implementation is
+/// computes a diversity or a NIM block. The canonical implementation is
 /// pipeline::ArtifactCache — declaring the interface here keeps core/hgnn
 /// free of a pipeline dependency.
 ///
@@ -111,6 +111,15 @@ class AdjacencyCache {
   virtual std::shared_ptr<const CsrMatrix> Diversity(
       const HeteroGraph& g, const std::vector<MetaPath>& group,
       int64_t max_row_nnz, exec::ExecContext* ctx) = 0;
+
+  /// A pin of NIM's PPR-ready block of `p` (Eq. 10):
+  /// SymNormalize(BipartiteBlock(A)), where A is the full composed
+  /// adjacency of `p` at `max_row_nnz`. Like a diversity, it depends only
+  /// on the graph and the path, so a cache keeps one entry per path; a
+  /// miss composes A without caching it.
+  virtual std::shared_ptr<const CsrMatrix> NimBlock(
+      const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
+      exec::ExecContext* ctx) = 0;
 
   /// The full product: Composed(g, p, max_row_nnz, ctx, RowSet::kAll).
   std::shared_ptr<const CsrMatrix> Composed(const HeteroGraph& g,

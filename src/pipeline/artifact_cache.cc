@@ -14,6 +14,7 @@
 #include "graph/section_io.h"
 #include "hgnn/feature_spill.h"
 #include "obs/metrics.h"
+#include "sparse/ops.h"
 
 namespace freehgc::pipeline {
 
@@ -22,6 +23,9 @@ namespace {
 /// Mixed into a path group's signature to key its diversity entry apart
 /// from every adjacency in the same map.
 constexpr uint64_t kDiversityDomain = 0x64697665727369ULL;  // "diversi"
+/// Mixed into a path's signature to key its NIM block apart from the
+/// path's composed adjacencies.
+constexpr uint64_t kNimBlockDomain = 0x6e696d626c6f636bULL;  // "nimblock"
 
 /// ContentHash over a fixed list of 64-bit words.
 template <typename... Words>
@@ -231,6 +235,28 @@ std::shared_ptr<const CsrMatrix> ArtifactCache::Diversity(
         Built<CsrMatrix> out;
         out.value = std::make_shared<const CsrMatrix>(
             PathDiversity(g, composed, ctx));
+        return out;
+      },
+      nullptr);
+}
+
+std::shared_ptr<const CsrMatrix> ArtifactCache::NimBlock(
+    const HeteroGraph& g, const MetaPath& p, int64_t max_row_nnz,
+    exec::ExecContext* ctx) {
+  const AdjKey key{FingerprintOf(g),
+                   HashWords(PathSignature(p), kNimBlockDomain), max_row_nnz,
+                   RowSet::kAll};
+  return GetOrLoad(
+      adjacencies_, key, MapCsrEntry,
+      [&] {
+        // The composed product dies inside BipartiteBlock's statement,
+        // and the raw block is normalized in place: at most the product
+        // and one block are live at once.
+        CsrMatrix raw = sparse::BipartiteBlock(
+            ComposeAdjacency(g, p, max_row_nnz, ctx), ctx);
+        Built<CsrMatrix> out;
+        out.value = std::make_shared<const CsrMatrix>(
+            sparse::SymNormalize(std::move(raw), ctx));
         return out;
       },
       nullptr);

@@ -23,16 +23,19 @@ namespace freehgc::pipeline {
 /// Tiered cache of the deterministic, seed/ratio-independent artifacts a
 /// sweep (or a serving process) recomputes per cell today: composed
 /// meta-path adjacencies (the dominant SpGEMM cost of condensation),
-/// each path group's Jaccard diversity (Eq. 7), whole-graph
+/// each path group's Jaccard diversity (Eq. 7), each path's normalized
+/// NIM block (Eq. 10), whole-graph
 /// pre-propagated feature blocks, and whole-graph training baselines.
 ///
 /// Keying: every entry is keyed by the graph's 64-bit ContentFingerprint
 /// plus the computation's parameters (path signature + max_row_nnz + row
 /// set for adjacencies; the group's path-list signature, tagged so it
 /// never equals a path signature, + max_row_nnz + row set for
-/// diversities, which live in the adjacency map as CsrMatrix entries;
-/// path-list signature + max_row_nnz for propagation, whose blocks do
-/// not depend on the budget; HgnnConfig signature for baselines). A
+/// diversities; the path signature under a NIM-block tag + max_row_nnz
+/// for NIM blocks; path-list signature + max_row_nnz for propagation,
+/// whose blocks do not depend on the budget; HgnnConfig signature for
+/// baselines). Diversities and NIM blocks live in the adjacency map as
+/// CsrMatrix entries, so they are budgeted and spilled like adjacencies. A
 /// changed graph changes its fingerprint, so stale entries are
 /// unreachable rather than invalidated. Determinism
 /// invariant: every cached value is the exact output of a deterministic
@@ -40,7 +43,7 @@ namespace freehgc::pipeline {
 /// (tests/pipeline_test.cc) — and so are spilled-and-restored runs
 /// (tests/spill_test.cc). FreeHGC's selection stages compose only
 /// through an AdjacencyCache, so a miss here is the one place an
-/// adjacency or a diversity is computed for them.
+/// adjacency, a diversity or a NIM block is computed for them.
 ///
 /// Tiers: by default (no ConfigureSpill) the cache is the classic
 /// grow-only heap memo — nothing is ever evicted. With ConfigureSpill it
@@ -55,12 +58,13 @@ namespace freehgc::pipeline {
 /// is spooled to disk as it is computed, so the whole PropagatedFeatures
 /// never materializes on the heap at once.
 ///
-/// Single flight: Composed, Diversity and Propagated run one computation
-/// (or spill restore) per key at a time. Concurrent callers of a key that
-/// is being loaded wait for it and count as hits, so two requests that
-/// arrive together on a cold graph compose or propagate it once.
+/// Single flight: Composed, Diversity, NimBlock and Propagated run one
+/// computation (or spill restore) per key at a time. Concurrent callers
+/// of a key that is being loaded wait for it and count as hits, so two
+/// requests that arrive together on a cold graph compose or propagate it
+/// once.
 ///
-/// Pinning: Composed/Diversity/Propagated return shared_ptr pins. A
+/// Pinning: Composed/Diversity/NimBlock/Propagated return shared_ptr pins. A
 /// pinned entry (use_count > 1) is never spilled; eviction considers it
 /// once every outside pin is released. Callers hold the pin across every
 /// use of the value and drop it when done (see metapath::AdjacencyCache).
@@ -108,6 +112,13 @@ class ArtifactCache final : public AdjacencyCache {
   std::shared_ptr<const CsrMatrix> Diversity(
       const HeteroGraph& g, const std::vector<MetaPath>& group,
       int64_t max_row_nnz, exec::ExecContext* ctx) override;
+  /// A miss composes the full product with ComposeAdjacency directly (no
+  /// RowSet::kAll entry is created), embeds it with BipartiteBlock and
+  /// normalizes that block in place.
+  std::shared_ptr<const CsrMatrix> NimBlock(const HeteroGraph& g,
+                                            const MetaPath& p,
+                                            int64_t max_row_nnz,
+                                            exec::ExecContext* ctx) override;
 
   /// Whole-graph propagated feature blocks for (g, paths, max_row_nnz),
   /// the blocks of every cached EvalContext: pipeline::BuildEvalContext
@@ -169,7 +180,8 @@ class ArtifactCache final : public AdjacencyCache {
   void Clear();
 
  private:
-  /// (graph fp, path or tagged group signature, max_row_nnz, row set).
+  /// (graph fp, path or tagged group/block signature, max_row_nnz, row
+  /// set).
   using AdjKey = std::tuple<uint64_t, uint64_t, int64_t, RowSet>;
   /// (graph fp, path-list signature, max_row_nnz).
   using PropKey = std::tuple<uint64_t, uint64_t, int64_t>;
@@ -214,11 +226,11 @@ class ArtifactCache final : public AdjacencyCache {
     size_t owned_bytes = 0;
   };
 
-  /// The single-flight lookup behind Composed, Diversity and Propagated:
-  /// a resident entry is a hit; otherwise this caller restores the
-  /// spilled copy (`restore(path)`, a hit) or runs `build()` (a miss),
-  /// outside the lock, while concurrent callers of `key` wait for it. `built`
-  /// (optional) reports whether this call ran `build`.
+  /// The single-flight lookup behind Composed, Diversity, NimBlock and
+  /// Propagated: a resident entry is a hit; otherwise this caller
+  /// restores the spilled copy (`restore(path)`, a hit) or runs `build()`
+  /// (a miss), outside the lock, while concurrent callers of `key` wait
+  /// for it. `built` (optional) reports whether this call ran `build`.
   template <typename T, typename Key, typename Restore, typename Build>
   std::shared_ptr<const T> GetOrLoad(std::map<Key, Entry<T>>& entries,
                                      const Key& key, Restore restore,

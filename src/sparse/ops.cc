@@ -58,6 +58,29 @@ uint64_t SelectionKey(float v, int32_t col) {
          static_cast<uint32_t>(~col);
 }
 
+// Rows [begin, end) of `m` in ascending-length order, ties in row order:
+// a stable counting sort on RowNnz. A row-local kernel that visits rows
+// in this order runs its inner loop with equal trip counts back to back,
+// which the branch predictor follows.
+std::vector<int32_t> RowsByLength(const CsrMatrix& m, int32_t begin,
+                                  int32_t end) {
+  int64_t max_len = 0;
+  for (int32_t r = begin; r < end; ++r) {
+    max_len = std::max(max_len, m.RowNnz(r));
+  }
+  std::vector<int64_t> slot(static_cast<size_t>(max_len) + 2, 0);
+  for (int32_t r = begin; r < end; ++r) {
+    ++slot[static_cast<size_t>(m.RowNnz(r)) + 1];
+  }
+  // Now slot[len] is the first output position of the rows of length len.
+  for (size_t len = 1; len < slot.size(); ++len) slot[len] += slot[len - 1];
+  std::vector<int32_t> rows(static_cast<size_t>(end - begin));
+  for (int32_t r = begin; r < end; ++r) {
+    rows[static_cast<size_t>(slot[static_cast<size_t>(m.RowNnz(r))]++)] = r;
+  }
+  return rows;
+}
+
 // Debug builds assert the full CSR contract (sorted unique columns,
 // monotone indptr, finite values) after every structure-producing
 // kernel; release builds skip the O(nnz) scan.
@@ -494,20 +517,22 @@ std::vector<float> PprScores(const CsrMatrix& block, int32_t split,
   static obs::Counter& iters_ctr =
       obs::MetricsRegistry::Global().GetCounter("ppr.iterations");
   exec::ExecContext& ex = exec::Resolve(ctx);
+  const std::vector<int32_t> target_rows = RowsByLength(block, 0, split);
+  const std::vector<int32_t> father_rows = RowsByLength(block, split, n);
   std::vector<float> pi = teleport;
   for (int it = 0; it < max_iters; ++it) {
     // The last step computes the father rows [split, n); going back, the
     // steps alternate with the target rows [0, split).
     const bool father = (max_iters - 1 - it) % 2 == 0;
-    const int64_t begin_row = father ? split : 0;
-    const int64_t end_row = father ? n : split;
+    const std::vector<int32_t>& rows = father ? father_rows : target_rows;
     iters_ctr.Increment();
     ex.ParallelFor(
-        end_row - begin_row, kRowScaleGrain,
+        static_cast<int64_t>(rows.size()), kRowScaleGrain,
         [&](int64_t begin, int64_t end, exec::Workspace&) {
-          for (int64_t i = begin_row + begin; i < begin_row + end; ++i) {
-            auto idx = block.RowIndices(static_cast<int32_t>(i));
-            auto val = block.RowValues(static_cast<int32_t>(i));
+          for (int64_t j = begin; j < end; ++j) {
+            const int32_t i = rows[static_cast<size_t>(j)];
+            auto idx = block.RowIndices(i);
+            auto val = block.RowValues(i);
             float propagated = 0.0f;
             for (size_t k = 0; k < idx.size(); ++k) {
               propagated += val[k] * pi[static_cast<size_t>(idx[k])];

@@ -103,6 +103,11 @@ CsrMatrix Submatrix(const CsrMatrix& a, const std::vector<int32_t>& row_keep,
 /// product), A pi == A^T pi bit for bit, which is Eq. (13)'s aggregate
 /// neighbor influence; reference::PprScoresRef (A^T pi, any matrix) is
 /// its oracle. Dies on a block with an entry inside a half.
+///
+/// Each step visits its half's rows in ascending-length order (a stable
+/// counting sort per call), so the inner loop runs equal trip counts
+/// back to back instead of mispredicting on every length change. Rows of
+/// one step are independent, so the order moves no value.
 std::vector<float> PprScores(const CsrMatrix& block, int32_t split,
                              const std::vector<float>& teleport, float alpha,
                              int max_iters, exec::ExecContext* ctx = nullptr);

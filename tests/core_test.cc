@@ -14,6 +14,7 @@
 #include "datasets/generator.h"
 #include "metapath/metapath.h"
 #include "pipeline/artifact_cache.h"
+#include "sparse/ops.h"
 
 namespace freehgc::core {
 namespace {
@@ -223,10 +224,11 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
 }
 
 /// Composes afresh on every lookup, memoizing nothing, while recording
-/// the row set of every composition request and the size of every
-/// diversity group; with `force_full` it ignores the row set and serves
-/// the full product (what selection composed before row restriction),
-/// diversity groups included.
+/// the row set of every composition request, the size of every
+/// diversity group and the number of NIM block requests; with
+/// `force_full` it ignores the row set and serves the full product (what
+/// selection composed before row restriction), diversity groups
+/// included.
 class RowSetRecorder final : public AdjacencyCache {
  public:
   explicit RowSetRecorder(bool force_full = false) : force_full_(force_full) {}
@@ -254,8 +256,20 @@ class RowSetRecorder final : public AdjacencyCache {
     return std::make_shared<const CsrMatrix>(PathDiversity(g, composed, ctx));
   }
 
+  std::shared_ptr<const CsrMatrix> NimBlock(const HeteroGraph& g,
+                                            const MetaPath& p,
+                                            int64_t max_row_nnz,
+                                            exec::ExecContext* ctx) override {
+    ++nim_blocks;
+    return std::make_shared<const CsrMatrix>(sparse::SymNormalize(
+        sparse::BipartiteBlock(Compose(g, p, max_row_nnz, ctx, RowSet::kAll),
+                               ctx),
+        ctx));
+  }
+
   std::vector<RowSet> requested;
   std::vector<size_t> diversity_groups;
+  int nim_blocks = 0;
 
  private:
   CsrMatrix Compose(const HeteroGraph& g, const MetaPath& p,
@@ -378,6 +392,76 @@ TEST(NimTest, BudgetZeroAndClamping) {
                                       kMaxRowNnz, g.train_index(), 10000,
                                       nopts, cache);
   EXPECT_EQ(static_cast<int32_t>(all.size()), g.NodeCount(father));
+}
+
+TEST(NimTest, PprReadsOnlyNimBlocksAndPushReadsTheFullProduct) {
+  // The PPR scorer asks the cache for one NIM block per path and never
+  // for a composed adjacency, while the push scorer still embeds the
+  // full product. The PPR picks match on a memo-free recorder and on a
+  // fresh and a warm ArtifactCache at 1 and 4 threads (a warm call
+  // builds nothing), with the paths scored concurrently.
+  const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 8;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  TypeId father = -1;
+  size_t most = 0;
+  for (const MetaPath& p : paths) {
+    const size_t n = FilterByEndType(paths, p.end_type()).size();
+    if (p.end_type() != g.target_type() && n > most) {
+      father = p.end_type();
+      most = n;
+    }
+  }
+  ASSERT_GE(most, 2u) << "no father type with two paths";
+  const auto to_father = FilterByEndType(paths, father);
+  std::vector<int32_t> targets;
+  for (size_t i = 0; i < g.train_index().size(); i += 3) {
+    targets.push_back(g.train_index()[i]);
+  }
+  const int32_t budget = g.NodeCount(father) / 4;
+  const NimOptions ppr;
+  exec::ExecContext ex1(1);
+  RowSetRecorder want_recorder;
+  const auto want = CondenseFatherType(g, father, to_father, kMaxRowNnz,
+                                       targets, budget, ppr, want_recorder,
+                                       &ex1);
+  ASSERT_EQ(want.size(), static_cast<size_t>(budget));
+  EXPECT_TRUE(want_recorder.requested.empty());
+  EXPECT_EQ(want_recorder.nim_blocks, static_cast<int>(to_father.size()));
+  for (int threads : {1, 4}) {
+    exec::ExecContext ex(threads);
+    RowSetRecorder recorder;
+    EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
+                                 budget, ppr, recorder, &ex),
+              want)
+        << threads;
+    EXPECT_TRUE(recorder.requested.empty()) << threads;
+
+    pipeline::ArtifactCache artifacts;
+    EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
+                                 budget, ppr, artifacts, &ex),
+              want)
+        << threads;
+    const auto cold = artifacts.stats();
+    EXPECT_EQ(cold.misses, static_cast<int64_t>(to_father.size()))
+        << "a NIM block miss cached its composed product";
+    EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
+                                 budget, ppr, artifacts, &ex),
+              want)
+        << threads;
+    EXPECT_EQ(artifacts.stats().misses, cold.misses) << threads;
+  }
+
+  NimOptions push;
+  push.scorer = NimScorer::kPprPush;
+  RowSetRecorder push_recorder;
+  CondenseFatherType(g, father, to_father, kMaxRowNnz, targets, budget, push,
+                     push_recorder, &ex1);
+  EXPECT_EQ(push_recorder.requested,
+            std::vector<RowSet>(to_father.size(), RowSet::kAll));
+  EXPECT_EQ(push_recorder.nim_blocks, 0);
 }
 
 // --- ILM ----------------------------------------------------------------------

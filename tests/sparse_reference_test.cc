@@ -407,6 +407,49 @@ TEST(SparseReferenceTest, PprScoresMatchesReference) {
   }
 }
 
+TEST(SparseReferenceTest, PprScoresOnSkewedRowLengthsMatchesReference) {
+  // PprScores visits each half's rows in ascending-length order. On a
+  // block whose row lengths are skewed, that order is far from row
+  // order: one father row (column 0 of m) reaches most targets, the
+  // other fathers reach one to three, and both halves hold empty rows
+  // (every seventh target and the last 100 fathers have no edge). The
+  // father half must still equal the reference's byte for byte.
+  constexpr int32_t kTargets = 1200, kFathers = 700;
+  Rng rng(53);
+  std::vector<CooEntry> entries;
+  for (int32_t r = 0; r < kTargets; ++r) {
+    if (r % 7 == 0) continue;
+    if (r % 3 != 0) entries.push_back({r, 0, rng.NextUniform(0.1f, 2.0f)});
+    const int32_t extra = 1 + static_cast<int32_t>(rng.NextBounded(3));
+    for (int32_t k = 0; k < extra; ++k) {
+      const int32_t c = 1 + static_cast<int32_t>(rng.NextBounded(599));
+      entries.push_back({r, c, rng.NextUniform(0.1f, 2.0f)});
+    }
+  }
+  const CsrMatrix m = FromCooOrDie(kTargets, kFathers, std::move(entries));
+  const CsrMatrix block = sparse::SymNormalize(sparse::BipartiteBlock(m));
+  ASSERT_GT(block.RowNnz(kTargets), kTargets / 2);
+  ASSERT_EQ(block.RowNnz(0), 0);
+  ASSERT_EQ(block.RowNnz(kTargets + kFathers - 1), 0);
+  std::vector<float> teleport(static_cast<size_t>(block.rows()), 0.0f);
+  for (int32_t t = 0; t < kTargets; t += 5) {
+    teleport[static_cast<size_t>(t)] = 1.0f / 240.0f;
+  }
+  for (int iters : {1, 2, 30}) {
+    const std::vector<float> full =
+        sparse::reference::PprScoresRef(block, teleport, 0.15f, iters, 0.0f);
+    const std::span<const float> want(full.data() + kTargets, kFathers);
+    for (int threads : kThreadCountsWide) {
+      exec::ExecContext ex(threads);
+      ExpectSameBytes(
+          sparse::PprScores(block, kTargets, teleport, 0.15f, iters, &ex),
+          want,
+          "iters=" + std::to_string(iters) +
+              " threads=" + std::to_string(threads));
+    }
+  }
+}
+
 TEST(SparseReferenceTest, PprScoresOnIsolatedTeleportIsZero) {
   // All teleport mass sits on targets 3-5, which have no edge: no mass
   // ever reaches a father. The reference with tol = 1e-6 stops after 2

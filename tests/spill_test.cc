@@ -6,8 +6,10 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <thread>
@@ -25,6 +27,7 @@
 #include "pipeline/artifact_cache.h"
 #include "serve/graph_store.h"
 #include "serve/service.h"
+#include "sparse/ops.h"
 
 namespace freehgc {
 namespace {
@@ -328,6 +331,71 @@ TEST(SpillCacheTest, SpilledDiversityRestoresTheSameCondensedGraph) {
   EXPECT_EQ(std::memcmp(div->values().data(), want_div.values().data(),
                         want_div.values().size() * sizeof(float)),
             0);
+  cache.Clear();
+  RemoveTree(dir);
+}
+
+TEST(SpillCacheTest, SpilledNimBlockRestoresBitIdentical) {
+  // A NIM block entry is the direct SymNormalize(BipartiteBlock(A)) of
+  // the path's full product byte for byte: fresh, warm, and restored as
+  // a mapped view after a zero budget spilled it. Its spool file is its
+  // own, apart from the same path's RowSet::kAll adjacency file.
+  const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
+  exec::ExecContext ex(2);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  const MetaPath* path = nullptr;
+  for (const MetaPath& p : paths) {
+    if (p.hops() == 2 && p.end_type() != g.target_type()) path = &p;
+  }
+  ASSERT_NE(path, nullptr);
+  const int64_t max_row_nnz = mp.max_row_nnz;
+  const CsrMatrix want = sparse::SymNormalize(sparse::BipartiteBlock(
+      ComposeAdjacency(g, *path, max_row_nnz, &ex), &ex));
+  auto expect_want = [&](const CsrMatrix& got, const char* what) {
+    EXPECT_EQ(got, want) << what;
+    ASSERT_EQ(got.values().size(), want.values().size()) << what;
+    EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                          want.values().size() * sizeof(float)),
+              0)
+        << what;
+  };
+  auto spool_files = [](const std::string& dir) {
+    std::vector<std::string> names;
+    for (const auto& f : std::filesystem::directory_iterator(dir)) {
+      names.push_back(f.path().filename().string());
+    }
+    std::sort(names.begin(), names.end());
+    return names;
+  };
+
+  const std::string dir = ScratchDir("nim_block");
+  pipeline::ArtifactCache cache;
+  ASSERT_TRUE(cache.ConfigureSpill({0, dir}).ok());
+  expect_want(*cache.NimBlock(g, *path, max_row_nnz, &ex), "fresh");
+  EXPECT_EQ(cache.stats().misses, 1) << "the miss cached its composed product";
+  {
+    const auto pin = cache.NimBlock(g, *path, max_row_nnz, &ex);
+    cache.TrimToBudget();  // pinned: stays resident
+    expect_want(*pin, "warm");
+  }
+  EXPECT_EQ(cache.stats().misses, 1);
+  cache.TrimToBudget();
+  EXPECT_EQ(cache.stats().resident_bytes, 0u);
+  const std::vector<std::string> block_file = spool_files(dir);
+  ASSERT_EQ(block_file.size(), 1u);
+
+  expect_want(*cache.NimBlock(g, *path, max_row_nnz, &ex), "restored");
+  const auto restored = cache.stats();
+  EXPECT_EQ(restored.misses, 1) << "the restore recomputed the block";
+  EXPECT_EQ(restored.restores, 1);
+
+  cache.Composed(g, *path, max_row_nnz, &ex);
+  cache.TrimToBudget();
+  const std::vector<std::string> files = spool_files(dir);
+  ASSERT_EQ(files.size(), 2u) << "the adjacency reused the block's file";
+  EXPECT_TRUE(files[0] == block_file[0] || files[1] == block_file[0]);
   cache.Clear();
   RemoveTree(dir);
 }
