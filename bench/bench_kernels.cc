@@ -41,6 +41,7 @@
 
 #include "bench_common.h"
 #include "common/rng.h"
+#include "core/other_types.h"
 #include "core/target_selection.h"
 #include "dense/reference.h"
 #include "hgnn/models.h"
@@ -243,8 +244,6 @@ int Run(bool smoke) {
   for (int32_t t = 0; t < nim_path->rows(); t += 16) {
     teleport[static_cast<size_t>(t)] = 1.0f / static_cast<float>(seeds);
   }
-  // NimOptions::max_iters: NIM's PPR always runs all of them.
-  const int ppr_iters = 30;
 
   std::vector<KernelRow> rows;
   auto add_row = [&](const std::string& name, bool dense, int row_threads,
@@ -361,16 +360,17 @@ int Run(bool smoke) {
   auto jaccard_opt = [&] { return PerPathJaccard(*jaccard_group, &ex); };
   FREEHGC_CHECK(jaccard_ref() == jaccard_opt()) << "jaccard differs";
   add_repeated("jaccard", jaccard_ref, jaccard_opt);
-  // tol = 0 runs all ppr_iters reference iterations, as PprScores does;
+  // tol = 0 runs all kNimPprIters reference iterations, as PprScores does;
   // PprScores returns the reference's father half.
   const int32_t ppr_split = nim_path->rows();
   auto ppr_ref = [&] {
-    return sparse::reference::PprScoresRef(nim_block, teleport, 0.15f,
-                                           ppr_iters, 0.0f);
+    return sparse::reference::PprScoresRef(nim_block, teleport,
+                                           core::kNimAlpha,
+                                           core::kNimPprIters, 0.0f);
   };
   auto ppr_opt = [&] {
-    return sparse::PprScores(nim_block, ppr_split, teleport, 0.15f,
-                             ppr_iters, &ex);
+    return sparse::PprScores(nim_block, ppr_split, teleport,
+                             core::kNimAlpha, core::kNimPprIters, &ex);
   };
   {
     const std::vector<float> full = ppr_ref();

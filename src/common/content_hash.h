@@ -30,10 +30,12 @@ namespace freehgc {
 class ContentHash {
  public:
   void Bytes(const void* data, size_t n) {
+    // An empty span changes nothing, and its `data` may be null.
+    if (n == 0) return;
     const auto* p = static_cast<const unsigned char*>(data);
     total_ += n;
     if (buffered_ + n < kStripe) {
-      if (n > 0) std::memcpy(buffer_ + buffered_, p, n);
+      std::memcpy(buffer_ + buffered_, p, n);
       buffered_ += n;
       return;
     }

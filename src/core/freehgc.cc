@@ -230,7 +230,7 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
         case FatherStrategy::kNim:
           mapping.keep = CondenseFatherType(
               g, t, FilterByEndType(paths, t), opts.max_row_nnz,
-              selected_target, budget, opts.nim, *cache, &ex);
+              selected_target, budget, *cache, &ex);
           break;
         case FatherStrategy::kHerding:
           mapping.keep =
@@ -292,7 +292,7 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
           if (budget * 4 < parent_count * 3) {
             mapping.keep = CondenseFatherType(
                 g, t, FilterByEndType(paths, t), opts.max_row_nnz,
-                selected_target, budget, opts.nim, *cache, &ex);
+                selected_target, budget, *cache, &ex);
             break;
           }
           LeafSynthesis synth = SynthesizeLeafType(g, t, parents, budget, &ex);

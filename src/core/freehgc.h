@@ -36,7 +36,6 @@ struct FreeHgcOptions : MetaPathOptions {
   /// Condensation ratio r: every node type keeps ~r * N_type nodes.
   double ratio = 0.024;
   TargetSelectionOptions target;
-  NimOptions nim;
   TargetStrategy target_strategy = TargetStrategy::kCriterion;
   FatherStrategy father_strategy = FatherStrategy::kNim;
   LeafStrategy leaf_strategy = LeafStrategy::kIlm;

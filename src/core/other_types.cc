@@ -8,51 +8,15 @@
 #include <utility>
 
 #include "common/logging.h"
-#include "sparse/centrality.h"
 #include "sparse/ops.h"
 
 namespace freehgc::core {
-
-const char* NimScorerName(NimScorer scorer) {
-  switch (scorer) {
-    case NimScorer::kPprPowerIteration:
-      return "ppr";
-    case NimScorer::kPprPush:
-      return "ppr-push";
-    case NimScorer::kDegree:
-      return "degree";
-    case NimScorer::kCloseness:
-      return "closeness";
-    case NimScorer::kBetweenness:
-      return "betweenness";
-    case NimScorer::kHubs:
-      return "hubs";
-    case NimScorer::kAuthorities:
-      return "authorities";
-  }
-  return "?";
-}
-
-namespace {
-
-/// The unnormalized bipartite block of `p`'s full composed adjacency,
-/// read by the push and centrality scorers. The composed pin is released
-/// on return, so the entry is spillable again.
-CsrMatrix RawBlock(const HeteroGraph& g, const MetaPath& p,
-                   int64_t max_row_nnz, AdjacencyCache& cache,
-                   exec::ExecContext* ctx) {
-  const std::shared_ptr<const CsrMatrix> composed =
-      cache.Composed(g, p, max_row_nnz, ctx);
-  return sparse::BipartiteBlock(*composed, ctx);
-}
-
-}  // namespace
 
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
     const std::vector<int32_t>& selected_targets, int32_t budget,
-    const NimOptions& opts, AdjacencyCache& cache, exec::ExecContext* ctx) {
+    AdjacencyCache& cache, exec::ExecContext* ctx) {
   const TypeId target = g.target_type();
   FREEHGC_CHECK(target >= 0);
   exec::ExecContext& ex = exec::Resolve(ctx);
@@ -73,90 +37,47 @@ std::vector<int32_t> CondenseFatherType(
       paths.push_back(&p);
     }
   }
-  switch (opts.scorer) {
-    case NimScorer::kPprPowerIteration: {
-      // Pin every path's block first, in path order, so that a miss
-      // builds on `ex` with the kernels' own parallelism rather than
-      // nested-serially inside the loop over paths below.
-      std::vector<std::shared_ptr<const CsrMatrix>> blocks;
-      blocks.reserve(paths.size());
-      for (const MetaPath* p : paths) {
-        blocks.push_back(cache.NimBlock(g, *p, max_row_nnz, &ex));
-      }
-      std::vector<float> teleport(static_cast<size_t>(nt + ns), 0.0f);
-      for (int32_t t : selected_targets) {
-        teleport[static_cast<size_t>(t)] = teleport_mass;
-      }
-      // The bipartite block is bit-exactly symmetric: BipartiteBlock
-      // mirrors each entry with the same value, and SymNormalize scales
-      // mirror entries by the same single-rounded inv_sqrt product. So
-      // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy; it
-      // iterates only the half chain that feeds the father rows.
-      auto score = [&](size_t i) {
-        return sparse::PprScores(*blocks[i], nt, teleport, opts.alpha,
-                                 opts.max_iters, &ex);
-      };
-      std::vector<std::vector<float>> father_pi(blocks.size());
-      if (blocks.size() == 1) {
-        father_pi[0] = score(0);  // keeps PprScores' row parallelism
-      } else {
-        // One path per chunk: each PprScores runs inline (a nested
-        // ParallelFor is serial), so the paths' PPRs run concurrently.
-        ex.ParallelFor(static_cast<int64_t>(blocks.size()), 1,
-                       [&](int64_t begin, int64_t end, exec::Workspace&) {
-                         for (int64_t i = begin; i < end; ++i) {
-                           father_pi[static_cast<size_t>(i)] =
-                               score(static_cast<size_t>(i));
-                         }
-                       });
-      }
-      // Summed in path order, so the double sums do not depend on which
-      // path finished first.
-      for (const std::vector<float>& pi : father_pi) {
-        for (int32_t j = 0; j < ns; ++j) {
-          influence[static_cast<size_t>(j)] +=
-              static_cast<double>(pi[static_cast<size_t>(j)]);
-        }
-      }
-      break;
-    }
-    case NimScorer::kPprPush: {
-      std::vector<std::pair<int32_t, float>> teleport;
-      teleport.reserve(selected_targets.size());
-      for (int32_t t : selected_targets) {
-        teleport.push_back({t, teleport_mass});
-      }
-      for (const MetaPath* p : paths) {
-        const CsrMatrix raw_block = RawBlock(g, *p, max_row_nnz, cache, &ex);
-        const std::vector<float> pi = sparse::PprPush(
-            raw_block, teleport, opts.alpha, opts.push_epsilon);
-        for (int32_t j = 0; j < ns; ++j) {
-          influence[static_cast<size_t>(j)] +=
-              static_cast<double>(pi[static_cast<size_t>(nt + j)]);
-        }
-      }
-      break;
-    }
-    default: {
-      // Target-independent centrality replacements.
-      sparse::CentralityKind kind = sparse::CentralityKind::kDegree;
-      if (opts.scorer == NimScorer::kCloseness) {
-        kind = sparse::CentralityKind::kCloseness;
-      } else if (opts.scorer == NimScorer::kBetweenness) {
-        kind = sparse::CentralityKind::kBetweenness;
-      } else if (opts.scorer == NimScorer::kHubs) {
-        kind = sparse::CentralityKind::kHubs;
-      } else if (opts.scorer == NimScorer::kAuthorities) {
-        kind = sparse::CentralityKind::kAuthorities;
-      }
-      for (const MetaPath* p : paths) {
-        const std::vector<double> c = sparse::Centrality(
-            RawBlock(g, *p, max_row_nnz, cache, &ex), kind, {}, &ex);
-        for (int32_t j = 0; j < ns; ++j) {
-          influence[static_cast<size_t>(j)] += c[static_cast<size_t>(nt + j)];
-        }
-      }
-      break;
+  // Pin every path's block first, in path order, so that a miss
+  // builds on `ex` with the kernels' own parallelism rather than
+  // nested-serially inside the loop over paths below.
+  std::vector<std::shared_ptr<const CsrMatrix>> blocks;
+  blocks.reserve(paths.size());
+  for (const MetaPath* p : paths) {
+    blocks.push_back(cache.NimBlock(g, *p, max_row_nnz, &ex));
+  }
+  std::vector<float> teleport(static_cast<size_t>(nt + ns), 0.0f);
+  for (int32_t t : selected_targets) {
+    teleport[static_cast<size_t>(t)] = teleport_mass;
+  }
+  // The bipartite block is bit-exactly symmetric: BipartiteBlock
+  // mirrors each entry with the same value, and SymNormalize scales
+  // mirror entries by the same single-rounded inv_sqrt product. So
+  // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy; it
+  // iterates only the half chain that feeds the father rows.
+  auto score = [&](size_t i) {
+    return sparse::PprScores(*blocks[i], nt, teleport, kNimAlpha,
+                             kNimPprIters, &ex);
+  };
+  std::vector<std::vector<float>> father_pi(blocks.size());
+  if (blocks.size() == 1) {
+    father_pi[0] = score(0);  // keeps PprScores' row parallelism
+  } else {
+    // One path per chunk: each PprScores runs inline (a nested
+    // ParallelFor is serial), so the paths' PPRs run concurrently.
+    ex.ParallelFor(static_cast<int64_t>(blocks.size()), 1,
+                   [&](int64_t begin, int64_t end, exec::Workspace&) {
+                     for (int64_t i = begin; i < end; ++i) {
+                       father_pi[static_cast<size_t>(i)] =
+                           score(static_cast<size_t>(i));
+                     }
+                   });
+  }
+  // Summed in path order, so the double sums do not depend on which
+  // path finished first.
+  for (const std::vector<float>& pi : father_pi) {
+    for (int32_t j = 0; j < ns; ++j) {
+      influence[static_cast<size_t>(j)] +=
+          static_cast<double>(pi[static_cast<size_t>(j)]);
     }
   }
   if (paths.empty()) {

@@ -11,34 +11,11 @@
 
 namespace freehgc::core {
 
-/// The node-importance function used by neighbor influence maximization.
-/// The paper's default is Personalized PageRank (Eq. 11) and notes that it
-/// "can be replaced by other node importance evaluation algorithms like
-/// degree, betweenness and closeness centrality, hubs and authorities" —
-/// all of which are available here (see bench_nim_scorers).
-enum class NimScorer {
-  kPprPowerIteration,  // Eq. 11 via power iteration (default)
-  kPprPush,            // forward-push approximation (O(E/eps))
-  kDegree,
-  kCloseness,
-  kBetweenness,
-  kHubs,
-  kAuthorities,
-};
-
-const char* NimScorerName(NimScorer scorer);
-
-/// Options for the Neighbor Influence Maximization father-type condenser
-/// (Eqs. 10-13).
-struct NimOptions {
-  NimScorer scorer = NimScorer::kPprPowerIteration;
-  /// PPR restart probability (alpha in Eq. 11).
-  float alpha = 0.15f;
-  /// Power iterations of the PPR approximation; all of them always run.
-  int max_iters = 30;
-  /// Residual threshold for the push-based approximation.
-  float push_epsilon = 1e-4f;
-};
+/// PPR restart probability of neighbor influence maximization (alpha in
+/// Eq. 11).
+inline constexpr float kNimAlpha = 0.15f;
+/// Power iterations of NIM's PPR approximation; all of them always run.
+inline constexpr int kNimPprIters = 30;
 
 /// Neighbor Influence Maximization (Eqs. 10-13): scores every node of the
 /// father type `father` by its aggregate Personalized-PageRank influence
@@ -50,20 +27,18 @@ struct NimOptions {
 /// symmetric block matrix, sym-normalized (A_hat^sym of Eq. 10), and a PPR
 /// vector with teleport uniform over `selected_targets` is computed; the
 /// father-block entries of the vector are the row sums of Eq. 13.
-/// The PPR scorer reads each path's normalized block from
-/// `cache.NimBlock`, so a warm call does only the teleport-dependent
-/// work; the push and centrality scorers embed `cache.Composed`'s full
-/// product. All blocks are pinned first, in path order (a miss builds
-/// on `ctx` with the kernels' parallelism); then, with two or more
-/// paths, the paths' PPRs run concurrently on `ctx`, one path per task,
-/// and their scores are summed in path order. Bit-identical for every
-/// thread count.
+/// Each path's normalized block is read from `cache.NimBlock`, so a warm
+/// call does only the teleport-dependent work. All blocks are pinned
+/// first, in path order (a miss builds on `ctx` with the kernels'
+/// parallelism); then, with two or more paths, the paths' PPRs run
+/// concurrently on `ctx`, one path per task, and their scores are summed
+/// in path order. Bit-identical for every thread count. With no path to
+/// `father`, nodes are ranked by degree instead.
 std::vector<int32_t> CondenseFatherType(
     const HeteroGraph& g, TypeId father,
     const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
     const std::vector<int32_t>& selected_targets, int32_t budget,
-    const NimOptions& opts, AdjacencyCache& cache,
-    exec::ExecContext* ctx = nullptr);
+    AdjacencyCache& cache, exec::ExecContext* ctx = nullptr);
 
 /// Result of Information-Loss-Minimizing leaf synthesis (Eqs. 14-16).
 struct LeafSynthesis {

@@ -9,7 +9,7 @@ namespace freehgc::exec {
 /// Per-worker reusable scratch arena.
 ///
 /// Hot kernels (SpGEMM row merges, PPR residuals, HGNN propagation,
-/// centrality BFS frontiers) used to allocate their scratch vectors on
+/// Jaccard path masks) used to allocate their scratch vectors on
 /// every call; an ExecContext instead hands each worker one Workspace
 /// whose buffers grow monotonically and are reused across calls, so
 /// steady-state kernel execution performs no heap allocation.
@@ -62,12 +62,6 @@ class Workspace {
     return i32_;
   }
 
-  /// int64 scratch of exactly `n` entries.
-  std::vector<int64_t>& I64(size_t n, int64_t fill = 0) {
-    i64_.assign(n, fill);
-    return i64_;
-  }
-
   /// Bytes currently reserved by the arena's buffers. The exec layer
   /// tracks the high-water mark across all workers in the
   /// "exec.workspace_bytes_hwm" gauge.
@@ -77,8 +71,7 @@ class Workspace {
            keys_.capacity() * sizeof(uint64_t) +
            touched_.capacity() * sizeof(int32_t) +
            f32_.capacity() * sizeof(float) +
-           i32_.capacity() * sizeof(int32_t) +
-           i64_.capacity() * sizeof(int64_t);
+           i32_.capacity() * sizeof(int32_t);
   }
 
  private:
@@ -88,7 +81,6 @@ class Workspace {
   std::vector<int32_t> touched_;
   std::vector<float> f32_;
   std::vector<int32_t> i32_;
-  std::vector<int64_t> i64_;
 };
 
 }  // namespace freehgc::exec

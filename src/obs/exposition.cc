@@ -131,10 +131,13 @@ std::vector<std::pair<double, double>> PromBuckets(
   for (const PromSample& s : samples) {
     if (s.name != bucket_name) continue;
     const auto le = s.labels.find("le");
-    if (le == s.labels.end()) continue;
+    if (le == s.labels.end() || std::isnan(s.value)) continue;
     const double bound = le->second == "+Inf"
                              ? std::numeric_limits<double>::infinity()
                              : std::strtod(le->second.c_str(), nullptr);
+    // Scraped text can carry any bound; a NaN one would break std::sort's
+    // strict weak ordering, and only "+Inf" may be infinite.
+    if (!std::isfinite(bound) && le->second != "+Inf") continue;
     out.emplace_back(bound, s.value);
   }
   std::sort(out.begin(), out.end());

@@ -60,7 +60,8 @@ bool FindPromValue(const std::vector<PromSample>& samples,
 
 /// Cumulative (upper_bound, cumulative_count) buckets of histogram
 /// `base_name` (exposition name without the "_bucket" suffix), sorted by
-/// bound with the "+Inf" bound last.
+/// bound with the "+Inf" bound last. A bucket with a NaN count, or with a
+/// bound that is NaN or infinite but not "+Inf", is skipped.
 std::vector<std::pair<double, double>> PromBuckets(
     const std::vector<PromSample>& samples, const std::string& base_name);
 

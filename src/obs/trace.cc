@@ -16,7 +16,7 @@ namespace freehgc::obs {
 
 namespace internal {
 std::atomic<bool> g_tracing_enabled{false};
-thread_local uint64_t g_current_request_id = 0;
+constinit thread_local uint64_t g_current_request_id = 0;
 }  // namespace internal
 
 namespace {

@@ -56,7 +56,10 @@ struct SpanRecord {
 };
 
 namespace internal {
-extern thread_local uint64_t g_current_request_id;
+// constinit: no dynamic initialization, so an access needs no call
+// through the TLS wrapper, whose init hook is a weak null symbol that
+// UBSan reports as a store to a null pointer.
+extern constinit thread_local uint64_t g_current_request_id;
 }  // namespace internal
 
 /// The serving-layer request id attached to spans recorded by the

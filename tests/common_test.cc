@@ -264,7 +264,7 @@ TEST(TablePrinterTest, RightAlignsNumericColumnsByDisplayWidth) {
 TEST(TimerTest, MeasuresElapsedTime) {
   Timer t;
   volatile double sink = 0.0;
-  for (int i = 0; i < 2000000; ++i) sink += std::sqrt(double(i));
+  for (int i = 0; i < 2000000; ++i) sink = sink + std::sqrt(double(i));
   EXPECT_GT(t.ElapsedSeconds(), 0.0);
   const double a = t.ElapsedMillis();
   const double b = t.ElapsedMillis();

@@ -367,10 +367,9 @@ TEST(NimTest, SelectsFathersConnectedToSelectedTargets) {
   MetaPathOptions mp;
   mp.max_hops = 1;
   const auto paths = EnumerateMetaPaths(g, t, mp);
-  NimOptions nopts;
   pipeline::ArtifactCache cache;
   const auto sel = CondenseFatherType(g, f, FilterByEndType(paths, f),
-                                      kMaxRowNnz, {0, 1}, 1, nopts, cache);
+                                      kMaxRowNnz, {0, 1}, 1, cache);
   ASSERT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 0);
 }
@@ -381,23 +380,42 @@ TEST(NimTest, BudgetZeroAndClamping) {
   MetaPathOptions mp;
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
-  NimOptions nopts;
   pipeline::ArtifactCache cache;
   EXPECT_TRUE(CondenseFatherType(g, father, FilterByEndType(paths, father),
-                                 kMaxRowNnz, g.train_index(), 0, nopts,
-                                 cache)
+                                 kMaxRowNnz, g.train_index(), 0, cache)
                   .empty());
   const auto all = CondenseFatherType(g, father,
                                       FilterByEndType(paths, father),
                                       kMaxRowNnz, g.train_index(), 10000,
-                                      nopts, cache);
+                                      cache);
   EXPECT_EQ(static_cast<int32_t>(all.size()), g.NodeCount(father));
+
+  // A budget below the type's size: exactly that many picks on DBLP,
+  // unique and in range.
+  const HeteroGraph dblp = datasets::MakeDblp(3, /*scale=*/0.05);
+  const auto roles = dblp.ClassifySchema();
+  TypeId dblp_father = -1;
+  for (TypeId t = 0; t < dblp.NumNodeTypes(); ++t) {
+    if (roles[static_cast<size_t>(t)] == TypeRole::kFather) dblp_father = t;
+  }
+  ASSERT_GE(dblp_father, 0);
+  mp.max_paths = 6;
+  const auto dblp_paths = EnumerateMetaPaths(dblp, dblp.target_type(), mp);
+  pipeline::ArtifactCache dblp_cache;
+  const auto sel = CondenseFatherType(
+      dblp, dblp_father, FilterByEndType(dblp_paths, dblp_father), kMaxRowNnz,
+      dblp.train_index(), 20, dblp_cache);
+  EXPECT_EQ(sel.size(), 20u);
+  EXPECT_EQ(std::set<int32_t>(sel.begin(), sel.end()).size(), 20u);
+  for (int32_t v : sel) {
+    EXPECT_GE(v, 0);
+    EXPECT_LT(v, dblp.NodeCount(dblp_father));
+  }
 }
 
-TEST(NimTest, PprReadsOnlyNimBlocksAndPushReadsTheFullProduct) {
-  // The PPR scorer asks the cache for one NIM block per path and never
-  // for a composed adjacency, while the push scorer still embeds the
-  // full product. The PPR picks match on a memo-free recorder and on a
+TEST(NimTest, ReadsOnlyNimBlocks) {
+  // NIM asks the cache for one NIM block per path and never for a
+  // composed adjacency. Its picks match on a memo-free recorder and on a
   // fresh and a warm ArtifactCache at 1 and 4 threads (a warm call
   // builds nothing), with the paths scored concurrently.
   const HeteroGraph g = datasets::MakeAcm(3, /*scale=*/0.1);
@@ -421,12 +439,10 @@ TEST(NimTest, PprReadsOnlyNimBlocksAndPushReadsTheFullProduct) {
     targets.push_back(g.train_index()[i]);
   }
   const int32_t budget = g.NodeCount(father) / 4;
-  const NimOptions ppr;
   exec::ExecContext ex1(1);
   RowSetRecorder want_recorder;
   const auto want = CondenseFatherType(g, father, to_father, kMaxRowNnz,
-                                       targets, budget, ppr, want_recorder,
-                                       &ex1);
+                                       targets, budget, want_recorder, &ex1);
   ASSERT_EQ(want.size(), static_cast<size_t>(budget));
   EXPECT_TRUE(want_recorder.requested.empty());
   EXPECT_EQ(want_recorder.nim_blocks, static_cast<int>(to_father.size()));
@@ -434,34 +450,26 @@ TEST(NimTest, PprReadsOnlyNimBlocksAndPushReadsTheFullProduct) {
     exec::ExecContext ex(threads);
     RowSetRecorder recorder;
     EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
-                                 budget, ppr, recorder, &ex),
+                                 budget, recorder, &ex),
               want)
         << threads;
     EXPECT_TRUE(recorder.requested.empty()) << threads;
 
     pipeline::ArtifactCache artifacts;
     EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
-                                 budget, ppr, artifacts, &ex),
+                                 budget, artifacts, &ex),
               want)
         << threads;
     const auto cold = artifacts.stats();
     EXPECT_EQ(cold.misses, static_cast<int64_t>(to_father.size()))
         << "a NIM block miss cached its composed product";
     EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
-                                 budget, ppr, artifacts, &ex),
+                                 budget, artifacts, &ex),
               want)
         << threads;
     EXPECT_EQ(artifacts.stats().misses, cold.misses) << threads;
   }
 
-  NimOptions push;
-  push.scorer = NimScorer::kPprPush;
-  RowSetRecorder push_recorder;
-  CondenseFatherType(g, father, to_father, kMaxRowNnz, targets, budget, push,
-                     push_recorder, &ex1);
-  EXPECT_EQ(push_recorder.requested,
-            std::vector<RowSet>(to_father.size(), RowSet::kAll));
-  EXPECT_EQ(push_recorder.nim_blocks, 0);
 }
 
 // --- ILM ----------------------------------------------------------------------

@@ -135,7 +135,9 @@ TEST(SparseOpsTest, RowNormalizeSumsToOne) {
   CsrMatrix a = RandomSparse(10, 10, 0.4, 2);
   CsrMatrix n = sparse::RowNormalize(a);
   for (int32_t r = 0; r < n.rows(); ++r) {
-    if (a.RowNnz(r) > 0) EXPECT_NEAR(n.RowSum(r), 1.0f, 1e-5f);
+    if (a.RowNnz(r) > 0) {
+      EXPECT_NEAR(n.RowSum(r), 1.0f, 1e-5f);
+    }
   }
 }
 

@@ -1,11 +1,12 @@
 // Live-telemetry tests: Prometheus exposition (format, parser,
-// snapshot-under-concurrency consistency), the flight recorder's ring +
-// outlier semantics, the structured access log (golden line format and
-// integrity under concurrent slot threads), the RateWindow estimator,
-// and request-id span attribution.
+// snapshot-under-concurrency consistency, mutated input), the flight
+// recorder's ring + outlier semantics, the structured access log (golden
+// line format and integrity under concurrent slot threads), the
+// RateWindow estimator, and request-id span attribution.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
@@ -14,8 +15,11 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "common/rng.h"
+#include "mutate.h"
 #include "obs/access_log.h"
 #include "obs/exposition.h"
 #include "obs/flight_recorder.h"
@@ -142,6 +146,78 @@ TEST(PrometheusText, ConcurrentObserveYieldsMonotoneSnapshots) {
   }
   stop.store(true);
   for (auto& w : writers) w.join();
+}
+
+/// True when `buckets` is sorted and neither its bounds nor its counts
+/// hold a NaN.
+bool SortedAndNanFree(const std::vector<std::pair<double, double>>& buckets) {
+  for (const auto& [bound, count] : buckets) {
+    if (std::isnan(bound) || std::isnan(count)) return false;
+  }
+  return std::is_sorted(buckets.begin(), buckets.end());
+}
+
+TEST(PrometheusText, BucketsSkipNanAndNonFiniteBounds) {
+  // More than 16 buckets, so std::sort leaves insertion sort, where a
+  // NaN key can walk past the end of the range.
+  std::string text = "# TYPE freehgc_lat histogram\n";
+  for (int b = 0; b < 20; ++b) {
+    text += "freehgc_lat_bucket{le=\"" + std::to_string(1 << b) + "\"} " +
+            std::to_string(b + 1) + "\n";
+  }
+  text += "freehgc_lat_bucket{le=\"nan\"} 7\n";
+  text += "freehgc_lat_bucket{le=\"-Inf\"} 0\n";
+  text += "freehgc_lat_bucket{le=\"inf\"} 3\n";
+  text += "freehgc_lat_bucket{le=\"64\"} nan\n";
+  text += "freehgc_lat_bucket{le=\"+Inf\"} 20\n";
+  const auto buckets =
+      obs::PromBuckets(obs::ParsePrometheusText(text), "freehgc_lat");
+  ASSERT_EQ(buckets.size(), 21u);
+  EXPECT_TRUE(SortedAndNanFree(buckets));
+  EXPECT_EQ(buckets.front(), std::make_pair(1.0, 1.0));
+  EXPECT_TRUE(std::isinf(buckets.back().first));
+  EXPECT_EQ(buckets.back().second, 20.0);
+  EXPECT_TRUE(
+      std::isfinite(obs::QuantileFromCumulativeBuckets(buckets, 0.5)));
+}
+
+// Seeded mutation test of the exposition parser: byte flips, truncations
+// and insertions of a real snapshot, fed through ParsePrometheusText,
+// PromBuckets and QuantileFromCumulativeBuckets. freehgc_top runs them on
+// METRICS text that arrives over the wire, so none may crash or read out
+// of bounds (the ASan leg runs this test), the buckets must stay sorted
+// and NaN-free, and with finite counts the quantiles must be numbers.
+TEST(PrometheusMutationTest, EveryMutantParsesToSortedBuckets) {
+  MetricsRegistry reg;
+  reg.GetCounter("serve.requests.completed").Add(12);
+  reg.GetGauge("serve.queue_depth").Set(-3);
+  Histogram& h = reg.GetHistogram("serve.latency.exec_ns");
+  for (int b = 0; b < 24; ++b) h.Observe(int64_t{3} << b);
+  const std::string text = obs::PrometheusText(reg);
+  const std::string hist = "freehgc_serve_latency_exec_ns";
+  const auto base = obs::ParsePrometheusText(text);
+  size_t labeled = 0;
+  for (const PromSample& s : base) labeled += s.labels.count("le");
+  ASSERT_GT(labeled, 16u) << text;
+  ASSERT_TRUE(SortedAndNanFree(obs::PromBuckets(base, hist)));
+
+  Rng rng(20261021);
+  for (int i = 0; i < 3000; ++i) {
+    const std::string mutant = testing_util::MutateBytes(text, rng);
+    const auto samples = obs::ParsePrometheusText(mutant);
+    const auto buckets = obs::PromBuckets(samples, hist);
+    ASSERT_TRUE(SortedAndNanFree(buckets)) << "mutant " << i;
+    bool finite_counts = true;
+    for (const auto& bucket : buckets) {
+      finite_counts = finite_counts && std::isfinite(bucket.second);
+    }
+    for (double q : {0.0, 0.5, 0.99, 1.0}) {
+      const double v = obs::QuantileFromCumulativeBuckets(buckets, q);
+      if (finite_counts) {
+        EXPECT_FALSE(std::isnan(v)) << "mutant " << i << " q=" << q;
+      }
+    }
+  }
 }
 
 FlightRecord MakeRecord(uint64_t id, int64_t queue_ns, int64_t exec_ns,

@@ -1,16 +1,16 @@
 // freehgc_ooc_demo: out-of-core generate -> condense -> serve driver.
 //
-//   freehgc_ooc_demo --phase=generate --preset=aminer --scale=44 \
+//   freehgc_ooc_demo --phase=generate --preset=aminer --scale=44
 //                    --seed=1 --path=/tmp/aminer.fhgc
-//   freehgc_ooc_demo --phase=condense --path=/tmp/aminer.fhgc \
-//                    [--out=/tmp/aminer_small.fhgc] [--ratio=0.01] \
-//                    [--max-hops=1] [--max-paths=2] [--max-row-nnz=512] \
+//   freehgc_ooc_demo --phase=condense --path=/tmp/aminer.fhgc
+//                    [--out=/tmp/aminer_small.fhgc] [--ratio=0.01]
+//                    [--max-hops=1] [--max-paths=2] [--max-row-nnz=512]
 //                    [--try-heap]
-//   freehgc_ooc_demo --phase=serve --path=/tmp/aminer.fhgc \
-//                    [--method=herding] [--ratio=0.01] [--max-hops=1] \
-//                    [--max-paths=2] [--max-row-nnz=512] [--evaluate] \
-//                    [--try-heap] [--spill-dir=DIR] \
-//                    [--artifact-budget=BYTES] [--resident-budget=BYTES] \
+//   freehgc_ooc_demo --phase=serve --path=/tmp/aminer.fhgc
+//                    [--method=herding] [--ratio=0.01] [--max-hops=1]
+//                    [--max-paths=2] [--max-row-nnz=512] [--evaluate]
+//                    [--try-heap] [--spill-dir=DIR]
+//                    [--artifact-budget=BYTES] [--resident-budget=BYTES]
 //                    [--fingerprint]
 //
 // A malformed numeric flag exits 2 with the usage.

@@ -2,7 +2,7 @@
 // methods and seeds; every cell of the grid runs through one shared
 // execution context and artifact cache.
 //
-//   run_sweep --datasets=toy --ratios=0.1 --methods=freehgc,herding \
+//   run_sweep --datasets=toy --ratios=0.1 --methods=freehgc,herding
 //             --seeds=1,2 --repeat=2 --json-prefix=/tmp/sweep
 //
 // --repeat=N runs the identical grid N times in-process against the same
