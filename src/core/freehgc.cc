@@ -222,32 +222,35 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
   {
     ScopedTimer stage_timer(stages.father);
     FREEHGC_TRACE_SPAN("condense.father");
-    for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
-      if (roles[static_cast<size_t>(t)] != TypeRole::kFather) continue;
-      const int32_t budget = Budget(opts.ratio, g.NodeCount(t));
-      auto& mapping = mappings[static_cast<size_t>(t)];
-      switch (opts.father_strategy) {
-        case FatherStrategy::kNim:
-          mapping.keep = CondenseFatherType(
-              g, t, FilterByEndType(paths, t), opts.max_row_nnz,
-              selected_target, budget, *cache, &ex);
-          break;
-        case FatherStrategy::kHerding:
-          mapping.keep =
-              HerdingSelect(g.Features(t), AllNodes(g.NodeCount(t)), budget);
-          std::sort(mapping.keep.begin(), mapping.keep.end());
-          break;
-        case FatherStrategy::kRandom:
-          mapping.keep = RandomSelect(AllNodes(g.NodeCount(t)), budget,
-                                      opts.seed ^ (0x5eedULL + t));
-          std::sort(mapping.keep.begin(), mapping.keep.end());
-          break;
-      }
-    }
+    std::vector<NimType> fathers;
     for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
       if (roles[static_cast<size_t>(t)] == TypeRole::kFather) {
-        kept_fathers.emplace_back(t, &mappings[static_cast<size_t>(t)].keep);
+        fathers.push_back({t, Budget(opts.ratio, g.NodeCount(t))});
       }
+    }
+    if (opts.father_strategy == FatherStrategy::kNim) {
+      std::vector<std::vector<int32_t>> kept =
+          CondenseFatherTypes(g, fathers, paths, opts.max_row_nnz,
+                              selected_target, *cache, &ex);
+      for (size_t i = 0; i < fathers.size(); ++i) {
+        mappings[static_cast<size_t>(fathers[i].type)].keep =
+            std::move(kept[i]);
+      }
+    } else {
+      for (const NimType& f : fathers) {
+        std::vector<int32_t>& keep =
+            mappings[static_cast<size_t>(f.type)].keep;
+        const std::vector<int32_t> all = AllNodes(g.NodeCount(f.type));
+        keep = opts.father_strategy == FatherStrategy::kHerding
+                   ? HerdingSelect(g.Features(f.type), all, f.budget)
+                   : RandomSelect(all, f.budget,
+                                  opts.seed ^ (0x5eedULL + f.type));
+        std::sort(keep.begin(), keep.end());
+      }
+    }
+    for (const NimType& f : fathers) {
+      kept_fathers.emplace_back(f.type,
+                                &mappings[static_cast<size_t>(f.type)].keep);
     }
   }
 
@@ -255,6 +258,14 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
   {
     ScopedTimer stage_timer(stages.leaf);
     FREEHGC_TRACE_SPAN("condense.leaf");
+    // ILM leaves to synthesize, and leaves that fall back to NIM.
+    struct Synthesis {
+      TypeId type;
+      int32_t budget;
+      std::vector<std::pair<TypeId, const std::vector<int32_t>*>> parents;
+    };
+    std::vector<Synthesis> syntheses;
+    std::vector<NimType> fallbacks;
     for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
       if (roles[static_cast<size_t>(t)] != TypeRole::kLeaf) continue;
       const int32_t budget = Budget(opts.ratio, g.NodeCount(t));
@@ -290,15 +301,10 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
             parent_count += static_cast<int64_t>(pk.second->size());
           }
           if (budget * 4 < parent_count * 3) {
-            mapping.keep = CondenseFatherType(
-                g, t, FilterByEndType(paths, t), opts.max_row_nnz,
-                selected_target, budget, *cache, &ex);
-            break;
+            fallbacks.push_back({t, budget});
+          } else {
+            syntheses.push_back({t, budget, std::move(parents)});
           }
-          LeafSynthesis synth = SynthesizeLeafType(g, t, parents, budget, &ex);
-          mapping.synthesized = true;
-          mapping.members = std::move(synth.members);
-          mapping.synthetic_features = std::move(synth.features);
           break;
         }
         case LeafStrategy::kHerding:
@@ -312,6 +318,31 @@ Result<CondensedResult> Condense(const HeteroGraph& g,
           std::sort(mapping.keep.begin(), mapping.keep.end());
           break;
       }
+    }
+    // The fallback leaves share one batched NIM call; the ILM leaves are
+    // independent, so each synthesizes as one task.
+    std::vector<std::vector<int32_t>> kept =
+        CondenseFatherTypes(g, fallbacks, paths, opts.max_row_nnz,
+                            selected_target, *cache, &ex);
+    for (size_t i = 0; i < fallbacks.size(); ++i) {
+      mappings[static_cast<size_t>(fallbacks[i].type)].keep =
+          std::move(kept[i]);
+    }
+    std::vector<LeafSynthesis> synths(syntheses.size());
+    std::vector<int64_t> work;  // the leaf features its means read
+    for (const Synthesis& s : syntheses) {
+      work.push_back(int64_t{g.NodeCount(s.type)} *
+                     g.Features(s.type).cols());
+    }
+    RunTasks(ex, work, [&](size_t i, exec::Workspace&) {
+      const Synthesis& s = syntheses[i];
+      synths[i] = SynthesizeLeafType(g, s.type, s.parents, s.budget, &ex);
+    });
+    for (size_t i = 0; i < syntheses.size(); ++i) {
+      auto& mapping = mappings[static_cast<size_t>(syntheses[i].type)];
+      mapping.synthesized = true;
+      mapping.members = std::move(synths[i].members);
+      mapping.synthetic_features = std::move(synths[i].features);
     }
   }
 

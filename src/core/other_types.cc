@@ -8,99 +8,110 @@
 #include <utility>
 
 #include "common/logging.h"
+#include "core/selection_util.h"
 #include "sparse/ops.h"
 
 namespace freehgc::core {
 
-std::vector<int32_t> CondenseFatherType(
-    const HeteroGraph& g, TypeId father,
-    const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
-    const std::vector<int32_t>& selected_targets, int32_t budget,
-    AdjacencyCache& cache, exec::ExecContext* ctx) {
+std::vector<std::vector<int32_t>> CondenseFatherTypes(
+    const HeteroGraph& g, const std::vector<NimType>& types,
+    const std::vector<MetaPath>& paths, int64_t max_row_nnz,
+    const std::vector<int32_t>& selected_targets, AdjacencyCache& cache,
+    exec::ExecContext* ctx) {
   const TypeId target = g.target_type();
   FREEHGC_CHECK(target >= 0);
   exec::ExecContext& ex = exec::Resolve(ctx);
   const int32_t nt = g.NodeCount(target);
-  const int32_t ns = g.NodeCount(father);
-  const int32_t k = std::min(budget, ns);
-  if (k <= 0) return {};
+  auto keep_count = [&](const NimType& t) {
+    return std::min(t.budget, g.NodeCount(t.type));
+  };
 
-  std::vector<double> influence(static_cast<size_t>(ns), 0.0);
+  // Pin every (type, path) block first, in that order, so that a miss
+  // builds on `ex` with the kernels' own parallelism and no task below
+  // touches the cache.
+  struct Ppr {
+    size_t type;
+    std::shared_ptr<const CsrMatrix> block;
+  };
+  std::vector<Ppr> pprs;
+  for (size_t t = 0; t < types.size(); ++t) {
+    if (keep_count(types[t]) <= 0) continue;
+    for (const MetaPath& p : paths) {
+      if (p.start_type() == target && p.end_type() == types[t].type) {
+        pprs.push_back({t, cache.NimBlock(g, p, max_row_nnz, &ex)});
+      }
+    }
+  }
   const float teleport_mass =
       selected_targets.empty()
           ? 0.0f
           : 1.0f / static_cast<float>(selected_targets.size());
-
-  std::vector<const MetaPath*> paths;
-  for (const auto& p : paths_to_father) {
-    if (p.end_type() == father && p.start_type() == target) {
-      paths.push_back(&p);
+  std::vector<std::vector<float>> teleports(types.size());
+  for (const Ppr& ppr : pprs) {
+    std::vector<float>& teleport = teleports[ppr.type];
+    if (!teleport.empty()) continue;
+    teleport.assign(
+        static_cast<size_t>(nt + g.NodeCount(types[ppr.type].type)), 0.0f);
+    for (int32_t t : selected_targets) {
+      teleport[static_cast<size_t>(t)] = teleport_mass;
     }
-  }
-  // Pin every path's block first, in path order, so that a miss
-  // builds on `ex` with the kernels' own parallelism rather than
-  // nested-serially inside the loop over paths below.
-  std::vector<std::shared_ptr<const CsrMatrix>> blocks;
-  blocks.reserve(paths.size());
-  for (const MetaPath* p : paths) {
-    blocks.push_back(cache.NimBlock(g, *p, max_row_nnz, &ex));
-  }
-  std::vector<float> teleport(static_cast<size_t>(nt + ns), 0.0f);
-  for (int32_t t : selected_targets) {
-    teleport[static_cast<size_t>(t)] = teleport_mass;
   }
   // The bipartite block is bit-exactly symmetric: BipartiteBlock
   // mirrors each entry with the same value, and SymNormalize scales
   // mirror entries by the same single-rounded inv_sqrt product. So
   // PprScores' A pi is Eq. (13)'s A^T pi, with no transposed copy; it
   // iterates only the half chain that feeds the father rows.
-  auto score = [&](size_t i) {
-    return sparse::PprScores(*blocks[i], nt, teleport, kNimAlpha,
-                             kNimPprIters, &ex);
-  };
-  std::vector<std::vector<float>> father_pi(blocks.size());
-  if (blocks.size() == 1) {
-    father_pi[0] = score(0);  // keeps PprScores' row parallelism
-  } else {
-    // One path per chunk: each PprScores runs inline (a nested
-    // ParallelFor is serial), so the paths' PPRs run concurrently.
-    ex.ParallelFor(static_cast<int64_t>(blocks.size()), 1,
-                   [&](int64_t begin, int64_t end, exec::Workspace&) {
-                     for (int64_t i = begin; i < end; ++i) {
-                       father_pi[static_cast<size_t>(i)] =
-                           score(static_cast<size_t>(i));
-                     }
-                   });
+  std::vector<std::vector<float>> father_pi(pprs.size());
+  std::vector<int64_t> work;  // multiply-adds: half the block per step
+  for (const Ppr& ppr : pprs) {
+    work.push_back(ppr.block->nnz() / 2 * kNimPprIters);
   }
-  // Summed in path order, so the double sums do not depend on which
-  // path finished first.
-  for (const std::vector<float>& pi : father_pi) {
-    for (int32_t j = 0; j < ns; ++j) {
-      influence[static_cast<size_t>(j)] +=
-          static_cast<double>(pi[static_cast<size_t>(j)]);
-    }
-  }
-  if (paths.empty()) {
-    // No meta-path reaches this type (disconnected schema); fall back to
-    // degree so the budget is still honoured.
-    for (RelationId r : g.RelationsFrom(father)) {
-      const auto deg = g.relation(r).adj.RowDegrees();
+  RunTasks(ex, work, [&](size_t i, exec::Workspace&) {
+    father_pi[i] = sparse::PprScores(*pprs[i].block, nt,
+                                     teleports[pprs[i].type], kNimAlpha,
+                                     kNimPprIters, &ex);
+  });
+
+  std::vector<std::vector<int32_t>> out(types.size());
+  size_t next = 0;  // pprs hold each type's paths contiguously
+  for (size_t t = 0; t < types.size(); ++t) {
+    const TypeId type = types[t].type;
+    const int32_t ns = g.NodeCount(type);
+    const int32_t k = keep_count(types[t]);
+    if (k <= 0) continue;
+    std::vector<double> influence(static_cast<size_t>(ns), 0.0);
+    const size_t first = next;
+    // Summed in path order, so the double sums do not depend on which
+    // path finished first.
+    for (; next < pprs.size() && pprs[next].type == t; ++next) {
+      const std::vector<float>& pi = father_pi[next];
       for (int32_t j = 0; j < ns; ++j) {
         influence[static_cast<size_t>(j)] +=
-            static_cast<double>(deg[static_cast<size_t>(j)]);
+            static_cast<double>(pi[static_cast<size_t>(j)]);
       }
     }
+    if (next == first) {
+      // No meta-path reaches this type (disconnected schema); fall back
+      // to degree so the budget is still honoured.
+      for (RelationId r : g.RelationsFrom(type)) {
+        const auto deg = g.relation(r).adj.RowDegrees();
+        for (int32_t j = 0; j < ns; ++j) {
+          influence[static_cast<size_t>(j)] +=
+              static_cast<double>(deg[static_cast<size_t>(j)]);
+        }
+      }
+    }
+    std::vector<int32_t>& order = out[t];
+    order.resize(static_cast<size_t>(ns));
+    std::iota(order.begin(), order.end(), 0);
+    std::stable_sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
+      return influence[static_cast<size_t>(a)] >
+             influence[static_cast<size_t>(b)];
+    });
+    order.resize(static_cast<size_t>(k));
+    std::sort(order.begin(), order.end());
   }
-
-  std::vector<int32_t> order(static_cast<size_t>(ns));
-  std::iota(order.begin(), order.end(), 0);
-  std::stable_sort(order.begin(), order.end(), [&](int32_t a, int32_t b) {
-    return influence[static_cast<size_t>(a)] >
-           influence[static_cast<size_t>(b)];
-  });
-  order.resize(static_cast<size_t>(k));
-  std::sort(order.begin(), order.end());
-  return order;
+  return out;
 }
 
 LeafSynthesis SynthesizeLeafType(

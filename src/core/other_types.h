@@ -17,28 +17,38 @@ inline constexpr float kNimAlpha = 0.15f;
 /// Power iterations of NIM's PPR approximation; all of them always run.
 inline constexpr int kNimPprIters = 30;
 
-/// Neighbor Influence Maximization (Eqs. 10-13): scores every node of the
-/// father type `father` by its aggregate Personalized-PageRank influence
-/// with respect to the selected target nodes, summed across all meta-paths
-/// from the target type to `father` (each composed under the row-nnz budget
-/// `max_row_nnz`, 0 = exact), and keeps the top `budget`.
+/// One type for neighbor influence maximization to condense, and how
+/// many of its nodes to keep.
+struct NimType {
+  TypeId type = -1;
+  int32_t budget = 0;
+};
+
+/// Neighbor Influence Maximization (Eqs. 10-13), for every type in
+/// `types` at once: scores each node of a type by its aggregate
+/// Personalized-PageRank influence with respect to the selected target
+/// nodes, summed across all meta-paths of `paths` from the target type
+/// to that type (each composed under the row-nnz budget `max_row_nnz`,
+/// 0 = exact), and keeps the type's top `budget`. Returns one sorted
+/// keep-list per entry of `types`, in order.
 ///
 /// Per path, the bipartite composed adjacency is embedded into a square
 /// symmetric block matrix, sym-normalized (A_hat^sym of Eq. 10), and a PPR
 /// vector with teleport uniform over `selected_targets` is computed; the
 /// father-block entries of the vector are the row sums of Eq. 13.
 /// Each path's normalized block is read from `cache.NimBlock`, so a warm
-/// call does only the teleport-dependent work. All blocks are pinned
-/// first, in path order (a miss builds on `ctx` with the kernels'
-/// parallelism); then, with two or more paths, the paths' PPRs run
-/// concurrently on `ctx`, one path per task, and their scores are summed
-/// in path order. Bit-identical for every thread count. With no path to
-/// `father`, nodes are ranked by degree instead.
-std::vector<int32_t> CondenseFatherType(
-    const HeteroGraph& g, TypeId father,
-    const std::vector<MetaPath>& paths_to_father, int64_t max_row_nnz,
-    const std::vector<int32_t>& selected_targets, int32_t budget,
-    AdjacencyCache& cache, exec::ExecContext* ctx = nullptr);
+/// call does only the teleport-dependent work. Every block is pinned
+/// first, on the calling thread, in (type, path) order (a miss builds on
+/// `ctx` with the kernels' parallelism). Then the (type, path) PPRs run
+/// as one task list on `ctx` (RunTasks; a lone or dominant PPR keeps its
+/// row parallelism), and each type's scores are summed in path order.
+/// Bit-identical for every thread count. A type no path reaches ranks
+/// its nodes by degree instead.
+std::vector<std::vector<int32_t>> CondenseFatherTypes(
+    const HeteroGraph& g, const std::vector<NimType>& types,
+    const std::vector<MetaPath>& paths, int64_t max_row_nnz,
+    const std::vector<int32_t>& selected_targets, AdjacencyCache& cache,
+    exec::ExecContext* ctx = nullptr);
 
 /// Result of Information-Loss-Minimizing leaf synthesis (Eqs. 14-16).
 struct LeafSynthesis {

@@ -30,17 +30,22 @@ struct Candidate {
 std::vector<int32_t> GreedyCoverageSelect(
     const CsrMatrix& adj, const std::vector<int32_t>& pool, int32_t budget,
     const std::vector<float>* diversity, bool use_coverage,
-    std::vector<double>* gains_out) {
+    std::vector<double>* gains_out, exec::Workspace* ws) {
   const int32_t k =
       std::min<int32_t>(budget, static_cast<int32_t>(pool.size()));
   if (gains_out != nullptr) gains_out->clear();
   if (k <= 0) return {};
+  exec::Workspace local;
+  exec::Workspace& scratch = ws != nullptr ? *ws : local;
 
   // Normalization factor |R_hat| of Eq. 8: the number of source-type
   // nodes, exactly as the paper chooses it.
   const double inv_cols =
       adj.cols() > 0 ? 1.0 / static_cast<double>(adj.cols()) : 0.0;
-  std::vector<uint8_t> covered(static_cast<size_t>(adj.cols()), 0);
+  // One covered flag per column, from the arena's zeroed flags; the
+  // selected rows' flags are re-zeroed before returning.
+  std::vector<uint8_t>& covered =
+      scratch.ZeroedFlags(static_cast<size_t>(adj.cols()));
 
   // A candidate's gain given its count of not-yet-covered columns.
   auto gain_of = [&](int32_t v, int64_t fresh) {
@@ -83,6 +88,9 @@ std::vector<int32_t> GreedyCoverageSelect(
       covered[static_cast<size_t>(c)] = 1;
     }
     ++round;
+  }
+  for (int32_t v : out) {
+    for (int32_t c : adj.RowIndices(v)) covered[static_cast<size_t>(c)] = 0;
   }
   return out;
 }
@@ -153,30 +161,52 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
 
   const std::vector<int32_t> class_budget =
       PerClassBudget(labels, pool, num_classes, budget);
+  std::vector<std::vector<int32_t>> class_pools(
+      static_cast<size_t>(num_classes));
+  for (int32_t c = 0; c < num_classes; ++c) {
+    class_pools[static_cast<size_t>(c)] = PoolOfClass(labels, pool, c);
+  }
 
-  // Algorithm 1's double loop: per meta-path, per class, greedy-select and
-  // accumulate marginal-gain scores.
-  for (size_t m = 0; m < composed.size(); ++m) {
-    const std::vector<float>* div =
-        (opts.use_jaccard && !diversity[m].empty()) ? &diversity[m]
-                                                    : nullptr;
-    if (!opts.use_receptive_field && div == nullptr) {
-      // Both terms disabled (degenerate ablation): fall back to degree.
+  if (!opts.use_receptive_field && !opts.use_jaccard) {
+    // Both terms disabled (degenerate ablation): fall back to degree.
+    for (const CsrMatrix* adj : composed) {
       for (int32_t v : pool) {
         score[static_cast<size_t>(v)] +=
-            static_cast<double>(composed[m]->RowNnz(v));
+            static_cast<double>(adj->RowNnz(v));
       }
-      continue;
     }
-    for (int32_t c = 0; c < num_classes; ++c) {
-      const std::vector<int32_t> class_pool = PoolOfClass(labels, pool, c);
-      if (class_pool.empty()) continue;
-      std::vector<double> gains;
-      const std::vector<int32_t> picked = GreedyCoverageSelect(
-          *composed[m], class_pool, class_budget[static_cast<size_t>(c)],
-          div, opts.use_receptive_field, &gains);
-      for (size_t i = 0; i < picked.size(); ++i) {
-        score[static_cast<size_t>(picked[i])] += gains[i];
+  } else {
+    // Algorithm 1's double loop: one greedy per (meta-path, class), run
+    // as one task list. Each task fills only its own picks and gains;
+    // they are added into `score` in (path, class) order, as the serial
+    // double loop did, so the sums do not depend on the thread count.
+    struct Greedy {
+      size_t path;
+      size_t cls;
+    };
+    std::vector<Greedy> greedies;
+    std::vector<int64_t> work;  // the pool's rows and columns it scans
+    for (size_t m = 0; m < composed.size(); ++m) {
+      for (size_t c = 0; c < class_pools.size(); ++c) {
+        if (class_pools[c].empty() || class_budget[c] <= 0) continue;
+        greedies.push_back({m, c});
+        int64_t scanned = static_cast<int64_t>(class_pools[c].size());
+        for (int32_t v : class_pools[c]) scanned += composed[m]->RowNnz(v);
+        work.push_back(scanned);
+      }
+    }
+    std::vector<std::vector<int32_t>> picked(greedies.size());
+    std::vector<std::vector<double>> gains(greedies.size());
+    RunTasks(ex, work, [&](size_t i, exec::Workspace& ws) {
+      const Greedy& t = greedies[i];
+      picked[i] = GreedyCoverageSelect(
+          *composed[t.path], class_pools[t.cls], class_budget[t.cls],
+          opts.use_jaccard ? &diversity[t.path] : nullptr,
+          opts.use_receptive_field, &gains[i], &ws);
+    });
+    for (size_t i = 0; i < greedies.size(); ++i) {
+      for (size_t j = 0; j < picked[i].size(); ++j) {
+        score[static_cast<size_t>(picked[i][j])] += gains[i][j];
       }
     }
   }
@@ -185,7 +215,7 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
   // original class proportions.
   std::vector<int32_t> out;
   for (int32_t c = 0; c < num_classes; ++c) {
-    std::vector<int32_t> class_pool = PoolOfClass(labels, pool, c);
+    std::vector<int32_t>& class_pool = class_pools[static_cast<size_t>(c)];
     const int32_t bc = class_budget[static_cast<size_t>(c)];
     if (bc <= 0 || class_pool.empty()) continue;
     std::stable_sort(class_pool.begin(), class_pool.end(),

@@ -41,8 +41,11 @@ struct TargetSelectionOptions {
 /// `scores_out`, when non null, receives the aggregated per-node score
 /// (0 for never-selected nodes) — used by the Fig. 9 interpretability
 /// bench.
-/// Path composition and the Jaccard diversity term run on `ctx`; the
-/// lazy-greedy loop itself is sequential (its order is the algorithm).
+/// Path composition and the Jaccard diversity term run on `ctx`, and
+/// every cache lookup happens there, on the calling thread. The
+/// (path, class) greedies are independent: they run as one task list on
+/// `ctx` (RunTasks; each lazy-greedy loop is sequential, its order is
+/// the algorithm), and their gains are summed in (path, class) order.
 /// Bit-identical for every thread count.
 std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
                                          const std::vector<MetaPath>& paths,
@@ -60,11 +63,13 @@ std::vector<int32_t> CondenseTargetNodes(const HeteroGraph& g,
 /// properties) and the Fig. 9 bench. `gains_out`, when non-null, receives
 /// each selected node's marginal gain in selection order.
 /// Against the empty round-0 selection a candidate's coverage is its row
-/// length, so the initial heap costs no column scan.
+/// length, so the initial heap costs no column scan. The covered-column
+/// flags come from `ws` (a fresh arena when null).
 std::vector<int32_t> GreedyCoverageSelect(
     const CsrMatrix& adj, const std::vector<int32_t>& pool, int32_t budget,
     const std::vector<float>* diversity, bool use_coverage,
-    std::vector<double>* gains_out = nullptr);
+    std::vector<double>* gains_out = nullptr,
+    exec::Workspace* ws = nullptr);
 
 }  // namespace freehgc::core
 

@@ -212,6 +212,13 @@ class ExecContext {
   Workspace ws_;  // the driver's arena; helpers use the pool's
 };
 
+/// Work, in inner-loop steps (a scanned column, a multiply-add, a read
+/// feature), below which a list of independent tasks is not worth
+/// fanning out over the pool: waking and joining helpers costs about
+/// as much. core::RunTasks runs a smaller list one task after another
+/// on the calling thread.
+inline constexpr int64_t kMinFanOutWork = int64_t{1} << 16;
+
 /// Thread count ExecContext resolves for num_threads == 0: the
 /// FREEHGC_THREADS environment variable when set to a positive integer,
 /// otherwise std::thread::hardware_concurrency() (min 1).

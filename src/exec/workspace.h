@@ -43,6 +43,15 @@ class Workspace {
     return bits_;
   }
 
+  /// Byte flags, at least `n` of them, all zero — the greedy coverage
+  /// selection's covered columns (a byte test is faster there than a
+  /// bit test). Same invariant as ZeroedAccum: the caller must re-zero
+  /// exactly the flags it set before returning.
+  std::vector<uint8_t>& ZeroedFlags(size_t n) {
+    if (flags_.size() < n) flags_.resize(n, 0);
+    return flags_;
+  }
+
   /// 64-bit key scratch (cleared on handout, capacity preserved) —
   /// SpGEMM's packed (|value|, column) selection keys.
   std::vector<uint64_t>& Keys() {
@@ -67,7 +76,7 @@ class Workspace {
   /// "exec.workspace_bytes_hwm" gauge.
   size_t BytesReserved() const {
     return accum_.capacity() * sizeof(float) +
-           bits_.capacity() * sizeof(uint64_t) +
+           bits_.capacity() * sizeof(uint64_t) + flags_.capacity() +
            keys_.capacity() * sizeof(uint64_t) +
            touched_.capacity() * sizeof(int32_t) +
            f32_.capacity() * sizeof(float) +
@@ -77,6 +86,7 @@ class Workspace {
  private:
   std::vector<float> accum_;
   std::vector<uint64_t> bits_;
+  std::vector<uint8_t> flags_;
   std::vector<uint64_t> keys_;
   std::vector<int32_t> touched_;
   std::vector<float> f32_;

@@ -162,9 +162,12 @@ std::shared_ptr<const T> ArtifactCache::GetOrLoad(
     if (restored.ok()) {
       got.value = std::move(*restored);
     } else {
+      // The file is bad (a CRC mismatch, a truncation): drop it, so the
+      // next eviction writes a fresh copy instead of keeping this one.
       FREEHGC_LOG(Warning) << "artifact restore failed (" << spilled_path
                            << "): " << restored.status().message()
                            << "; recomputing";
+      std::remove(spilled_path.c_str());
     }
   }
   const bool miss = got.value == nullptr;
@@ -184,10 +187,10 @@ std::shared_ptr<const T> ArtifactCache::GetOrLoad(
       m_.hits.Increment();
     } else {
       m_.misses.Increment();
+      // A spool-through build's file already is this entry's spill copy;
+      // any other build has none (a failed restore's file is gone).
+      e.spill_path = got.spill_path;
       if (!got.spill_path.empty()) {
-        // Spool-through build: the file already is this entry's spill
-        // copy.
-        e.spill_path = got.spill_path;
         m_.spills.Increment();
         m_.spill_bytes.Add(static_cast<int64_t>(got.file_bytes));
       }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <map>
 #include <memory>
 #include <set>
@@ -12,6 +13,7 @@
 #include "core/selection_util.h"
 #include "core/target_selection.h"
 #include "datasets/generator.h"
+#include "exec/thread_pool.h"
 #include "metapath/metapath.h"
 #include "pipeline/artifact_cache.h"
 #include "sparse/ops.h"
@@ -225,10 +227,11 @@ TEST(TargetSelectionTest, ScoresExposedForInterpretability) {
 
 /// Composes afresh on every lookup, memoizing nothing, while recording
 /// the row set of every composition request, the size of every
-/// diversity group and the number of NIM block requests; with
-/// `force_full` it ignores the row set and serves the full product (what
-/// selection composed before row restriction), diversity groups
-/// included.
+/// diversity group, the relations of every NIM block request in call
+/// order, and how many calls came from inside a parallel region (a task
+/// of a fan-out); with `force_full` it ignores the row set and serves
+/// the full product (what selection composed before row restriction),
+/// diversity groups included.
 class RowSetRecorder final : public AdjacencyCache {
  public:
   explicit RowSetRecorder(bool force_full = false) : force_full_(force_full) {}
@@ -238,6 +241,7 @@ class RowSetRecorder final : public AdjacencyCache {
                                             int64_t max_row_nnz,
                                             exec::ExecContext* ctx,
                                             RowSet rows) override {
+    NoteCall();
     requested.push_back(rows);
     return std::make_shared<const CsrMatrix>(
         Compose(g, p, max_row_nnz, ctx, rows));
@@ -246,6 +250,7 @@ class RowSetRecorder final : public AdjacencyCache {
   std::shared_ptr<const CsrMatrix> Diversity(
       const HeteroGraph& g, const std::vector<MetaPath>& group,
       int64_t max_row_nnz, exec::ExecContext* ctx) override {
+    NoteCall();
     diversity_groups.push_back(group.size());
     std::vector<CsrMatrix> adjs;
     for (const MetaPath& p : group) {
@@ -260,7 +265,8 @@ class RowSetRecorder final : public AdjacencyCache {
                                             const MetaPath& p,
                                             int64_t max_row_nnz,
                                             exec::ExecContext* ctx) override {
-    ++nim_blocks;
+    NoteCall();
+    nim_blocks.push_back(p.relations);
     return std::make_shared<const CsrMatrix>(sparse::SymNormalize(
         sparse::BipartiteBlock(Compose(g, p, max_row_nnz, ctx, RowSet::kAll),
                                ctx),
@@ -269,9 +275,14 @@ class RowSetRecorder final : public AdjacencyCache {
 
   std::vector<RowSet> requested;
   std::vector<size_t> diversity_groups;
-  int nim_blocks = 0;
+  std::vector<std::vector<RelationId>> nim_blocks;
+  int calls_in_parallel_region = 0;
 
  private:
+  void NoteCall() {
+    if (exec::ThreadPool::InParallelRegion()) ++calls_in_parallel_region;
+  }
+
   CsrMatrix Compose(const HeteroGraph& g, const MetaPath& p,
                     int64_t max_row_nnz, exec::ExecContext* ctx,
                     RowSet rows) const {
@@ -347,6 +358,16 @@ TEST(TargetSelectionTest, TrainRowsGiveTheFullRowsPicksAndPoolScores) {
 
 // --- NIM ----------------------------------------------------------------------
 
+/// NIM on one type: CondenseFatherTypes' keep-list for `father`.
+std::vector<int32_t> NimOne(const HeteroGraph& g, TypeId father,
+                            const std::vector<MetaPath>& paths,
+                            const std::vector<int32_t>& targets,
+                            int32_t budget, AdjacencyCache& cache,
+                            exec::ExecContext* ctx = nullptr) {
+  return CondenseFatherTypes(g, {{father, budget}}, paths, kMaxRowNnz,
+                             targets, cache, ctx)[0];
+}
+
 TEST(NimTest, SelectsFathersConnectedToSelectedTargets) {
   // Targets 0,1 connect to father 0; target 2 to father 1; father 2 is
   // isolated. Selecting targets {0,1} must rank father 0 first, father 2
@@ -368,8 +389,8 @@ TEST(NimTest, SelectsFathersConnectedToSelectedTargets) {
   mp.max_hops = 1;
   const auto paths = EnumerateMetaPaths(g, t, mp);
   pipeline::ArtifactCache cache;
-  const auto sel = CondenseFatherType(g, f, FilterByEndType(paths, f),
-                                      kMaxRowNnz, {0, 1}, 1, cache);
+  const auto sel =
+      NimOne(g, f, FilterByEndType(paths, f), {0, 1}, 1, cache);
   ASSERT_EQ(sel.size(), 1u);
   EXPECT_EQ(sel[0], 0);
 }
@@ -381,13 +402,11 @@ TEST(NimTest, BudgetZeroAndClamping) {
   mp.max_hops = 2;
   const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
   pipeline::ArtifactCache cache;
-  EXPECT_TRUE(CondenseFatherType(g, father, FilterByEndType(paths, father),
-                                 kMaxRowNnz, g.train_index(), 0, cache)
+  EXPECT_TRUE(NimOne(g, father, FilterByEndType(paths, father),
+                     g.train_index(), 0, cache)
                   .empty());
-  const auto all = CondenseFatherType(g, father,
-                                      FilterByEndType(paths, father),
-                                      kMaxRowNnz, g.train_index(), 10000,
-                                      cache);
+  const auto all = NimOne(g, father, FilterByEndType(paths, father),
+                          g.train_index(), 10000, cache);
   EXPECT_EQ(static_cast<int32_t>(all.size()), g.NodeCount(father));
 
   // A budget below the type's size: exactly that many picks on DBLP,
@@ -402,9 +421,9 @@ TEST(NimTest, BudgetZeroAndClamping) {
   mp.max_paths = 6;
   const auto dblp_paths = EnumerateMetaPaths(dblp, dblp.target_type(), mp);
   pipeline::ArtifactCache dblp_cache;
-  const auto sel = CondenseFatherType(
-      dblp, dblp_father, FilterByEndType(dblp_paths, dblp_father), kMaxRowNnz,
-      dblp.train_index(), 20, dblp_cache);
+  const auto sel =
+      NimOne(dblp, dblp_father, FilterByEndType(dblp_paths, dblp_father),
+             dblp.train_index(), 20, dblp_cache);
   EXPECT_EQ(sel.size(), 20u);
   EXPECT_EQ(std::set<int32_t>(sel.begin(), sel.end()).size(), 20u);
   for (int32_t v : sel) {
@@ -441,35 +460,119 @@ TEST(NimTest, ReadsOnlyNimBlocks) {
   const int32_t budget = g.NodeCount(father) / 4;
   exec::ExecContext ex1(1);
   RowSetRecorder want_recorder;
-  const auto want = CondenseFatherType(g, father, to_father, kMaxRowNnz,
-                                       targets, budget, want_recorder, &ex1);
+  const auto want =
+      NimOne(g, father, to_father, targets, budget, want_recorder, &ex1);
   ASSERT_EQ(want.size(), static_cast<size_t>(budget));
   EXPECT_TRUE(want_recorder.requested.empty());
-  EXPECT_EQ(want_recorder.nim_blocks, static_cast<int>(to_father.size()));
+  EXPECT_EQ(want_recorder.nim_blocks.size(), to_father.size());
   for (int threads : {1, 4}) {
     exec::ExecContext ex(threads);
     RowSetRecorder recorder;
-    EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
-                                 budget, recorder, &ex),
+    EXPECT_EQ(NimOne(g, father, to_father, targets, budget, recorder, &ex),
               want)
         << threads;
     EXPECT_TRUE(recorder.requested.empty()) << threads;
 
     pipeline::ArtifactCache artifacts;
-    EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
-                                 budget, artifacts, &ex),
+    EXPECT_EQ(NimOne(g, father, to_father, targets, budget, artifacts, &ex),
               want)
         << threads;
     const auto cold = artifacts.stats();
     EXPECT_EQ(cold.misses, static_cast<int64_t>(to_father.size()))
         << "a NIM block miss cached its composed product";
-    EXPECT_EQ(CondenseFatherType(g, father, to_father, kMaxRowNnz, targets,
-                                 budget, artifacts, &ex),
+    EXPECT_EQ(NimOne(g, father, to_father, targets, budget, artifacts, &ex),
               want)
         << threads;
     EXPECT_EQ(artifacts.stats().misses, cold.misses) << threads;
   }
 
+}
+
+// --- Fan-out contract ---------------------------------------------------------
+
+TEST(FanOutTest, SelectionIsThreadCountAndCacheIndependent) {
+  // The (path, class) greedies and the (type, path) PPRs run as task
+  // lists, yet the target picks, every target score and the batched NIM
+  // picks equal a 1-thread run bit for bit at 1, 2 and 4 threads, on a
+  // memo-free recorder and on a spilled zero-budget ArtifactCache (cold,
+  // then restored). No cache call comes from inside a task, and the NIM
+  // blocks are requested in (type, path) order. At these scales acm's
+  // and freebase's greedy lists (about 127k and 83k scanned entries)
+  // and NIM lists are above exec::kMinFanOutWork and fan out; dblp's
+  // greedy list (45k) runs serially on the driver.
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "freehgc_core_fan_out")
+          .string();
+  const std::pair<const char*, double> presets[] = {
+      {"acm", 0.25}, {"dblp", 0.5}, {"freebase", 0.5}};
+  for (const auto& [name, scale] : presets) {
+    SCOPED_TRACE(name);
+    auto made = datasets::MakeByName(name, 3, scale);
+    ASSERT_TRUE(made.ok());
+    const HeteroGraph g = std::move(made).value();
+    const TypeId target = g.target_type();
+    MetaPathOptions mp;
+    mp.max_hops = 2;
+    mp.max_paths = 12;
+    const auto paths = EnumerateMetaPaths(g, target, mp);
+    const int32_t budget =
+        std::max<int32_t>(1, static_cast<int32_t>(g.train_index().size()) / 8);
+    std::vector<NimType> types;
+    std::vector<std::vector<RelationId>> want_blocks;
+    for (TypeId t = 0; t < g.NumNodeTypes(); ++t) {
+      if (t == target) continue;
+      types.push_back({t, std::max(1, g.NodeCount(t) / 8)});
+      for (const MetaPath& p : paths) {
+        if (p.end_type() == t) want_blocks.push_back(p.relations);
+      }
+    }
+    ASSERT_GE(want_blocks.size(), 2u);
+
+    exec::ExecContext ex1(1);
+    RowSetRecorder want_recorder;
+    std::vector<double> want_scores;
+    const auto want_target = CondenseTargetNodes(
+        g, paths, kMaxRowNnz, budget, {}, want_recorder, &want_scores, &ex1);
+    const auto want_nim = CondenseFatherTypes(
+        g, types, paths, kMaxRowNnz, want_target, want_recorder, &ex1);
+    EXPECT_EQ(want_recorder.nim_blocks, want_blocks);
+    EXPECT_EQ(want_recorder.calls_in_parallel_region, 0);
+    ASSERT_EQ(want_nim.size(), types.size());
+
+    for (int threads : {1, 2, 4}) {
+      SCOPED_TRACE(threads);
+      exec::ExecContext ex(threads);
+      RowSetRecorder recorder;
+      std::vector<double> scores;
+      EXPECT_EQ(CondenseTargetNodes(g, paths, kMaxRowNnz, budget, {},
+                                    recorder, &scores, &ex),
+                want_target);
+      EXPECT_EQ(scores, want_scores);
+      EXPECT_EQ(CondenseFatherTypes(g, types, paths, kMaxRowNnz, want_target,
+                                    recorder, &ex),
+                want_nim);
+      EXPECT_EQ(recorder.nim_blocks, want_blocks);
+      EXPECT_EQ(recorder.calls_in_parallel_region, 0);
+
+      std::filesystem::remove_all(dir);
+      pipeline::ArtifactCache spilled;
+      ASSERT_TRUE(spilled.ConfigureSpill({0, dir}).ok());
+      for (const char* pass : {"cold", "restored"}) {
+        SCOPED_TRACE(pass);
+        EXPECT_EQ(CondenseTargetNodes(g, paths, kMaxRowNnz, budget, {},
+                                      spilled, &scores, &ex),
+                  want_target);
+        EXPECT_EQ(scores, want_scores);
+        EXPECT_EQ(CondenseFatherTypes(g, types, paths, kMaxRowNnz,
+                                      want_target, spilled, &ex),
+                  want_nim);
+        spilled.TrimToBudget();
+      }
+      EXPECT_GT(spilled.stats().restores, 0);
+      spilled.Clear();
+    }
+  }
+  std::filesystem::remove_all(dir);
 }
 
 // --- ILM ----------------------------------------------------------------------

@@ -11,6 +11,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <thread>
 #include <vector>
@@ -28,6 +29,7 @@
 #include "serve/graph_store.h"
 #include "serve/service.h"
 #include "sparse/ops.h"
+#include "mutate.h"
 
 namespace freehgc {
 namespace {
@@ -397,6 +399,173 @@ TEST(SpillCacheTest, SpilledNimBlockRestoresBitIdentical) {
   ASSERT_EQ(files.size(), 2u) << "the adjacency reused the block's file";
   EXPECT_TRUE(files[0] == block_file[0] || files[1] == block_file[0]);
   cache.Clear();
+  RemoveTree(dir);
+}
+
+TEST(SpillCacheTest, FailedRestoreDropsTheBadFile) {
+  // A spilled adjacency whose file no longer checks out is recomputed
+  // once: the bad file is dropped, so the next eviction writes a fresh
+  // copy and the lookup after it restores instead of missing again.
+  const HeteroGraph g = datasets::MakeToy(5);
+  exec::ExecContext ex(2);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  ASSERT_FALSE(paths.empty());
+  const MetaPath& path = paths.back();
+  const CsrMatrix want = ComposeAdjacency(g, path, mp.max_row_nnz, &ex);
+  auto expect_want = [&](const CsrMatrix& got, const char* what) {
+    EXPECT_EQ(got, want) << what;
+    ASSERT_EQ(got.values().size(), want.values().size()) << what;
+    EXPECT_EQ(std::memcmp(got.values().data(), want.values().data(),
+                          want.values().size() * sizeof(float)),
+              0)
+        << what;
+  };
+
+  const std::string dir = ScratchDir("bad_restore");
+  pipeline::ArtifactCache cache;
+  ASSERT_TRUE(cache.ConfigureSpill({0, dir}).ok());
+  cache.Composed(g, path, mp.max_row_nnz, &ex);
+  cache.TrimToBudget();
+  std::vector<std::string> files;
+  for (const auto& f : std::filesystem::directory_iterator(dir)) {
+    files.push_back(f.path().string());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  const std::string file = files[0];
+  uint64_t value_offset = 0;
+  {
+    auto view = section_io::SectionView::Map(file, section_io::SpillFormat());
+    ASSERT_TRUE(view.ok()) << view.status().ToString();
+    const section_io::SectionEntry* values =
+        view->Find(section_io::kValues, 0);
+    ASSERT_NE(values, nullptr);
+    ASSERT_GT(values->size, 0u);
+    value_offset = values->offset;
+  }
+  {
+    std::fstream io(file, std::ios::in | std::ios::out | std::ios::binary);
+    ASSERT_TRUE(io.good());
+    char byte = 0;
+    io.seekg(static_cast<std::streamoff>(value_offset));
+    io.read(&byte, 1);
+    byte = static_cast<char>(byte ^ 0x5a);
+    io.seekp(static_cast<std::streamoff>(value_offset));
+    io.write(&byte, 1);
+  }
+  ASSERT_FALSE(section_io::MapCsrSpill(file).ok())
+      << "the flipped byte went unnoticed";
+  const auto before = cache.stats();
+
+  expect_want(*cache.Composed(g, path, mp.max_row_nnz, &ex), "recomputed");
+  const auto recomputed = cache.stats();
+  EXPECT_EQ(recomputed.misses, before.misses + 1);
+  EXPECT_EQ(recomputed.restores, before.restores);
+  EXPECT_FALSE(FileExists(file)) << "the bad file was kept";
+
+  cache.TrimToBudget();
+  EXPECT_TRUE(FileExists(file)) << "the eviction wrote no fresh copy";
+  expect_want(*cache.Composed(g, path, mp.max_row_nnz, &ex), "restored");
+  const auto restored = cache.stats();
+  EXPECT_EQ(restored.misses, recomputed.misses) << "restored nothing";
+  EXPECT_EQ(restored.restores, recomputed.restores + 1);
+  cache.Clear();
+  RemoveTree(dir);
+}
+
+// ---------------------------------------------------------------------------
+// Spill-file mutation: seeded mutants of real spool files must map to an
+// error or to a valid matrix, never crash.
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+void WriteFileBytes(const std::string& path, const std::string& bytes) {
+  std::ofstream out(path, std::ios::binary | std::ios::trunc);
+  out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
+}
+
+/// Every entry of a mapped CSR is in range and its rows are ordered:
+/// reading it through the accessors touches only mapped bytes.
+void ExpectValidCsr(const CsrMatrix& m) {
+  ASSERT_GE(m.rows(), 0);
+  ASSERT_GE(m.cols(), 0);
+  ASSERT_EQ(m.indptr().size(), static_cast<size_t>(m.rows()) + 1);
+  ASSERT_EQ(m.indptr()[0], 0);
+  ASSERT_EQ(m.indptr()[m.rows()], m.nnz());
+  ASSERT_EQ(m.indices().size(), static_cast<size_t>(m.nnz()));
+  ASSERT_EQ(m.values().size(), static_cast<size_t>(m.nnz()));
+  int64_t nonzero = 0;
+  for (int32_t r = 0; r < m.rows(); ++r) {
+    ASSERT_LE(m.indptr()[r], m.indptr()[r + 1]);
+    for (int32_t c : m.RowIndices(r)) {
+      ASSERT_GE(c, 0);
+      ASSERT_LT(c, m.cols());
+    }
+    for (float v : m.RowValues(r)) nonzero += v != 0.0f;
+  }
+  EXPECT_LE(nonzero, m.nnz());
+}
+
+TEST(SpillMutationTest, CsrAndPropagatedSpillsSurviveMutants) {
+  const HeteroGraph g = datasets::MakeToy(9);
+  exec::ExecContext ex(2);
+  MetaPathOptions mp;
+  mp.max_hops = 2;
+  mp.max_paths = 4;
+  const auto paths = EnumerateMetaPaths(g, g.target_type(), mp);
+  ASSERT_FALSE(paths.empty());
+  const CsrMatrix csr = ComposeAdjacency(g, paths.back(), 0, &ex);
+  const hgnn::PropagatedFeatures prop =
+      hgnn::BuildEvalContext(g, mp, &ex).full_features;
+
+  const std::string dir = ScratchDir("mutation");
+  const std::string csr_path = dir + "/adj.spill";
+  const std::string prop_path = dir + "/prop.spill";
+  ASSERT_TRUE(section_io::WriteCsrSpill(csr, csr_path, 11).ok());
+  ASSERT_TRUE(hgnn::WritePropagatedSpill(prop, prop_path, 12).ok());
+  const std::string csr_base = ReadFileBytes(csr_path);
+  const std::string prop_base = ReadFileBytes(prop_path);
+  ASSERT_FALSE(csr_base.empty());
+  ASSERT_FALSE(prop_base.empty());
+
+  const std::string mutant_path = dir + "/mutant.spill";
+  Rng rng(2027);
+  int csr_rejected = 0, prop_rejected = 0;
+  constexpr int kMutants = 300;
+  for (int i = 0; i < kMutants; ++i) {
+    WriteFileBytes(mutant_path, testing_util::MutateBytes(csr_base, rng));
+    auto m = section_io::MapCsrSpill(mutant_path);
+    if (m.ok()) {
+      ExpectValidCsr(*m);
+    } else {
+      ++csr_rejected;
+    }
+
+    WriteFileBytes(mutant_path, testing_util::MutateBytes(prop_base, rng));
+    auto f = hgnn::MapPropagatedSpill(mutant_path);
+    if (f.ok()) {
+      const hgnn::PropagatedFeatures& got = **f;
+      ASSERT_EQ(got.names.size(), got.blocks.size());
+      ASSERT_EQ(got.end_types.size(), got.blocks.size());
+      for (const Matrix& b : got.blocks) {
+        ASSERT_GE(b.rows(), 0);
+        ASSERT_GE(b.cols(), 0);
+        int64_t nonzero = 0;
+        for (int64_t k = 0; k < b.size(); ++k) nonzero += b.data()[k] != 0;
+        EXPECT_LE(nonzero, b.size());
+      }
+    } else {
+      ++prop_rejected;
+    }
+  }
+  // Nearly every mutant flips, cuts or inserts checksummed bytes.
+  EXPECT_GT(csr_rejected, kMutants / 2);
+  EXPECT_GT(prop_rejected, kMutants / 2);
   RemoveTree(dir);
 }
 
